@@ -31,7 +31,8 @@ EXACT_EXP = 1 << 30
 _ERR_BITS = 32  # error mantissas are renormalised to at most this many bits
 
 
-def _ceil_div(a: int, b: int) -> int:
+def _ceil_div(a, b) -> int:
+    """ceil(a / b) for b > 0; exact for integers and Fractions alike."""
     return -((-a) // b)
 
 
@@ -205,13 +206,6 @@ def _err_add(en1: int, es1: int, en2: int, es2: int) -> tuple[int, int]:
     return (en1 << (es - es1)) + (en2 << (es - es2)), es
 
 
-def sum_cv(values) -> CertifiedValue:
-    acc = CertifiedValue.zero()
-    for v in values:
-        acc = acc + v
-    return acc
-
-
 def finalize(cv: CertifiedValue, n: int) -> CertifiedValue:
     """Round to ``n + 2`` fractional bits and certify total error <= 2**-n.
 
@@ -225,6 +219,14 @@ def finalize(cv: CertifiedValue, n: int) -> CertifiedValue:
     if out.s < n + 2:
         out = CertifiedValue(out.m << (n + 2 - out.s), n + 2, out.en, out.es)
     return CertifiedValue(out.m, out.s, 1, n)
+
+
+def _exact_cv(f: ExactLike, prec: int) -> CertifiedValue:
+    """Exact enclosure when f is dyadic, else one far below the budget 2**-prec."""
+    f = as_fraction(f)
+    if f.denominator & (f.denominator - 1) == 0:
+        return CertifiedValue.exact(f)
+    return CertifiedValue.from_fraction(f, prec + 40)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +357,6 @@ def recip_cv(x, p: int) -> CertifiedValue:
     return out
 
 
-def div_cv(a, b, p: int) -> CertifiedValue:
-    r = recip_cv(b, p + 4)
-    num = a if isinstance(a, CertifiedValue) else CertifiedValue.exact(a)
-    return (num * r).rounded(p + 4)
-
-
 # ---------------------------------------------------------------------------
 # exp
 
@@ -408,7 +404,7 @@ def exp_cv(x, p: int) -> CertifiedValue:
 
 
 # ---------------------------------------------------------------------------
-# sin / cos with certified range reduction
+# sin / cos of pi times a rational, reduced exactly
 
 
 def _sin_taylor(rv: int, re: int, W: int) -> tuple[int, int]:
@@ -422,7 +418,7 @@ def _sin_taylor(rv: int, re: int, W: int) -> tuple[int, int]:
         term, eterm = _sdiv_int(-term, eterm, (2 * k) * (2 * k + 1))
         acc += term
         eacc += eterm
-        # |arg| <= 4.25 after reduction, so the terms decrease once k >= 4 and
+        # |arg| < 2 after reduction, so the terms decrease once k >= 4 and
         # the alternating tail is below the last added term.
         if k >= 4 and abs(term) <= 1 and eterm <= 2:
             eacc += abs(term) + eterm + 2
@@ -445,39 +441,6 @@ def _cos_taylor(rv: int, re: int, W: int) -> tuple[int, int]:
             eacc += abs(term) + eterm + 2
             break
     return acc, eacc
-
-
-def _reduced_arg(val: Fraction, p: int) -> tuple[Fraction, Fraction]:
-    """val - 2 pi q with |result| <= pi + slack; returns (value, error)."""
-    if abs(val) <= 3:
-        return val, Fraction(0)
-    qbits = int(abs(val)).bit_length() + 4
-    piv = pi_cv(p + qbits)
-    twopi = 2 * piv.value_fraction()
-    q = int(val / twopi + Fraction(1, 2)) if val >= 0 else -int(-val / twopi + Fraction(1, 2))
-    return val - q * twopi, 2 * abs(q) * piv.err_fraction()
-
-
-def sin_cv(x, p: int) -> CertifiedValue:
-    val, ierr = _as_exact_pair(x)
-    rval, rerr = _reduced_arg(val, p + 8)
-    W = p + 8
-    rv, re = _scaled_from_fraction(rval, W)
-    acc, eacc = _sin_taylor(rv, re, W)
-    out = CertifiedValue(acc, W, eacc, W).rounded(p + 4)
-    extra = ierr + rerr
-    return out.widen_fraction(extra) if extra else out
-
-
-def cos_cv(x, p: int) -> CertifiedValue:
-    val, ierr = _as_exact_pair(x)
-    rval, rerr = _reduced_arg(val, p + 8)
-    W = p + 8
-    rv, re = _scaled_from_fraction(rval, W)
-    acc, eacc = _cos_taylor(rv, re, W)
-    out = CertifiedValue(acc, W, eacc, W).rounded(p + 4)
-    extra = ierr + rerr
-    return out.widen_fraction(extra) if extra else out
 
 
 def sin_pi_mul_cv(r, p: int) -> CertifiedValue:
@@ -620,16 +583,3 @@ def _round_frac_down(f: Fraction, bits: int) -> Fraction:
         return Fraction((num << k) // den, 1 << k)
     return Fraction((num // (den << -k)) * (1 << -k))
 
-
-def frac_err_exponent(bound: Fraction) -> int:
-    """Largest n with bound <= 2**-n, i.e. floor(-log2(bound)) for bound > 0."""
-    if bound <= 0:
-        return EXACT_EXP
-    num, den = bound.numerator, bound.denominator
-    n = den.bit_length() - num.bit_length()
-    # candidate within 1; fix up exactly
-    while num * (1 << max(n + 1, 0)) <= den * (1 << max(-(n + 1), 0)):
-        n += 1
-    while num * (1 << max(n, 0)) > den * (1 << max(-n, 0)):
-        n -= 1
-    return n

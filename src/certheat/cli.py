@@ -3,8 +3,8 @@
 Configs are flat key=value text files with a fixed vocabulary of input
 functions (trigonometric polynomials, piecewise-linear tables, polynomial
 profiles, counting instances); nothing in a config is ever executed.
-Exit codes: 0 success, 1 check/solve failure, 2 config error, 3 violated
-solver precondition.
+Exit codes: 0 success, 1 check/solve failure or internal error, 2 config
+error, 3 violated solver precondition.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .certified import CertifiedValue
 from .dyadic import round_to
 from .errors import CertHeatError, ConfigError, PreconditionError
 from .evaluable import (EvaluableFunction, TrigPoly, constant_fn,
@@ -475,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--bits", type=int, help="output precision 2^-bits")
         p.add_argument("--out", help="result file path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (current policy: sequential)")
         p.add_argument("--seed", type=int, help="seed for randomized pieces")
 
     ps = sub.add_parser("solve", help="run one certified solve")
@@ -491,9 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         if args.command == "solve":
             return cmd_solve(args)
@@ -508,6 +502,9 @@ def main(argv=None) -> int:
         return 3
     except CertHeatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:  # a solver broke its own certificate
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

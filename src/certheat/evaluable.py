@@ -131,6 +131,28 @@ class EvaluableFunction:
         raise ValueError("function has no declared linear structure")
 
 
+def linear_pieces(
+        fn: EvaluableFunction) -> Optional[list[tuple[Fraction, Fraction, Fraction, Fraction]]]:
+    """(c0, c1, a, b) with fn = c0 + c1 y on [a, b], covering fn's domain.
+
+    Reads the pieces off a declared piecewise-linear structure with exact
+    evaluation, or off an affine polynomial (one piece); None for any other
+    function.
+    """
+    if fn.has_linear_structure() and fn.eval_exact is not None:
+        grid = fn.segment_grid(*fn.domain)
+        out = []
+        for a, b in zip(grid, grid[1:]):
+            ya, yb = fn.eval_exact(a), fn.eval_exact(b)
+            c1 = (yb - ya) / (b - a)
+            out.append((ya - c1 * a, c1, a, b))
+        return out
+    if fn.poly_coeffs is not None and len(fn.poly_coeffs) <= 2:
+        c0, c1 = (list(fn.poly_coeffs) + [Fraction(0)])[:2]
+        return [(c0, c1, *fn.domain)]
+    return None
+
+
 def trig_poly_fn(tp: TrigPoly, label: str = "") -> EvaluableFunction:
     lip = tp.lipschitz_pi_units()
     return EvaluableFunction(

@@ -27,28 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import Callable, Optional
+from typing import Callable
 
-from .certified import (CertifiedValue, exp_cv, gauss_primitive_cv, pi_cv,
-                        pow_fraction_upper, recip_cv, recip_pi_cv,
+from .certified import (CertifiedValue, _ceil_div, _exact_cv,
+                        _scaled_from_fraction, exp_cv, gauss_primitive_cv,
+                        pi_cv, pow_fraction_upper, recip_cv, recip_pi_cv,
                         recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
 from .dyadic import _round_half_even, as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
-from .evaluable import (EvaluableFunction, _log2_ceil, lipschitz_modulus,
-                        polynomial_fn)
+from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
+                        lipschitz_modulus, polynomial_fn)
 from .quadrature import int_linear_sin_pi, integrate
-from .series import TruncationPlan, choose_K_disk
-
-
-def _ceil_frac(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
-
-
-def _exact_cv(f: Fraction, prec: int) -> CertifiedValue:
-    f = as_fraction(f)
-    if f.denominator & (f.denominator - 1) == 0:
-        return CertifiedValue.exact(f)
-    return CertifiedValue.from_fraction(f, prec + 40)
+from .series import TruncationPlan, choose_K_disk, least_passing
 
 
 def _sc_from_cv(cv: CertifiedValue, W: int) -> tuple[int, int]:
@@ -57,11 +47,6 @@ def _sc_from_cv(cv: CertifiedValue, W: int) -> tuple[int, int]:
     m = _round_half_even(val.numerator << W, val.denominator)
     err = cv.err_fraction()
     return m, (err.numerator << W) // err.denominator + 2
-
-
-def _sc_from_fraction(f: Fraction, W: int) -> tuple[int, int]:
-    m = _round_half_even(f.numerator << W, f.denominator)
-    return m, (0 if (f.numerator << W) % f.denominator == 0 else 1)
 
 
 def _sqrtN_upper(N: int) -> Fraction:
@@ -183,18 +168,7 @@ def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
     if g.sine_modes is not None and g.sine_L == L:
         # orthogonality reads the coefficient off exactly
         return _exact_cv(g.sine_modes.get(k, Fraction(0)), prec)
-    segs = None
-    if g.has_linear_structure() and g.eval_exact is not None:
-        grid = g.segment_grid(Fraction(0), L)
-        segs = []
-        for a, b in zip(grid, grid[1:]):
-            va, vb = g.eval_exact(a), g.eval_exact(b)
-            c1 = (vb - va) / (b - a)
-            segs.append((va - c1 * a, c1, a, b))
-    elif g.poly_coeffs is not None and len(g.poly_coeffs) <= 2:
-        c0 = g.poly_coeffs[0]
-        c1 = g.poly_coeffs[1] if len(g.poly_coeffs) > 1 else Fraction(0)
-        segs = [(c0, c1, Fraction(0), L)]
+    segs = linear_pieces(g)
     if segs is not None:
         pp = prec + len(segs).bit_length() + 3
         acc = CertifiedValue.zero()
@@ -291,11 +265,10 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
 class IntervalReduction:
     """Ties reweighted initial data to its integration identity.
 
-    The weight attached to the data and the kernel factor used by
-    :meth:`certified_point_value` are exact reciprocals, so the product under
-    the integral collapses back to gtilde and the claimed value is
-    (4 pi alpha t0)^{-1/2} times the plain integral of gtilde, whatever
-    gtilde is.
+    The data is gtilde times the weight exp(E), E given by
+    :meth:`weight_exponent`.  The identity divides that weight back out, so
+    the claimed point value is (4 pi alpha t0)^{-1/2} times the plain
+    integral of gtilde, whatever gtilde is.
     """
 
     t0: Fraction
@@ -309,29 +282,14 @@ class IntervalReduction:
         f = (y - self.x0) ** 2 / (4 * self.alpha * self.t0)
         return recip_pi_cv(prec + 6).mul_fraction(f, prec + 4)
 
-    def gtilde_integral(self, n: int) -> CertifiedValue:
-        """Integral of gtilde over [0, L] via the cancelling weighted walk."""
+    def certified_point_value(self, n: int) -> CertifiedValue:
         if not self.gtilde.has_linear_structure() or self.gtilde.eval_exact is None:
             raise PreconditionError("reduction data must be piecewise linear")
-        grid = self.gtilde.segment_grid(Fraction(0), self.L)
-        pe = n + len(grid).bit_length() + 6
-        acc = CertifiedValue.zero()
-        for a, b in zip(grid, grid[1:]):
-            mid = (a + b) / 2
-            ex = self.weight_exponent(mid, pe + 6)
-            lift = exp_cv(ex, pe + 4)
-            drop = exp_cv(-ex, pe + 4)
-            gstar = (CertifiedValue.from_fraction(self.gtilde.eval_exact(mid), pe + 6)
-                     * lift).rounded(pe + 2)
-            # the product is gtilde(mid); midpoint rule is exact per segment
-            acc = acc + (drop * gstar).rounded(pe).mul_fraction(b - a, pe)
-        return acc.rounded(n + 2)
-
-    def certified_point_value(self, n: int) -> CertifiedValue:
         pe = n + 8
         pref = recip_cv(sqrt_cv(pi_cv(pe + 10).mul_fraction(
             4 * self.alpha * self.t0, pe + 8), pe + 4), pe + 4)
-        return (self.gtilde_integral(n + 4) * pref).rounded(n + 4)
+        # midpoint rule, exact per linear piece: one verifier call per piece
+        return (integrate(self.gtilde, 0, self.L, n + 4) * pref).rounded(n + 4)
 
 
 def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction,
@@ -369,8 +327,8 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction,
     )
     red = IntervalReduction(t0, x0, L, alpha, gtilde)
 
-    emax = L * L / (4 * alpha * t0)  # before the 1/pi factor
-    wsup = exp_cv(Fraction(_ceil_frac(emax)), 20).upper_fraction()
+    # e^{ceil(L^2 / (4 alpha t0))} bounds the weight: E before its 1/pi factor
+    wsup = exp_cv(Fraction(_ceil_div(L * L, 4 * alpha * t0)), 20).upper_fraction()
     sup = gtilde.sup_bound * wsup
     # weight Lipschitz bound: |E'| e^{Emax} with |E'| <= 2 L / (4 alpha t0 pi)
     wlip = wsup * 2 * L / (4 * alpha * t0)
@@ -451,19 +409,9 @@ def plan_halfline_boundary(p: HalflineBoundaryProblem, n: int) -> TruncationPlan
         e = exp_cv(-x0 * x0 * N / (4 * a), prec).upper_fraction()
         return pref * hsup * _sqrtN_upper(N) * e
 
-    Nmin = max(_ceil_frac(6 * a / (x0 * x0)), 2)
-    N = Nmin
-    while layer(N) > bud2:
-        N *= 2
-        if N > 1 << 26:
-            raise AssertionError("boundary-layer bound failed to close")
-    lo = max(Nmin, N // 2)
-    while lo < N:
-        mid = (lo + N) // 2
-        if layer(mid) <= bud2:
-            N = mid
-        else:
-            lo = mid + 1
+    Nmin = max(_ceil_div(6 * a, x0 * x0), 2)
+    N = least_passing(lambda m: layer(m) <= bud2, Nmin, Nmin, 1 << 26,
+                      "boundary-layer bound failed to close")
 
     q = Fraction(N - 1, N)
     xi_ub = sqrt_cv(x1 * x1 / (4 * a), 40).upper_fraction()
@@ -474,18 +422,8 @@ def plan_halfline_boundary(p: HalflineBoundaryProblem, n: int) -> TruncationPlan
         # sum over n' > m-1 of (n'+1) q^n' in closed form, rounded upward
         return tpref * (Fraction(m, N) + 1) * pow_fraction_upper(q, m, 160)
 
-    T = N
-    while tail(T + 1) > bud2:
-        T *= 2
-        if T > 1 << 26:
-            raise AssertionError("series-tail bound failed to close")
-    lo = 1
-    while lo < T:
-        mid = (lo + T) // 2
-        if tail(mid + 1) <= bud2:
-            T = mid
-        else:
-            lo = mid + 1
+    T = least_passing(lambda m: tail(m + 1) <= bud2, N, 1, 1 << 26,
+                      "series-tail bound failed to close")
 
     Kh = 0
     while True:
@@ -535,8 +473,8 @@ class _PartsIntegrator:
         A = t - 1
         self.An, self.Ad = A.numerator, A.denominator
         self.Bn, self.Bd = 1 - N, N
-        self.pa, self.epa = _sc_from_fraction(A, pw)
-        self.pb, self.epb = _sc_from_fraction(Fraction(self.Bn, self.Bd), pw)
+        self.pa, self.epa = _scaled_from_fraction(A, pw)
+        self.pb, self.epb = _scaled_from_fraction(Fraction(self.Bn, self.Bd), pw)
         self.np = 0
 
     def term(self) -> tuple[int, int]:
@@ -628,24 +566,6 @@ def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
 # half-line image-kernel ladder (shared by the force and initial-data solvers)
 
 
-def _affine_segments(fn: EvaluableFunction) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """(c0, c1, a, b) pieces with fn = c0 + c1 y on [a, b]."""
-    if fn.poly_coeffs is not None and len(fn.poly_coeffs) <= 2:
-        c0 = fn.poly_coeffs[0]
-        c1 = fn.poly_coeffs[1] if len(fn.poly_coeffs) > 1 else Fraction(0)
-        return [(c0, c1, fn.domain[0], fn.domain[1])]
-    if fn.has_linear_structure() and fn.eval_exact is not None:
-        out = []
-        grid = fn.segment_grid(*fn.domain)
-        for a, b in zip(grid, grid[1:]):
-            va, vb = fn.eval_exact(a), fn.eval_exact(b)
-            c1 = (vb - va) / (b - a)
-            out.append((va - c1 * a, c1, a, b))
-        return out
-    raise QuadratureBudgetError(
-        "space data must be piecewise linear or affine for the kernel ladder")
-
-
 class _EndState:
     """Per-endpoint integer tables for e^{-w^2} H_j(w) / (4^{n'} n'!).
 
@@ -701,7 +621,10 @@ class _SpaceLadder:
                  pw: int):
         self.pw = pw
         pp = pw + 8
-        segs = _affine_segments(f_space)
+        segs = linear_pieces(f_space)
+        if segs is None:
+            raise QuadratureBudgetError(
+                "space data must be piecewise linear or affine for the kernel ladder")
         c_cv = sqrt_cv(4 * alpha, pp)
         self.pieces = []  # (chsgn, k1 pair, k2 pair, end_a, end_b, cert consts)
         ends: dict[tuple[int, Fraction], _EndState] = {}
@@ -718,7 +641,7 @@ class _SpaceLadder:
                 self.pieces.append((
                     chsgn,
                     _sc_from_cv(k1cv, pw) if k1cv is not None else (0, 0),
-                    _sc_from_fraction(4 * alpha * c1, pw),
+                    _scaled_from_fraction(4 * alpha * c1, pw),
                     ends[key_a], ends[key_b],
                     k1cv, c1,
                 ))
@@ -820,19 +743,9 @@ def plan_halfline_force(p: HalflineForceProblem, n: int) -> TruncationPlan:
         e = exp_cv(-gap * gap * N / (4 * a), prec).upper_fraction()
         return 2 * p.y0 * fts * fss * pref * _invsqrtN_upper(N) * e
 
-    Nmin = max(_ceil_frac(2 * a / (gap * gap)), 2)
-    N = Nmin
-    while layer(N) > bud2:
-        N *= 2
-        if N > 1 << 26:
-            raise AssertionError("boundary-layer bound failed to close")
-    lo = max(Nmin, N // 2)
-    while lo < N:
-        mid = (lo + N) // 2
-        if layer(mid) <= bud2:
-            N = mid
-        else:
-            lo = mid + 1
+    Nmin = max(_ceil_div(2 * a, gap * gap), 2)
+    N = least_passing(lambda m: layer(m) <= bud2, Nmin, Nmin, 1 << 26,
+                      "boundary-layer bound failed to close")
 
     q = Fraction(N - 1, N)
     tpref = 2 * p.y0 * fts * fss * pref * N
@@ -840,18 +753,8 @@ def plan_halfline_force(p: HalflineForceProblem, n: int) -> TruncationPlan:
     def tail(m: int) -> Fraction:
         return tpref * pow_fraction_upper(q, m, 160)
 
-    T = N
-    while tail(T + 1) > bud2:
-        T *= 2
-        if T > 1 << 26:
-            raise AssertionError("series-tail bound failed to close")
-    lo = 1
-    while lo < T:
-        mid = (lo + T) // 2
-        if tail(mid + 1) <= bud2:
-            T = mid
-        else:
-            lo = mid + 1
+    T = least_passing(lambda m: tail(m + 1) <= bud2, N, 1, 1 << 26,
+                      "series-tail bound failed to close")
 
     sm = p.f_time.smooth_model
     Kh = 0
@@ -963,18 +866,8 @@ def plan_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int) -> Truncati
     def tail(m: int) -> Fraction:
         return tpref * pow_fraction_upper(q, m, 160)
 
-    T = 1
-    while tail(T + 1) > bud1:
-        T *= 2
-        if T > 1 << 26:
-            raise AssertionError("series-tail bound failed to close")
-    lo = 0
-    while lo < T:
-        mid = (lo + T) // 2
-        if tail(mid + 1) <= bud1:
-            T = mid
-        else:
-            lo = mid + 1
+    T = least_passing(lambda m: tail(m + 1) <= bud1, 1, 0, 1 << 26,
+                      "series-tail bound failed to close")
 
     pw = n + 2 + 2 * (T + 1).bit_length() + 10
     plan = TruncationPlan(T, [("series tail", n + 1), ("assembly", n + 2)],
@@ -999,7 +892,7 @@ def solve_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int,
     ladder = _SpaceLadder(g, x, alpha, pw)
     qt = t - 1  # powers of (t-1) weight the ladder terms
     qn, qd = qt.numerator, qt.denominator
-    ptv, pte = _sc_from_fraction(Fraction(1), pw)
+    ptv, pte = _scaled_from_fraction(Fraction(1), pw)
     one = 1 << pw
     total = etot = 0
     for np_ in range(T + 1):

@@ -1,18 +1,19 @@
-"""Kernel and special-function evaluations.
+"""Heat-kernel derivative families, integer Laguerre and Hermite tables, and
+spherical harmonics.
 
-The heat-kernel time-derivative families are the computational heart of the
-half-line solvers.  Everything rational about them is kept exact:
-
-* ``heat_g_rational_core`` produces the finite sum S with
-  g^(n)(t,x) = x * t^(-3/2) * e^(-x^2/t) * S(n,t,x) as an exact rational
-  (the half-integer Gamma ratios are rational, so S is).
-* The same family at t = 1 collapses to scaled Laguerre polynomials, which
-  the solvers evaluate through integer three-term recurrences
-  (``laguerre_half_table`` / ``laguerre_minus_half_table``), avoiding any
-  error growth through the recursion.
-* Hermite values at the Gaussian-integral endpoints come from an integer
-  pair recurrence in w^2, so only the sign-carrying factor w and e^(-w^2)
-  need certified arithmetic.
+* ``heat_g`` and ``heat_g_tilde`` evaluate the n-th time derivatives of
+  g(t,x) = x t^(-3/2) e^(-x^2/t) and g~(t,x) = t^(-1/2) e^(-x^2/t).
+  Everything rational about them is exact: ``heat_g_rational_core`` gives
+  the finite sum S with g^(n)(t,x) = x t^(-3/2) e^(-x^2/t) S(n,t,x) (the
+  half-integer Gamma ratios are rational, so S is), and g~^(n) follows from
+  the Leibniz rule on t g / x.
+* At t = 1 the families collapse to scaled Laguerre polynomials, and the
+  Hermite values at the Gaussian-integral endpoints obey an integer pair
+  recurrence in w^2.  ``laguerre_half_table``, ``laguerre_minus_half_table``
+  and ``hermite_pair_table`` hold those integers exactly.  The half-line
+  solvers run the same recurrences inline; the tables are the exact
+  references that tests and self-checks compare against.
+* ``sph_count`` and ``real_sph_harmonic_3d`` serve the ball solver.
 """
 
 from __future__ import annotations
@@ -21,30 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .certified import (CertifiedValue, cos_pi_mul_cv, exp_cv, pi_cv,
-                        recip_cv, recip_pi_cv, sin_pi_mul_cv, sqrt_cv)
+from .certified import (CertifiedValue, cos_pi_mul_cv, exp_cv, recip_cv,
+                        recip_pi_cv, sin_pi_mul_cv, sqrt_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError
 from .evaluable import _log2_ceil
-
-
-# ---------------------------------------------------------------------------
-# Poisson kernel on the unit disk
-
-
-def poisson_kernel_2d(r, theta, tau, p: int) -> CertifiedValue:
-    """(1 - r^2) / (1 - 2 r cos(theta - tau) + r^2), angles in units of pi."""
-    r = as_fraction(r)
-    theta, tau = as_fraction(theta), as_fraction(tau)
-    if not 0 <= r < 1:
-        raise PreconditionError("poisson kernel needs r in [0,1)")
-    if r == 0:
-        return CertifiedValue.exact(1)
-    pp = p + 8
-    c = cos_pi_mul_cv(theta - tau, pp)
-    den = CertifiedValue.from_fraction(1 + r * r, pp) - c.mul_fraction(2 * r, pp)
-    # den >= (1-r)^2 > 0, so the reciprocal is well defined
-    return (CertifiedValue.from_fraction(1 - r * r, pp) * recip_cv(den, pp)).rounded(p + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +94,6 @@ def heat_g_tilde(n: int, t, x, p: int) -> CertifiedValue:
     return _assemble_gstyle(Q / t, t, x, p)
 
 
-def heat_g_tilde_printed_variant(n: int, t, x, p: int) -> CertifiedValue:
-    """The (t g^(n) + g^(n-1)) / x variant, kept for the consistency log.
-
-    Differs from the Leibniz result for n >= 2; the finite-difference tests
-    record which of the two matches the actual derivative.
-    """
-    t, x = as_fraction(t), as_fraction(x)
-    if t <= 0 or x == 0:
-        raise PreconditionError("t must be positive and x nonzero")
-    Q = t * heat_g_rational_core(n, t, x)
-    if n >= 1:
-        Q += heat_g_rational_core(n - 1, t, x)
-    return _assemble_gstyle(Q / t, t, x, p)
-
-
 # ---------------------------------------------------------------------------
 # integer Laguerre tables (t = 1 specialization)
 #
@@ -167,44 +134,6 @@ def hermite_pair_table(J: int, u: int, v: int) -> tuple[int, ...]:
         mult = 2 * u if j % 2 == 1 else 2
         out.append(mult * out[-1] - 2 * j * v * out[-2])
     return tuple(out[:J + 1])
-
-
-# ---------------------------------------------------------------------------
-# growth bound for |g^(n)(1,x)| / n!
-
-
-_N_CAL = 16
-_GRID = 32
-
-
-@lru_cache(maxsize=16)
-def _growth_constant(x0: Fraction) -> Fraction:
-    """Calibrated C with |g^(n)(1,x)|/n! <= C (n+1) x0 on [0, x0]."""
-    xs = [x0 * i / _GRID for i in range(1, _GRID + 1)]
-    best = Fraction(0)
-    for n in range(_N_CAL + 1):
-        fact = factorial(n)
-        for x in xs:
-            ub = heat_g(n, 1, x, 40).abs_upper()
-            ratio = ub / (fact * (n + 1) * x0)
-            if ratio > best:
-                best = ratio
-    C = 2 * best
-    # sanity window beyond the calibration range
-    for n in range(_N_CAL + 1, 2 * _N_CAL + 1):
-        fact = factorial(n)
-        for x in xs[::4]:
-            if heat_g(n, 1, x, 40).abs_upper() / fact > C * (n + 1) * x0:
-                raise AssertionError("growth-bound calibration failed to extend")
-    return C
-
-
-def deriv_growth_bound(n: int, x0) -> Fraction:
-    """Sound overestimate of sup over [0,x0] of |g^(n)(1,x)| / n!."""
-    x0 = as_fraction(x0)
-    if x0 <= 0:
-        raise PreconditionError("x0 must be positive")
-    return _growth_constant(x0) * (n + 1) * x0
 
 
 # ---------------------------------------------------------------------------

@@ -19,21 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .certified import (CertifiedValue, cos_pi_mul_cv, sin_pi_mul_cv)
+from .certified import (CertifiedValue, _exact_cv, cos_pi_mul_cv,
+                        sin_pi_mul_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
-from .evaluable import EvaluableFunction, _log2_ceil, lipschitz_modulus
+from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
+                        lipschitz_modulus)
 from .kernels import real_sph_harmonic_3d, sph_count
 from .quadrature import (DEFAULT_MAX_PANELS, int_linear_cos_pi,
                          int_linear_sin_pi, integrate)
 from .series import TruncationPlan, choose_K_disk, higher_arith_geom
-
-
-def _exact_cv(f: Fraction, prec: int) -> CertifiedValue:
-    """Exact enclosure when f is dyadic, else one far below the budget."""
-    if f.denominator & (f.denominator - 1) == 0:
-        return CertifiedValue.exact(f)
-    return CertifiedValue.from_fraction(f, prec + 40)
 
 
 @dataclass
@@ -65,23 +60,14 @@ class DiskProblem:
 # Fourier coefficients
 
 
-def _pl_segments(fn: EvaluableFunction, lo: Fraction, hi: Fraction):
-    """(c0, c1, a, b) per linear piece of fn over [lo, hi]."""
-    grid = fn.segment_grid(lo, hi)
-    for a, b in zip(grid, grid[1:]):
-        ya, yb = fn.eval_exact(a), fn.eval_exact(b)
-        c1 = (yb - ya) / (b - a)
-        yield ya - a * c1, c1, a, b
-
-
 def _pl_fourier(fn: EvaluableFunction, k: int, phase: Fraction, kind: str,
                 p: int) -> CertifiedValue:
     """Integral of fn * sin/cos(pi (k rho + phase)) over fn's linear pieces."""
     close = int_linear_sin_pi if kind == "sin" else int_linear_cos_pi
-    grid = fn.segment_grid(*fn.domain)
-    pp = p + len(grid).bit_length() + 2
+    pieces = linear_pieces(fn)
+    pp = p + (len(pieces) + 1).bit_length() + 2  # per-piece rounding must not pile up
     acc = CertifiedValue.zero()
-    for c0, c1, a, b in _pl_segments(fn, *fn.domain):
+    for c0, c1, a, b in pieces:
         acc = acc + close(c0, c1, a, b, k, phase, pp)
     return acc
 

@@ -18,17 +18,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certified import (CertifiedValue, cos_pi_mul_cv, recip_pi_cv,
-                        sin_pi_mul_cv)
+from .certified import (CertifiedValue, _ceil_div, cos_pi_mul_cv,
+                        recip_pi_cv, sin_pi_mul_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import EvaluableFunction, _log2_ceil
 
 DEFAULT_MAX_PANELS = 1 << 22
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def integrate(fn: EvaluableFunction, lo, hi, p: int,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .dyadic import as_fraction
 from .errors import PreconditionError
@@ -90,6 +91,28 @@ def choose_K_disk(C, r0) -> int:
         K += 1
         power *= r0
     return K
+
+
+def least_passing(ok: Callable[[int], bool], start: int, floor: int, cap: int,
+                  message: str) -> int:
+    """Least m >= floor with ok(m), for ok monotone in m.
+
+    Doubles from start until ok holds, then bisects between the last failing
+    value (floor, if start already passes) and the first passing one.
+    Raises AssertionError(message) once the doubling passes cap.
+    """
+    lo, hi = floor, start
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+        if hi > cap:
+            raise AssertionError(message)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 @dataclass

@@ -19,15 +19,13 @@ from .errors import CertHeatError, ConfigError, InsufficientPrecision
 from .evaluable import (EvaluableFunction, piecewise_linear_fn, sine_modes_fn,
                         trig_poly_fn, TrigPoly)
 from .hardness import (CountingInstance, PIPELINES, brute_force_count,
-                       counting_integrand, exact_integral, measure_blowup,
-                       precision_for, random_instance, recover_count,
-                       render_csv)
+                       counting_integrand, measure_blowup, precision_for,
+                       random_instance, recover_count, render_csv)
 from .heat import (IntervalHeatProblem, HalflineBoundaryProblem,
                    poly_time_profile, solve_halfline_boundary,
                    solve_interval, solve_neumann_constant_force)
-from .kernels import (heat_g, heat_g_tilde, heat_g_tilde_printed_variant,
-                      hermite_pair_table, laguerre_half_table,
-                      poisson_kernel_2d, real_sph_harmonic_3d, sph_count)
+from .kernels import (heat_g, heat_g_tilde, hermite_pair_table,
+                      laguerre_half_table, real_sph_harmonic_3d, sph_count)
 from .laplace import DiskProblem, hardness_boundary_disk, solve_disk
 from .quadrature import integrate
 from .series import (TruncationPlan, arith_geom_sum, choose_K_disk,
@@ -57,15 +55,6 @@ def _enclose(cv: CertifiedValue, target: CertifiedValue, slack: Fraction) -> Non
 # kernels
 
 
-def _ck_poisson_positive(rng):
-    for _ in range(10):
-        r = Fraction(rng.randrange(0, 99), 100)
-        th = Fraction(rng.randrange(0, 200), 100)
-        ta = Fraction(rng.randrange(0, 200), 100)
-        _require(poisson_kernel_2d(r, th, ta, 30).lower_fraction() > 0,
-                 "kernel not certified positive")
-
-
 def _ck_heat_g_base(rng):
     _enclose(heat_g(0, 1, 1, 40), exp_cv(Fraction(-1), 60), Fraction(0))
     half = exp_cv(Fraction(-1), 60).mul_fraction(Fraction(-1, 2), 60)
@@ -75,13 +64,19 @@ def _ck_heat_g_base(rng):
              "odd kernel should vanish exactly at x=0")
 
 
+def _printed_form(n: int) -> CertifiedValue:
+    # (t g^(n) + g^(n-1)) / x at t = x = 1: the Leibniz form without its factor n
+    out = heat_g(n, 1, 1, 42)
+    return out + heat_g(n - 1, 1, 1, 42) if n >= 1 else out
+
+
 def _ck_heat_g_forms(rng):
     for n in (0, 1):
         a = heat_g_tilde(n, 1, 1, 40)
-        b = heat_g_tilde_printed_variant(n, 1, 1, 40)
+        b = _printed_form(n)
         _enclose(a, b, Fraction(1, 2 ** 36))
     a = heat_g_tilde(2, 1, 1, 40)
-    b = heat_g_tilde_printed_variant(2, 1, 1, 40)
+    b = _printed_form(2)
     gap = abs(a.value_fraction() - b.value_fraction())
     gap -= a.err_fraction() + b.err_fraction()
     _require(gap > Fraction(1, 10 ** 6), "variant forms should split at order 2")
@@ -362,7 +357,6 @@ def _ck_blowup_schema(rng):
 
 SUITES: dict[str, list[tuple[str, Callable]]] = {
     "kernels": [
-        ("poisson-kernel-positive", _ck_poisson_positive),
         ("heat-g-base-values", _ck_heat_g_base),
         ("derivative-recurrence-forms", _ck_heat_g_forms),
         ("integer-ladder-tables", _ck_integer_tables),

@@ -1,10 +1,11 @@
 """End-to-end acceptance run: nine criteria, one test and pass line each.
 
-Criteria 1-3 collect every truncation plan they build; criterion 9 re-audits
-the full set with exact rational comparisons.  Oracles: closed forms for
-harmonic and eigenmode data, adaptive quadrature for the half-line kernel
-representation, Richardson finite differences for derivative families,
-integer partial sums for series identities, subset enumeration for counts.
+Criteria 1-3 solve with the truncation plans of a shared module fixture;
+criterion 9 re-audits the full set with exact rational comparisons.
+Oracles: closed forms for harmonic and eigenmode data, adaptive quadrature
+for the half-line kernel representation, Richardson finite differences for
+derivative families, integer partial sums for series identities, subset
+enumeration for counts.
 """
 
 import random
@@ -23,14 +24,17 @@ from certheat.heat import (HalflineBoundaryProblem, IntervalHeatProblem,
                            plan_halfline_boundary, plan_interval,
                            poly_time_profile, sin_half_profile,
                            solve_halfline_boundary, solve_interval)
-from certheat.kernels import (heat_g, heat_g_tilde,
-                              heat_g_tilde_printed_variant,
-                              real_sph_harmonic_3d)
+from certheat.kernels import heat_g, heat_g_tilde, real_sph_harmonic_3d
 from certheat.laplace import DiskProblem, plan_disk, solve_disk
 from certheat.series import arith_geom_sum, higher_arith_geom
 
-# plans collected while criteria 1-3 run, audited by criterion 9
-PLANS: list[tuple[object, int]] = []
+# criterion 3's boundary profiles with their mpmath counterparts
+PROFILES = [
+    (poly_time_profile([Fraction(0), Fraction(1)]), lambda s: s),
+    (poly_time_profile([Fraction(0), Fraction(0), Fraction(1)]),
+     lambda s: s * s),
+    (sin_half_profile(), lambda s: mp.sin(mp.pi * s / 2)),
+]
 
 
 def to_mp(f: Fraction) -> mp.mpf:
@@ -41,53 +45,65 @@ def report(k: int, detail: str) -> None:
     print(f"criterion {k}: PASS ({detail})")
 
 
+@pytest.fixture(scope="module")
+def plans():
+    """(key, problem, n, plan) for criteria 1-3, built once per module.
+
+    Criteria 1-3 solve with these plans, which record the solves' claims;
+    criterion 9 audits all of them, so it also passes when run alone.
+    """
+    disk, interval, halfline = [], [], []
+    for k in range(1, 9):
+        g = trig_poly_fn(TrigPoly(cos_coeffs={k: Fraction(1)}), f"cos{k}")
+        p = DiskProblem(g, Fraction(9, 10))
+        disk += [(k, p, n, plan_disk(p, n)) for n in (10, 20, 30)]
+    for k in range(1, 5):
+        g = sine_modes_fn({k: Fraction(1)}, Fraction(1), f"mode{k}")
+        for alpha in (Fraction(1, 2), Fraction(1)):
+            p = IntervalHeatProblem(Fraction(1), alpha, g, Fraction(1, 4))
+            interval += [((k, alpha), p, n, plan_interval(p, n))
+                         for n in (10, 16, 24)]
+    for i, (fn, _) in enumerate(PROFILES):
+        p = HalflineBoundaryProblem(Fraction(1), fn, (Fraction(1, 2), Fraction(3, 2)))
+        halfline += [(i, p, n, plan_halfline_boundary(p, n)) for n in (10, 16)]
+    return {"disk": disk, "interval": interval, "halfline": halfline}
+
+
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_disk_harmonic_exactness():
+def test_criterion_1_disk_harmonic_exactness(plans):
     started = time.perf_counter()
     rng = random.Random(101)
     pts = [(Fraction(rng.randrange(0, 901), 1000),
             Fraction(rng.randrange(0, 2000), 1000)) for _ in range(20)]
     solves = 0
-    for k in range(1, 9):
-        g = trig_poly_fn(TrigPoly(cos_coeffs={k: Fraction(1)}), f"cos{k}")
-        p = DiskProblem(g, Fraction(9, 10))
-        for n in (10, 20, 30):
-            plan = plan_disk(p, n)
-            PLANS.append((plan, n))
-            tol = mp.mpf(2) ** -n + mp.mpf(2) ** -200
-            for r, th in pts:
-                u = solve_disk(p, r, th, n, plan)
-                want = to_mp(r) ** k * mp.cos(k * mp.pi * to_mp(th))
-                assert abs(to_mp(u.value_fraction()) - want) <= tol, (k, n, r, th)
-                solves += 1
+    for k, p, n, plan in plans["disk"]:
+        tol = mp.mpf(2) ** -n + mp.mpf(2) ** -200
+        for r, th in pts:
+            u = solve_disk(p, r, th, n, plan)
+            want = to_mp(r) ** k * mp.cos(k * mp.pi * to_mp(th))
+            assert abs(to_mp(u.value_fraction()) - want) <= tol, (k, n, r, th)
+            solves += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     report(1, f"{solves} solves, k<=8, n in 10/20/30, {elapsed:.1f}s")
 
 
-def test_criterion_2_interval_eigenmode_decay():
+def test_criterion_2_interval_eigenmode_decay(plans):
     started = time.perf_counter()
-    t0 = Fraction(1, 4)
     xs = [Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(7, 10)]
     solves = 0
-    for k in range(1, 5):
-        g = sine_modes_fn({k: Fraction(1)}, Fraction(1), f"mode{k}")
-        for alpha in (Fraction(1, 2), Fraction(1)):
-            p = IntervalHeatProblem(Fraction(1), alpha, g, t0)
-            for n in (10, 16, 24):
-                plan = plan_interval(p, n)
-                PLANS.append((plan, n))
-                tol = mp.mpf(2) ** -n + mp.mpf(2) ** -200
-                for t in (t0, 2 * t0):
-                    decay = mp.e ** (-k * k * mp.pi ** 2 * to_mp(alpha) * to_mp(t))
-                    for x in xs:
-                        u = solve_interval(p, t, x, n, plan)
-                        want = mp.sin(k * mp.pi * to_mp(x)) * decay
-                        gap = abs(to_mp(u.value_fraction()) - want)
-                        assert gap <= tol, (k, alpha, t, x, n)
-                        solves += 1
+    for (k, alpha), p, n, plan in plans["interval"]:
+        tol = mp.mpf(2) ** -n + mp.mpf(2) ** -200
+        for t in (p.t0, 2 * p.t0):
+            decay = mp.e ** (-k * k * mp.pi ** 2 * to_mp(alpha) * to_mp(t))
+            for x in xs:
+                u = solve_interval(p, t, x, n, plan)
+                want = mp.sin(k * mp.pi * to_mp(x)) * decay
+                gap = abs(to_mp(u.value_fraction()) - want)
+                assert gap <= tol, (k, alpha, t, x, n)
+                solves += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     report(2, f"{solves} solves, k<=4, n up to 24, {elapsed:.1f}s")
@@ -104,29 +120,20 @@ def psi_oracle(t: Fraction, x: Fraction, h) -> mp.mpf:
     return mp.quad(f, [0, tm])
 
 
-def test_criterion_3_halfline_boundary_vs_quadrature_oracle():
+def test_criterion_3_halfline_boundary_vs_quadrature_oracle(plans):
     started = time.perf_counter()
-    profiles = [
-        (poly_time_profile([Fraction(0), Fraction(1)]), lambda s: s),
-        (poly_time_profile([Fraction(0), Fraction(0), Fraction(1)]),
-         lambda s: s * s),
-        (sin_half_profile(), lambda s: mp.sin(mp.pi * s / 2)),
-    ]
     grid_t = [Fraction(3, 10), Fraction(13, 20), Fraction(1)]
     grid_x = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
     solves = 0
-    for fn, href in profiles:
-        p = HalflineBoundaryProblem(Fraction(1), fn, (Fraction(1, 2), Fraction(3, 2)))
-        for n in (10, 16):
-            plan = plan_halfline_boundary(p, n)
-            PLANS.append((plan, n))
-            tol = mp.mpf(2) ** -n + mp.mpf(10) ** -10
-            for t in grid_t:
-                for x in grid_x:
-                    u = solve_halfline_boundary(p, t, x, n, plan)
-                    ref = psi_oracle(t, x, href)
-                    assert abs(to_mp(u.value_fraction()) - ref) <= tol, (n, t, x)
-                    solves += 1
+    for i, p, n, plan in plans["halfline"]:
+        href = PROFILES[i][1]
+        tol = mp.mpf(2) ** -n + mp.mpf(10) ** -10
+        for t in grid_t:
+            for x in grid_x:
+                u = solve_halfline_boundary(p, t, x, n, plan)
+                ref = psi_oracle(t, x, href)
+                assert abs(to_mp(u.value_fraction()) - ref) <= tol, (n, t, x)
+                solves += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 300
     report(3, f"{solves} solves over 3 profiles on a 3x3 grid, {elapsed:.1f}s")
@@ -167,7 +174,9 @@ def test_criterion_4_kernel_derivatives_and_recurrence_forms():
         got = to_mp(heat_g_tilde(n, t, x, 60).value_fraction())
         assert abs(got - ref) <= mp.mpf(10) ** -6 * max(abs(ref), mp.mpf(1))
     ref2 = richardson_diff(gt, mp.mpf(1), 2)
-    pv = to_mp(heat_g_tilde_printed_variant(2, t, x, 60).value_fraction())
+    # printed form (t g^(n) + g^(n-1)) / x, from the public g^(n)
+    pv = to_mp((t * heat_g(2, t, x, 60).value_fraction()
+                + heat_g(1, t, x, 60).value_fraction()) / x)
     assert abs(pv - ref2) > mp.mpf(10) ** -6 * abs(ref2)
     print("criterion 4 log: printed recurrence form checked - it diverges "
           "from the finite-difference oracle at order 2; the implemented "
@@ -277,15 +286,16 @@ def test_criterion_8_neumann_blowup_monotone_trend():
               f"(walls {', '.join(f'{w:.1f}' for w in walls)} ms)")
 
 
-def test_criterion_9_truncation_plan_audits():
+def test_criterion_9_truncation_plan_audits(plans):
     # criterion 1: 8 modes x 3 precisions; criterion 2: 4 modes x 2 alphas
     # x 3 precisions; criterion 3: 3 profiles x 2 precisions
-    assert len(PLANS) == 24 + 24 + 6, "criteria 1-3 must have contributed their plans"
+    audited = [(plan, n) for group in plans.values() for _, _, n, plan in group]
+    assert len(audited) == 24 + 24 + 6, "criteria 1-3 have 54 plans"
     failures = 0
     claims = 0
-    for plan, n in PLANS:
+    for plan, n in audited:
         if not plan.chain_ok() or not plan.validates(n):
             failures += 1
         claims += len(plan.chain)
     assert failures == 0
-    report(9, f"{len(PLANS)} plans, {claims} exact inequalities, 0 failures")
+    report(9, f"{len(audited)} plans, {claims} exact inequalities, 0 failures")

@@ -8,6 +8,7 @@ import pytest
 
 mp.mp.prec = 120
 
+import certheat.cli as cli
 from certheat.cli import decimal_digits, main, parse_config
 from certheat.dyadic import DyadicDecimal
 
@@ -103,8 +104,17 @@ def test_exit_codes(tmp_path, capsys):
     assert "radius" in err          # message names the violated precondition
 
     assert run(["verify", "bogus"], capsys)[0] == 2
-    assert run(["solve", "--config", write(tmp_path, "d2.cfg", DISK_CFG),
-                "--threads", "0"], capsys)[0] == 2
+
+
+def test_internal_error_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+    def broken(cfg, n):
+        raise AssertionError("solver exceeded its 2^-20 budget")
+
+    monkeypatch.setitem(cli.SOLVERS, "disk", broken)
+    code, text, err = run(["solve", "--config", write(tmp_path, "d.cfg", DISK_CFG)],
+                          capsys)
+    assert code == 1 and text == ""
+    assert err == "internal error: solver exceeded its 2^-20 budget\n"
 
 
 def test_bench_family_csv(tmp_path, capsys):

@@ -7,9 +7,10 @@ import mpmath as mp
 import pytest
 
 from certheat.dyadic import DyadicDecimal, as_fraction
-from certheat.evaluable import (TrigPoly, constant_fn, lipschitz_modulus,
-                                piecewise_linear_fn, polynomial_fn,
-                                sine_modes_fn, trig_poly_fn)
+from certheat.evaluable import (TrigPoly, constant_fn, linear_pieces,
+                                lipschitz_modulus, piecewise_linear_fn,
+                                polynomial_fn, sine_modes_fn, trig_poly_fn)
+from certheat.hardness import CountingInstance, counting_integrand
 
 mp.mp.prec = 500
 
@@ -144,3 +145,37 @@ def test_modulus_property_random_pairs():
         fx = fn.eval_cv(x, 40).value_fraction()
         fy = fn.eval_cv(y, 40).value_fraction()
         assert abs(fx - fy) <= Fraction(1, 2 ** k) + Fraction(1, 2 ** 38)
+
+
+def test_linear_pieces_from_breakpoints():
+    F = Fraction
+    fn = piecewise_linear_fn([(F(0), F(1)), (F(1, 4), F(0)), (F(3, 4), F(2)), (F(1), F(1))])
+    assert linear_pieces(fn) == [(F(1), F(-4), F(0), F(1, 4)),
+                                 (F(-1), F(4), F(1, 4), F(3, 4)),
+                                 (F(5), F(-4), F(3, 4), F(1))]
+
+
+def test_linear_pieces_from_segment_grid():
+    # one item of weight 1, target 1: cell [1/2, 1] carries a unit tent
+    F = Fraction
+    fn = counting_integrand(CountingInstance((1,), 1))
+    assert fn.breakpoints is None and fn.linear_segments == 4
+    assert linear_pieces(fn) == [(F(0), F(0), F(0), F(1, 4)),
+                                 (F(0), F(0), F(1, 4), F(1, 2)),
+                                 (F(-2), F(4), F(1, 2), F(3, 4)),
+                                 (F(4), F(-4), F(3, 4), F(1))]
+
+
+def test_linear_pieces_from_affine_polynomial():
+    F = Fraction
+    assert linear_pieces(polynomial_fn([F(1), F(1, 2)], (F(0), F(2)))) == \
+        [(F(1), F(1, 2), F(0), F(2))]
+    assert linear_pieces(constant_fn(F(5, 7), (F(1), F(3)))) == \
+        [(F(5, 7), F(0), F(1), F(3))]
+
+
+def test_linear_pieces_none_without_linear_form():
+    F = Fraction
+    assert linear_pieces(polynomial_fn([F(0), F(0), F(1)], (F(0), F(1)))) is None
+    assert linear_pieces(sine_modes_fn({1: F(1)}, F(1))) is None
+    assert linear_pieces(trig_poly_fn(TrigPoly(cos_coeffs={2: F(1)}))) is None

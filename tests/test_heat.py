@@ -5,10 +5,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from certheat.certified import exp_cv, pow_fraction_lower, pow_fraction_upper
-from certheat.errors import PreconditionError
+from certheat.certified import (CertifiedValue, exp_cv, pow_fraction_lower,
+                                pow_fraction_upper)
+from certheat.errors import PreconditionError, QuadratureBudgetError
 from certheat.evaluable import (constant_fn, piecewise_linear_fn,
                                 polynomial_fn, sine_modes_fn)
+from certheat.quadrature import integrate
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, hardness_initial_interval,
                            plan_halfline_boundary, plan_halfline_force,
@@ -349,7 +351,7 @@ def test_interval_reduction_examples():
     ramp = piecewise_linear_fn([(F(0), F(0)), (F(1), F(1))])
     red2 = hardness_initial_interval(F(1, 4), F(1, 2), ramp).hardness
     assert_close(red2.certified_point_value(20), 1 / (2 * mp.sqrt(mp.pi)), 20)
-    ival = red2.gtilde_integral(30)
+    ival = integrate(red2.gtilde, 0, 1, 30)
     assert abs(ival.value_fraction() - F(1, 2)) <= ival.err_fraction()
 
 
@@ -361,6 +363,20 @@ def test_interval_reduction_weight_cancels():
     lifted = gstar.eval_cv(y, 40)
     dropped = (lifted * exp_cv(-red.weight_exponent(y, 48), 44)).rounded(38)
     assert abs(dropped.value_fraction() - F(3, 10)) <= dropped.err_fraction()
+    # midpoint walk over reweighted tent data with the weight divided back
+    # out matches the plain integral the point value is built on
+    tent = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
+    tstar = hardness_initial_interval(F(1, 4), F(1, 2), tent)
+    tred = tstar.hardness
+    grid = tred.gtilde.segment_grid(F(0), F(1))
+    walk = CertifiedValue.zero()
+    for a, b in zip(grid, grid[1:]):
+        mid = (a + b) / 2
+        drop = exp_cv(-tred.weight_exponent(mid, 48), 44)
+        walk = walk + (tstar.eval_cv(mid, 40) * drop).rounded(38).mul_fraction(b - a, 38)
+    direct = integrate(tred.gtilde, 0, 1, 38)
+    assert direct.value_fraction() == F(1, 2)
+    assert abs(walk.value_fraction() - F(1, 2)) <= walk.err_fraction()
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +403,11 @@ def test_sin_profile_derivatives():
     assert abs(to_mp(d2.value_fraction()) - want) <= to_mp(d2.err_fraction())
     for k in range(5):
         assert to_mp(sm.deriv_sup(k)) >= (mp.pi / 2) ** k - mp.mpf(2) ** -6
+
+
+def test_kernel_ladder_needs_linear_space_data():
+    # a quadratic force profile has no linear pieces for the kernel ladder
+    quad = polynomial_fn([F(0), F(0), F(1)], (F(0), F(1, 4)))
+    p = HalflineForceProblem(F(1), poly_time_profile([F(1)]), quad, (F(1, 2), F(1)))
+    with pytest.raises(QuadratureBudgetError):
+        solve_halfline_force(p, F(1, 2), F(3, 4), 6)

@@ -1,5 +1,5 @@
-"""Tests for kernel evaluations: Poisson kernel, heat-kernel derivative
-families, integer Laguerre/Hermite tables, spherical harmonics."""
+"""Tests for kernel evaluations: heat-kernel derivative families, integer
+Laguerre/Hermite tables, spherical harmonics."""
 
 import random
 from fractions import Fraction
@@ -10,11 +10,10 @@ import pytest
 from scipy.special import lpmv
 
 from certheat.errors import PreconditionError
-from certheat.kernels import (_gamma_ratio, assoc_legendre, deriv_growth_bound,
-                              heat_g, heat_g_rational_core, heat_g_tilde,
-                              heat_g_tilde_printed_variant, hermite_pair_table,
-                              laguerre_half_table, laguerre_minus_half_table,
-                              poisson_kernel_2d, real_sph_harmonic_3d,
+from certheat.kernels import (_gamma_ratio, assoc_legendre, heat_g,
+                              heat_g_rational_core, heat_g_tilde,
+                              hermite_pair_table, laguerre_half_table,
+                              laguerre_minus_half_table, real_sph_harmonic_3d,
                               sph_count)
 
 mp.mp.prec = 500
@@ -30,34 +29,7 @@ def assert_encloses(cv, ref, p):
 
 
 # ---------------------------------------------------------------------------
-# Poisson kernel
-
-
-def test_poisson_center_is_one():
-    cv = poisson_kernel_2d(0, Fraction(1, 3), Fraction(7, 5), 20)
-    assert cv.value_fraction() == 1 and cv.err_fraction() == 0
-
-
-def test_poisson_aligned_and_opposite():
-    # theta = tau: (1+r)/(1-r) = 3 at r = 1/2
-    assert_encloses(poisson_kernel_2d(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 30),
-                    mp.mpf(3), 30)
-    # angular gap of pi: (1-r)/(1+r) = 1/3 at r = 1/2
-    assert_encloses(poisson_kernel_2d(Fraction(1, 2), Fraction(3, 2), Fraction(1, 2), 30),
-                    mp.mpf(1) / 3, 30)
-
-
-def test_poisson_positivity_and_formula():
-    rng = random.Random(41)
-    for _ in range(25):
-        r = Fraction(rng.randrange(0, 99), 100)
-        th = Fraction(rng.randrange(0, 200), 100)
-        ta = Fraction(rng.randrange(0, 200), 100)
-        cv = poisson_kernel_2d(r, th, ta, 30)
-        assert cv.lower_fraction() > 0
-        d = mp.pi * to_mp(th - ta)
-        ref = (1 - to_mp(r) ** 2) / (1 - 2 * to_mp(r) * mp.cos(d) + to_mp(r) ** 2)
-        assert_encloses(cv, ref, 30)
+# Poisson kernel identity behind the disk counting reduction
 
 
 def test_poisson_mean_value_property():
@@ -66,11 +38,6 @@ def test_poisson_mean_value_property():
     mean = mp.quad(lambda rho: (1 - r ** 2) / (1 - 2 * r * mp.cos(mp.pi * (th - rho)) + r ** 2),
                    [0, 2]) / 2
     assert abs(mean - 1) < mp.mpf(10) ** -10
-
-
-def test_poisson_rejects_boundary_radius():
-    with pytest.raises(PreconditionError):
-        poisson_kernel_2d(1, 0, 0, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +75,15 @@ def test_heat_g_tilde_vs_numeric_derivative():
             assert_encloses(heat_g_tilde(n, t, x, 40), ref, 40)
 
 
+def printed_variant(n, t, x, p):
+    # (t g^(n) + g^(n-1)) / x: the Leibniz form of g~^(n) without its factor n
+    t, x = Fraction(t), Fraction(x)
+    out = heat_g(n, t, x, p + 4).value_fraction() * t
+    if n >= 1:
+        out += heat_g(n - 1, t, x, p + 4).value_fraction()
+    return out / x
+
+
 def test_printed_variant_diverges_from_second_order():
     # the two assembled forms agree for n <= 1 and split at n = 2
     def gt(t, x):
@@ -115,11 +91,11 @@ def test_printed_variant_diverges_from_second_order():
 
     for n in (0, 1):
         a = heat_g_tilde(n, 1, 1, 40).value_fraction()
-        b = heat_g_tilde_printed_variant(n, 1, 1, 40).value_fraction()
+        b = printed_variant(n, 1, 1, 40)
         assert abs(a - b) <= Fraction(1, 2 ** 38)
     ref = mp.diff(lambda tt: gt(tt, mp.mpf(1)), mp.mpf(1), 2)
-    pv = heat_g_tilde_printed_variant(2, 1, 1, 40)
-    assert abs(to_mp(pv.value_fraction()) - ref) > mp.mpf(10) ** -6
+    pv = printed_variant(2, 1, 1, 40)
+    assert abs(to_mp(pv) - ref) > mp.mpf(10) ** -6
 
 
 def test_heat_g_rejects_bad_args():
@@ -184,29 +160,6 @@ def test_szego_style_decay():
         tab = laguerre_half_table(n, z.numerator, z.denominator)
         L = to_mp(Fraction(tab[n], factorial(n) * (2 * z.denominator) ** n))
         assert abs(L) * mp.e ** (-to_mp(z)) <= n + 1 + mp.mpf(10) ** -25
-
-
-# ---------------------------------------------------------------------------
-# growth bound calibration
-
-
-def test_growth_bound_dominates_samples():
-    x0 = Fraction(3, 2)
-    rng = random.Random(47)
-    for _ in range(300):
-        n = rng.randrange(0, 51)
-        x = Fraction(rng.randrange(1, 150), 100)
-        lhs = heat_g(n, 1, x, 30).abs_upper() / factorial(n)
-        assert lhs <= deriv_growth_bound(n, x0)
-
-
-def test_growth_bound_shape():
-    x0 = Fraction(1)
-    b3, b7 = deriv_growth_bound(3, x0), deriv_growth_bound(7, x0)
-    # linear in n+1 by construction
-    assert b7 / b3 == Fraction(8, 4)
-    with pytest.raises(PreconditionError):
-        deriv_growth_bound(2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from certheat.errors import PreconditionError
 from certheat.series import (TruncationPlan, arith_geom_sum, choose_K_disk,
-                             geometric_tail, higher_arith_geom)
+                             geometric_tail, higher_arith_geom, least_passing)
 
 
 def brute_arith_geom(m: int, x: Fraction, tol: Fraction) -> Fraction:
@@ -128,3 +128,33 @@ def test_truncation_plan_budget():
     assert plan.total_budget() == Fraction(1, 2 ** 17)
     assert plan.validates(17)
     assert not plan.validates(18)
+
+
+def test_least_passing_finds_least_value():
+    for threshold in range(0, 200):
+        for start, floor in ((1, 0), (5, 1), (7, 7)):
+            calls = []
+
+            def ok(m):
+                calls.append(m)
+                return m >= threshold
+
+            assert least_passing(ok, start, floor, 1 << 20, "unused") \
+                == max(threshold, floor)
+            assert min(calls) >= floor
+
+
+def test_least_passing_respects_floor_and_start():
+    # everything passes: the answer is the floor, never below it
+    assert least_passing(lambda m: True, 16, 3, 1 << 20, "unused") == 3
+    # a floor equal to the start with a passing start does no search
+    assert least_passing(lambda m: m >= 2, 10, 10, 1 << 20, "unused") == 10
+    # doubling stops at the first passing power-of-two multiple of start
+    assert least_passing(lambda m: m >= 37, 3, 3, 1 << 20, "unused") == 37
+
+
+def test_least_passing_raises_at_cap():
+    with pytest.raises(AssertionError, match="tail bound failed to close"):
+        least_passing(lambda m: m > 1000, 1, 0, 512, "tail bound failed to close")
+    # reaching the cap exactly is still allowed
+    assert least_passing(lambda m: m >= 512, 1, 0, 512, "unused") == 512
