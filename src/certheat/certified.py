@@ -292,6 +292,7 @@ def pi_cv(p: int) -> CertifiedValue:
     return _pi_bucket(P)
 
 
+@lru_cache(maxsize=None)
 def recip_pi_cv(p: int) -> CertifiedValue:
     return recip_cv(pi_cv(p + 4), p)
 

@@ -106,10 +106,6 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
     return fn
 
 
-def exact_integral(inst: CountingInstance) -> Fraction:
-    return brute_force_count(inst) * Fraction(1, 4 ** inst.n_vars)
-
-
 def recover_count(v: CertifiedValue, inst: CountingInstance) -> int:
     """Nearest integer to value * 4^{n_vars}; demands error below half a bump."""
     nv = inst.n_vars

@@ -19,12 +19,13 @@ requested 2^-n accuracy: a boundary-layer bound for the dropped interval
 near s = t, a series-tail bound, an integration-by-parts remainder, and the
 working-scale rounding budget.  The hot loops run on plain integers at a
 fixed binary scale with explicit per-operation error counters, so the final
-error claim is audited rather than assumed.
+error claim is checked on every solve rather than assumed; the check leaves
+the plan as planning built it, so one plan serves any number of solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt
 from typing import Callable
@@ -37,8 +38,9 @@ from .dyadic import _round_half_even, as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus, polynomial_fn)
-from .quadrature import int_linear_sin_pi, integrate
-from .series import TruncationPlan, choose_K_disk, least_passing
+from .quadrature import int_pieces_trig_pi, integrate
+from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
+                     least_passing, require)
 
 
 def _sc_from_cv(cv: CertifiedValue, W: int) -> tuple[int, int]:
@@ -57,8 +59,13 @@ def _invsqrtN_upper(N: int) -> Fraction:
     return Fraction(1 << 20, isqrt(N << 40))
 
 
-def _inv_sqrt_4pialpha_upper(alpha: Fraction, p: int = 60) -> Fraction:
-    return recip_cv(sqrt_cv(pi_cv(p + 10).mul_fraction(4 * alpha, p + 6), p), p).upper_fraction()
+def _inv_sqrt_4pialpha(alpha: Fraction, p: int) -> CertifiedValue:
+    return recip_cv(sqrt_cv(pi_cv(p + 10).mul_fraction(4 * alpha, p + 6), p), p)
+
+
+def _claimed(plan: TruncationPlan, labels) -> Fraction:
+    """Sum of the plan's recorded bounds with these labels."""
+    return sum((lhs for lab, lhs, _ in plan.chain if lab in labels), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +150,18 @@ def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
 
 @dataclass
 class IntervalHeatProblem:
-    """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0."""
+    """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0.
+
+    Solving the same problem object again reuses its sine coefficients (see
+    :class:`CoefficientTable`), so g must not change once it is solved.
+    """
 
     L: Fraction
     alpha: Fraction
     g: EvaluableFunction
     t0: Fraction
+    coeffs: CoefficientTable = field(default_factory=CoefficientTable,
+                                     init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.L = as_fraction(self.L)
@@ -171,10 +184,9 @@ def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
     segs = linear_pieces(g)
     if segs is not None:
         pp = prec + len(segs).bit_length() + 3
-        acc = CertifiedValue.zero()
-        for c0, c1, a, b in segs:
-            # substitute y = L rho so the oscillation is in pi-units
-            acc = acc + int_linear_sin_pi(c0, c1 * L, a / L, b / L, k, Fraction(0), pp)
+        # substitute y = L rho so the oscillation is in pi-units
+        scaled = [(c0, c1 * L, a / L, b / L) for c0, c1, a, b in segs]
+        acc, = int_pieces_trig_pi(scaled, k, Fraction(0), pp, kinds=("sin",))
         return acc.mul_exact(2).rounded(prec + 2)
 
     def ev(y: Fraction, pr: int) -> CertifiedValue:
@@ -240,9 +252,10 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     pisq = (pi_cv(pc + 8) * pi_cv(pc + 8)).rounded(pc + 8)
     rate = p.alpha * t / (p.L * p.L)
+    coeff = p.coeffs.source(pc, lambda k: sine_coeff(p, k, pc))
     acc = CertifiedValue.zero()
     for k in ks:
-        mu = sine_coeff(p, k, pc)
+        mu = coeff(k)
         if mu.m == 0 and mu.en == 0:
             continue
         decay = exp_cv(pisq.mul_fraction(-k * k * rate, pc + 6), pc)
@@ -403,7 +416,7 @@ def plan_halfline_boundary(p: HalflineBoundaryProblem, n: int) -> TruncationPlan
     bud3 = Fraction(1, 1 << (n + 3))
     prec = n + 40
 
-    pref = _inv_sqrt_4pialpha_upper(a, prec) * x0
+    pref = _inv_sqrt_4pialpha(a, prec).upper_fraction() * x0
 
     def layer(N: int) -> Fraction:
         e = exp_cv(-x0 * x0 * N / (4 * a), prec).upper_fraction()
@@ -556,10 +569,8 @@ def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
         D *= (np_ + 1) * 2 * zd
 
     out = CertifiedValue(total, pw, etot + 1, pw)
-    plan.claim("assembly", out.err_fraction(), Fraction(1, 1 << (n + 3)))
-    extra = sum((lhs for lab, lhs, _ in plan.chain
-                 if lab in ("I1", "I2", "ibp-remainder")), Fraction(0))
-    return out.widen_fraction(extra).rounded(n + 4)
+    require("assembly", out.err_fraction(), Fraction(1, 1 << (n + 3)))
+    return out.widen_fraction(_claimed(plan, ("I1", "I2", "ibp-remainder"))).rounded(n + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +748,7 @@ def plan_halfline_force(p: HalflineForceProblem, n: int) -> TruncationPlan:
     bud2 = Fraction(1, 1 << (n + 2))
     bud3 = Fraction(1, 1 << (n + 3))
     prec = n + 40
-    pref = _inv_sqrt_4pialpha_upper(a, prec)
+    pref = _inv_sqrt_4pialpha(a, prec).upper_fraction()
 
     def layer(N: int) -> Fraction:
         e = exp_cv(-gap * gap * N / (4 * a), prec).upper_fraction()
@@ -814,12 +825,10 @@ def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
         total += (sv * jv) // one
         etot += (abs(sv) * je + abs(jv) * se + se * je) // one + 2
 
-    pref = recip_cv(sqrt_cv(pi_cv(pp + 10).mul_fraction(4 * p.alpha, pp + 6), pp), pp)
+    pref = _inv_sqrt_4pialpha(p.alpha, pp)
     out = CertifiedValue(total, pw, etot + 1, pw) * pref
-    plan.claim("assembly", out.err_fraction(), Fraction(1, 1 << (n + 3)))
-    extra = sum((lhs for lab, lhs, _ in plan.chain
-                 if lab in ("I1", "I2", "ibp-remainder")), Fraction(0))
-    return out.widen_fraction(extra).rounded(n + 4)
+    require("assembly", out.err_fraction(), Fraction(1, 1 << (n + 3)))
+    return out.widen_fraction(_claimed(plan, ("I1", "I2", "ibp-remainder"))).rounded(n + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +849,7 @@ def plan_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int) -> Truncati
         raise PreconditionError("time must lie in [0, 1]")
     meff = min(margin, a_ + x)
     prec = n + 40
-    pref = _inv_sqrt_4pialpha_upper(alpha, prec)
+    pref = _inv_sqrt_4pialpha(alpha, prec).upper_fraction()
     width = b_ - a_
     bud1 = Fraction(1, 1 << (n + 1))
 
@@ -905,8 +914,7 @@ def solve_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int,
         ptv = (ptv * qn) // qd if qn else 0
         pte = (pte * abs(qn)) // qd + 1
 
-    pref = recip_cv(sqrt_cv(pi_cv(pp + 10).mul_fraction(4 * alpha, pp + 6), pp), pp)
+    pref = _inv_sqrt_4pialpha(alpha, pp)
     out = CertifiedValue(total, pw, etot + 1, pw) * pref
-    plan.claim("assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
-    extra = sum((lhs for lab, lhs, _ in plan.chain if lab == "I2"), Fraction(0))
-    return out.widen_fraction(extra).rounded(n + 4)
+    require("assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
+    return out.widen_fraction(_claimed(plan, ("I2",))).rounded(n + 4)

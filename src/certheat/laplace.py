@@ -15,7 +15,7 @@ with exact comparisons only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -26,9 +26,9 @@ from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus)
 from .kernels import real_sph_harmonic_3d, sph_count
-from .quadrature import (DEFAULT_MAX_PANELS, int_linear_cos_pi,
-                         int_linear_sin_pi, integrate)
-from .series import TruncationPlan, choose_K_disk, higher_arith_geom
+from .quadrature import DEFAULT_MAX_PANELS, int_pieces_trig_pi, integrate
+from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
+                     higher_arith_geom)
 
 
 @dataclass
@@ -36,11 +36,15 @@ class DiskProblem:
     """Dirichlet data on the unit circle with a guaranteed evaluation radius.
 
     g lives on [0,2] in pi-units; r0 < 1 bounds where solutions will be
-    requested, and the tail constant scales like 1/(1-r0).
+    requested, and the tail constant scales like 1/(1-r0).  Solving the same
+    problem object again reuses its Fourier coefficients (see
+    :class:`CoefficientTable`), so g must not change once it is solved.
     """
 
     g: EvaluableFunction
     r0: Fraction
+    coeffs: CoefficientTable = field(default_factory=CoefficientTable,
+                                     init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.r0 = as_fraction(self.r0)
@@ -60,24 +64,20 @@ class DiskProblem:
 # Fourier coefficients
 
 
-def _pl_fourier(fn: EvaluableFunction, k: int, phase: Fraction, kind: str,
-                p: int) -> CertifiedValue:
-    """Integral of fn * sin/cos(pi (k rho + phase)) over fn's linear pieces."""
-    close = int_linear_sin_pi if kind == "sin" else int_linear_cos_pi
-    pieces = linear_pieces(fn)
+def _pl_fourier(pieces, k: int, phase: Fraction, p: int) -> list[CertifiedValue]:
+    """Integrals of the linear pieces times sin and cos of pi (k rho + phase)."""
     pp = p + (len(pieces) + 1).bit_length() + 2  # per-piece rounding must not pile up
-    acc = CertifiedValue.zero()
-    for c0, c1, a, b in pieces:
-        acc = acc + close(c0, c1, a, b, k, phase, pp)
-    return acc
+    return int_pieces_trig_pi(pieces, k, phase, pp)
 
 
-def fourier_coeffs(g: EvaluableFunction, k: int, prec: int):
+def fourier_coeffs(g: EvaluableFunction, k: int, prec: int, pieces=None):
     """Certified (a_k, b_k) with a_k the sine and b_k the cosine coefficient.
 
     a_k = (1/pi) * integral of g sin(k tau) over a full period, which in
     pi-units is the plain integral of g(rho) sin(k pi rho) over [0,2];
-    likewise for b_k with cosine (so b_0 is twice the mean of g).
+    likewise for b_k with cosine (so b_0 is twice the mean of g).  Data that
+    :func:`linear_pieces` accepts integrates in closed form; ``pieces`` may
+    pass those pieces in, read once for many k.
     """
     if k < 0:
         raise PreconditionError("coefficient index must be nonnegative")
@@ -89,10 +89,11 @@ def fourier_coeffs(g: EvaluableFunction, k: int, prec: int):
     red = getattr(g, "hardness", None)
     if isinstance(red, DiskReduction):
         return _hardness_fourier(red, k, prec)
-    if g.has_linear_structure() and g.eval_exact is not None:
-        zero = Fraction(0)
-        return (_pl_fourier(g, k, zero, "sin", prec).rounded(prec + 2),
-                _pl_fourier(g, k, zero, "cos", prec).rounded(prec + 2))
+    if pieces is None:
+        pieces = linear_pieces(g)
+    if pieces is not None:
+        a, b = _pl_fourier(pieces, k, Fraction(0), prec)
+        return a.rounded(prec + 2), b.rounded(prec + 2)
     return (_product_quadrature(g, k, "sin", prec),
             _product_quadrature(g, k, "cos", prec))
 
@@ -153,7 +154,11 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
     order = plan.order
     ks = _coeff_indices(p.g, order)
     pc = n + 1 + max(1, len(ks) + 1).bit_length() + 3
-    _, b0 = fourier_coeffs(p.g, 0, pc)
+    pieces = linear_pieces(p.g)  # read once, shared by every k
+    if pieces is not None:
+        pieces = tuple(pieces)  # hashable, like every other argument
+    coeff = p.coeffs.source(pc, lambda k: fourier_coeffs(p.g, k, pc, pieces=pieces))
+    _, b0 = coeff(0)
     acc = b0.mul_fraction(Fraction(1, 2), pc)
     rk = Fraction(1)
     last = 0
@@ -162,7 +167,7 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
         last = k
         if rk == 0:
             break
-        a_k, b_k = fourier_coeffs(p.g, k, pc)
+        a_k, b_k = coeff(k)
         term = a_k * sin_pi_mul_cv(k * theta, pc) + b_k * cos_pi_mul_cv(k * theta, pc)
         acc = (acc + term.mul_fraction(rk, pc)).rounded(pc)
     C = 4 * p.g.sup_bound / (1 - p.r0)
@@ -279,22 +284,24 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
     k-1, k, k+1, each of which integrates in closed form against the linear
     pieces of gtilde.
     """
-    gt = red.gtilde
-    if not (gt.has_linear_structure() and gt.eval_exact is not None):
+    pieces = linear_pieces(red.gtilde)
+    if pieces is None:
         raise PreconditionError("closed-form route needs a piecewise-linear profile")
     r0, th0 = red.r0, red.theta0
     inv_den = Fraction(1) / (1 - r0 * r0)
     one_plus = 1 + r0 * r0
     pp = prec + 4
+    main = _pl_fourier(pieces, k, Fraction(0), pp)
+    # cos(pi(theta0 - rho)) * trig(k pi rho) splits into modes k -+ 1
+    lower = _pl_fourier(pieces, k - 1, th0, pp)
+    upper = _pl_fourier(pieces, k + 1, -th0, pp)
 
-    def combo(kind: str) -> CertifiedValue:
-        main = _pl_fourier(gt, k, Fraction(0), kind, pp).mul_fraction(one_plus, pp)
-        # cos(pi(theta0 - rho)) * trig(k pi rho) splits into modes k -+ 1
-        side = _pl_fourier(gt, k - 1, th0, kind, pp) + \
-            _pl_fourier(gt, k + 1, -th0, kind, pp)
-        return (main - side.mul_fraction(r0, pp)).mul_fraction(inv_den, pp)
+    def combo(i: int) -> CertifiedValue:
+        side = lower[i] + upper[i]
+        return (main[i].mul_fraction(one_plus, pp)
+                - side.mul_fraction(r0, pp)).mul_fraction(inv_den, pp)
 
-    return combo("sin").rounded(prec + 2), combo("cos").rounded(prec + 2)
+    return combo(0).rounded(prec + 2), combo(1).rounded(prec + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -95,40 +95,70 @@ def _integrate_modulus(fn: EvaluableFunction, lo: Fraction, hi: Fraction,
 
 def int_linear_sin_pi(c0, c1, a, b, k: int, phase, p: int) -> CertifiedValue:
     """Integral over [a,b] of (c0 + c1 rho) sin(pi (k rho + phase)) d rho."""
-    c0, c1, a, b = map(as_fraction, (c0, c1, a, b))
-    phase = as_fraction(phase)
-    if k == 0:
-        area = c0 * (b - a) + c1 * (b * b - a * a) / 2
-        return sin_pi_mul_cv(phase, p + 4).mul_fraction(area, p)
-    pp = p + 6
-    rp = recip_pi_cv(pp)
-
-    def F(rho: Fraction) -> CertifiedValue:
-        lin = c0 + c1 * rho
-        t1 = cos_pi_mul_cv(k * rho + phase, pp).mul_fraction(-lin, pp) * rp
-        t1 = t1.mul_fraction(Fraction(1, k), pp)
-        t2 = sin_pi_mul_cv(k * rho + phase, pp).mul_fraction(c1, pp) * rp * rp
-        t2 = t2.mul_fraction(Fraction(1, k * k), pp)
-        return t1 + t2
-
-    return (F(b) - F(a)).rounded(p + 4)
+    return _int_linear_trig_pi("sin", c0, c1, a, b, k, phase, p)
 
 
 def int_linear_cos_pi(c0, c1, a, b, k: int, phase, p: int) -> CertifiedValue:
     """Integral over [a,b] of (c0 + c1 rho) cos(pi (k rho + phase)) d rho."""
+    return _int_linear_trig_pi("cos", c0, c1, a, b, k, phase, p)
+
+
+def int_pieces_trig_pi(pieces, k: int, phase, p: int,
+                       kinds=("sin", "cos")) -> list[CertifiedValue]:
+    """For each kind, the sum over pieces (c0, c1, a, b) of int_linear_<kind>_pi.
+
+    Equal, bit for bit, to adding up the single-piece integrals, but sin and
+    cos of pi (k rho + phase) are evaluated once per breakpoint rho and
+    shared between neighbouring pieces and between the kinds.
+    """
+    phase = as_fraction(phase)
+    trig = _trig_at(k, phase, p + 6)
+    out = []
+    for kind in kinds:
+        acc = CertifiedValue.zero()
+        for c0, c1, a, b in pieces:
+            acc = acc + _int_linear_trig_pi(kind, c0, c1, a, b, k, phase, p, trig)
+        out.append(acc)
+    return out
+
+
+def _trig_at(k: int, phase: Fraction, pp: int):
+    """rho -> (sin, cos) of pi (k rho + phase) at precision pp, memoised."""
+    memo = {}
+
+    def at(rho: Fraction) -> tuple[CertifiedValue, CertifiedValue]:
+        v = memo.get(rho)
+        if v is None:
+            x = k * rho + phase
+            v = memo[rho] = (sin_pi_mul_cv(x, pp), cos_pi_mul_cv(x, pp))
+        return v
+
+    return at
+
+
+def _int_linear_trig_pi(kind: str, c0, c1, a, b, k: int, phase, p: int,
+                        trig=None) -> CertifiedValue:
     c0, c1, a, b = map(as_fraction, (c0, c1, a, b))
     phase = as_fraction(phase)
     if k == 0:
         area = c0 * (b - a) + c1 * (b * b - a * a) / 2
-        return cos_pi_mul_cv(phase, p + 4).mul_fraction(area, p)
+        trig0 = sin_pi_mul_cv if kind == "sin" else cos_pi_mul_cv
+        return trig0(phase, p + 4).mul_fraction(area, p)
     pp = p + 6
     rp = recip_pi_cv(pp)
+    if trig is None:
+        trig = _trig_at(k, phase, pp)
 
     def F(rho: Fraction) -> CertifiedValue:
+        # antiderivative: -lin cos/(pi k) + c1 sin/(pi k)^2 for sin, and
+        # lin sin/(pi k) + c1 cos/(pi k)^2 for cos
         lin = c0 + c1 * rho
-        t1 = sin_pi_mul_cv(k * rho + phase, pp).mul_fraction(lin, pp) * rp
+        s, c = trig(rho)
+        if kind == "sin":
+            t1, t2 = c.mul_fraction(-lin, pp) * rp, s.mul_fraction(c1, pp) * rp * rp
+        else:
+            t1, t2 = s.mul_fraction(lin, pp) * rp, c.mul_fraction(c1, pp) * rp * rp
         t1 = t1.mul_fraction(Fraction(1, k), pp)
-        t2 = cos_pi_mul_cv(k * rho + phase, pp).mul_fraction(c1, pp) * rp * rp
         t2 = t2.mul_fraction(Fraction(1, k * k), pp)
         return t1 + t2
 

@@ -3,14 +3,16 @@
 Everything here is exact rational arithmetic. The tails of the solver series
 are bounded by arithmetic-geometric sums, and the plans pick truncation
 orders by exact comparison against dyadic error budgets, so no floating
-point is allowed anywhere in this module.
+point is allowed anywhere in this module.  The one exception is
+:class:`CoefficientTable`, which only stores the series coefficients a
+solver computed, so later solves of the same problem can read them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .dyadic import as_fraction
 from .errors import PreconditionError
@@ -115,14 +117,23 @@ def least_passing(ok: Callable[[int], bool], start: int, floor: int, cap: int,
     return hi
 
 
+def require(label: str, lhs, rhs) -> None:
+    """Raise AssertionError unless lhs <= rhs, compared exactly."""
+    lhs, rhs = as_fraction(lhs), as_fraction(rhs)
+    if lhs > rhs:
+        raise AssertionError(f"plan inequality {label} fails: {lhs} > {rhs}")
+
+
 @dataclass
 class TruncationPlan:
     """How many series terms a solver will sum, and why that is enough.
 
     ``chain`` records the exact rational inequalities the plan rests on as
-    (label, lhs, rhs) triples meaning lhs <= rhs.  Solvers append every bound
-    they rely on (tail estimates, budget comparisons), so a finished plan can
-    be re-audited independently of the float-free arithmetic that built it.
+    (label, lhs, rhs) triples meaning lhs <= rhs.  Planning appends every
+    bound the solves rely on (tail estimates, budget comparisons), so a
+    finished plan can be re-audited independently of the float-free
+    arithmetic that built it.  A solve checks its own bounds with
+    :func:`require` and appends nothing, so a plan does not grow with reuse.
     """
 
     order: int
@@ -143,10 +154,45 @@ class TruncationPlan:
     def claim(self, label: str, lhs, rhs) -> None:
         """Record the inequality lhs <= rhs; raises if it does not hold."""
         lhs, rhs = as_fraction(lhs), as_fraction(rhs)
-        if lhs > rhs:
-            raise AssertionError(f"plan inequality {label} fails: {lhs} > {rhs}")
+        require(label, lhs, rhs)
         self.chain.append((label, lhs, rhs))
 
     def chain_ok(self) -> bool:
         """Re-verify every recorded inequality with exact comparisons."""
         return all(lhs <= rhs for _, lhs, rhs in self.chain)
+
+
+T = TypeVar("T")
+
+
+class CoefficientTable:
+    """Series coefficients of one problem, kept per working precision.
+
+    A coefficient depends only on the data, its index and the precision, so
+    a solve may take it from an earlier solve of the same problem at the same
+    precision and still return the same bits.  The first solve at a
+    precision streams its coefficients and keeps none, so a one-shot solve
+    holds no table; a repeat solve at that precision keeps every coefficient
+    it computes, and the solves after it read them back.
+    """
+
+    def __init__(self):
+        self._seen: set[int] = set()
+        self._tables: dict[int, dict[int, object]] = {}
+
+    def source(self, prec: int, compute: Callable[[int], T]) -> Callable[[int], T]:
+        """k -> coefficient k at prec, read from the table or compute(k)."""
+        table = self._tables.get(prec)
+        if table is None:
+            if prec not in self._seen:
+                self._seen.add(prec)
+                return compute
+            table = self._tables[prec] = {}
+
+        def coeff(k: int) -> T:
+            out = table.get(k)
+            if out is None:
+                out = table[k] = compute(k)
+            return out
+
+        return coeff

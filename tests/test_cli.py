@@ -198,3 +198,16 @@ def test_decimal_digit_budget():
     assert decimal_digits(16) == 6
     assert decimal_digits(1) == 2
     assert decimal_digits(30) == 11
+
+
+def test_disk_const_data_takes_the_closed_form(tmp_path, capsys):
+    # affine boundary data integrates in closed form; u = 1 exactly
+    cfg = write(tmp_path, "const.cfg",
+                "problem = disk\ng = const 1\nr = 1/2\ntheta = 0\nbits = 12\n")
+    out = tmp_path / "const.json"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    record = json.loads(out.read_text())
+    assert record["error_exponent"] >= 12
+    value = DyadicDecimal.parse(record["value_dyadic"]).as_fraction()
+    assert abs(value - 1) <= Fraction(1, 2 ** 12)

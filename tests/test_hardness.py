@@ -14,9 +14,9 @@ from certheat.certified import CertifiedValue
 from certheat.errors import ConfigError, InsufficientPrecision, PreconditionError
 from certheat.hardness import (CSV_HEADER, CountingInstance, PIPELINES,
                                brute_force_count, counting_integrand,
-                               exact_integral, measure_blowup, pipeline_disk,
-                               precision_for, random_instance, recover_count,
-                               render_csv, write_csv)
+                               measure_blowup, pipeline_disk, precision_for,
+                               random_instance, recover_count, render_csv,
+                               write_csv)
 from certheat.laplace import DiskProblem, hardness_boundary_disk, solve_disk
 from certheat.quadrature import integrate
 
@@ -24,6 +24,11 @@ INST_ONE = CountingInstance((1,), 1)           # count 1
 INST_PAIR = CountingInstance((1, 2), 3)        # count 1, only the full set
 INST_NONE = CountingInstance((2, 2), 3)        # odd target, even sums: count 0
 INST_TWO = CountingInstance((2, 3, 5, 7), 10)  # {3,7} and {2,3,5}: count 2
+
+
+def exact_integral(inst: CountingInstance) -> Fraction:
+    """Closed-form area of the counting integrand: count * 4^-n_vars."""
+    return brute_force_count(inst) * Fraction(1, 4 ** inst.n_vars)
 
 
 def enumerate_count(weights, target):

@@ -197,8 +197,9 @@ def test_boundary_plan_chain_audit():
         assert lab in labels
     assert plan.chain_ok() and plan.validates(12)
     assert plan.params["N"] >= 2 and plan.order >= plan.params["N"]
+    chain = list(plan.chain)
     solve_halfline_boundary(hb, F(1, 2), F(1), 12, plan)
-    assert "assembly" in [lab for lab, _, _ in plan.chain]
+    assert plan.chain == chain  # the solve checks its assembly bound, records nothing
     assert plan.chain_ok()
 
 
