@@ -233,13 +233,28 @@ def _exact_cv(f: ExactLike, prec: int) -> CertifiedValue:
 # scaled-integer evaluation helpers
 #
 # A "scaled" quantity is a pair (val, err) of integers at scale W, standing
-# for val * 2**-W with absolute error at most err * 2**-W.
+# for val * 2**-W with absolute error at most err * 2**-W.  These helpers are
+# the only code that forms, multiplies, scales and divides such pairs.
+#
+# Two rounding directions remain on purpose.  The Taylor primitives below
+# (_smul, _sdiv_int) round to nearest or toward zero and keep only a few
+# guard bits before their final rounded(p + 4); the half-line series streams
+# in heat.py (_fmul, _fdot, _fscale) round down.  Switching either family to
+# the other's rounding changes output bits.
 
 
 def _scaled_from_fraction(f: Fraction, W: int) -> tuple[int, int]:
     num = f.numerator << W
     v = _round_half_even(num, f.denominator)
     return v, (0 if num % f.denominator == 0 else 1)
+
+
+def _scaled_from_cv(cv: CertifiedValue, W: int) -> tuple[int, int]:
+    """Scaled view (v, e) of a certified value: |true * 2^W - v| <= e."""
+    val = cv.value_fraction()
+    err = cv.err_fraction()
+    return (_round_half_even(val.numerator << W, val.denominator),
+            (err.numerator << W) // err.denominator + 2)
 
 
 def _smul(a: int, ea: int, b: int, eb: int, W: int) -> tuple[int, int]:
@@ -252,6 +267,24 @@ def _sdiv_int(a: int, ea: int, d: int) -> tuple[int, int]:
     """Divide a scaled value by a positive integer, truncating toward zero."""
     v = a // d if a >= 0 else -((-a) // d)
     return v, ea // d + 1
+
+
+def _fmul(a: int, ea: int, b: int, eb: int, W: int) -> tuple[int, int]:
+    """Product of two scaled values at scale W, rounded down."""
+    return (a * b) >> W, ((abs(a) * eb + abs(b) * ea + ea * eb) >> W) + 2
+
+
+def _fdot(a: int, ea: int, b: int, eb: int, c: int, ec: int, d: int, ed: int,
+          den: int) -> tuple[int, int]:
+    """(a*b + c*d) / den for scaled values and den > 0, rounded down once."""
+    return ((a * b + c * d) // den,
+            (abs(a) * eb + abs(b) * ea + ea * eb
+             + abs(c) * ed + abs(d) * ec + ec * ed) // den + 2)
+
+
+def _fscale(a: int, ea: int, num: int, den: int) -> tuple[int, int]:
+    """A scaled value times the exact ratio num/den (den > 0), rounded down."""
+    return (a * num) // den, (ea * abs(num)) // den + 1
 
 
 def _as_exact_pair(x) -> tuple[Fraction, Fraction]:
@@ -408,15 +441,19 @@ def exp_cv(x, p: int) -> CertifiedValue:
 # sin / cos of pi times a rational, reduced exactly
 
 
-def _sin_taylor(rv: int, re: int, W: int) -> tuple[int, int]:
+def _trig_pi(f: Fraction, sign: int, p: int, odd: bool) -> CertifiedValue:
+    """sign * sin(pi f) (odd) or sign * cos(pi f), for 0 < f < 1/2."""
+    piv = pi_cv(p + 6)
+    W = p + 8
+    rv, re = _scaled_from_fraction(piv.value_fraction() * f, W)
     x2, ex2 = _smul(rv, re, rv, re, W)
-    acc, eacc = rv, re
-    term, eterm = rv, re
+    acc, eacc = (rv, re) if odd else (1 << W, 0)
+    term, eterm = acc, eacc
     k = 0
     while True:
         k += 1
         term, eterm = _smul(term, eterm, x2, ex2, W)
-        term, eterm = _sdiv_int(-term, eterm, (2 * k) * (2 * k + 1))
+        term, eterm = _sdiv_int(-term, eterm, (2 * k - 1 + odd) * (2 * k + odd))
         acc += term
         eacc += eterm
         # |arg| < 2 after reduction, so the terms decrease once k >= 4 and
@@ -424,24 +461,9 @@ def _sin_taylor(rv: int, re: int, W: int) -> tuple[int, int]:
         if k >= 4 and abs(term) <= 1 and eterm <= 2:
             eacc += abs(term) + eterm + 2
             break
-    return acc, eacc
-
-
-def _cos_taylor(rv: int, re: int, W: int) -> tuple[int, int]:
-    x2, ex2 = _smul(rv, re, rv, re, W)
-    acc, eacc = 1 << W, 0
-    term, eterm = 1 << W, 0
-    k = 0
-    while True:
-        k += 1
-        term, eterm = _smul(term, eterm, x2, ex2, W)
-        term, eterm = _sdiv_int(-term, eterm, (2 * k - 1) * (2 * k))
-        acc += term
-        eacc += eterm
-        if k >= 4 and abs(term) <= 1 and eterm <= 2:
-            eacc += abs(term) + eterm + 2
-            break
-    return acc, eacc
+    out = CertifiedValue(acc, W, eacc, W).rounded(p + 4)
+    out = out.widen_fraction(piv.err_fraction() * f)
+    return -out if sign < 0 else out
 
 
 def sin_pi_mul_cv(r, p: int) -> CertifiedValue:
@@ -461,13 +483,7 @@ def sin_pi_mul_cv(r, p: int) -> CertifiedValue:
     if f == Fraction(1, 2):
         out = CertifiedValue.exact(1)
         return -out if sign < 0 else out
-    piv = pi_cv(p + 6)
-    W = p + 8
-    rv, re = _scaled_from_fraction(piv.value_fraction() * f, W)
-    acc, eacc = _sin_taylor(rv, re, W)
-    out = CertifiedValue(acc, W, eacc, W).rounded(p + 4)
-    out = out.widen_fraction(piv.err_fraction() * f)
-    return -out if sign < 0 else out
+    return _trig_pi(f, sign, p, True)
 
 
 def cos_pi_mul_cv(r, p: int) -> CertifiedValue:
@@ -482,13 +498,7 @@ def cos_pi_mul_cv(r, p: int) -> CertifiedValue:
         return CertifiedValue.zero()
     if f == 0:
         return CertifiedValue.exact(sign)
-    piv = pi_cv(p + 6)
-    W = p + 8
-    rv, re = _scaled_from_fraction(piv.value_fraction() * f, W)
-    acc, eacc = _cos_taylor(rv, re, W)
-    out = CertifiedValue(acc, W, eacc, W).rounded(p + 4)
-    out = out.widen_fraction(piv.err_fraction() * f)
-    return -out if sign < 0 else out
+    return _trig_pi(f, sign, p, False)
 
 
 # ---------------------------------------------------------------------------
@@ -535,52 +545,36 @@ def gauss_primitive_cv(x, p: int) -> CertifiedValue:
 
 def pow_fraction_upper(base: Fraction, n: int, bits: int = 128) -> Fraction:
     """Upper bound on base**n (base >= 0), intermediates rounded up."""
-    if base < 0:
-        raise PreconditionError("pow_fraction_upper needs a nonnegative base")
-    result = Fraction(1)
-    b = base
-    e = n
-    while e:
-        if e & 1:
-            result = _round_frac_up(result * b, bits)
-        e >>= 1
-        if e:
-            b = _round_frac_up(b * b, bits)
-    return result
+    return _pow_fraction(base, n, bits, True)
 
 
 def pow_fraction_lower(base: Fraction, n: int, bits: int = 128) -> Fraction:
+    """Lower bound on base**n (base >= 0), intermediates rounded down."""
+    return _pow_fraction(base, n, bits, False)
+
+
+def _pow_fraction(base: Fraction, n: int, bits: int, up: bool) -> Fraction:
     if base < 0:
-        raise PreconditionError("pow_fraction_lower needs a nonnegative base")
+        raise PreconditionError("directed powers need a nonnegative base")
     result = Fraction(1)
     b = base
     e = n
     while e:
         if e & 1:
-            result = _round_frac_down(result * b, bits)
+            result = _round_frac(result * b, bits, up)
         e >>= 1
         if e:
-            b = _round_frac_down(b * b, bits)
+            b = _round_frac(b * b, bits, up)
     return result
 
 
-def _round_frac_up(f: Fraction, bits: int) -> Fraction:
-    # round to `bits` significant bits of the ratio, never downward
+def _round_frac(f: Fraction, bits: int, up: bool) -> Fraction:
+    # round to `bits` significant bits of the ratio, never against `up`
     num, den = f.numerator, f.denominator
     if num == 0 or (num.bit_length() <= bits and den.bit_length() <= bits):
         return f
+    div = _ceil_div if up else int.__floordiv__
     k = bits - (num.bit_length() - den.bit_length())
     if k >= 0:
-        return Fraction(_ceil_div(num << k, den), 1 << k)
-    return Fraction(_ceil_div(num, den << -k) * (1 << -k))
-
-
-def _round_frac_down(f: Fraction, bits: int) -> Fraction:
-    num, den = f.numerator, f.denominator
-    if num == 0 or (num.bit_length() <= bits and den.bit_length() <= bits):
-        return f
-    k = bits - (num.bit_length() - den.bit_length())
-    if k >= 0:
-        return Fraction((num << k) // den, 1 << k)
-    return Fraction((num // (den << -k)) * (1 << -k))
-
+        return Fraction(div(num << k, den), 1 << k)
+    return Fraction(div(num, den << -k) * (1 << -k))

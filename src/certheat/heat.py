@@ -18,9 +18,11 @@ records, in exact rational arithmetic, why the retained terms reach the
 requested 2^-n accuracy: a boundary-layer bound for the dropped interval
 near s = t, a series-tail bound, an integration-by-parts remainder, and the
 working-scale rounding budget.  The hot loops run on plain integers at a
-fixed binary scale with explicit per-operation error counters, so the final
-error claim is checked on every solve rather than assumed; the check leaves
-the plan as planning built it, so one plan serves any number of solves.
+fixed binary scale with explicit per-operation error counters, kept by the
+scaled-pair helpers of :mod:`certheat.certified` (``_fmul``, ``_fdot``,
+``_fscale``, ``_scaled_from_cv``), so the final error claim is checked on
+every solve rather than assumed; the check leaves the plan as planning built
+it, so one plan serves any number of solves.
 """
 
 from __future__ import annotations
@@ -30,25 +32,18 @@ from fractions import Fraction
 from math import factorial, isqrt
 from typing import Callable
 
-from .certified import (CertifiedValue, _ceil_div, _exact_cv,
-                        _scaled_from_fraction, exp_cv, gauss_primitive_cv,
-                        pi_cv, pow_fraction_upper, recip_cv, recip_pi_cv,
-                        recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
-from .dyadic import _round_half_even, as_fraction
+from .certified import (CertifiedValue, _ceil_div, _exact_cv, _fdot, _fmul,
+                        _fscale, _scaled_from_cv, _scaled_from_fraction,
+                        exp_cv, gauss_primitive_cv, pi_cv, pow_fraction_upper,
+                        recip_cv, recip_pi_cv, recip_sqrt_pi_cv, sin_pi_mul_cv,
+                        sqrt_cv)
+from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus, polynomial_fn)
 from .quadrature import int_pieces_trig_pi, integrate
 from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
                      least_passing, require)
-
-
-def _sc_from_cv(cv: CertifiedValue, W: int) -> tuple[int, int]:
-    """Scaled-integer view (v, e): |true * 2^W - v| <= e."""
-    val = cv.value_fraction()
-    m = _round_half_even(val.numerator << W, val.denominator)
-    err = cv.err_fraction()
-    return m, (err.numerator << W) // err.denominator + 2
 
 
 def _sqrtN_upper(N: int) -> Fraction:
@@ -63,9 +58,25 @@ def _inv_sqrt_4pialpha(alpha: Fraction, p: int) -> CertifiedValue:
     return recip_cv(sqrt_cv(pi_cv(p + 10).mul_fraction(4 * alpha, p + 6), p), p)
 
 
-def _claimed(plan: TruncationPlan, labels) -> Fraction:
-    """Sum of the plan's recorded bounds with these labels."""
-    return sum((lhs for lab, lhs, _ in plan.chain if lab in labels), Fraction(0))
+def _check_alpha_window(p) -> None:
+    """Normalise and check a half-line problem's alpha and x window."""
+    p.alpha = as_fraction(p.alpha)
+    x0, x1 = map(as_fraction, p.x_window)
+    p.x_window = (x0, x1)
+    if p.alpha <= 0:
+        raise PreconditionError("alpha must be positive")
+    if not 0 < x0 <= x1:
+        raise PreconditionError("window must satisfy 0 < x0 <= x1")
+
+
+def _finish(out: CertifiedValue, plan: TruncationPlan, n: int) -> CertifiedValue:
+    """Check the series sum against the plan's assembly budget, then add the
+    plan's truncation claims and round."""
+    budget = dict(plan.budget_split)["assembly"]
+    require("assembly", out.err_fraction(), Fraction(1, 1 << budget))
+    extra = sum((lhs for lab, lhs, _ in plan.chain
+                 if lab in ("I1", "I2", "ibp-remainder")), Fraction(0))
+    return out.widen_fraction(extra).rounded(n + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +401,7 @@ class HalflineBoundaryProblem:
     x_window: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        self.alpha = as_fraction(self.alpha)
-        x0, x1 = self.x_window
-        self.x_window = (as_fraction(x0), as_fraction(x1))
-        if self.alpha <= 0:
-            raise PreconditionError("alpha must be positive")
-        if not 0 < self.x_window[0] <= self.x_window[1]:
-            raise PreconditionError("window must satisfy 0 < x0 <= x1")
+        _check_alpha_window(self)
         if self.h.domain != (Fraction(0), Fraction(2)):
             raise PreconditionError("boundary profile must live on [0, 2]")
         if self.h.smooth_model is None:
@@ -406,62 +411,83 @@ class HalflineBoundaryProblem:
             raise PreconditionError("boundary profile must vanish at t = 0")
 
 
-def plan_halfline_boundary(p: HalflineBoundaryProblem, n: int) -> TruncationPlan:
-    """Cutoff 1/N, series length T and parts depth from exact inequalities."""
-    x0, x1 = p.x_window
-    a = p.alpha
-    sm = p.h.smooth_model
-    hsup = sm.deriv_sup(0)
+def _plan_parts_series(n: int, layer, Nmin: int, tail_rem, pad: int,
+                       cutoff_rhs: Fraction, what: str) -> TruncationPlan:
+    """Cutoff 1/N, series length T and parts depth Kh from exact inequalities.
+
+    Shared by the boundary and force planners.  ``layer(N)`` bounds the
+    dropped interval near s = t for cutoff 1/N (and u itself below it);
+    ``tail_rem(N, q)`` with q = 1 - 1/N returns ``tail(m)``, the bound on the
+    series terms from index m on, and ``rem(K)``, the remainder of depth-K
+    integration by parts.  ``pad`` is the solver's extra working-scale bits.
+    """
     bud2 = Fraction(1, 1 << (n + 2))
     bud3 = Fraction(1, 1 << (n + 3))
-    prec = n + 40
-
-    pref = _inv_sqrt_4pialpha(a, prec).upper_fraction() * x0
-
-    def layer(N: int) -> Fraction:
-        e = exp_cv(-x0 * x0 * N / (4 * a), prec).upper_fraction()
-        return pref * hsup * _sqrtN_upper(N) * e
-
-    Nmin = max(_ceil_div(6 * a, x0 * x0), 2)
     N = least_passing(lambda m: layer(m) <= bud2, Nmin, Nmin, 1 << 26,
                       "boundary-layer bound failed to close")
-
-    q = Fraction(N - 1, N)
-    xi_ub = sqrt_cv(x1 * x1 / (4 * a), 40).upper_fraction()
-    rsp_ub = recip_sqrt_pi_cv(40).upper_fraction()
-    tpref = xi_ub * rsp_ub * hsup * N * N
-
-    def tail(m: int) -> Fraction:
-        # sum over n' > m-1 of (n'+1) q^n' in closed form, rounded upward
-        return tpref * (Fraction(m, N) + 1) * pow_fraction_upper(q, m, 160)
-
+    tail, rem = tail_rem(N, Fraction(N - 1, N))
     T = least_passing(lambda m: tail(m + 1) <= bud2, N, 1, 1 << 26,
                       "series-tail bound failed to close")
-
     Kh = 0
-    while True:
-        rem = (xi_ub * rsp_ub * sm.deriv_sup(Kh + 1) * N
-               * pow_fraction_upper(q, Kh + 2, 160) / factorial(Kh + 1))
-        if rem <= bud3:
-            break
+    while rem(Kh) > bud3:
         Kh += 1
         if Kh > 200:
-            raise AssertionError("profile derivatives grow too fast for parts integration")
+            raise AssertionError(f"{what} derivatives grow too fast for parts integration")
 
-    pw = n + 3 + 2 * (T + 1).bit_length() + (Kh + 2).bit_length() + 8
+    pw = n + 3 + 2 * (T + 1).bit_length() + (Kh + 2).bit_length() + pad
     plan = TruncationPlan(
         T,
         [("boundary-layer", n + 2), ("series tail", n + 2),
          ("ibp remainder", n + 3), ("assembly", n + 3)],
         f"cutoff 1/{N}, {T + 1} series terms, depth-{Kh} parts integration",
         params={"N": N, "ibp": Kh, "scale": pw})
-    plan.claim("cutoff-monotone", Fraction(1, N), x0 * x0 / (6 * a))
+    plan.claim("cutoff-monotone", Fraction(1, N), cutoff_rhs)
     plan.claim("I1", layer(N), bud2)
     plan.claim("small-t", layer(N), bud2)
     plan.claim("I2", tail(T + 1), bud2)
-    plan.claim("ibp-remainder", rem, bud3)
+    plan.claim("ibp-remainder", rem(Kh), bud3)
     assert plan.validates(n)
     return plan
+
+
+def _window_solve_args(p, t, x, n: int, plan: TruncationPlan | None, planner):
+    """Checked (t, x), the plan (built if none is given) and its N, Kh, pw."""
+    t, x = as_fraction(t), as_fraction(x)
+    if not 0 <= t <= 1:
+        raise PreconditionError("time must lie in [0, 1]")
+    x0, x1 = p.x_window
+    if not x0 <= x <= x1:
+        raise PreconditionError("evaluation point outside the declared window")
+    if plan is None:
+        plan = planner(p, n)
+    return t, x, plan, plan.params["N"], plan.params["ibp"], plan.params["scale"]
+
+
+def plan_halfline_boundary(p: HalflineBoundaryProblem, n: int) -> TruncationPlan:
+    """Cutoff 1/N, series length T and parts depth from exact inequalities."""
+    x0, x1 = p.x_window
+    a = p.alpha
+    sm = p.h.smooth_model
+    hsup = sm.deriv_sup(0)
+    prec = n + 40
+    pref = _inv_sqrt_4pialpha(a, prec).upper_fraction() * x0
+
+    def layer(N: int) -> Fraction:
+        e = exp_cv(-x0 * x0 * N / (4 * a), prec).upper_fraction()
+        return pref * hsup * _sqrtN_upper(N) * e
+
+    c = (sqrt_cv(x1 * x1 / (4 * a), 40).upper_fraction()
+         * recip_sqrt_pi_cv(40).upper_fraction())
+
+    def tail_rem(N: int, q: Fraction):
+        # tail: sum over n' > m-1 of (n'+1) q^n' in closed form, rounded upward
+        return (lambda m: c * hsup * N * N * (Fraction(m, N) + 1)
+                * pow_fraction_upper(q, m, 160),
+                lambda K: c * sm.deriv_sup(K + 1) * N
+                * pow_fraction_upper(q, K + 2, 160) / factorial(K + 1))
+
+    return _plan_parts_series(n, layer, max(_ceil_div(6 * a, x0 * x0), 2),
+                              tail_rem, 8, x0 * x0 / (6 * a), "profile")
 
 
 class _PartsIntegrator:
@@ -478,9 +504,9 @@ class _PartsIntegrator:
         pp = pw + 8
         self.Kh = Kh
         self.pw = pw
-        self.h0 = [_sc_from_cv(sm.deriv_cv(k, Fraction(0), pp), pw)
+        self.h0 = [_scaled_from_cv(sm.deriv_cv(k, Fraction(0), pp), pw)
                    for k in range(Kh + 1)]
-        self.ht = [_sc_from_cv(sm.deriv_cv(k, tau, pp), pw)
+        self.ht = [_scaled_from_cv(sm.deriv_cv(k, tau, pp), pw)
                    for k in range(Kh + 1)]
         self.hcut = max(abs(v) + e for v, e in self.h0 + self.ht) + 1
         A = t - 1
@@ -501,23 +527,14 @@ class _PartsIntegrator:
             if dv > self.hcut:
                 je += self.Kh + 1 - k  # dropped terms are below one ulp each
                 break
-            h0v, h0e = self.h0[k]
-            htv, hte = self.ht[k]
-            num = xa * h0v - xb * htv
-            en = (abs(xa) * h0e + abs(h0v) * exa + exa * h0e
-                  + abs(xb) * hte + abs(htv) * exb + exb * hte)
-            den = dv << pw
-            jv += num // den
-            je += en // den + 2
+            v, e = _fdot(xa, exa, *self.h0[k], -xb, exb, *self.ht[k], dv << pw)
+            jv += v
+            je += e
             if k < self.Kh:
-                xa = (xa * self.An) // self.Ad
-                exa = (exa * abs(self.An)) // self.Ad + 1
-                xb = (xb * self.Bn) // self.Bd
-                exb = (exb * abs(self.Bn)) // self.Bd + 1
-        self.pa = (self.pa * self.An) // self.Ad
-        self.epa = (self.epa * abs(self.An)) // self.Ad + 1
-        self.pb = (self.pb * self.Bn) // self.Bd
-        self.epb = (self.epb * abs(self.Bn)) // self.Bd + 1
+                xa, exa = _fscale(xa, exa, self.An, self.Ad)
+                xb, exb = _fscale(xb, exb, self.Bn, self.Bd)
+        self.pa, self.epa = _fscale(self.pa, self.epa, self.An, self.Ad)
+        self.pb, self.epb = _fscale(self.pb, self.epb, self.Bn, self.Bd)
         self.np += 1
         return jv, je
 
@@ -525,16 +542,8 @@ class _PartsIntegrator:
 def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
                             plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(t, x) with |error| <= 2^-n inside the declared window."""
-    t, x = as_fraction(t), as_fraction(x)
-    if not 0 <= t <= 1:
-        raise PreconditionError("time must lie in [0, 1]")
-    x0, x1 = p.x_window
-    if not x0 <= x <= x1:
-        raise PreconditionError("evaluation point outside the declared window")
-    if plan is None:
-        plan = plan_halfline_boundary(p, n)
-    N, Kh, pw = plan.params["N"], plan.params["ibp"], plan.params["scale"]
-    T = plan.order
+    t, x, plan, N, Kh, pw = _window_solve_args(p, t, x, n, plan,
+                                               plan_halfline_boundary)
     if t < Fraction(1, N):
         # below the cutoff the scheme returns 0; the small-t claim bounds u
         return CertifiedValue(0, n + 2, 1, n + 2)
@@ -545,7 +554,7 @@ def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
     pp = pw + 8
     s_cv = (sqrt_cv(z, pp) * exp_cv(-z, pp)).rounded(pp)
     s_cv = (s_cv * recip_sqrt_pi_cv(pp)).rounded(pp)
-    P, eP = _sc_from_cv(s_cv, pw)
+    P, eP = _scaled_from_cv(s_cv, pw)
 
     parts = _PartsIntegrator(p.h.smooth_model, t, tau, N, Kh, pw)
     # integer family for the kernel's Taylor coefficients at z = x^2/(4 alpha):
@@ -553,24 +562,20 @@ def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
     cur, nxt = 1, 3 * zd - 2 * zn
     D = 1
     zd2 = 2 * zd * zd
-    one = 1 << pw
     total = etot = 0
-    for np_ in range(T + 1):
-        c = (P * cur) // D
-        ec = (eP * abs(cur)) // D + 2
+    for np_ in range(plan.order + 1):
+        c, ec = _fscale(P, eP, cur, D)
         if np_ & 1:
             c = -c
-        jv, je = parts.term()
-        total += (c * jv) // one
-        etot += (abs(c) * je + abs(jv) * ec + ec * je) // one + 2
+        v, e = _fmul(c, ec + 1, *parts.term(), pw)
+        total += v
+        etot += e
         m = np_ + 2
         cur, nxt = nxt, ((4 * m - 1) * zd - 2 * zn) * nxt \
             - (2 * m - 1) * (m - 1) * zd2 * cur
         D *= (np_ + 1) * 2 * zd
 
-    out = CertifiedValue(total, pw, etot + 1, pw)
-    require("assembly", out.err_fraction(), Fraction(1, 1 << (n + 3)))
-    return out.widen_fraction(_claimed(plan, ("I1", "I2", "ibp-remainder"))).rounded(n + 4)
+    return _finish(CertifiedValue(total, pw, etot + 1, pw), plan, n)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +601,8 @@ class _EndState:
         w = sqrt_cv(w2, pp)
         self.wcv = -w if negative else w
         self.gpcv = gauss_primitive_cv(self.wcv, pp)
-        self.Ev, self.Ee = _sc_from_cv(self.ecv, pw)
-        self.EWv, self.EWe = _sc_from_cv((self.ecv * self.wcv).rounded(pp), pw)
+        self.Ev, self.Ee = _scaled_from_cv(self.ecv, pw)
+        self.EWv, self.EWe = _scaled_from_cv((self.ecv * self.wcv).rounded(pp), pw)
         # rolling pair K_{2n'-1}, K_{2n'} starting at n' = 1, with divisors
         # Do = v^{n'-1} 4^{n'} n'! and De = Do v
         self.kmid = 2
@@ -608,10 +613,8 @@ class _EndState:
 
     def refresh(self):
         """Scaled e^{-w^2} H_j / (4^{n'} n'!) for j = 2n'-1 and 2n'."""
-        self.Rov = (self.EWv * self.kmid) // self.Do
-        self.Roe = (self.EWe * abs(self.kmid)) // self.Do + 1
-        self.Rev = (self.Ev * self.kcur) // self.De
-        self.Ree = (self.Ee * abs(self.kcur)) // self.De + 1
+        self.Rov, self.Roe = _fscale(self.EWv, self.EWe, self.kmid, self.Do)
+        self.Rev, self.Ree = _fscale(self.Ev, self.Ee, self.kcur, self.De)
 
     def advance(self, np_: int):
         self.prevEv, self.prevEe = self.Rev, self.Ree
@@ -651,7 +654,7 @@ class _SpaceLadder:
                 k1cv = c_cv.mul_fraction(const, pp) if const else None
                 self.pieces.append((
                     chsgn,
-                    _sc_from_cv(k1cv, pw) if k1cv is not None else (0, 0),
+                    _scaled_from_cv(k1cv, pw) if k1cv is not None else (0, 0),
                     _scaled_from_fraction(4 * alpha * c1, pw),
                     ends[key_a], ends[key_b],
                     k1cv, c1,
@@ -678,8 +681,7 @@ class _SpaceLadder:
 
     def term(self) -> tuple[int, int]:
         """Scaled S_{n'} for the current n' >= 1, then advance."""
-        pw = self.pw
-        one = 1 << pw
+        one = 1 << self.pw
         np_ = self.np
         for e in self.ends:
             e.refresh()
@@ -689,11 +691,9 @@ class _SpaceLadder:
             ue = ea.Roe + eb.Roe
             # normalized V: half the even difference plus half the two-steps-
             # back difference (the 2n'/(4n') ratio of the divisors is 1/2)
-            vv = (ea.Rev - eb.Rev + ea.prevEv - eb.prevEv) // 2
-            ve = (ea.Ree + eb.Ree + ea.prevEe + eb.prevEe) // 2 + 1
-            pv = (k1v * uv + k2v * vv) // one
-            pe = (abs(k1v) * ue + abs(uv) * k1e + k1e * ue
-                  + abs(k2v) * ve + abs(vv) * k2e + k2e * ve) // one + 2
+            vv, ve = _fscale(ea.Rev - eb.Rev + ea.prevEv - eb.prevEv,
+                             ea.Ree + eb.Ree + ea.prevEe + eb.prevEe, 1, 2)
+            pv, pe = _fdot(k1v, k1e, uv, ue, k2v, k2e, vv, ve, one)
             if chsgn > 0:
                 sv += pv
             else:
@@ -723,13 +723,7 @@ class HalflineForceProblem:
     x_window: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        self.alpha = as_fraction(self.alpha)
-        x0, x1 = self.x_window
-        self.x_window = (as_fraction(x0), as_fraction(x1))
-        if self.alpha <= 0:
-            raise PreconditionError("alpha must be positive")
-        if not 0 < self.x_window[0] <= self.x_window[1]:
-            raise PreconditionError("window must satisfy 0 < x0 <= x1")
+        _check_alpha_window(self)
         if self.f_time.smooth_model is None:
             raise PreconditionError("time factor needs a derivative model")
         if self.f_space.domain[0] != 0:
@@ -740,73 +734,32 @@ class HalflineForceProblem:
 
 
 def plan_halfline_force(p: HalflineForceProblem, n: int) -> TruncationPlan:
-    x0, x1 = p.x_window
     a = p.alpha
-    gap = x0 - p.y0
-    fts = p.f_time.smooth_model.deriv_sup(0)
-    fss = p.f_space.sup_bound
-    bud2 = Fraction(1, 1 << (n + 2))
-    bud3 = Fraction(1, 1 << (n + 3))
+    gap = p.x_window[0] - p.y0
+    sm = p.f_time.smooth_model
+    fts = sm.deriv_sup(0)
     prec = n + 40
-    pref = _inv_sqrt_4pialpha(a, prec).upper_fraction()
+    c = (2 * p.y0 * p.f_space.sup_bound
+         * _inv_sqrt_4pialpha(a, prec).upper_fraction())
 
     def layer(N: int) -> Fraction:
         e = exp_cv(-gap * gap * N / (4 * a), prec).upper_fraction()
-        return 2 * p.y0 * fts * fss * pref * _invsqrtN_upper(N) * e
+        return c * fts * _invsqrtN_upper(N) * e
 
-    Nmin = max(_ceil_div(2 * a, gap * gap), 2)
-    N = least_passing(lambda m: layer(m) <= bud2, Nmin, Nmin, 1 << 26,
-                      "boundary-layer bound failed to close")
+    def tail_rem(N: int, q: Fraction):
+        return (lambda m: c * fts * N * pow_fraction_upper(q, m, 160),
+                lambda K: c * sm.deriv_sup(K + 1) * N
+                * pow_fraction_upper(q, K + 2, 160) / factorial(K + 1))
 
-    q = Fraction(N - 1, N)
-    tpref = 2 * p.y0 * fts * fss * pref * N
-
-    def tail(m: int) -> Fraction:
-        return tpref * pow_fraction_upper(q, m, 160)
-
-    T = least_passing(lambda m: tail(m + 1) <= bud2, N, 1, 1 << 26,
-                      "series-tail bound failed to close")
-
-    sm = p.f_time.smooth_model
-    Kh = 0
-    while True:
-        rem = (2 * p.y0 * fss * pref * sm.deriv_sup(Kh + 1) * N
-               * pow_fraction_upper(q, Kh + 2, 160) / factorial(Kh + 1))
-        if rem <= bud3:
-            break
-        Kh += 1
-        if Kh > 200:
-            raise AssertionError("time-factor derivatives grow too fast")
-
-    pw = n + 3 + 2 * (T + 1).bit_length() + (Kh + 2).bit_length() + 10
-    plan = TruncationPlan(
-        T,
-        [("boundary-layer", n + 2), ("series tail", n + 2),
-         ("ibp remainder", n + 3), ("assembly", n + 3)],
-        f"cutoff 1/{N}, {T + 1} series terms, depth-{Kh} parts integration",
-        params={"N": N, "ibp": Kh, "scale": pw})
-    plan.claim("cutoff-monotone", Fraction(1, N), gap * gap / (2 * a))
-    plan.claim("I1", layer(N), bud2)
-    plan.claim("small-t", layer(N), bud2)
-    plan.claim("I2", tail(T + 1), bud2)
-    plan.claim("ibp-remainder", rem, bud3)
-    assert plan.validates(n)
-    return plan
+    return _plan_parts_series(n, layer, max(_ceil_div(2 * a, gap * gap), 2),
+                              tail_rem, 10, gap * gap / (2 * a), "time-factor")
 
 
 def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
                          plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(t, x) with |error| <= 2^-n inside the declared window."""
-    t, x = as_fraction(t), as_fraction(x)
-    if not 0 <= t <= 1:
-        raise PreconditionError("time must lie in [0, 1]")
-    x0, x1 = p.x_window
-    if not x0 <= x <= x1:
-        raise PreconditionError("evaluation point outside the declared window")
-    if plan is None:
-        plan = plan_halfline_force(p, n)
-    N, Kh, pw = plan.params["N"], plan.params["ibp"], plan.params["scale"]
-    T = plan.order
+    t, x, plan, N, Kh, pw = _window_solve_args(p, t, x, n, plan,
+                                               plan_halfline_force)
     if t < Fraction(1, N):
         return CertifiedValue(0, n + 2, 1, n + 2)
     tau = t - Fraction(1, N)
@@ -814,21 +767,16 @@ def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
 
     parts = _PartsIntegrator(p.f_time.smooth_model, t, tau, N, Kh, pw)
     ladder = _SpaceLadder(p.f_space, x, p.alpha, pw)
-    one = 1 << pw
     total = etot = 0
-    for np_ in range(T + 1):
+    for np_ in range(plan.order + 1):
         jv, je = parts.term()
-        if np_ == 0:
-            sv, se = _sc_from_cv(ladder.term0_cv(pp), pw)
-        else:
-            sv, se = ladder.term()
-        total += (sv * jv) // one
-        etot += (abs(sv) * je + abs(jv) * se + se * je) // one + 2
+        sv, se = _scaled_from_cv(ladder.term0_cv(pp), pw) if np_ == 0 else ladder.term()
+        v, e = _fmul(sv, se, jv, je, pw)
+        total += v
+        etot += e
 
     pref = _inv_sqrt_4pialpha(p.alpha, pp)
-    out = CertifiedValue(total, pw, etot + 1, pw) * pref
-    require("assembly", out.err_fraction(), Fraction(1, 1 << (n + 3)))
-    return out.widen_fraction(_claimed(plan, ("I1", "I2", "ibp-remainder"))).rounded(n + 4)
+    return _finish(CertifiedValue(total, pw, etot + 1, pw) * pref, plan, n)
 
 
 # ---------------------------------------------------------------------------
@@ -902,19 +850,13 @@ def solve_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int,
     qt = t - 1  # powers of (t-1) weight the ladder terms
     qn, qd = qt.numerator, qt.denominator
     ptv, pte = _scaled_from_fraction(Fraction(1), pw)
-    one = 1 << pw
     total = etot = 0
     for np_ in range(T + 1):
-        if np_ == 0:
-            sv, se = _sc_from_cv(ladder.term0_cv(pp), pw)
-        else:
-            sv, se = ladder.term()
-        total += (sv * ptv) // one
-        etot += (abs(sv) * pte + abs(ptv) * se + se * pte) // one + 2
-        ptv = (ptv * qn) // qd if qn else 0
-        pte = (pte * abs(qn)) // qd + 1
+        sv, se = _scaled_from_cv(ladder.term0_cv(pp), pw) if np_ == 0 else ladder.term()
+        v, e = _fmul(sv, se, ptv, pte, pw)
+        total += v
+        etot += e
+        ptv, pte = _fscale(ptv, pte, qn, qd)
 
     pref = _inv_sqrt_4pialpha(alpha, pp)
-    out = CertifiedValue(total, pw, etot + 1, pw) * pref
-    require("assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
-    return out.widen_fraction(_claimed(plan, ("I2",))).rounded(n + 4)
+    return _finish(CertifiedValue(total, pw, etot + 1, pw) * pref, plan, n)
