@@ -266,7 +266,8 @@ def _smul(a: int, ea: int, b: int, eb: int, W: int) -> tuple[int, int]:
 def _sdiv_int(a: int, ea: int, d: int) -> tuple[int, int]:
     """Divide a scaled value by a positive integer, truncating toward zero."""
     v = a // d if a >= 0 else -((-a) // d)
-    return v, ea // d + 1
+    # truncating a / d loses up to (d - 1) / d: one unit on top of ea / d
+    return v, _ceil_div(ea, d) + 1
 
 
 def _fmul(a: int, ea: int, b: int, eb: int, W: int) -> tuple[int, int]:
@@ -284,7 +285,7 @@ def _fdot(a: int, ea: int, b: int, eb: int, c: int, ec: int, d: int, ed: int,
 
 def _fscale(a: int, ea: int, num: int, den: int) -> tuple[int, int]:
     """A scaled value times the exact ratio num/den (den > 0), rounded down."""
-    return (a * num) // den, (ea * abs(num)) // den + 1
+    return (a * num) // den, _ceil_div(ea * abs(num), den) + 1
 
 
 def _as_exact_pair(x) -> tuple[Fraction, Fraction]:

@@ -567,7 +567,7 @@ def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
         c, ec = _fscale(P, eP, cur, D)
         if np_ & 1:
             c = -c
-        v, e = _fmul(c, ec + 1, *parts.term(), pw)
+        v, e = _fmul(c, ec, *parts.term(), pw)
         total += v
         etot += e
         m = np_ + 2

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from certheat import certified as C
 from certheat.certified import CertifiedValue
@@ -135,6 +137,7 @@ def test_gauss_primitive():
         C.gauss_primitive_cv(9, 20)
 
 
+
 def test_input_error_propagation():
     # a certified input's own uncertainty must flow through
     base = Fraction(1, 3)
@@ -162,3 +165,66 @@ def test_directed_pow_brackets_true_value():
         # 128-bit intermediate rounding keeps the bracket tight
         if true > 0 and n > 0:
             assert (mpf(hi) - mpf(lo)) <= true * mp.mpf(2) ** -100
+
+
+# -- scaled pairs: (v, e) at scale W stands for v * 2^-W with error e * 2^-W --
+
+ints = st.integers(-(1 << 80), 1 << 80)
+errs = st.integers(0, 1 << 40)
+scales = st.integers(0, 64)
+
+
+def ends(v, e):
+    """The true values at the two ends of a pair's error range."""
+    return (v - e, v + e)
+
+
+def assert_pair_holds(exact, pair):
+    v, e = pair
+    assert abs(Fraction(exact) - v) <= e
+
+
+@given(ints, errs, ints, errs, scales)
+def test_smul_and_fmul_contain_the_product(a, ea, b, eb, W):
+    for A in ends(a, ea):
+        for B in ends(b, eb):
+            exact = Fraction(A * B, 1 << W)
+            assert_pair_holds(exact, C._smul(a, ea, b, eb, W))
+            assert_pair_holds(exact, C._fmul(a, ea, b, eb, W))
+
+
+@given(ints, errs, ints, errs, ints, errs, ints, errs,
+       st.integers(1, 1 << 70))
+def test_fdot_contains_the_sum_of_products(a, ea, b, eb, c, ec, d, ed, den):
+    for A in ends(a, ea):
+        for B in ends(b, eb):
+            for Cc in ends(c, ec):
+                for D in ends(d, ed):
+                    assert_pair_holds(Fraction(A * B + Cc * D, den),
+                                      C._fdot(a, ea, b, eb, c, ec, d, ed, den))
+
+
+@example(5, 5, 6)
+@given(ints, errs, st.integers(1, 1 << 40))
+def test_sdiv_int_contains_the_quotient(a, ea, d):
+    for A in ends(a, ea):
+        assert_pair_holds(Fraction(A, d), C._sdiv_int(a, ea, d))
+
+
+@example(5, 5, 1, 6)
+@given(ints, errs, ints, st.integers(1, 1 << 40))
+def test_fscale_contains_the_scaled_value(a, ea, num, den):
+    for A in ends(a, ea):
+        assert_pair_holds(Fraction(A * num, den), C._fscale(a, ea, num, den))
+
+
+@given(st.fractions(max_denominator=1 << 40), scales)
+def test_scaled_from_fraction_contains_the_value(f, W):
+    assert_pair_holds(f * (1 << W), C._scaled_from_fraction(f, W))
+
+
+@given(ints, st.integers(-20, 80), errs, st.integers(-20, 80), scales)
+def test_scaled_from_cv_contains_the_enclosure(m, s, en, es, W):
+    cv = CertifiedValue(m, s, en, es)
+    for true in (cv.lower_fraction(), cv.upper_fraction()):
+        assert_pair_holds(true * (1 << W), C._scaled_from_cv(cv, W))
