@@ -532,7 +532,10 @@ def gauss_primitive_cv(x, p: int) -> CertifiedValue:
         if abs(term) <= 1 and eterm <= 2 and j * (1 << W) >= abs(x2) + ex2:
             eacc += abs(term) + eterm + 2
             break
-        if j > 400:
+        # Once j >= 4x^2 each term is at most 1/4 of the one before, and no
+        # term exceeds |x| e^{x^2} < 2^(3/2 x^2 + 3) units, so the stop test
+        # holds by j = 4x^2 + W/2 + 3/4 x^2 + 3; 5 * guard >= 15/2 x^2.
+        if j > 5 * guard + W // 2 + 16:
             raise AssertionError("gauss primitive series failed to converge")
     out = CertifiedValue(acc, W, eacc, W)
     if ierr:

@@ -137,6 +137,13 @@ def test_gauss_primitive():
         C.gauss_primitive_cv(9, 20)
 
 
+@pytest.mark.parametrize("x, p", [(8, 512), (Fraction(5, 2), 2048)])
+def test_gauss_primitive_term_cap_grows_with_precision(x, p):
+    # both need more than 400 series terms
+    with mp.workdps(800):
+        true = mp.sqrt(mp.pi) / 2 * mp.erf(mpf(Fraction(x)))
+        assert_encloses(C.gauss_primitive_cv(x, p), true, p)
+
 
 def test_input_error_propagation():
     # a certified input's own uncertainty must flow through
