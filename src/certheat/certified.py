@@ -33,7 +33,8 @@ _ERR_BITS = 32  # error mantissas are renormalised to at most this many bits
 
 def _ceil_div(a, b) -> int:
     """ceil(a / b) for b > 0; exact for integers and Fractions alike."""
-    return -((-a) // b)
+    q, r = divmod(a, b)  # one division, no negated copy of a long a
+    return q + (r > 0)
 
 
 class CertifiedValue:
