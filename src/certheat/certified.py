@@ -463,9 +463,9 @@ def _trig_pi(f: Fraction, sign: int, p: int, odd: bool) -> CertifiedValue:
         if k >= 4 and abs(term) <= 1 and eterm <= 2:
             eacc += abs(term) + eterm + 2
             break
-    out = CertifiedValue(acc, W, eacc, W).rounded(p + 4)
-    out = out.widen_fraction(piv.err_fraction() * f)
-    return -out if sign < 0 else out
+    # rounding half to even commutes with the sign
+    out = CertifiedValue(sign * acc, W, eacc, W).rounded(p + 4)
+    return out.widen_fraction(piv.err_fraction() * f)
 
 
 def sin_pi_mul_cv(r, p: int) -> CertifiedValue:
@@ -483,8 +483,7 @@ def sin_pi_mul_cv(r, p: int) -> CertifiedValue:
     if f > Fraction(1, 2):
         f = 1 - f
     if f == Fraction(1, 2):
-        out = CertifiedValue.exact(1)
-        return -out if sign < 0 else out
+        return CertifiedValue.exact(sign)
     return _trig_pi(f, sign, p, True)
 
 
@@ -535,7 +534,7 @@ def gauss_primitive_cv(x, p: int) -> CertifiedValue:
             break
         # Once j >= 4x^2 each term is at most 1/4 of the one before, and no
         # term exceeds |x| e^{x^2} < 2^(3/2 x^2 + 3) units, so the stop test
-        # holds by j = 4x^2 + W/2 + 3/4 x^2 + 3; 5 * guard >= 15/2 x^2.
+        # holds by j = 19/4 x^2 + W/2 + 3, below this cap: 5 * guard > 15/2 x^2.
         if j > 5 * guard + W // 2 + 16:
             raise AssertionError("gauss primitive series failed to converge")
     out = CertifiedValue(acc, W, eacc, W)
@@ -558,12 +557,10 @@ def pow_fraction_lower(base: Fraction, n: int, bits: int = 128) -> Fraction:
     return _pow_fraction(base, n, bits, False)
 
 
-def _pow_fraction(base: Fraction, n: int, bits: int, up: bool) -> Fraction:
-    if base < 0:
+def _pow_fraction(b: Fraction, e: int, bits: int, up: bool) -> Fraction:
+    if b < 0:
         raise PreconditionError("directed powers need a nonnegative base")
     result = Fraction(1)
-    b = base
-    e = n
     while e:
         if e & 1:
             result = _round_frac(result * b, bits, up)
@@ -574,7 +571,7 @@ def _pow_fraction(base: Fraction, n: int, bits: int, up: bool) -> Fraction:
 
 
 def _round_frac(f: Fraction, bits: int, up: bool) -> Fraction:
-    # round to `bits` significant bits of the ratio, never against `up`
+    # round to `bits` significant bits of the ratio: upward if up, else down
     num, den = f.numerator, f.denominator
     if num == 0 or (num.bit_length() <= bits and den.bit_length() <= bits):
         return f
