@@ -415,7 +415,8 @@ def exp_cv(x, p: int) -> CertifiedValue:
     while abs(r) > Fraction(1, 2):
         r /= 2
         j += 1
-    W = p + 2 * j + 12
+    # the squarings carry the error of e^r up by e^x: ceil(3x/2) >= x log2 e bits
+    W = p + 2 * j + 12 + (_ceil_div(3 * val, 2) if val > 0 else 0)
     rv, re = _scaled_from_fraction(r, W)
     acc, eacc = 1 << W, 0
     term, eterm = 1 << W, 0

@@ -101,6 +101,13 @@ def test_exp_various_arguments():
             assert_encloses(C.exp_cv(arg, p), mp.exp(mpf(Fraction(arg))), p)
 
 
+def test_exp_large_arguments_keep_the_bound():
+    # the squarings multiply the error by e^x, which the working scale covers
+    for x in (Fraction(15, 2), 8, 9, 10, 20, 60, 120):
+        for p in (16, 30, 64, 200):
+            assert_encloses(C.exp_cv(x, p), mp.exp(mpf(Fraction(x))), p)
+
+
 def test_exp_deeply_negative_shortcut():
     z = C.exp_cv(-5000, 40)
     assert z.m == 0
