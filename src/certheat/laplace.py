@@ -153,7 +153,8 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
         plan = plan_disk(p, n)
     order = plan.order
     ks = _coeff_indices(p.g, order)
-    pc = n + 1 + max(1, len(ks) + 1).bit_length() + 3
+    pc = n + 1 + max(1, len(ks) + 1).bit_length() + 3 \
+        + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     pieces = linear_pieces(p.g)  # read once, shared by every k
     if pieces is not None:
         pieces = tuple(pieces)  # hashable, like every other argument

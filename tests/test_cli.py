@@ -211,3 +211,23 @@ def test_disk_const_data_takes_the_closed_form(tmp_path, capsys):
     assert record["error_exponent"] >= 12
     value = DyadicDecimal.parse(record["value_dyadic"]).as_fraction()
     assert abs(value - 1) <= Fraction(1, 2 ** 12)
+
+
+def test_disk_large_amplitude_keeps_the_bound(tmp_path, capsys):
+    # |g| reaches 1e8: the coefficient precision widens by log2 of the sup
+    # bound, as the interval solver's does
+    cfg = write(tmp_path, "amp.cfg", "problem = disk\ng = pl 0:1e8 1:-1e8 2:1e8\n"
+                "r = 9/10\ntheta = 0\nbits = 30\n")
+    out = tmp_path / "amp.json"
+    code, text, _ = run(["solve", "--config", cfg, "--out", str(out)], capsys)
+    assert code == 0 and "error  <= 2^-30" in text
+    got = DyadicDecimal.parse(json.loads(out.read_text())["value_dyadic"]).as_fraction()
+    r = mp.mpf(9) / 10
+
+    def integrand(rho):  # Poisson kernel at (r, 0) times the data, rho in pi-units
+        g = 10 ** 8 * (1 - 2 * rho) if rho <= 1 else 10 ** 8 * (2 * rho - 3)
+        return (1 - r * r) / (1 - 2 * r * mp.cos(mp.pi * rho) + r * r) * g
+
+    want = mp.quad(integrand, [0, 1, 2]) / 2
+    assert abs(mp.mpf(got.numerator) / got.denominator - want) \
+        <= mp.mpf(2) ** -30 + mp.mpf(10) ** -25
