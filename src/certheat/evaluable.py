@@ -110,7 +110,9 @@ class EvaluableFunction:
         return round_to(cv.value_fraction(), n + 1)
 
     def has_linear_structure(self) -> bool:
-        return self.breakpoints is not None or self.linear_segments is not None
+        """Declared piecewise-linear, with exact evaluation to read the pieces."""
+        return self.eval_exact is not None and (
+            self.breakpoints is not None or self.linear_segments is not None)
 
     def segment_grid(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
         """Breakpoints of linearity clipped to [lo, hi], endpoints included."""
@@ -139,7 +141,7 @@ def linear_pieces(
     evaluation, or off an affine polynomial (one piece); None for any other
     function.
     """
-    if fn.has_linear_structure() and fn.eval_exact is not None:
+    if fn.has_linear_structure():
         grid = fn.segment_grid(*fn.domain)
         out = []
         for a, b in zip(grid, grid[1:]):

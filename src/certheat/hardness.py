@@ -82,16 +82,17 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
             f"instance has {nv} items, cap is {max_vars_cap()} (CERTHEAT_MAX_VARS)")
     cells = 1 << nv
     height = Fraction(2, cells)
+    zero = Fraction(0)
     calls = [0]
 
     def value(x: Fraction) -> Fraction:
-        idx = min(int(x * cells), cells - 1)
+        idx = min(x.numerator * cells // x.denominator, cells - 1)
         calls[0] += 1
         if not inst.accepts(idx):
-            return Fraction(0)
+            return zero
         center = Fraction(2 * idx + 1, 2 * cells)
         bump = height - 4 * abs(x - center)
-        return bump if bump > 0 else Fraction(0)
+        return bump if bump > 0 else zero
 
     fn = EvaluableFunction(
         domain=(Fraction(0), Fraction(1)),

@@ -292,7 +292,8 @@ class IntervalReduction:
     The data is gtilde times the weight exp(E), E given by
     :meth:`weight_exponent`.  The identity divides that weight back out, so
     the claimed point value is (4 pi alpha t0)^{-1/2} times the plain
-    integral of gtilde, whatever gtilde is.
+    integral of gtilde, whatever gtilde is.  With gtilde(y) = profile(y/L)/L
+    that integral is the integral of the profile over [0, 1].
     """
 
     t0: Fraction
@@ -300,6 +301,7 @@ class IntervalReduction:
     L: Fraction
     alpha: Fraction
     gtilde: EvaluableFunction
+    profile: EvaluableFunction
 
     def weight_exponent(self, y: Fraction, prec: int) -> CertifiedValue:
         """(y - x0)^2 / (4 pi alpha t0), certified."""
@@ -307,13 +309,13 @@ class IntervalReduction:
         return recip_pi_cv(prec + 6).mul_fraction(f, prec + 4)
 
     def certified_point_value(self, n: int) -> CertifiedValue:
-        if not self.gtilde.has_linear_structure() or self.gtilde.eval_exact is None:
+        if not self.profile.has_linear_structure():
             raise PreconditionError("reduction data must be piecewise linear")
         pe = n + 8
         pref = recip_cv(sqrt_cv(pi_cv(pe + 10).mul_fraction(
             4 * self.alpha * self.t0, pe + 8), pe + 4), pe + 4)
         # midpoint rule, exact per linear piece: one verifier call per piece
-        return (integrate(self.gtilde, 0, self.L, n + 4) * pref).rounded(n + 4)
+        return (integrate(self.profile, 0, 1, n + 4) * pref).rounded(n + 4)
 
 
 def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction,
@@ -349,7 +351,7 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction,
                      if g_hard.breakpoints is not None else None),
         linear_segments=g_hard.linear_segments,
     )
-    red = IntervalReduction(t0, x0, L, alpha, gtilde)
+    red = IntervalReduction(t0, x0, L, alpha, gtilde, g_hard)
 
     # e^{ceil(L^2 / (4 alpha t0))} bounds the weight: E before its 1/pi factor
     wsup = exp_cv(Fraction(_ceil_div(L * L, 4 * alpha * t0)), 20).upper_fraction()

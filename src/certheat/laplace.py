@@ -26,7 +26,8 @@ from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus)
 from .kernels import real_sph_harmonic_3d, sph_count
-from .quadrature import DEFAULT_MAX_PANELS, int_pieces_trig_pi, integrate
+from .quadrature import (DEFAULT_MAX_PANELS, int_pieces_trig_pi, integral_exact,
+                         integrate)
 from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
                      higher_arith_geom)
 
@@ -191,10 +192,23 @@ class DiskReduction:
     r0: Fraction
     theta0: Fraction
     gtilde: EvaluableFunction
+    profile: EvaluableFunction  # h, which gtilde closes up
 
     def certified_point_value(self, n: int) -> CertifiedValue:
-        """u(r0, theta0) = (1/2) * integral of gtilde over [0,2]."""
-        return integrate(self.gtilde, 0, 2, n + 1).mul_fraction(Fraction(1, 2), n + 1)
+        """u(r0, theta0) = (1/2) * integral of gtilde over [0,2].
+
+        gtilde is h on [0, 1] and the linear bridge from h(1) back to h(0)
+        on [1, 2], whose integral is the trapezoid (h(0) + h(1)) / 2; only h
+        is integrated.
+        """
+        gt = self.gtilde
+        head = integral_exact(self.profile, Fraction(0), Fraction(1))
+        if head is None:  # a profile without exact structure
+            return integrate(gt, 0, 2, n + 1).mul_fraction(Fraction(1, 2), n + 1)
+        bridge = (gt.eval_exact(Fraction(1)) + gt.eval_exact(Fraction(2))) / 2
+        # n + 4: the scale integrate(gt, 0, 2, n + 1) rounds the same rational to
+        total = CertifiedValue.from_fraction(head + bridge, n + 4)
+        return total.mul_fraction(Fraction(1, 2), n + 1)
 
 
 def interpolated_closure(h: EvaluableFunction) -> EvaluableFunction:
@@ -211,9 +225,9 @@ def interpolated_closure(h: EvaluableFunction) -> EvaluableFunction:
     h0, h1 = h.eval_exact(Fraction(0)), h.eval_exact(Fraction(1))
 
     def exact(x: Fraction) -> Fraction:
-        if x <= 1:
+        if x < 1:
             return h.eval_exact(x)
-        return h1 + (h0 - h1) * (x - 1)
+        return h1 + (h0 - h1) * (x - 1)  # at x = 1 this is h1, already read
 
     bridge_lip = abs(h0 - h1)
 
@@ -274,7 +288,7 @@ def hardness_boundary_disk(r0, theta0, h: EvaluableFunction) -> EvaluableFunctio
         eval_cv=ev,
         label="reduction-boundary",
     )
-    out.hardness = DiskReduction(r0, theta0, gt)
+    out.hardness = DiskReduction(r0, theta0, gt, h)
     return out
 
 

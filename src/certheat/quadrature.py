@@ -2,10 +2,10 @@
 
 Two regimes:
 
-* Functions with declared piecewise-linear structure integrate exactly: the
-  midpoint rule is exact on each linear piece, so sampling one midpoint per
-  segment (clipped to the requested range) gives the true integral up to
-  point-evaluation error only.
+* Polynomials, and functions with declared piecewise-linear structure and
+  exact evaluation, integrate exactly: the midpoint rule is exact on each
+  linear piece, so one exact midpoint value per segment (clipped to the
+  requested range) gives the true integral, a rational rounded once.
 * Generic continuous functions fall back to composite midpoint driven by the
   declared modulus of continuity.  The error bound is (b-a) * 2^-k per the
   modulus contract, which forces a panel count that can be astronomically
@@ -16,7 +16,10 @@ Two regimes:
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from fractions import Fraction
+from typing import Optional
 
 from .certified import (CertifiedValue, _ceil_div, cos_pi_mul_cv,
                         recip_pi_cv, sin_pi_mul_cv)
@@ -39,29 +42,65 @@ def integrate(fn: EvaluableFunction, lo, hi, p: int,
         return CertifiedValue.zero()
     width = hi - lo
     pe = p + 2 + max(0, _log2_ceil(width))
+    total = integral_exact(fn, lo, hi)
+    if total is not None:
+        return CertifiedValue.from_fraction(total, pe)
+    return _integrate_modulus(fn, lo, hi, p, pe, max_panels)
+
+
+def integral_exact(fn: EvaluableFunction, lo: Fraction,
+                   hi: Fraction) -> Optional[Fraction]:
+    """Exact integral of fn over [lo, hi] inside its domain, or None.
+
+    Polynomials integrate by their antiderivative.  On declared
+    piecewise-linear structure the midpoint rule is exact on each piece, so
+    one exact evaluation per piece, clipped to [lo, hi], gives the integral;
+    None for any other function.
+    """
     if fn.poly_coeffs is not None:
         total = Fraction(0)  # exact antiderivative, no sampling at all
         for i, c in enumerate(fn.poly_coeffs):
             total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
-        return CertifiedValue.from_fraction(total, pe)
-    if fn.has_linear_structure():
-        return _integrate_linear(fn, lo, hi, pe)
-    return _integrate_modulus(fn, lo, hi, p, pe, max_panels)
-
-
-def _integrate_linear(fn: EvaluableFunction, lo: Fraction, hi: Fraction,
-                      pe: int) -> CertifiedValue:
+        return total
+    if not fn.has_linear_structure():
+        return None
+    if fn.linear_segments is not None:
+        return _uniform_integral(fn, lo, hi)
     grid = fn.segment_grid(lo, hi)
-    if fn.eval_exact is not None:
-        total = Fraction(0)
-        for a, b in zip(grid, grid[1:]):
-            total += fn.eval_exact((a + b) / 2) * (b - a)
-        return CertifiedValue.from_fraction(total, pe)
-    pp = pe + len(grid).bit_length() + 2  # per-segment rounding must not pile up
-    acc = CertifiedValue.zero()
-    for a, b in zip(grid, grid[1:]):
-        acc = acc + fn.eval_cv((a + b) / 2, pp).mul_fraction(b - a, pp)
-    return acc
+    return sum((fn.eval_exact((a + b) / 2) * (b - a) for a, b in zip(grid, grid[1:])),
+               Fraction(0))
+
+
+def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Fraction:
+    """Midpoint sum over the uniform cells of fn that meet [lo, hi].
+
+    Cells lying inside [lo, hi] are walked by integer index; their values are
+    added exactly as numerator sums per denominator and multiplied by the
+    common width once.  The parts of cells that [lo, hi] clips are separate
+    exact terms.  One evaluation per cell or clipped part, no grid list.
+    """
+    a, b = fn.domain
+    f = fn.eval_exact
+    w = (b - a) / fn.linear_segments
+    first, last = math.ceil((lo - a) / w), math.floor((hi - a) / w)
+    if first > last:  # [lo, hi] lies inside one cell
+        return f((lo + hi) / 2) * (hi - lo)
+    x0, x1 = a + first * w, a + last * w
+    ends = Fraction(0)
+    if lo < x0:
+        ends += f((lo + x0) / 2) * (x0 - lo)
+    # the midpoint of cell j is (base + (2j + 1) step) / den
+    half = w / 2
+    den = math.lcm(a.denominator, half.denominator)
+    base = a.numerator * (den // a.denominator)
+    step = half.numerator * (den // half.denominator)
+    sums = defaultdict(int)  # denominator -> sum of numerators
+    for num in range(base + (2 * first + 1) * step, base + (2 * last + 1) * step, 2 * step):
+        v = f(Fraction(num, den))
+        sums[v.denominator] += v.numerator
+    if x1 < hi:
+        ends += f((x1 + hi) / 2) * (hi - x1)
+    return ends + w * sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
 
 
 def _integrate_modulus(fn: EvaluableFunction, lo: Fraction, hi: Fraction,

@@ -8,8 +8,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
+import certheat.hardness as hardness
 from certheat.certified import CertifiedValue
 from certheat.errors import ConfigError, InsufficientPrecision, PreconditionError
 from certheat.hardness import (CSV_HEADER, CountingInstance, PIPELINES,
@@ -17,8 +19,9 @@ from certheat.hardness import (CSV_HEADER, CountingInstance, PIPELINES,
                                measure_blowup, pipeline_disk, precision_for,
                                random_instance, recover_count, render_csv,
                                write_csv)
+from certheat.heat import hardness_initial_interval
 from certheat.laplace import DiskProblem, hardness_boundary_disk, solve_disk
-from certheat.quadrature import integrate
+from certheat.quadrature import integral_exact, integrate
 
 INST_ONE = CountingInstance((1,), 1)           # count 1
 INST_PAIR = CountingInstance((1, 2), 3)        # count 1, only the full set
@@ -29,6 +32,10 @@ INST_TWO = CountingInstance((2, 3, 5, 7), 10)  # {3,7} and {2,3,5}: count 2
 def exact_integral(inst: CountingInstance) -> Fraction:
     """Closed-form area of the counting integrand: count * 4^-n_vars."""
     return brute_force_count(inst) * Fraction(1, 4 ** inst.n_vars)
+
+
+def to_mp(f: Fraction) -> mp.mpf:
+    return mp.mpf(f.numerator) / f.denominator
 
 
 def enumerate_count(weights, target):
@@ -134,6 +141,48 @@ def test_pipelines_agree_medium_sizes():
         for name, pipe in PIPELINES.items():
             v = pipe(inst, precision_for(inst))
             assert recover_count(v, inst) == expect, (name, nv)
+
+
+def test_reduction_values_are_exact_counts():
+    # the disk point value is half the exact area; the interval point value
+    # is the exact area of its profile over the 1/sqrt(4 pi alpha t0) factor
+    rng = random.Random(41)
+    for nv in range(4, 11):
+        inst = random_instance(rng, nv)
+        area = exact_integral(inst)
+        n = precision_for(inst)
+        h = counting_integrand(inst)
+        disk = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h).hardness
+        u = disk.certified_point_value(n)
+        assert u.value_fraction() == area / 2 and u.err_fraction() == 0, nv
+        red = hardness_initial_interval(Fraction(1, 4), Fraction(1, 2), h).hardness
+        assert integral_exact(red.profile, Fraction(0), Fraction(1)) == area
+        assert integral_exact(red.gtilde, Fraction(0), red.L) == area
+        v = red.certified_point_value(n)
+        assert abs(to_mp(v.value_fraction()) - to_mp(area) / mp.sqrt(mp.pi)) \
+            <= to_mp(v.err_fraction())
+
+
+def test_pipelines_visit_every_cell_once(monkeypatch):
+    # the paper's hardness: each pipeline evaluates the integrand once per
+    # linear piece, 2^(n_vars + 1) verifier calls; the disk closure reads
+    # h(0) and h(1) once more, and its bridge costs none
+    built = []
+    orig = hardness.counting_integrand
+
+    def capture(inst):
+        built.append(orig(inst))
+        return built[-1]
+
+    monkeypatch.setattr(hardness, "counting_integrand", capture)
+    rng = random.Random(43)
+    for nv in (3, 6, 9):
+        inst = random_instance(rng, nv)
+        for name, pipe in PIPELINES.items():
+            built.clear()
+            pipe(inst, precision_for(inst))
+            calls = sum(fn.verifier_calls() for fn in built)
+            assert calls == 2 ** (nv + 1) + (2 if name == "disk" else 0), (name, nv)
 
 
 def test_disk_pipeline_against_full_series_solve():

@@ -6,10 +6,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from certheat.certified import CertifiedValue
 from certheat.errors import PreconditionError, QuadratureBudgetError
-from certheat.evaluable import (TrigPoly, piecewise_linear_fn, polynomial_fn,
+from certheat.evaluable import (EvaluableFunction, TrigPoly, lipschitz_modulus,
+                                piecewise_linear_fn, polynomial_fn,
                                 sine_modes_fn, trig_poly_fn)
-from certheat.quadrature import int_linear_cos_pi, int_linear_sin_pi, integrate
+from certheat.hardness import CountingInstance, counting_integrand
+from certheat.quadrature import (int_linear_cos_pi, int_linear_sin_pi,
+                                 integral_exact, integrate)
 
 mp.mp.prec = 500
 
@@ -40,6 +44,83 @@ def test_piecewise_linear_partial_range():
     cv = integrate(tent(), Fraction(1, 4), Fraction(3, 4), 30)
     assert cv.value_fraction() == Fraction(3, 8)
     assert cv.err_fraction() == 0
+
+
+def naive_midpoint_sum(fn, lo, hi):
+    """Reference: list the clipped segments, one Fraction midpoint each."""
+    a, b = fn.domain
+    if fn.linear_segments is not None:
+        w = (b - a) / fn.linear_segments
+        nodes = [a + k * w for k in range(fn.linear_segments + 1)]
+    else:
+        nodes = fn.breakpoints
+    pts = [lo] + [x for x in nodes if lo < x < hi] + [hi]
+    total = Fraction(0)
+    for s, t in zip(pts, pts[1:]):
+        total += fn.eval_exact((s + t) / 2) * (t - s)
+    return total, len(pts) - 1
+
+
+def counted(fn):
+    """fn with a counter of exact evaluations, as calls[0]."""
+    calls = [0]
+    inner = fn.eval_exact
+
+    def ev(x):
+        calls[0] += 1
+        return inner(x)
+
+    fn.eval_exact = ev
+    return fn, calls
+
+
+def uniform_square(domain, segments):
+    # a nonlinear function on a non-dyadic uniform grid: the midpoint sum is
+    # still well defined, and exercises the index arithmetic off zero
+    return EvaluableFunction(domain=domain, sup_bound=Fraction(4),
+                             modulus=lipschitz_modulus(Fraction(4)),
+                             eval_cv=lambda x, p: CertifiedValue.from_fraction(x * x, p),
+                             eval_exact=lambda x: x * x, linear_segments=segments)
+
+
+def test_uniform_grid_matches_naive_midpoint_sum():
+    F = Fraction
+    inst = CountingInstance((2, 3, 5, 7), 10)
+    ranges = [(F(0), F(1)), (F(1, 7), F(6, 7)), (F(1, 32), F(3, 32)),   # full / off grid
+              (F(3, 100), F(4, 100)), (F(1, 32), F(2, 32)),              # one cell
+              (F(1, 32), F(33, 1000)), (F(0), F(1, 3)), (F(5, 7), F(1))]
+    for lo, hi in ranges:
+        fn, calls = counted(counting_integrand(inst))
+        want, segments = naive_midpoint_sum(fn, lo, hi)
+        calls[0] = 0
+        assert integral_exact(fn, lo, hi) == want, (lo, hi)
+        assert calls[0] == segments, (lo, hi)
+        assert integrate(fn, lo, hi, 40).value_fraction() == \
+            CertifiedValue.from_fraction(want, 42).value_fraction()
+    for domain in ((F(1, 3), F(5, 3)), (F(-2, 5), F(7, 9))):
+        fn, calls = counted(uniform_square(domain, 7))
+        a, b = domain
+        for lo, hi in ((a, b), (a + F(1, 11), b - F(1, 13)), (a + F(1, 100), a + F(1, 50))):
+            want, segments = naive_midpoint_sum(fn, lo, hi)
+            calls[0] = 0
+            assert integral_exact(fn, lo, hi) == want, (domain, lo, hi)
+            assert calls[0] == segments
+
+
+def test_breakpoint_grid_matches_naive_midpoint_sum():
+    F = Fraction
+    fn = piecewise_linear_fn([(F(0), F(1)), (F(1, 4), F(0)), (F(3, 4), F(2)), (F(1), F(1))])
+    for lo, hi in ((F(0), F(1)), (F(1, 8), F(5, 6)), (F(1, 3), F(1, 2))):
+        want, _ = naive_midpoint_sum(fn, lo, hi)
+        assert integral_exact(fn, lo, hi) == want
+
+
+def test_zero_width_range_on_the_uniform_grid():
+    fn, calls = counted(counting_integrand(CountingInstance((1, 2), 3)))
+    for x in (Fraction(1, 8), Fraction(1, 3)):
+        cv = integrate(fn, x, x, 20)
+        assert cv.value_fraction() == 0 and cv.err_fraction() == 0
+    assert calls[0] == 0
 
 
 def test_integrate_rejects_bad_ranges():
