@@ -151,14 +151,23 @@ def int_pieces_trig_pi(pieces, k: int, phase, p: int,
     shared between neighbouring pieces and between the kinds.
     """
     phase = as_fraction(phase)
-    trig = _trig_at(k, phase, p + 6)
+    # one working scale for every piece: the trig memo is shared between them
+    pp = p + 6 + max((_size_bits(c0, c1, a, b) for c0, c1, a, b in pieces), default=0)
+    trig = _trig_at(k, phase, pp)
     out = []
     for kind in kinds:
         acc = CertifiedValue.zero()
         for c0, c1, a, b in pieces:
-            acc = acc + _int_linear_trig_pi(kind, c0, c1, a, b, k, phase, p, trig)
+            acc = acc + _int_linear_trig_pi(kind, c0, c1, a, b, k, phase, p, pp, trig)
         out.append(acc)
     return out
+
+
+def _size_bits(c0, c1, a, b) -> int:
+    """log2 of |c0| + |c1| max(|a|, |b|), at least 0: the most the linear
+    factor c0 + c1 rho multiplies the trig values' rounding errors by."""
+    size = abs(c0) + abs(c1) * max(abs(a), abs(b))
+    return _log2_ceil(size) if size > 1 else 0
 
 
 def _trig_at(k: int, phase: Fraction, pp: int):
@@ -176,14 +185,15 @@ def _trig_at(k: int, phase: Fraction, pp: int):
 
 
 def _int_linear_trig_pi(kind: str, c0, c1, a, b, k: int, phase, p: int,
-                        trig=None) -> CertifiedValue:
+                        pp: int | None = None, trig=None) -> CertifiedValue:
     c0, c1, a, b = map(as_fraction, (c0, c1, a, b))
     phase = as_fraction(phase)
     if k == 0:
         area = c0 * (b - a) + c1 * (b * b - a * a) / 2
         trig0 = sin_pi_mul_cv if kind == "sin" else cos_pi_mul_cv
-        return trig0(phase, p + 4).mul_fraction(area, p)
-    pp = p + 6
+        return trig0(phase, p + 4 + _size_bits(area, 0, 0, 0)).mul_fraction(area, p)
+    if pp is None:
+        pp = p + 6 + _size_bits(c0, c1, a, b)
     rp = recip_pi_cv(pp)
     if trig is None:
         trig = _trig_at(k, phase, pp)

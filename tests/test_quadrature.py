@@ -13,7 +13,7 @@ from certheat.evaluable import (EvaluableFunction, TrigPoly, lipschitz_modulus,
                                 sine_modes_fn, trig_poly_fn)
 from certheat.hardness import CountingInstance, counting_integrand
 from certheat.quadrature import (int_linear_cos_pi, int_linear_sin_pi,
-                                 integral_exact, integrate)
+                                 int_pieces_trig_pi, integral_exact, integrate)
 
 mp.mp.prec = 500
 
@@ -203,6 +203,42 @@ def test_int_linear_cos_pi_vs_mpmath():
                       * mp.cos(mp.pi * (k * r + to_mp(phase))), [to_mp(a), to_mp(b)])
         cv = int_linear_cos_pi(c0, c1, a, b, k, phase, 30)
         assert_encloses(cv, ref, 30)
+
+
+@pytest.mark.parametrize("c", [2 ** 8, 2 ** 10, 2 ** 20])
+@pytest.mark.parametrize("p", [30, 64])
+def test_int_linear_trig_keeps_its_bound_at_large_coefficients(c, p):
+    # the working scale grows with |c0| + |c1| max(|a|, |b|)
+    a, b, phase = Fraction(1, 7), Fraction(5, 3), Fraction(1, 9)
+    with mp.workdps(50):
+        check_large_coefficients(c, p, a, b, phase)
+
+
+def check_large_coefficients(c, p, a, b, phase):
+    for k in (0, 1, 3):
+        for c0, c1 in ((c, 0), (0, c), (-c, Fraction(c, 3))):
+            def lin(r):
+                return to_mp(Fraction(c0)) + to_mp(Fraction(c1)) * r
+            arg = lambda r: mp.pi * (k * r + to_mp(phase))  # noqa: E731
+            ref_s = mp.quad(lambda r: lin(r) * mp.sin(arg(r)), [to_mp(a), to_mp(b)])
+            ref_c = mp.quad(lambda r: lin(r) * mp.cos(arg(r)), [to_mp(a), to_mp(b)])
+            assert_encloses(int_linear_sin_pi(c0, c1, a, b, k, phase, p), ref_s, p)
+            assert_encloses(int_linear_cos_pi(c0, c1, a, b, k, phase, p), ref_c, p)
+
+
+def test_int_pieces_trig_scales_for_its_largest_piece():
+    # a small piece shares its trig values with a large one
+    pieces = [(Fraction(1), Fraction(0), Fraction(0), Fraction(1, 2)),
+              (Fraction(2 ** 20), Fraction(-2 ** 20), Fraction(1, 2), Fraction(1))]
+    got_s, got_c = int_pieces_trig_pi(pieces, 3, Fraction(0), 30)
+    ref_s = ref_c = mp.mpf(0)
+    for c0, c1, a, b in pieces:
+        lin = lambda r: to_mp(c0) + to_mp(c1) * r  # noqa: E731
+        ref_s += mp.quad(lambda r: lin(r) * mp.sin(3 * mp.pi * r), [to_mp(a), to_mp(b)])
+        ref_c += mp.quad(lambda r: lin(r) * mp.cos(3 * mp.pi * r), [to_mp(a), to_mp(b)])
+    # two pieces, each within 2^-30
+    assert_encloses(got_s, ref_s, 29)
+    assert_encloses(got_c, ref_c, 29)
 
 
 def test_full_period_orthogonality():
