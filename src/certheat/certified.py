@@ -207,21 +207,6 @@ def _err_add(en1: int, es1: int, en2: int, es2: int) -> tuple[int, int]:
     return (en1 << (es - es1)) + (en2 << (es - es2)), es
 
 
-def finalize(cv: CertifiedValue, n: int) -> CertifiedValue:
-    """Round to ``n + 2`` fractional bits and certify total error <= 2**-n.
-
-    Raises if the accumulated bound cannot absorb the final rounding step;
-    that would mean a solver mis-budgeted, which is an internal error.
-    """
-    out = cv.rounded(n + 2)
-    if out.err_fraction() > Fraction(1, 1 << n):
-        raise AssertionError(
-            f"error budget overrun: bound {float(out.err_fraction()):.3e} > 2^-{n}")
-    if out.s < n + 2:
-        out = CertifiedValue(out.m << (n + 2 - out.s), n + 2, out.en, out.es)
-    return CertifiedValue(out.m, out.s, 1, n)
-
-
 def _exact_cv(f: ExactLike, prec: int) -> CertifiedValue:
     """Exact enclosure when f is dyadic, else one far below the budget 2**-prec."""
     f = as_fraction(f)

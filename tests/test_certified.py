@@ -67,16 +67,6 @@ def test_arithmetic_encloses_true_value():
         assert a.rounded(6).contains(fa)
 
 
-def test_finalize_contract():
-    v = CertifiedValue.from_fraction(Fraction(1, 3), 40)
-    out = C.finalize(v, 16)
-    assert out.approx.pcs == 18
-    assert out.en == 1 and out.es == 16
-    assert abs(out.value_fraction() - Fraction(1, 3)) <= Fraction(1, 1 << 16)
-    with pytest.raises(AssertionError):
-        C.finalize(CertifiedValue(1, 1, 1, 2), 16)  # bound 1/4 cannot shrink to 2^-16
-
-
 def test_pi_various_precisions():
     for p in (10, 53, 130, 333):
         assert_encloses(C.pi_cv(p), mp.pi, p)
