@@ -37,6 +37,9 @@ class CountingInstance:
     weights: tuple[int, ...]
     target: int
     kind: str = "subset-sum-count"
+    # per byte of the assignment, the sum of its set bits' weights
+    _byte_sums: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
@@ -44,17 +47,28 @@ class CountingInstance:
             raise PreconditionError("weights must be positive integers")
         if self.target <= 0:
             raise PreconditionError("target must be a positive integer")
+        tables = []
+        for lo in range(0, self.n_vars, 8):
+            sums = [0]
+            for w in self.weights[lo:lo + 8]:
+                sums += [s + w for s in sums]
+            tables.append(tuple(sums * (256 // len(sums))))  # bits past n_vars add 0
+        object.__setattr__(self, "_byte_sums", tuple(tables))
 
     @property
     def n_vars(self) -> int:
         return len(self.weights)
 
     def accepts(self, assignment: int) -> bool:
-        """Verifier: does the bitmask assignment hit the target sum?"""
+        """Verifier: does the bitmask assignment hit the target sum?
+
+        Adds one table entry per byte of the assignment, not one weight per
+        item; bits past n_vars count for nothing.
+        """
         total = 0
-        for i, w in enumerate(self.weights):
-            if assignment >> i & 1:
-                total += w
+        for sums in self._byte_sums:
+            total += sums[assignment & 255]
+            assignment >>= 8
         return total == self.target
 
 

@@ -72,6 +72,34 @@ def test_instance_validation():
         CountingInstance((1, 2), 0)
 
 
+def naive_accepts(inst, assignment):
+    return sum(w for i, w in enumerate(inst.weights) if assignment >> i & 1) == inst.target
+
+
+def test_accepts_matches_a_per_bit_sum():
+    # byte tables: every assignment at n_vars <= 10, crossing the first
+    # byte boundary with a partial second byte
+    rng = random.Random(47)
+    for nv in range(1, 11):
+        for _ in range(3):
+            inst = random_instance(rng, nv, max_weight=9)
+            for a in range(1 << nv):
+                assert inst.accepts(a) == naive_accepts(inst, a), (inst, a)
+
+
+def test_accepts_matches_a_per_bit_sum_on_seeded_instances():
+    rng = random.Random(53)
+    for nv in (8, 14, 16, 17, 24):
+        inst = random_instance(rng, nv)
+        for a in [0, (1 << nv) - 1] + [rng.randrange(1 << nv) for _ in range(2000)]:
+            assert inst.accepts(a) == naive_accepts(inst, a), (inst, a)
+        # the target's own subset is accepted whatever byte its bits fall in
+        mask = rng.randrange(1, 1 << nv)
+        hit = CountingInstance(inst.weights, sum(
+            w for i, w in enumerate(inst.weights) if mask >> i & 1))
+        assert hit.accepts(mask)
+
+
 def test_integrand_cell_geometry():
     # accepted cell of INST_PAIR is the last quarter, center 7/8, height 1/2
     fn = counting_integrand(INST_PAIR)
