@@ -274,6 +274,32 @@ def _fscale(a: int, ea: int, num: int, den: int) -> tuple[int, int]:
     return (a * num) // den, _ceil_div(ea * abs(num), den) + 1
 
 
+def rotation_pi(theta, K: int, p: int) -> list[tuple[CertifiedValue, CertifiedValue]]:
+    """(cos k pi theta, sin k pi theta) for k = 0..K, by repeated rotation.
+
+    Rotates (1, 0) by the certified (cos pi theta, sin pi theta) at scale
+    W = p + bitlen(K) + 3, rounding down.  Componentwise bounds would grow
+    like (|cos pi theta| + |sin pi theta|)^k, so the pair carries one bound
+    E_k on the Euclidean norm of its error instead.  With d >= ||R~ - R||_2
+    (units 2^-W), R a rotation and each rounding below one unit,
+    E_{k+1} = E_k + ceil(d (2^W + E_k) / 2^W) + 2, which grows linearly:
+    each value is within E_K 2^-W < 2^-p while K d stays far below 2^W.
+    """
+    theta = as_fraction(theta)
+    W = p + K.bit_length() + 3
+    c, ec = _scaled_from_cv(cos_pi_mul_cv(theta, W), W)
+    s, es = _scaled_from_cv(sin_pi_mul_cv(theta, W), W)
+    d = ec + es  # bounds both singular values of the error matrix
+    one = 1 << W
+    x, y, E = one, 0, 0
+    out = [(CertifiedValue.exact(1), CertifiedValue.zero())]
+    for _ in range(K):
+        x, y = (c * x - s * y) >> W, (s * x + c * y) >> W
+        E += _ceil_div(d * (one + E), one) + 2
+        out.append((CertifiedValue(x, W, E, W), CertifiedValue(y, W, E, W)))
+    return out
+
+
 def _as_exact_pair(x) -> tuple[Fraction, Fraction]:
     """(approximation value, input error bound) as exact rationals."""
     if isinstance(x, CertifiedValue):

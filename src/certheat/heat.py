@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, perm
 from typing import Callable
 
 from .certified import (CertifiedValue, _ceil_div, _exact_cv, _fdot, _fmul,
@@ -43,7 +43,7 @@ from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus, polynomial_fn)
 from .quadrature import int_pieces_trig_pi, integrate
 from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
-                     least_passing, require)
+                     gaussian_tail, least_passing, point_order, require)
 
 
 def _sqrtN_upper(N: int) -> Fraction:
@@ -96,25 +96,18 @@ class SmoothProfile:
     deriv_sup: Callable[[int], Fraction]
 
 
-def _falling(j: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= j - i
-    return out
-
-
 def poly_time_profile(coeffs, domain=(Fraction(0), Fraction(2))) -> EvaluableFunction:
     """Polynomial profile with exact derivatives of every order."""
     fn = polynomial_fn(coeffs, domain, label="poly-profile")
     cs = fn.poly_coeffs
 
     def dexact(k: int, s: Fraction) -> Fraction:
-        return sum((c * _falling(j, k) * s ** (j - k)
+        return sum((c * perm(j, k) * s ** (j - k)
                     for j, c in enumerate(cs) if j >= k), Fraction(0))
 
     fn.smooth_model = SmoothProfile(
         deriv_cv=lambda k, s, p: CertifiedValue.from_fraction(dexact(k, as_fraction(s)), p),
-        deriv_sup=lambda k: sum((abs(c) * _falling(j, k)
+        deriv_sup=lambda k: sum((abs(c) * perm(j, k)
                                  for j, c in enumerate(cs) if j >= k), Fraction(0)),
     )
     return fn
@@ -213,10 +206,10 @@ def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
     return integrate(prod, 0, L, prec + 1).mul_fraction(2 / L, prec)
 
 
-def _interval_decay(p: IntervalHeatProblem) -> tuple[Fraction, Fraction]:
-    """(upper bound on e^{-pi^2 alpha t0 / L^2}, tail constant C)."""
+def _interval_decay(p: IntervalHeatProblem, t: Fraction) -> tuple[Fraction, Fraction]:
+    """(upper bound on e^{-pi^2 alpha t / L^2}, tail constant C)."""
     pisq = (pi_cv(80) * pi_cv(80)).rounded(80)
-    expo = pisq.mul_fraction(-p.alpha * p.t0 / (p.L * p.L), 76)
+    expo = pisq.mul_fraction(-p.alpha * t / (p.L * p.L), 76)
     rho = exp_cv(expo, 70).upper_fraction()
     if rho >= 1:
         raise AssertionError("decay bound failed to certify a rate below one")
@@ -225,7 +218,7 @@ def _interval_decay(p: IntervalHeatProblem) -> tuple[Fraction, Fraction]:
 
 def plan_interval(p: IntervalHeatProblem, n: int) -> TruncationPlan:
     """Mode count K*(n+1), geometric in the per-mode decay at t0."""
-    rho, C = _interval_decay(p)
+    rho, C = _interval_decay(p, p.t0)
     K = choose_K_disk(C, rho)
     order = K * (n + 1)
     plan = TruncationPlan(order,
@@ -247,7 +240,8 @@ def plan_interval(p: IntervalHeatProblem, n: int) -> TruncationPlan:
 
 def solve_interval(p: IntervalHeatProblem, t, x, n: int,
                    plan: TruncationPlan | None = None) -> CertifiedValue:
-    """Certified u(t, x) with |error| <= 2^-n for t >= t0."""
+    """Certified u(t, x) with |error| <= 2^-n for t >= t0, summing only the
+    modes t needs; the plan's order caps them and sets the precision."""
     t, x = as_fraction(t), as_fraction(x)
     if t < p.t0:
         raise PreconditionError("evaluation time below the declared t0")
@@ -261,22 +255,25 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
           else list(range(1, order + 1)))
     pc = n + 1 + max(1, len(ks) + 1).bit_length() + 4 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
+    if plan.params.get("capped"):  # declared modes past the order are zero
+        K, extra = order, Fraction(0)
+    else:  # |mu_k| <= 2||g|| and mode k decays like rho^(k^2)
+        rho = _interval_decay(p, t)[0]
+        K, extra = point_order(lambda m: gaussian_tail(2 * p.g.sup_bound, rho, m + 1),
+                               n, order, "interval point tail")
     pisq = (pi_cv(pc + 8) * pi_cv(pc + 8)).rounded(pc + 8)
     rate = p.alpha * t / (p.L * p.L)
     coeff = p.coeffs.source(pc, lambda k: sine_coeff(p, k, pc))
     acc = CertifiedValue.zero()
     for k in ks:
+        if k > K:
+            break
         mu = coeff(k)
         if mu.m == 0 and mu.en == 0:
             continue
         decay = exp_cv(pisq.mul_fraction(-k * k * rate, pc + 6), pc)
         term = (mu * decay).rounded(pc) * sin_pi_mul_cv(k * x / p.L, pc)
         acc = (acc + term.rounded(pc)).rounded(pc)
-    if plan.params.get("capped"):
-        extra = Fraction(0)
-    else:
-        rho, C = _interval_decay(p)
-        extra = C * pow_fraction_upper(rho, order, 160)
     return acc.widen_fraction(extra).rounded(n + 4)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .certified import (CertifiedValue, _exact_cv, cos_pi_mul_cv,
-                        sin_pi_mul_cv)
+                        rotation_pi, sin_pi_mul_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
@@ -29,7 +29,7 @@ from .kernels import real_sph_harmonic_3d, sph_count
 from .quadrature import (DEFAULT_MAX_PANELS, int_pieces_trig_pi, integral_exact,
                          integrate)
 from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
-                     higher_arith_geom)
+                     higher_arith_geom, point_order)
 
 
 @dataclass
@@ -121,17 +121,26 @@ def _product_quadrature(g: EvaluableFunction, k: int, kind: str, prec: int) -> C
 # disk solver
 
 
+def _disk_tail(sup: Fraction, r: Fraction, start: int) -> Fraction:
+    """4 ||g|| r^start / (1-r), which bounds the disk series' terms k >= start.
+
+    |a_k sin + b_k cos| <= sqrt(a_k^2 + b_k^2) <= 2 ||g||, so the factor 4
+    leaves a factor 2 to spare.
+    """
+    return 4 * sup * r ** start / (1 - r)
+
+
 def plan_disk(p: DiskProblem, n: int) -> TruncationPlan:
     """Series order K*(n+1) with the tail constant C = 4||g|| / (1-r0)."""
-    C = 4 * p.g.sup_bound / (1 - p.r0)
-    K = choose_K_disk(C, p.r0)
+    sup = p.g.sup_bound
+    K = choose_K_disk(_disk_tail(sup, p.r0, 0), p.r0)
     order = K * (n + 1)
     plan = TruncationPlan(order,
                           [("truncation", n + 1), ("summation", n + 1)],
                           f"disk series, K={K} per output bit")
     if p.r0 > 0:
-        plan.claim("per-block decay", C * p.r0 ** K, Fraction(1, 2))
-    plan.claim("tail", C * p.r0 ** order, Fraction(1, 2 ** (n + 1)))
+        plan.claim("per-block decay", _disk_tail(sup, p.r0, K), Fraction(1, 2))
+    plan.claim("tail", _disk_tail(sup, p.r0, order), Fraction(1, 2 ** (n + 1)))
     assert plan.validates(n)
     return plan
 
@@ -144,36 +153,48 @@ def _coeff_indices(g: EvaluableFunction, order: int) -> list[int]:
     return list(range(1, order + 1))
 
 
+def _disk_truncation(p: DiskProblem, r: Fraction, n: int,
+                     plan: TruncationPlan) -> tuple[int, Fraction]:
+    """Least order K <= plan.order whose tail at radius r is within
+    2^-(n+1), and that tail."""
+    return point_order(lambda K: _disk_tail(p.g.sup_bound, r, K + 1), n,
+                       plan.order, "disk point tail")
+
+
 def solve_disk(p: DiskProblem, r, theta, n: int,
                plan: TruncationPlan | None = None) -> CertifiedValue:
-    """Certified u(r, theta) with |error| <= 2^-n; theta in units of pi."""
+    """Certified u(r, theta) with |error| <= 2^-n; theta in units of pi.
+
+    Sums the series only as far as r needs; the plan's order caps that and
+    sets the working precision, so every point shares its coefficients.
+    """
     r, theta = as_fraction(r), as_fraction(theta)
     if not 0 <= r <= p.r0:
         raise PreconditionError("evaluation radius exceeds the declared r0")
     if plan is None:
         plan = plan_disk(p, n)
-    order = plan.order
-    ks = _coeff_indices(p.g, order)
+    ks = _coeff_indices(p.g, plan.order)
     pc = n + 1 + max(1, len(ks) + 1).bit_length() + 3 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
+    K, tail = _disk_truncation(p, r, n, plan)
+    ks = [k for k in ks if k <= K]
     pieces = linear_pieces(p.g)  # read once, shared by every k
     if pieces is not None:
         pieces = tuple(pieces)  # hashable, like every other argument
     coeff = p.coeffs.source(pc, lambda k: fourier_coeffs(p.g, k, pc, pieces=pieces))
     _, b0 = coeff(0)
     acc = b0.mul_fraction(Fraction(1, 2), pc)
+    rot = rotation_pi(theta, ks[-1] if ks else 0, pc)
     rk = Fraction(1)
     last = 0
     for k in ks:
         rk *= r ** (k - last)
         last = k
-        if rk == 0:
-            break
         a_k, b_k = coeff(k)
-        term = a_k * sin_pi_mul_cv(k * theta, pc) + b_k * cos_pi_mul_cv(k * theta, pc)
+        cos_k, sin_k = rot[k]
+        term = a_k * sin_k + b_k * cos_k
         acc = (acc + term.mul_fraction(rk, pc)).rounded(pc)
-    C = 4 * p.g.sup_bound / (1 - p.r0)
-    return acc.widen_fraction(C * p.r0 ** order)
+    return acc.widen_fraction(tail)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, TypeVar
 
+from .certified import pow_fraction_upper
 from .dyadic import as_fraction
 from .errors import PreconditionError
 
@@ -72,6 +73,16 @@ def geometric_tail(r, start: int, scale) -> Fraction:
     return scale * r ** start / (1 - r)
 
 
+def gaussian_tail(scale, rho, start: int) -> Fraction:
+    """Upper bound on scale * sum of rho^(k^2) for k >= start >= 1, 0 < rho < 1.
+
+    (start + j)^2 >= start^2 + 2 start j, so the sum is at most
+    rho^(start^2) / (1 - rho^(2 start)); both powers are rounded up.
+    """
+    return scale * pow_fraction_upper(rho, start * start, 160) \
+        / (1 - pow_fraction_upper(rho, 2 * start, 160))
+
+
 def choose_K_disk(C, r0) -> int:
     """Smallest block size K making the disk series tail halve per extra bit.
 
@@ -115,6 +126,21 @@ def least_passing(ok: Callable[[int], bool], start: int, floor: int, cap: int,
         else:
             lo = mid + 1
     return hi
+
+
+def point_order(tail: Callable[[int], Fraction], n: int, cap: int,
+                label: str) -> tuple[int, Fraction]:
+    """Least K <= cap with tail(K) <= 2^-(n+1), and that tail bound.
+
+    tail(K) bounds the series terms a solve drops past index K at its own
+    point; tail must be nonincreasing.  The bound is checked with
+    :func:`require`, so a point the plan's order cap does not cover raises.
+    """
+    budget = Fraction(1, 1 << (n + 1))
+    K = least_passing(lambda m: m >= cap or tail(m) <= budget, 1, 0, 2 * cap + 2, label)
+    bound = tail(K)
+    require(label, bound, budget)
+    return K, bound
 
 
 def require(label: str, lhs, rhs) -> None:

@@ -125,6 +125,35 @@ def test_sin_cos_pi_mul_generic():
         assert_encloses(C.cos_pi_mul_cv(r, p), mp.cospi(mpf(r)), p)
 
 
+@pytest.mark.parametrize("theta", [Fraction(1, 4) - Fraction(1, 64),
+                                   Fraction(1, 4) + Fraction(1, 64)])
+def test_rotation_encloses_cos_sin_and_its_bound_grows_linearly(theta):
+    # near theta = 1/4, |cos| + |sin| is about sqrt 2: a componentwise bound
+    # would grow like 2^(k/2), the Euclidean one must stay linear in k
+    K, p = 1000, 20
+    rot = C.rotation_pi(theta, K, p)
+    assert len(rot) == K + 1
+    with mp.workprec(80):
+        for k, (c, s) in enumerate(rot):
+            x = k * mp.pi * mpf(theta)
+            assert_encloses(c, mp.cos(x), p)
+            assert_encloses(s, mp.sin(x), p)
+    E = [c.err_fraction() for c, _ in rot]
+    assert all(s.err_fraction() == e for (_, s), e in zip(rot, E))
+    step = E[2] - E[1]
+    assert all(E[k + 1] - E[k] <= step for k in range(1, K))
+
+
+def test_rotation_at_exact_angles():
+    for theta in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+        rot = C.rotation_pi(theta, 12, 30)
+        for k, (c, s) in enumerate(rot):
+            assert_encloses(c, mp.cos(k * mp.pi * mpf(theta)), 30)
+            assert_encloses(s, mp.sin(k * mp.pi * mpf(theta)), 30)
+    assert [(c.value_fraction(), s.value_fraction()) for c, s in C.rotation_pi(
+        Fraction(1, 3), 0, 30)] == [(1, 0)]
+
+
 def test_gauss_primitive():
     for p in (16, 64, 150):
         for a in (Fraction(3, 2), -6, 8, Fraction(1, 128), 0):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import certheat.heat as heat
 from certheat.certified import (CertifiedValue, exp_cv, pow_fraction_lower,
                                 pow_fraction_upper)
 from certheat.errors import PreconditionError, QuadratureBudgetError
@@ -109,6 +110,59 @@ def test_interval_tent_data_vs_series_oracle():
         oracle += mu * mp.exp(-k * k * mp.pi ** 2 * t) * mp.sin(k * mp.pi * x)
     u = solve_interval(p, F(1, 4), F(1, 3), 14)
     assert_close(u, oracle, 14)
+
+
+def tent_oracle(t, x):
+    # tent on [0, 1] with peak 1 at 1/2: mu_k = 8 sin(k pi / 2) / (pi k)^2
+    t, x = to_mp(t), to_mp(x)
+    return mp.nsum(lambda k: 8 * mp.sin(k * mp.pi / 2) / (mp.pi * k) ** 2
+                   * mp.exp(-k * k * mp.pi ** 2 * t) * mp.sin(k * mp.pi * x),
+                   [1, mp.inf], method="direct", steps=[400])
+
+
+@pytest.mark.parametrize("t0, n", [(F(1, 4), 24), (F(1, 256), 24), (F(1, 256), 64)])
+def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
+    tent = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
+    p = IntervalHeatProblem(F(1), F(1), tent, t0)
+    plan = plan_interval(p, n)
+    found, coeffs = [], [0]
+    orig_order, orig_coeff = heat.point_order, heat.sine_coeff
+
+    def order(tail, n_, cap, label):
+        out = orig_order(tail, n_, cap, label)
+        found.append((out, tail))
+        return out
+
+    def coeff(*args):
+        coeffs[0] += 1
+        return orig_coeff(*args)
+
+    monkeypatch.setattr(heat, "point_order", order)
+    monkeypatch.setattr(heat, "sine_coeff", coeff)
+    budget = F(1, 2 ** (n + 1))
+    for t in (t0, 8 * t0):
+        found.clear()
+        coeffs[0] = 0
+        u = solve_interval(IntervalHeatProblem(F(1), F(1), tent, t0), t, F(5, 16), n, plan)
+        (K, tail), tail_fn = found[0]
+        assert K <= plan.order and coeffs[0] == K
+        assert tail == tail_fn(K) <= budget
+        assert K == 0 or tail_fn(K - 1) > budget  # the least such K
+        assert_close(u, tent_oracle(t, F(5, 16)), n)
+
+
+def test_interval_capped_sine_data_adds_no_tail(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("capped data needs no point tail")
+
+    monkeypatch.setattr(heat, "point_order", no_search)
+    p = IntervalHeatProblem(F(1), F(1), sine_modes_fn({1: F(1, 3), 2: F(1, 5)}, F(1)), F(1, 4))
+    plan = plan_interval(p, 24)
+    assert plan.params.get("capped") == 1
+    u = solve_interval(p, F(1, 2), F(3, 16), 24, plan)
+    want = sum(c * mp.exp(-k * k * mp.pi ** 2 / 2) * mp.sin(k * mp.pi * 3 / 16)
+               for k, c in ((1, mp.mpf(1) / 3), (2, mp.mpf(1) / 5)))
+    assert_close(u, want, 24)
 
 
 def test_interval_linearity():

@@ -10,6 +10,7 @@ from certheat.errors import PreconditionError, QuadratureBudgetError
 from certheat.evaluable import (EvaluableFunction, TrigPoly,
                                 piecewise_linear_fn, polynomial_fn,
                                 trig_poly_fn)
+import certheat.laplace as laplace
 from certheat.kernels import real_sph_harmonic_3d
 from certheat.laplace import (BallProblem, DiskProblem, fourier_coeffs,
                               hardness_boundary_disk, interpolated_closure,
@@ -181,6 +182,81 @@ def test_hardness_constant_profile():
     g = hardness_boundary_disk(Fraction(1, 3), Fraction(1, 5), h)
     ucv = g.hardness.certified_point_value(25)
     assert abs(ucv.value_fraction() - 1) <= ucv.err_fraction()
+
+
+# ---------------------------------------------------------------------------
+# each disk solve sums only as far as its own radius needs
+
+TENT2 = piecewise_linear_fn([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)),
+                             (Fraction(1), Fraction(0)), (Fraction(3, 2), Fraction(-1)),
+                             (Fraction(2), Fraction(0))])
+GRID_R0 = Fraction(9, 10)
+GRID_RADII = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), GRID_R0]
+GRID_THETAS = [Fraction(j, 16) for j in range(1, 32, 2)] + [Fraction(1, 3), Fraction(5, 7)]
+GRID_BITS = [12, 20, 32]
+
+
+def tent2(rho):
+    return 2 * rho if rho <= 1 / 2 else 2 - 2 * rho if rho <= 3 / 2 else 2 * rho - 4
+
+
+def poisson_integral(r, theta):
+    r, theta = to_mp(r), to_mp(theta)
+    return mp.quad(lambda rho: tent2(rho) * poisson(r, mp.pi * (theta - rho)),
+                   [0, 0.5, 1, 1.5, 2]) / 2
+
+
+def full_order_sums(r, theta, orders):
+    """The Fourier series of TENT2 summed to each order in orders, with the
+    plan's tail 4 r0^order / (1-r0) as its bound (it covers every k > order
+    at r <= r0).  TENT2 is the triangle wave: a_k = 8 (-1)^((k-1)/2) / (pi k)^2
+    for odd k, and every other coefficient is zero."""
+    total, out = mp.mpf(0), {}
+    z, zk, rk = mp.expjpi(to_mp(theta)), mp.mpc(1), mp.mpf(1)
+    for k in range(1, max(orders) + 1):
+        zk *= z
+        rk *= to_mp(r)
+        if k % 2:
+            total += (-1) ** (k // 2) * 8 * rk * zk.imag / (mp.pi * k) ** 2
+        if k in orders:
+            tail = 4 * to_mp(GRID_R0) ** k / (1 - to_mp(GRID_R0))
+            out[k] = total, tail + mp.mpf(2) ** -80  # mpmath's own rounding
+    return out
+
+
+def test_disk_point_truncation_over_a_grid():
+    # error within 2^-n, against the Poisson integral and against the sum to
+    # the plan's full order, which each point now stops short of
+    prob = DiskProblem(TENT2, GRID_R0)
+    plans = {n: plan_disk(prob, n) for n in GRID_BITS}
+    orders = {plans[n].order for n in GRID_BITS}
+    for r in GRID_RADII:
+        for th in GRID_THETAS:
+            with mp.workprec(64):
+                want = poisson_integral(r, th)
+            with mp.workprec(96):
+                full = full_order_sums(r, th, orders)
+            for n in GRID_BITS:
+                cv = solve_disk(prob, r, th, n, plans[n])
+                got, err = to_mp(cv.value_fraction()), to_mp(cv.err_fraction())
+                assert err <= mp.mpf(2) ** -n, (r, th, n)
+                assert abs(got - want) <= mp.mpf(2) ** -n + mp.mpf(2) ** -56, (r, th, n)
+                s, s_err = full[plans[n].order]
+                assert abs(got - s) <= err + s_err, (r, th, n)
+
+
+def test_disk_point_order_sizes_the_tail_at_r():
+    # an order that only r0 needs would leave the tail at r far below budget
+    prob = DiskProblem(TENT2, GRID_R0)
+    plan = plan_disk(prob, 20)
+    budget = Fraction(1, 2 ** 21)
+    for r in GRID_RADII:
+        K, tail = laplace._disk_truncation(prob, r, 20, plan)
+        assert K <= plan.order and tail <= budget
+        assert tail == laplace._disk_tail(TENT2.sup_bound, r, K + 1)
+        if K:
+            assert laplace._disk_tail(TENT2.sup_bound, r, K) > budget
+    assert laplace._disk_truncation(prob, Fraction(0), 20, plan) == (0, 0)
 
 
 def test_plan_disk_chain():

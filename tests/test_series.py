@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from certheat.errors import PreconditionError
 from certheat.series import (TruncationPlan, arith_geom_sum, choose_K_disk,
-                             geometric_tail, higher_arith_geom, least_passing)
+                             gaussian_tail, geometric_tail, higher_arith_geom,
+                             least_passing, point_order)
 
 
 def brute_arith_geom(m: int, x: Fraction, tol: Fraction) -> Fraction:
@@ -158,3 +160,34 @@ def test_least_passing_raises_at_cap():
         least_passing(lambda m: m > 1000, 1, 0, 512, "tail bound failed to close")
     # reaching the cap exactly is still allowed
     assert least_passing(lambda m: m >= 512, 1, 0, 512, "unused") == 512
+
+
+def test_gaussian_tail_bounds_the_sum():
+    with mp.workprec(200):
+        for rho in (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)):
+            for start in (1, 2, 5, 12):
+                r = mp.mpf(rho.numerator) / rho.denominator
+                exact = mp.nsum(lambda k: r ** (k * k), [start, mp.inf])
+                bound = gaussian_tail(1, rho, start)
+                assert exact <= mp.mpf(bound.numerator) / bound.denominator
+                # and it is not loose by more than the geometric factor
+                assert mp.mpf(bound.numerator) / bound.denominator \
+                    <= exact / (1 - r ** (2 * start)) * (1 + mp.mpf(2) ** -100)
+        assert gaussian_tail(3, Fraction(1, 2), 2) == 3 * Fraction(1, 16) / (1 - Fraction(1, 16))
+
+
+def test_point_order_is_least_under_the_cap():
+    def tail(m):
+        return Fraction(1, 2 ** m)
+
+    for n in range(0, 12):
+        K, bound = point_order(tail, n, 40, "t")
+        assert bound == tail(K) <= Fraction(1, 2 ** (n + 1))
+        assert K == 0 or tail(K - 1) > Fraction(1, 2 ** (n + 1))
+    assert point_order(tail, 0, 1, "t") == (1, Fraction(1, 2))
+    assert point_order(lambda m: Fraction(0), 5, 10, "t") == (0, 0)
+
+
+def test_point_order_raises_past_its_cap():
+    with pytest.raises(AssertionError, match="point tail"):
+        point_order(lambda m: Fraction(1, m + 1), 10, 50, "point tail")
