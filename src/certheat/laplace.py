@@ -153,14 +153,6 @@ def _coeff_indices(g: EvaluableFunction, order: int) -> list[int]:
     return list(range(1, order + 1))
 
 
-def _disk_truncation(p: DiskProblem, r: Fraction, n: int,
-                     plan: TruncationPlan) -> tuple[int, Fraction]:
-    """Least order K <= plan.order whose tail at radius r is within
-    2^-(n+1), and that tail."""
-    return point_order(lambda K: _disk_tail(p.g.sup_bound, r, K + 1), n,
-                       plan.order, "disk point tail")
-
-
 def solve_disk(p: DiskProblem, r, theta, n: int,
                plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(r, theta) with |error| <= 2^-n; theta in units of pi.
@@ -176,7 +168,8 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
     ks = _coeff_indices(p.g, plan.order)
     pc = n + 1 + max(1, len(ks) + 1).bit_length() + 3 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
-    K, tail = _disk_truncation(p, r, n, plan)
+    K, tail = point_order(lambda m: _disk_tail(p.g.sup_bound, r, m + 1), n,
+                          plan.order, "disk point tail")
     ks = [k for k in ks if k <= K]
     pieces = linear_pieces(p.g)  # read once, shared by every k
     if pieces is not None:

@@ -191,6 +191,7 @@ def _int_linear_trig_pi(kind: str, c0, c1, a, b, k: int, phase, p: int,
     if k == 0:
         area = c0 * (b - a) + c1 * (b * b - a * a) / 2
         trig0 = sin_pi_mul_cv if kind == "sin" else cos_pi_mul_cv
+        # the area multiplies the trig value's error
         return trig0(phase, p + 4 + _size_bits(area, 0, 0, 0)).mul_fraction(area, p)
     if pp is None:
         pp = p + 6 + _size_bits(c0, c1, a, b)

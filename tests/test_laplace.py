@@ -245,18 +245,34 @@ def test_disk_point_truncation_over_a_grid():
                 assert abs(got - s) <= err + s_err, (r, th, n)
 
 
-def test_disk_point_order_sizes_the_tail_at_r():
-    # an order that only r0 needs would leave the tail at r far below budget
+def test_disk_point_order_sizes_the_tail_at_r(monkeypatch):
+    # the least order whose tail at r itself is within 2^-(n+1), not r0's
+    found = []
+    orig = laplace.point_order
+
+    def recorded(tail, n, cap, label):
+        out = orig(tail, n, cap, label)
+        found.append((out, tail))
+        return out
+
+    monkeypatch.setattr(laplace, "point_order", recorded)
     prob = DiskProblem(TENT2, GRID_R0)
     plan = plan_disk(prob, 20)
     budget = Fraction(1, 2 ** 21)
+    orders = []
     for r in GRID_RADII:
-        K, tail = laplace._disk_truncation(prob, r, 20, plan)
+        found.clear()
+        solve_disk(prob, r, Fraction(1, 3), 20, plan)
+        (K, tail), tail_fn = found[0]
         assert K <= plan.order and tail <= budget
-        assert tail == laplace._disk_tail(TENT2.sup_bound, r, K + 1)
+        assert tail == laplace._disk_tail(TENT2.sup_bound, r, K + 1) == tail_fn(K)
         if K:
-            assert laplace._disk_tail(TENT2.sup_bound, r, K) > budget
-    assert laplace._disk_truncation(prob, Fraction(0), 20, plan) == (0, 0)
+            assert tail_fn(K - 1) > budget
+        orders.append(K)
+    # r = 0 needs no term past the mean; even r0 needs far fewer than the
+    # plan's blocks of K (n + 1)
+    assert orders[0] == 0 and orders == sorted(set(orders))
+    assert orders[-1] < plan.order // 2
 
 
 def test_plan_disk_chain():
