@@ -222,11 +222,9 @@ def _exact_cv(f: ExactLike, prec: int) -> CertifiedValue:
 # for val * 2**-W with absolute error at most err * 2**-W.  These helpers are
 # the only code that forms, multiplies, scales and divides such pairs.
 #
-# Two rounding directions remain on purpose.  The Taylor primitives below
-# (_smul, _sdiv_int) round to nearest or toward zero and keep only a few
-# guard bits before their final rounded(p + 4); the half-line series streams
-# in heat.py (_fmul, _fdot, _fscale) round down.  Switching either family to
-# the other's rounding changes output bits.
+# Two rounding directions remain.  The Taylor primitives below (_smul,
+# _sdiv_int) round to nearest or toward zero and keep only a few guard bits
+# before their final rounded(p + 4); _fmul, _fdot and _fscale round down.
 
 
 def _scaled_from_fraction(f: Fraction, W: int) -> tuple[int, int]:
@@ -519,9 +517,13 @@ def cos_pi_mul_cv(r, p: int) -> CertifiedValue:
 
 
 def gauss_primitive_cv(x, p: int) -> CertifiedValue:
-    """Certified integral of e^{-w^2} over [0, x] for |x| <= 8."""
+    """Certified integral of e^{-w^2} over [0, x] for x^2 <= max(64, p).
+
+    The range grows with p so that every argument whose tail e^{-x^2} is
+    not yet below 2^-p stays in reach.
+    """
     val, ierr = _as_exact_pair(x)
-    if abs(val) > 8:
+    if val * val > max(64, p):
         raise PreconditionError("gauss primitive argument out of supported range")
     # intermediate terms reach e^{x^2} before the alternating sum cancels,
     # so widen the working scale accordingly

@@ -4,54 +4,47 @@ Four problem shapes:
 
 * interval with Dirichlet ends and initial data, solved by a truncated sine
   series whose mode count comes from an exact decay plan;
-* half-line driven by a boundary profile h(t), solved by expanding the
-  flux kernel in powers of (t - s - 1) with integer Laguerre tables for the
-  coefficients and repeated integration by parts for the time integrals;
-* half-line with an external force supported away from the evaluation
-  window, same expansion with the image kernel realized through integer
-  Hermite tables;
-* half-line with compactly supported initial data (the time-integral-free
-  variant of the force scheme).
+* half-line driven by a boundary profile h(t): a Taylor polynomial of h,
+  answered term by term in closed form, since data s^k gives
+  k! (4t)^k i^{2k}erfc(x / (2 sqrt(alpha t)));
+* half-line with an external force supported left of the evaluation
+  window: a Taylor polynomial of the time factor, each term answered by
+  repeated erfc integrals at the space data's endpoints (Duhamel);
+* half-line with compactly supported piecewise-linear initial data, the
+  same endpoint sum without a time integral.
+
+Here i^j erfc is the j-th repeated integral of erfc (DLMF 7.18; Carslaw and
+Jaeger, *Conduction of Heat in Solids*, ch. II and App. II).  Each half-line
+solution is a finite sum of erfc(z) and e^{-z^2} with exact rational weights,
+so nothing is truncated but the Taylor polynomial.
 
 Every solver first builds a :class:`TruncationPlan` whose inequality chain
 records, in exact rational arithmetic, why the retained terms reach the
-requested 2^-n accuracy: a boundary-layer bound for the dropped interval
-near s = t, a series-tail bound, an integration-by-parts remainder, and the
-working-scale rounding budget.  The hot loops run on plain integers at a
-fixed binary scale with explicit per-operation error counters, kept by the
-scaled-pair helpers of :mod:`certheat.certified` (``_fmul``, ``_fdot``,
-``_fscale``, ``_scaled_from_cv``), so the final error claim is checked on
-every solve rather than assumed; the check leaves the plan as planning built
-it, so one plan serves any number of solves.
+requested 2^-n accuracy: a series tail for the interval, the Taylor
+remainder (maximum principle, worst case over t in [0, 1]) for the half
+line.  Each solve checks its own bounds (point tails, Gaussian-tail claims,
+the assembled rounding error) with :func:`certheat.series.require` and
+leaves the plan as planning built it, so one plan serves any number of
+solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, isqrt, perm
+from math import factorial, perm
 from typing import Callable
 
-from .certified import (CertifiedValue, _ceil_div, _exact_cv, _fdot, _fmul,
-                        _fscale, _scaled_from_cv, _scaled_from_fraction,
-                        exp_cv, gauss_primitive_cv, pi_cv, pow_fraction_upper,
-                        recip_cv, recip_pi_cv, recip_sqrt_pi_cv, sin_pi_mul_cv,
-                        sqrt_cv)
+from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
+                        gauss_primitive_cv, pi_cv, pow_fraction_upper, recip_cv,
+                        recip_pi_cv, recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus, polynomial_fn)
 from .quadrature import int_pieces_trig_pi, integrate
 from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
-                     gaussian_tail, least_passing, point_order, require)
-
-
-def _sqrtN_upper(N: int) -> Fraction:
-    return Fraction(isqrt(N << 40) + 1, 1 << 20)
-
-
-def _invsqrtN_upper(N: int) -> Fraction:
-    return Fraction(1 << 20, isqrt(N << 40))
+                     gaussian_tail, point_order, require)
 
 
 def _inv_sqrt_4pialpha(alpha: Fraction, p: int) -> CertifiedValue:
@@ -67,16 +60,6 @@ def _check_alpha_window(p) -> None:
         raise PreconditionError("alpha must be positive")
     if not 0 < x0 <= x1:
         raise PreconditionError("window must satisfy 0 < x0 <= x1")
-
-
-def _finish(out: CertifiedValue, plan: TruncationPlan, n: int) -> CertifiedValue:
-    """Check the series sum against the plan's assembly budget, then add the
-    plan's truncation claims and round."""
-    budget = dict(plan.budget_split)["assembly"]
-    require("assembly", out.err_fraction(), Fraction(1, 1 << budget))
-    extra = sum((lhs for lab, lhs, _ in plan.chain
-                 if lab in ("I1", "I2", "ibp-remainder")), Fraction(0))
-    return out.widen_fraction(extra).rounded(n + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +102,19 @@ _HALF_PI_UB = Fraction(1571, 1000)  # > pi/2
 def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
     """h(s) = amplitude * sin(pi s / 2) on [0, 2]; h(0) = 0 exactly."""
     amp = as_fraction(amplitude)
+    g = max(0, _log2_ceil(abs(amp))) if amp else 0  # the amplitude scales errors
 
     def ev(s, p: int) -> CertifiedValue:
-        return sin_pi_mul_cv(as_fraction(s) / 2, p + 4).mul_fraction(amp, p)
+        return sin_pi_mul_cv(as_fraction(s) / 2, p + g + 4).mul_fraction(amp, p)
 
     def dcv(k: int, s, p: int) -> CertifiedValue:
-        pp = p + k + 8
+        pp = p + g + k + 8
         base = sin_pi_mul_cv((as_fraction(s) + k) / 2, pp)
         half_pi = pi_cv(pp).mul_exact(Fraction(1, 2))
         pw = CertifiedValue.exact(1)
         for _ in range(k):
             pw = (pw * half_pi).rounded(pp)
-        return (base * pw).rounded(p + 4).mul_fraction(amp, p)
+        return (base * pw).rounded(p + g + 4).mul_fraction(amp, p)
 
     fn = EvaluableFunction(
         domain=(Fraction(0), Fraction(2)),
@@ -388,6 +372,183 @@ def solve_neumann_constant_force(f: EvaluableFunction, t, n: int) -> CertifiedVa
 
 
 # ---------------------------------------------------------------------------
+# half-line solvers: finite sums of repeated erfc integrals
+#
+# All three half-line solutions are sums of responses
+#     c_e (4t)^e / 2 * (eC i^{2e}erfc(z) + sC s i^{2e+1}erfc(z)),
+# one per Taylor index e and per signed distance d from x to the boundary or
+# to a data endpoint, with s = 2 sqrt(alpha t) and z = d / s (Carslaw and
+# Jaeger, ch. II and App. II).  Writing i^j erfc through erfc(z) and
+# e^{-z^2} with exact rational weights leaves two transcendentals per
+# distance; the weights fix the precision they need before either is taken.
+
+
+def _ierfc_parts(w: Fraction, m: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact (a_j, b_j), j = 0..m, with, for z^2 = w,
+
+        i^j erfc(z) = z^(j%2) a_j erfc(z) + z^((j+1)%2) b_j (2/sqrt(pi)) e^{-w}.
+
+    Both parts obey 2j i^j = i^{j-2} - 2z i^{j-1} (DLMF 7.18.7) from
+    i^{-1}erfc = (2/sqrt(pi)) e^{-z^2} and i^0 erfc = erfc; splitting off the
+    odd powers of z keeps them rational in w.  The recurrence runs exactly,
+    so its instability costs nothing: the cancellation between the parts is
+    paid once, by the precision of erfc and e^{-w}.
+    """
+    a, b = [Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]  # j = -1, 0
+    for j in range(1, m + 1):
+        wa, wb = (w, 1) if j % 2 == 0 else (1, w)
+        a.append((a[-2] - 2 * wa * a[-1]) / (2 * j))
+        b.append((b[-2] - 2 * wb * b[-1]) / (2 * j))
+    return a[1:], b[1:]
+
+
+def _erfc_cv(w: Fraction, negative: bool, p: int) -> CertifiedValue:
+    """erfc(z) for z = +-sqrt(w), sign by ``negative``, with error <= 2^-p."""
+    if w >= (p + 2) * _LN2_HI:  # erfc(|z|) <= e^{-w} <= 2^-(p+2)
+        tail = CertifiedValue(0, p + 2, 1, p + 2)
+        return CertifiedValue.exact(2) - tail if negative else tail
+    z = sqrt_cv(w, p + 4)
+    F = gauss_primitive_cv(-z if negative else z, p + 4)
+    return (CertifiedValue.exact(1)
+            - (F * recip_sqrt_pi_cv(p + 4)).mul_exact(2)).rounded(p + 2)
+
+
+def _kernel_cv(w: Fraction, at: Fraction, p: int) -> CertifiedValue:
+    """e^{-w} / sqrt(pi alpha t) with error <= 2^-p (at = alpha t)."""
+    g = max(0, _log2_ceil(1 / at))  # 1/(4 pi at) scales the prefactor's error
+    pref = _inv_sqrt_4pialpha(at, p + g + 4)
+    return (exp_cv(-w, p + g + 4) * pref).mul_exact(2).rounded(p + 2)
+
+
+def _data_endpoints(f: EvaluableFunction, x: Fraction) -> dict[Fraction, tuple]:
+    """Signed distance d -> weights (eC, sC) of piecewise-linear data seen from x.
+
+    Against the Dirichlet half-line kernel, data c0 + c1 y on [b0, b1] gives
+    per endpoint b half of f(b) erfc(d/s) + slope s i^1erfc(d/s), with
+    d = x - b (direct, slope -c1) or x + b (image, slope c1).  Shared
+    endpoints merge, so a continuous breakpoint keeps only its slope jump.
+    """
+    segs = linear_pieces(f)
+    if segs is None:
+        raise QuadratureBudgetError(
+            "space data must be piecewise linear or affine for the closed form")
+    out: dict[Fraction, tuple] = {}
+    for c0, c1, b0, b1 in segs:
+        f0, f1 = c0 + c1 * b0, c0 + c1 * b1
+        for d, e, s in ((x - b1, f1, -c1), (x - b0, -f0, c1),
+                        (x + b0, -f0, -c1), (x + b1, f1, c1)):
+            e0, s0 = out.get(d, (0, 0))
+            out[d] = (e0 + e, s0 + s)
+    return {d: v for d, v in out.items() if v != (0, 0)}
+
+
+def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
+                   n: int) -> CertifiedValue:
+    """Sum over ends {d: (eC, sC)} and terms (e, bound, coeff) of the
+    responses c_e (4t)^e / 2 (eC i^{2e}erfc(z) + sC s i^{2e+1}erfc(z)), t > 0.
+
+    ``coeff(prec)`` is c_e with error <= 2^-prec and ``bound`` >= |c_e|.
+    A distance d > 0 whose responses are below their share of 2^-(n+3) by
+    i^j erfc(z) <= e^{-z^2} i^j erfc(0) is dropped and claimed instead.  The
+    rest is P_d erfc(z) + Q_d e^{-w} / sqrt(pi alpha t) with exact weights:
+    their sizes set the precision of the coefficients and then of the
+    transcendentals, so the sum keeps within 2^-(n+2) without a retry.
+    """
+    at = alpha * t
+    sat = sqrt_cv(at, 16).upper_fraction()
+    phi = sum((bd * t ** e / factorial(e) for e, bd, _ in terms), Fraction(0))
+    share = Fraction(1, 1 << (n + 3)) / max(len(ends), 1)
+    top = 2 * max(e for e, _, _ in terms) + 1
+    claims = Fraction(0)
+    kept = []
+    for d, (eC, sC) in ends.items():
+        w = d * d / (4 * at)
+        if d > 0:
+            # Gamma(e + 3/2) >= e!/2 bounds the odd-order response too
+            size = phi * (abs(eC) + 2 * abs(sC) * sat) / 2
+            if size == 0:
+                continue
+            cut = size * exp_cv(-w, n + 8 + len(ends).bit_length()
+                                + max(0, _log2_ceil(size))).upper_fraction()
+            if cut <= share:
+                claims += cut
+                continue
+        a, b = _ierfc_parts(w, top)
+        kept.append((d, w, [((4 * t) ** e / 2 * (eC * a[2 * e] + sC * d * a[2 * e + 1]),
+                              (4 * t) ** e / 2 * (eC * d * b[2 * e] + 4 * at * sC * b[2 * e + 1]))
+                             for e, _, _ in terms]))
+    # erfc <= 2 and e^{-w} / sqrt(pi alpha t) <= 1 / (2|d|) weigh the coefficients
+    M = sum((2 * abs(mp) + abs(mq) / (2 * abs(d))
+             for d, _, ms in kept for mp, mq in ms), Fraction(0))
+    q = n + 8 + max(0, _log2_ceil(M) if M else 0)
+    cs = [c(q) for _, _, c in terms] if kept else []
+    parts, size = [], Fraction(0)
+    for d, w, ms in kept:
+        P = Q = Pe = Qe = Fraction(0)
+        for cv, (mp, mq) in zip(cs, ms):
+            v, e = cv.value_fraction(), cv.err_fraction()
+            P, Q = P + v * mp, Q + v * mq
+            Pe, Qe = Pe + e * abs(mp), Qe + e * abs(mq)
+        size += abs(P) + Pe + abs(Q) + Qe
+        parts.append((d, w, P, Pe, Q, Qe))
+    r = n + 8 + (2 * len(parts)).bit_length() + max(0, _log2_ceil(size) if size else 0)
+    total = CertifiedValue.zero()
+    for d, w, P, Pe, Q, Qe in parts:
+        Pc = CertifiedValue.from_fraction(P, r + 4).widen_fraction(Pe)
+        Qc = CertifiedValue.from_fraction(Q, r + 4).widen_fraction(Qe)
+        total = (total + (Pc * _erfc_cv(w, d < 0, r)).rounded(r + 4)
+                 + (Qc * _kernel_cv(w, at, r)).rounded(r + 4))
+    out = total.rounded(n + 4)
+    require("assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
+    require("erfc tail", claims, Fraction(1, 1 << (n + 3)))
+    return out.widen_fraction(claims)
+
+
+def _plan_taylor(sm: SmoothProfile, scale: Fraction, extra: int, n: int,
+                 what: str) -> TruncationPlan:
+    """Least Taylor degree K of a time profile with remainder claim
+    scale * deriv_sup(K+1) / (K+1+extra)! <= 2^-(n+1), the bound at t = 1."""
+    bud = Fraction(1, 1 << (n + 1))
+    K = 0
+    while _taylor_rem(sm, scale, extra, K, Fraction(1)) > bud:
+        K += 1
+        if K > 4 * n + 64:
+            raise PreconditionError(f"{what} derivatives grow too fast for a Taylor closed form")
+    plan = TruncationPlan(K, [("taylor", n + 1), ("erfc tail", n + 3), ("assembly", n + 2)],
+                          f"closed form in i^j erfc, Taylor degree {K}")
+    plan.claim("taylor-remainder", _taylor_rem(sm, scale, extra, K, Fraction(1)), bud)
+    assert plan.validates(n)
+    return plan
+
+
+def _taylor_rem(sm: SmoothProfile, scale: Fraction, extra: int, K: int,
+                t: Fraction) -> Fraction:
+    """Bound at t <= 1 on the solution driven by the Taylor remainder past
+    degree K: the maximum principle gives sup|R_K| <= deriv_sup(K+1) t^(K+1)
+    / (K+1)!, and each Duhamel time integral (extra) one more t/(K+2)."""
+    return scale * sm.deriv_sup(K + 1) * t ** (K + 1 + extra) / factorial(K + 1 + extra)
+
+
+def _window_args(p, t, x, n: int, plan: TruncationPlan | None, planner):
+    """Checked (t, x) and the plan, built if none is given."""
+    t, x = as_fraction(t), as_fraction(x)
+    if not 0 <= t <= 1:
+        raise PreconditionError("time must lie in [0, 1]")
+    x0, x1 = p.x_window
+    if not x0 <= x <= x1:
+        raise PreconditionError("evaluation point outside the declared window")
+    return t, x, plan if plan is not None else planner(p, n)
+
+
+def _taylor_terms(sm: SmoothProfile, K: int, shift: int) -> list:
+    """(e, bound, coeff) for the Taylor coefficients f^(k)(0), k <= K, at
+    response index e = k + shift."""
+    zero = Fraction(0)
+    return [(k + shift, sm.deriv_sup(k),
+             lambda prec, k=k: sm.deriv_cv(k, zero, prec)) for k in range(K + 1)]
+
+
+# ---------------------------------------------------------------------------
 # half-line with boundary forcing
 
 
@@ -410,298 +571,25 @@ class HalflineBoundaryProblem:
             raise PreconditionError("boundary profile must vanish at t = 0")
 
 
-def _plan_parts_series(n: int, layer, Nmin: int, tail_rem, pad: int,
-                       cutoff_rhs: Fraction, what: str) -> TruncationPlan:
-    """Cutoff 1/N, series length T and parts depth Kh from exact inequalities.
-
-    Shared by the boundary and force planners.  ``layer(N)`` bounds the
-    dropped interval near s = t for cutoff 1/N (and u itself below it);
-    ``tail_rem(N, q)`` with q = 1 - 1/N returns ``tail(m)``, the bound on the
-    series terms from index m on, and ``rem(K)``, the remainder of depth-K
-    integration by parts.  ``pad`` is the solver's extra working-scale bits.
-    """
-    bud2 = Fraction(1, 1 << (n + 2))
-    bud3 = Fraction(1, 1 << (n + 3))
-    N = least_passing(lambda m: layer(m) <= bud2, Nmin, Nmin, 1 << 26,
-                      "boundary-layer bound failed to close")
-    tail, rem = tail_rem(N, Fraction(N - 1, N))
-    T = least_passing(lambda m: tail(m + 1) <= bud2, N, 1, 1 << 26,
-                      "series-tail bound failed to close")
-    Kh = 0
-    while rem(Kh) > bud3:
-        Kh += 1
-        if Kh > 200:
-            raise AssertionError(f"{what} derivatives grow too fast for parts integration")
-
-    pw = n + 3 + 2 * (T + 1).bit_length() + (Kh + 2).bit_length() + pad
-    plan = TruncationPlan(
-        T,
-        [("boundary-layer", n + 2), ("series tail", n + 2),
-         ("ibp remainder", n + 3), ("assembly", n + 3)],
-        f"cutoff 1/{N}, {T + 1} series terms, depth-{Kh} parts integration",
-        params={"N": N, "ibp": Kh, "scale": pw})
-    plan.claim("cutoff-monotone", Fraction(1, N), cutoff_rhs)
-    plan.claim("I1", layer(N), bud2)
-    plan.claim("small-t", layer(N), bud2)
-    plan.claim("I2", tail(T + 1), bud2)
-    plan.claim("ibp-remainder", rem(Kh), bud3)
-    assert plan.validates(n)
-    return plan
-
-
-def _window_solve_args(p, t, x, n: int, plan: TruncationPlan | None, planner):
-    """Checked (t, x), the plan (built if none is given) and its N, Kh, pw."""
-    t, x = as_fraction(t), as_fraction(x)
-    if not 0 <= t <= 1:
-        raise PreconditionError("time must lie in [0, 1]")
-    x0, x1 = p.x_window
-    if not x0 <= x <= x1:
-        raise PreconditionError("evaluation point outside the declared window")
-    if plan is None:
-        plan = planner(p, n)
-    return t, x, plan, plan.params["N"], plan.params["ibp"], plan.params["scale"]
-
-
 def plan_halfline_boundary(p: HalflineBoundaryProblem, n: int) -> TruncationPlan:
-    """Cutoff 1/N, series length T and parts depth from exact inequalities."""
-    x0, x1 = p.x_window
-    a = p.alpha
-    sm = p.h.smooth_model
-    hsup = sm.deriv_sup(0)
-    prec = n + 40
-    pref = _inv_sqrt_4pialpha(a, prec).upper_fraction() * x0
-
-    def layer(N: int) -> Fraction:
-        e = exp_cv(-x0 * x0 * N / (4 * a), prec).upper_fraction()
-        return pref * hsup * _sqrtN_upper(N) * e
-
-    c = (sqrt_cv(x1 * x1 / (4 * a), 40).upper_fraction()
-         * recip_sqrt_pi_cv(40).upper_fraction())
-
-    def tail_rem(N: int, q: Fraction):
-        # tail: sum over n' > m-1 of (n'+1) q^n' in closed form, rounded upward
-        return (lambda m: c * hsup * N * N * (Fraction(m, N) + 1)
-                * pow_fraction_upper(q, m, 160),
-                lambda K: c * sm.deriv_sup(K + 1) * N
-                * pow_fraction_upper(q, K + 2, 160) / factorial(K + 1))
-
-    return _plan_parts_series(n, layer, max(_ceil_div(6 * a, x0 * x0), 2),
-                              tail_rem, 8, x0 * x0 / (6 * a), "profile")
-
-
-class _PartsIntegrator:
-    """Scaled-integer stream of J_{n'} = integral of (t-s-1)^{n'} h(s) ds.
-
-    Repeated integration by parts turns each J into boundary terms at s = 0
-    and s = tau weighted by powers of A = t-1 and B = -(1-1/N); the power
-    chains advance one multiplication per term, never losing more than one
-    unit in the last place per step because |A|, |B| <= 1.
-    """
-
-    def __init__(self, sm: SmoothProfile, t: Fraction, tau: Fraction,
-                 N: int, Kh: int, pw: int):
-        pp = pw + 8
-        self.Kh = Kh
-        self.pw = pw
-        self.h0 = [_scaled_from_cv(sm.deriv_cv(k, Fraction(0), pp), pw)
-                   for k in range(Kh + 1)]
-        self.ht = [_scaled_from_cv(sm.deriv_cv(k, tau, pp), pw)
-                   for k in range(Kh + 1)]
-        self.hcut = max(abs(v) + e for v, e in self.h0 + self.ht) + 1
-        A = t - 1
-        self.An, self.Ad = A.numerator, A.denominator
-        self.Bn, self.Bd = 1 - N, N
-        self.pa, self.epa = _scaled_from_fraction(A, pw)
-        self.pb, self.epb = _scaled_from_fraction(Fraction(self.Bn, self.Bd), pw)
-        self.np = 0
-
-    def term(self) -> tuple[int, int]:
-        pw = self.pw
-        xa, exa = self.pa, self.epa
-        xb, exb = self.pb, self.epb
-        dv = 1
-        jv = je = 0
-        for k in range(self.Kh + 1):
-            dv *= self.np + 1 + k
-            if dv > self.hcut:
-                je += self.Kh + 1 - k  # dropped terms are below one ulp each
-                break
-            v, e = _fdot(xa, exa, *self.h0[k], -xb, exb, *self.ht[k], dv << pw)
-            jv += v
-            je += e
-            if k < self.Kh:
-                xa, exa = _fscale(xa, exa, self.An, self.Ad)
-                xb, exb = _fscale(xb, exb, self.Bn, self.Bd)
-        self.pa, self.epa = _fscale(self.pa, self.epa, self.An, self.Ad)
-        self.pb, self.epb = _fscale(self.pb, self.epb, self.Bn, self.Bd)
-        self.np += 1
-        return jv, je
+    """Taylor degree of h for every t in [0, 1] and x in the window."""
+    return _plan_taylor(p.h.smooth_model, Fraction(1), 0, n, "profile")
 
 
 def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
                             plan: TruncationPlan | None = None) -> CertifiedValue:
-    """Certified u(t, x) with |error| <= 2^-n inside the declared window."""
-    t, x, plan, N, Kh, pw = _window_solve_args(p, t, x, n, plan,
-                                               plan_halfline_boundary)
-    if t < Fraction(1, N):
-        # below the cutoff the scheme returns 0; the small-t claim bounds u
-        return CertifiedValue(0, n + 2, 1, n + 2)
-    tau = t - Fraction(1, N)
-    a = p.alpha
-    z = x * x / (4 * a)
-    zn, zd = z.numerator, z.denominator
-    pp = pw + 8
-    s_cv = (sqrt_cv(z, pp) * exp_cv(-z, pp)).rounded(pp)
-    s_cv = (s_cv * recip_sqrt_pi_cv(pp)).rounded(pp)
-    P, eP = _scaled_from_cv(s_cv, pw)
+    """Certified u(t, x) with |error| <= 2^-n inside the declared window.
 
-    parts = _PartsIntegrator(p.h.smooth_model, t, tau, N, Kh, pw)
-    # integer family for the kernel's Taylor coefficients at z = x^2/(4 alpha):
-    # cur / D equals the degree-n' generalized Laguerre value there
-    cur, nxt = 1, 3 * zd - 2 * zn
-    D = 1
-    zd2 = 2 * zd * zd
-    total = etot = 0
-    for np_ in range(plan.order + 1):
-        c, ec = _fscale(P, eP, cur, D)
-        if np_ & 1:
-            c = -c
-        v, e = _fmul(c, ec, *parts.term(), pw)
-        total += v
-        etot += e
-        m = np_ + 2
-        cur, nxt = nxt, ((4 * m - 1) * zd - 2 * zn) * nxt \
-            - (2 * m - 1) * (m - 1) * zd2 * cur
-        D *= (np_ + 1) * 2 * zd
-
-    return _finish(CertifiedValue(total, pw, etot + 1, pw), plan, n)
-
-
-# ---------------------------------------------------------------------------
-# half-line image-kernel ladder (shared by the force and initial-data solvers)
-
-
-class _EndState:
-    """Per-endpoint integer tables for e^{-w^2} H_j(w) / (4^{n'} n'!).
-
-    The factorial normalizer is folded into the divisor so every quotient is
-    a few words long: the normalized even value is at most e^{w^2} and the
-    odd one at most |w| e^{w^2}, whatever n' is.
+    Data s^k gives k! (4t)^k i^{2k}erfc(x / (2 sqrt(alpha t))), so u is
+    sum_k h^(k)(0) (4t)^k i^{2k}erfc plus the Taylor remainder's claim.
     """
-
-    __slots__ = ("u", "v", "ecv", "wcv", "gpcv", "Ev", "Ee", "EWv", "EWe",
-                 "kmid", "kcur", "Do", "De", "prevEv", "prevEe",
-                 "Rov", "Roe", "Rev", "Ree")
-
-    def __init__(self, w2: Fraction, negative: bool, pw: int):
-        pp = pw + 8
-        self.u, self.v = w2.numerator, w2.denominator
-        self.ecv = exp_cv(-w2, pp)
-        w = sqrt_cv(w2, pp)
-        self.wcv = -w if negative else w
-        self.gpcv = gauss_primitive_cv(self.wcv, pp)
-        self.Ev, self.Ee = _scaled_from_cv(self.ecv, pw)
-        self.EWv, self.EWe = _scaled_from_cv((self.ecv * self.wcv).rounded(pp), pw)
-        # rolling pair K_{2n'-1}, K_{2n'} starting at n' = 1, with divisors
-        # Do = v^{n'-1} 4^{n'} n'! and De = Do v
-        self.kmid = 2
-        self.kcur = 4 * self.u - 2 * self.v
-        self.Do = 4
-        self.De = 4 * self.v
-        self.prevEv, self.prevEe = self.Ev, self.Ee
-
-    def refresh(self):
-        """Scaled e^{-w^2} H_j / (4^{n'} n'!) for j = 2n'-1 and 2n'."""
-        self.Rov, self.Roe = _fscale(self.EWv, self.EWe, self.kmid, self.Do)
-        self.Rev, self.Ree = _fscale(self.Ev, self.Ee, self.kcur, self.De)
-
-    def advance(self, np_: int):
-        self.prevEv, self.prevEe = self.Rev, self.Ree
-        j = 2 * np_
-        k1 = 2 * self.kcur - 2 * j * self.v * self.kmid
-        k2 = 2 * self.u * k1 - 2 * (j + 1) * self.v * self.kcur
-        self.kmid, self.kcur = k1, k2
-        step = 4 * (np_ + 1) * self.v
-        self.Do *= step
-        self.De *= step
-
-
-class _SpaceLadder:
-    """Streams S_{n'} = integral of the image-kernel Taylor coefficient pair
-    against affine space data, divided by 4^{n'} n'!."""
-
-    def __init__(self, f_space: EvaluableFunction, x: Fraction, alpha: Fraction,
-                 pw: int):
-        self.pw = pw
-        pp = pw + 8
-        segs = linear_pieces(f_space)
-        if segs is None:
-            raise QuadratureBudgetError(
-                "space data must be piecewise linear or affine for the kernel ladder")
-        c_cv = sqrt_cv(4 * alpha, pp)
-        self.pieces = []  # (chsgn, k1 pair, k2 pair, end_a, end_b, cert consts)
-        ends: dict[tuple[int, Fraction], _EndState] = {}
-        for c0, c1, ya, yb in segs:
-            for chsgn, shift in ((1, -x), (-1, x)):
-                key_a, key_b = (chsgn, ya), (chsgn, yb)
-                for key, y in ((key_a, ya), (key_b, yb)):
-                    if key not in ends:
-                        arg = y + shift
-                        ends[key] = _EndState(arg * arg / (4 * alpha),
-                                              arg < 0, pw)
-                const = c0 - c1 * shift  # data in the w variable: const + c1*c*w
-                k1cv = c_cv.mul_fraction(const, pp) if const else None
-                self.pieces.append((
-                    chsgn,
-                    _scaled_from_cv(k1cv, pw) if k1cv is not None else (0, 0),
-                    _scaled_from_fraction(4 * alpha * c1, pw),
-                    ends[key_a], ends[key_b],
-                    k1cv, c1,
-                ))
-        self.ends = list(ends.values())
-        self.c_cv = c_cv
-        self.alpha = alpha
-        self.np = 1
-
-    def term0_cv(self, prec: int) -> CertifiedValue:
-        """S_0 with certified arithmetic (needs the Gaussian antiderivative)."""
-        acc = CertifiedValue.zero()
-        half = Fraction(1, 2)
-        for chsgn, _, _, ea, eb, k1cv, c1 in self.pieces:
-            u0 = eb.gpcv - ea.gpcv
-            v0 = (ea.ecv - eb.ecv).mul_exact(half)
-            part = CertifiedValue.zero()
-            if k1cv is not None:
-                part = part + (k1cv * u0).rounded(prec + 4)
-            if c1:
-                part = part + v0.mul_fraction(4 * self.alpha * c1, prec + 4)
-            acc = acc + (part if chsgn > 0 else -part)
-        return acc.rounded(prec)
-
-    def term(self) -> tuple[int, int]:
-        """Scaled S_{n'} for the current n' >= 1, then advance."""
-        one = 1 << self.pw
-        np_ = self.np
-        for e in self.ends:
-            e.refresh()
-        sv = se = 0
-        for chsgn, (k1v, k1e), (k2v, k2e), ea, eb, _, _ in self.pieces:
-            uv = ea.Rov - eb.Rov
-            ue = ea.Roe + eb.Roe
-            # normalized V: half the even difference plus half the two-steps-
-            # back difference (the 2n'/(4n') ratio of the divisors is 1/2)
-            vv, ve = _fscale(ea.Rev - eb.Rev + ea.prevEv - eb.prevEv,
-                             ea.Ree + eb.Ree + ea.prevEe + eb.prevEe, 1, 2)
-            pv, pe = _fdot(k1v, k1e, uv, ue, k2v, k2e, vv, ve, one)
-            if chsgn > 0:
-                sv += pv
-            else:
-                sv -= pv
-            se += pe
-        for e in self.ends:
-            e.advance(np_)
-        self.np += 1
-        return sv, se
+    t, x, plan = _window_args(p, t, x, n, plan, plan_halfline_boundary)
+    if t == 0:
+        return CertifiedValue.zero()
+    sm, K = p.h.smooth_model, plan.order
+    u = _erfc_response({x: (Fraction(2), Fraction(0))}, _taylor_terms(sm, K, 0),
+                       t, p.alpha, n)
+    return u.widen_fraction(_taylor_rem(sm, Fraction(1), 0, K, t))
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +601,9 @@ class HalflineForceProblem:
     """u_t = alpha u_xx + f_time(t) f_space(x) on x > 0, Dirichlet at 0.
 
     The force support [0, y0] must sit strictly left of the evaluation
-    window so the kernel-argument gap drives the boundary-layer decay.
+    window: the time integrals of the kernel take the Laplace pair
+    e^{-d sqrt(p/alpha)} / p^(1+j/2) <-> (4t)^(j/2) i^j erfc(d / (2 sqrt(alpha t))),
+    which needs every endpoint distance d > 0.
     """
 
     alpha: Fraction
@@ -733,49 +623,24 @@ class HalflineForceProblem:
 
 
 def plan_halfline_force(p: HalflineForceProblem, n: int) -> TruncationPlan:
-    a = p.alpha
-    gap = p.x_window[0] - p.y0
-    sm = p.f_time.smooth_model
-    fts = sm.deriv_sup(0)
-    prec = n + 40
-    c = (2 * p.y0 * p.f_space.sup_bound
-         * _inv_sqrt_4pialpha(a, prec).upper_fraction())
-
-    def layer(N: int) -> Fraction:
-        e = exp_cv(-gap * gap * N / (4 * a), prec).upper_fraction()
-        return c * fts * _invsqrtN_upper(N) * e
-
-    def tail_rem(N: int, q: Fraction):
-        return (lambda m: c * fts * N * pow_fraction_upper(q, m, 160),
-                lambda K: c * sm.deriv_sup(K + 1) * N
-                * pow_fraction_upper(q, K + 2, 160) / factorial(K + 1))
-
-    return _plan_parts_series(n, layer, max(_ceil_div(2 * a, gap * gap), 2),
-                              tail_rem, 10, gap * gap / (2 * a), "time-factor")
+    """Taylor degree of f_time; Duhamel adds a factor t/(K+2) ||f_space||."""
+    return _plan_taylor(p.f_time.smooth_model, p.f_space.sup_bound, 1, n, "time-factor")
 
 
 def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
                          plan: TruncationPlan | None = None) -> CertifiedValue:
-    """Certified u(t, x) with |error| <= 2^-n inside the declared window."""
-    t, x, plan, N, Kh, pw = _window_solve_args(p, t, x, n, plan,
-                                               plan_halfline_force)
-    if t < Fraction(1, N):
-        return CertifiedValue(0, n + 2, 1, n + 2)
-    tau = t - Fraction(1, N)
-    pp = pw + 8
+    """Certified u(t, x) with |error| <= 2^-n inside the declared window.
 
-    parts = _PartsIntegrator(p.f_time.smooth_model, t, tau, N, Kh, pw)
-    ladder = _SpaceLadder(p.f_space, x, p.alpha, pw)
-    total = etot = 0
-    for np_ in range(plan.order + 1):
-        jv, je = parts.term()
-        sv, se = _scaled_from_cv(ladder.term0_cv(pp), pw) if np_ == 0 else ladder.term()
-        v, e = _fmul(sv, se, jv, je, pw)
-        total += v
-        etot += e
-
-    pref = _inv_sqrt_4pialpha(p.alpha, pp)
-    return _finish(CertifiedValue(total, pw, etot + 1, pw) * pref, plan, n)
+    Time data s^k against the space data answers
+    k! (4t)^(k+1) / 2 sum_d (eC i^{2k+2}erfc(z_d) + sC s i^{2k+3}erfc(z_d)).
+    """
+    t, x, plan = _window_args(p, t, x, n, plan, plan_halfline_force)
+    ends = _data_endpoints(p.f_space, x)
+    if t == 0:
+        return CertifiedValue.zero()
+    sm, K = p.f_time.smooth_model, plan.order
+    u = _erfc_response(ends, _taylor_terms(sm, K, 1), t, p.alpha, n)
+    return u.widen_fraction(_taylor_rem(sm, p.f_space.sup_bound, 1, K, t))
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +648,8 @@ def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
 
 
 def plan_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int) -> TruncationPlan:
+    """Zero with the Gaussian-tail claim when the data sits far from x at
+    time t, otherwise the closed form's assembly budget."""
     alpha, t, x = map(as_fraction, (alpha, t, x))
     a_, b_ = g.domain
     if not 0 < a_ < b_ < 1:
@@ -794,68 +661,36 @@ def plan_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int) -> Truncati
         raise PreconditionError("evaluation point must clear the support margin")
     if not 0 <= t <= 1:
         raise PreconditionError("time must lie in [0, 1]")
-    meff = min(margin, a_ + x)
-    prec = n + 40
-    pref = _inv_sqrt_4pialpha(alpha, prec).upper_fraction()
-    width = b_ - a_
-    bud1 = Fraction(1, 1 << (n + 1))
-
-    if t == 0:
-        plan = TruncationPlan(0, [("small-t", n + 1)], "t = 0: data away from x",
-                              params={"zero": 1})
-        plan.claim("small-t", Fraction(0), bud1)
+    if alpha <= 0:
+        raise PreconditionError("alpha must be positive")
+    bud = Fraction(1, 1 << (n + 1))
+    # 0 <= Dirichlet kernel <= direct kernel, whose mass past the margin is
+    # erfc(margin / sqrt(4 alpha t)) / 2 <= e^{-margin^2 / (4 alpha t)} / 2
+    tail = Fraction(0) if t == 0 else g.sup_bound / 2 * exp_cv(
+        -margin * margin / (4 * alpha * t),
+        n + 8 + max(0, _log2_ceil(g.sup_bound))).upper_fraction()
+    if tail <= bud:
+        plan = TruncationPlan(0, [("erfc tail", n + 1)],
+                              "data's Gaussian tail below budget", params={"zero": 1})
+        plan.claim("erfc-tail", tail, bud)
         return plan
-    small = (pref * recip_cv(sqrt_cv(t, prec), prec).upper_fraction()
-             * 2 * g.sup_bound * width
-             * exp_cv(-meff * meff / (4 * alpha * t), prec).upper_fraction())
-    if t <= meff * meff / (2 * alpha) and small <= bud1:
-        plan = TruncationPlan(0, [("small-t", n + 1)],
-                              "below the Gaussian-tail cutoff",
-                              params={"zero": 1})
-        plan.claim("small-t-monotone", t, meff * meff / (2 * alpha))
-        plan.claim("small-t", small, bud1)
-        return plan
-
-    q = 1 - t
-    tpref = pref * 2 * g.sup_bound * width / t
-
-    def tail(m: int) -> Fraction:
-        return tpref * pow_fraction_upper(q, m, 160)
-
-    T = least_passing(lambda m: tail(m + 1) <= bud1, 1, 0, 1 << 26,
-                      "series-tail bound failed to close")
-
-    pw = n + 2 + 2 * (T + 1).bit_length() + 10
-    plan = TruncationPlan(T, [("series tail", n + 1), ("assembly", n + 2)],
-                          f"{T + 1} series terms at t = {t}",
-                          params={"zero": 0, "scale": pw})
-    plan.claim("I2", tail(T + 1), bud1)
-    assert plan.validates(n)
-    return plan
+    return TruncationPlan(0, [("erfc tail", n + 3), ("assembly", n + 2)],
+                          f"closed form in erfc at alpha t = {alpha * t}",
+                          params={"zero": 0})
 
 
 def solve_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int,
                            plan: TruncationPlan | None = None) -> CertifiedValue:
-    """Certified u(t, x) for initial data g supported inside (0, 1)."""
+    """Certified u(t, x) for initial data g supported inside (0, 1).
+
+    The kernel depends on alpha t only; u is half the sum over the data's
+    endpoint distances d of eC erfc(d/s) + sC s i^1erfc(d/s).
+    """
     alpha, t, x = map(as_fraction, (alpha, t, x))
     if plan is None:
         plan = plan_halfline_initial(g, alpha, t, x, n)
-    if plan.params.get("zero"):
-        return CertifiedValue(0, n + 2, 1, n + 1)
-    T, pw = plan.order, plan.params["scale"]
-    pp = pw + 8
-
-    ladder = _SpaceLadder(g, x, alpha, pw)
-    qt = t - 1  # powers of (t-1) weight the ladder terms
-    qn, qd = qt.numerator, qt.denominator
-    ptv, pte = _scaled_from_fraction(Fraction(1), pw)
-    total = etot = 0
-    for np_ in range(T + 1):
-        sv, se = _scaled_from_cv(ladder.term0_cv(pp), pw) if np_ == 0 else ladder.term()
-        v, e = _fmul(sv, se, ptv, pte, pw)
-        total += v
-        etot += e
-        ptv, pte = _fscale(ptv, pte, qn, qd)
-
-    pref = _inv_sqrt_4pialpha(alpha, pp)
-    return _finish(CertifiedValue(total, pw, etot + 1, pw) * pref, plan, n)
+    if plan.params["zero"]:
+        return CertifiedValue.zero().widen_fraction(plan.chain[0][1])
+    one = CertifiedValue.exact(1)
+    return _erfc_response(_data_endpoints(g, x), [(0, Fraction(1), lambda prec: one)],
+                          t, alpha, n)

@@ -1,5 +1,4 @@
-"""Heat-kernel derivative families, integer Laguerre and Hermite tables, and
-spherical harmonics.
+"""Heat-kernel derivative families and spherical harmonics.
 
 * ``heat_g`` and ``heat_g_tilde`` evaluate the n-th time derivatives of
   g(t,x) = x t^(-3/2) e^(-x^2/t) and g~(t,x) = t^(-1/2) e^(-x^2/t).
@@ -7,19 +6,15 @@ spherical harmonics.
   the finite sum S with g^(n)(t,x) = x t^(-3/2) e^(-x^2/t) S(n,t,x) (the
   half-integer Gamma ratios are rational, so S is), and g~^(n) follows from
   the Leibniz rule on t g / x.
-* At t = 1 the families collapse to scaled Laguerre polynomials, and the
-  Hermite values at the Gaussian-integral endpoints obey an integer pair
-  recurrence in w^2.  ``laguerre_half_table``, ``laguerre_minus_half_table``
-  and ``hermite_pair_table`` hold those integers exactly.  The half-line
-  solvers run the same recurrences inline; the tables are the exact
-  references that tests and self-checks compare against.
 * ``sph_count`` and ``real_sph_harmonic_3d`` serve the ball solver.
+
+The half-line solvers do not use these families: they sum closed forms in
+the repeated erfc integrals (:mod:`certheat.heat`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .certified import (CertifiedValue, cos_pi_mul_cv, exp_cv, recip_cv,
@@ -92,48 +87,6 @@ def heat_g_tilde(n: int, t, x, p: int) -> CertifiedValue:
     if n >= 1:
         Q += n * heat_g_rational_core(n - 1, t, x)
     return _assemble_gstyle(Q / t, t, x, p)
-
-
-# ---------------------------------------------------------------------------
-# integer Laguerre tables (t = 1 specialization)
-#
-# g^(n)(1,x)/n!  = (-1)^n x e^(-x^2) L_n^(1/2)(x^2)
-# g~^(n)(1,x)/n! = (-1)^n   e^(-x^2) L_n^(-1/2)(x^2)
-#
-# For z = zn/zd the scaled values I_n = L_n^(1/2)(z) * n! * (2 zd)^n are
-# integers obeying a three-term recurrence, so the whole table is exact.
-
-
-@lru_cache(maxsize=32)
-def laguerre_half_table(T: int, zn: int, zd: int) -> tuple[int, ...]:
-    """I_n with L_n^(1/2)(zn/zd) = I_n / (n! (2 zd)^n), n = 0..T."""
-    out = [1, 3 * zd - 2 * zn]
-    for n in range(2, T + 1):
-        out.append(((4 * n - 1) * zd - 2 * zn) * out[-1]
-                   - (2 * n - 1) * (n - 1) * 2 * zd * zd * out[-2])
-    return tuple(out[:T + 1])
-
-
-@lru_cache(maxsize=32)
-def laguerre_minus_half_table(T: int, zn: int, zd: int) -> tuple[int, ...]:
-    """I_n with L_n^(-1/2)(zn/zd) = I_n / (n! (2 zd)^n), n = 0..T."""
-    out = [1, zd - 2 * zn]
-    for n in range(2, T + 1):
-        out.append(((4 * n - 3) * zd - 2 * zn) * out[-1]
-                   - (2 * n - 3) * (n - 1) * 2 * zd * zd * out[-2])
-    return tuple(out[:T + 1])
-
-
-def hermite_pair_table(J: int, u: int, v: int) -> tuple[int, ...]:
-    """K_j encoding H_j(w) for w^2 = u/v:
-
-    even j: H_j(w) = K_j / v^(j/2);  odd j: H_j(w) = w * K_j / v^((j-1)/2).
-    """
-    out = [1, 2]
-    for j in range(1, J):
-        mult = 2 * u if j % 2 == 1 else 2
-        out.append(mult * out[-1] - 2 * j * v * out[-2])
-    return tuple(out[:J + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ from .hardness import (CountingInstance, PIPELINES, brute_force_count,
 from .heat import (IntervalHeatProblem, HalflineBoundaryProblem,
                    poly_time_profile, solve_halfline_boundary,
                    solve_interval, solve_neumann_constant_force)
-from .kernels import (heat_g, heat_g_tilde, hermite_pair_table,
-                      laguerre_half_table, real_sph_harmonic_3d, sph_count)
+from .kernels import heat_g, heat_g_tilde, real_sph_harmonic_3d, sph_count
 from .laplace import DiskProblem, hardness_boundary_disk, solve_disk
 from .quadrature import integrate
 from .series import (TruncationPlan, arith_geom_sum, choose_K_disk,
@@ -80,14 +79,6 @@ def _ck_heat_g_forms(rng):
     gap = abs(a.value_fraction() - b.value_fraction())
     gap -= a.err_fraction() + b.err_fraction()
     _require(gap > Fraction(1, 10 ** 6), "variant forms should split at order 2")
-
-
-def _ck_integer_tables(rng):
-    # Hermite at w=1 and Laguerre(1/2) at z=1/2 against hand values
-    _require(hermite_pair_table(4, 1, 1) == (1, 2, 2, -4, -20),
-             "Hermite ladder off known values")
-    _require(laguerre_half_table(2, 1, 2) == (1, 4, 24),
-             "Laguerre ladder off known values")
 
 
 def _ck_sph_addition(rng):
@@ -359,7 +350,6 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
     "kernels": [
         ("heat-g-base-values", _ck_heat_g_base),
         ("derivative-recurrence-forms", _ck_heat_g_forms),
-        ("integer-ladder-tables", _ck_integer_tables),
         ("spherical-addition-identity", _ck_sph_addition),
         ("spherical-dimension-count", _ck_sph_count),
     ],

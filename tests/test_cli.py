@@ -176,9 +176,10 @@ def test_halfline_solve_records_plan_params(tmp_path, capsys):
     code, _, _ = run(["solve", "--config", cfg, "--out", out], capsys)
     assert code == 0
     rec = json.loads((tmp_path / "r.json").read_text())
-    assert rec["plan"]["params"]["N"] >= 1
+    # h(s) = s: Taylor degree 1 with an exactly zero remainder, no solver params
+    assert rec["plan"]["order"] == 1 and rec["plan"]["params"] == {}
     labels = [b[0] for b in rec["plan"]["budget"]]
-    assert labels  # budget split is part of the printed plan summary
+    assert labels == ["taylor", "erfc tail", "assembly"]
 
 
 def test_neumann_counting_force(tmp_path, capsys):
@@ -231,3 +232,49 @@ def test_disk_large_amplitude_keeps_the_bound(tmp_path, capsys):
     want = mp.quad(integrand, [0, 1, 2]) / 2
     assert abs(mp.mpf(got.numerator) / got.denominator - want) \
         <= mp.mpf(2) ** -30 + mp.mpf(10) ** -25
+
+
+def _oracle_value(tmp_path, capsys, name, text, bits):
+    """Solve through the CLI (exit 0 required) and return the record's value."""
+    cfg = write(tmp_path, f"{name}.cfg", text + f"bits = {bits}\n")
+    out = tmp_path / f"{name}.json"
+    code, _, _ = run(["solve", "--config", cfg, "--out", str(out)], capsys)
+    assert code == 0
+    record = json.loads(out.read_text())
+    assert record["error_exponent"] >= bits
+    got = DyadicDecimal.parse(record["value_dyadic"]).as_fraction()
+    return mp.mpf(got.numerator) / got.denominator
+
+
+@pytest.mark.parametrize("bits", [20, 40])
+def test_halfline_force_small_alpha_keeps_the_bound(tmp_path, capsys, bits):
+    # alpha = 1/256: once failed its assembly check, exit 1
+    got = _oracle_value(tmp_path, capsys, "force", "problem = halfline-force\n"
+                        "f_time = poly 1\nf_space = pl 0:1 1/4:1\nalpha = 1/256\n"
+                        "x0 = 1/2\nx1 = 3/4\nt = 1\nx = 3/4\n", bits)
+    with mp.workdps(30):
+        x, b, c = mp.mpf(3) / 4, mp.mpf(1) / 4, mp.mpf(1) / 64  # c = 4 alpha
+
+        def v(tau):  # Dirichlet kernel mass of [0, b] at x after time tau
+            r = mp.sqrt(c * tau)
+            return (mp.erf(x / r) - mp.erf((x - b) / r)
+                    - mp.erf((x + b) / r) + mp.erf(x / r)) / 2
+
+        want = mp.quad(v, [0, mp.mpf(1) / 4, 1])
+        assert abs(got - want) <= mp.mpf(2) ** -bits
+
+
+def test_halfline_initial_small_alpha_keeps_the_bound(tmp_path, capsys):
+    # alpha = 1/64 at bits 24: once failed its assembly check, exit 1
+    got = _oracle_value(tmp_path, capsys, "initial", "problem = halfline-initial\n"
+                        "g0 = pl 1/4:0 1/2:1 3/4:0\nalpha = 1/64\nt = 1/2\nx = 7/8\n", 24)
+    with mp.workdps(30):
+        x, c = mp.mpf(7) / 8, mp.mpf(1) / 32  # c = 4 alpha t
+
+        def integrand(y):
+            tent = 1 - abs(4 * y - 2)
+            return tent * (mp.exp(-(x - y) ** 2 / c)
+                           - mp.exp(-(x + y) ** 2 / c)) / mp.sqrt(mp.pi * c)
+
+        want = mp.quad(integrand, [mp.mpf(1) / 4, mp.mpf(1) / 2, mp.mpf(3) / 4])
+        assert abs(got - want) <= mp.mpf(2) ** -24

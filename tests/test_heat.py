@@ -1,6 +1,7 @@
 """Diffusion solvers against independent quadrature and series oracles."""
 
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -234,11 +235,11 @@ def test_boundary_zero_and_small_time():
                                  (F(1, 2), F(3, 2)))
     plan = plan_halfline_boundary(hb, 16)
     u0 = solve_halfline_boundary(hb, F(0), F(1), 16, plan)
-    assert u0.value_fraction() == 0 and u0.err_fraction() <= F(1, 1 << 16)
-    N = plan.params["N"]
-    t_small = F(1, 2 * N)
+    assert u0.value_fraction() == 0 and u0.err_fraction() == 0  # t = 0 is exact
+    # x^2 / (4 alpha t) = 250: the erfc-tail claim replaces the whole sum
+    t_small = F(1, 1000)
     u = solve_halfline_boundary(hb, t_small, F(1), 16, plan)
-    assert u.value_fraction() == 0
+    assert u.value_fraction() == 0 and u.err_fraction() <= F(1, 1 << 16)
     oracle = psi_oracle(to_mp(t_small), mp.mpf(1), 1, lambda s: s)
     assert abs(oracle) <= to_mp(u.err_fraction())
 
@@ -246,11 +247,13 @@ def test_boundary_zero_and_small_time():
 def test_boundary_plan_chain_audit():
     hb = HalflineBoundaryProblem(F(1), sin_half_profile(F(1)), (F(1, 2), F(3, 2)))
     plan = plan_halfline_boundary(hb, 12)
-    labels = [lab for lab, _, _ in plan.chain]
-    for lab in ("cutoff-monotone", "I1", "I2", "small-t", "ibp-remainder"):
-        assert lab in labels
+    assert [lab for lab, _, _ in plan.chain] == ["taylor-remainder"]
+    assert [lab for lab, _ in plan.budget_split] == ["taylor", "erfc tail", "assembly"]
     assert plan.chain_ok() and plan.validates(12)
-    assert plan.params["N"] >= 2 and plan.order >= plan.params["N"]
+    # the least degree whose remainder (pi/2)^(K+1) / (K+1)! fits 2^-13
+    K = plan.order
+    assert (F(1571, 1000) ** (K + 1) / factorial(K + 1) <= F(1, 1 << 13)
+            < F(1571, 1000) ** K / factorial(K))
     chain = list(plan.chain)
     solve_halfline_boundary(hb, F(1, 2), F(1), 12, plan)
     assert plan.chain == chain  # the solve checks its assembly bound, records nothing
@@ -316,12 +319,11 @@ def test_force_plan_chain_and_rejects():
     fp = HalflineForceProblem(F(1), poly_time_profile([F(1)]),
                               constant_fn(F(1), (F(0), F(1, 2))), (F(1), F(3, 2)))
     plan = plan_halfline_force(fp, 12)
-    labels = [lab for lab, _, _ in plan.chain]
-    for lab in ("cutoff-monotone", "I1", "I2", "small-t", "ibp-remainder"):
-        assert lab in labels
+    assert [lab for lab, _, _ in plan.chain] == ["taylor-remainder"]
+    assert plan.order == 0 and plan.chain[0][1] == 0  # constant time factor
     assert plan.chain_ok() and plan.validates(12)
     with pytest.raises(PreconditionError):
-        # support reaches into the window: the kernel-argument gap collapses
+        # support reaches into the window: the Laplace pair needs d > 0
         HalflineForceProblem(F(1), poly_time_profile([F(1)]),
                              constant_fn(F(1), (F(0), F(1))), (F(1), F(3, 2)))
     u = solve_halfline_force(fp, F(1, 10000), F(1), 12, plan)

@@ -1,20 +1,16 @@
-"""Tests for kernel evaluations: heat-kernel derivative families, integer
-Laguerre/Hermite tables, spherical harmonics."""
+"""Tests for kernel evaluations: heat-kernel derivative families and
+spherical harmonics."""
 
 import random
 from fractions import Fraction
-from math import comb, factorial
 
 import mpmath as mp
 import pytest
 from scipy.special import lpmv
 
 from certheat.errors import PreconditionError
-from certheat.kernels import (_gamma_ratio, assoc_legendre, heat_g,
-                              heat_g_rational_core, heat_g_tilde,
-                              hermite_pair_table, laguerre_half_table,
-                              laguerre_minus_half_table, real_sph_harmonic_3d,
-                              sph_count)
+from certheat.kernels import (assoc_legendre, heat_g, heat_g_tilde,
+                              real_sph_harmonic_3d, sph_count)
 
 mp.mp.prec = 500
 
@@ -103,63 +99,6 @@ def test_heat_g_rejects_bad_args():
         heat_g(2, 0, 1, 10)
     with pytest.raises(PreconditionError):
         heat_g_tilde(2, 1, 0, 10)
-
-
-# ---------------------------------------------------------------------------
-# integer tables
-
-
-def test_laguerre_half_matches_rational_core():
-    # g^(n)(1,x)/n! = (-1)^n x e^(-x^2) L_n^(1/2)(x^2): both sides held
-    # rationally, equality must be exact
-    rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randrange(0, 31)
-        x2 = Fraction(rng.randrange(0, 50), rng.randrange(1, 9))
-        S = sum((-1) ** m * comb(n, m) * _gamma_ratio(n, m) * x2 ** (n - m)
-                for m in range(n + 1))
-        tab = laguerre_half_table(n, x2.numerator, x2.denominator)
-        L = Fraction(tab[n], factorial(n) * (2 * x2.denominator) ** n)
-        assert S == (-1) ** n * factorial(n) * L
-
-
-def test_laguerre_minus_half_matches_hermite():
-    # H_{2n}(w) = (-4)^n n! L_n^(-1/2)(w^2)
-    rng = random.Random(13)
-    for _ in range(30):
-        n = rng.randrange(0, 16)
-        w2 = Fraction(rng.randrange(0, 30), rng.randrange(1, 7))
-        tab = laguerre_minus_half_table(n, w2.numerator, w2.denominator)
-        L = Fraction(tab[n], factorial(n) * (2 * w2.denominator) ** n)
-        K = hermite_pair_table(2 * n, w2.numerator, w2.denominator)
-        assert Fraction(K[2 * n], w2.denominator ** n) == (-4) ** n * factorial(n) * L
-
-
-def test_hermite_pair_table_vs_direct_recurrence():
-    rng = random.Random(19)
-    for _ in range(20):
-        w = Fraction(rng.randrange(-12, 13), rng.randrange(1, 7))
-        u, v = (w * w).numerator, (w * w).denominator
-        K = hermite_pair_table(9, u, v)
-        H = [Fraction(1), 2 * w]
-        for j in range(1, 9):
-            H.append(2 * w * H[-1] - 2 * j * H[-2])
-        for j in range(10):
-            if j % 2 == 0:
-                assert H[j] == Fraction(K[j], v ** (j // 2))
-            else:
-                assert H[j] == w * Fraction(K[j], v ** ((j - 1) // 2))
-
-
-def test_szego_style_decay():
-    # e^(-z) |L_n^(1/2)(z)| <= n+1 keeps the solver series summable
-    rng = random.Random(31)
-    for _ in range(60):
-        n = rng.randrange(0, 40)
-        z = Fraction(rng.randrange(0, 800), 100)
-        tab = laguerre_half_table(n, z.numerator, z.denominator)
-        L = to_mp(Fraction(tab[n], factorial(n) * (2 * z.denominator) ** n))
-        assert abs(L) * mp.e ** (-to_mp(z)) <= n + 1 + mp.mpf(10) ** -25
 
 
 # ---------------------------------------------------------------------------
