@@ -292,9 +292,7 @@ class IntervalReduction:
     def certified_point_value(self, n: int) -> CertifiedValue:
         if not self.profile.has_linear_structure():
             raise PreconditionError("reduction data must be piecewise linear")
-        pe = n + 8
-        pref = recip_cv(sqrt_cv(pi_cv(pe + 10).mul_fraction(
-            4 * self.alpha * self.t0, pe + 8), pe + 4), pe + 4)
+        pref = _inv_sqrt_4pialpha(self.alpha * self.t0, n + 12)
         # midpoint rule, exact per linear piece: one verifier call per piece
         return (integrate(self.profile, 0, 1, n + 4) * pref).rounded(n + 4)
 
