@@ -122,16 +122,16 @@ def _product_quadrature(g: EvaluableFunction, k: int, kind: str, prec: int) -> C
 
 
 def _disk_tail(sup: Fraction, r: Fraction, start: int) -> Fraction:
-    """4 ||g|| r^start / (1-r), which bounds the disk series' terms k >= start.
+    """2 ||g|| r^start / (1-r), which bounds the disk series' terms k >= start.
 
-    |a_k sin + b_k cos| <= sqrt(a_k^2 + b_k^2) <= 2 ||g||, so the factor 4
-    leaves a factor 2 to spare.
+    a_k sin k pi theta + b_k cos k pi theta is the integral of
+    g(rho) cos(k pi (rho - theta)) over rho in [0, 2], at most ||g|| 4/pi.
     """
-    return 4 * sup * r ** start / (1 - r)
+    return 2 * sup * r ** start / (1 - r)
 
 
 def plan_disk(p: DiskProblem, n: int) -> TruncationPlan:
-    """Series order K*(n+1) with the tail constant C = 4||g|| / (1-r0)."""
+    """Series order K*(n+1) with the tail constant C = 2||g|| / (1-r0)."""
     sup = p.g.sup_bound
     K = choose_K_disk(_disk_tail(sup, p.r0, 0), p.r0)
     order = K * (n + 1)

@@ -75,9 +75,9 @@ def counting(monkeypatch, module, name):
 
 
 def disk_point_order(sup, r, n):
-    """Least K with 4 sup r^(K+1) / (1 - r) <= 2^-(n+1), by linear search."""
+    """Least K with 2 sup r^(K+1) / (1 - r) <= 2^-(n+1), by linear search."""
     K = 0
-    while 4 * sup * r ** (K + 1) / (1 - r) > F(1, 2 ** (n + 1)):
+    while 2 * sup * r ** (K + 1) / (1 - r) > F(1, 2 ** (n + 1)):
         K += 1
     return K
 
