@@ -407,7 +407,9 @@ def solve_ball(p: BallProblem, r, theta, phi, n: int,
         sup = sum(map(abs, modes.values()), Fraction(0))
         plan = plan_ball_truncation(p.d, max(sup, Fraction(1)), p.r0, n)
     use = [(l, m) for (l, m) in sorted(modes) if l <= plan.order and modes[(l, m)]]
-    pc = n + 1 + max(1, len(use)).bit_length() + 3
+    # each harmonic's error is scaled by its coefficient
+    big = max((abs(modes[lm]) for lm in use), default=Fraction(1))
+    pc = n + 1 + max(1, len(use)).bit_length() + 3 + max(0, _log2_ceil(big))
     acc = CertifiedValue.zero()
     for l, m in use:
         y = real_sph_harmonic_3d(l, m, theta, phi, pc)
