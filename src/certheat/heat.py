@@ -236,7 +236,7 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
     order = plan.order
     ks = (sorted(k for k in p.g.sine_modes if 1 <= k <= order)
           if p.g.sine_modes is not None and p.g.sine_L == p.L
-          else list(range(1, order + 1)))
+          else range(1, order + 1))
     pc = n + 1 + max(1, len(ks) + 1).bit_length() + 4 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     if plan.params.get("capped"):  # declared modes past the order are zero

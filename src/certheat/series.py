@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, TypeVar
 
-from .certified import pow_fraction_upper
+from .certified import pow_fraction_lower, pow_fraction_upper
 from .dyadic import as_fraction
 from .errors import PreconditionError
 
@@ -98,12 +98,17 @@ def choose_K_disk(C, r0) -> int:
     if r0 == 0:
         return 1
     threshold = Fraction(1, 2) if C <= 1 else Fraction(1, 2) / C
-    K = 1
-    power = r0
-    while power >= threshold:
-        K += 1
-        power *= r0
-    return K
+
+    def below(K: int) -> bool:
+        # directed powers decide in O(log K) rounded steps; the exact power
+        # only when their bracket straddles the threshold
+        if pow_fraction_upper(r0, K, 160) < threshold:
+            return True
+        if pow_fraction_lower(r0, K, 160) >= threshold:
+            return False
+        return r0 ** K < threshold
+
+    return least_passing(below, 1, 1, 1 << 60, "disk block size failed to close")
 
 
 def least_passing(ok: Callable[[int], bool], start: int, floor: int, cap: int,
