@@ -1,0 +1,127 @@
+"""The 2^-n contract over inputs a config can express, for all seven problems.
+
+Each example builds a config as `certheat solve` would read it and solves it.
+The solve must either return a bound within 2^-n or stop with a clean
+PreconditionError (exit 3); any other exception or a looser bound fails.
+Amplitude, alpha, window, t, r/x and bits all vary.  The profile is
+derandomised with a fixed example count, so every run checks the same
+inputs.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from certheat.cli import SOLVERS
+from certheat.errors import PreconditionError
+
+SWEEP = settings(max_examples=150, derandomize=True, database=None, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+def frac(lo: int, hi: int, den: int):
+    """Rationals k/den for lo <= k <= hi."""
+    return st.integers(lo, hi).map(lambda k: F(k, den))
+
+
+bits = st.integers(2, 64)
+amplitude = st.sampled_from([F(1), F(3, 4), F(-5, 2), F(1, 1000), F(2 ** 10), F(10 ** 8)])
+alpha = st.sampled_from([F(1, 256), F(1, 64), F(1, 3), F(1), F(4)])
+
+
+def check(cfg: dict) -> None:
+    cfg = {k: str(v) for k, v in cfg.items()}
+    n = int(cfg["bits"])
+    try:
+        value, _ = SOLVERS[cfg["problem"]](cfg, n)
+    except PreconditionError:
+        return
+    assert value.err_fraction() <= F(1, 2 ** n), cfg
+
+
+@SWEEP
+@given(st.data())
+def test_disk(data):
+    a = data.draw(amplitude)
+    g = data.draw(st.sampled_from([
+        f"pl 0:0 1/2:{a} 1:0 3/2:{-a} 2:0", f"trig const={a}, cos1=1, sin3={-a}",
+        f"cos 3 {a}", f"sin 1 {a}", f"const {a}", f"pl 0:{a} 1:{-a} 2:{a}"]))
+    r0 = data.draw(st.sampled_from([F(1, 2), F(9, 10)]))
+    check({"problem": "disk", "g": g, "r0": r0, "r": data.draw(frac(0, 64, 64)) * r0,
+           "theta": data.draw(frac(0, 63, 32)), "bits": data.draw(st.integers(2, 40))})
+
+
+@SWEEP
+@given(st.data())
+def test_ball(data):
+    a = data.draw(amplitude)
+    check({"problem": "ball", "g": f"sph 0:0:{a} 1:0:1/2 2:1:{a} 3:-2:1/8",
+           "r0": F(9, 10), "r": data.draw(frac(0, 90, 100)),
+           "theta": data.draw(frac(0, 16, 16)), "phi": data.draw(frac(0, 31, 16)),
+           "bits": data.draw(st.integers(2, 48))})
+
+
+@SWEEP
+@given(st.data())
+def test_interval(data):
+    a = data.draw(amplitude)
+    L = data.draw(st.sampled_from([F(1), F(2)]))
+    g = data.draw(st.sampled_from([f"sine 1:{a} 3:1/2", f"pl 0:0 {L / 2}:{a} {L}:0",
+                                   f"pl 0:{a} {L / 4}:{-a} {L}:0"]))
+    t0 = data.draw(st.sampled_from([F(1, 256), F(1, 16), F(1, 4)]))
+    check({"problem": "interval", "g": g, "l": L, "alpha": data.draw(alpha), "t0": t0,
+           "t": t0 + data.draw(frac(0, 16, 16)), "x": data.draw(frac(0, 16, 16)) * L,
+           "bits": data.draw(st.integers(2, 48))})
+
+
+@SWEEP
+@given(st.data())
+def test_halfline_boundary(data):
+    a = data.draw(amplitude)
+    h = data.draw(st.sampled_from([f"poly 0 {a}", f"poly 0 1 {a}", f"poly 0 0 0 {a}",
+                                   f"sinhalf {a}"]))
+    x0 = data.draw(frac(1, 16, 8))
+    x1 = x0 + data.draw(frac(0, 16, 8))
+    check({"problem": "halfline-boundary", "h": h, "alpha": data.draw(alpha),
+           "x0": x0, "x1": x1, "t": data.draw(frac(0, 16, 16)),
+           "x": x0 + data.draw(frac(0, 8, 8)) * (x1 - x0), "bits": data.draw(bits)})
+
+
+@SWEEP
+@given(st.data())
+def test_halfline_force(data):
+    a = data.draw(amplitude)
+    f_time = data.draw(st.sampled_from(["poly 1", f"poly 1 {a}", "sinhalf", f"sinhalf {a}"]))
+    y0 = data.draw(frac(1, 8, 8))
+    f_space = data.draw(st.sampled_from([f"pl 0:{a} {y0}:{a}", f"pl 0:0 {y0 / 2}:{a} {y0}:0",
+                                         f"pl 0:1 {y0 / 3}:{-a} {y0}:2"]))
+    x0 = y0 + data.draw(frac(1, 16, 16))
+    x1 = x0 + data.draw(frac(0, 8, 8))
+    check({"problem": "halfline-force", "f_time": f_time, "f_space": f_space,
+           "alpha": data.draw(alpha), "x0": x0, "x1": x1, "t": data.draw(frac(0, 16, 16)),
+           "x": x0 + data.draw(frac(0, 8, 8)) * (x1 - x0), "bits": data.draw(bits)})
+
+
+@SWEEP
+@given(st.data())
+def test_halfline_initial(data):
+    a = data.draw(amplitude)
+    lo = data.draw(frac(1, 6, 16))
+    hi = lo + data.draw(frac(1, 8, 16))
+    g0 = data.draw(st.sampled_from([f"pl {lo}:0 {(lo + hi) / 2}:{a} {hi}:0",
+                                    f"pl {lo}:{a} {hi}:{a}"]))
+    x = data.draw(st.one_of(frac(1, 16, 16).map(lambda u: u * lo),
+                            frac(1, 32, 16).map(lambda u: hi + u)))
+    check({"problem": "halfline-initial", "g0": g0, "alpha": data.draw(alpha),
+           "t": data.draw(frac(0, 16, 16)), "x": x, "bits": data.draw(bits)})
+
+
+@SWEEP
+@given(st.data())
+def test_neumann(data):
+    a = data.draw(amplitude)
+    force = data.draw(st.sampled_from([f"pl 0:{a} 1/2:1 1:{-a}", f"poly {a} 1 -1",
+                                       "counting 5 1 2 3 4"]))
+    check({"problem": "neumann", "force": force, "t": data.draw(frac(0, 16, 16)),
+           "bits": data.draw(st.integers(2, 48))})
