@@ -72,7 +72,8 @@ class SmoothProfile:
 
     ``deriv_cv(k, s, p)`` evaluates the k-th derivative at s with error
     <= 2^-p; ``deriv_sup(k)`` bounds sup over [0, 1] of its magnitude (the
-    half-line schemes only ever sample inside [0, 1)).
+    half-line solvers take Taylor coefficients at 0 and bound the remainder
+    for t in [0, 1]).
     """
 
     deriv_cv: Callable[[int, Fraction, int], CertifiedValue]
@@ -633,11 +634,11 @@ def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
     k! (4t)^(k+1) / 2 sum_d (eC i^{2k+2}erfc(z_d) + sC s i^{2k+3}erfc(z_d)).
     """
     t, x, plan = _window_args(p, t, x, n, plan, plan_halfline_force)
-    ends = _data_endpoints(p.f_space, x)
     if t == 0:
         return CertifiedValue.zero()
     sm, K = p.f_time.smooth_model, plan.order
-    u = _erfc_response(ends, _taylor_terms(sm, K, 1), t, p.alpha, n)
+    u = _erfc_response(_data_endpoints(p.f_space, x), _taylor_terms(sm, K, 1),
+                       t, p.alpha, n)
     return u.widen_fraction(_taylor_rem(sm, p.f_space.sup_bound, 1, K, t))
 
 
@@ -664,7 +665,7 @@ def plan_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int) -> Truncati
     bud = Fraction(1, 1 << (n + 1))
     # 0 <= Dirichlet kernel <= direct kernel, whose mass past the margin is
     # erfc(margin / sqrt(4 alpha t)) / 2 <= e^{-margin^2 / (4 alpha t)} / 2
-    tail = Fraction(0) if t == 0 else g.sup_bound / 2 * exp_cv(
+    tail = Fraction(0) if t == 0 or not g.sup_bound else g.sup_bound / 2 * exp_cv(
         -margin * margin / (4 * alpha * t),
         n + 8 + max(0, _log2_ceil(g.sup_bound))).upper_fraction()
     if tail <= bud:
