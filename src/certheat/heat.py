@@ -511,7 +511,7 @@ def _plan_taylor(sm: SmoothProfile, scale: Fraction, extra: int, n: int,
     K = 0
     while _taylor_rem(sm, scale, extra, K, Fraction(1)) > bud:
         K += 1
-        if K > 4 * n + 64:
+        if K > 8 * n + 256:
             raise PreconditionError(f"{what} derivatives grow too fast for a Taylor closed form")
     plan = TruncationPlan(K, [("taylor", n + 1), ("erfc tail", n + 3), ("assembly", n + 2)],
                           f"closed form in i^j erfc, Taylor degree {K}")

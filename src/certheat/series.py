@@ -171,7 +171,7 @@ class TruncationPlan:
     budget_split: list[tuple[str, int]] = field(default_factory=list)
     justification: str = ""
     chain: list[tuple[str, Fraction, Fraction]] = field(default_factory=list)
-    # solver-specific integers (cutoff index, working scale, ...) the solve
+    # solver-specific integers (capped modes, a zero solution, ...) the solve
     # step needs back from planning
     params: dict[str, int] = field(default_factory=dict)
 

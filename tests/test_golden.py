@@ -3,8 +3,8 @@
 Each `tests/data/golden/<name>.cfg` has its expected result file
 `<name>.json` beside it.  The set covers every problem type and each
 coefficient route (piecewise-linear Fourier and sine coefficients,
-exact-or-rounded constants, the affine and piecewise-linear kernel ladder,
-the half-line truncation searches).
+exact-or-rounded constants, the half-line closed forms for affine and
+piecewise-linear data, polynomial and half-sine profiles).
 """
 
 from pathlib import Path

@@ -463,7 +463,7 @@ def test_sin_profile_derivatives():
 
 
 def test_kernel_ladder_needs_linear_space_data():
-    # a quadratic force profile has no linear pieces for the kernel ladder
+    # a quadratic force profile has no linear pieces for the closed form
     quad = polynomial_fn([F(0), F(0), F(1)], (F(0), F(1, 4)))
     p = HalflineForceProblem(F(1), poly_time_profile([F(1)]), quad, (F(1, 2), F(1)))
     with pytest.raises(QuadratureBudgetError):
