@@ -224,7 +224,7 @@ def _exact_cv(f: ExactLike, prec: int) -> CertifiedValue:
 #
 # Two rounding directions remain.  The Taylor primitives below (_smul,
 # _sdiv_int) round to nearest or toward zero and keep only a few guard bits
-# before their final rounded(p + 4); _fmul, _fdot and _fscale round down.
+# before their final rounded(p + 4); rotation_pi rounds down.
 
 
 def _scaled_from_fraction(f: Fraction, W: int) -> tuple[int, int]:
@@ -252,24 +252,6 @@ def _sdiv_int(a: int, ea: int, d: int) -> tuple[int, int]:
     v = a // d if a >= 0 else -((-a) // d)
     # truncating a / d loses up to (d - 1) / d: one unit on top of ea / d
     return v, _ceil_div(ea, d) + 1
-
-
-def _fmul(a: int, ea: int, b: int, eb: int, W: int) -> tuple[int, int]:
-    """Product of two scaled values at scale W, rounded down."""
-    return (a * b) >> W, ((abs(a) * eb + abs(b) * ea + ea * eb) >> W) + 2
-
-
-def _fdot(a: int, ea: int, b: int, eb: int, c: int, ec: int, d: int, ed: int,
-          den: int) -> tuple[int, int]:
-    """(a*b + c*d) / den for scaled values and den > 0, rounded down once."""
-    return ((a * b + c * d) // den,
-            (abs(a) * eb + abs(b) * ea + ea * eb
-             + abs(c) * ed + abs(d) * ec + ec * ed) // den + 2)
-
-
-def _fscale(a: int, ea: int, num: int, den: int) -> tuple[int, int]:
-    """A scaled value times the exact ratio num/den (den > 0), rounded down."""
-    return (a * num) // den, _ceil_div(ea * abs(num), den) + 1
 
 
 def rotation_pi(theta, K: int, p: int) -> list[tuple[CertifiedValue, CertifiedValue]]:
