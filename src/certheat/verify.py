@@ -13,8 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .certified import (CertifiedValue, cos_pi_mul_cv, exp_cv, pi_cv,
-                        pow_fraction_lower, pow_fraction_upper, recip_pi_cv,
-                        sin_pi_mul_cv)
+                        recip_pi_cv, sin_pi_mul_cv)
 from .errors import CertHeatError, ConfigError, InsufficientPrecision
 from .evaluable import (EvaluableFunction, piecewise_linear_fn, sine_modes_fn,
                         trig_poly_fn, TrigPoly)
@@ -282,19 +281,6 @@ def _ck_neumann_force(rng):
              "ODE route must integrate the force exactly")
 
 
-def _ck_cutoff_monotone(rng):
-    # directed rational powers: lower bound at N+1 beats upper bound at N
-    prev_hi = None
-    for N in range(2, 51):
-        lo = pow_fraction_lower(Fraction(N - 1, N), N, 128)
-        hi = pow_fraction_upper(Fraction(N - 1, N), N, 128)
-        if prev_hi is not None:
-            _require(lo > prev_hi, "(1-1/N)^N must increase with N")
-        prev_hi = hi
-    _require(prev_hi < exp_cv(Fraction(-1), 80).lower_fraction(),
-             "(1-1/N)^N must stay below 1/e")
-
-
 # ---------------------------------------------------------------------------
 # hardness
 
@@ -371,7 +357,6 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
         ("halfline-distance-decay", _ck_halfline_monotone),
         ("halfline-zero-time", _ck_halfline_zero_time),
         ("neumann-force-integral", _ck_neumann_force),
-        ("cutoff-base-monotone", _ck_cutoff_monotone),
     ],
     "hardness": [
         ("counting-integrand-areas", _ck_counting_examples),

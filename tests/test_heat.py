@@ -7,8 +7,7 @@ import mpmath as mp
 import pytest
 
 import certheat.heat as heat
-from certheat.certified import (CertifiedValue, exp_cv, pow_fraction_lower,
-                                pow_fraction_upper)
+from certheat.certified import CertifiedValue, exp_cv
 from certheat.errors import PreconditionError, QuadratureBudgetError
 from certheat.evaluable import (constant_fn, piecewise_linear_fn,
                                 polynomial_fn, sine_modes_fn)
@@ -367,7 +366,7 @@ def test_initial_small_time_and_margin():
 
 
 # ---------------------------------------------------------------------------
-# Neumann constant-force reduction and the cutoff-base fact
+# Neumann constant-force reduction
 
 
 def test_neumann_reduction_examples():
@@ -378,21 +377,6 @@ def test_neumann_reduction_examples():
     assert u.err_fraction() <= F(1, 1 << 30)
     with pytest.raises(PreconditionError):
         solve_neumann_constant_force(constant_fn(F(1), (F(0), F(1))), F(2), 10)
-
-
-def test_cutoff_base_strictly_increasing_below_inv_e():
-    # (1 - 1/N)^N increases with N and stays below e^-1; directed rational
-    # powers at 128 bits leave orders of magnitude more room than the true
-    # gap, which shrinks like 1/(2 e N^2)
-    inv_e_lower = exp_cv(F(-1), 200).lower_fraction()
-    prev_upper = pow_fraction_upper(F(1, 2), 2, 128)
-    for N in range(3, 10001):
-        base = F(N - 1, N)
-        lower = pow_fraction_lower(base, N, 128)
-        upper = pow_fraction_upper(base, N, 128)
-        assert lower > prev_upper, f"monotonicity gap failed at N={N}"
-        prev_upper = upper
-    assert prev_upper < inv_e_lower
 
 
 # ---------------------------------------------------------------------------
