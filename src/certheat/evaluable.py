@@ -99,6 +99,9 @@ class EvaluableFunction:
     sine_L: Optional[Fraction] = None
     breakpoints: Optional[list[Fraction]] = None
     linear_segments: Optional[int] = None
+    # exact value at the midpoint of uniform segment j, a + (j + 1/2) w:
+    # equal to eval_exact there, but read by index
+    segment_value: Optional[Callable[[int], Fraction]] = None
     poly_coeffs: Optional[list[Fraction]] = None
     smooth_model: object = None
     hardness: object = None

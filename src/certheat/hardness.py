@@ -87,8 +87,11 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
     Cell index = leading n_vars bits of the evaluation point, bit i of the
     index = assignment of item i.  Accepted cells carry a tent of height
     2^{1-n_vars} and half-width 2^{-n_vars-1} (slope 4), vanishing at cell
-    edges.  One verifier call per evaluation; the returned function exposes
-    the call counter as ``verifier_calls()``.
+    edges.  The linear pieces are the 2^{n_vars+1} half-cells; half-cell j
+    lies in cell j >> 1, and its midpoint value, read by index through
+    ``segment_value``, is the tent's 2^{-n_vars} or zero.  One verifier call
+    per evaluation or per half-cell read; the returned function exposes the
+    call counter as ``verifier_calls()``.
     """
     nv = inst.n_vars
     if nv > max_vars_cap():
@@ -96,6 +99,7 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
             f"instance has {nv} items, cap is {max_vars_cap()} (CERTHEAT_MAX_VARS)")
     cells = 1 << nv
     height = Fraction(2, cells)
+    mid_height = Fraction(1, cells)  # the tent halfway between edge and center
     zero = Fraction(0)
     calls = [0]
 
@@ -108,6 +112,10 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
         bump = height - 4 * abs(x - center)
         return bump if bump > 0 else zero
 
+    def segment_value(j: int) -> Fraction:
+        calls[0] += 1
+        return mid_height if inst.accepts(j >> 1) else zero
+
     fn = EvaluableFunction(
         domain=(Fraction(0), Fraction(1)),
         sup_bound=height,
@@ -116,6 +124,7 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
         label=f"counting-{nv}",
         eval_exact=value,
         linear_segments=2 * cells,
+        segment_value=segment_value,
     )
     fn.verifier_calls = lambda: calls[0]
     return fn

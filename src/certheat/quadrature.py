@@ -5,7 +5,10 @@ Two regimes:
 * Polynomials, and functions with declared piecewise-linear structure and
   exact evaluation, integrate exactly: the midpoint rule is exact on each
   linear piece, so one exact midpoint value per segment (clipped to the
-  requested range) gives the true integral, a rational rounded once.
+  requested range) gives the true integral, a rational rounded once.  A
+  uniform grid is walked by integer segment index; data that gives its
+  midpoint values by index (``segment_value``) is read without building any
+  midpoint.
 * Generic continuous functions fall back to composite midpoint driven by the
   declared modulus of continuity.  The error bound is (b-a) * 2^-k per the
   modulus contract, which forces a panel count that can be astronomically
@@ -74,10 +77,13 @@ def integral_exact(fn: EvaluableFunction, lo: Fraction,
 def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Fraction:
     """Midpoint sum over the uniform cells of fn that meet [lo, hi].
 
-    Cells lying inside [lo, hi] are walked by integer index; their values are
-    added exactly as numerator sums per denominator and multiplied by the
-    common width once.  The parts of cells that [lo, hi] clips are separate
-    exact terms.  One evaluation per cell or clipped part, no grid list.
+    Cells lying inside [lo, hi] are walked by integer index j; the value at
+    cell j's midpoint comes from ``fn.segment_value(j)`` when fn declares it,
+    otherwise from ``eval_exact`` at a midpoint built from integers.  The
+    values are added exactly as numerator sums per denominator and
+    multiplied by the common width once.  The parts of cells that [lo, hi]
+    clips are separate exact terms on ``eval_exact``.  One evaluation per
+    cell or clipped part, no grid list.
     """
     a, b = fn.domain
     f = fn.eval_exact
@@ -89,14 +95,20 @@ def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Frac
     ends = Fraction(0)
     if lo < x0:
         ends += f((lo + x0) / 2) * (x0 - lo)
-    # the midpoint of cell j is (base + (2j + 1) step) / den
-    half = w / 2
-    den = math.lcm(a.denominator, half.denominator)
-    base = a.numerator * (den // a.denominator)
-    step = half.numerator * (den // half.denominator)
+    mid = fn.segment_value
+    if mid is None:
+        # the midpoint of cell j is (base + (2j + 1) step) / den
+        half = w / 2
+        den = math.lcm(a.denominator, half.denominator)
+        base = a.numerator * (den // a.denominator)
+        step = half.numerator * (den // half.denominator)
+
+        def mid(j: int) -> Fraction:
+            return f(Fraction(base + (2 * j + 1) * step, den))
+
     sums = defaultdict(int)  # denominator -> sum of numerators
-    for num in range(base + (2 * first + 1) * step, base + (2 * last + 1) * step, 2 * step):
-        v = f(Fraction(num, den))
+    for j in range(first, last):
+        v = mid(j)
         sums[v.denominator] += v.numerator
     if x1 < hi:
         ends += f((x1 + hi) / 2) * (hi - x1)

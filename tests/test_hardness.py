@@ -132,6 +132,24 @@ def test_one_verifier_call_per_evaluation():
     assert fn.verifier_calls() == len(pts) + 1
 
 
+def test_segment_value_is_the_midpoint_value():
+    # read by half-cell index, the integrand gives its exact value at that
+    # half-cell's midpoint, accepted cells included, one verifier call each
+    rng = random.Random(47)
+    for nv in (1, 2, 4, 7, 10):
+        inst = random_instance(rng, nv)
+        fn = counting_integrand(inst)
+        segments = fn.linear_segments
+        assert segments == 2 ** (nv + 1)
+        accepted = 0
+        for j in range(segments):
+            v = fn.segment_value(j)
+            assert v == fn.eval_exact(Fraction(2 * j + 1, 2 * segments)), (nv, j)
+            accepted += v != 0
+        assert accepted == 2 * brute_force_count(inst) > 0, nv
+        assert fn.verifier_calls() == 2 * segments
+
+
 def test_recover_count_examples():
     v = CertifiedValue.from_fraction(Fraction(1, 16), 40)
     assert recover_count(v, INST_PAIR) == 1

@@ -90,11 +90,13 @@ def test_uniform_grid_matches_naive_midpoint_sum():
               (F(3, 100), F(4, 100)), (F(1, 32), F(2, 32)),              # one cell
               (F(1, 32), F(33, 1000)), (F(0), F(1, 3)), (F(5, 7), F(1))]
     for lo, hi in ranges:
-        fn, calls = counted(counting_integrand(inst))
+        # the counting integrand reads whole segments through segment_value
+        # and clipped parts through eval_exact: one verifier call each
+        fn = counting_integrand(inst)
         want, segments = naive_midpoint_sum(fn, lo, hi)
-        calls[0] = 0
+        before = fn.verifier_calls()
         assert integral_exact(fn, lo, hi) == want, (lo, hi)
-        assert calls[0] == segments, (lo, hi)
+        assert fn.verifier_calls() - before == segments, (lo, hi)
         assert integrate(fn, lo, hi, 40).value_fraction() == \
             CertifiedValue.from_fraction(want, 42).value_fraction()
     for domain in ((F(1, 3), F(5, 3)), (F(-2, 5), F(7, 9))):
@@ -107,6 +109,23 @@ def test_uniform_grid_matches_naive_midpoint_sum():
             assert calls[0] == segments
 
 
+def test_uniform_grid_reads_segment_values_by_index():
+    # whole segments come from segment_value(j), indexed from the domain's
+    # start; only the clipped parts evaluate a point
+    F = Fraction
+    for domain in ((F(1, 3), F(5, 3)), (F(-2, 5), F(7, 9))):
+        fn, calls = counted(uniform_square(domain, 7))
+        a, b = domain
+        w = (b - a) / 7
+        fn.segment_value = lambda j, a=a, w=w: (a + (j + F(1, 2)) * w) ** 2
+        for lo, hi, clipped in ((a, b, 0), (a + F(1, 11), b - F(1, 13), 2),
+                                (a + w, a + 3 * w + F(1, 50), 1)):
+            want, _ = naive_midpoint_sum(fn, lo, hi)
+            calls[0] = 0
+            assert integral_exact(fn, lo, hi) == want, (domain, lo, hi)
+            assert calls[0] == clipped, (domain, lo, hi)
+
+
 def test_breakpoint_grid_matches_naive_midpoint_sum():
     F = Fraction
     fn = piecewise_linear_fn([(F(0), F(1)), (F(1, 4), F(0)), (F(3, 4), F(2)), (F(1), F(1))])
@@ -116,11 +135,11 @@ def test_breakpoint_grid_matches_naive_midpoint_sum():
 
 
 def test_zero_width_range_on_the_uniform_grid():
-    fn, calls = counted(counting_integrand(CountingInstance((1, 2), 3)))
+    fn = counting_integrand(CountingInstance((1, 2), 3))
     for x in (Fraction(1, 8), Fraction(1, 3)):
         cv = integrate(fn, x, x, 20)
         assert cv.value_fraction() == 0 and cv.err_fraction() == 0
-    assert calls[0] == 0
+    assert fn.verifier_calls() == 0
 
 
 def test_integrate_rejects_bad_ranges():
