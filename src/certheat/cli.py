@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .dyadic import round_to
 from .errors import CertHeatError, ConfigError, PreconditionError
@@ -464,7 +465,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged, and
+    # each call gets its own Namespace
     ap = argparse.ArgumentParser(
         prog="certheat",
         description="certified-precision solvers and the counting benchmark")

@@ -509,6 +509,7 @@ def _plan_taylor(sm: SmoothProfile, scale: Fraction, extra: int, n: int,
     scale * deriv_sup(K+1) / (K+1+extra)! <= 2^-(n+1), the bound at t = 1."""
     bud = Fraction(1, 1 << (n + 1))
     K = 0
+    # linear scan: the remainder is not monotone in K (x^5, t = 1: 5, 10, 10, 5, 1, 0)
     while _taylor_rem(sm, scale, extra, K, Fraction(1)) > bud:
         K += 1
         if K > 8 * n + 256:

@@ -29,7 +29,7 @@ from .kernels import real_sph_harmonic_3d, sph_count
 from .quadrature import (DEFAULT_MAX_PANELS, int_pieces_trig_pi, integral_exact,
                          integrate)
 from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
-                     higher_arith_geom, point_order)
+                     higher_arith_geom, least_passing, point_order)
 
 
 @dataclass
@@ -339,7 +339,11 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
 
 @dataclass
 class BallProblem:
-    """Dirichlet data on the unit sphere in R^d, evaluation radius bound r0."""
+    """Dirichlet data on the unit sphere in R^d, evaluation radius bound r0.
+
+    Only d = 3 has an explicit harmonic basis, so other d are refused here,
+    before any planning; :func:`plan_ball_truncation` stays general in d.
+    """
 
     d: int
     g: EvaluableFunction
@@ -347,8 +351,8 @@ class BallProblem:
 
     def __post_init__(self):
         self.r0 = as_fraction(self.r0)
-        if self.d < 3:
-            raise PreconditionError("ball solver starts at dimension 3")
+        if self.d != 3:
+            raise PreconditionError("explicit solve supports d = 3 only")
         if not 0 <= self.r0 < 1:
             raise PreconditionError("r0 must lie in [0,1)")
 
@@ -357,7 +361,8 @@ def plan_ball_truncation(d: int, sup_g, r0, n: int) -> TruncationPlan:
     """Smallest degree cutoff M making the harmonic tail drop below 2^-(n+1).
 
     Uses N(d,l) <= 2 (l+1)...(l+d-2) / (d-2)! so the tail is an
-    arithmetico-geometric sum of order d-2.
+    arithmetico-geometric sum of order d-2.  Its terms are positive, so the
+    tail decreases strictly in M and M is found by :func:`least_passing`.
     """
     sup_g, r0 = as_fraction(sup_g), as_fraction(r0)
     if d < 3:
@@ -371,15 +376,18 @@ def plan_ball_truncation(d: int, sup_g, r0, n: int) -> TruncationPlan:
                               "center evaluation, only l=0 survives")
         assert plan.validates(n)
         return plan
-    M = 0
-    while scale * higher_arith_geom(M + 1, d - 2, r0) > budget:
-        M += 1
+
+    def tail(M: int) -> Fraction:
+        return scale * higher_arith_geom(M + 1, d - 2, r0)
+
+    M = least_passing(lambda m: tail(m) <= budget, 1, 0, 1 << 60,
+                      "ball cutoff failed to close")
     plan = TruncationPlan(M, [("truncation", n + 1), ("summation", n + 1)],
                           f"spherical-harmonic cutoff in dimension {d}")
     for l in range(M + 1, M + 4):
         count_bound = 2 * Fraction(factorial(l + d - 2), factorial(l)) / factorial(d - 2)
         plan.claim(f"mode count l={l}", Fraction(sph_count(d, l)), count_bound)
-    plan.claim("tail", scale * higher_arith_geom(M + 1, d - 2, r0), budget)
+    plan.claim("tail", tail(M), budget)
     assert plan.validates(n)
     return plan
 
@@ -393,8 +401,6 @@ def solve_ball(p: BallProblem, r, theta, phi, n: int,
     quadrature over the whole sphere, whose panel count is far beyond the
     budget cap at any useful precision.
     """
-    if p.d != 3:
-        raise PreconditionError("explicit solve supports d = 3 only")
     r = as_fraction(r)
     if not 0 <= r <= p.r0:
         raise PreconditionError("evaluation radius exceeds the declared r0")

@@ -82,6 +82,34 @@ def test_bits_flag_overrides_config(tmp_path, capsys):
     assert code == 0 and "error  <= 2^-12" in text
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; a flag given to one call, or a
+    # call argparse rejects, must not reach the next call
+    cfg = write(tmp_path, "d.cfg", DISK_CFG)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["solve", "--config", cfg, "--bits", "12", "--out", str(a)], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", cfg, "--bits", "twelve"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["solve", "--config", cfg, "--out", str(b)], capsys)[0] == 0
+    assert json.loads(a.read_text())["bits"] == 12
+    assert json.loads(b.read_text())["bits"] == 20
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_ball_other_dimension_exits_3_before_planning(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("planned a ball cutoff for a refused dimension")
+
+    monkeypatch.setattr(cli, "plan_ball_truncation", unreachable)
+    cfg = write(tmp_path, "b.cfg", "problem = ball\nd = 4\ng = sph 0:0:1\n"
+                "r = 1/2\ntheta = 0\nphi = 0\nbits = 16\n")
+    code, text, err = run(["solve", "--config", cfg], capsys)
+    assert code == 3 and text == ""
+    assert err == "precondition violated: explicit solve supports d = 3 only\n"
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.cfg", "nonsense without equals\n")
     assert run(["solve", "--config", bad], capsys)[0] == 2

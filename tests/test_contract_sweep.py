@@ -56,8 +56,9 @@ def test_disk(data):
 @given(st.data())
 def test_ball(data):
     a = data.draw(amplitude)
+    r0 = data.draw(st.sampled_from([F(1, 2), F(9, 10), F(99, 100)]))
     check({"problem": "ball", "g": f"sph 0:0:{a} 1:0:1/2 2:1:{a} 3:-2:1/8",
-           "r0": F(9, 10), "r": data.draw(frac(0, 90, 100)),
+           "r0": r0, "r": data.draw(frac(0, 100, 100)) * r0,
            "theta": data.draw(frac(0, 16, 16)), "phi": data.draw(frac(0, 31, 16)),
            "bits": data.draw(st.integers(2, 48))})
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -16,6 +17,7 @@ from certheat.laplace import (BallProblem, DiskProblem, fourier_coeffs,
                               hardness_boundary_disk, interpolated_closure,
                               plan_ball_truncation, plan_disk, solve_ball,
                               solve_disk)
+from certheat.series import higher_arith_geom
 
 mp.mp.prec = 300
 
@@ -320,3 +322,38 @@ def test_ball_plan_chain():
         assert plan.order > 0 and plan.chain_ok() and plan.validates(20)
     with pytest.raises(PreconditionError):
         plan_ball_truncation(2, 1, Fraction(1, 2), 10)
+
+
+def ball_tail(d, sup_g, r0, M):
+    """The plan's tail bound past degree M: 2 sup_g/(d-2)! sum_{k>M} r0^k (k+d-2)!/k!."""
+    return 2 * sup_g / factorial(d - 2) * higher_arith_geom(M + 1, d - 2, r0)
+
+
+def test_ball_cutoff_matches_linear_scan():
+    for d in (3, 4, 5):
+        # r0 = 1/1000 puts the cutoff at 0 for small n
+        for r0 in (Fraction(1, 1000), Fraction(1, 10), Fraction(1, 2), Fraction(3, 4),
+                   Fraction(9, 10)):
+            for n in (1, 8, 24, 48):
+                M = 0
+                while ball_tail(d, Fraction(2), r0, M) > Fraction(1, 2 ** (n + 1)):
+                    M += 1
+                assert plan_ball_truncation(d, Fraction(2), r0, n).order == M, (d, r0, n)
+
+
+def test_ball_cutoff_is_least_near_r0_one():
+    n, r0 = 64, Fraction(99, 100)
+    plan = plan_ball_truncation(3, Fraction(2), r0, n)
+    M = plan.order
+    assert ball_tail(3, Fraction(2), r0, M) <= Fraction(1, 2 ** (n + 1)) \
+        < ball_tail(3, Fraction(2), r0, M - 1)
+    assert plan.chain_ok() and plan.validates(n)
+
+
+def test_ball_problem_refuses_d_other_than_3():
+    gb = EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1),
+                           modulus=lambda k: k + 4, eval_cv=lambda x, p: None,
+                           sph_modes={(0, 0): Fraction(1)})
+    for d in (2, 4):
+        with pytest.raises(PreconditionError, match="d = 3 only"):
+            BallProblem(d, gb, Fraction(1, 2))
