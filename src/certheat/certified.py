@@ -224,7 +224,7 @@ def _exact_cv(f: ExactLike, prec: int) -> CertifiedValue:
 #
 # Two rounding directions remain.  The Taylor primitives below (_smul,
 # _sdiv_int) round to nearest or toward zero and keep only a few guard bits
-# before their final rounded(p + 4); rotation_pi rounds down.
+# before their final rounded(p + 4); the rotations round down.
 
 
 def _scaled_from_fraction(f: Fraction, W: int) -> tuple[int, int]:
@@ -254,29 +254,74 @@ def _sdiv_int(a: int, ea: int, d: int) -> tuple[int, int]:
     return v, _ceil_div(ea, d) + 1
 
 
-def rotation_pi(theta, K: int, p: int) -> list[tuple[CertifiedValue, CertifiedValue]]:
-    """(cos k pi theta, sin k pi theta) for k = 0..K, by repeated rotation.
+def _rotate(theta: Fraction, K: int, W: int):
+    """Yield (x, y, E) for k = 1..K: (cos, sin) of k pi theta as x, y at
+    scale W, both within E units, by repeated rotation rounding down.
 
-    Rotates (1, 0) by the certified (cos pi theta, sin pi theta) at scale
-    W = p + bitlen(K) + 3, rounding down.  Componentwise bounds would grow
-    like (|cos pi theta| + |sin pi theta|)^k, so the pair carries one bound
-    E_k on the Euclidean norm of its error instead.  With d >= ||R~ - R||_2
-    (units 2^-W), R a rotation and each rounding below one unit,
-    E_{k+1} = E_k + ceil(d (2^W + E_k) / 2^W) + 2, which grows linearly:
-    each value is within E_K 2^-W < 2^-p while K d stays far below 2^W.
+    Rotates (1, 0) by the certified (cos pi theta, sin pi theta) at scale W.
+    Componentwise bounds would grow like (|cos pi theta| + |sin pi theta|)^k,
+    so the pair carries one bound E_k on the Euclidean norm of its error
+    instead.  With d >= ||R~ - R||_2 (units 2^-W), R a rotation and each
+    rounding below one unit, E_{k+1} = E_k + ceil(d (2^W + E_k) / 2^W) + 2,
+    which grows linearly in k while K d stays far below 2^W.
     """
-    theta = as_fraction(theta)
-    W = p + K.bit_length() + 3
     c, ec = _scaled_from_cv(cos_pi_mul_cv(theta, W), W)
     s, es = _scaled_from_cv(sin_pi_mul_cv(theta, W), W)
     d = ec + es  # bounds both singular values of the error matrix
     one = 1 << W
     x, y, E = one, 0, 0
-    out = [(CertifiedValue.exact(1), CertifiedValue.zero())]
     for _ in range(K):
         x, y = (c * x - s * y) >> W, (s * x + c * y) >> W
         E += _ceil_div(d * (one + E), one) + 2
+        yield x, y, E
+
+
+def rotation_pi(theta, K: int, p: int) -> list[tuple[CertifiedValue, CertifiedValue]]:
+    """(cos k pi theta, sin k pi theta) for k = 0..K, by repeated rotation
+    at scale W = p + bitlen(K) + 3, so each value is within 2^-p."""
+    W = p + K.bit_length() + 3
+    out = [(CertifiedValue.exact(1), CertifiedValue.zero())]
+    for x, y, E in _rotate(as_fraction(theta), K, W):
         out.append((CertifiedValue(x, W, E, W), CertifiedValue(y, W, E, W)))
+    return out
+
+
+def rotation_sum(theta, weights: list[tuple[int, int]],
+                 W: int) -> tuple[CertifiedValue, CertifiedValue]:
+    """(sum of w_k cos k pi theta, sum of w_k sin k pi theta) for k = 1..K.
+
+    ``weights[k - 1]`` is a scaled pair (v, e) at scale W: the weight w_k is
+    within e units of v.  One rotation serves every k; the products are
+    added exactly at scale 2W, so the only error is each product's
+    |v| E_k + e 2^W (|cos|, |sin| <= 1), and the sums are rounded to W once.
+    """
+    cs = sn = err = 0
+    for (v, e), (x, y, E) in zip(weights, _rotate(as_fraction(theta), len(weights), W)):
+        cs += v * x
+        sn += v * y
+        err += abs(v) * E + (e << W)
+    return (CertifiedValue(cs, 2 * W, err, 2 * W).rounded(W),
+            CertifiedValue(sn, 2 * W, err, 2 * W).rounded(W))
+
+
+def gauss_ladder(c: CertifiedValue, K: int, W: int) -> list[tuple[int, int]]:
+    """Scaled pairs (v, e) at scale W of e^{-c k^2} for k = 1..K, c >= 0.
+
+    One exp: e^{-c k^2} = e^{-c (k-1)^2} e^{-c (2k-1)} and
+    e^{-c (2k+1)} = e^{-c (2k-1)} e^{-2c}, each a rounded product of values
+    at most one.  Each step adds about one unit to the bounds, so they grow
+    linearly in k, plus about 1/c units in all from e^{-c (k-1)^2} times
+    the error of e^{-c (2k-1)}; bitlen(K) + log2(1/c) guard bits absorb them.
+    """
+    m, em = _scaled_from_cv(exp_cv(-c, W), W)  # e^{-c (2k-1)} at k = 1
+    s, es = _smul(m, em, m, em, W)  # e^{-2c}
+    q, eq = m, em
+    out = []
+    for k in range(1, K + 1):
+        if k > 1:
+            m, em = _smul(m, em, s, es, W)
+            q, eq = _smul(q, eq, m, em, W)
+        out.append((q, eq))
     return out
 
 

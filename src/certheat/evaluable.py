@@ -158,6 +158,13 @@ def linear_pieces(
     return None
 
 
+def slope_jumps(pieces) -> list[tuple[Fraction, Fraction]]:
+    """(y, slope after y minus slope before) at each breakpoint y between
+    contiguous pieces (c0, c1, a, b) where the slope changes."""
+    return [(y, after - before) for (_, before, _, _), (_, after, y, _)
+            in zip(pieces, pieces[1:]) if after != before]
+
+
 def trig_poly_fn(tp: TrigPoly, label: str = "") -> EvaluableFunction:
     lip = tp.lipschitz_pi_units()
     return EvaluableFunction(

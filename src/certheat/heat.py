@@ -30,21 +30,22 @@ solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm
 from typing import Callable
 
 from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
-                        gauss_primitive_cv, pi_cv, pow_fraction_upper, recip_cv,
-                        recip_pi_cv, recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
+                        gauss_ladder, gauss_primitive_cv, pi_cv, pow_fraction_upper,
+                        recip_cv, recip_pi_cv, recip_sqrt_pi_cv, rotation_sum,
+                        sin_pi_mul_cv, sqrt_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
-                        lipschitz_modulus, polynomial_fn)
-from .quadrature import int_pieces_trig_pi, integrate
-from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
-                     gaussian_tail, point_order, require)
+                        lipschitz_modulus, polynomial_fn, slope_jumps)
+from .quadrature import int_pl_trig_pi, integrate
+from .series import (TruncationPlan, choose_K_disk, gaussian_tail, point_order,
+                     require)
 
 
 def _inv_sqrt_4pialpha(alpha: Fraction, p: int) -> CertifiedValue:
@@ -139,18 +140,12 @@ def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
 
 @dataclass
 class IntervalHeatProblem:
-    """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0.
-
-    Solving the same problem object again reuses its sine coefficients (see
-    :class:`CoefficientTable`), so g must not change once it is solved.
-    """
+    """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0."""
 
     L: Fraction
     alpha: Fraction
     g: EvaluableFunction
     t0: Fraction
-    coeffs: CoefficientTable = field(default_factory=CoefficientTable,
-                                     init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.L = as_fraction(self.L)
@@ -172,10 +167,9 @@ def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
         return _exact_cv(g.sine_modes.get(k, Fraction(0)), prec)
     segs = linear_pieces(g)
     if segs is not None:
-        pp = prec + len(segs).bit_length() + 3
         # substitute y = L rho so the oscillation is in pi-units
         scaled = [(c0, c1 * L, a / L, b / L) for c0, c1, a, b in segs]
-        acc, = int_pieces_trig_pi(scaled, k, Fraction(0), pp, kinds=("sin",))
+        acc, _ = int_pl_trig_pi(scaled, k, 0, prec + 2)
         return acc.mul_exact(2).rounded(prec + 2)
 
     def ev(y: Fraction, pr: int) -> CertifiedValue:
@@ -219,14 +213,15 @@ def plan_interval(p: IntervalHeatProblem, n: int) -> TruncationPlan:
             plan.order = kmax
             plan.params["capped"] = 1
             plan.claim("declared-modes", Fraction(0), Fraction(1, 1 << (n + 1)))
-    assert plan.validates(n)
+    plan.require_budget(n)
     return plan
 
 
 def solve_interval(p: IntervalHeatProblem, t, x, n: int,
                    plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(t, x) with |error| <= 2^-n for t >= t0, summing only the
-    modes t needs; the plan's order caps them and sets the precision."""
+    modes t needs; the plan's order caps them.  Piecewise-linear data sums
+    over its slope breakpoints (:func:`_solve_interval_pl`)."""
     t, x = as_fraction(t), as_fraction(x)
     if t < p.t0:
         raise PreconditionError("evaluation time below the declared t0")
@@ -235,31 +230,73 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
     if plan is None:
         plan = plan_interval(p, n)
     order = plan.order
-    ks = (sorted(k for k in p.g.sine_modes if 1 <= k <= order)
-          if p.g.sine_modes is not None and p.g.sine_L == p.L
-          else range(1, order + 1))
-    pc = n + 1 + max(1, len(ks) + 1).bit_length() + 4 \
-        + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     if plan.params.get("capped"):  # declared modes past the order are zero
         K, extra = order, Fraction(0)
     else:  # |mu_k| <= 2||g|| and mode k decays like rho^(k^2)
         rho = _interval_decay(p, t)[0]
         K, extra = point_order(lambda m: gaussian_tail(2 * p.g.sup_bound, rho, m + 1),
                                n, order, "interval point tail")
-    pisq = (pi_cv(pc + 8) * pi_cv(pc + 8)).rounded(pc + 8)
     rate = p.alpha * t / (p.L * p.L)
-    coeff = p.coeffs.source(pc, lambda k: sine_coeff(p, k, pc))
+    pieces = linear_pieces(p.g)
+    if pieces is not None:
+        return _solve_interval_pl(p.L, pieces, rate, x, K, n).widen_fraction(extra)
+    ks = (sorted(k for k in p.g.sine_modes if 1 <= k <= order)
+          if p.g.sine_modes is not None and p.g.sine_L == p.L
+          else range(1, order + 1))
+    pc = n + 1 + max(1, len(ks) + 1).bit_length() + 4 \
+        + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
+    pisq = (pi_cv(pc + 8) * pi_cv(pc + 8)).rounded(pc + 8)
     acc = CertifiedValue.zero()
     for k in ks:
         if k > K:
             break
-        mu = coeff(k)
+        mu = sine_coeff(p, k, pc)
         if mu.m == 0 and mu.en == 0:
             continue
         decay = exp_cv(pisq.mul_fraction(-k * k * rate, pc + 6), pc)
         term = (mu * decay).rounded(pc) * sin_pi_mul_cv(k * x / p.L, pc)
         acc = (acc + term.rounded(pc)).rounded(pc)
     return acc.widen_fraction(extra).rounded(n + 4)
+
+
+def _solve_interval_pl(L: Fraction, pieces, rate: Fraction, x: Fraction, K: int,
+                       n: int) -> CertifiedValue:
+    """Modes 1..K at x of piecewise-linear g, decay e^{-c k^2}, c = pi^2 rate.
+
+    By parts, mu_k = 2 (g(0) - (-1)^k g(L)) / (pi k)
+    - 2 L sum_j D_j sin(k pi y_j / L) / (pi k)^2, D_j the slope jump at the
+    interior breakpoint y_j.  With sin a sin b = (cos(a - b) - cos(a + b)) / 2
+    each jump costs two rotations, at (y_j -+ x) / L, and the ends one, at
+    x / L; e^{-c k^2} comes from one exp by :func:`gauss_ladder`.
+    """
+    c0, c1, _, _ = pieces[-1]
+    g0, gL = pieces[0][0], c0 + c1 * L
+    jumps = slope_jumps(pieces)
+    size = L * sum((abs(d) for _, d in jumps), Fraction(0)) + abs(g0) + abs(gL)
+    # the ladder's bounds reach about K + 1/c units, and c >= 9 rate
+    W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1))) \
+        + max(0, _log2_ceil(max(1 / rate, 1)))
+    pisq = (pi_cv(W + 8) * pi_cv(W + 8)).rounded(W + 8)
+    decay = gauss_ladder(pisq.mul_fraction(rate, W + 4), K, W)
+    rp = recip_pi_cv(W + 4)
+    acc = CertifiedValue.zero()
+    if jumps:  # e^{-c k^2} / k^2: the quotient adds one unit, the bound
+        w2 = [(v // (k * k), e // (k * k) + 2) for k, (v, e) in enumerate(decay, 1)]
+        series = CertifiedValue.zero()
+        for y, d in jumps:
+            diff = rotation_sum((y - x) / L, w2, W)[0] - rotation_sum((y + x) / L, w2, W)[0]
+            series = series + diff.mul_fraction(d, W)
+        acc = acc - (series * rp * rp).mul_fraction(L, W)
+    if g0 or gL:  # e^{-c k^2} (g(0) - (-1)^k g(L)) / k, floored
+        ends = []
+        for k, (v, e) in enumerate(decay, 1):
+            a = g0 - gL if k % 2 == 0 else g0 + gL
+            ends.append(((v * a.numerator) // (a.denominator * k),
+                         _ceil_div(e * abs(a.numerator), a.denominator * k) + 1))
+        acc = acc + (rotation_sum(x / L, ends, W)[1] * rp).mul_exact(2)
+    out = acc.rounded(n + 4)
+    require("interval assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +554,7 @@ def _plan_taylor(sm: SmoothProfile, scale: Fraction, extra: int, n: int,
     plan = TruncationPlan(K, [("taylor", n + 1), ("erfc tail", n + 3), ("assembly", n + 2)],
                           f"closed form in i^j erfc, Taylor degree {K}")
     plan.claim("taylor-remainder", _taylor_rem(sm, scale, extra, K, Fraction(1)), bud)
-    assert plan.validates(n)
+    plan.require_budget(n)
     return plan
 
 

@@ -11,25 +11,30 @@ order and splits the error budget, certified arithmetic carries the partial
 sums, and the analytic tail bound is added to the final error envelope.  The
 plan records every inequality it relied on, so it can be re-audited later
 with exact comparisons only.
+
+Piecewise-linear disk data forms no Fourier coefficient: integrating by
+parts twice leaves one series per slope breakpoint, summed by one rotation
+each (:func:`_solve_disk_pl`).  Declared modes are read off exactly, and
+other data integrates each coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .certified import (CertifiedValue, _exact_cv, cos_pi_mul_cv,
-                        rotation_pi, sin_pi_mul_cv)
+                        recip_pi_cv, rotation_pi, rotation_sum, sin_pi_mul_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
-                        lipschitz_modulus)
+                        lipschitz_modulus, slope_jumps)
 from .kernels import real_sph_harmonic_3d, sph_count
-from .quadrature import (DEFAULT_MAX_PANELS, int_pieces_trig_pi, integral_exact,
+from .quadrature import (DEFAULT_MAX_PANELS, int_pl_trig_pi, integral_exact,
                          integrate)
-from .series import (CoefficientTable, TruncationPlan, choose_K_disk,
-                     higher_arith_geom, least_passing, point_order)
+from .series import (TruncationPlan, choose_K_disk, higher_arith_geom,
+                     least_passing, point_order, require)
 
 
 @dataclass
@@ -37,15 +42,11 @@ class DiskProblem:
     """Dirichlet data on the unit circle with a guaranteed evaluation radius.
 
     g lives on [0,2] in pi-units; r0 < 1 bounds where solutions will be
-    requested, and the tail constant scales like 1/(1-r0).  Solving the same
-    problem object again reuses its Fourier coefficients (see
-    :class:`CoefficientTable`), so g must not change once it is solved.
+    requested, and the tail constant scales like 1/(1-r0).
     """
 
     g: EvaluableFunction
     r0: Fraction
-    coeffs: CoefficientTable = field(default_factory=CoefficientTable,
-                                     init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.r0 = as_fraction(self.r0)
@@ -65,20 +66,14 @@ class DiskProblem:
 # Fourier coefficients
 
 
-def _pl_fourier(pieces, k: int, phase: Fraction, p: int) -> list[CertifiedValue]:
-    """Integrals of the linear pieces times sin and cos of pi (k rho + phase)."""
-    pp = p + (len(pieces) + 1).bit_length() + 2  # per-piece rounding must not pile up
-    return int_pieces_trig_pi(pieces, k, phase, pp)
-
-
-def fourier_coeffs(g: EvaluableFunction, k: int, prec: int, pieces=None):
+def fourier_coeffs(g: EvaluableFunction, k: int, prec: int):
     """Certified (a_k, b_k) with a_k the sine and b_k the cosine coefficient.
 
     a_k = (1/pi) * integral of g sin(k tau) over a full period, which in
     pi-units is the plain integral of g(rho) sin(k pi rho) over [0,2];
     likewise for b_k with cosine (so b_0 is twice the mean of g).  Data that
-    :func:`linear_pieces` accepts integrates in closed form; ``pieces`` may
-    pass those pieces in, read once for many k.
+    :func:`linear_pieces` accepts takes the breakpoint closed form
+    (:func:`int_pl_trig_pi`).
     """
     if k < 0:
         raise PreconditionError("coefficient index must be nonnegative")
@@ -90,10 +85,9 @@ def fourier_coeffs(g: EvaluableFunction, k: int, prec: int, pieces=None):
     red = getattr(g, "hardness", None)
     if isinstance(red, DiskReduction):
         return _hardness_fourier(red, k, prec)
-    if pieces is None:
-        pieces = linear_pieces(g)
+    pieces = linear_pieces(g)
     if pieces is not None:
-        a, b = _pl_fourier(pieces, k, Fraction(0), prec)
+        a, b = int_pl_trig_pi(pieces, k, 0, prec + 2)
         return a.rounded(prec + 2), b.rounded(prec + 2)
     return (_product_quadrature(g, k, "sin", prec),
             _product_quadrature(g, k, "cos", prec))
@@ -141,7 +135,7 @@ def plan_disk(p: DiskProblem, n: int) -> TruncationPlan:
     if p.r0 > 0:
         plan.claim("per-block decay", _disk_tail(sup, p.r0, K), Fraction(1, 2))
     plan.claim("tail", _disk_tail(sup, p.r0, order), Fraction(1, 2 ** (n + 1)))
-    assert plan.validates(n)
+    plan.require_budget(n)
     return plan
 
 
@@ -157,25 +151,26 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
                plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(r, theta) with |error| <= 2^-n; theta in units of pi.
 
-    Sums the series only as far as r needs; the plan's order caps that and
-    sets the working precision, so every point shares its coefficients.
+    Sums the series only as far as r needs; the plan's order caps that.
+    Piecewise-linear data sums over its slope breakpoints
+    (:func:`_solve_disk_pl`); declared modes and other data sum their
+    Fourier coefficients.
     """
     r, theta = as_fraction(r), as_fraction(theta)
     if not 0 <= r <= p.r0:
         raise PreconditionError("evaluation radius exceeds the declared r0")
     if plan is None:
         plan = plan_disk(p, n)
+    pieces = linear_pieces(p.g)
+    if pieces is not None:
+        return _solve_disk_pl(p.g.sup_bound, pieces, r, theta, n, plan.order)
     ks = _coeff_indices(p.g, plan.order)
     pc = n + 1 + max(1, len(ks) + 1).bit_length() + 3 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     K, tail = point_order(lambda m: _disk_tail(p.g.sup_bound, r, m + 1), n,
                           plan.order, "disk point tail")
     ks = [k for k in ks if k <= K]
-    pieces = linear_pieces(p.g)  # read once, shared by every k
-    if pieces is not None:
-        pieces = tuple(pieces)  # hashable, like every other argument
-    coeff = p.coeffs.source(pc, lambda k: fourier_coeffs(p.g, k, pc, pieces=pieces))
-    _, b0 = coeff(0)
+    _, b0 = fourier_coeffs(p.g, 0, pc)
     acc = b0.mul_fraction(Fraction(1, 2), pc)
     rot = rotation_pi(theta, ks[-1] if ks else 0, pc)
     rk = Fraction(1)
@@ -183,11 +178,68 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
     for k in ks:
         rk *= r ** (k - last)
         last = k
-        a_k, b_k = coeff(k)
+        a_k, b_k = fourier_coeffs(p.g, k, pc)
         cos_k, sin_k = rot[k]
         term = a_k * sin_k + b_k * cos_k
         acc = (acc + term.mul_fraction(rk, pc)).rounded(pc)
     return acc.widen_fraction(tail)
+
+
+_PI_LO = Fraction(157, 50)  # < pi
+
+
+def _disk_pl_tail(sup: Fraction, jumps, gap: Fraction, r: Fraction, start: int) -> Fraction:
+    """Bound on the breakpoint series' terms k >= start >= 1: term k is at
+    most (sum |D_j| / (pi k)^2 + |J| / (pi k)) r^k, and at most the
+    2 ||g|| r^k that :func:`_disk_tail` charges."""
+    per = sum((abs(d) for _, d in jumps), Fraction(0)) / (_PI_LO * start) ** 2 \
+        + abs(gap) / (_PI_LO * start)
+    return min(per, 2 * sup) * r ** start / (1 - r)
+
+
+def _solve_disk_pl(sup: Fraction, pieces, r: Fraction, theta: Fraction, n: int,
+                   cap: int) -> CertifiedValue:
+    """u(r, theta) for piecewise-linear g with slope jumps D_j at rho_j (the
+    seam's jump, at 0, included) and end gap J = g(2) - g(0), usually 0.
+
+    Integrating by parts twice gives b_k + i a_k = -i J / (pi k)
+    - sum_j D_j e^{i pi k rho_j} / (pi k)^2, so
+    u = mean(g) - (J / pi) sum_k r^k sin(k pi theta) / k
+        - pi^-2 sum_j D_j sum_k r^k cos(k pi (rho_j - theta)) / k^2,
+    each inner sum the real part of Li_2(r e^{i pi (rho_j - theta)}) cut at
+    K (Lewin 1981; DLMF 25.12).  It takes one rotation per jump and no
+    Fourier coefficient; the terms past K are at most
+    (sum |D_j| / (pi k)^2 + |J| / (pi k)) r^k.
+    """
+    c0, c1, _, _ = pieces[-1]
+    gap = c0 + 2 * c1 - pieces[0][0]  # g(2) - g(0)
+    jumps = slope_jumps([pieces[-1], *pieces])  # the seam first, then in order
+    K, tail = point_order(lambda m: _disk_pl_tail(sup, jumps, gap, r, m + 1),
+                          n, cap, "disk point tail")
+    size = sum((abs(d) for _, d in jumps), abs(gap))
+    W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1)))
+    _, area = int_pl_trig_pi(pieces, 0, 0, W)
+    acc = area.mul_fraction(Fraction(1, 2), W)
+    # rk stays less than k units below 2^W r^k (each floor loses under one
+    # unit, and r <= 1 shrinks the earlier losses), so rk // k^2 and rk // k
+    # are within 2 units of r^k / k^2 and r^k / k
+    w2, w1 = [], []
+    rk, num, den = 1 << W, r.numerator, r.denominator
+    for k in range(1, K + 1):
+        rk = rk * num // den
+        w2.append((rk // (k * k), 2))
+        if gap:
+            w1.append((rk // k, 2))
+    rp = recip_pi_cv(W + 4)
+    series = CertifiedValue.zero()
+    for rho, d in jumps:
+        series = series + rotation_sum(rho - theta, w2, W)[0].mul_fraction(d, W)
+    acc = acc - (series * rp * rp).rounded(W)
+    if gap:
+        acc = acc - (rotation_sum(theta, w1, W)[1] * rp).mul_fraction(gap, W)
+    out = acc.rounded(n + 4)
+    require("disk assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
+    return out.widen_fraction(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +362,8 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
     """Closed-form Fourier coefficients of gtilde times the kernel factor.
 
     The product against sin/cos(k pi rho) expands into shifted-phase modes
-    k-1, k, k+1, each of which integrates in closed form against the linear
-    pieces of gtilde.
+    k-1, k, k+1, each of which takes the breakpoint closed form
+    (:func:`int_pl_trig_pi`) on the pieces of gtilde.
     """
     pieces = linear_pieces(red.gtilde)
     if pieces is None:
@@ -320,10 +372,10 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
     inv_den = Fraction(1) / (1 - r0 * r0)
     one_plus = 1 + r0 * r0
     pp = prec + 4
-    main = _pl_fourier(pieces, k, Fraction(0), pp)
+    main = int_pl_trig_pi(pieces, k, 0, pp)
     # cos(pi(theta0 - rho)) * trig(k pi rho) splits into modes k -+ 1
-    lower = _pl_fourier(pieces, k - 1, th0, pp)
-    upper = _pl_fourier(pieces, k + 1, -th0, pp)
+    lower = int_pl_trig_pi(pieces, k - 1, th0, pp)
+    upper = int_pl_trig_pi(pieces, k + 1, -th0, pp)
 
     def combo(i: int) -> CertifiedValue:
         side = lower[i] + upper[i]
@@ -374,7 +426,7 @@ def plan_ball_truncation(d: int, sup_g, r0, n: int) -> TruncationPlan:
     if r0 == 0:
         plan = TruncationPlan(0, [("truncation", n + 1), ("summation", n + 1)],
                               "center evaluation, only l=0 survives")
-        assert plan.validates(n)
+        plan.require_budget(n)
         return plan
 
     def tail(M: int) -> Fraction:
@@ -388,7 +440,7 @@ def plan_ball_truncation(d: int, sup_g, r0, n: int) -> TruncationPlan:
         count_bound = 2 * Fraction(factorial(l + d - 2), factorial(l)) / factorial(d - 2)
         plan.claim(f"mode count l={l}", Fraction(sph_count(d, l)), count_bound)
     plan.claim("tail", tail(M), budget)
-    assert plan.validates(n)
+    plan.require_budget(n)
     return plan
 
 

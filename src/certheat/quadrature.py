@@ -15,6 +15,10 @@ Two regimes:
   large; a hard cap turns that into QuadratureBudgetError instead of a
   non-terminating loop.  This cost cliff is the point of the benchmark
   harness, not an implementation accident.
+
+Piecewise-linear data times sin or cos of a rational multiple of pi has a
+closed form with one term per slope breakpoint (:func:`int_pl_trig_pi`),
+which the exact Fourier and sine coefficients use.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .certified import (CertifiedValue, _ceil_div, cos_pi_mul_cv,
                         recip_pi_cv, sin_pi_mul_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
-from .evaluable import EvaluableFunction, _log2_ceil
+from .evaluable import EvaluableFunction, _log2_ceil, slope_jumps
 
 DEFAULT_MAX_PANELS = 1 << 22
 
@@ -138,90 +142,69 @@ def _integrate_modulus(fn: EvaluableFunction, lo: Fraction, hi: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# closed forms for (linear) x (trig) pieces, angles in units of pi
+# closed forms for piecewise-linear data times trig, angles in units of pi
 #
 # All arguments rational; trig arguments reduce exactly, so these are the
-# workhorses of the exact Fourier-coefficient paths.
+# exact Fourier- and sine-coefficient paths.
 
 
 def int_linear_sin_pi(c0, c1, a, b, k: int, phase, p: int) -> CertifiedValue:
     """Integral over [a,b] of (c0 + c1 rho) sin(pi (k rho + phase)) d rho."""
-    return _int_linear_trig_pi("sin", c0, c1, a, b, k, phase, p)
+    return int_pl_trig_pi([(c0, c1, a, b)], k, phase, p)[0]
 
 
 def int_linear_cos_pi(c0, c1, a, b, k: int, phase, p: int) -> CertifiedValue:
     """Integral over [a,b] of (c0 + c1 rho) cos(pi (k rho + phase)) d rho."""
-    return _int_linear_trig_pi("cos", c0, c1, a, b, k, phase, p)
+    return int_pl_trig_pi([(c0, c1, a, b)], k, phase, p)[1]
 
 
-def int_pieces_trig_pi(pieces, k: int, phase, p: int,
-                       kinds=("sin", "cos")) -> list[CertifiedValue]:
-    """For each kind, the sum over pieces (c0, c1, a, b) of int_linear_<kind>_pi.
+def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, CertifiedValue]:
+    """Integrals of g times sin and of g times cos of pi (k rho + phase), each
+    within 2^-p, for any integer k.
 
-    Equal, bit for bit, to adding up the single-piece integrals, but sin and
-    cos of pi (k rho + phase) are evaluated once per breakpoint rho and
-    shared between neighbouring pieces and between the kinds.
+    g is continuous and piecewise linear, given as contiguous pieces
+    (c0, c1, a, b) with g = c0 + c1 rho on [a, b].  For k != 0, u = pi k and
+    t(rho) = pi (k rho + phase), integrating by parts twice leaves only the
+    ends and the slope jumps D_j at the interior breakpoints rho_j:
+
+        int g e^{i t} = [g e^{i t} / (i u) + g' e^{i t} / u^2] from a to b
+                        - sum_j D_j e^{i t(rho_j)} / u^2.
+
+    Terms whose angles agree mod 2 merge first, so for periodic data the end
+    values cancel and the end slopes leave the jump at the seam.  Each
+    remaining point costs one sin and one cos; 1/pi and 1/pi^2 are formed
+    once per call.
     """
     phase = as_fraction(phase)
-    # one working scale for every piece: the trig memo is shared between them
-    pp = p + 6 + max((_size_bits(c0, c1, a, b) for c0, c1, a, b in pieces), default=0)
-    trig = _trig_at(k, phase, pp)
-    out = []
-    for kind in kinds:
-        acc = CertifiedValue.zero()
-        for c0, c1, a, b in pieces:
-            acc = acc + _int_linear_trig_pi(kind, c0, c1, a, b, k, phase, p, pp, trig)
-        out.append(acc)
-    return out
-
-
-def _size_bits(c0, c1, a, b) -> int:
-    """log2 of |c0| + |c1| max(|a|, |b|), at least 0: the most the linear
-    factor c0 + c1 rho multiplies the trig values' rounding errors by."""
-    size = abs(c0) + abs(c1) * max(abs(a), abs(b))
-    return _log2_ceil(size) if size > 1 else 0
-
-
-def _trig_at(k: int, phase: Fraction, pp: int):
-    """rho -> (sin, cos) of pi (k rho + phase) at precision pp, memoised."""
-    memo = {}
-
-    def at(rho: Fraction) -> tuple[CertifiedValue, CertifiedValue]:
-        v = memo.get(rho)
-        if v is None:
-            x = k * rho + phase
-            v = memo[rho] = (sin_pi_mul_cv(x, pp), cos_pi_mul_cv(x, pp))
-        return v
-
-    return at
-
-
-def _int_linear_trig_pi(kind: str, c0, c1, a, b, k: int, phase, p: int,
-                        pp: int | None = None, trig=None) -> CertifiedValue:
-    c0, c1, a, b = map(as_fraction, (c0, c1, a, b))
-    phase = as_fraction(phase)
+    pieces = [tuple(map(as_fraction, piece)) for piece in pieces]
     if k == 0:
-        area = c0 * (b - a) + c1 * (b * b - a * a) / 2
-        trig0 = sin_pi_mul_cv if kind == "sin" else cos_pi_mul_cv
-        # the area multiplies the trig value's error
-        return trig0(phase, p + 4 + _size_bits(area, 0, 0, 0)).mul_fraction(area, p)
-    if pp is None:
-        pp = p + 6 + _size_bits(c0, c1, a, b)
+        area = sum((c0 * (b - a) + c1 * (b * b - a * a) / 2 for c0, c1, a, b in pieces),
+                   Fraction(0))
+        pp = p + 4 + (_log2_ceil(abs(area)) if abs(area) > 1 else 0)  # area scales the error
+        return (sin_pi_mul_cv(phase, pp).mul_fraction(area, p),
+                cos_pi_mul_cv(phase, pp).mul_fraction(area, p))
+    c0, c1, a, _ = pieces[0]
+    ends = [(a, -(c0 + c1 * a), -c1)]
+    c0, c1, _, b = pieces[-1]
+    ends.append((b, c0 + c1 * b, c1))
+    # angle mod 2 -> (weight of e^{i t} / (i u), weight of e^{i t} / u^2)
+    points: dict[Fraction, list[Fraction]] = {}
+    for rho, v, w in ends + [(rho, 0, -d) for rho, d in slope_jumps(pieces)]:
+        vw = points.setdefault((k * rho + phase) % 2, [Fraction(0), Fraction(0)])
+        vw[0] += v
+        vw[1] += w
+    size = sum((abs(v) + abs(w) for v, w in points.values()), Fraction(0))
+    pp = p + 6 + (_log2_ceil(size) if size > 1 else 0)
+    vs = vc = ds = dc = CertifiedValue.zero()
+    for x, (v, w) in points.items():
+        if v or w:
+            s, c = sin_pi_mul_cv(x, pp), cos_pi_mul_cv(x, pp)
+            vs, vc = vs + c.mul_fraction(v, pp), vc + s.mul_fraction(v, pp)
+            ds, dc = ds + s.mul_fraction(w, pp), dc + c.mul_fraction(w, pp)
     rp = recip_pi_cv(pp)
-    if trig is None:
-        trig = _trig_at(k, phase, pp)
-
-    def F(rho: Fraction) -> CertifiedValue:
-        # antiderivative: -lin cos/(pi k) + c1 sin/(pi k)^2 for sin, and
-        # lin sin/(pi k) + c1 cos/(pi k)^2 for cos
-        lin = c0 + c1 * rho
-        s, c = trig(rho)
-        if kind == "sin":
-            t1, t2 = c.mul_fraction(-lin, pp) * rp, s.mul_fraction(c1, pp) * rp * rp
-        else:
-            t1, t2 = s.mul_fraction(lin, pp) * rp, c.mul_fraction(c1, pp) * rp * rp
-        t1 = t1.mul_fraction(Fraction(1, k), pp)
-        t2 = t2.mul_fraction(Fraction(1, k * k), pp)
-        return t1 + t2
-
-    return (F(b) - F(a)).rounded(p + 4)
+    rp2 = (rp * rp).rounded(pp + 4)
+    ik, ik2 = Fraction(1, k), Fraction(1, k * k)
+    # Im: -[g cos t] / u + [g' sin t] / u^2;  Re: [g sin t] / u + [g' cos t] / u^2
+    sin_int = (ds * rp2).mul_fraction(ik2, pp) - (vs * rp).mul_fraction(ik, pp)
+    cos_int = (dc * rp2).mul_fraction(ik2, pp) + (vc * rp).mul_fraction(ik, pp)
+    return sin_int.rounded(p + 4), cos_int.rounded(p + 4)

@@ -3,16 +3,14 @@
 Everything here is exact rational arithmetic. The tails of the solver series
 are bounded by arithmetic-geometric sums, and the plans pick truncation
 orders by exact comparison against dyadic error budgets, so no floating
-point is allowed anywhere in this module.  The one exception is
-:class:`CoefficientTable`, which only stores the series coefficients a
-solver computed, so later solves of the same problem can read them back.
+point is allowed anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, TypeVar
+from typing import Callable
 
 from .certified import pow_fraction_lower, pow_fraction_upper
 from .dyadic import as_fraction
@@ -182,6 +180,11 @@ class TruncationPlan:
         """Exact check that the budget parts sum to at most 2^-n_target."""
         return self.total_budget() <= Fraction(1, 2) ** n_target
 
+    def require_budget(self, n_target: int) -> None:
+        """Raise AssertionError unless :meth:`validates` holds; an explicit
+        raise, so it holds under ``python -O`` too."""
+        require("budget", self.total_budget(), Fraction(1, 2) ** n_target)
+
     def claim(self, label: str, lhs, rhs) -> None:
         """Record the inequality lhs <= rhs; raises if it does not hold."""
         lhs, rhs = as_fraction(lhs), as_fraction(rhs)
@@ -191,39 +194,3 @@ class TruncationPlan:
     def chain_ok(self) -> bool:
         """Re-verify every recorded inequality with exact comparisons."""
         return all(lhs <= rhs for _, lhs, rhs in self.chain)
-
-
-T = TypeVar("T")
-
-
-class CoefficientTable:
-    """Series coefficients of one problem, kept per working precision.
-
-    A coefficient depends only on the data, its index and the precision, so
-    a solve may take it from an earlier solve of the same problem at the same
-    precision and still return the same bits.  The first solve at a
-    precision streams its coefficients and keeps none, so a one-shot solve
-    holds no table; a repeat solve at that precision keeps every coefficient
-    it computes, and the solves after it read them back.
-    """
-
-    def __init__(self):
-        self._seen: set[int] = set()
-        self._tables: dict[int, dict[int, object]] = {}
-
-    def source(self, prec: int, compute: Callable[[int], T]) -> Callable[[int], T]:
-        """k -> coefficient k at prec, read from the table or compute(k)."""
-        table = self._tables.get(prec)
-        if table is None:
-            if prec not in self._seen:
-                self._seen.add(prec)
-                return compute
-            table = self._tables[prec] = {}
-
-        def coeff(k: int) -> T:
-            out = table.get(k)
-            if out is None:
-                out = table[k] = compute(k)
-            return out
-
-        return coeff

@@ -1,7 +1,11 @@
 """Driver contract: config parsing, exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -194,6 +198,19 @@ def test_verify_cli_reports_checks(capsys):
     lines = text.strip().split("\n")
     assert all(l.startswith("PASS series/") for l in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_import_leaves_the_verify_suites_out():
+    # only `certheat verify` needs the self-check suites; every other
+    # process skips their import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, certheat.cli\n"
+            "raise SystemExit('certheat.verify' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_halfline_solve_records_plan_params(tmp_path, capsys):

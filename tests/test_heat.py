@@ -125,27 +125,28 @@ def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
     tent = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
     p = IntervalHeatProblem(F(1), F(1), tent, t0)
     plan = plan_interval(p, n)
-    found, coeffs = [], [0]
-    orig_order, orig_coeff = heat.point_order, heat.sine_coeff
+    found, summed = [], []
+    orig_order, orig_sum = heat.point_order, heat.rotation_sum
 
     def order(tail, n_, cap, label):
         out = orig_order(tail, n_, cap, label)
         found.append((out, tail))
         return out
 
-    def coeff(*args):
-        coeffs[0] += 1
-        return orig_coeff(*args)
+    def rotation_sum(theta, weights, W):
+        summed.append(len(weights))
+        return orig_sum(theta, weights, W)
 
     monkeypatch.setattr(heat, "point_order", order)
-    monkeypatch.setattr(heat, "sine_coeff", coeff)
+    monkeypatch.setattr(heat, "rotation_sum", rotation_sum)
     budget = F(1, 2 ** (n + 1))
     for t in (t0, 8 * t0):
         found.clear()
-        coeffs[0] = 0
+        summed.clear()
         u = solve_interval(IntervalHeatProblem(F(1), F(1), tent, t0), t, F(5, 16), n, plan)
         (K, tail), tail_fn = found[0]
-        assert K <= plan.order and coeffs[0] == K
+        # the tent's one slope jump: two rotations, each over modes 1..K
+        assert K <= plan.order and summed == [K, K]
         assert tail == tail_fn(K) <= budget
         assert K == 0 or tail_fn(K - 1) > budget  # the least such K
         assert_close(u, tent_oracle(t, F(5, 16)), n)
@@ -452,3 +453,39 @@ def test_kernel_ladder_needs_linear_space_data():
     p = HalflineForceProblem(F(1), poly_time_profile([F(1)]), quad, (F(1, 2), F(1)))
     with pytest.raises(QuadratureBudgetError):
         solve_halfline_force(p, F(1, 2), F(3, 4), 6)
+
+
+# ---------------------------------------------------------------------------
+# piecewise-linear interval data: the slope-breakpoint series against a
+# 40-digit heat-kernel oracle (method of images)
+
+IVL_NODES = [(F(0), F(1)), (F(1, 2), F(-1)), (F(3, 2), F(2)), (F(2), F(1, 2))]
+
+
+def image_oracle(nodes, L, alpha, t, x):
+    """u(t, x) = integral of the Dirichlet heat kernel on [0, L] times g."""
+    s2 = 4 * to_mp(alpha) * to_mp(t)
+
+    def kernel(y):
+        return sum(mp.exp(-(x - y + 2 * m * L) ** 2 / s2) - mp.exp(-(x + y + 2 * m * L) ** 2 / s2)
+                   for m in range(-4, 5)) / mp.sqrt(mp.pi * s2)
+
+    total = mp.mpf(0)
+    for (a, ya), (b, yb) in zip(nodes, nodes[1:]):
+        a, b, ya, yb = map(to_mp, (a, b, ya, yb))
+        cuts = [a] + ([x] if a < x < b else []) + [b]
+        total += mp.quad(lambda y: kernel(y) * (ya + (y - a) * (yb - ya) / (b - a)), cuts)
+    return total
+
+
+@pytest.mark.parametrize("t", [F(1, 256), F(1, 8)])
+@pytest.mark.parametrize("x", [F(0), F(2), F(1, 2), F(3, 2), F(5, 16)])
+def test_interval_pl_values_match_image_oracle(t, x):
+    # g(0) and g(L) nonzero, L = 2, t0 = 1/256, x at both ends and on breakpoints
+    p = IntervalHeatProblem(F(2), F(1), piecewise_linear_fn(IVL_NODES), F(1, 256))
+    for n in (24, 48):
+        u = solve_interval(p, t, x, n)
+        assert u.err_fraction() <= F(1, 2 ** n)
+        with mp.workdps(40):
+            want = image_oracle(IVL_NODES, 2, F(1), t, to_mp(x))
+            assert abs(to_mp(u.value_fraction()) - want) <= to_mp(u.err_fraction()) + mp.mpf(10) ** -35

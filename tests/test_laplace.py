@@ -8,11 +8,13 @@ import mpmath as mp
 import pytest
 
 from certheat.errors import PreconditionError, QuadratureBudgetError
-from certheat.evaluable import (EvaluableFunction, TrigPoly,
+from certheat.evaluable import (EvaluableFunction, TrigPoly, linear_pieces,
                                 piecewise_linear_fn, polynomial_fn,
                                 trig_poly_fn)
 import certheat.laplace as laplace
+from certheat.cli import parse_boundary_fn
 from certheat.kernels import real_sph_harmonic_3d
+from certheat.quadrature import int_linear_cos_pi, int_linear_sin_pi, int_pl_trig_pi
 from certheat.laplace import (BallProblem, DiskProblem, fourier_coeffs,
                               hardness_boundary_disk, interpolated_closure,
                               plan_ball_truncation, plan_disk, solve_ball,
@@ -267,7 +269,8 @@ def test_disk_point_order_sizes_the_tail_at_r(monkeypatch):
         solve_disk(prob, r, Fraction(1, 3), 20, plan)
         (K, tail), tail_fn = found[0]
         assert K <= plan.order and tail <= budget
-        assert tail == laplace._disk_tail(TENT2.sup_bound, r, K + 1) == tail_fn(K)
+        jumps = [(Fraction(1, 2), -4), (Fraction(3, 2), 4)]  # TENT2's slope jumps
+        assert tail == laplace._disk_pl_tail(TENT2.sup_bound, jumps, 0, r, K + 1) == tail_fn(K)
         if K:
             assert tail_fn(K - 1) > budget
         orders.append(K)
@@ -357,3 +360,72 @@ def test_ball_problem_refuses_d_other_than_3():
     for d in (2, 4):
         with pytest.raises(PreconditionError, match="d = 3 only"):
             BallProblem(d, gb, Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# piecewise-linear disk data: the slope-breakpoint series against 40-digit
+# Poisson integrals
+
+SEAM = "pl 0:0 1/2:1 2:0"  # slopes 2 and -2/3: the seam carries a jump of 8/3
+
+
+@pytest.mark.parametrize("g, r0, r, theta, n", [
+    (SEAM, Fraction(9, 10), Fraction(3, 4), Fraction(1, 3), 40),
+    (SEAM, Fraction(9, 10), Fraction(3, 4), Fraction(1, 2), 40),    # theta on a breakpoint
+    (SEAM, Fraction(9, 10), Fraction(3, 4), Fraction(0), 24),       # theta on the seam
+    (SEAM, Fraction(9, 10), Fraction(0), Fraction(5, 7), 40),       # r = 0: the mean
+    (SEAM, Fraction(99, 100), Fraction(99, 100), Fraction(7, 8), 20),  # r = r0
+    ("pl 0:1e8 1:-1e8 2:1e8", Fraction(9, 10), Fraction(9, 10), Fraction(1, 3), 30),
+    ("pl 0:1/3 1/8:-2 3/4:5/2 1:0 2:1/3", Fraction(1, 2), Fraction(1, 2), Fraction(13, 8), 48),
+    # g(2) - g(0) = 10^-6 passes the seam check; the gap adds a 1/k series
+    ("pl 0:0 1/2:1 2:1/1000000", Fraction(9, 10), Fraction(3, 4), Fraction(1, 3), 40),
+])
+def test_disk_pl_values_match_poisson_oracle(g, r0, r, theta, n):
+    data = parse_boundary_fn(g)
+    cv = solve_disk(DiskProblem(data, r0), r, theta, n)
+    assert cv.err_fraction() <= Fraction(1, 2 ** n)
+    nodes = sorted({x for x, _ in (p.split(":") for p in g.split()[1:])}, key=Fraction)
+    with mp.workdps(40):
+        def gval(rho):
+            # exact linear interpolation between the nodes, in mpmath
+            for lo, hi in zip(nodes, nodes[1:]):
+                a, b = Fraction(lo), Fraction(hi)
+                if rho <= to_mp(b):
+                    ya, yb = data.eval_exact(a), data.eval_exact(b)
+                    return to_mp(ya) + (rho - to_mp(a)) * to_mp(yb - ya) / to_mp(b - a)
+            return to_mp(data.eval_exact(Fraction(2)))
+
+        cuts = sorted({to_mp(Fraction(x)) for x in nodes} | {to_mp(theta % 2)})
+        want = mp.quad(lambda rho: poisson(to_mp(r), mp.pi * (to_mp(theta) - rho))
+                       * gval(rho), cuts) / 2
+        got = to_mp(cv.value_fraction())
+        assert abs(got - want) <= to_mp(cv.err_fraction()) + mp.mpf(10) ** -35
+
+
+def test_fourier_coeffs_match_piecewise_integrals():
+    # the breakpoint form against the kept one-piece integrals, summed piece
+    # by piece, for k <= 64 and, through int_pl_trig_pi, a nonzero phase
+    g = piecewise_linear_fn([(Fraction(0), Fraction(1, 3)), (Fraction(1, 8), Fraction(-2)),
+                             (Fraction(3, 4), Fraction(5, 2)), (Fraction(1), Fraction(0)),
+                             (Fraction(2), Fraction(1, 3))])
+    pieces = linear_pieces(g)
+
+    def piecewise(k, phase, p):
+        s = c = None
+        for c0, c1, a, b in pieces:
+            ps, pc = int_linear_sin_pi(c0, c1, a, b, k, phase, p), \
+                int_linear_cos_pi(c0, c1, a, b, k, phase, p)
+            s, c = (ps, pc) if s is None else (s + ps, c + pc)
+        return s, c
+
+    def agree(x, y):
+        assert abs(x.value_fraction() - y.value_fraction()) <= x.err_fraction() + y.err_fraction()
+        assert x.err_fraction() <= Fraction(1, 2 ** 40)
+
+    for k in range(65):
+        for got, want in zip(fourier_coeffs(g, k, 40), piecewise(k, 0, 44)):
+            agree(got, want)
+    for k in range(-1, 65):
+        for got, want in zip(int_pl_trig_pi(pieces, k, Fraction(1, 3), 40),
+                             piecewise(k, Fraction(1, 3), 44)):
+            agree(got, want)

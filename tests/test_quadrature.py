@@ -13,7 +13,7 @@ from certheat.evaluable import (EvaluableFunction, TrigPoly, lipschitz_modulus,
                                 sine_modes_fn, trig_poly_fn)
 from certheat.hardness import CountingInstance, counting_integrand
 from certheat.quadrature import (int_linear_cos_pi, int_linear_sin_pi,
-                                 int_pieces_trig_pi, integral_exact, integrate)
+                                 integral_exact, integrate)
 
 mp.mp.prec = 500
 
@@ -243,21 +243,6 @@ def check_large_coefficients(c, p, a, b, phase):
             ref_c = mp.quad(lambda r: lin(r) * mp.cos(arg(r)), [to_mp(a), to_mp(b)])
             assert_encloses(int_linear_sin_pi(c0, c1, a, b, k, phase, p), ref_s, p)
             assert_encloses(int_linear_cos_pi(c0, c1, a, b, k, phase, p), ref_c, p)
-
-
-def test_int_pieces_trig_scales_for_its_largest_piece():
-    # a small piece shares its trig values with a large one
-    pieces = [(Fraction(1), Fraction(0), Fraction(0), Fraction(1, 2)),
-              (Fraction(2 ** 20), Fraction(-2 ** 20), Fraction(1, 2), Fraction(1))]
-    got_s, got_c = int_pieces_trig_pi(pieces, 3, Fraction(0), 30)
-    ref_s = ref_c = mp.mpf(0)
-    for c0, c1, a, b in pieces:
-        lin = lambda r: to_mp(c0) + to_mp(c1) * r  # noqa: E731
-        ref_s += mp.quad(lambda r: lin(r) * mp.sin(3 * mp.pi * r), [to_mp(a), to_mp(b)])
-        ref_c += mp.quad(lambda r: lin(r) * mp.cos(3 * mp.pi * r), [to_mp(a), to_mp(b)])
-    # two pieces, each within 2^-30
-    assert_encloses(got_s, ref_s, 29)
-    assert_encloses(got_c, ref_c, 29)
 
 
 def test_full_period_orthogonality():

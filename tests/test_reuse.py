@@ -1,9 +1,8 @@
 """Solving one problem object many times: reuse must not show in the results.
 
-A disk or interval problem keeps its series coefficients once it is solved
-twice at one working precision, and each solve computes only the
-coefficients its own point needs; a half-line plan serves any number of
-solves.  Neither may change a returned bit or the plan's inequality chain.
+A disk or interval problem and its plan serve any number of solves, at any
+precisions and in any order, and so does a half-line plan.  Neither may
+change a returned bit or the plan's inequality chain.
 """
 
 import random
@@ -11,8 +10,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import certheat.heat as heat
-import certheat.laplace as laplace
 from certheat.evaluable import constant_fn, piecewise_linear_fn
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, plan_halfline_boundary,
@@ -60,71 +57,6 @@ def test_interval_reuse_matches_fresh_solves():
         fresh = new_interval()
         want = solve_interval(fresh, t, x, bits, plan_interval(fresh, bits))
         assert fields(got) == fields(want)
-
-
-def counting(monkeypatch, module, name):
-    calls = [0]
-    orig = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def disk_point_order(sup, r, n):
-    """Least K with 2 sup r^(K+1) / (1 - r) <= 2^-(n+1), by linear search."""
-    K = 0
-    while 2 * sup * r ** (K + 1) / (1 - r) > F(1, 2 ** (n + 1)):
-        K += 1
-    return K
-
-
-def test_disk_keeps_coefficients_from_the_second_solve(monkeypatch):
-    # each solve needs k = 0..K(r); the first streams, the second keeps
-    # what it computes, later ones compute only the k no earlier kept solve had
-    calls = counting(monkeypatch, laplace, "fourier_coeffs")
-    p = DiskProblem(DISK_G, DISK_R0)
-    plan = plan_disk(p, 16)
-    radii = (F(1, 3), F(1, 4), F(2, 5), F(1, 2))
-    orders = [disk_point_order(DISK_G.sup_bound, r, 16) for r in radii]
-    assert all(K < plan.order for K in orders)
-    seen = []
-    for r in radii:
-        calls[0] = 0
-        solve_disk(p, r, F(1, 7), 16, plan)
-        seen.append(calls[0])
-    kept = orders[1]
-    want = [orders[0] + 1, orders[1] + 1]
-    for K in orders[2:]:
-        want.append(max(0, K - kept))
-        kept = max(kept, K)
-    assert seen == want
-
-
-def test_interval_keeps_coefficients_from_the_second_solve(monkeypatch):
-    calls = counting(monkeypatch, heat, "sine_coeff")
-    orders = []
-    orig = heat.point_order
-
-    def recorded(*args):
-        out = orig(*args)
-        orders.append(out[0])
-        return out
-
-    monkeypatch.setattr(heat, "point_order", recorded)
-    p = new_interval()
-    plan = plan_interval(p, 24)
-    seen = []
-    for t in (F(1, 4), F(1, 3), F(1, 2)):
-        calls[0] = 0
-        solve_interval(p, t, F(1, 3), 24, plan)
-        seen.append(calls[0])
-    # later times decay faster and need no mode the second solve lacked
-    assert orders == sorted(orders, reverse=True) and orders[0] <= plan.order
-    assert seen == [orders[0], orders[1], 0]
 
 
 def _boundary():

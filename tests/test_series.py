@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -130,6 +134,47 @@ def test_truncation_plan_budget():
     assert plan.total_budget() == Fraction(1, 2 ** 17)
     assert plan.validates(17)
     assert not plan.validates(18)
+
+
+# Every planner with its budget forced over 2^-n: under ``python -O`` an
+# ``assert`` would vanish and the plan would pass.
+OVER_BUDGET = """
+from fractions import Fraction as F
+import certheat.series as series
+from certheat import heat, laplace
+from certheat.evaluable import piecewise_linear_fn
+
+if __debug__:
+    raise SystemExit("not running under -O")
+series.TruncationPlan.total_budget = lambda self: F(1)
+tent = piecewise_linear_fn([(0, 0), (F(1, 2), 1), (1, 0)])
+planners = {
+    "disk": lambda: laplace.plan_disk(laplace.DiskProblem(
+        piecewise_linear_fn([(0, 0), (1, 1), (2, 0)]), F(1, 2)), 8),
+    "ball-center": lambda: laplace.plan_ball_truncation(3, 1, 0, 8),
+    "ball": lambda: laplace.plan_ball_truncation(3, 1, F(1, 2), 8),
+    "interval": lambda: heat.plan_interval(heat.IntervalHeatProblem(1, 1, tent, F(1, 4)), 8),
+    "taylor": lambda: heat.plan_halfline_boundary(heat.HalflineBoundaryProblem(
+        1, heat.poly_time_profile([0, 1]), (F(1, 2), 1)), 8),
+}
+for name, plan in planners.items():
+    try:
+        plan()
+    except AssertionError as exc:
+        if "budget" not in str(exc):
+            raise SystemExit(f"{name}: {exc}")
+    else:
+        raise SystemExit(f"{name}: an over-budget plan passed")
+"""
+
+
+def test_over_budget_plans_raise_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", OVER_BUDGET], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_least_passing_finds_least_value():
