@@ -304,8 +304,9 @@ def rotation_sum(theta, weights: list[tuple[int, int]],
             CertifiedValue(sn, 2 * W, err, 2 * W).rounded(W))
 
 
-def gauss_ladder(c: CertifiedValue, K: int, W: int) -> list[tuple[int, int]]:
-    """Scaled pairs (v, e) at scale W of e^{-c k^2} for k = 1..K, c >= 0.
+def gauss_ladder(a: Fraction, K: int, W: int) -> list[tuple[int, int]]:
+    """Scaled pairs (v, e) at scale W of e^{-c k^2}, c = pi^2 a, for
+    k = 1..K and rational a > 0.
 
     One exp: e^{-c k^2} = e^{-c (k-1)^2} e^{-c (2k-1)} and
     e^{-c (2k+1)} = e^{-c (2k-1)} e^{-2c}, each a rounded product of values
@@ -313,6 +314,7 @@ def gauss_ladder(c: CertifiedValue, K: int, W: int) -> list[tuple[int, int]]:
     linearly in k, plus about 1/c units in all from e^{-c (k-1)^2} times
     the error of e^{-c (2k-1)}; bitlen(K) + log2(1/c) guard bits absorb them.
     """
+    c = (pi_cv(W + 8) * pi_cv(W + 8)).rounded(W + 8).mul_fraction(a, W + 4)
     m, em = _scaled_from_cv(exp_cv(-c, W), W)  # e^{-c (2k-1)} at k = 1
     s, es = _smul(m, em, m, em, W)  # e^{-2c}
     q, eq = m, em

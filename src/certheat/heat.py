@@ -37,13 +37,13 @@ from typing import Callable
 
 from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
                         gauss_ladder, gauss_primitive_cv, pi_cv, pow_fraction_upper,
-                        recip_cv, recip_pi_cv, recip_sqrt_pi_cv, rotation_sum,
-                        sin_pi_mul_cv, sqrt_cv)
+                        recip_cv, recip_pi_cv, recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus, polynomial_fn, slope_jumps)
-from .quadrature import int_pl_trig_pi, integrate
+from .quadrature import (breakpoint_series, int_pl_trig_pi, integrate,
+                         trig_product_integral)
 from .series import (TruncationPlan, choose_K_disk, gaussian_tail, point_order,
                      require)
 
@@ -171,18 +171,7 @@ def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
         scaled = [(c0, c1 * L, a / L, b / L) for c0, c1, a, b in segs]
         acc, _ = int_pl_trig_pi(scaled, k, 0, prec + 2)
         return acc.mul_exact(2).rounded(prec + 2)
-
-    def ev(y: Fraction, pr: int) -> CertifiedValue:
-        return (g.eval_cv(y, pr + 2) * sin_pi_mul_cv(k * y / L, pr + 2)).rounded(pr)
-
-    trig_lip = Fraction(4 * k) / L * max(g.sup_bound, 1)
-
-    def mod(j: int) -> int:
-        return max(g.modulus(j + 1), lipschitz_modulus(trig_lip)(j + 1))
-
-    prod = EvaluableFunction(domain=g.domain, sup_bound=g.sup_bound,
-                             modulus=mod, eval_cv=ev, label="sine-mode-product")
-    return integrate(prod, 0, L, prec + 1).mul_fraction(2 / L, prec)
+    return trig_product_integral(g, k / L, "sin", prec + 1).mul_fraction(2 / L, prec)
 
 
 def _interval_decay(p: IntervalHeatProblem, t: Fraction) -> tuple[Fraction, Fraction]:
@@ -220,8 +209,7 @@ def plan_interval(p: IntervalHeatProblem, n: int) -> TruncationPlan:
 def solve_interval(p: IntervalHeatProblem, t, x, n: int,
                    plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(t, x) with |error| <= 2^-n for t >= t0, summing only the
-    modes t needs; the plan's order caps them.  Piecewise-linear data sums
-    over its slope breakpoints (:func:`_solve_interval_pl`)."""
+    modes t needs; the plan's order caps them."""
     t, x = as_fraction(t), as_fraction(x)
     if t < p.t0:
         raise PreconditionError("evaluation time below the declared t0")
@@ -261,14 +249,9 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
 
 def _solve_interval_pl(L: Fraction, pieces, rate: Fraction, x: Fraction, K: int,
                        n: int) -> CertifiedValue:
-    """Modes 1..K at x of piecewise-linear g, decay e^{-c k^2}, c = pi^2 rate.
-
-    By parts, mu_k = 2 (g(0) - (-1)^k g(L)) / (pi k)
-    - 2 L sum_j D_j sin(k pi y_j / L) / (pi k)^2, D_j the slope jump at the
-    interior breakpoint y_j.  With sin a sin b = (cos(a - b) - cos(a + b)) / 2
-    each jump costs two rotations, at (y_j -+ x) / L, and the ends one, at
-    x / L; e^{-c k^2} comes from one exp by :func:`gauss_ladder`.
-    """
+    """Modes 1..K at x of piecewise-linear g, decay e^{-c k^2}, c = pi^2 rate:
+    by parts, mu_k = 2 (g(0) - (-1)^k g(L)) / (pi k) - 2 L sum_j D_j
+    sin(k pi y_j / L) / (pi k)^2 over the slope jumps D_j at y_j."""
     c0, c1, _, _ = pieces[-1]
     g0, gL = pieces[0][0], c0 + c1 * L
     jumps = slope_jumps(pieces)
@@ -276,25 +259,11 @@ def _solve_interval_pl(L: Fraction, pieces, rate: Fraction, x: Fraction, K: int,
     # the ladder's bounds reach about K + 1/c units, and c >= 9 rate
     W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1))) \
         + max(0, _log2_ceil(max(1 / rate, 1)))
-    pisq = (pi_cv(W + 8) * pi_cv(W + 8)).rounded(W + 8)
-    decay = gauss_ladder(pisq.mul_fraction(rate, W + 4), K, W)
-    rp = recip_pi_cv(W + 4)
-    acc = CertifiedValue.zero()
-    if jumps:  # e^{-c k^2} / k^2: the quotient adds one unit, the bound
-        w2 = [(v // (k * k), e // (k * k) + 2) for k, (v, e) in enumerate(decay, 1)]
-        series = CertifiedValue.zero()
-        for y, d in jumps:
-            diff = rotation_sum((y - x) / L, w2, W)[0] - rotation_sum((y + x) / L, w2, W)[0]
-            series = series + diff.mul_fraction(d, W)
-        acc = acc - (series * rp * rp).mul_fraction(L, W)
-    if g0 or gL:  # e^{-c k^2} (g(0) - (-1)^k g(L)) / k, floored
-        ends = []
-        for k, (v, e) in enumerate(decay, 1):
-            a = g0 - gL if k % 2 == 0 else g0 + gL
-            ends.append(((v * a.numerator) // (a.denominator * k),
-                         _ceil_div(e * abs(a.numerator), a.denominator * k) + 1))
-        acc = acc + (rotation_sum(x / L, ends, W)[1] * rp).mul_exact(2)
-    out = acc.rounded(n + 4)
+    decay = gauss_ladder(rate, K, W)
+    cos_terms = [((y - x) / L, L * d) for y, d in jumps] + [((y + x) / L, -L * d) for y, d in jumps]
+    # (-1)^k sin(k pi x / L) = sin(k pi (x / L + 1))
+    sin_terms = [(t, c) for t, c in ((x / L, 2 * g0), (x / L + 1, -2 * gL)) if c]
+    out = breakpoint_series(decay, cos_terms, sin_terms, W).rounded(n + 4)
     require("interval assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
     return out
 

@@ -25,14 +25,14 @@ from fractions import Fraction
 from math import factorial
 
 from .certified import (CertifiedValue, _exact_cv, cos_pi_mul_cv,
-                        recip_pi_cv, rotation_pi, rotation_sum, sin_pi_mul_cv)
+                        rotation_pi, sin_pi_mul_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus, slope_jumps)
 from .kernels import real_sph_harmonic_3d, sph_count
-from .quadrature import (DEFAULT_MAX_PANELS, int_pl_trig_pi, integral_exact,
-                         integrate)
+from .quadrature import (DEFAULT_MAX_PANELS, breakpoint_series, int_pl_trig_pi,
+                         integral_exact, integrate, trig_product_integral)
 from .series import (TruncationPlan, choose_K_disk, higher_arith_geom,
                      least_passing, point_order, require)
 
@@ -89,26 +89,8 @@ def fourier_coeffs(g: EvaluableFunction, k: int, prec: int):
     if pieces is not None:
         a, b = int_pl_trig_pi(pieces, k, 0, prec + 2)
         return a.rounded(prec + 2), b.rounded(prec + 2)
-    return (_product_quadrature(g, k, "sin", prec),
-            _product_quadrature(g, k, "cos", prec))
-
-
-def _product_quadrature(g: EvaluableFunction, k: int, kind: str, prec: int) -> CertifiedValue:
-    """Modulus-driven fallback for boundaries without declared structure."""
-    trig = sin_pi_mul_cv if kind == "sin" else cos_pi_mul_cv
-
-    def ev(rho: Fraction, p: int) -> CertifiedValue:
-        return (g.eval_cv(rho, p + 2) * trig(k * rho, p + 2)).rounded(p)
-
-    # |d/drho trig(k pi rho)| <= 4k, |product'| <= 4k sup + Lip_g
-    trig_lip = Fraction(4 * max(k, 1)) * max(g.sup_bound, 1)
-
-    def mod(j: int) -> int:
-        return max(g.modulus(j + 1), lipschitz_modulus(trig_lip)(j + 1))
-
-    prod = EvaluableFunction(domain=g.domain, sup_bound=g.sup_bound,
-                             modulus=mod, eval_cv=ev, label="fourier-product")
-    return integrate(prod, g.domain[0], g.domain[1], prec)
+    return (trig_product_integral(g, k, "sin", prec),
+            trig_product_integral(g, k, "cos", prec))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +189,8 @@ def _solve_disk_pl(sup: Fraction, pieces, r: Fraction, theta: Fraction, n: int,
     u = mean(g) - (J / pi) sum_k r^k sin(k pi theta) / k
         - pi^-2 sum_j D_j sum_k r^k cos(k pi (rho_j - theta)) / k^2,
     each inner sum the real part of Li_2(r e^{i pi (rho_j - theta)}) cut at
-    K (Lewin 1981; DLMF 25.12).  It takes one rotation per jump and no
-    Fourier coefficient; the terms past K are at most
-    (sum |D_j| / (pi k)^2 + |J| / (pi k)) r^k.
+    K (Lewin 1981; DLMF 25.12): one rotation per jump and no Fourier
+    coefficient (:func:`breakpoint_series`).
     """
     c0, c1, _, _ = pieces[-1]
     gap = c0 + 2 * c1 - pieces[0][0]  # g(2) - g(0)
@@ -219,24 +200,14 @@ def _solve_disk_pl(sup: Fraction, pieces, r: Fraction, theta: Fraction, n: int,
     size = sum((abs(d) for _, d in jumps), abs(gap))
     W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1)))
     _, area = int_pl_trig_pi(pieces, 0, 0, W)
-    acc = area.mul_fraction(Fraction(1, 2), W)
-    # rk stays less than k units below 2^W r^k (each floor loses under one
-    # unit, and r <= 1 shrinks the earlier losses), so rk // k^2 and rk // k
-    # are within 2 units of r^k / k^2 and r^k / k
-    w2, w1 = [], []
-    rk, num, den = 1 << W, r.numerator, r.denominator
+    # each floor loses under a unit and r <= 1 shrinks the earlier losses,
+    # so rk stays less than k units below 2^W r^k
+    decay, rk = [], 1 << W
     for k in range(1, K + 1):
-        rk = rk * num // den
-        w2.append((rk // (k * k), 2))
-        if gap:
-            w1.append((rk // k, 2))
-    rp = recip_pi_cv(W + 4)
-    series = CertifiedValue.zero()
-    for rho, d in jumps:
-        series = series + rotation_sum(rho - theta, w2, W)[0].mul_fraction(d, W)
-    acc = acc - (series * rp * rp).rounded(W)
-    if gap:
-        acc = acc - (rotation_sum(theta, w1, W)[1] * rp).mul_fraction(gap, W)
+        rk = rk * r.numerator // r.denominator
+        decay.append((rk, k))
+    acc = area.mul_fraction(Fraction(1, 2), W) + breakpoint_series(
+        decay, [(rho - theta, d) for rho, d in jumps], [(theta, -gap)] if gap else [], W)
     out = acc.rounded(n + 4)
     require("disk assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
     return out.widen_fraction(tail)

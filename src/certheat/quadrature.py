@@ -18,7 +18,9 @@ Two regimes:
 
 Piecewise-linear data times sin or cos of a rational multiple of pi has a
 closed form with one term per slope breakpoint (:func:`int_pl_trig_pi`),
-which the exact Fourier and sine coefficients use.
+which the exact Fourier and sine coefficients use; summed over the modes of
+a disk or interval solution, the same form is one rotation per breakpoint
+(:func:`breakpoint_series`).
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .certified import (CertifiedValue, _ceil_div, cos_pi_mul_cv,
-                        recip_pi_cv, sin_pi_mul_cv)
+                        recip_pi_cv, rotation_sum, sin_pi_mul_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
-from .evaluable import EvaluableFunction, _log2_ceil, slope_jumps
+from .evaluable import EvaluableFunction, _log2_ceil, lipschitz_modulus, slope_jumps
 
 DEFAULT_MAX_PANELS = 1 << 22
 
@@ -141,6 +143,23 @@ def _integrate_modulus(fn: EvaluableFunction, lo: Fraction, hi: Fraction,
     return acc.widen_fraction(width * Fraction(1, 2 ** k))
 
 
+def trig_product_integral(g: EvaluableFunction, freq, kind: str, p: int) -> CertifiedValue:
+    """Integral of g(y) times sin or cos (``kind``) of pi freq y over g's
+    domain, modulus-driven: the coefficient route for data without
+    declared structure."""
+    trig = sin_pi_mul_cv if kind == "sin" else cos_pi_mul_cv
+
+    def ev(y: Fraction, pr: int) -> CertifiedValue:
+        return (g.eval_cv(y, pr + 2) * trig(freq * y, pr + 2)).rounded(pr)
+
+    # |d/dy trig(pi freq y)| <= 4 freq, |product'| <= 4 freq sup + Lip_g
+    lip = lipschitz_modulus(4 * max(freq, 1) * max(g.sup_bound, 1))
+    prod = EvaluableFunction(domain=g.domain, sup_bound=g.sup_bound,
+                             modulus=lambda j: max(g.modulus(j + 1), lip(j + 1)),
+                             eval_cv=ev, label="trig-product")
+    return integrate(prod, *g.domain, p)
+
+
 # ---------------------------------------------------------------------------
 # closed forms for piecewise-linear data times trig, angles in units of pi
 #
@@ -208,3 +227,26 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
     sin_int = (ds * rp2).mul_fraction(ik2, pp) - (vs * rp).mul_fraction(ik, pp)
     cos_int = (dc * rp2).mul_fraction(ik2, pp) + (vc * rp).mul_fraction(ik, pp)
     return sin_int.rounded(p + 4), cos_int.rounded(p + 4)
+
+
+def breakpoint_series(decay: list[tuple[int, int]], cos_terms, sin_terms,
+                      W: int) -> CertifiedValue:
+    """sum over k = 1..K of d_k (sum of c sin(k pi t) / (pi k) over (t, c) in
+    sin_terms - sum of c cos(k pi t) / (pi k)^2 over (t, c) in cos_terms).
+
+    This is the series :func:`int_pl_trig_pi`'s closed form leaves in a
+    solution: end values give 1/k terms, slope jumps 1/k^2 terms, and the
+    mode decay d_k (r^k on the disk, e^{-c k^2} on the interval) arrives as
+    ``decay[k - 1]``, a scaled pair (v, e) at scale W.  Each term is one
+    :func:`rotation_sum`; 1/pi is formed once.
+    """
+    rp = recip_pi_cv(W + 4)
+    out = CertifiedValue.zero()
+    for terms, power, part, factor in ((cos_terms, 2, 0, -(rp * rp)), (sin_terms, 1, 1, rp)):
+        if terms:  # d_k / k^power: the floor adds a unit, and so does e's
+            w = [(v // k ** power, e // k ** power + 2) for k, (v, e) in enumerate(decay, 1)]
+            acc = CertifiedValue.zero()
+            for t, c in terms:
+                acc = acc + rotation_sum(t, w, W)[part].mul_fraction(c, W)
+            out = out + (acc * factor).rounded(W)
+    return out

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 import certheat.heat as heat
+import certheat.quadrature as quadrature
 from certheat.certified import CertifiedValue, exp_cv
 from certheat.errors import PreconditionError, QuadratureBudgetError
 from certheat.evaluable import (constant_fn, piecewise_linear_fn,
@@ -126,7 +127,7 @@ def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
     p = IntervalHeatProblem(F(1), F(1), tent, t0)
     plan = plan_interval(p, n)
     found, summed = [], []
-    orig_order, orig_sum = heat.point_order, heat.rotation_sum
+    orig_order, orig_sum = heat.point_order, quadrature.rotation_sum
 
     def order(tail, n_, cap, label):
         out = orig_order(tail, n_, cap, label)
@@ -138,7 +139,7 @@ def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
         return orig_sum(theta, weights, W)
 
     monkeypatch.setattr(heat, "point_order", order)
-    monkeypatch.setattr(heat, "rotation_sum", rotation_sum)
+    monkeypatch.setattr(quadrature, "rotation_sum", rotation_sum)
     budget = F(1, 2 ** (n + 1))
     for t in (t0, 8 * t0):
         found.clear()
