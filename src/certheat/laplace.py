@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .certified import (CertifiedValue, _exact_cv, cos_pi_mul_cv,
-                        rotation_pi, sin_pi_mul_cv)
+from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, rotation_pi
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
