@@ -99,9 +99,10 @@ class EvaluableFunction:
     sine_L: Optional[Fraction] = None
     breakpoints: Optional[list[Fraction]] = None
     linear_segments: Optional[int] = None
-    # exact value at the midpoint of uniform segment j, a + (j + 1/2) w:
-    # equal to eval_exact there, but read by index
-    segment_value: Optional[Callable[[int], Fraction]] = None
+    # exact sum over uniform segments first .. last - 1 of the value at each
+    # midpoint a + (j + 1/2) w: equal to summing eval_exact there, but one
+    # call for the whole run
+    segment_sum: Optional[Callable[[int, int], Fraction]] = None
     poly_coeffs: Optional[list[Fraction]] = None
     smooth_model: object = None
     hardness: object = None

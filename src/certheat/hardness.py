@@ -14,8 +14,6 @@ grows with instance size.
 from __future__ import annotations
 
 import os
-import statistics
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -88,9 +86,10 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
     index = assignment of item i.  Accepted cells carry a tent of height
     2^{1-n_vars} and half-width 2^{-n_vars-1} (slope 4), vanishing at cell
     edges.  The linear pieces are the 2^{n_vars+1} half-cells; half-cell j
-    lies in cell j >> 1, and its midpoint value, read by index through
-    ``segment_value``, is the tent's 2^{-n_vars} or zero.  One verifier call
-    per evaluation or per half-cell read; the returned function exposes the
+    lies in cell j >> 1, and its midpoint value is the tent's 2^{-n_vars} or
+    zero.  ``segment_sum(first, last)`` counts the accepted half-cells of a
+    run and returns that count times 2^{-n_vars}.  One verifier call per
+    evaluation or per half-cell of a run; the returned function exposes the
     call counter as ``verifier_calls()``.
     """
     nv = inst.n_vars
@@ -99,7 +98,6 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
             f"instance has {nv} items, cap is {max_vars_cap()} (CERTHEAT_MAX_VARS)")
     cells = 1 << nv
     height = Fraction(2, cells)
-    mid_height = Fraction(1, cells)  # the tent halfway between edge and center
     zero = Fraction(0)
     calls = [0]
 
@@ -112,9 +110,13 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
         bump = height - 4 * abs(x - center)
         return bump if bump > 0 else zero
 
-    def segment_value(j: int) -> Fraction:
-        calls[0] += 1
-        return mid_height if inst.accepts(j >> 1) else zero
+    def segment_sum(first: int, last: int) -> Fraction:
+        # the tent is 2^{-n_vars} halfway between edge and center; accepts is
+        # looked up per run so that a wrapper on the class sees every call
+        accepts = inst.accepts
+        hits = sum(1 for j in range(first, last) if accepts(j >> 1))
+        calls[0] += last - first
+        return Fraction(hits, cells)
 
     fn = EvaluableFunction(
         domain=(Fraction(0), Fraction(1)),
@@ -124,7 +126,7 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
         label=f"counting-{nv}",
         eval_exact=value,
         linear_segments=2 * cells,
-        segment_value=segment_value,
+        segment_sum=segment_sum,
     )
     fn.verifier_calls = lambda: calls[0]
     return fn
@@ -212,6 +214,8 @@ def measure_blowup(family: list[CountingInstance], pipeline: str,
     Per-record failures (size cap, precision shortfall) are recorded with
     ok=False and the run continues.
     """
+    import statistics  # only here: importing it would slow every CLI start-up
+    import time
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}, have {sorted(PIPELINES)}")
     solver = PIPELINES[pipeline]

@@ -6,9 +6,9 @@ Two regimes:
   exact evaluation, integrate exactly: the midpoint rule is exact on each
   linear piece, so one exact midpoint value per segment (clipped to the
   requested range) gives the true integral, a rational rounded once.  A
-  uniform grid is walked by integer segment index; data that gives its
-  midpoint values by index (``segment_value``) is read without building any
-  midpoint.
+  uniform grid is walked by integer segment index; data that sums its
+  midpoint values over a run of indices (``segment_sum``) hands over the
+  whole run in one call, without building any midpoint.
 * Generic continuous functions fall back to composite midpoint driven by the
   declared modulus of continuity.  The error bound is (b-a) * 2^-k per the
   modulus contract, which forces a panel count that can be astronomically
@@ -83,13 +83,14 @@ def integral_exact(fn: EvaluableFunction, lo: Fraction,
 def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Fraction:
     """Midpoint sum over the uniform cells of fn that meet [lo, hi].
 
-    Cells lying inside [lo, hi] are walked by integer index j; the value at
-    cell j's midpoint comes from ``fn.segment_value(j)`` when fn declares it,
-    otherwise from ``eval_exact`` at a midpoint built from integers.  The
-    values are added exactly as numerator sums per denominator and
-    multiplied by the common width once.  The parts of cells that [lo, hi]
-    clips are separate exact terms on ``eval_exact``.  One evaluation per
-    cell or clipped part, no grid list.
+    Cells lying inside [lo, hi] form one run of integer indices
+    first .. last - 1.  When fn declares ``segment_sum``, one call gives the
+    run's exact sum of midpoint values; otherwise each cell's value comes
+    from ``eval_exact`` at a midpoint built from integers, added exactly as
+    numerator sums per denominator.  The sum is multiplied by the common
+    width once.  The parts of cells that [lo, hi] clips are separate exact
+    terms on ``eval_exact``.  One evaluation per clipped part and, without
+    the hook, per cell; no grid list.
     """
     a, b = fn.domain
     f = fn.eval_exact
@@ -101,24 +102,22 @@ def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Frac
     ends = Fraction(0)
     if lo < x0:
         ends += f((lo + x0) / 2) * (x0 - lo)
-    mid = fn.segment_value
-    if mid is None:
+    if fn.segment_sum is not None:
+        inner = fn.segment_sum(first, last)
+    else:
         # the midpoint of cell j is (base + (2j + 1) step) / den
         half = w / 2
         den = math.lcm(a.denominator, half.denominator)
         base = a.numerator * (den // a.denominator)
         step = half.numerator * (den // half.denominator)
-
-        def mid(j: int) -> Fraction:
-            return f(Fraction(base + (2 * j + 1) * step, den))
-
-    sums = defaultdict(int)  # denominator -> sum of numerators
-    for j in range(first, last):
-        v = mid(j)
-        sums[v.denominator] += v.numerator
+        sums = defaultdict(int)  # denominator -> sum of numerators
+        for j in range(first, last):
+            v = f(Fraction(base + (2 * j + 1) * step, den))
+            sums[v.denominator] += v.numerator
+        inner = sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
     if x1 < hi:
         ends += f((x1 + hi) / 2) * (hi - x1)
-    return ends + w * sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
+    return ends + w * inner
 
 
 def _integrate_modulus(fn: EvaluableFunction, lo: Fraction, hi: Fraction,

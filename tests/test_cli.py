@@ -200,17 +200,28 @@ def test_verify_cli_reports_checks(capsys):
     assert lines[-1].endswith("checks passed")
 
 
-def test_import_leaves_the_verify_suites_out():
-    # only `certheat verify` needs the self-check suites; every other
-    # process skips their import
+def assert_cli_import_skips(module):
+    """A fresh `import certheat.cli` leaves `module` out of sys.modules."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, certheat.cli\n"
-            "raise SystemExit('certheat.verify' in sys.modules)")
+            f"raise SystemExit({module!r} in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == 0, (module, run.stderr)
+
+
+def test_import_leaves_the_verify_suites_out():
+    # only `certheat verify` needs the self-check suites; every other
+    # process skips their import
+    assert_cli_import_skips("certheat.verify")
+
+
+def test_import_leaves_statistics_out():
+    # only the blowup benchmark's median needs statistics, and its import
+    # costs start-up time in every other process
+    assert_cli_import_skips("statistics")
 
 
 def test_halfline_solve_records_plan_params(tmp_path, capsys):

@@ -132,22 +132,26 @@ def test_one_verifier_call_per_evaluation():
     assert fn.verifier_calls() == len(pts) + 1
 
 
-def test_segment_value_is_the_midpoint_value():
-    # read by half-cell index, the integrand gives its exact value at that
-    # half-cell's midpoint, accepted cells included, one verifier call each
+def test_segment_sum_is_the_sum_of_midpoint_values():
+    # over a run of half-cell indices, the integrand gives the exact sum of
+    # its values at those half-cells' midpoints, one verifier call per
+    # half-cell of the run, the empty run included
     rng = random.Random(47)
     for nv in (1, 2, 4, 7, 10):
         inst = random_instance(rng, nv)
         fn = counting_integrand(inst)
         segments = fn.linear_segments
         assert segments == 2 ** (nv + 1)
-        accepted = 0
-        for j in range(segments):
-            v = fn.segment_value(j)
-            assert v == fn.eval_exact(Fraction(2 * j + 1, 2 * segments)), (nv, j)
-            accepted += v != 0
+        half = segments // 2
+        for first, last in ((0, segments), (1, segments - 1), (1, half + 1),
+                            (half - 1, segments), (3, 3), (segments, segments)):
+            want = sum((fn.eval_exact(Fraction(2 * j + 1, 2 * segments))
+                        for j in range(first, last)), Fraction(0))
+            before = fn.verifier_calls()
+            assert fn.segment_sum(first, last) == want, (nv, first, last)
+            assert fn.verifier_calls() - before == last - first, (nv, first, last)
+        accepted = fn.segment_sum(0, segments) * 2 ** nv
         assert accepted == 2 * brute_force_count(inst) > 0, nv
-        assert fn.verifier_calls() == 2 * segments
 
 
 def test_recover_count_examples():
@@ -212,23 +216,34 @@ def test_reduction_values_are_exact_counts():
 def test_pipelines_visit_every_cell_once(monkeypatch):
     # the paper's hardness: each pipeline evaluates the integrand once per
     # linear piece, 2^(n_vars + 1) verifier calls; the disk closure reads
-    # h(0) and h(1) once more, and its bridge costs none
+    # h(0) and h(1) once more, and its bridge costs none.  The integrand's
+    # counter is added per run of half-cells, so the real calls of the
+    # verifier are counted as well
     built = []
     orig = hardness.counting_integrand
+    orig_accepts = CountingInstance.accepts
+    real = [0]
 
     def capture(inst):
         built.append(orig(inst))
         return built[-1]
 
+    def accepts(self, assignment):
+        real[0] += 1
+        return orig_accepts(self, assignment)
+
     monkeypatch.setattr(hardness, "counting_integrand", capture)
+    monkeypatch.setattr(CountingInstance, "accepts", accepts)
     rng = random.Random(43)
     for nv in (3, 6, 9):
         inst = random_instance(rng, nv)
         for name, pipe in PIPELINES.items():
             built.clear()
+            real[0] = 0
             pipe(inst, precision_for(inst))
             calls = sum(fn.verifier_calls() for fn in built)
-            assert calls == 2 ** (nv + 1) + (2 if name == "disk" else 0), (name, nv)
+            want = 2 ** (nv + 1) + (2 if name == "disk" else 0)
+            assert calls == real[0] == want, (name, nv, calls, real[0])
 
 
 def test_disk_pipeline_against_full_series_solve():

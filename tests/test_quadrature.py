@@ -90,8 +90,8 @@ def test_uniform_grid_matches_naive_midpoint_sum():
               (F(3, 100), F(4, 100)), (F(1, 32), F(2, 32)),              # one cell
               (F(1, 32), F(33, 1000)), (F(0), F(1, 3)), (F(5, 7), F(1))]
     for lo, hi in ranges:
-        # the counting integrand reads whole segments through segment_value
-        # and clipped parts through eval_exact: one verifier call each
+        # the counting integrand sums whole segments through segment_sum
+        # and reads clipped parts through eval_exact: one verifier call each
         fn = counting_integrand(inst)
         want, segments = naive_midpoint_sum(fn, lo, hi)
         before = fn.verifier_calls()
@@ -109,21 +109,29 @@ def test_uniform_grid_matches_naive_midpoint_sum():
             assert calls[0] == segments
 
 
-def test_uniform_grid_reads_segment_values_by_index():
-    # whole segments come from segment_value(j), indexed from the domain's
-    # start; only the clipped parts evaluate a point
+def test_uniform_grid_sums_segment_runs_in_one_call():
+    # whole segments come from one segment_sum(first, last) call, indexed
+    # from the domain's start; only the clipped parts evaluate a point
     F = Fraction
     for domain in ((F(1, 3), F(5, 3)), (F(-2, 5), F(7, 9))):
         fn, calls = counted(uniform_square(domain, 7))
         a, b = domain
         w = (b - a) / 7
-        fn.segment_value = lambda j, a=a, w=w: (a + (j + F(1, 2)) * w) ** 2
-        for lo, hi, clipped in ((a, b, 0), (a + F(1, 11), b - F(1, 13), 2),
-                                (a + w, a + 3 * w + F(1, 50), 1)):
+        runs = []
+
+        def segment_sum(first, last, a=a, w=w):
+            runs.append((first, last))
+            return sum(((a + (j + F(1, 2)) * w) ** 2 for j in range(first, last)), F(0))
+
+        fn.segment_sum = segment_sum
+        for lo, hi, clipped, run in ((a, b, 0, (0, 7)), (a + F(1, 11), b - F(1, 13), 2, (1, 6)),
+                                     (a + w, a + 3 * w + F(1, 50), 1, (1, 3))):
             want, _ = naive_midpoint_sum(fn, lo, hi)
             calls[0] = 0
+            runs.clear()
             assert integral_exact(fn, lo, hi) == want, (domain, lo, hi)
             assert calls[0] == clipped, (domain, lo, hi)
+            assert runs == [run], (domain, lo, hi)
 
 
 def test_breakpoint_grid_matches_naive_midpoint_sum():
