@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from fractions import Fraction
@@ -21,8 +20,6 @@ from .dyadic import round_to
 from .errors import CertHeatError, ConfigError, PreconditionError
 from .evaluable import (EvaluableFunction, TrigPoly, constant_fn,
                         piecewise_linear_fn, sine_modes_fn, trig_poly_fn)
-from .hardness import (CountingInstance, PIPELINES, counting_integrand,
-                       measure_blowup, random_instance, render_csv)
 from .heat import (HalflineBoundaryProblem, HalflineForceProblem,
                    IntervalHeatProblem, plan_halfline_boundary,
                    plan_halfline_force, plan_halfline_initial, plan_interval,
@@ -200,6 +197,7 @@ def parse_force_fn(spec: str) -> EvaluableFunction:
     if kind == "poly":
         return parse_profile(spec)
     if kind == "counting":
+        from .hardness import CountingInstance, counting_integrand  # counting data only
         parts = rest.split()
         if len(parts) < 2:
             raise ConfigError("counting: need a target and at least one weight")
@@ -400,6 +398,11 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
+    import random  # only this subcommand draws instances and measures them
+
+    from .hardness import (CountingInstance, PIPELINES, measure_blowup,
+                           random_instance, render_csv)
+
     if not args.config:
         raise ConfigError("bench needs --config")
     cfg = parse_config(args.config)

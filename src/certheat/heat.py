@@ -30,8 +30,9 @@ solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, perm
 from typing import Callable
 
@@ -140,12 +141,16 @@ def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
 
 @dataclass
 class IntervalHeatProblem:
-    """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0."""
+    """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0.
+
+    ``pieces`` is ``linear_pieces(g)``, read once here for every solve.
+    """
 
     L: Fraction
     alpha: Fraction
     g: EvaluableFunction
     t0: Fraction
+    pieces: list | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.L = as_fraction(self.L)
@@ -155,6 +160,7 @@ class IntervalHeatProblem:
             raise PreconditionError("L, alpha and t0 must be positive")
         if self.g.domain != (Fraction(0), self.L):
             raise PreconditionError("initial data must live on [0, L]")
+        self.pieces = linear_pieces(self.g)
 
 
 def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
@@ -165,7 +171,7 @@ def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
     if g.sine_modes is not None and g.sine_L == L:
         # orthogonality reads the coefficient off exactly
         return _exact_cv(g.sine_modes.get(k, Fraction(0)), prec)
-    segs = linear_pieces(g)
+    segs = p.pieces
     if segs is not None:
         # substitute y = L rho so the oscillation is in pi-units
         scaled = [(c0, c1 * L, a / L, b / L) for c0, c1, a, b in segs]
@@ -174,19 +180,39 @@ def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
     return trig_product_integral(g, k / L, "sin", prec + 1).mul_fraction(2 / L, prec)
 
 
-def _interval_decay(p: IntervalHeatProblem, t: Fraction) -> tuple[Fraction, Fraction]:
-    """(upper bound on e^{-pi^2 alpha t / L^2}, tail constant C)."""
+# What depends only on the time slice rate = alpha t / L^2 (and on the
+# precision) is computed once per process: the grid of one problem, and of
+# problems sharing a rate, asks for a few slices many times.  The caches are
+# bounded; the ladder is a tuple, so no caller can change a shared result.
+
+
+@lru_cache(maxsize=256)
+def _decay_bound(rate: Fraction) -> Fraction:
+    """Upper bound rho < 1 on e^{-pi^2 rate}, the per-mode decay."""
     pisq = (pi_cv(80) * pi_cv(80)).rounded(80)
-    expo = pisq.mul_fraction(-p.alpha * t / (p.L * p.L), 76)
-    rho = exp_cv(expo, 70).upper_fraction()
+    rho = exp_cv(pisq.mul_fraction(-rate, 76), 70).upper_fraction()
     if rho >= 1:
         raise AssertionError("decay bound failed to certify a rate below one")
-    return rho, 2 * p.g.sup_bound / (1 - rho)
+    return rho
+
+
+@lru_cache(maxsize=256)
+def _mode_count(scale: Fraction, rho: Fraction, n: int, cap: int) -> tuple[int, Fraction]:
+    """(K, tail) of :func:`point_order` for modes of size <= scale decaying
+    like rho^(k^2)."""
+    return point_order(lambda m: gaussian_tail(scale, rho, m + 1), n, cap,
+                       "interval point tail")
+
+
+@lru_cache(maxsize=256)
+def _ladder(rate: Fraction, K: int, W: int) -> tuple:
+    return tuple(gauss_ladder(rate, K, W))
 
 
 def plan_interval(p: IntervalHeatProblem, n: int) -> TruncationPlan:
     """Mode count K*(n+1), geometric in the per-mode decay at t0."""
-    rho, C = _interval_decay(p, p.t0)
+    rho = _decay_bound(p.alpha * p.t0 / (p.L * p.L))
+    C = 2 * p.g.sup_bound / (1 - rho)
     K = choose_K_disk(C, rho)
     order = K * (n + 1)
     plan = TruncationPlan(order,
@@ -218,16 +244,13 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
     if plan is None:
         plan = plan_interval(p, n)
     order = plan.order
+    rate = p.alpha * t / (p.L * p.L)
     if plan.params.get("capped"):  # declared modes past the order are zero
         K, extra = order, Fraction(0)
     else:  # |mu_k| <= 2||g|| and mode k decays like rho^(k^2)
-        rho = _interval_decay(p, t)[0]
-        K, extra = point_order(lambda m: gaussian_tail(2 * p.g.sup_bound, rho, m + 1),
-                               n, order, "interval point tail")
-    rate = p.alpha * t / (p.L * p.L)
-    pieces = linear_pieces(p.g)
-    if pieces is not None:
-        return _solve_interval_pl(p.L, pieces, rate, x, K, n).widen_fraction(extra)
+        K, extra = _mode_count(2 * p.g.sup_bound, _decay_bound(rate), n, order)
+    if p.pieces is not None:
+        return _solve_interval_pl(p.L, p.pieces, rate, x, K, n).widen_fraction(extra)
     ks = (sorted(k for k in p.g.sine_modes if 1 <= k <= order)
           if p.g.sine_modes is not None and p.g.sine_L == p.L
           else range(1, order + 1))
@@ -259,7 +282,7 @@ def _solve_interval_pl(L: Fraction, pieces, rate: Fraction, x: Fraction, K: int,
     # the ladder's bounds reach about K + 1/c units, and c >= 9 rate
     W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1))) \
         + max(0, _log2_ceil(max(1 / rate, 1)))
-    decay = gauss_ladder(rate, K, W)
+    decay = _ladder(rate, K, W)
     cos_terms = [((y - x) / L, L * d) for y, d in jumps] + [((y + x) / L, -L * d) for y, d in jumps]
     # (-1)^k sin(k pi x / L) = sin(k pi (x / L + 1))
     sin_terms = [(t, c) for t, c in ((x / L, 2 * g0), (x / L + 1, -2 * gL)) if c]

@@ -20,9 +20,10 @@ other data integrates each coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from typing import Callable
 
 from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, rotation_pi
 from .dyadic import as_fraction
@@ -41,11 +42,13 @@ class DiskProblem:
     """Dirichlet data on the unit circle with a guaranteed evaluation radius.
 
     g lives on [0,2] in pi-units; r0 < 1 bounds where solutions will be
-    requested, and the tail constant scales like 1/(1-r0).
+    requested, and the tail constant scales like 1/(1-r0).  ``pieces`` is
+    ``linear_pieces(g)``, read once here for every solve.
     """
 
     g: EvaluableFunction
     r0: Fraction
+    pieces: list | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.r0 = as_fraction(self.r0)
@@ -59,6 +62,7 @@ class DiskProblem:
         gap = abs(a.value_fraction() - b.value_fraction())
         if gap > a.err_fraction() + b.err_fraction() + Fraction(1, 2 ** 18):
             raise PreconditionError("boundary data is not periodic at the seam")
+        self.pieces = linear_pieces(self.g)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +146,8 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
         raise PreconditionError("evaluation radius exceeds the declared r0")
     if plan is None:
         plan = plan_disk(p, n)
-    pieces = linear_pieces(p.g)
-    if pieces is not None:
-        return _solve_disk_pl(p.g.sup_bound, pieces, r, theta, n, plan.order)
+    if p.pieces is not None:
+        return _solve_disk_pl(p.g.sup_bound, p.pieces, r, theta, n, plan.order)
     ks = _coeff_indices(p.g, plan.order)
     pc = n + 1 + max(1, len(ks) + 1).bit_length() + 3 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
@@ -169,13 +172,20 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
 _PI_LO = Fraction(157, 50)  # < pi
 
 
-def _disk_pl_tail(sup: Fraction, jumps, gap: Fraction, r: Fraction, start: int) -> Fraction:
-    """Bound on the breakpoint series' terms k >= start >= 1: term k is at
-    most (sum |D_j| / (pi k)^2 + |J| / (pi k)) r^k, and at most the
-    2 ||g|| r^k that :func:`_disk_tail` charges."""
-    per = sum((abs(d) for _, d in jumps), Fraction(0)) / (_PI_LO * start) ** 2 \
-        + abs(gap) / (_PI_LO * start)
-    return min(per, 2 * sup) * r ** start / (1 - r)
+def _disk_pl_tail(sup: Fraction, jumps, gap: Fraction,
+                  r: Fraction) -> Callable[[int], Fraction]:
+    """Bound on the breakpoint series' terms k >= start >= 1, as a function
+    of start: term k is at most (sum |D_j| / (pi k)^2 + |J| / (pi k)) r^k,
+    and at most the 2 ||g|| r^k that :func:`_disk_tail` charges.  What does
+    not depend on start is formed once, outside the point-order search."""
+    span = 1 - r
+    jump_part = sum((abs(d) for _, d in jumps), Fraction(0)) / (_PI_LO * _PI_LO * span)
+    gap_part, ceiling = abs(gap) / (_PI_LO * span), 2 * sup / span
+
+    def tail(start: int) -> Fraction:
+        return min((jump_part + gap_part * start) / (start * start), ceiling) * r ** start
+
+    return tail
 
 
 def _solve_disk_pl(sup: Fraction, pieces, r: Fraction, theta: Fraction, n: int,
@@ -194,8 +204,8 @@ def _solve_disk_pl(sup: Fraction, pieces, r: Fraction, theta: Fraction, n: int,
     c0, c1, _, _ = pieces[-1]
     gap = c0 + 2 * c1 - pieces[0][0]  # g(2) - g(0)
     jumps = slope_jumps([pieces[-1], *pieces])  # the seam first, then in order
-    K, tail = point_order(lambda m: _disk_pl_tail(sup, jumps, gap, r, m + 1),
-                          n, cap, "disk point tail")
+    bound = _disk_pl_tail(sup, jumps, gap, r)
+    K, tail = point_order(lambda m: bound(m + 1), n, cap, "disk point tail")
     size = sum((abs(d) for _, d in jumps), abs(gap))
     W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1)))
     _, area = int_pl_trig_pi(pieces, 0, 0, W)

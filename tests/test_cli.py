@@ -224,6 +224,12 @@ def test_import_leaves_statistics_out():
     assert_cli_import_skips("statistics")
 
 
+def test_import_leaves_the_counting_reductions_out():
+    # only counting data and `certheat bench` need certheat.hardness; a
+    # solve of ordinary data skips its import
+    assert_cli_import_skips("certheat.hardness")
+
+
 def test_halfline_solve_records_plan_params(tmp_path, capsys):
     cfg = write(tmp_path, "h.cfg", "\n".join([
         "problem = halfline-boundary", "h = poly 0 1", "alpha = 1",

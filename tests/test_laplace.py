@@ -270,7 +270,7 @@ def test_disk_point_order_sizes_the_tail_at_r(monkeypatch):
         (K, tail), tail_fn = found[0]
         assert K <= plan.order and tail <= budget
         jumps = [(Fraction(1, 2), -4), (Fraction(3, 2), 4)]  # TENT2's slope jumps
-        assert tail == laplace._disk_pl_tail(TENT2.sup_bound, jumps, 0, r, K + 1) == tail_fn(K)
+        assert tail == laplace._disk_pl_tail(TENT2.sup_bound, jumps, 0, r)(K + 1) == tail_fn(K)
         if K:
             assert tail_fn(K - 1) > budget
         orders.append(K)

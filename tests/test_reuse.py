@@ -2,7 +2,10 @@
 
 A disk or interval problem and its plan serve any number of solves, at any
 precisions and in any order, and so does a half-line plan.  Neither may
-change a returned bit or the plan's inequality chain.
+change a returned bit or the plan's inequality chain.  A problem reads its
+data's linear pieces once, and the interval solver keeps each time slice's
+decay bound, mode count and Gaussian ladder in bounded process-wide caches;
+a warm cache must give what a cold one gives.
 """
 
 import random
@@ -10,7 +13,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from certheat.evaluable import constant_fn, piecewise_linear_fn
+import certheat.heat as heat
+from certheat.evaluable import constant_fn, linear_pieces, piecewise_linear_fn
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, plan_halfline_boundary,
                            plan_halfline_force, plan_halfline_initial,
@@ -45,6 +49,14 @@ def test_disk_reuse_matches_fresh_solves():
         fresh = DiskProblem(DISK_G, DISK_R0)
         want = solve_disk(fresh, r, th, bits, plan_disk(fresh, bits))
         assert fields(got) == fields(want)
+
+
+TIME_SLICE_CACHES = (heat._decay_bound, heat._mode_count, heat._ladder)
+
+
+def clear_time_slice_caches():
+    for cached in TIME_SLICE_CACHES:
+        cached.cache_clear()
 
 
 def test_interval_reuse_matches_fresh_solves():
@@ -87,3 +99,82 @@ def test_halfline_solves_leave_the_plan_chain_alone(make):
         assert fields(solve(plan)) == first
     assert plan.chain == chain
     assert plan.chain_ok()
+
+
+ODD_16THS = [F(2 * j + 1, 16) for j in range(16)]
+GRID_TIMES = [F(1, 4), F(3, 8), F(1, 2), F(5, 8), F(3, 4), F(1)]
+
+
+def test_grid_points_solved_twice_match_fresh_problems():
+    # 4 disk points at bits 20 and 6 interval points each at bits 32 and 64,
+    # as a grid draws them; every fresh solve starts from empty caches
+    rng = random.Random(33)
+    disk_pts = [(rng.choice(band), rng.choice(ODD_16THS))
+                for band in ((F(1, 4), F(5, 16)), (F(1, 2), F(9, 16)),
+                             (F(3, 4), F(13, 16)), (F(7, 8), F(9, 10)))]
+    ivl_pts = [(bits, rng.choice(GRID_TIMES), rng.choice(ODD_16THS[:8]))
+               for bits in (32, 64) for _ in range(6)]
+    disk = DiskProblem(DISK_G, F(9, 10))
+    disk_plan = plan_disk(disk, 20)
+    ivl = new_interval()
+    ivl_plans = {bits: plan_interval(ivl, bits) for bits in (32, 64)}
+    want = []
+    for r, th in disk_pts:
+        fresh = DiskProblem(DISK_G, F(9, 10))
+        want.append(fields(solve_disk(fresh, r, th, 20, plan_disk(fresh, 20))))
+    for bits, t, x in ivl_pts:
+        clear_time_slice_caches()
+        fresh = new_interval()
+        want.append(fields(solve_interval(fresh, t, x, bits, plan_interval(fresh, bits))))
+    for _ in range(2):
+        got = [fields(solve_disk(disk, r, th, 20, disk_plan)) for r, th in disk_pts]
+        got += [fields(solve_interval(ivl, t, x, bits, ivl_plans[bits]))
+                for bits, t, x in ivl_pts]
+        assert got == want
+
+
+def test_pieces_are_derived_and_stay_out_of_eq_and_repr():
+    for make, g in ((lambda: DiskProblem(DISK_G, DISK_R0), DISK_G), (new_interval, IVL_G)):
+        p, q = make(), make()
+        assert p.pieces == linear_pieces(g)
+        assert "pieces" not in repr(p)
+        q.pieces = None
+        assert p == q and repr(p) == repr(q)
+
+
+def tent(L, peak):
+    return piecewise_linear_fn([(F(0), F(0)), (L / 2, peak), (L, F(0))])
+
+
+def test_time_slice_caches_match_cold_solves():
+    # A and B share the rate alpha t / L^2 and the plan's order but not
+    # ||g||; C shares A's rate through another L and alpha; D has its own
+    # rate at the same t.  One plan per problem, built at the largest n,
+    # serves every n, so cached entries of one n meet solves at another.
+    problems = {
+        "A": IntervalHeatProblem(F(1), F(1), tent(F(1), F(1)), IVL_T0),
+        "B": IntervalHeatProblem(F(1), F(1), tent(F(1), F(2)), IVL_T0),
+        "C": IntervalHeatProblem(F(2), F(4), tent(F(2), F(1)), IVL_T0),
+        "D": IntervalHeatProblem(F(1), F(2), tent(F(1), F(1)), IVL_T0),
+    }
+    plans = {k: plan_interval(p, 48) for k, p in problems.items()}
+    assert plans["A"].order == plans["B"].order
+    rng = random.Random(34)
+    draws = [(rng.choice(GRID_TIMES), rng.choice(ODD_16THS[:8]), rng.choice((16, 32, 48)))
+             for _ in range(10)]
+
+    def solve(k, t, x, n):
+        p = problems[k]
+        return fields(solve_interval(p, t, x * p.L, n, plans[k]))
+
+    cold = {}
+    for t, x, n in draws:
+        for k in problems:
+            clear_time_slice_caches()
+            cold[k, t, x, n] = solve(k, t, x, n)
+    clear_time_slice_caches()
+    for t, x, n in draws:
+        for k in problems:
+            assert solve(k, t, x, n) == cold[k, t, x, n], (k, t, x, n)
+    for cached in TIME_SLICE_CACHES:
+        assert cached.cache_info().maxsize is not None
