@@ -181,8 +181,8 @@ def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
 
 
 # What depends only on the time slice rate = alpha t / L^2 (and on the
-# precision) is computed once per process: the grid of one problem, and of
-# problems sharing a rate, asks for a few slices many times.  The caches are
+# precision) is computed once per process: many points of one problem, or of
+# problems sharing a rate, ask for few slices many times.  The caches are
 # bounded; the ladder is a tuple, so no caller can change a shared result.
 
 
