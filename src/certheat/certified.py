@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 from .dyadic import DyadicDecimal, _round_half_even, as_fraction
@@ -220,7 +220,9 @@ def _exact_cv(f: ExactLike, prec: int) -> CertifiedValue:
 #
 # A "scaled" quantity is a pair (val, err) of integers at scale W, standing
 # for val * 2**-W with absolute error at most err * 2**-W.  These helpers are
-# the only code that forms, multiplies, scales and divides such pairs.
+# the only code that forms, multiplies, scales and divides such pairs; a
+# certified value becomes one by shifts alone (_scaled_from_cv), so the
+# rotations start with no Fraction.
 #
 # Two rounding directions remain.  The Taylor primitives below (_smul,
 # _sdiv_int) round to nearest or toward zero and keep only a few guard bits
@@ -234,11 +236,20 @@ def _scaled_from_fraction(f: Fraction, W: int) -> tuple[int, int]:
 
 
 def _scaled_from_cv(cv: CertifiedValue, W: int) -> tuple[int, int]:
-    """Scaled view (v, e) of a certified value: |true * 2^W - v| <= e."""
-    val = cv.value_fraction()
-    err = cv.err_fraction()
-    return (_round_half_even(val.numerator << W, val.denominator),
-            (err.numerator << W) // err.denominator + 2)
+    """Scaled view (v, e) of a certified value: |true * 2^W - v| <= e.
+
+    v is m 2^(W - s) rounded half to even and e is floor(en 2^(W - es)) + 2,
+    both by shifts."""
+    k = cv.s - W
+    if k <= 0:
+        v = cv.m << -k
+    else:
+        v = cv.m >> k  # floor, so 0 <= rest < 2^k
+        rest, half = cv.m - (v << k), 1 << (k - 1)
+        if rest > half or (rest == half and v & 1):
+            v += 1
+    k = cv.es - W
+    return v, (cv.en << -k if k <= 0 else cv.en >> k) + 2
 
 
 def _smul(a: int, ea: int, b: int, eb: int, W: int) -> tuple[int, int]:
@@ -258,12 +269,15 @@ def _rotate(theta: Fraction, K: int, W: int):
     """Yield (x, y, E) for k = 1..K: (cos, sin) of k pi theta as x, y at
     scale W, both within E units, by repeated rotation rounding down.
 
-    Rotates (1, 0) by the certified (cos pi theta, sin pi theta) at scale W.
-    Componentwise bounds would grow like (|cos pi theta| + |sin pi theta|)^k,
-    so the pair carries one bound E_k on the Euclidean norm of its error
-    instead.  With d >= ||R~ - R||_2 (units 2^-W), R a rotation and each
-    rounding below one unit, E_{k+1} = E_k + ceil(d (2^W + E_k) / 2^W) + 2,
-    which grows linearly in k while K d stays far below 2^W.
+    Rotates (1, 0) by the certified (cos pi theta, sin pi theta) at scale W:
+    the start pair comes from the cached trig kernel (:func:`_trig_pi`), one
+    entry per reduced angle and scale, and reaches scale W by integer
+    shifts.  Componentwise bounds would grow like
+    (|cos pi theta| + |sin pi theta|)^k, so the pair carries one bound E_k on
+    the Euclidean norm of its error instead.  With d >= ||R~ - R||_2 (units
+    2^-W), R a rotation and each rounding below one unit,
+    E_{k+1} = E_k + ceil(d (2^W + E_k) / 2^W) + 2, which grows linearly in k
+    while K d stays far below 2^W.
     """
     c, ec = _scaled_from_cv(cos_pi_mul_cv(theta, W), W)
     s, es = _scaled_from_cv(sin_pi_mul_cv(theta, W), W)
@@ -482,11 +496,22 @@ def exp_cv(x, p: int) -> CertifiedValue:
 # sin / cos of pi times a rational, reduced exactly
 
 
-def _trig_pi(f: Fraction, sign: int, p: int, odd: bool) -> CertifiedValue:
-    """sign * sin(pi f) (odd) or sign * cos(pi f), for 0 < f < 1/2."""
+@lru_cache(maxsize=256)
+def _trig_pi(num: int, den: int, p: int, odd: bool) -> CertifiedValue:
+    """sin(pi f) (odd) or cos(pi f) for f = num / den in lowest terms,
+    0 < f < 1/2, within 2^-p.
+
+    Scaled integers only: pi f goes on the scale from pi_cv's integers, and
+    the result widens by pi's error times f.  The value is positive, so the
+    callers' reductions apply their sign afterwards.  Each reduced angle and
+    precision is computed once per process: a rotation's start pair, or two
+    angles that reduce alike, ask for the same entry.
+    """
     piv = pi_cv(p + 6)
     W = p + 8
-    rv, re = _scaled_from_fraction(piv.value_fraction() * f, W)
+    top, bot = piv.m * num << W, den << piv.s  # pi f 2^W = top / bot
+    rv = _round_half_even(top, bot)
+    re = 0 if top % bot == 0 else 1
     x2, ex2 = _smul(rv, re, rv, re, W)
     acc, eacc = (rv, re) if odd else (1 << W, 0)
     term, eterm = acc, eacc
@@ -502,9 +527,14 @@ def _trig_pi(f: Fraction, sign: int, p: int, odd: bool) -> CertifiedValue:
         if k >= 4 and abs(term) <= 1 and eterm <= 2:
             eacc += abs(term) + eterm + 2
             break
-    # rounding half to even commutes with the sign
-    out = CertifiedValue(sign * acc, W, eacc, W).rounded(p + 4)
-    return out.widen_fraction(piv.err_fraction() * f)
+    out = CertifiedValue(acc, W, eacc, W).rounded(p + 4)
+    # pi's error times f is en num / (den 2^es); widen by it in lowest
+    # terms, as widen_fraction would
+    top, bot = piv.en * num, den << piv.es
+    g = gcd(top, bot)
+    top, bot = top // g, bot // g
+    es = bot.bit_length() + 4
+    return out.widen(_ceil_div(top << es, bot), es)
 
 
 def sin_pi_mul_cv(r, p: int) -> CertifiedValue:
@@ -513,32 +543,38 @@ def sin_pi_mul_cv(r, p: int) -> CertifiedValue:
     Integer r yields an exact zero, so interval-solver boundary values come
     out exactly zero rather than merely small.
     """
-    f = as_fraction(r) % 2  # exact reduction into [0, 2)
-    if f.denominator == 1:
+    f = as_fraction(r)
+    den = f.denominator
+    num = f.numerator % (2 * den)  # exact reduction into [0, 2)
+    if den == 1:
         return CertifiedValue.zero()
-    sign = 1
-    if f > 1:
-        f, sign = f - 1, -1
-    if f > Fraction(1, 2):
-        f = 1 - f
-    if f == Fraction(1, 2):
-        return CertifiedValue.exact(sign)
-    return _trig_pi(f, sign, p, True)
+    neg = num > den
+    if neg:
+        num -= den  # sin(pi + x) = -sin(x)
+    if 2 * num > den:
+        num = den - num  # sin(pi - x) = sin(x)
+    if 2 * num == den:
+        return CertifiedValue.exact(-1 if neg else 1)
+    out = _trig_pi(num, den, p, True)
+    return -out if neg else out  # rounding half to even commutes with the sign
 
 
 def cos_pi_mul_cv(r, p: int) -> CertifiedValue:
     """Certified cos(pi * r) for exact rational r, with exact reduction."""
-    f = as_fraction(r) % 2
-    if f > 1:
-        f = 2 - f  # cos(2 pi - x) = cos(x)
-    sign = 1
-    if f > Fraction(1, 2):
-        f, sign = 1 - f, -1  # cos(pi - x) = -cos(x)
-    if f == Fraction(1, 2):
+    f = as_fraction(r)
+    den = f.denominator
+    num = f.numerator % (2 * den)
+    if num > den:
+        num = 2 * den - num  # cos(2 pi - x) = cos(x)
+    neg = 2 * num > den
+    if neg:
+        num = den - num  # cos(pi - x) = -cos(x)
+    if 2 * num == den:
         return CertifiedValue.zero()
-    if f == 0:
-        return CertifiedValue.exact(sign)
-    return _trig_pi(f, sign, p, False)
+    if num == 0:
+        return CertifiedValue.exact(-1 if neg else 1)
+    out = _trig_pi(num, den, p, False)
+    return -out if neg else out
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,8 @@ def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
 class IntervalHeatProblem:
     """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0.
 
-    ``pieces`` is ``linear_pieces(g)``, read once here for every solve.
+    ``pieces`` is ``linear_pieces(g)``, read once here for every solve, and
+    so, when g has pieces, are its slope ``jumps``.
     """
 
     L: Fraction
@@ -151,6 +152,7 @@ class IntervalHeatProblem:
     g: EvaluableFunction
     t0: Fraction
     pieces: list | None = field(init=False, compare=False, repr=False)
+    jumps: list | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.L = as_fraction(self.L)
@@ -161,6 +163,8 @@ class IntervalHeatProblem:
         if self.g.domain != (Fraction(0), self.L):
             raise PreconditionError("initial data must live on [0, L]")
         self.pieces = linear_pieces(self.g)
+        if self.pieces is not None:
+            self.jumps = slope_jumps(self.pieces)
 
 
 def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
@@ -250,7 +254,7 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
     else:  # |mu_k| <= 2||g|| and mode k decays like rho^(k^2)
         K, extra = _mode_count(2 * p.g.sup_bound, _decay_bound(rate), n, order)
     if p.pieces is not None:
-        return _solve_interval_pl(p.L, p.pieces, rate, x, K, n).widen_fraction(extra)
+        return _solve_interval_pl(p, rate, x, K, n).widen_fraction(extra)
     ks = (sorted(k for k in p.g.sine_modes if 1 <= k <= order)
           if p.g.sine_modes is not None and p.g.sine_L == p.L
           else range(1, order + 1))
@@ -270,14 +274,14 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
     return acc.widen_fraction(extra).rounded(n + 4)
 
 
-def _solve_interval_pl(L: Fraction, pieces, rate: Fraction, x: Fraction, K: int,
+def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: int,
                        n: int) -> CertifiedValue:
     """Modes 1..K at x of piecewise-linear g, decay e^{-c k^2}, c = pi^2 rate:
     by parts, mu_k = 2 (g(0) - (-1)^k g(L)) / (pi k) - 2 L sum_j D_j
     sin(k pi y_j / L) / (pi k)^2 over the slope jumps D_j at y_j."""
-    c0, c1, _, _ = pieces[-1]
-    g0, gL = pieces[0][0], c0 + c1 * L
-    jumps = slope_jumps(pieces)
+    L, jumps = p.L, p.jumps
+    c0, c1, _, _ = p.pieces[-1]
+    g0, gL = p.pieces[0][0], c0 + c1 * L
     size = L * sum((abs(d) for _, d in jumps), Fraction(0)) + abs(g0) + abs(gL)
     # the ladder's bounds reach about K + 1/c units, and c >= 9 rate
     W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1))) \
@@ -441,10 +445,9 @@ def _erfc_cv(w: Fraction, negative: bool, p: int) -> CertifiedValue:
             - (F * recip_sqrt_pi_cv(p + 4)).mul_exact(2)).rounded(p + 2)
 
 
-def _kernel_cv(w: Fraction, at: Fraction, p: int) -> CertifiedValue:
-    """e^{-w} / sqrt(pi alpha t) with error <= 2^-p (at = alpha t)."""
-    g = max(0, _log2_ceil(1 / at))  # 1/(4 pi at) scales the prefactor's error
-    pref = _inv_sqrt_4pialpha(at, p + g + 4)
+def _kernel_cv(w: Fraction, pref: CertifiedValue, g: int, p: int) -> CertifiedValue:
+    """e^{-w} / sqrt(pi alpha t) with error <= 2^-p, from the prefactor
+    pref = 1 / sqrt(4 pi alpha t) within 2^-(p + g + 4), 2^g >= 1 / (alpha t)."""
     return (exp_cv(-w, p + g + 4) * pref).mul_exact(2).rounded(p + 2)
 
 
@@ -520,12 +523,14 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
         size += abs(P) + Pe + abs(Q) + Qe
         parts.append((d, w, P, Pe, Q, Qe))
     r = n + 8 + (2 * len(parts)).bit_length() + max(0, _log2_ceil(size) if size else 0)
+    g = max(0, _log2_ceil(1 / at))  # 1/(4 pi at) scales the prefactor's error
+    pref = _inv_sqrt_4pialpha(at, r + g + 4)
     total = CertifiedValue.zero()
     for d, w, P, Pe, Q, Qe in parts:
         Pc = CertifiedValue.from_fraction(P, r + 4).widen_fraction(Pe)
         Qc = CertifiedValue.from_fraction(Q, r + 4).widen_fraction(Qe)
         total = (total + (Pc * _erfc_cv(w, d < 0, r)).rounded(r + 4)
-                 + (Qc * _kernel_cv(w, at, r)).rounded(r + 4))
+                 + (Qc * _kernel_cv(w, pref, g, r)).rounded(r + 4))
     out = total.rounded(n + 4)
     require("assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
     require("erfc tail", claims, Fraction(1, 1 << (n + 3)))

@@ -43,12 +43,19 @@ class DiskProblem:
 
     g lives on [0,2] in pi-units; r0 < 1 bounds where solutions will be
     requested, and the tail constant scales like 1/(1-r0).  ``pieces`` is
-    ``linear_pieces(g)``, read once here for every solve.
+    ``linear_pieces(g)``, read once here for every solve; so are, when g has
+    pieces, what :func:`_solve_disk_pl` reads off them: the slope ``jumps``
+    (the seam's first), the end ``gap`` g(2) - g(0), their ``size``
+    sum |D_j| + |gap| and the exact ``area`` of g over [0, 2].
     """
 
     g: EvaluableFunction
     r0: Fraction
     pieces: list | None = field(init=False, compare=False, repr=False)
+    jumps: list | None = field(init=False, default=None, compare=False, repr=False)
+    gap: Fraction | None = field(init=False, default=None, compare=False, repr=False)
+    size: Fraction | None = field(init=False, default=None, compare=False, repr=False)
+    area: Fraction | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.r0 = as_fraction(self.r0)
@@ -62,7 +69,13 @@ class DiskProblem:
         gap = abs(a.value_fraction() - b.value_fraction())
         if gap > a.err_fraction() + b.err_fraction() + Fraction(1, 2 ** 18):
             raise PreconditionError("boundary data is not periodic at the seam")
-        self.pieces = linear_pieces(self.g)
+        self.pieces = pieces = linear_pieces(self.g)
+        if pieces is not None:
+            c0, c1, _, _ = pieces[-1]
+            self.gap = c0 + 2 * c1 - pieces[0][0]
+            self.jumps = slope_jumps([pieces[-1], *pieces])  # the seam first, then in order
+            self.size = sum((abs(d) for _, d in self.jumps), abs(self.gap))
+            self.area = integral_exact(self.g, Fraction(0), Fraction(2))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +160,7 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
     if plan is None:
         plan = plan_disk(p, n)
     if p.pieces is not None:
-        return _solve_disk_pl(p.g.sup_bound, p.pieces, r, theta, n, plan.order)
+        return _solve_disk_pl(p, r, theta, n, plan.order)
     ks = _coeff_indices(p.g, plan.order)
     pc = n + 1 + max(1, len(ks) + 1).bit_length() + 3 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
@@ -188,7 +201,7 @@ def _disk_pl_tail(sup: Fraction, jumps, gap: Fraction,
     return tail
 
 
-def _solve_disk_pl(sup: Fraction, pieces, r: Fraction, theta: Fraction, n: int,
+def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
                    cap: int) -> CertifiedValue:
     """u(r, theta) for piecewise-linear g with slope jumps D_j at rho_j (the
     seam's jump, at 0, included) and end gap J = g(2) - g(0), usually 0.
@@ -201,14 +214,11 @@ def _solve_disk_pl(sup: Fraction, pieces, r: Fraction, theta: Fraction, n: int,
     K (Lewin 1981; DLMF 25.12): one rotation per jump and no Fourier
     coefficient (:func:`breakpoint_series`).
     """
-    c0, c1, _, _ = pieces[-1]
-    gap = c0 + 2 * c1 - pieces[0][0]  # g(2) - g(0)
-    jumps = slope_jumps([pieces[-1], *pieces])  # the seam first, then in order
-    bound = _disk_pl_tail(sup, jumps, gap, r)
+    jumps, gap = p.jumps, p.gap
+    bound = _disk_pl_tail(p.g.sup_bound, jumps, gap, r)
     K, tail = point_order(lambda m: bound(m + 1), n, cap, "disk point tail")
-    size = sum((abs(d) for _, d in jumps), abs(gap))
-    W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1)))
-    _, area = int_pl_trig_pi(pieces, 0, 0, W)
+    W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(p.size, 1)))
+    area = CertifiedValue.from_fraction(p.area, W + 4)
     # each floor loses under a unit and r <= 1 shrinks the earlier losses,
     # so rk stays less than k units below 2^W r^k
     decay, rk = [], 1 << W

@@ -241,3 +241,107 @@ def test_scaled_from_cv_contains_the_enclosure(m, s, en, es, W):
     cv = CertifiedValue(m, s, en, es)
     for true in (cv.lower_fraction(), cv.upper_fraction()):
         assert_pair_holds(true * (1 << W), C._scaled_from_cv(cv, W))
+
+
+# -- the scaled-integer trig kernel against the Fraction-based code it
+#    replaced, kept here as the oracle --
+
+
+def oracle_scaled_from_cv(cv: CertifiedValue, W: int):
+    val = cv.value_fraction()
+    err = cv.err_fraction()
+    return (C._round_half_even(val.numerator << W, val.denominator),
+            (err.numerator << W) // err.denominator + 2)
+
+
+def oracle_trig_pi(f: Fraction, sign: int, p: int, odd: bool) -> CertifiedValue:
+    piv = C.pi_cv(p + 6)
+    W = p + 8
+    rv, re = C._scaled_from_fraction(piv.value_fraction() * f, W)
+    x2, ex2 = C._smul(rv, re, rv, re, W)
+    acc, eacc = (rv, re) if odd else (1 << W, 0)
+    term, eterm = acc, eacc
+    k = 0
+    while True:
+        k += 1
+        term, eterm = C._smul(term, eterm, x2, ex2, W)
+        term, eterm = C._sdiv_int(-term, eterm, (2 * k - 1 + odd) * (2 * k + odd))
+        acc += term
+        eacc += eterm
+        if k >= 4 and abs(term) <= 1 and eterm <= 2:
+            eacc += abs(term) + eterm + 2
+            break
+    out = CertifiedValue(sign * acc, W, eacc, W).rounded(p + 4)
+    return out.widen_fraction(piv.err_fraction() * f)
+
+
+def oracle_sin_pi(r: Fraction, p: int) -> CertifiedValue:
+    f = r % 2
+    if f.denominator == 1:
+        return CertifiedValue.zero()
+    sign = 1
+    if f > 1:
+        f, sign = f - 1, -1
+    if f > Fraction(1, 2):
+        f = 1 - f
+    if f == Fraction(1, 2):
+        return CertifiedValue.exact(sign)
+    return oracle_trig_pi(f, sign, p, True)
+
+
+def oracle_cos_pi(r: Fraction, p: int) -> CertifiedValue:
+    f = r % 2
+    if f > 1:
+        f = 2 - f
+    sign = 1
+    if f > Fraction(1, 2):
+        f, sign = 1 - f, -1
+    if f == Fraction(1, 2):
+        return CertifiedValue.zero()
+    if f == 0:
+        return CertifiedValue.exact(sign)
+    return oracle_trig_pi(f, sign, p, False)
+
+
+def cv_fields(cv):
+    return cv.m, cv.s, cv.en, cv.es
+
+
+def kernel_angles():
+    rng = random.Random(141)
+    out = [Fraction(j, 4) for j in range(-12, 13)]  # multiples of 1/4
+    for _ in range(12):
+        den = rng.randrange(1, 10 ** 4 + 1)
+        out.append(Fraction(rng.randrange(-6 * den, 0), den))  # negative
+        out.append(Fraction(rng.randrange(2 * den + 1, 9 * den), den))  # above 2
+        out.append(Fraction(rng.randrange(0, 2 * den), den))
+    return out
+
+
+@pytest.mark.parametrize("p", [8, 20, 64, 256, 1024])
+def test_trig_kernel_matches_the_fraction_oracle_cold_and_warm(p):
+    pairs = ((C.sin_pi_mul_cv, oracle_sin_pi), (C.cos_pi_mul_cv, oracle_cos_pi))
+    angles = kernel_angles()
+    want = {(fn, r): cv_fields(oracle(r, p)) for fn, oracle in pairs for r in angles}
+    for fn, r in want:
+        C._trig_pi.cache_clear()
+        assert cv_fields(fn(r, p)) == want[fn, r], (fn.__name__, r)
+    for fn, r in reversed(list(want)):  # warm: every angle met before
+        assert cv_fields(fn(r, p)) == want[fn, r], (fn.__name__, r)
+        assert cv_fields(fn(r, p)) == want[fn, r], (fn.__name__, r)
+    assert C._trig_pi.cache_info().maxsize == 256
+
+
+def test_scaled_from_cv_matches_the_fraction_oracle():
+    rng = random.Random(142)
+    for _ in range(3000):
+        W = rng.randrange(0, 70)
+        s = rng.choice([rng.randrange(-40, 0), rng.randrange(W + 1, W + 90),
+                        rng.randrange(0, W + 1)])
+        es = rng.choice([rng.randrange(-40, 0), rng.randrange(W + 1, W + 90),
+                         rng.randrange(0, W + 1)])
+        m = rng.choice([rng.randrange(-(1 << 90), 1 << 90), rng.randrange(-8, 8),
+                        rng.randrange(-4, 5) << max(0, s - W - 1)])  # ties at s > W
+        en = rng.choice([0, rng.randrange(1, 1 << 32)])
+        cv = CertifiedValue(m, s, en, es)
+        assert C._scaled_from_cv(cv, W) == oracle_scaled_from_cv(cv, W), (m, s, en, es, W)

@@ -7,6 +7,7 @@ from math import factorial
 import mpmath as mp
 import pytest
 
+from certheat.certified import CertifiedValue
 from certheat.errors import PreconditionError, QuadratureBudgetError
 from certheat.evaluable import (EvaluableFunction, TrigPoly, linear_pieces,
                                 piecewise_linear_fn, polynomial_fn,
@@ -278,6 +279,25 @@ def test_disk_point_order_sizes_the_tail_at_r(monkeypatch):
     # plan's blocks of K (n + 1)
     assert orders[0] == 0 and orders == sorted(set(orders))
     assert orders[-1] < plan.order // 2
+
+
+def test_disk_area_rounds_to_the_zero_mode_closed_form():
+    # The disk solver rounds the problem's exact area to scale W + 4; the
+    # closed form at k = 0 multiplies the same rounding by cos 0 = 1 exactly,
+    # and error terms of zero pass through, so every field agrees.
+    rng = random.Random(61)
+    probs = [DiskProblem(TENT2, Fraction(1, 2))]  # a dyadic area, rounded exactly
+    for _ in range(12):
+        xs = sorted({Fraction(rng.randrange(1, 60), 30) for _ in range(rng.randrange(1, 6))})
+        ys = [Fraction(rng.randrange(-50, 51), rng.randrange(1, 12)) for _ in xs]
+        y0 = Fraction(rng.randrange(-9, 10), 3)
+        probs.append(DiskProblem(piecewise_linear_fn(
+            [(Fraction(0), y0), *zip(xs, ys), (Fraction(2), y0)]), Fraction(1, 2)))
+    for prob in probs:
+        for W in (8, 21, 40, 77):
+            got = CertifiedValue.from_fraction(prob.area, W + 4)
+            want = int_pl_trig_pi(prob.pieces, 0, 0, W)[1]
+            assert (got.m, got.s, got.en, got.es) == (want.m, want.s, want.en, want.es)
 
 
 def test_plan_disk_chain():

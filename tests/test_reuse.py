@@ -3,9 +3,10 @@
 A disk or interval problem and its plan serve any number of solves, at any
 precisions and in any order, and so does a half-line plan.  Neither may
 change a returned bit or the plan's inequality chain.  A problem reads its
-data's linear pieces once, and the interval solver keeps each time slice's
-decay bound, mode count and Gaussian ladder in bounded process-wide caches;
-a warm cache must give what a cold one gives.
+data's linear pieces and slope jumps once, the interval solver keeps each
+time slice's decay bound, mode count and Gaussian ladder in bounded
+process-wide caches, and sin/cos keep each reduced angle's value at each
+precision in one more; a warm cache must give what a cold one gives.
 """
 
 import random
@@ -13,8 +14,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import certheat.certified as certified
 import certheat.heat as heat
-from certheat.evaluable import constant_fn, linear_pieces, piecewise_linear_fn
+from certheat.evaluable import (constant_fn, linear_pieces, piecewise_linear_fn,
+                                slope_jumps)
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, plan_halfline_boundary,
                            plan_halfline_force, plan_halfline_initial,
@@ -51,11 +54,11 @@ def test_disk_reuse_matches_fresh_solves():
         assert fields(got) == fields(want)
 
 
-TIME_SLICE_CACHES = (heat._decay_bound, heat._mode_count, heat._ladder)
+CACHES = (heat._decay_bound, heat._mode_count, heat._ladder, certified._trig_pi)
 
 
-def clear_time_slice_caches():
-    for cached in TIME_SLICE_CACHES:
+def clear_caches():
+    for cached in CACHES:
         cached.cache_clear()
 
 
@@ -120,26 +123,41 @@ def test_grid_points_solved_twice_match_fresh_problems():
     ivl_plans = {bits: plan_interval(ivl, bits) for bits in (32, 64)}
     want = []
     for r, th in disk_pts:
+        clear_caches()
         fresh = DiskProblem(DISK_G, F(9, 10))
         want.append(fields(solve_disk(fresh, r, th, 20, plan_disk(fresh, 20))))
     for bits, t, x in ivl_pts:
-        clear_time_slice_caches()
+        clear_caches()
         fresh = new_interval()
         want.append(fields(solve_interval(fresh, t, x, bits, plan_interval(fresh, bits))))
-    for _ in range(2):
-        got = [fields(solve_disk(disk, r, th, 20, disk_plan)) for r, th in disk_pts]
-        got += [fields(solve_interval(ivl, t, x, bits, ivl_plans[bits]))
-                for bits, t, x in ivl_pts]
+    calls = [lambda r=r, th=th: solve_disk(disk, r, th, 20, disk_plan) for r, th in disk_pts]
+    calls += [lambda bits=bits, t=t, x=x: solve_interval(ivl, t, x, bits, ivl_plans[bits])
+              for bits, t, x in ivl_pts]
+    clear_caches()
+    order = list(range(len(calls)))
+    for _ in range(3):  # cold caches, then warm, then warm and shuffled
+        got = [None] * len(calls)
+        for i in order:
+            got[i] = fields(calls[i]())
         assert got == want
+        rng.shuffle(order)
+    assert certified._trig_pi.cache_info().maxsize == 256
 
 
 def test_pieces_are_derived_and_stay_out_of_eq_and_repr():
-    for make, g in ((lambda: DiskProblem(DISK_G, DISK_R0), DISK_G), (new_interval, IVL_G)):
+    for make, g, derived in ((lambda: DiskProblem(DISK_G, DISK_R0), DISK_G,
+                              ("pieces", "jumps", "gap", "size", "area")),
+                             (new_interval, IVL_G, ("pieces", "jumps"))):
         p, q = make(), make()
         assert p.pieces == linear_pieces(g)
-        assert "pieces" not in repr(p)
-        q.pieces = None
+        for name in derived:
+            assert getattr(p, name) is not None
+            assert name not in repr(p)
+            setattr(q, name, None)
         assert p == q and repr(p) == repr(q)
+    disk = DiskProblem(DISK_G, DISK_R0)
+    assert disk.jumps == slope_jumps([disk.pieces[-1], *disk.pieces])
+    assert (disk.gap, disk.size, disk.area) == (0, 8, 0)
 
 
 def tent(L, peak):
@@ -170,11 +188,11 @@ def test_time_slice_caches_match_cold_solves():
     cold = {}
     for t, x, n in draws:
         for k in problems:
-            clear_time_slice_caches()
+            clear_caches()
             cold[k, t, x, n] = solve(k, t, x, n)
-    clear_time_slice_caches()
+    clear_caches()
     for t, x, n in draws:
         for k in problems:
             assert solve(k, t, x, n) == cold[k, t, x, n], (k, t, x, n)
-    for cached in TIME_SLICE_CACHES:
+    for cached in CACHES:
         assert cached.cache_info().maxsize is not None
