@@ -135,7 +135,7 @@ def test_grid_points_solved_twice_match_fresh_problems():
               for bits, t, x in ivl_pts]
     clear_caches()
     order = list(range(len(calls)))
-    for _ in range(3):  # cold caches, then warm, then warm and shuffled
+    for _ in range(3):  # cold caches in order, then warm in two shuffled orders
         got = [None] * len(calls)
         for i in order:
             got[i] = fields(calls[i]())
