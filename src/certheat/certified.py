@@ -117,10 +117,6 @@ class CertifiedValue:
     def abs_upper(self) -> Fraction:
         return abs(self.value_fraction()) + self.err_fraction()
 
-    def abs_lower(self) -> Fraction:
-        lo = abs(self.value_fraction()) - self.err_fraction()
-        return lo if lo > 0 else Fraction(0)
-
     def contains(self, value: ExactLike) -> bool:
         return abs(self.value_fraction() - as_fraction(value)) <= self.err_fraction()
 

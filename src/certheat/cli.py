@@ -250,15 +250,11 @@ def _solve_disk(cfg, n):
 
 
 def _solve_ball(cfg, n):
-    _check_keys(cfg, {"g", "d", "r", "theta", "phi", "r0"},
-                {"g", "r", "theta", "phi"})
-    d = _int(cfg, "d", 3)
-    g = parse_sph_fn(cfg["g"])
-    r0 = _num(cfg, "r0") if "r0" in cfg else Fraction(9, 10)
-    p = BallProblem(d, g, r0)
-    plan = plan_ball_truncation(d, g.sup_bound, r0, n)
-    return solve_ball(p, _num(cfg, "r"), _num(cfg, "theta"),
-                      _num(cfg, "phi"), n, plan), plan
+    keys = {"g", "r", "theta", "phi"}
+    _check_keys(cfg, keys, keys)
+    p, r = BallProblem(parse_sph_fn(cfg["g"])), _num(cfg, "r")
+    plan = plan_ball_truncation(p.g, r, n)
+    return solve_ball(p, r, _num(cfg, "theta"), _num(cfg, "phi"), n, plan), plan
 
 
 def _solve_interval(cfg, n):

@@ -148,6 +148,9 @@ class DyadicDecimal:
 
 
 def as_fraction(value: Rational) -> Fraction:
+    """value as a Fraction; a Fraction comes back as itself (it is immutable)."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, DyadicDecimal):
         return value.as_fraction()
     return Fraction(value)

@@ -486,6 +486,8 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
     transcendentals, so the sum keeps within 2^-(n+2) without a retry.
     """
     at = alpha * t
+    g = max(0, _log2_ceil(1 / at))  # 1/(4 pi at) scales the prefactor's error
+    cap = Fraction(1 << ((g + 1) // 2))  # >= 1 / sqrt(alpha t), the kernel at d = 0
     sat = sqrt_cv(at, 16).upper_fraction()
     phi = sum((bd * t ** e / factorial(e) for e, bd, _ in terms), Fraction(0))
     share = Fraction(1, 1 << (n + 3)) / max(len(ends), 1)
@@ -505,30 +507,34 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
                 claims += cut
                 continue
         a, b = _ierfc_parts(w, top)
-        kept.append((d, w, [((4 * t) ** e / 2 * (eC * a[2 * e] + sC * d * a[2 * e + 1]),
+        # the kernel e^{-w} / sqrt(pi alpha t) is at most 1 / (2|d|) and cap
+        kern = Fraction(1, 2 * abs(d)) if d else cap
+        kept.append((d, w, kern, [((4 * t) ** e / 2 * (eC * a[2 * e] + sC * d * a[2 * e + 1]),
                               (4 * t) ** e / 2 * (eC * d * b[2 * e] + 4 * at * sC * b[2 * e + 1]))
                              for e, _, _ in terms]))
-    # erfc <= 2 and e^{-w} / sqrt(pi alpha t) <= 1 / (2|d|) weigh the coefficients
-    M = sum((2 * abs(mp) + abs(mq) / (2 * abs(d))
-             for d, _, ms in kept for mp, mq in ms), Fraction(0))
+    # erfc <= 2 and the kernel's bound weigh the coefficients
+    M = sum((2 * abs(mp) + abs(mq) * kern
+             for _, _, kern, ms in kept for mp, mq in ms), Fraction(0))
     q = n + 8 + max(0, _log2_ceil(M) if M else 0)
     cs = [c(q) for _, _, c in terms] if kept else []
     parts, size = [], Fraction(0)
-    for d, w, ms in kept:
+    for d, w, kern, ms in kept:
         P = Q = Pe = Qe = Fraction(0)
         for cv, (mp, mq) in zip(cs, ms):
             v, e = cv.value_fraction(), cv.err_fraction()
             P, Q = P + v * mp, Q + v * mq
             Pe, Qe = Pe + e * abs(mp), Qe + e * abs(mq)
         size += abs(P) + Pe + abs(Q) + Qe
-        parts.append((d, w, P, Pe, Q, Qe))
+        parts.append((d, w, kern, P, Pe, Q, Qe))
     r = n + 8 + (2 * len(parts)).bit_length() + max(0, _log2_ceil(size) if size else 0)
-    g = max(0, _log2_ceil(1 / at))  # 1/(4 pi at) scales the prefactor's error
     pref = _inv_sqrt_4pialpha(at, r + g + 4)
     total = CertifiedValue.zero()
-    for d, w, P, Pe, Q, Qe in parts:
+    for d, w, kern, P, Pe, Q, Qe in parts:
         Pc = CertifiedValue.from_fraction(P, r + 4).widen_fraction(Pe)
-        Qc = CertifiedValue.from_fraction(Q, r + 4).widen_fraction(Qe)
+        # the kernel scales Q's rounding; r's slack absorbs a kernel up to
+        # 2^9, and a larger one (d and alpha t both near 0) rounds Q finer
+        Qc = CertifiedValue.from_fraction(
+            Q, r + 4 + max(0, _log2_ceil(min(kern, cap)) - 9)).widen_fraction(Qe)
         total = (total + (Pc * _erfc_cv(w, d < 0, r)).rounded(r + 4)
                  + (Qc * _kernel_cv(w, pref, g, r)).rounded(r + 4))
     out = total.rounded(n + 4)
@@ -681,50 +687,41 @@ def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
 # half-line with compactly supported initial data
 
 
-def plan_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int) -> TruncationPlan:
-    """Zero with the Gaussian-tail claim when the data sits far from x at
-    time t, otherwise the closed form's assembly budget."""
+def _initial_args(g: EvaluableFunction, alpha, t, x) -> tuple[Fraction, Fraction, Fraction]:
+    """Checked (alpha, t, x): alpha > 0, t >= 0, x >= 0, support from >= 0."""
     alpha, t, x = map(as_fraction, (alpha, t, x))
-    a_, b_ = g.domain
-    if not 0 < a_ < b_ < 1:
-        raise PreconditionError("initial data support must sit inside (0, 1)")
-    if x <= 0:
-        raise PreconditionError("evaluation point must be positive")
-    margin = a_ - x if x < a_ else x - b_
-    if margin <= 0:
-        raise PreconditionError("evaluation point must clear the support margin")
-    if not 0 <= t <= 1:
-        raise PreconditionError("time must lie in [0, 1]")
     if alpha <= 0:
         raise PreconditionError("alpha must be positive")
-    bud = Fraction(1, 1 << (n + 1))
-    # 0 <= Dirichlet kernel <= direct kernel, whose mass past the margin is
-    # erfc(margin / sqrt(4 alpha t)) / 2 <= e^{-margin^2 / (4 alpha t)} / 2
-    tail = Fraction(0) if t == 0 or not g.sup_bound else g.sup_bound / 2 * exp_cv(
-        -margin * margin / (4 * alpha * t),
-        n + 8 + max(0, _log2_ceil(g.sup_bound))).upper_fraction()
-    if tail <= bud:
-        plan = TruncationPlan(0, [("erfc tail", n + 1)],
-                              "data's Gaussian tail below budget", params={"zero": 1})
-        plan.claim("erfc-tail", tail, bud)
-        return plan
-    return TruncationPlan(0, [("erfc tail", n + 3), ("assembly", n + 2)],
-                          f"closed form in erfc at alpha t = {alpha * t}",
-                          params={"zero": 0})
+    if t < 0 or x < 0:
+        raise PreconditionError("time and evaluation point must be nonnegative")
+    if g.domain[0] < 0:
+        raise PreconditionError("initial data support must start at or right of 0")
+    return alpha, t, x
+
+
+def plan_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int) -> TruncationPlan:
+    """The closed form's budget: the erfc tail's claim and the assembly."""
+    alpha, t, x = _initial_args(g, alpha, t, x)
+    plan = TruncationPlan(0, [("erfc tail", n + 3), ("assembly", n + 2)],
+                          f"closed form in erfc at alpha t = {alpha * t}")
+    plan.require_budget(n)
+    return plan
 
 
 def solve_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int,
                            plan: TruncationPlan | None = None) -> CertifiedValue:
-    """Certified u(t, x) for initial data g supported inside (0, 1).
+    """Certified u(t, x) for piecewise-linear initial data g, zero outside
+    its support [b0, b1] with b0 >= 0, at any t >= 0 and x >= 0.
 
     The kernel depends on alpha t only; u is half the sum over the data's
-    endpoint distances d of eC erfc(d/s) + sC s i^1erfc(d/s).
+    endpoint distances d of eC erfc(d/s) + sC s i^1erfc(d/s), on either
+    side of the support or inside it.  At t = 0, u is the data's value at x.
+    The closed form reads nothing from ``plan``, which records its budget.
     """
-    alpha, t, x = map(as_fraction, (alpha, t, x))
-    if plan is None:
-        plan = plan_halfline_initial(g, alpha, t, x, n)
-    if plan.params["zero"]:
-        return CertifiedValue.zero().widen_fraction(plan.chain[0][1])
+    alpha, t, x = _initial_args(g, alpha, t, x)
+    ends = _data_endpoints(g, x)
+    if t == 0:
+        v = next((c0 + c1 * x for c0, c1, b0, b1 in linear_pieces(g) if b0 <= x <= b1), 0)
+        return CertifiedValue.from_fraction(v, n + 2)
     one = CertifiedValue.exact(1)
-    return _erfc_response(_data_endpoints(g, x), [(0, Fraction(1), lambda prec: one)],
-                          t, alpha, n)
+    return _erfc_response(ends, [(0, Fraction(1), lambda prec: one)], t, alpha, n)

@@ -6,7 +6,8 @@
   the finite sum S with g^(n)(t,x) = x t^(-3/2) e^(-x^2/t) S(n,t,x) (the
   half-integer Gamma ratios are rational, so S is), and g~^(n) follows from
   the Leibniz rule on t g / x.
-* ``sph_count`` and ``real_sph_harmonic_3d`` serve the ball solver.
+* ``real_sph_harmonic_3d`` serves the ball solver; ``sph_count``, the
+  dimension of the degree-l harmonics, serves only ``verify``'s checks.
 
 The half-line solvers do not use these families: they sum closed forms in
 the repeated erfc integrals (:mod:`certheat.heat`).

@@ -16,13 +16,17 @@ Piecewise-linear disk data forms no Fourier coefficient: integrating by
 parts twice leaves one series per slope breakpoint, summed by one rotation
 each (:func:`_solve_disk_pl`).  Declared modes are read off exactly, and
 other data integrates each coefficient.
+
+Ball data is a finite list of declared spherical-harmonic modes, so it has
+no tail: the ball's plan only picks which modes to drop at the requested r
+and claims them.  No ball solve counts harmonics (``kernels.sph_count``
+serves ``verify`` only).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 from typing import Callable
 
 from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, rotation_pi
@@ -30,11 +34,10 @@ from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus, slope_jumps)
-from .kernels import real_sph_harmonic_3d, sph_count
+from .kernels import real_sph_harmonic_3d
 from .quadrature import (DEFAULT_MAX_PANELS, breakpoint_series, int_pl_trig_pi,
                          integral_exact, integrate, trig_product_integral)
-from .series import (TruncationPlan, choose_K_disk, higher_arith_geom,
-                     least_passing, point_order, require)
+from .series import TruncationPlan, choose_K_disk, point_order, require
 
 
 @dataclass
@@ -381,55 +384,54 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
 
 @dataclass
 class BallProblem:
-    """Dirichlet data on the unit sphere in R^d, evaluation radius bound r0.
+    """Dirichlet data on the unit sphere in R^3, given by declared modes."""
 
-    Only d = 3 has an explicit harmonic basis, so other d are refused here,
-    before any planning; :func:`plan_ball_truncation` stays general in d.
-    """
-
-    d: int
     g: EvaluableFunction
-    r0: Fraction
-
-    def __post_init__(self):
-        self.r0 = as_fraction(self.r0)
-        if self.d != 3:
-            raise PreconditionError("explicit solve supports d = 3 only")
-        if not 0 <= self.r0 < 1:
-            raise PreconditionError("r0 must lie in [0,1)")
 
 
-def plan_ball_truncation(d: int, sup_g, r0, n: int) -> TruncationPlan:
-    """Smallest degree cutoff M making the harmonic tail drop below 2^-(n+1).
+def _declared_modes(g: EvaluableFunction) -> dict:
+    """g's declared orthonormal-harmonic modes {(l, m): c}.
 
-    Uses N(d,l) <= 2 (l+1)...(l+d-2) / (d-2)! so the tail is an
-    arithmetico-geometric sum of order d-2.  Its terms are positive, so the
-    tail decreases strictly in M and M is found by :func:`least_passing`.
+    Data given only through pointwise evaluation would need certified
+    product quadrature over the whole sphere, whose panel count is far
+    beyond the budget cap at any useful precision.
     """
-    sup_g, r0 = as_fraction(sup_g), as_fraction(r0)
-    if d < 3:
-        raise PreconditionError("dimension must be at least 3")
-    if not 0 <= r0 < 1:
-        raise PreconditionError("r0 must lie in [0,1)")
-    budget = Fraction(1, 2 ** (n + 1))
-    scale = 2 * sup_g / factorial(d - 2)
-    if r0 == 0:
-        plan = TruncationPlan(0, [("truncation", n + 1), ("summation", n + 1)],
-                              "center evaluation, only l=0 survives")
-        plan.require_budget(n)
-        return plan
+    if g.sph_modes is None:
+        raise QuadratureBudgetError(
+            "boundary data has no declared harmonic modes; certified sphere "
+            f"quadrature would exceed {DEFAULT_MAX_PANELS} panels")
+    return g.sph_modes
 
-    def tail(M: int) -> Fraction:
-        return scale * higher_arith_geom(M + 1, d - 2, r0)
 
-    M = least_passing(lambda m: tail(m) <= budget, 1, 0, 1 << 60,
-                      "ball cutoff failed to close")
-    plan = TruncationPlan(M, [("truncation", n + 1), ("summation", n + 1)],
-                          f"spherical-harmonic cutoff in dimension {d}")
-    for l in range(M + 1, M + 4):
-        count_bound = 2 * Fraction(factorial(l + d - 2), factorial(l)) / factorial(d - 2)
-        plan.claim(f"mode count l={l}", Fraction(sph_count(d, l)), count_bound)
-    plan.claim("tail", tail(M), budget)
+def _mode_claim(l: int, c: Fraction, r: Fraction) -> Fraction:
+    """|c r^l Y_{l,m}| <= |c| r^l (l+1)/3, since |Y_{l,m}| <= sqrt((2l+1)/(4 pi))."""
+    return abs(c) * r ** l * Fraction(l + 1, 3)
+
+
+def plan_ball_truncation(g: EvaluableFunction, r, n: int) -> TruncationPlan:
+    """Least declared degree L whose dropped modes claim at most 2^-(n+1) at r.
+
+    The data is a finite list of modes, so there is no harmonic tail: the
+    plan only decides which declared modes to drop, the highest first, and
+    records what dropping every degree past L claims.
+    """
+    r = as_fraction(r)
+    if not 0 <= r < 1:
+        raise PreconditionError("evaluation radius must lie in [0,1)")
+    weight: dict[int, Fraction] = {}
+    for (l, _m), c in _declared_modes(g).items():
+        weight[l] = weight.get(l, Fraction(0)) + _mode_claim(l, c, r)
+    budget = Fraction(1, 1 << (n + 1))
+    degrees = sorted(weight, reverse=True) or [0]
+    L, dropped = degrees[0], Fraction(0)
+    for lower in degrees[1:]:
+        if dropped + weight[L] > budget:
+            break
+        dropped += weight[L]
+        L = lower
+    plan = TruncationPlan(L, [("truncation", n + 1), ("summation", n + 1)],
+                          f"declared modes up to degree {L}")
+    plan.claim("dropped modes", dropped, budget)
     plan.require_budget(n)
     return plan
 
@@ -438,22 +440,15 @@ def solve_ball(p: BallProblem, r, theta, phi, n: int,
                plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(r, theta, phi) on the unit 3-ball, angles in pi-units.
 
-    Needs boundary data with declared orthonormal-harmonic modes; data
-    given only through pointwise evaluation would require certified product
-    quadrature over the whole sphere, whose panel count is far beyond the
-    budget cap at any useful precision.
+    Sums the declared modes up to the plan's degree and adds the claim of
+    the dropped ones at this r, which must fit within 2^-(n+1).
     """
     r = as_fraction(r)
-    if not 0 <= r <= p.r0:
-        raise PreconditionError("evaluation radius exceeds the declared r0")
-    modes = p.g.sph_modes
-    if modes is None:
-        raise QuadratureBudgetError(
-            "boundary data has no declared harmonic modes; certified sphere "
-            f"quadrature would exceed {DEFAULT_MAX_PANELS} panels")
+    if not 0 <= r < 1:
+        raise PreconditionError("evaluation radius must lie in [0,1)")
+    modes = _declared_modes(p.g)
     if plan is None:
-        sup = sum(map(abs, modes.values()), Fraction(0))
-        plan = plan_ball_truncation(p.d, max(sup, Fraction(1)), p.r0, n)
+        plan = plan_ball_truncation(p.g, r, n)
     use = [(l, m) for (l, m) in sorted(modes) if l <= plan.order and modes[(l, m)]]
     # each harmonic's error is scaled by its coefficient
     big = max((abs(modes[lm]) for lm in use), default=Fraction(1))
@@ -462,7 +457,7 @@ def solve_ball(p: BallProblem, r, theta, phi, n: int,
     for l, m in use:
         y = real_sph_harmonic_3d(l, m, theta, phi, pc)
         acc = (acc + y.mul_fraction(modes[(l, m)] * r ** l, pc)).rounded(pc)
-    # dropped declared modes: |Y_{l,m}| <= sqrt((2l+1)/(4 pi)) <= (l+1)/3
-    extra = sum((abs(c) * r ** l * Fraction(l + 1, 3)
-                 for (l, _m), c in modes.items() if l > plan.order), Fraction(0))
+    extra = sum((_mode_claim(l, c, r) for (l, _m), c in modes.items() if l > plan.order),
+                Fraction(0))
+    require("dropped modes", extra, Fraction(1, 1 << (n + 1)))
     return acc.widen_fraction(extra)

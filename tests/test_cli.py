@@ -102,16 +102,14 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_ball_other_dimension_exits_3_before_planning(tmp_path, capsys, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("planned a ball cutoff for a refused dimension")
-
-    monkeypatch.setattr(cli, "plan_ball_truncation", unreachable)
-    cfg = write(tmp_path, "b.cfg", "problem = ball\nd = 4\ng = sph 0:0:1\n"
-                "r = 1/2\ntheta = 0\nphi = 0\nbits = 16\n")
-    code, text, err = run(["solve", "--config", cfg], capsys)
-    assert code == 3 and text == ""
-    assert err == "precondition violated: explicit solve supports d = 3 only\n"
+def test_ball_config_with_d_or_r0_exits_2(tmp_path, capsys):
+    ball = "problem = ball\ng = sph 0:0:1\nr = 1/2\ntheta = 0\nphi = 0\nbits = 16\n"
+    assert run(["solve", "--config", write(tmp_path, "b.cfg", ball)], capsys)[0] == 0
+    for extra in ("d = 3\n", "r0 = 9/10\n"):
+        cfg = write(tmp_path, "b.cfg", ball + extra)
+        code, text, err = run(["solve", "--config", cfg], capsys)
+        assert code == 2 and text == ""
+        assert err.startswith("config error: unknown keys")
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -3,6 +3,8 @@
 Each example builds a config as `certheat solve` would read it and solves it.
 The solve must either return a bound within 2^-n or stop with a clean
 PreconditionError (exit 3); any other exception or a looser bound fails.
+The ball and the half-line initial data accept every input they draw, and
+their values must also sit within that bound of an mpmath oracle.
 Amplitude, alpha, window, t, r/x and bits all vary.  The profile is
 derandomised with a fixed example count, so every run checks the same
 inputs.
@@ -10,6 +12,7 @@ inputs.
 
 from fractions import Fraction as F
 
+import mpmath as mp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,14 +33,74 @@ amplitude = st.sampled_from([F(1), F(3, 4), F(-5, 2), F(1, 1000), F(2 ** 10), F(
 alpha = st.sampled_from([F(1, 256), F(1, 64), F(1, 3), F(1), F(4)])
 
 
-def check(cfg: dict) -> None:
+def check(cfg: dict, oracle=None) -> None:
+    """Solve cfg; with an oracle, every input must solve and the value
+    must lie within its bound of oracle(cfg) (within 10^-30 of the truth)."""
     cfg = {k: str(v) for k, v in cfg.items()}
     n = int(cfg["bits"])
     try:
         value, _ = SOLVERS[cfg["problem"]](cfg, n)
     except PreconditionError:
+        assert oracle is None, cfg
         return
     assert value.err_fraction() <= F(1, 2 ** n), cfg
+    if oracle is not None:
+        with mp.workdps(50):
+            gap = abs(q(value.value_fraction()) - oracle(cfg))
+            assert gap <= q(value.err_fraction()) + mp.mpf(10) ** -30, (cfg, gap)
+
+
+def q(x) -> mp.mpf:
+    f = F(x)
+    return mp.mpf(f.numerator) / f.denominator
+
+
+def legendre(l: int, m: int, th: mp.mpf) -> mp.mpf:
+    """P_l^m(cos th) with the Condon-Shortley phase, by the upward recurrence."""
+    x = mp.cos(th)
+    prev, cur = mp.mpf(0), (-1) ** m * mp.fac2(2 * m - 1) * mp.sin(th) ** m
+    for ll in range(m + 1, l + 1):
+        prev, cur = cur, ((2 * ll - 1) * x * cur - (ll + m - 1) * prev) / (ll - m)
+    return cur
+
+
+def ball_oracle(cfg: dict) -> mp.mpf:
+    """Sum of c r^l Y_{l,m}, real orthonormal harmonics, angles in pi-units."""
+    r, th, ph = q(cfg["r"]), mp.pi * q(cfg["theta"]), mp.pi * q(cfg["phi"])
+    out = mp.mpf(0)
+    for tok in cfg["g"].split()[1:]:
+        l, m, c = tok.split(":")
+        l, m, am = int(l), int(m), abs(int(m))
+        y = mp.sqrt((2 * l + 1) / (4 * mp.pi) * mp.factorial(l - am) / mp.factorial(l + am)) \
+            * legendre(l, am, th)
+        if m:
+            y *= mp.sqrt(2) * (mp.cos(m * ph) if m > 0 else mp.sin(am * ph))
+        out += q(c) * r ** l * y
+    return out
+
+
+def initial_oracle(cfg: dict) -> mp.mpf:
+    """Quadrature of the Dirichlet half-line kernel against the data, split
+    at its breakpoints and at x; at t = 0 the data's value at x."""
+    pts = [(q(a), q(b)) for a, b in (tok.split(":") for tok in cfg["g0"].split()[1:])]
+    t, x, alpha = q(cfg["t"]), q(cfg["x"]), q(cfg["alpha"])
+
+    def data(y):
+        for (a, ya), (b, yb) in zip(pts, pts[1:]):
+            if a <= y <= b:
+                return ya + (yb - ya) * (y - a) / (b - a)
+        return mp.mpf(0)
+
+    if t == 0:
+        return data(x)
+    c = 4 * alpha * t
+
+    def integrand(y):
+        return data(y) * (mp.exp(-(x - y) ** 2 / c)
+                          - mp.exp(-(x + y) ** 2 / c)) / mp.sqrt(mp.pi * c)
+
+    nodes = sorted({a for a, _ in pts} | ({x} if pts[0][0] < x < pts[-1][0] else set()))
+    return mp.quad(integrand, nodes)
 
 
 @SWEEP
@@ -56,11 +119,10 @@ def test_disk(data):
 @given(st.data())
 def test_ball(data):
     a = data.draw(amplitude)
-    r0 = data.draw(st.sampled_from([F(1, 2), F(9, 10), F(99, 100)]))
     check({"problem": "ball", "g": f"sph 0:0:{a} 1:0:1/2 2:1:{a} 3:-2:1/8",
-           "r0": r0, "r": data.draw(frac(0, 100, 100)) * r0,
+           "r": data.draw(frac(0, 99, 100)),
            "theta": data.draw(frac(0, 16, 16)), "phi": data.draw(frac(0, 31, 16)),
-           "bits": data.draw(st.integers(2, 48))})
+           "bits": data.draw(st.integers(2, 48))}, ball_oracle)
 
 
 @SWEEP
@@ -108,14 +170,17 @@ def test_halfline_force(data):
 @given(st.data())
 def test_halfline_initial(data):
     a = data.draw(amplitude)
-    lo = data.draw(frac(1, 6, 16))
+    lo = data.draw(frac(0, 6, 16))
     hi = lo + data.draw(frac(1, 8, 16))
     g0 = data.draw(st.sampled_from([f"pl {lo}:0 {(lo + hi) / 2}:{a} {hi}:0",
                                     f"pl {lo}:{a} {hi}:{a}"]))
-    x = data.draw(st.one_of(frac(1, 16, 16).map(lambda u: u * lo),
-                            frac(1, 32, 16).map(lambda u: hi + u)))
+    # left of, inside (breakpoints included) and right of the support, and 0
+    x = data.draw(st.one_of(frac(0, 16, 16).map(lambda u: u * lo),
+                            frac(0, 16, 16).map(lambda u: lo + u * (hi - lo)),
+                            frac(1, 32, 16).map(lambda u: hi + u), st.just(F(0))))
     check({"problem": "halfline-initial", "g0": g0, "alpha": data.draw(alpha),
-           "t": data.draw(frac(0, 16, 16)), "x": x, "bits": data.draw(bits)})
+           "t": data.draw(frac(0, 64, 16)), "x": x, "bits": data.draw(bits)},
+          initial_oracle)
 
 
 @SWEEP

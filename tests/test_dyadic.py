@@ -95,6 +95,11 @@ def test_as_fraction_helper():
     assert as_fraction(DyadicDecimal.parse("+1.1")) == Fraction(3, 2)
 
 
+def test_as_fraction_returns_a_fraction_itself():
+    f = Fraction(-22, 7)
+    assert as_fraction(f) is f
+
+
 def test_decimal_rendering():
     d = DyadicDecimal.parse("+.1")
     assert d.decimal(3) == "0.500"

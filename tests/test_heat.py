@@ -356,18 +356,60 @@ def test_initial_matches_oracle():
         assert_close(u, initial_oracle(to_mp(t), to_mp(x), to_mp(alpha)), n, tol)
 
 
+def pl_initial_oracle(pts, t, x, alpha):
+    """Quadrature of the Dirichlet half-line kernel against the table pts,
+    zero off its support; at t = 0 the table's value at x."""
+    pts = [(to_mp(a), to_mp(b)) for a, b in pts]
+    x = to_mp(x)
+
+    def data(y):
+        for (a, ya), (b, yb) in zip(pts, pts[1:]):
+            if a <= y <= b:
+                return ya + (yb - ya) * (y - a) / (b - a)
+        return mp.mpf(0)
+
+    if t == 0:
+        return data(x)
+    c = 4 * to_mp(alpha) * to_mp(t)
+
+    def kern(y):
+        return (mp.exp(-(x - y) ** 2 / c) - mp.exp(-(x + y) ** 2 / c)) / mp.sqrt(mp.pi * c)
+    nodes = sorted({a for a, _ in pts} | ({x} if pts[0][0] < x < pts[-1][0] else set()))
+    return mp.quad(lambda y: kern(y) * data(y), nodes)
+
+
 def test_initial_small_time_and_margin():
-    g = piecewise_linear_fn([(F(2, 5), F(0)), (F(1, 2), F(1)), (F(3, 5), F(0))])
-    plan = plan_halfline_initial(g, F(1), F(1, 1000), F(6, 5), 16)
-    assert plan.params.get("zero") == 1
-    u = solve_halfline_initial(g, F(1), F(1, 1000), F(6, 5), 16, plan)
-    assert u.value_fraction() == 0
-    assert abs(initial_oracle(mp.mpf("0.001"), to_mp(F(6, 5)), 1)) <= to_mp(u.err_fraction())
+    # x inside the support, on a breakpoint and at 0; t = 0, small, and past
+    # 1; a support from 0 and one right of 1
+    tent = [(F(2, 5), F(0)), (F(1, 2), F(1)), (F(3, 5), F(0))]
+    from_zero = [(F(0), F(1)), (F(1, 2), F(-2)), (F(3, 2), F(1, 3))]
+    far = [(F(2), F(3)), (F(5, 2), F(3))]
+    tol = mp.mpf(10) ** -30
+    for pts, x, t, alpha, n in [
+            (tent, F(6, 5), F(1, 1000), F(1), 16),   # far from the support
+            (tent, F(9, 20), F(1, 1000), F(1), 24),  # inside the support
+            (tent, F(1, 2), F(1, 1000), F(1), 24),   # on the peak
+            (tent, F(2, 5), F(1, 2 ** 30), F(1), 12),
+            (tent, F(1, 2), F(0), F(1), 20),
+            (tent, F(3, 4), F(0), F(1), 20),
+            (tent, F(0), F(1, 2), F(1), 20),
+            (tent, F(1, 2), F(4), F(1, 3), 32),
+            (from_zero, F(0), F(1, 64), F(1), 20),
+            (from_zero, F(1, 2), F(1, 64), F(4), 40),
+            (from_zero, F(1, 10 ** 6), F(1, 2 ** 20), F(1, 256), 24),
+            (from_zero, F(0), F(0), F(1), 20),
+            (far, F(9, 4), F(2), F(1), 24),
+            (far, F(5, 2), F(1, 16), F(1), 24)]:
+        u = solve_halfline_initial(piecewise_linear_fn(pts), alpha, t, x, n)
+        assert_close(u, pl_initial_oracle(pts, t, x, alpha), n, tol)
+    g = piecewise_linear_fn(tent)
+    assert plan_halfline_initial(g, F(1), F(3), F(1, 2), 16).params == {}
+    for args in ((F(0), F(1, 2), F(1)), (F(1), F(-1), F(1)), (F(1), F(1), F(-1, 8))):
+        with pytest.raises(PreconditionError):
+            solve_halfline_initial(g, *args, 10)
+    left = piecewise_linear_fn([(F(-1, 2), F(0)), (F(1, 2), F(1))])
     with pytest.raises(PreconditionError):
-        solve_halfline_initial(g, F(1), F(1, 2), F(1, 2), 10)  # x inside support
-    bad = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1))])
-    with pytest.raises(PreconditionError):
-        solve_halfline_initial(bad, F(1), F(1, 2), F(6, 5), 10)  # support hits 0
+        solve_halfline_initial(left, F(1), F(1, 2), F(6, 5), 10)  # support left of 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import mpmath as mp
 import pytest
@@ -20,7 +19,6 @@ from certheat.laplace import (BallProblem, DiskProblem, fourier_coeffs,
                               hardness_boundary_disk, interpolated_closure,
                               plan_ball_truncation, plan_disk, solve_ball,
                               solve_disk)
-from certheat.series import higher_arith_geom
 
 mp.mp.prec = 300
 
@@ -309,11 +307,14 @@ def test_plan_disk_chain():
         assert "tail" in labels and "per-block decay" in labels
 
 
+def sph_data(modes):
+    return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1),
+                             modulus=lambda k: k + 4, eval_cv=lambda x, p: None,
+                             sph_modes=modes)
+
+
 def test_ball_single_modes():
-    gb = EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1),
-                           modulus=lambda k: k + 4, eval_cv=lambda x, p: None,
-                           sph_modes={(2, 1): Fraction(1)})
-    pb = BallProblem(3, gb, Fraction(3, 4))
+    pb = BallProblem(sph_data({(2, 1): Fraction(1)}))
     for n in (10, 24):
         r, th, ph = Fraction(1, 2), Fraction(1, 3), Fraction(7, 5)
         cv = solve_ball(pb, r, th, ph, n)
@@ -323,10 +324,8 @@ def test_ball_single_modes():
 
 
 def test_ball_center_keeps_constant_mode():
-    gb = EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(3),
-                           modulus=lambda k: k + 4, eval_cv=lambda x, p: None,
-                           sph_modes={(0, 0): Fraction(2), (3, -2): Fraction(1)})
-    cv = solve_ball(BallProblem(3, gb, Fraction(1, 2)), 0, Fraction(1, 4), Fraction(1, 4), 16)
+    gb = sph_data({(0, 0): Fraction(2), (3, -2): Fraction(1)})
+    cv = solve_ball(BallProblem(gb), 0, Fraction(1, 4), Fraction(1, 4), 16)
     y00 = real_sph_harmonic_3d(0, 0, Fraction(1, 4), Fraction(1, 4), 40).value_fraction()
     assert abs(cv.value_fraction() - 2 * y00) <= cv.err_fraction() + Fraction(1, 2 ** 38)
 
@@ -335,51 +334,41 @@ def test_ball_generic_data_refuses():
     gb = EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1),
                            modulus=lambda k: k + 4, eval_cv=lambda x, p: None)
     with pytest.raises(QuadratureBudgetError):
-        solve_ball(BallProblem(3, gb, Fraction(1, 2)),
-                   Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), 10)
+        solve_ball(BallProblem(gb), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), 10)
+
+
+def dropped_claim(modes, r, L):
+    """What dropping every declared mode past degree L claims at r."""
+    return sum((abs(c) * r ** l * Fraction(l + 1, 3)
+                for (l, _m), c in modes.items() if l > L), Fraction(0))
 
 
 def test_ball_plan_chain():
-    for d in (3, 4):
-        plan = plan_ball_truncation(d, Fraction(2), Fraction(3, 4), 20)
-        assert plan.order > 0 and plan.chain_ok() and plan.validates(20)
+    # the plan keeps the least declared degree whose dropped modes fit 2^-(n+1)
+    modes = {(0, 0): Fraction(1), (1, 0): Fraction(1, 2), (2, 1): Fraction(-1, 4),
+             (3, -2): Fraction(1, 8), (9, 4): Fraction(1, 2 ** 30), (12, 0): Fraction(0)}
+    degrees = sorted({l for l, _ in modes})
+    for r in (Fraction(0), Fraction(1, 1000), Fraction(1, 2), Fraction(99, 100)):
+        for n in (1, 8, 24, 48):
+            plan = plan_ball_truncation(sph_data(modes), r, n)
+            budget = Fraction(1, 2 ** (n + 1))
+            least = next(L for L in degrees if dropped_claim(modes, r, L) <= budget)
+            assert plan.order == least, (r, n)
+            assert plan.chain == [("dropped modes", dropped_claim(modes, r, least), budget)]
+            assert plan.chain_ok() and plan.validates(n)
     with pytest.raises(PreconditionError):
-        plan_ball_truncation(2, 1, Fraction(1, 2), 10)
+        plan_ball_truncation(sph_data(modes), 1, 10)
 
 
-def ball_tail(d, sup_g, r0, M):
-    """The plan's tail bound past degree M: 2 sup_g/(d-2)! sum_{k>M} r0^k (k+d-2)!/k!."""
-    return 2 * sup_g / factorial(d - 2) * higher_arith_geom(M + 1, d - 2, r0)
-
-
-def test_ball_cutoff_matches_linear_scan():
-    for d in (3, 4, 5):
-        # r0 = 1/1000 puts the cutoff at 0 for small n
-        for r0 in (Fraction(1, 1000), Fraction(1, 10), Fraction(1, 2), Fraction(3, 4),
-                   Fraction(9, 10)):
-            for n in (1, 8, 24, 48):
-                M = 0
-                while ball_tail(d, Fraction(2), r0, M) > Fraction(1, 2 ** (n + 1)):
-                    M += 1
-                assert plan_ball_truncation(d, Fraction(2), r0, n).order == M, (d, r0, n)
-
-
-def test_ball_cutoff_is_least_near_r0_one():
-    n, r0 = 64, Fraction(99, 100)
-    plan = plan_ball_truncation(3, Fraction(2), r0, n)
-    M = plan.order
-    assert ball_tail(3, Fraction(2), r0, M) <= Fraction(1, 2 ** (n + 1)) \
-        < ball_tail(3, Fraction(2), r0, M - 1)
-    assert plan.chain_ok() and plan.validates(n)
-
-
-def test_ball_problem_refuses_d_other_than_3():
-    gb = EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1),
-                           modulus=lambda k: k + 4, eval_cv=lambda x, p: None,
-                           sph_modes={(0, 0): Fraction(1)})
-    for d in (2, 4):
-        with pytest.raises(PreconditionError, match="d = 3 only"):
-            BallProblem(d, gb, Fraction(1, 2))
+def test_ball_plan_at_a_smaller_r_raises_at_a_larger_one():
+    pb = BallProblem(sph_data({(0, 0): Fraction(1), (6, 3): Fraction(1, 2 ** 12)}))
+    plan = plan_ball_truncation(pb.g, Fraction(1, 10), 20)
+    assert plan.order == 0
+    solve_ball(pb, Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), 20, plan)
+    with pytest.raises(AssertionError, match="dropped modes"):
+        solve_ball(pb, Fraction(9, 10), Fraction(1, 3), Fraction(1, 2), 20, plan)
+    with pytest.raises(PreconditionError):
+        solve_ball(pb, 1, Fraction(1, 3), Fraction(1, 2), 20)
 
 
 # ---------------------------------------------------------------------------

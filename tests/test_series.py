@@ -142,20 +142,23 @@ OVER_BUDGET = """
 from fractions import Fraction as F
 import certheat.series as series
 from certheat import heat, laplace
+from certheat.cli import parse_sph_fn
 from certheat.evaluable import piecewise_linear_fn
 
 if __debug__:
     raise SystemExit("not running under -O")
 series.TruncationPlan.total_budget = lambda self: F(1)
 tent = piecewise_linear_fn([(0, 0), (F(1, 2), 1), (1, 0)])
+sph = parse_sph_fn("sph 0:0:1 1:0:1/2 3:-2:1/8")
 planners = {
     "disk": lambda: laplace.plan_disk(laplace.DiskProblem(
         piecewise_linear_fn([(0, 0), (1, 1), (2, 0)]), F(1, 2)), 8),
-    "ball-center": lambda: laplace.plan_ball_truncation(3, 1, 0, 8),
-    "ball": lambda: laplace.plan_ball_truncation(3, 1, F(1, 2), 8),
+    "ball-center": lambda: laplace.plan_ball_truncation(sph, 0, 8),
+    "ball": lambda: laplace.plan_ball_truncation(sph, F(1, 2), 8),
     "interval": lambda: heat.plan_interval(heat.IntervalHeatProblem(1, 1, tent, F(1, 4)), 8),
     "taylor": lambda: heat.plan_halfline_boundary(heat.HalflineBoundaryProblem(
         1, heat.poly_time_profile([0, 1]), (F(1, 2), 1)), 8),
+    "initial": lambda: heat.plan_halfline_initial(tent, 1, F(1, 2), F(1, 2), 8),
 }
 for name, plan in planners.items():
     try:
