@@ -108,6 +108,13 @@ def _parse_pairs(rest: str, what: str,
     return pts
 
 
+def _add_mode(modes: dict, key, coeff: Fraction, what: str) -> None:
+    """modes[key] = coeff, refusing a mode the spec already gave."""
+    if key in modes:
+        raise ConfigError(f"{what}: mode {key} given twice")
+    modes[key] = coeff
+
+
 def parse_boundary_fn(spec: str) -> EvaluableFunction:
     """Disk boundary vocabulary: cos/sin modes, trig combinations, tables."""
     kind, _, rest = spec.strip().partition(" ")
@@ -132,7 +139,7 @@ def parse_boundary_fn(spec: str) -> EvaluableFunction:
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"const: bad value {rest!r}")
     if kind == "trig":
-        const, cos_c, sin_c = Fraction(0), {}, {}
+        terms = {"const": {}, "cos": {}, "sin": {}}
         for tok in rest.split(","):
             tok = tok.strip()
             if "=" not in tok:
@@ -143,14 +150,16 @@ def parse_boundary_fn(spec: str) -> EvaluableFunction:
             except (ValueError, ZeroDivisionError):
                 raise ConfigError(f"trig: bad coefficient {val!r}")
             if name == "const":
-                const = coeff
-            elif name.startswith("cos") and name[3:].isdigit():
-                cos_c[int(name[3:])] = coeff
-            elif name.startswith("sin") and name[3:].isdigit():
-                sin_c[int(name[3:])] = coeff
+                k = 0
+            elif name[:3] in ("cos", "sin") and name[3:].isdigit():
+                name, k = name[:3], int(name[3:])
+                if k < 1:
+                    raise ConfigError(f"trig: {name} mode must be >= 1; use const")
             else:
                 raise ConfigError(f"trig: unknown term {name!r}")
-        return trig_poly_fn(TrigPoly(const, sin_c, cos_c), spec)
+            _add_mode(terms[name], k, coeff, f"trig {name}")
+        return trig_poly_fn(TrigPoly(terms["const"].get(0, Fraction(0)), terms["sin"],
+                                     terms["cos"]), spec)
     if kind == "pl":
         return piecewise_linear_fn(_parse_pairs(rest, "pl"), spec)
     raise ConfigError(f"unknown boundary function kind {kind!r}")
@@ -163,7 +172,7 @@ def parse_interval_fn(spec: str, L: Fraction) -> EvaluableFunction:
         for k, c in _parse_pairs(rest, "sine", min_pairs=1):
             if k.denominator != 1 or k < 1:
                 raise ConfigError(f"sine: mode {k} must be a positive integer")
-            modes[int(k)] = c
+            _add_mode(modes, int(k), c, "sine")
         return sine_modes_fn(modes, L, spec)
     if kind == "pl":
         return piecewise_linear_fn(_parse_pairs(rest, "pl"), spec)
@@ -227,7 +236,7 @@ def parse_sph_fn(spec: str) -> EvaluableFunction:
             raise ConfigError(f"sph: bad mode {tok!r}")
         if l < 0 or abs(m) > l:
             raise ConfigError(f"sph: invalid (l,m)=({l},{m})")
-        modes[(l, m)] = c
+        _add_mode(modes, (l, m), c, "sph")
     if not modes:
         raise ConfigError("sph: need at least one mode")
     sup = sum(map(abs, modes.values()), Fraction(0))
@@ -252,9 +261,9 @@ def _solve_disk(cfg, n):
 def _solve_ball(cfg, n):
     keys = {"g", "r", "theta", "phi"}
     _check_keys(cfg, keys, keys)
-    p, r = BallProblem(parse_sph_fn(cfg["g"])), _num(cfg, "r")
-    plan = plan_ball_truncation(p.g, r, n)
-    return solve_ball(p, r, _num(cfg, "theta"), _num(cfg, "phi"), n, plan), plan
+    p = BallProblem(parse_sph_fn(cfg["g"]))
+    plan = plan_ball_truncation(p.g, n)
+    return solve_ball(p, _num(cfg, "r"), _num(cfg, "theta"), _num(cfg, "phi"), n), plan
 
 
 def _solve_interval(cfg, n):
@@ -295,7 +304,7 @@ def _solve_halfline_initial(cfg, n):
     g = parse_force_fn(cfg["g0"])
     t, x = _num(cfg, "t"), _num(cfg, "x")
     plan = plan_halfline_initial(g, alpha, t, x, n)
-    return solve_halfline_initial(g, alpha, t, x, n, plan), plan
+    return solve_halfline_initial(g, alpha, t, x, n), plan
 
 
 def _solve_neumann(cfg, n):
@@ -325,8 +334,7 @@ def _plan_summary(plan: TruncationPlan | None):
     if plan is None:
         return None
     return {"order": plan.order,
-            "budget": [[label, bits] for label, bits in plan.budget_split],
-            "params": {k: int(v) for k, v in sorted(plan.params.items())}}
+            "budget": [[label, bits] for label, bits in plan.budget_split]}
 
 
 def cmd_solve(args) -> int:

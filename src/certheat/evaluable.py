@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from .certified import CertifiedValue, cos_pi_mul_cv, sin_pi_mul_cv
 from .dyadic import DyadicDecimal, as_fraction, round_to
+from .series import require
 
 
 def _log2_ceil(f: Fraction) -> int:
@@ -35,6 +36,12 @@ def _log2_ceil(f: Fraction) -> int:
     while j > -64 and Fraction(2) ** (j - 1) >= f:
         j -= 1
     return j
+
+
+def _guard_bits(scale: Fraction) -> int:
+    """Extra bits for a sum of evaluated terms whose coefficients total
+    ``scale``: each term's error is its coefficient times the term's."""
+    return max(0, _log2_ceil(scale)) if scale else 0
 
 
 def lipschitz_modulus(bound: Fraction) -> Callable[[int], int]:
@@ -50,6 +57,10 @@ class TrigPoly:
     const: Fraction = Fraction(0)
     sin_coeffs: dict[int, Fraction] = field(default_factory=dict)
     cos_coeffs: dict[int, Fraction] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if any(k < 1 for k in (*self.sin_coeffs, *self.cos_coeffs)):
+            raise ValueError("trig modes start at 1; mode 0 is const")
 
     def degree(self) -> int:
         ks = list(self.sin_coeffs) + list(self.cos_coeffs)
@@ -73,7 +84,7 @@ class TrigPoly:
 
     def eval_cv(self, rho: Fraction, p: int) -> CertifiedValue:
         terms = max(1, len(self.sin_coeffs) + len(self.cos_coeffs))
-        pp = p + terms.bit_length() + 2
+        pp = p + terms.bit_length() + 2 + _guard_bits(self.coeff_l1())
         acc = CertifiedValue.from_fraction(self.const, pp)
         for k in sorted(self.sin_coeffs):
             acc = acc + sin_pi_mul_cv(k * rho, pp).mul_fraction(self.sin_coeffs[k], pp)
@@ -95,8 +106,8 @@ class EvaluableFunction:
     eval_exact: Optional[Callable[[Fraction], Fraction]] = None
     # structure metadata used by the exact integration paths
     trig_poly: Optional[TrigPoly] = None
+    # {k: c_k} with g(x) = sum of c_k sin(k pi x / L) on the domain [0, L]
     sine_modes: Optional[dict[int, Fraction]] = None
-    sine_L: Optional[Fraction] = None
     breakpoints: Optional[list[Fraction]] = None
     linear_segments: Optional[int] = None
     # exact sum over uniform segments first .. last - 1 of the value at each
@@ -109,8 +120,10 @@ class EvaluableFunction:
     sph_modes: Optional[dict[tuple[int, int], Fraction]] = None
 
     def eval(self, d: DyadicDecimal, n: int) -> DyadicDecimal:
-        """Public contract: |result - f(value(d))| <= 2^-n."""
+        """Public contract: |result - f(value(d))| <= 2^-n.  The evaluator
+        must certify 2^-(n+1); rounding to n + 1 bits adds at most that."""
         cv = self.eval_cv(d.as_fraction(), n + 1)
+        require("evaluator error", cv.err_fraction(), Fraction(1, 1 << (n + 1)))
         return round_to(cv.value_fraction(), n + 1)
 
     def has_linear_structure(self) -> bool:
@@ -185,8 +198,10 @@ def sine_modes_fn(modes: dict[int, Fraction], L: Fraction, label: str = "") -> E
     sup = sum(map(abs, modes.values()), Fraction(0))
     lip = sum((4 * k / L) * abs(c) for k, c in modes.items())
 
+    guard = _guard_bits(sup)
+
     def ev(x: Fraction, p: int) -> CertifiedValue:
-        pp = p + max(1, len(modes)).bit_length() + 2
+        pp = p + max(1, len(modes)).bit_length() + 2 + guard
         acc = CertifiedValue.zero()
         for k in sorted(modes):
             acc = acc + sin_pi_mul_cv(k * x / L, pp).mul_fraction(modes[k], pp)
@@ -199,7 +214,6 @@ def sine_modes_fn(modes: dict[int, Fraction], L: Fraction, label: str = "") -> E
         eval_cv=ev,
         label=label or "sine-modes",
         sine_modes=modes,
-        sine_L=L,
     )
 
 

@@ -3,7 +3,8 @@
 Four problem shapes:
 
 * interval with Dirichlet ends and initial data, solved by a truncated sine
-  series whose mode count comes from an exact decay plan;
+  series whose mode count comes from an exact decay plan (declared sine
+  modes are all summed, with no tail);
 * half-line driven by a boundary profile h(t): a Taylor polynomial of h,
   answered term by term in closed form, since data s^k gives
   k! (4t)^k i^{2k}erfc(x / (2 sqrt(alpha t)));
@@ -45,8 +46,8 @@ from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
                         lipschitz_modulus, polynomial_fn, slope_jumps)
 from .quadrature import (breakpoint_series, int_pl_trig_pi, integrate,
                          trig_product_integral)
-from .series import (TruncationPlan, choose_K_disk, gaussian_tail, point_order,
-                     require)
+from .series import (TruncationPlan, choose_K_disk, declared_modes_plan, gaussian_tail,
+                     point_order, require)
 
 
 def _inv_sqrt_4pialpha(alpha: Fraction, p: int) -> CertifiedValue:
@@ -126,7 +127,6 @@ def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
         eval_cv=ev,
         label="sin-half-profile",
         sine_modes={1: amp},
-        sine_L=Fraction(2),
     )
     fn.smooth_model = SmoothProfile(
         deriv_cv=dcv,
@@ -172,7 +172,7 @@ def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
     if k < 1:
         raise PreconditionError("mode index must be at least 1")
     g, L = p.g, p.L
-    if g.sine_modes is not None and g.sine_L == L:
+    if g.sine_modes is not None:
         # orthogonality reads the coefficient off exactly
         return _exact_cv(g.sine_modes.get(k, Fraction(0)), prec)
     segs = p.pieces
@@ -214,57 +214,48 @@ def _ladder(rate: Fraction, K: int, W: int) -> tuple:
 
 
 def plan_interval(p: IntervalHeatProblem, n: int) -> TruncationPlan:
-    """Mode count K*(n+1), geometric in the per-mode decay at t0."""
+    """Mode count K*(n+1), geometric in the per-mode decay at t0; declared
+    modes plan their top mode."""
+    if p.g.sine_modes is not None:
+        return declared_modes_plan(max(p.g.sine_modes, default=0), n)
     rho = _decay_bound(p.alpha * p.t0 / (p.L * p.L))
     C = 2 * p.g.sup_bound / (1 - rho)
     K = choose_K_disk(C, rho)
     order = K * (n + 1)
-    plan = TruncationPlan(order,
-                          [("truncation", n + 1), ("summation", n + 1)],
-                          f"interval series, K={K} per output bit",
-                          params={})
+    plan = TruncationPlan(order, [("truncation", n + 1), ("summation", n + 1)])
     plan.claim("per-block decay", C * pow_fraction_upper(rho, K, 160), Fraction(1, 2))
     plan.claim("tail", C * pow_fraction_upper(rho, order, 160), Fraction(1, 1 << (n + 1)))
-    if p.g.sine_modes is not None and p.g.sine_L == p.L:
-        kmax = max(p.g.sine_modes, default=0)
-        if kmax < order:
-            # modes beyond the declared data are exactly zero
-            plan.order = kmax
-            plan.params["capped"] = 1
-            plan.claim("declared-modes", Fraction(0), Fraction(1, 1 << (n + 1)))
     plan.require_budget(n)
     return plan
 
 
 def solve_interval(p: IntervalHeatProblem, t, x, n: int,
                    plan: TruncationPlan | None = None) -> CertifiedValue:
-    """Certified u(t, x) with |error| <= 2^-n for t >= t0, summing only the
-    modes t needs; the plan's order caps them."""
+    """Certified u(t, x) with |error| <= 2^-n for t >= t0.  Declared modes
+    are all summed and leave no tail; other data sums only the modes t
+    needs, and the plan's order caps them."""
     t, x = as_fraction(t), as_fraction(x)
     if t < p.t0:
         raise PreconditionError("evaluation time below the declared t0")
     if not 0 <= x <= p.L:
         raise PreconditionError("evaluation point outside [0, L]")
-    if plan is None:
-        plan = plan_interval(p, n)
-    order = plan.order
     rate = p.alpha * t / (p.L * p.L)
-    if plan.params.get("capped"):  # declared modes past the order are zero
-        K, extra = order, Fraction(0)
-    else:  # |mu_k| <= 2||g|| and mode k decays like rho^(k^2)
-        K, extra = _mode_count(2 * p.g.sup_bound, _decay_bound(rate), n, order)
-    if p.pieces is not None:
-        return _solve_interval_pl(p, rate, x, K, n).widen_fraction(extra)
-    ks = (sorted(k for k in p.g.sine_modes if 1 <= k <= order)
-          if p.g.sine_modes is not None and p.g.sine_L == p.L
-          else range(1, order + 1))
-    pc = n + 1 + max(1, len(ks) + 1).bit_length() + 4 \
+    if p.g.sine_modes is not None:
+        ks = sorted(p.g.sine_modes)
+        width, extra = len(ks), Fraction(0)
+    else:
+        if plan is None:
+            plan = plan_interval(p, n)
+        # |mu_k| <= 2||g|| and mode k decays like rho^(k^2)
+        K, extra = _mode_count(2 * p.g.sup_bound, _decay_bound(rate), n, plan.order)
+        if p.pieces is not None:
+            return _solve_interval_pl(p, rate, x, K, n).widen_fraction(extra)
+        ks, width = range(1, K + 1), plan.order
+    pc = n + 1 + max(1, width + 1).bit_length() + 4 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     pisq = (pi_cv(pc + 8) * pi_cv(pc + 8)).rounded(pc + 8)
     acc = CertifiedValue.zero()
     for k in ks:
-        if k > K:
-            break
         mu = sine_coeff(p, k, pc)
         if mu.m == 0 and mu.en == 0:
             continue
@@ -554,8 +545,7 @@ def _plan_taylor(sm: SmoothProfile, scale: Fraction, extra: int, n: int,
         K += 1
         if K > 8 * n + 256:
             raise PreconditionError(f"{what} derivatives grow too fast for a Taylor closed form")
-    plan = TruncationPlan(K, [("taylor", n + 1), ("erfc tail", n + 3), ("assembly", n + 2)],
-                          f"closed form in i^j erfc, Taylor degree {K}")
+    plan = TruncationPlan(K, [("taylor", n + 1), ("erfc tail", n + 3), ("assembly", n + 2)])
     plan.claim("taylor-remainder", _taylor_rem(sm, scale, extra, K, Fraction(1)), bud)
     plan.require_budget(n)
     return plan
@@ -701,22 +691,19 @@ def _initial_args(g: EvaluableFunction, alpha, t, x) -> tuple[Fraction, Fraction
 
 def plan_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int) -> TruncationPlan:
     """The closed form's budget: the erfc tail's claim and the assembly."""
-    alpha, t, x = _initial_args(g, alpha, t, x)
-    plan = TruncationPlan(0, [("erfc tail", n + 3), ("assembly", n + 2)],
-                          f"closed form in erfc at alpha t = {alpha * t}")
+    _initial_args(g, alpha, t, x)
+    plan = TruncationPlan(0, [("erfc tail", n + 3), ("assembly", n + 2)])
     plan.require_budget(n)
     return plan
 
 
-def solve_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int,
-                           plan: TruncationPlan | None = None) -> CertifiedValue:
+def solve_halfline_initial(g: EvaluableFunction, alpha, t, x, n: int) -> CertifiedValue:
     """Certified u(t, x) for piecewise-linear initial data g, zero outside
     its support [b0, b1] with b0 >= 0, at any t >= 0 and x >= 0.
 
     The kernel depends on alpha t only; u is half the sum over the data's
     endpoint distances d of eC erfc(d/s) + sC s i^1erfc(d/s), on either
     side of the support or inside it.  At t = 0, u is the data's value at x.
-    The closed form reads nothing from ``plan``, which records its budget.
     """
     alpha, t, x = _initial_args(g, alpha, t, x)
     ends = _data_endpoints(g, x)

@@ -14,13 +14,14 @@ with exact comparisons only.
 
 Piecewise-linear disk data forms no Fourier coefficient: integrating by
 parts twice leaves one series per slope breakpoint, summed by one rotation
-each (:func:`_solve_disk_pl`).  Declared modes are read off exactly, and
-other data integrates each coefficient.
+each (:func:`_solve_disk_pl`); other data without declared modes integrates
+each coefficient.
 
-Ball data is a finite list of declared spherical-harmonic modes, so it has
-no tail: the ball's plan only picks which modes to drop at the requested r
-and claims them.  No ball solve counts harmonics (``kernels.sph_count``
-serves ``verify`` only).
+Data given as finitely many declared modes (trig polynomials on the disk,
+spherical harmonics on the ball) has an exactly finite solution: every mode
+is summed, nothing is left over, and the plan's order is the top declared
+degree.  No ball solve counts harmonics (``kernels.sph_count`` serves
+``verify`` only).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
 from .kernels import real_sph_harmonic_3d
 from .quadrature import (DEFAULT_MAX_PANELS, breakpoint_series, int_pl_trig_pi,
                          integral_exact, integrate, trig_product_integral)
-from .series import TruncationPlan, choose_K_disk, point_order, require
+from .series import (TruncationPlan, choose_K_disk, declared_modes_plan, point_order,
+                     require)
 
 
 @dataclass
@@ -126,13 +128,15 @@ def _disk_tail(sup: Fraction, r: Fraction, start: int) -> Fraction:
 
 
 def plan_disk(p: DiskProblem, n: int) -> TruncationPlan:
-    """Series order K*(n+1) with the tail constant C = 2||g|| / (1-r0)."""
+    """Series order K*(n+1) with the tail constant C = 2||g|| / (1-r0);
+    declared modes plan their top degree."""
+    tp = p.g.trig_poly
+    if tp is not None:
+        return declared_modes_plan(tp.degree(), n)
     sup = p.g.sup_bound
     K = choose_K_disk(_disk_tail(sup, p.r0, 0), p.r0)
     order = K * (n + 1)
-    plan = TruncationPlan(order,
-                          [("truncation", n + 1), ("summation", n + 1)],
-                          f"disk series, K={K} per output bit")
+    plan = TruncationPlan(order, [("truncation", n + 1), ("summation", n + 1)])
     if p.r0 > 0:
         plan.claim("per-block decay", _disk_tail(sup, p.r0, K), Fraction(1, 2))
     plan.claim("tail", _disk_tail(sup, p.r0, order), Fraction(1, 2 ** (n + 1)))
@@ -140,36 +144,32 @@ def plan_disk(p: DiskProblem, n: int) -> TruncationPlan:
     return plan
 
 
-def _coeff_indices(g: EvaluableFunction, order: int) -> list[int]:
-    tp = g.trig_poly
-    if tp is not None:
-        ks = set(tp.sin_coeffs) | set(tp.cos_coeffs)
-        return sorted(k for k in ks if 1 <= k <= order)
-    return list(range(1, order + 1))
-
-
 def solve_disk(p: DiskProblem, r, theta, n: int,
                plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(r, theta) with |error| <= 2^-n; theta in units of pi.
 
-    Sums the series only as far as r needs; the plan's order caps that.
-    Piecewise-linear data sums over its slope breakpoints
-    (:func:`_solve_disk_pl`); declared modes and other data sum their
-    Fourier coefficients.
+    Declared modes are all summed and leave no tail.  Other data sums the
+    series only as far as r needs, and the plan's order caps that:
+    piecewise-linear data over its slope breakpoints
+    (:func:`_solve_disk_pl`), the rest over its Fourier coefficients.
     """
     r, theta = as_fraction(r), as_fraction(theta)
     if not 0 <= r <= p.r0:
         raise PreconditionError("evaluation radius exceeds the declared r0")
-    if plan is None:
-        plan = plan_disk(p, n)
-    if p.pieces is not None:
-        return _solve_disk_pl(p, r, theta, n, plan.order)
-    ks = _coeff_indices(p.g, plan.order)
-    pc = n + 1 + max(1, len(ks) + 1).bit_length() + 3 \
+    tp = p.g.trig_poly
+    if tp is not None:
+        ks = sorted(set(tp.sin_coeffs) | set(tp.cos_coeffs))
+        width, tail = len(ks), Fraction(0)
+    else:
+        if plan is None:
+            plan = plan_disk(p, n)
+        if p.pieces is not None:
+            return _solve_disk_pl(p, r, theta, n, plan.order)
+        K, tail = point_order(lambda m: _disk_tail(p.g.sup_bound, r, m + 1), n,
+                              plan.order, "disk point tail")
+        ks, width = range(1, K + 1), plan.order
+    pc = n + 1 + max(1, width + 1).bit_length() + 3 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
-    K, tail = point_order(lambda m: _disk_tail(p.g.sup_bound, r, m + 1), n,
-                          plan.order, "disk point tail")
-    ks = [k for k in ks if k <= K]
     _, b0 = fourier_coeffs(p.g, 0, pc)
     acc = b0.mul_fraction(Fraction(1, 2), pc)
     rot = rotation_pi(theta, ks[-1] if ks else 0, pc)
@@ -403,53 +403,19 @@ def _declared_modes(g: EvaluableFunction) -> dict:
     return g.sph_modes
 
 
-def _mode_claim(l: int, c: Fraction, r: Fraction) -> Fraction:
-    """|c r^l Y_{l,m}| <= |c| r^l (l+1)/3, since |Y_{l,m}| <= sqrt((2l+1)/(4 pi))."""
-    return abs(c) * r ** l * Fraction(l + 1, 3)
+def plan_ball_truncation(g: EvaluableFunction, n: int) -> TruncationPlan:
+    """The top declared degree: every declared mode is summed, at any r."""
+    return declared_modes_plan(max((l for l, _m in _declared_modes(g)), default=0), n)
 
 
-def plan_ball_truncation(g: EvaluableFunction, r, n: int) -> TruncationPlan:
-    """Least declared degree L whose dropped modes claim at most 2^-(n+1) at r.
-
-    The data is a finite list of modes, so there is no harmonic tail: the
-    plan only decides which declared modes to drop, the highest first, and
-    records what dropping every degree past L claims.
-    """
+def solve_ball(p: BallProblem, r, theta, phi, n: int) -> CertifiedValue:
+    """Certified u(r, theta, phi) on the unit ball in R^3 for 0 <= r <= 1,
+    angles in pi-units: the sum of every declared mode c r^l Y_{l,m}."""
     r = as_fraction(r)
-    if not 0 <= r < 1:
-        raise PreconditionError("evaluation radius must lie in [0,1)")
-    weight: dict[int, Fraction] = {}
-    for (l, _m), c in _declared_modes(g).items():
-        weight[l] = weight.get(l, Fraction(0)) + _mode_claim(l, c, r)
-    budget = Fraction(1, 1 << (n + 1))
-    degrees = sorted(weight, reverse=True) or [0]
-    L, dropped = degrees[0], Fraction(0)
-    for lower in degrees[1:]:
-        if dropped + weight[L] > budget:
-            break
-        dropped += weight[L]
-        L = lower
-    plan = TruncationPlan(L, [("truncation", n + 1), ("summation", n + 1)],
-                          f"declared modes up to degree {L}")
-    plan.claim("dropped modes", dropped, budget)
-    plan.require_budget(n)
-    return plan
-
-
-def solve_ball(p: BallProblem, r, theta, phi, n: int,
-               plan: TruncationPlan | None = None) -> CertifiedValue:
-    """Certified u(r, theta, phi) on the unit 3-ball, angles in pi-units.
-
-    Sums the declared modes up to the plan's degree and adds the claim of
-    the dropped ones at this r, which must fit within 2^-(n+1).
-    """
-    r = as_fraction(r)
-    if not 0 <= r < 1:
-        raise PreconditionError("evaluation radius must lie in [0,1)")
+    if not 0 <= r <= 1:
+        raise PreconditionError("evaluation radius must lie in [0,1]")
     modes = _declared_modes(p.g)
-    if plan is None:
-        plan = plan_ball_truncation(p.g, r, n)
-    use = [(l, m) for (l, m) in sorted(modes) if l <= plan.order and modes[(l, m)]]
+    use = [lm for lm in sorted(modes) if modes[lm]]
     # each harmonic's error is scaled by its coefficient
     big = max((abs(modes[lm]) for lm in use), default=Fraction(1))
     pc = n + 1 + max(1, len(use)).bit_length() + 3 + max(0, _log2_ceil(big))
@@ -457,7 +423,4 @@ def solve_ball(p: BallProblem, r, theta, phi, n: int,
     for l, m in use:
         y = real_sph_harmonic_3d(l, m, theta, phi, pc)
         acc = (acc + y.mul_fraction(modes[(l, m)] * r ** l, pc)).rounded(pc)
-    extra = sum((_mode_claim(l, c, r) for (l, _m), c in modes.items() if l > plan.order),
-                Fraction(0))
-    require("dropped modes", extra, Fraction(1, 1 << (n + 1)))
-    return acc.widen_fraction(extra)
+    return acc

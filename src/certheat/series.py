@@ -167,11 +167,7 @@ class TruncationPlan:
 
     order: int
     budget_split: list[tuple[str, int]] = field(default_factory=list)
-    justification: str = ""
     chain: list[tuple[str, Fraction, Fraction]] = field(default_factory=list)
-    # solver-specific integers (capped modes, a zero solution, ...) the solve
-    # step needs back from planning
-    params: dict[str, int] = field(default_factory=dict)
 
     def total_budget(self) -> Fraction:
         return sum((Fraction(1, 2) ** e for _, e in self.budget_split), Fraction(0))
@@ -194,3 +190,12 @@ class TruncationPlan:
     def chain_ok(self) -> bool:
         """Re-verify every recorded inequality with exact comparisons."""
         return all(lhs <= rhs for _, lhs, rhs in self.chain)
+
+
+def declared_modes_plan(order: int, n: int) -> TruncationPlan:
+    """Plan for data given as finitely many declared modes, the highest of
+    degree ``order``: every mode is summed, so the series has no tail and
+    nothing is searched."""
+    plan = TruncationPlan(order, [("truncation", n + 1), ("summation", n + 1)])
+    plan.require_budget(n)
+    return plan

@@ -168,7 +168,7 @@ def _ck_choose_k(rng):
 
 
 def _ck_plan_claims(rng):
-    plan = TruncationPlan(4, [("truncation", 5)], "check", [], {})
+    plan = TruncationPlan(4, [("truncation", 5)])
     plan.claim("toy", Fraction(1, 3), Fraction(1, 2))
     _require(plan.chain_ok(), "true claim should audit clean")
     try:

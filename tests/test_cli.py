@@ -112,6 +112,33 @@ def test_ball_config_with_d_or_r0_exits_2(tmp_path, capsys):
         assert err.startswith("config error: unknown keys")
 
 
+def test_ball_solves_on_the_sphere(tmp_path, capsys):
+    # r = 1 is the data itself: g = Y_00 = 1 / (2 sqrt(pi))
+    ball = "problem = ball\ng = sph 0:0:1\nr = 1\ntheta = 1/3\nphi = 0\nbits = 40\n"
+    code, text, _ = run(["solve", "--config", write(tmp_path, "b.cfg", ball)], capsys)
+    assert code == 0
+    got = DyadicDecimal.parse(text.split("value   = ")[1].split()[0]).as_fraction()
+    assert abs(mp.mpf(got.numerator) / got.denominator - 1 / (2 * mp.sqrt(mp.pi))) \
+        <= mp.mpf(2) ** -40
+
+
+@pytest.mark.parametrize("problem, g", [
+    ("disk", "trig cos0=1"),                 # mode 0 is const
+    ("disk", "trig const=1, sin0=1"),
+    ("disk", "trig cos1=1, cos01=2"),        # one mode twice
+    ("disk", "trig const=1, const=2"),
+    ("interval", "sine 1:1 1:5"),
+    ("ball", "sph 0:0:1 0:0:2"),
+])
+def test_mode_zero_or_a_repeated_mode_exits_2(tmp_path, capsys, problem, g):
+    where = {"disk": "r = 1/2\ntheta = 0\n", "interval": "t = 1/4\nx = 1/2\n",
+             "ball": "r = 1/2\ntheta = 0\nphi = 0\n"}[problem]
+    cfg = write(tmp_path, "m.cfg", f"problem = {problem}\ng = {g}\n{where}bits = 10\n")
+    code, text, err = run(["solve", "--config", cfg], capsys)
+    assert code == 2 and text == ""
+    assert err.startswith("config error:")
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.cfg", "nonsense without equals\n")
     assert run(["solve", "--config", bad], capsys)[0] == 2
@@ -236,8 +263,9 @@ def test_halfline_solve_records_plan_params(tmp_path, capsys):
     code, _, _ = run(["solve", "--config", cfg, "--out", out], capsys)
     assert code == 0
     rec = json.loads((tmp_path / "r.json").read_text())
-    # h(s) = s: Taylor degree 1 with an exactly zero remainder, no solver params
-    assert rec["plan"]["order"] == 1 and rec["plan"]["params"] == {}
+    # h(s) = s: Taylor degree 1 with an exactly zero remainder; the plan
+    # block holds the order and the budget and nothing else
+    assert rec["plan"]["order"] == 1 and sorted(rec["plan"]) == ["budget", "order"]
     labels = [b[0] for b in rec["plan"]["budget"]]
     assert labels == ["taylor", "erfc tail", "assembly"]
 

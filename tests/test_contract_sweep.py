@@ -4,7 +4,8 @@ Each example builds a config as `certheat solve` would read it and solves it.
 The solve must either return a bound within 2^-n or stop with a clean
 PreconditionError (exit 3); any other exception or a looser bound fails.
 The ball and the half-line initial data accept every input they draw, and
-their values must also sit within that bound of an mpmath oracle.
+their values must also sit within that bound of an mpmath oracle, as must
+the values of declared modes on the disk and the interval (closed forms).
 Amplitude, alpha, window, t, r/x and bits all vary.  The profile is
 derandomised with a fixed example count, so every run checks the same
 inputs.
@@ -79,6 +80,37 @@ def ball_oracle(cfg: dict) -> mp.mpf:
     return out
 
 
+def disk_oracle(cfg: dict) -> mp.mpf:
+    """const + sum of r^k (s_k sin k pi theta + c_k cos k pi theta)."""
+    kind, _, rest = cfg["g"].partition(" ")
+    if kind == "const":
+        return q(rest)
+    if kind in ("cos", "sin"):
+        k, c = rest.split()
+        rest = f"{kind}{k}={c}"
+    r, th = q(cfg["r"]), mp.pi * q(cfg["theta"])
+    out = mp.mpf(0)
+    for tok in rest.split(","):
+        name, c = (part.strip() for part in tok.split("="))
+        if name == "const":
+            out += q(c)
+        else:
+            k = int(name[3:])
+            out += q(c) * r ** k * (mp.cos(k * th) if name[:3] == "cos" else mp.sin(k * th))
+    return out
+
+
+def sine_oracle(cfg: dict) -> mp.mpf:
+    """Sum of c_k e^{-pi^2 k^2 alpha t / L^2} sin(k pi x / L)."""
+    L, alpha, t, x = (q(cfg[key]) for key in ("l", "alpha", "t", "x"))
+    out = mp.mpf(0)
+    for tok in cfg["g"].split()[1:]:
+        k, c = tok.split(":")
+        k = int(k)
+        out += q(c) * mp.exp(-(mp.pi * k / L) ** 2 * alpha * t) * mp.sin(k * mp.pi * x / L)
+    return out
+
+
 def initial_oracle(cfg: dict) -> mp.mpf:
     """Quadrature of the Dirichlet half-line kernel against the data, split
     at its breakpoints and at x; at t = 0 the data's value at x."""
@@ -112,7 +144,8 @@ def test_disk(data):
         f"cos 3 {a}", f"sin 1 {a}", f"const {a}", f"pl 0:{a} 1:{-a} 2:{a}"]))
     r0 = data.draw(st.sampled_from([F(1, 2), F(9, 10)]))
     check({"problem": "disk", "g": g, "r0": r0, "r": data.draw(frac(0, 64, 64)) * r0,
-           "theta": data.draw(frac(0, 63, 32)), "bits": data.draw(st.integers(2, 40))})
+           "theta": data.draw(frac(0, 63, 32)), "bits": data.draw(st.integers(2, 40))},
+          None if g.startswith("pl") else disk_oracle)
 
 
 @SWEEP
@@ -120,7 +153,7 @@ def test_disk(data):
 def test_ball(data):
     a = data.draw(amplitude)
     check({"problem": "ball", "g": f"sph 0:0:{a} 1:0:1/2 2:1:{a} 3:-2:1/8",
-           "r": data.draw(frac(0, 99, 100)),
+           "r": data.draw(st.one_of(frac(0, 100, 100), st.just(F(1)))),  # the sphere too
            "theta": data.draw(frac(0, 16, 16)), "phi": data.draw(frac(0, 31, 16)),
            "bits": data.draw(st.integers(2, 48))}, ball_oracle)
 
@@ -135,7 +168,8 @@ def test_interval(data):
     t0 = data.draw(st.sampled_from([F(1, 256), F(1, 16), F(1, 4)]))
     check({"problem": "interval", "g": g, "l": L, "alpha": data.draw(alpha), "t0": t0,
            "t": t0 + data.draw(frac(0, 16, 16)), "x": data.draw(frac(0, 16, 16)) * L,
-           "bits": data.draw(st.integers(2, 48))})
+           "bits": data.draw(st.integers(2, 48))},
+          sine_oracle if g.startswith("sine") else None)
 
 
 @SWEEP

@@ -115,6 +115,46 @@ def test_public_eval_contract():
     assert abs(out.as_fraction() - Fraction(1, 6)) <= Fraction(1, 2 ** 8)
 
 
+def pl_value(pts, x):
+    (xa, ya), (xb, yb) = next(seg for seg in zip(pts, pts[1:]) if seg[0][0] <= x <= seg[1][0])
+    return ya + (yb - ya) * (x - xa) / (xb - xa)
+
+
+def _vocabulary(a):
+    """(spec parser, spec, mpmath oracle at mpf x) over the config vocabulary."""
+    from certheat import cli
+
+    A, pi = to_mp(a), mp.pi
+    tent = [(0, 0), (mp.mpf(1) / 2, A), (2, 0)]
+    return [
+        (cli.parse_boundary_fn, f"cos 3 {a}", lambda x: A * mp.cos(3 * pi * x)),
+        (cli.parse_boundary_fn, f"sin 1 {a}", lambda x: A * mp.sin(pi * x)),
+        (cli.parse_boundary_fn, f"trig const={a}, cos1={a}, sin3={-a}",
+         lambda x: A + A * mp.cos(pi * x) - A * mp.sin(3 * pi * x)),
+        (cli.parse_boundary_fn, f"const {a}", lambda x: A),
+        (cli.parse_boundary_fn, f"pl 0:0 1/2:{a} 2:0", lambda x: pl_value(tent, x)),
+        (lambda spec: cli.parse_interval_fn(spec, Fraction(2)), f"sine 1:{a} 3:{-a}",
+         lambda x: A * mp.sin(pi * x / 2) - A * mp.sin(3 * pi * x / 2)),
+        (cli.parse_profile, f"poly 0 {a} 1", lambda x: A * x + x * x),
+        (cli.parse_profile, f"sinhalf {a}", lambda x: A * mp.sin(pi * x / 2)),
+    ]
+
+
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(-3, 7), Fraction(10 ** 3),
+                               Fraction(10 ** 8), Fraction(-10 ** 8, 3)])
+def test_vocabulary_eval_keeps_the_contract_at_large_amplitudes(a):
+    # each evaluator certifies 2^-(n+1) whatever its coefficients, so the
+    # public eval stays within 2^-n
+    xs = [Fraction(0), Fraction(5, 16), Fraction(3, 4), Fraction(11, 8), Fraction(2)]
+    for parse, spec, oracle in _vocabulary(a):
+        fn = parse(spec)
+        for x in xs:
+            for n in (4, 12, 30):
+                got = fn.eval(DyadicDecimal.from_fraction(x), n)
+                assert abs(to_mp(got.as_fraction()) - oracle(to_mp(x))) <= mp.mpf(2) ** -n, \
+                    (spec, x, n)
+
+
 def test_segment_grid_clipping():
     fn = piecewise_linear_fn([(Fraction(0), Fraction(1)), (Fraction(1, 4), Fraction(0)),
                               (Fraction(3, 4), Fraction(2)), (Fraction(1), Fraction(1))])

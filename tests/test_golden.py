@@ -2,9 +2,11 @@
 
 Each `tests/data/golden/<name>.cfg` has its expected result file
 `<name>.json` beside it.  The set covers every problem type and each
-coefficient route (piecewise-linear Fourier and sine coefficients,
-exact-or-rounded constants, the half-line closed forms for affine and
-piecewise-linear data, polynomial and half-sine profiles).
+solve route: the slope-breakpoint series of piecewise-linear disk and
+interval data (which forms no Fourier or sine coefficient), declared trig,
+sine and spherical-harmonic modes summed in full, exact-or-rounded
+constants, the half-line closed forms for affine and piecewise-linear data,
+and polynomial and half-sine profiles.
 """
 
 from pathlib import Path

@@ -157,17 +157,20 @@ def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
 
 
 def test_interval_capped_sine_data_adds_no_tail(monkeypatch):
+    # declared sine modes are all summed: no block size, no point tail
     def no_search(*args):
-        raise AssertionError("capped data needs no point tail")
+        raise AssertionError("declared modes need no tail search")
 
     monkeypatch.setattr(heat, "point_order", no_search)
-    p = IntervalHeatProblem(F(1), F(1), sine_modes_fn({1: F(1, 3), 2: F(1, 5)}, F(1)), F(1, 4))
+    monkeypatch.setattr(heat, "choose_K_disk", no_search)
+    p = IntervalHeatProblem(F(1), F(1), sine_modes_fn({1: F(1, 3), 5: F(1, 5)}, F(1)), F(1, 4))
     plan = plan_interval(p, 24)
-    assert plan.params.get("capped") == 1
-    u = solve_interval(p, F(1, 2), F(3, 16), 24, plan)
-    want = sum(c * mp.exp(-k * k * mp.pi ** 2 / 2) * mp.sin(k * mp.pi * 3 / 16)
-               for k, c in ((1, mp.mpf(1) / 3), (2, mp.mpf(1) / 5)))
-    assert_close(u, want, 24)
+    assert plan.order == 5 and plan.chain == []
+    for t, plan_arg in ((F(1, 2), plan), (F(1, 4), None)):
+        u = solve_interval(p, t, F(3, 16), 24, plan_arg)
+        want = sum(c * mp.exp(-k * k * mp.pi ** 2 * to_mp(t)) * mp.sin(k * mp.pi * 3 / 16)
+                   for k, c in ((1, mp.mpf(1) / 3), (5, mp.mpf(1) / 5)))
+        assert_close(u, want, 24)
 
 
 def test_interval_linearity():
@@ -189,14 +192,14 @@ def test_interval_rejects_and_plan_chain():
         solve_interval(p, F(1, 2), F(3, 2), 10)  # x outside [0, L]
     with pytest.raises(PreconditionError):
         IntervalHeatProblem(F(1), F(1), sine_modes_fn({1: F(1)}, F(1)), F(0))
+    # declared modes plan their top mode and claim nothing
     plan = plan_interval(p, 16)
-    labels = [lab for lab, _, _ in plan.chain]
-    assert "per-block decay" in labels and "tail" in labels
-    assert "declared-modes" in labels and plan.order == 2
-    assert plan.chain_ok() and plan.validates(16)
+    assert plan.order == 2 and plan.chain == [] and plan.validates(16)
     generic = IntervalHeatProblem(F(1), F(1),
                                   constant_fn(F(1), (F(0), F(1))), F(1, 4))
     plan2 = plan_interval(generic, 12)
+    labels = [lab for lab, _, _ in plan2.chain]
+    assert labels == ["per-block decay", "tail"]
     assert plan2.order > 0 and plan2.chain_ok() and plan2.validates(12)
 
 
@@ -403,7 +406,8 @@ def test_initial_small_time_and_margin():
         u = solve_halfline_initial(piecewise_linear_fn(pts), alpha, t, x, n)
         assert_close(u, pl_initial_oracle(pts, t, x, alpha), n, tol)
     g = piecewise_linear_fn(tent)
-    assert plan_halfline_initial(g, F(1), F(3), F(1, 2), 16).params == {}
+    plan = plan_halfline_initial(g, F(1), F(3), F(1, 2), 16)
+    assert plan.order == 0 and plan.validates(16)
     for args in ((F(0), F(1, 2), F(1)), (F(1), F(-1), F(1)), (F(1), F(1), F(-1, 8))):
         with pytest.raises(PreconditionError):
             solve_halfline_initial(g, *args, 10)

@@ -299,12 +299,35 @@ def test_disk_area_rounds_to_the_zero_mode_closed_form():
 
 
 def test_plan_disk_chain():
-    prob = DiskProblem(trig_poly_fn(TrigPoly(cos_coeffs={2: Fraction(3)})), Fraction(9, 10))
+    # series data records its block decay and tail; declared modes plan
+    # their top degree and claim nothing
+    series = DiskProblem(TENT2, Fraction(9, 10))
+    declared = DiskProblem(trig_poly_fn(TrigPoly(cos_coeffs={2: Fraction(3)})), Fraction(9, 10))
     for n in (10, 30):
-        plan = plan_disk(prob, n)
+        plan = plan_disk(series, n)
         assert plan.chain_ok()
-        labels = [c[0] for c in plan.chain]
-        assert "tail" in labels and "per-block decay" in labels
+        assert [c[0] for c in plan.chain] == ["per-block decay", "tail"]
+        plan = plan_disk(declared, n)
+        assert plan.order == 2 and plan.chain == [] and plan.validates(n)
+
+
+def test_disk_declared_modes_add_no_tail(monkeypatch):
+    # every declared mode is summed: no block size, no point tail, at any r
+    def no_search(*args):
+        raise AssertionError("declared modes need no tail search")
+
+    monkeypatch.setattr(laplace, "point_order", no_search)
+    monkeypatch.setattr(laplace, "choose_K_disk", no_search)
+    tp = TrigPoly(Fraction(1, 3), {7: Fraction(-1, 7)}, {1: Fraction(1, 5), 40: Fraction(1, 9)})
+    prob = DiskProblem(trig_poly_fn(tp), Fraction(99, 100))
+    plan = plan_disk(prob, 24)
+    assert plan.order == 40 and plan.chain == []
+    for r in (Fraction(0), Fraction(1, 2), Fraction(99, 100)):
+        for plan_arg in (plan, None):
+            cv = solve_disk(prob, r, Fraction(5, 16), 24, plan_arg)
+            assert cv.err_fraction() <= Fraction(1, 2 ** 24)
+            want = trig_value(tp, r, Fraction(5, 16))
+            assert abs(to_mp(cv.value_fraction()) - want) <= to_mp(cv.err_fraction())
 
 
 def sph_data(modes):
@@ -337,38 +360,29 @@ def test_ball_generic_data_refuses():
         solve_ball(BallProblem(gb), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), 10)
 
 
-def dropped_claim(modes, r, L):
-    """What dropping every declared mode past degree L claims at r."""
-    return sum((abs(c) * r ** l * Fraction(l + 1, 3)
-                for (l, _m), c in modes.items() if l > L), Fraction(0))
-
-
-def test_ball_plan_chain():
-    # the plan keeps the least declared degree whose dropped modes fit 2^-(n+1)
+def test_ball_plan_is_the_top_declared_degree():
     modes = {(0, 0): Fraction(1), (1, 0): Fraction(1, 2), (2, 1): Fraction(-1, 4),
              (3, -2): Fraction(1, 8), (9, 4): Fraction(1, 2 ** 30), (12, 0): Fraction(0)}
-    degrees = sorted({l for l, _ in modes})
-    for r in (Fraction(0), Fraction(1, 1000), Fraction(1, 2), Fraction(99, 100)):
-        for n in (1, 8, 24, 48):
-            plan = plan_ball_truncation(sph_data(modes), r, n)
-            budget = Fraction(1, 2 ** (n + 1))
-            least = next(L for L in degrees if dropped_claim(modes, r, L) <= budget)
-            assert plan.order == least, (r, n)
-            assert plan.chain == [("dropped modes", dropped_claim(modes, r, least), budget)]
-            assert plan.chain_ok() and plan.validates(n)
-    with pytest.raises(PreconditionError):
-        plan_ball_truncation(sph_data(modes), 1, 10)
+    for n in (1, 8, 24, 48):
+        plan = plan_ball_truncation(sph_data(modes), n)
+        assert plan.order == 12 and plan.chain == [] and plan.validates(n)
+    assert plan_ball_truncation(sph_data({}), 8).order == 0
 
 
-def test_ball_plan_at_a_smaller_r_raises_at_a_larger_one():
-    pb = BallProblem(sph_data({(0, 0): Fraction(1), (6, 3): Fraction(1, 2 ** 12)}))
-    plan = plan_ball_truncation(pb.g, Fraction(1, 10), 20)
-    assert plan.order == 0
-    solve_ball(pb, Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), 20, plan)
-    with pytest.raises(AssertionError, match="dropped modes"):
-        solve_ball(pb, Fraction(9, 10), Fraction(1, 3), Fraction(1, 2), 20, plan)
-    with pytest.raises(PreconditionError):
-        solve_ball(pb, 1, Fraction(1, 3), Fraction(1, 2), 20)
+def test_ball_sums_every_mode_for_r_up_to_1():
+    # a mode far below 2^-n at r = 1/10 still counts at r = 9/10 and r = 1
+    modes = {(0, 0): Fraction(1), (6, 3): Fraction(1, 2 ** 12)}
+    pb = BallProblem(sph_data(modes))
+    th, ph = Fraction(1, 3), Fraction(1, 2)
+    ys = {lm: real_sph_harmonic_3d(*lm, th, ph, 60).value_fraction() for lm in modes}
+    for r in (Fraction(0), Fraction(1, 10), Fraction(9, 10), Fraction(1)):
+        cv = solve_ball(pb, r, th, ph, 20)
+        want = sum(c * r ** l * ys[(l, m)] for (l, m), c in modes.items())
+        assert cv.err_fraction() <= Fraction(1, 2 ** 20)
+        assert abs(cv.value_fraction() - want) <= cv.err_fraction() + Fraction(1, 2 ** 56)
+    for r in (Fraction(-1, 10), Fraction(11, 10)):
+        with pytest.raises(PreconditionError):
+            solve_ball(pb, r, th, ph, 20)
 
 
 # ---------------------------------------------------------------------------

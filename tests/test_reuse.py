@@ -1,7 +1,7 @@
 """Solving one problem object many times: reuse must not show in the results.
 
 A disk or interval problem and its plan serve any number of solves, at any
-precisions and in any order, and so does a half-line plan.  Neither may
+precisions and in any order, and so does a half-line boundary or force plan.  Neither may
 change a returned bit or the plan's inequality chain.  A problem reads its
 data's linear pieces and slope jumps once, the interval solver keeps each
 time slice's decay bound, mode count and Gaussian ladder in bounded
@@ -20,10 +20,9 @@ from certheat.evaluable import (constant_fn, linear_pieces, piecewise_linear_fn,
                                 slope_jumps)
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, plan_halfline_boundary,
-                           plan_halfline_force, plan_halfline_initial,
-                           plan_interval, poly_time_profile, sin_half_profile,
-                           solve_halfline_boundary, solve_halfline_force,
-                           solve_halfline_initial, solve_interval)
+                           plan_halfline_force, plan_interval, poly_time_profile,
+                           sin_half_profile, solve_halfline_boundary,
+                           solve_halfline_force, solve_interval)
 from certheat.laplace import DiskProblem, plan_disk, solve_disk
 
 DISK_G = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0)),
@@ -87,13 +86,7 @@ def _force():
         p, F(1, 2), F(1), 8, plan)
 
 
-def _initial():
-    g = piecewise_linear_fn([(F(2, 5), F(0)), (F(1, 2), F(1)), (F(3, 5), F(0))])
-    return plan_halfline_initial(g, F(1), F(1, 2), F(6, 5), 10), \
-        lambda plan: solve_halfline_initial(g, F(1), F(1, 2), F(6, 5), 10, plan)
-
-
-@pytest.mark.parametrize("make", [_boundary, _force, _initial])
+@pytest.mark.parametrize("make", [_boundary, _force])
 def test_halfline_solves_leave_the_plan_chain_alone(make):
     plan, solve = make()
     chain = list(plan.chain)

@@ -129,8 +129,7 @@ def test_rejects_bad_domains():
 
 
 def test_truncation_plan_budget():
-    plan = TruncationPlan(order=12, budget_split=[("tail", 18), ("rounding", 18)],
-                          justification="test")
+    plan = TruncationPlan(order=12, budget_split=[("tail", 18), ("rounding", 18)])
     assert plan.total_budget() == Fraction(1, 2 ** 17)
     assert plan.validates(17)
     assert not plan.validates(18)
@@ -142,7 +141,7 @@ OVER_BUDGET = """
 from fractions import Fraction as F
 import certheat.series as series
 from certheat import heat, laplace
-from certheat.cli import parse_sph_fn
+from certheat.cli import parse_boundary_fn, parse_interval_fn, parse_sph_fn
 from certheat.evaluable import piecewise_linear_fn
 
 if __debug__:
@@ -153,8 +152,11 @@ sph = parse_sph_fn("sph 0:0:1 1:0:1/2 3:-2:1/8")
 planners = {
     "disk": lambda: laplace.plan_disk(laplace.DiskProblem(
         piecewise_linear_fn([(0, 0), (1, 1), (2, 0)]), F(1, 2)), 8),
-    "ball-center": lambda: laplace.plan_ball_truncation(sph, 0, 8),
-    "ball": lambda: laplace.plan_ball_truncation(sph, F(1, 2), 8),
+    "ball": lambda: laplace.plan_ball_truncation(sph, 8),
+    "disk-trig": lambda: laplace.plan_disk(laplace.DiskProblem(
+        parse_boundary_fn("trig const=1, cos2=1/2"), F(1, 2)), 8),
+    "interval-sine": lambda: heat.plan_interval(heat.IntervalHeatProblem(
+        1, 1, parse_interval_fn("sine 1:1 3:1/2", 1), F(1, 4)), 8),
     "interval": lambda: heat.plan_interval(heat.IntervalHeatProblem(1, 1, tent, F(1, 4)), 8),
     "taylor": lambda: heat.plan_halfline_boundary(heat.HalflineBoundaryProblem(
         1, heat.poly_time_profile([0, 1]), (F(1, 2), 1)), 8),
