@@ -42,7 +42,7 @@ from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
                         recip_cv, recip_pi_cv, recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
-from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
+from .evaluable import (EvaluableFunction, _guard_bits, _log2_ceil, linear_pieces,
                         lipschitz_modulus, polynomial_fn, slope_jumps)
 from .quadrature import (breakpoint_series, int_pl_trig_pi, integrate,
                          trig_product_integral)
@@ -106,7 +106,7 @@ _HALF_PI_UB = Fraction(1571, 1000)  # > pi/2
 def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
     """h(s) = amplitude * sin(pi s / 2) on [0, 2]; h(0) = 0 exactly."""
     amp = as_fraction(amplitude)
-    g = max(0, _log2_ceil(abs(amp))) if amp else 0  # the amplitude scales errors
+    g = _guard_bits(abs(amp))  # the amplitude scales errors
 
     def ev(s, p: int) -> CertifiedValue:
         return sin_pi_mul_cv(as_fraction(s) / 2, p + g + 4).mul_fraction(amp, p)
