@@ -384,6 +384,7 @@ def sqrt_pi_cv(p: int) -> CertifiedValue:
     return sqrt_cv(pi_cv(p + 4), p)
 
 
+@lru_cache(maxsize=None)
 def recip_sqrt_pi_cv(p: int) -> CertifiedValue:
     return recip_cv(sqrt_pi_cv(p + 4), p)
 

@@ -9,7 +9,6 @@ error, 3 violated solver precondition.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -474,9 +473,12 @@ def cmd_verify(args) -> int:
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     # built once per process: parse_args leaves the parser unchanged, and
-    # each call gets its own Namespace
+    # each call gets its own Namespace; argparse is imported here, so a
+    # process that imports certheat.cli without running main skips it
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="certheat",
         description="certified-precision solvers and the counting benchmark")

@@ -17,7 +17,6 @@ trigonometric evaluators reduce arguments exactly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -30,12 +29,10 @@ def _log2_ceil(f: Fraction) -> int:
     """Smallest j with f <= 2^j (f > 0)."""
     if f <= 0:
         raise ValueError("positive value required")
-    j = f.numerator.bit_length() - f.denominator.bit_length()
-    while Fraction(2) ** j < f:
-        j += 1
-    while j > -64 and Fraction(2) ** (j - 1) >= f:
-        j -= 1
-    return j
+    # num/den lies in (2^(j-1), 2^(j+1)), so the answer is j or j + 1
+    num, den = f.numerator, f.denominator
+    j = num.bit_length() - den.bit_length()
+    return j if (num <= den << j if j >= 0 else num << -j <= den) else j + 1
 
 
 def _guard_bits(scale: Fraction) -> int:
@@ -50,15 +47,15 @@ def lipschitz_modulus(bound: Fraction) -> Callable[[int], int]:
     return lambda k: max(k, 0) + shift
 
 
-@dataclass
 class TrigPoly:
     """const + sum s_k sin(k pi rho) + sum c_k cos(k pi rho), rho in [0,2]."""
 
-    const: Fraction = Fraction(0)
-    sin_coeffs: dict[int, Fraction] = field(default_factory=dict)
-    cos_coeffs: dict[int, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, const: Fraction = Fraction(0),
+                 sin_coeffs: dict[int, Fraction] | None = None,
+                 cos_coeffs: dict[int, Fraction] | None = None):
+        self.const = const
+        self.sin_coeffs = {} if sin_coeffs is None else sin_coeffs
+        self.cos_coeffs = {} if cos_coeffs is None else cos_coeffs
         if any(k < 1 for k in (*self.sin_coeffs, *self.cos_coeffs)):
             raise ValueError("trig modes start at 1; mode 0 is const")
 
@@ -93,31 +90,47 @@ class TrigPoly:
         return acc
 
 
-@dataclass
 class EvaluableFunction:
-    """Pointwise-evaluable function with modulus, domain and sup bound."""
+    """Pointwise-evaluable function with modulus, domain and sup bound.
 
-    domain: tuple[Fraction, Fraction]
-    sup_bound: Fraction
-    modulus: Callable[[int], int]
-    eval_cv: Callable[[Fraction, int], CertifiedValue]
-    label: str = ""
-    # exact rational evaluation, when the shape admits one
-    eval_exact: Optional[Callable[[Fraction], Fraction]] = None
-    # structure metadata used by the exact integration paths
-    trig_poly: Optional[TrigPoly] = None
-    # {k: c_k} with g(x) = sum of c_k sin(k pi x / L) on the domain [0, L]
-    sine_modes: Optional[dict[int, Fraction]] = None
-    breakpoints: Optional[list[Fraction]] = None
-    linear_segments: Optional[int] = None
-    # exact sum over uniform segments first .. last - 1 of the value at each
-    # midpoint a + (j + 1/2) w: equal to summing eval_exact there, but one
-    # call for the whole run
-    segment_sum: Optional[Callable[[int, int], Fraction]] = None
-    poly_coeffs: Optional[list[Fraction]] = None
-    smooth_model: object = None
-    hardness: object = None
-    sph_modes: Optional[dict[tuple[int, int], Fraction]] = None
+    ``eval_exact`` is exact rational evaluation, when the shape admits one.
+    The rest is structure metadata for the exact integration paths:
+    ``sine_modes`` is {k: c_k} with g(x) = sum of c_k sin(k pi x / L) on the
+    domain [0, L], and ``segment_sum(first, last)`` is the exact sum over
+    uniform segments first .. last - 1 of the value at each midpoint
+    a + (j + 1/2) w: equal to summing eval_exact there, but one call for the
+    whole run.
+    """
+
+    def __init__(self, domain: tuple[Fraction, Fraction], sup_bound: Fraction,
+                 modulus: Callable[[int], int],
+                 eval_cv: Callable[[Fraction, int], CertifiedValue],
+                 label: str = "",
+                 eval_exact: Optional[Callable[[Fraction], Fraction]] = None,
+                 trig_poly: Optional[TrigPoly] = None,
+                 sine_modes: Optional[dict[int, Fraction]] = None,
+                 breakpoints: Optional[list[Fraction]] = None,
+                 linear_segments: Optional[int] = None,
+                 segment_sum: Optional[Callable[[int, int], Fraction]] = None,
+                 poly_coeffs: Optional[list[Fraction]] = None,
+                 smooth_model: object = None,
+                 hardness: object = None,
+                 sph_modes: Optional[dict[tuple[int, int], Fraction]] = None):
+        self.domain = domain
+        self.sup_bound = sup_bound
+        self.modulus = modulus
+        self.eval_cv = eval_cv
+        self.label = label
+        self.eval_exact = eval_exact
+        self.trig_poly = trig_poly
+        self.sine_modes = sine_modes
+        self.breakpoints = breakpoints
+        self.linear_segments = linear_segments
+        self.segment_sum = segment_sum
+        self.poly_coeffs = poly_coeffs
+        self.smooth_model = smooth_model
+        self.hardness = hardness
+        self.sph_modes = sph_modes
 
     def eval(self, d: DyadicDecimal, n: int) -> DyadicDecimal:
         """Public contract: |result - f(value(d))| <= 2^-n.  The evaluator

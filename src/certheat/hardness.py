@@ -14,7 +14,6 @@ grows with instance size.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -24,34 +23,45 @@ from .errors import (CertHeatError, ConfigError, InsufficientPrecision,
 from .evaluable import EvaluableFunction, lipschitz_modulus
 from .heat import hardness_initial_interval, solve_neumann_constant_force
 from .laplace import hardness_boundary_disk
+from .record import Record
 
 DEFAULT_MAX_VARS = 24
 
 
-@dataclass(frozen=True)
-class CountingInstance:
-    """Subset-sum counting: how many S with sum(weights[i], i in S) == target."""
+class CountingInstance(Record):
+    """Subset-sum counting: how many S with sum(weights[i], i in S) == target.
 
-    weights: tuple[int, ...]
-    target: int
-    kind: str = "subset-sum-count"
-    # per byte of the assignment, the sum of its set bits' weights
-    _byte_sums: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
-                                                    compare=False)
+    Immutable and hashable, so ``_byte_sums`` (per byte of the assignment,
+    the sum of its set bits' weights) cannot drift from ``weights``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if not self.weights or any(w <= 0 for w in self.weights):
+    _fields = ("weights", "target", "kind")
+
+    def __init__(self, weights: tuple[int, ...], target: int,
+                 kind: str = "subset-sum-count"):
+        weights = tuple(int(w) for w in weights)
+        if not weights or any(w <= 0 for w in weights):
             raise PreconditionError("weights must be positive integers")
-        if self.target <= 0:
+        if target <= 0:
             raise PreconditionError("target must be a positive integer")
         tables = []
-        for lo in range(0, self.n_vars, 8):
+        for lo in range(0, len(weights), 8):
             sums = [0]
-            for w in self.weights[lo:lo + 8]:
+            for w in weights[lo:lo + 8]:
                 sums += [s + w for s in sums]
             tables.append(tuple(sums * (256 // len(sums))))  # bits past n_vars add 0
-        object.__setattr__(self, "_byte_sums", tuple(tables))
+        for name, value in (("weights", weights), ("target", target), ("kind", kind),
+                            ("_byte_sums", tuple(tables))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CountingInstance is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CountingInstance is immutable: cannot delete {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @property
     def n_vars(self) -> int:
@@ -192,16 +202,18 @@ PIPELINES: dict[str, Callable[[CountingInstance, int], CertifiedValue]] = {
 # benchmark harness
 
 
-@dataclass
 class BlowupRecord:
-    pipeline: str
-    n_vars: int
-    precision_bits: int
-    wall_ms: float
-    value: Optional[Fraction]
-    count: Optional[int]
-    ok: bool
-    error: str = field(default="", repr=False)
+    def __init__(self, pipeline: str, n_vars: int, precision_bits: int, wall_ms: float,
+                 value: Optional[Fraction], count: Optional[int], ok: bool,
+                 error: str = ""):
+        self.pipeline = pipeline
+        self.n_vars = n_vars
+        self.precision_bits = precision_bits
+        self.wall_ms = wall_ms
+        self.value = value
+        self.count = count
+        self.ok = ok
+        self.error = error
 
 
 CSV_HEADER = "pipeline,n_vars,precision_bits,wall_ms,value,count,ok"
@@ -211,32 +223,43 @@ def measure_blowup(family: list[CountingInstance], pipeline: str,
                    repeats: int = 5) -> list[BlowupRecord]:
     """Run one pipeline over a family; median wall time of `repeats` runs.
 
-    Per-record failures (size cap, precision shortfall) are recorded with
-    ok=False and the run continues.
+    Each round runs every size once, so a slow spell of the machine slows
+    every size alike instead of all the runs of one size.  Per-record
+    failures (size cap, precision shortfall) are recorded with ok=False, and
+    a size that failed is not run again.
     """
     import statistics  # only here: importing it would slow every CLI start-up
     import time
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}, have {sorted(PIPELINES)}")
     solver = PIPELINES[pipeline]
-    records = []
-    for inst in family:
-        bits = precision_for(inst)
-        try:
-            times = []
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter_ns()
-                v = solver(inst, bits)
-                times.append((time.perf_counter_ns() - t0) / 1e6)
-            count = recover_count(v, inst)
-            ok = 0 <= count <= 1 << inst.n_vars
-            records.append(BlowupRecord(pipeline, inst.n_vars, bits,
-                                        statistics.median(times),
-                                        v.value_fraction(), count, ok))
-        except CertHeatError as exc:
-            records.append(BlowupRecord(pipeline, inst.n_vars, bits, 0.0,
-                                        None, None, False, error=str(exc)))
-    return records
+    bits = [precision_for(inst) for inst in family]
+    walls: list[list[float]] = [[] for _ in family]
+    values: list[Optional[CertifiedValue]] = [None] * len(family)
+    errors: list[Optional[str]] = [None] * len(family)
+    for _ in range(max(1, repeats)):
+        for i, inst in enumerate(family):
+            if errors[i] is None:
+                try:
+                    t0 = time.perf_counter_ns()
+                    values[i] = solver(inst, bits[i])
+                    walls[i].append((time.perf_counter_ns() - t0) / 1e6)
+                except CertHeatError as exc:
+                    errors[i] = str(exc)
+
+    def record(inst, bits, times, v, error) -> BlowupRecord:
+        if error is None:
+            try:
+                count = recover_count(v, inst)
+                return BlowupRecord(pipeline, inst.n_vars, bits, statistics.median(times),
+                                    v.value_fraction(), count,
+                                    0 <= count <= 1 << inst.n_vars)
+            except CertHeatError as exc:
+                error = str(exc)
+        return BlowupRecord(pipeline, inst.n_vars, bits, 0.0, None, None, False,
+                            error=error)
+
+    return [record(*row) for row in zip(family, bits, walls, values, errors)]
 
 
 def render_csv(records: list[BlowupRecord]) -> str:

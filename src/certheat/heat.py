@@ -31,7 +31,6 @@ solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
@@ -46,6 +45,7 @@ from .evaluable import (EvaluableFunction, _guard_bits, _log2_ceil, linear_piece
                         lipschitz_modulus, polynomial_fn, slope_jumps)
 from .quadrature import (breakpoint_series, int_pl_trig_pi, integrate,
                          trig_product_integral)
+from .record import Record
 from .series import (TruncationPlan, choose_K_disk, declared_modes_plan, gaussian_tail,
                      point_order, require)
 
@@ -69,7 +69,6 @@ def _check_alpha_window(p) -> None:
 # time profiles with certified derivative access
 
 
-@dataclass
 class SmoothProfile:
     """Derivative model of a time profile.
 
@@ -79,8 +78,10 @@ class SmoothProfile:
     for t in [0, 1]).
     """
 
-    deriv_cv: Callable[[int, Fraction, int], CertifiedValue]
-    deriv_sup: Callable[[int], Fraction]
+    def __init__(self, deriv_cv: Callable[[int, Fraction, int], CertifiedValue],
+                 deriv_sup: Callable[[int], Fraction]):
+        self.deriv_cv = deriv_cv
+        self.deriv_sup = deriv_sup
 
 
 def poly_time_profile(coeffs, domain=(Fraction(0), Fraction(2))) -> EvaluableFunction:
@@ -139,25 +140,22 @@ def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
 # interval: Dirichlet sine series
 
 
-@dataclass
-class IntervalHeatProblem:
+class IntervalHeatProblem(Record):
     """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0.
 
     ``pieces`` is ``linear_pieces(g)``, read once here for every solve, and
-    so, when g has pieces, are its slope ``jumps``.
+    so, when g has pieces, are its slope ``jumps``.  These derived fields
+    take no part in equality or ``repr``.
     """
 
-    L: Fraction
-    alpha: Fraction
-    g: EvaluableFunction
-    t0: Fraction
-    pieces: list | None = field(init=False, compare=False, repr=False)
-    jumps: list | None = field(init=False, default=None, compare=False, repr=False)
+    _fields = ("L", "alpha", "g", "t0")
 
-    def __post_init__(self):
-        self.L = as_fraction(self.L)
-        self.alpha = as_fraction(self.alpha)
-        self.t0 = as_fraction(self.t0)
+    def __init__(self, L: Fraction, alpha: Fraction, g: EvaluableFunction, t0: Fraction):
+        self.L = as_fraction(L)
+        self.alpha = as_fraction(alpha)
+        self.g = g
+        self.t0 = as_fraction(t0)
+        self.jumps = None
         if self.L <= 0 or self.alpha <= 0 or self.t0 <= 0:
             raise PreconditionError("L, alpha and t0 must be positive")
         if self.g.domain != (Fraction(0), self.L):
@@ -291,7 +289,6 @@ def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: i
 # integral
 
 
-@dataclass
 class IntervalReduction:
     """Ties reweighted initial data to its integration identity.
 
@@ -302,12 +299,14 @@ class IntervalReduction:
     that integral is the integral of the profile over [0, 1].
     """
 
-    t0: Fraction
-    x0: Fraction
-    L: Fraction
-    alpha: Fraction
-    gtilde: EvaluableFunction
-    profile: EvaluableFunction
+    def __init__(self, t0: Fraction, x0: Fraction, L: Fraction, alpha: Fraction,
+                 gtilde: EvaluableFunction, profile: EvaluableFunction):
+        self.t0 = t0
+        self.x0 = x0
+        self.L = L
+        self.alpha = alpha
+        self.gtilde = gtilde
+        self.profile = profile
 
     def weight_exponent(self, y: Fraction, prec: int) -> CertifiedValue:
         """(y - x0)^2 / (4 pi alpha t0), certified."""
@@ -582,15 +581,16 @@ def _taylor_terms(sm: SmoothProfile, K: int, shift: int) -> list:
 # half-line with boundary forcing
 
 
-@dataclass
-class HalflineBoundaryProblem:
+class HalflineBoundaryProblem(Record):
     """u_t = alpha u_xx on x > 0 with u(0, t) = h(t) and zero initial data."""
 
-    alpha: Fraction
-    h: EvaluableFunction
-    x_window: tuple[Fraction, Fraction]
+    _fields = ("alpha", "h", "x_window")
 
-    def __post_init__(self):
+    def __init__(self, alpha: Fraction, h: EvaluableFunction,
+                 x_window: tuple[Fraction, Fraction]):
+        self.alpha = alpha
+        self.h = h
+        self.x_window = x_window
         _check_alpha_window(self)
         if self.h.domain != (Fraction(0), Fraction(2)):
             raise PreconditionError("boundary profile must live on [0, 2]")
@@ -626,22 +626,24 @@ def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
 # half-line with external force
 
 
-@dataclass
-class HalflineForceProblem:
+class HalflineForceProblem(Record):
     """u_t = alpha u_xx + f_time(t) f_space(x) on x > 0, Dirichlet at 0.
 
     The force support [0, y0] must sit strictly left of the evaluation
     window: the time integrals of the kernel take the Laplace pair
     e^{-d sqrt(p/alpha)} / p^(1+j/2) <-> (4t)^(j/2) i^j erfc(d / (2 sqrt(alpha t))),
-    which needs every endpoint distance d > 0.
+    which needs every endpoint distance d > 0.  ``y0``, the support's right
+    end, takes no part in equality or ``repr``.
     """
 
-    alpha: Fraction
-    f_time: EvaluableFunction
-    f_space: EvaluableFunction
-    x_window: tuple[Fraction, Fraction]
+    _fields = ("alpha", "f_time", "f_space", "x_window")
 
-    def __post_init__(self):
+    def __init__(self, alpha: Fraction, f_time: EvaluableFunction,
+                 f_space: EvaluableFunction, x_window: tuple[Fraction, Fraction]):
+        self.alpha = alpha
+        self.f_time = f_time
+        self.f_space = f_space
+        self.x_window = x_window
         _check_alpha_window(self)
         if self.f_time.smooth_model is None:
             raise PreconditionError("time factor needs a derivative model")

@@ -26,7 +26,6 @@ degree.  No ball solve counts harmonics (``kernels.sph_count`` serves
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -38,12 +37,12 @@ from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
 from .kernels import real_sph_harmonic_3d
 from .quadrature import (DEFAULT_MAX_PANELS, breakpoint_series, int_pl_trig_pi,
                          integral_exact, integrate, trig_product_integral)
+from .record import Record
 from .series import (TruncationPlan, choose_K_disk, declared_modes_plan, point_order,
                      require)
 
 
-@dataclass
-class DiskProblem:
+class DiskProblem(Record):
     """Dirichlet data on the unit circle with a guaranteed evaluation radius.
 
     g lives on [0,2] in pi-units; r0 < 1 bounds where solutions will be
@@ -51,19 +50,16 @@ class DiskProblem:
     ``linear_pieces(g)``, read once here for every solve; so are, when g has
     pieces, what :func:`_solve_disk_pl` reads off them: the slope ``jumps``
     (the seam's first), the end ``gap`` g(2) - g(0), their ``size``
-    sum |D_j| + |gap| and the exact ``area`` of g over [0, 2].
+    sum |D_j| + |gap| and the exact ``area`` of g over [0, 2].  These
+    derived fields take no part in equality or ``repr``.
     """
 
-    g: EvaluableFunction
-    r0: Fraction
-    pieces: list | None = field(init=False, compare=False, repr=False)
-    jumps: list | None = field(init=False, default=None, compare=False, repr=False)
-    gap: Fraction | None = field(init=False, default=None, compare=False, repr=False)
-    size: Fraction | None = field(init=False, default=None, compare=False, repr=False)
-    area: Fraction | None = field(init=False, default=None, compare=False, repr=False)
+    _fields = ("g", "r0")
 
-    def __post_init__(self):
-        self.r0 = as_fraction(self.r0)
+    def __init__(self, g: EvaluableFunction, r0: Fraction):
+        self.g = g
+        self.r0 = as_fraction(r0)
+        self.jumps = self.gap = self.size = self.area = None
         if not 0 <= self.r0 < 1:
             raise PreconditionError("r0 must lie in [0,1)")
         lo, hi = self.g.domain
@@ -239,19 +235,21 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
 # counting-reduction boundary data
 
 
-@dataclass
 class DiskReduction:
     """Metadata tying reweighted boundary data to its point-value identity.
 
     The boundary g was built as gtilde divided by the Poisson kernel at
     (r0, theta0), which forces u(r0, theta0) to equal the plain mean of
-    gtilde over the circle regardless of what gtilde is.
+    gtilde over the circle regardless of what gtilde is.  ``profile`` is h,
+    which gtilde closes up.
     """
 
-    r0: Fraction
-    theta0: Fraction
-    gtilde: EvaluableFunction
-    profile: EvaluableFunction  # h, which gtilde closes up
+    def __init__(self, r0: Fraction, theta0: Fraction, gtilde: EvaluableFunction,
+                 profile: EvaluableFunction):
+        self.r0 = r0
+        self.theta0 = theta0
+        self.gtilde = gtilde
+        self.profile = profile
 
     def certified_point_value(self, n: int) -> CertifiedValue:
         """u(r0, theta0) = (1/2) * integral of gtilde over [0,2].
@@ -382,11 +380,13 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
 # ball solver (d = 3 explicit basis)
 
 
-@dataclass
-class BallProblem:
+class BallProblem(Record):
     """Dirichlet data on the unit sphere in R^3, given by declared modes."""
 
-    g: EvaluableFunction
+    _fields = ("g",)
+
+    def __init__(self, g: EvaluableFunction):
+        self.g = g
 
 
 def _declared_modes(g: EvaluableFunction) -> dict:

@@ -8,7 +8,6 @@ point is allowed anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -153,7 +152,6 @@ def require(label: str, lhs, rhs) -> None:
         raise AssertionError(f"plan inequality {label} fails: {lhs} > {rhs}")
 
 
-@dataclass
 class TruncationPlan:
     """How many series terms a solver will sum, and why that is enough.
 
@@ -165,9 +163,11 @@ class TruncationPlan:
     :func:`require` and appends nothing, so a plan does not grow with reuse.
     """
 
-    order: int
-    budget_split: list[tuple[str, int]] = field(default_factory=list)
-    chain: list[tuple[str, Fraction, Fraction]] = field(default_factory=list)
+    def __init__(self, order: int, budget_split: list[tuple[str, int]] | None = None,
+                 chain: list[tuple[str, Fraction, Fraction]] | None = None):
+        self.order = order
+        self.budget_split = [] if budget_split is None else budget_split
+        self.chain = [] if chain is None else chain
 
     def total_budget(self) -> Fraction:
         return sum((Fraction(1, 2) ** e for _, e in self.budget_split), Fraction(0))

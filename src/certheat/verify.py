@@ -8,7 +8,6 @@ suite certifies the installed build, not the test fixtures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -30,12 +29,12 @@ from .series import (TruncationPlan, arith_geom_sum, choose_K_disk,
                      geometric_tail, higher_arith_geom)
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, suite: str, name: str, ok: bool, detail: str = ""):
+        self.suite = suite
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def _require(cond: bool, msg: str) -> None:

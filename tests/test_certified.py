@@ -345,3 +345,11 @@ def test_scaled_from_cv_matches_the_fraction_oracle():
         en = rng.choice([0, rng.randrange(1, 1 << 32)])
         cv = CertifiedValue(m, s, en, es)
         assert C._scaled_from_cv(cv, W) == oracle_scaled_from_cv(cv, W), (m, s, en, es, W)
+
+
+@pytest.mark.parametrize("p", [8, 20, 64, 256, 1024])
+def test_recip_sqrt_pi_is_cached_and_matches_a_fresh_computation(p):
+    fresh = C.recip_cv(C.sqrt_pi_cv(p + 4), p)
+    cached = C.recip_sqrt_pi_cv(p)
+    assert cv_fields(cached) == cv_fields(fresh)
+    assert C.recip_sqrt_pi_cv(p) is cached  # one value per precision

@@ -225,16 +225,17 @@ def test_verify_cli_reports_checks(capsys):
     assert lines[-1].endswith("checks passed")
 
 
-def assert_cli_import_skips(module):
-    """A fresh `import certheat.cli` leaves `module` out of sys.modules."""
+def assert_cli_import_skips(module, importing="certheat.cli"):
+    """A fresh `import certheat.cli` (or of `importing`) leaves `module` out
+    of sys.modules."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, certheat.cli\n"
+    code = (f"import sys, {importing}\n"
             f"raise SystemExit({module!r} in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, (module, run.stderr)
+    assert run.returncode == 0, (module, importing, run.stderr)
 
 
 def test_import_leaves_the_verify_suites_out():
@@ -253,6 +254,14 @@ def test_import_leaves_the_counting_reductions_out():
     # only counting data and `certheat bench` need certheat.hardness; a
     # solve of ordinary data skips its import
     assert_cli_import_skips("certheat.hardness")
+
+
+@pytest.mark.parametrize("importing", ["certheat.cli", "certheat.hardness"])
+def test_import_leaves_dataclasses_inspect_and_argparse_out(importing):
+    # no certheat class is a dataclass (whose import pulls in inspect, ast,
+    # dis and tokenize), and argparse loads only when main builds its parser
+    for module in ("dataclasses", "inspect", "argparse"):
+        assert_cli_import_skips(module, importing)
 
 
 def test_halfline_solve_records_plan_params(tmp_path, capsys):

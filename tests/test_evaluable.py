@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from certheat.dyadic import DyadicDecimal, as_fraction
-from certheat.evaluable import (TrigPoly, constant_fn, linear_pieces,
+from certheat.evaluable import (TrigPoly, _log2_ceil, constant_fn, linear_pieces,
                                 lipschitz_modulus, piecewise_linear_fn,
                                 polynomial_fn, sine_modes_fn, trig_poly_fn)
 from certheat.hardness import CountingInstance, counting_integrand
@@ -219,3 +221,38 @@ def test_linear_pieces_none_without_linear_form():
     assert linear_pieces(polynomial_fn([F(0), F(0), F(1)], (F(0), F(1)))) is None
     assert linear_pieces(sine_modes_fn({1: F(1)}, F(1))) is None
     assert linear_pieces(trig_poly_fn(TrigPoly(cos_coeffs={2: F(1)}))) is None
+
+
+def log2_ceil_by_definition(f: Fraction) -> int:
+    """Smallest j with f <= 2^j, stepping through Fraction powers of two."""
+    j = 0
+    while Fraction(2) ** j < f:
+        j += 1
+    while Fraction(2) ** (j - 1) >= f:
+        j -= 1
+    return j
+
+
+positive_ints = st.integers(1, 1 << 200)
+powers_of_two = st.integers(-200, 200).map(lambda e: Fraction(2) ** e)
+near_powers_of_two = st.tuples(st.integers(-200, 200), st.sampled_from([-1, 1])).map(
+    lambda t: Fraction(2) ** t[0] * (1 + Fraction(t[1], 1 << 90)))
+
+
+@example(Fraction(1, 1 << 70))            # below 2^-64
+@example(Fraction((1 << 70) + 1, 3))      # above 2^64
+@given(st.one_of(st.builds(Fraction, positive_ints, positive_ints), powers_of_two,
+                 near_powers_of_two))
+def test_log2_ceil_matches_the_fraction_definition(f):
+    assert _log2_ceil(f) == log2_ceil_by_definition(f)
+
+
+def test_log2_ceil_at_powers_of_two_and_far_from_one():
+    for e in range(-130, 131):
+        p = Fraction(2) ** e
+        assert _log2_ceil(p) == e
+        assert _log2_ceil(p * Fraction(3, 4)) == e  # between 2^(e-1) and 2^e
+        assert _log2_ceil(p * Fraction(5, 4)) == e + 1
+    assert _log2_ceil(7) == 3  # an int counts as a fraction
+    with pytest.raises(ValueError):
+        _log2_ceil(Fraction(0))

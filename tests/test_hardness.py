@@ -282,6 +282,39 @@ def test_measure_blowup_empty_family_and_bad_pipeline():
         measure_blowup([INST_ONE], "sphere")
 
 
+def test_measure_blowup_interleaves_repeats_across_the_family(monkeypatch):
+    calls = []
+
+    def recording(inst, n):
+        calls.append(inst.n_vars)
+        if inst.n_vars == 2:
+            raise InsufficientPrecision("fails on its first run")
+        return PIPELINES["neumann"](inst, n)
+
+    monkeypatch.setitem(PIPELINES, "recording", recording)
+    fam = [INST_ONE, INST_PAIR, INST_TWO]
+    recs = measure_blowup(fam, "recording", repeats=3)
+    # one run of every size per round; a size that failed is not run again
+    assert calls == [1, 2, 4, 1, 4, 1, 4]
+    assert [(r.n_vars, r.ok, r.count) for r in recs] == [(1, True, 1), (2, False, None),
+                                                         (4, True, 2)]
+    assert recs[1].error == "fails on its first run" and recs[1].wall_ms == 0.0
+
+
+def test_counting_instance_is_an_immutable_value():
+    inst = CountingInstance((2, 3, 5, 7), 10)
+    assert inst == INST_TWO and hash(inst) == hash(INST_TWO)
+    assert inst != CountingInstance((2, 3, 5, 7), 12) and inst != (2, 3, 5, 7)
+    assert repr(inst) == "CountingInstance(weights=(2, 3, 5, 7), target=10, " \
+                         "kind='subset-sum-count')"
+    for name in ("weights", "target", "_byte_sums"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, getattr(inst, name))
+        with pytest.raises(AttributeError):
+            delattr(inst, name)
+    assert inst.accepts(0b1010) and not inst.accepts(0b0011)
+
+
 def test_max_vars_env_cap(monkeypatch):
     monkeypatch.setenv("CERTHEAT_MAX_VARS", "4")
     inst = random_instance(random.Random(3), 5)
