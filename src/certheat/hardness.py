@@ -247,17 +247,16 @@ def measure_blowup(family: list[CountingInstance], pipeline: str,
                 except CertHeatError as exc:
                     errors[i] = str(exc)
 
-    def record(inst, bits, times, v, error) -> BlowupRecord:
+    def record(inst, n, times, v, error) -> BlowupRecord:
         if error is None:
             try:
                 count = recover_count(v, inst)
-                return BlowupRecord(pipeline, inst.n_vars, bits, statistics.median(times),
+                return BlowupRecord(pipeline, inst.n_vars, n, statistics.median(times),
                                     v.value_fraction(), count,
                                     0 <= count <= 1 << inst.n_vars)
             except CertHeatError as exc:
                 error = str(exc)
-        return BlowupRecord(pipeline, inst.n_vars, bits, 0.0, None, None, False,
-                            error=error)
+        return BlowupRecord(pipeline, inst.n_vars, n, 0.0, None, None, False, error=error)
 
     return [record(*row) for row in zip(family, bits, walls, values, errors)]
 
