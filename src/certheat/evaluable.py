@@ -3,10 +3,12 @@
 An :class:`EvaluableFunction` is pointwise access to a continuous function:
 a certified evaluator, a modulus of continuity, a closed rational domain and
 a sup-norm bound.  Constructors for the shapes the solvers understand attach
-structure metadata (trig polynomial, sine modes, piecewise-linear grid,
-polynomial coefficients) that lets integration read off exact values instead
-of brute-force sampling; the generic pointwise contract still holds either
-way.
+structure metadata (trig polynomial, sine modes, linear pieces, uniform
+grid, polynomial coefficients) that lets integration read off exact values
+instead of brute-force sampling; the generic pointwise contract still holds
+either way.  Piecewise-linear data is read as its pieces (c0, c1, a, b)
+through :func:`linear_pieces`, and every closed form for it keeps one term
+per point of its jump list, :func:`pl_jumps`.
 
 Angular convention: functions on the circle are parametrized in units of pi,
 so the domain is the rational interval [0, 2] and an argument rho stands for
@@ -24,6 +26,7 @@ from .certified import CertifiedValue, cos_pi_mul_cv, sin_pi_mul_cv
 from .dyadic import DyadicDecimal, as_fraction, round_to
 from .series import require
 
+Pieces = list[tuple[Fraction, Fraction, Fraction, Fraction]]  # (c0, c1, a, b)
 
 def _log2_ceil(f: Fraction) -> int:
     """Smallest j with f <= 2^j (f > 0)."""
@@ -96,10 +99,12 @@ class EvaluableFunction:
     ``eval_exact`` is exact rational evaluation, when the shape admits one.
     The rest is structure metadata for the exact integration paths:
     ``sine_modes`` is {k: c_k} with g(x) = sum of c_k sin(k pi x / L) on the
-    domain [0, L], and ``segment_sum(first, last)`` is the exact sum over
-    uniform segments first .. last - 1 of the value at each midpoint
-    a + (j + 1/2) w: equal to summing eval_exact there, but one call for the
-    whole run.
+    domain [0, L]; ``pieces`` are contiguous exact (c0, c1, a, b) with
+    g = c0 + c1 y on [a, b], covering the domain continuously; g is linear
+    on each of ``linear_segments`` uniform segments, read by ``eval_exact``;
+    and ``segment_sum(first, last)`` is the exact sum over uniform segments
+    first .. last - 1 of the value at each midpoint a + (j + 1/2) w: equal
+    to summing eval_exact there, but one call for the whole run.
     """
 
     def __init__(self, domain: tuple[Fraction, Fraction], sup_bound: Fraction,
@@ -109,7 +114,7 @@ class EvaluableFunction:
                  eval_exact: Optional[Callable[[Fraction], Fraction]] = None,
                  trig_poly: Optional[TrigPoly] = None,
                  sine_modes: Optional[dict[int, Fraction]] = None,
-                 breakpoints: Optional[list[Fraction]] = None,
+                 pieces: Optional[Pieces] = None,
                  linear_segments: Optional[int] = None,
                  segment_sum: Optional[Callable[[int, int], Fraction]] = None,
                  poly_coeffs: Optional[list[Fraction]] = None,
@@ -124,7 +129,7 @@ class EvaluableFunction:
         self.eval_exact = eval_exact
         self.trig_poly = trig_poly
         self.sine_modes = sine_modes
-        self.breakpoints = breakpoints
+        self.pieces = pieces
         self.linear_segments = linear_segments
         self.segment_sum = segment_sum
         self.poly_coeffs = poly_coeffs
@@ -139,57 +144,46 @@ class EvaluableFunction:
         require("evaluator error", cv.err_fraction(), Fraction(1, 1 << (n + 1)))
         return round_to(cv.value_fraction(), n + 1)
 
-    def has_linear_structure(self) -> bool:
-        """Declared piecewise-linear, with exact evaluation to read the pieces."""
-        return self.eval_exact is not None and (
-            self.breakpoints is not None or self.linear_segments is not None)
 
-    def segment_grid(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
-        """Breakpoints of linearity clipped to [lo, hi], endpoints included."""
-        if self.linear_segments is not None:
-            a, b = self.domain
-            w = (b - a) / self.linear_segments
-            pts = []
-            j = (lo - a) // w
-            x = a + j * w
-            while x < hi:
-                if x > lo:
-                    pts.append(x)
-                x += w
-            return [lo] + pts + [hi]
-        if self.breakpoints is not None:
-            inner = [x for x in self.breakpoints if lo < x < hi]
-            return [lo] + inner + [hi]
-        raise ValueError("function has no declared linear structure")
-
-
-def linear_pieces(
-        fn: EvaluableFunction) -> Optional[list[tuple[Fraction, Fraction, Fraction, Fraction]]]:
+def linear_pieces(fn: EvaluableFunction) -> Optional[Pieces]:
     """(c0, c1, a, b) with fn = c0 + c1 y on [a, b], covering fn's domain.
 
-    Reads the pieces off a declared piecewise-linear structure with exact
-    evaluation, or off an affine polynomial (one piece); None for any other
+    The declared ``pieces``, or for uniform data (``linear_segments`` with
+    exact evaluation) the pieces read off its grid; None for any other
     function.
     """
-    if fn.has_linear_structure():
-        grid = fn.segment_grid(*fn.domain)
-        out = []
-        for a, b in zip(grid, grid[1:]):
-            ya, yb = fn.eval_exact(a), fn.eval_exact(b)
-            c1 = (yb - ya) / (b - a)
-            out.append((ya - c1 * a, c1, a, b))
-        return out
-    if fn.poly_coeffs is not None and len(fn.poly_coeffs) <= 2:
-        c0, c1 = (list(fn.poly_coeffs) + [Fraction(0)])[:2]
-        return [(c0, c1, *fn.domain)]
-    return None
+    if fn.pieces is not None:
+        return fn.pieces
+    if fn.linear_segments is None or fn.eval_exact is None:
+        return None
+    lo, hi = fn.domain
+    w = (hi - lo) / fn.linear_segments
+    grid = [lo + j * w for j in range(fn.linear_segments)] + [hi]
+    return _pieces_through(grid, [fn.eval_exact(x) for x in grid])
 
 
-def slope_jumps(pieces) -> list[tuple[Fraction, Fraction]]:
-    """(y, slope after y minus slope before) at each breakpoint y between
-    contiguous pieces (c0, c1, a, b) where the slope changes."""
-    return [(y, after - before) for (_, before, _, _), (_, after, y, _)
-            in zip(pieces, pieces[1:]) if after != before]
+def _pieces_through(xs: list[Fraction], ys: list[Fraction]) -> Pieces:
+    """The pieces of the linear interpolation through nodes (xs, ys)."""
+    slopes = [(yb - ya) / (b - a) for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:])]
+    return [(ya - c1 * a, c1, a, b) for a, b, ya, c1 in zip(xs, xs[1:], ys, slopes)]
+
+
+def pl_jumps(pieces) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(y, J, D) at every end and breakpoint y of contiguous pieces
+    (c0, c1, a, b), in order, with the data taken as zero outside them:
+    J is the value after y minus the value before, D the slope after minus
+    the slope before (either may be zero).
+
+    Integrating by parts twice leaves one term per point, and the data is
+    the sum of J + D (x - y) over the points y <= x.
+    """
+    out, c0, c1 = [], Fraction(0), Fraction(0)  # zero left of the first piece
+    for d0, d1, a, _ in pieces:
+        out.append((a, d0 - c0 + (d1 - c1) * a, d1 - c1))
+        c0, c1 = d0, d1
+    b = pieces[-1][3]
+    out.append((b, -(c0 + c1 * b), -c1))
+    return out
 
 
 def trig_poly_fn(tp: TrigPoly, label: str = "") -> EvaluableFunction:
@@ -234,18 +228,18 @@ def piecewise_linear_fn(points: list[tuple[Fraction, Fraction]], label: str = ""
     """Linear interpolation through sorted (x, y) rational nodes."""
     pts = [(as_fraction(x), as_fraction(y)) for x, y in points]
     if len(pts) < 2 or any(pts[i][0] >= pts[i + 1][0] for i in range(len(pts) - 1)):
-        raise ValueError("breakpoints must be strictly increasing, need at least two")
+        raise ValueError("nodes must be strictly increasing, need at least two")
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
+    pieces = _pieces_through(xs, ys)
     sup = max(map(abs, ys))
-    slope = max(abs((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])) for i in range(len(xs) - 1))
+    slope = max(abs(c1) for _, c1, _, _ in pieces)
 
     def exact(x: Fraction) -> Fraction:
         if not xs[0] <= x <= xs[-1]:
             raise ValueError(f"{x} outside domain")
-        i = min(bisect_right(xs, x), len(xs) - 1) - 1
-        t = (x - xs[i]) / (xs[i + 1] - xs[i])
-        return ys[i] + t * (ys[i + 1] - ys[i])
+        c0, c1, _, _ = pieces[min(bisect_right(xs, x), len(xs) - 1) - 1]
+        return c0 + c1 * x
 
     return EvaluableFunction(
         domain=(xs[0], xs[-1]),
@@ -254,18 +248,20 @@ def piecewise_linear_fn(points: list[tuple[Fraction, Fraction]], label: str = ""
         eval_cv=lambda x, p: CertifiedValue.from_fraction(exact(x), p + 2),
         label=label or "piecewise-linear",
         eval_exact=exact,
-        breakpoints=xs,
+        pieces=pieces,
     )
 
 
 def polynomial_fn(coeffs: list[Fraction], domain: tuple[Fraction, Fraction],
                   label: str = "") -> EvaluableFunction:
-    """sum c_i x^i with exact rational evaluation."""
+    """sum c_i x^i with exact rational evaluation; of degree <= 1, also one
+    linear piece."""
     cs = [as_fraction(c) for c in coeffs]
     lo, hi = as_fraction(domain[0]), as_fraction(domain[1])
     big = max(abs(lo), abs(hi), Fraction(1))
     sup = sum(abs(c) * big ** i for i, c in enumerate(cs))
     lip = sum(i * abs(c) * big ** (i - 1) for i, c in enumerate(cs) if i)
+    c0, c1 = (cs + [Fraction(0)] * 2)[:2]
 
     def exact(x: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -281,6 +277,7 @@ def polynomial_fn(coeffs: list[Fraction], domain: tuple[Fraction, Fraction],
         label=label or "polynomial",
         eval_exact=exact,
         poly_coeffs=cs,
+        pieces=[(c0, c1, lo, hi)] if len(cs) <= 2 else None,
     )
 
 

@@ -14,6 +14,9 @@ Four problem shapes:
 * half-line with compactly supported piecewise-linear initial data, the
   same endpoint sum without a time integral.
 
+Piecewise-linear data (``linear_pieces``) gives one interval series term or
+half-line distance per point of its jump list (``pl_jumps``).
+
 Here i^j erfc is the j-th repeated integral of erfc (DLMF 7.18; Carslaw and
 Jaeger, *Conduction of Heat in Solids*, ch. II and App. II).  Each half-line
 solution is a finite sum of erfc(z) and e^{-z^2} with exact rational weights,
@@ -42,8 +45,8 @@ from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _guard_bits, _log2_ceil, linear_pieces,
-                        lipschitz_modulus, polynomial_fn, slope_jumps)
-from .quadrature import (breakpoint_series, int_pl_trig_pi, integrate,
+                        lipschitz_modulus, pl_jumps, polynomial_fn)
+from .quadrature import (breakpoint_series, int_pl_trig_pi, integral_exact, integrate,
                          trig_product_integral)
 from .record import Record
 from .series import (TruncationPlan, choose_K_disk, declared_modes_plan, gaussian_tail,
@@ -144,8 +147,8 @@ class IntervalHeatProblem(Record):
     """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0.
 
     ``pieces`` is ``linear_pieces(g)``, read once here for every solve, and
-    so, when g has pieces, are its slope ``jumps``.  These derived fields
-    take no part in equality or ``repr``.
+    so, when g has pieces, is their ``pl_jumps`` list ``jumps``.  These
+    derived fields take no part in equality or ``repr``.
     """
 
     _fields = ("L", "alpha", "g", "t0")
@@ -155,14 +158,12 @@ class IntervalHeatProblem(Record):
         self.alpha = as_fraction(alpha)
         self.g = g
         self.t0 = as_fraction(t0)
-        self.jumps = None
         if self.L <= 0 or self.alpha <= 0 or self.t0 <= 0:
             raise PreconditionError("L, alpha and t0 must be positive")
         if self.g.domain != (Fraction(0), self.L):
             raise PreconditionError("initial data must live on [0, L]")
         self.pieces = linear_pieces(self.g)
-        if self.pieces is not None:
-            self.jumps = slope_jumps(self.pieces)
+        self.jumps = pl_jumps(self.pieces) if self.pieces is not None else None
 
 
 def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
@@ -266,19 +267,20 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
 def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: int,
                        n: int) -> CertifiedValue:
     """Modes 1..K at x of piecewise-linear g, decay e^{-c k^2}, c = pi^2 rate:
-    by parts, mu_k = 2 (g(0) - (-1)^k g(L)) / (pi k) - 2 L sum_j D_j
-    sin(k pi y_j / L) / (pi k)^2 over the slope jumps D_j at y_j."""
-    L, jumps = p.L, p.jumps
-    c0, c1, _, _ = p.pieces[-1]
-    g0, gL = p.pieces[0][0], c0 + c1 * L
-    size = L * sum((abs(d) for _, d in jumps), Fraction(0)) + abs(g0) + abs(gL)
+    by parts, mu_k = 2 (J_0 + (-1)^k J_L) / (pi k) - 2 L sum_j D_j
+    sin(k pi y_j / L) / (pi k)^2 over ``p.jumps``, whose ends' J are g(0)
+    and -g(L); the ends' D drop out, as sin(k pi y / L) vanishes there."""
+    L = p.L
+    (_, j0, _), *mid, (_, jL, _) = p.jumps
+    inner = [(y, d) for y, _, d in mid if d]
+    size = L * sum((abs(d) for _, d in inner), Fraction(0)) + abs(j0) + abs(jL)
     # the ladder's bounds reach about K + 1/c units, and c >= 9 rate
     W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1))) \
         + max(0, _log2_ceil(max(1 / rate, 1)))
     decay = _ladder(rate, K, W)
-    cos_terms = [((y - x) / L, L * d) for y, d in jumps] + [((y + x) / L, -L * d) for y, d in jumps]
-    # (-1)^k sin(k pi x / L) = sin(k pi (x / L + 1))
-    sin_terms = [(t, c) for t, c in ((x / L, 2 * g0), (x / L + 1, -2 * gL)) if c]
+    cos_terms = [((y - x) / L, L * d) for y, d in inner] + [((y + x) / L, -L * d) for y, d in inner]
+    # (-1)^k sin(k pi x / L) = sin(k pi (x + L) / L)
+    sin_terms = [((x + y) / L, 2 * j) for y, j in ((0, j0), (L, jL)) if j]
     out = breakpoint_series(decay, cos_terms, sin_terms, W).rounded(n + 4)
     require("interval assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
     return out
@@ -314,11 +316,12 @@ class IntervalReduction:
         return recip_pi_cv(prec + 6).mul_fraction(f, prec + 4)
 
     def certified_point_value(self, n: int) -> CertifiedValue:
-        if not self.profile.has_linear_structure():
-            raise PreconditionError("reduction data must be piecewise linear")
-        pref = _inv_sqrt_4pialpha(self.alpha * self.t0, n + 12)
         # midpoint rule, exact per linear piece: one verifier call per piece
-        return (integrate(self.profile, 0, 1, n + 4) * pref).rounded(n + 4)
+        total = integral_exact(self.profile, Fraction(0), Fraction(1))
+        if total is None:
+            raise PreconditionError("reduction data needs an exact integral")
+        pref = _inv_sqrt_4pialpha(self.alpha * self.t0, n + 12)
+        return (CertifiedValue.from_fraction(total, n + 6) * pref).rounded(n + 4)
 
 
 def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction,
@@ -350,8 +353,8 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction,
         eval_cv=lambda y, p: CertifiedValue.from_fraction(gt_exact(y), p + 2),
         label="rescaled-profile",
         eval_exact=gt_exact,
-        breakpoints=([b * L for b in g_hard.breakpoints]
-                     if g_hard.breakpoints is not None else None),
+        pieces=([(c0 / L, c1 / (L * L), a * L, b * L) for c0, c1, a, b in g_hard.pieces]
+                if g_hard.pieces is not None else None),
         linear_segments=g_hard.linear_segments,
     )
     red = IntervalReduction(t0, x0, L, alpha, gtilde, g_hard)
@@ -444,22 +447,24 @@ def _kernel_cv(w: Fraction, pref: CertifiedValue, g: int, p: int) -> CertifiedVa
 def _data_endpoints(f: EvaluableFunction, x: Fraction) -> dict[Fraction, tuple]:
     """Signed distance d -> weights (eC, sC) of piecewise-linear data seen from x.
 
-    Against the Dirichlet half-line kernel, data c0 + c1 y on [b0, b1] gives
-    per endpoint b half of f(b) erfc(d/s) + slope s i^1erfc(d/s), with
-    d = x - b (direct, slope -c1) or x + b (image, slope c1).  Shared
-    endpoints merge, so a continuous breakpoint keeps only its slope jump.
+    Against the Dirichlet half-line kernel, data that jumps by J in value
+    and D in slope at y (:func:`pl_jumps`) gives half of
+    eC erfc(d/s) + sC s i^1erfc(d/s) with (eC, sC) = (-J, D) at the direct
+    distance d = x - y and (-J, -D) at the image's d = x + y.  Equal
+    distances merge.  The first two points go in the order the first
+    piece's ends had, which fixes how the response's error bound rounds.
     """
     segs = linear_pieces(f)
     if segs is None:
         raise QuadratureBudgetError(
             "space data must be piecewise linear or affine for the closed form")
+    jumps = pl_jumps(segs)
     out: dict[Fraction, tuple] = {}
-    for c0, c1, b0, b1 in segs:
-        f0, f1 = c0 + c1 * b0, c0 + c1 * b1
-        for d, e, s in ((x - b1, f1, -c1), (x - b0, -f0, c1),
-                        (x + b0, -f0, -c1), (x + b1, f1, c1)):
-            e0, s0 = out.get(d, (0, 0))
-            out[d] = (e0 + e, s0 + s)
+    for d, e, s in ([(x - y, -J, D) for y, J, D in jumps[1::-1]]
+                    + [(x + y, -J, -D) for y, J, D in jumps[:2]]
+                    + [t for y, J, D in jumps[2:] for t in ((x - y, -J, D), (x + y, -J, -D))]):
+        e0, s0 = out.get(d, (0, 0))
+        out[d] = (e0 + e, s0 + s)
     return {d: v for d, v in out.items() if v != (0, 0)}
 
 

@@ -12,10 +12,11 @@ sums, and the analytic tail bound is added to the final error envelope.  The
 plan records every inequality it relied on, so it can be re-audited later
 with exact comparisons only.
 
-Piecewise-linear disk data forms no Fourier coefficient: integrating by
-parts twice leaves one series per slope breakpoint, summed by one rotation
-each (:func:`_solve_disk_pl`); other data without declared modes integrates
-each coefficient.
+Piecewise-linear disk data (``linear_pieces``) forms no Fourier
+coefficient: integrating by parts twice leaves one series per point of the
+data's jump list (``pl_jumps``, the ends merged into the seam), summed by one
+rotation each (:func:`_solve_disk_pl`); other data without declared modes
+integrates each coefficient.
 
 Data given as finitely many declared modes (trig polynomials on the disk,
 spherical harmonics on the ball) has an exactly finite solution: every mode
@@ -33,7 +34,7 @@ from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, rotation_pi
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
-                        lipschitz_modulus, slope_jumps)
+                        lipschitz_modulus, pl_jumps)
 from .kernels import real_sph_harmonic_3d
 from .quadrature import (DEFAULT_MAX_PANELS, breakpoint_series, int_pl_trig_pi,
                          integral_exact, integrate, trig_product_integral)
@@ -48,9 +49,10 @@ class DiskProblem(Record):
     g lives on [0,2] in pi-units; r0 < 1 bounds where solutions will be
     requested, and the tail constant scales like 1/(1-r0).  ``pieces`` is
     ``linear_pieces(g)``, read once here for every solve; so are, when g has
-    pieces, what :func:`_solve_disk_pl` reads off them: the slope ``jumps``
-    (the seam's first), the end ``gap`` g(2) - g(0), their ``size``
-    sum |D_j| + |gap| and the exact ``area`` of g over [0, 2].  These
+    pieces, what :func:`_solve_disk_pl` reads off them: the ``jumps``
+    (y, J, D) of ``pl_jumps`` where something jumps, with the points at 0
+    and 2 merged into the seam's (J = g(0) - g(2), usually 0), their
+    ``size`` sum |J| + |D| and the exact ``area`` of g over [0, 2].  These
     derived fields take no part in equality or ``repr``.
     """
 
@@ -59,7 +61,7 @@ class DiskProblem(Record):
     def __init__(self, g: EvaluableFunction, r0: Fraction):
         self.g = g
         self.r0 = as_fraction(r0)
-        self.jumps = self.gap = self.size = self.area = None
+        self.jumps = self.size = self.area = None
         if not 0 <= self.r0 < 1:
             raise PreconditionError("r0 must lie in [0,1)")
         lo, hi = self.g.domain
@@ -72,10 +74,10 @@ class DiskProblem(Record):
             raise PreconditionError("boundary data is not periodic at the seam")
         self.pieces = pieces = linear_pieces(self.g)
         if pieces is not None:
-            c0, c1, _, _ = pieces[-1]
-            self.gap = c0 + 2 * c1 - pieces[0][0]
-            self.jumps = slope_jumps([pieces[-1], *pieces])  # the seam first, then in order
-            self.size = sum((abs(d) for _, d in self.jumps), abs(self.gap))
+            (_, j0, d0), *inner, (_, j2, d2) = pl_jumps(pieces)
+            self.jumps = [(y, J, D) for y, J, D in [(Fraction(0), j0 + j2, d0 + d2), *inner]
+                          if J or D]  # the seam first, then in order
+            self.size = sum((abs(J) + abs(D) for _, J, D in self.jumps), Fraction(0))
             self.area = integral_exact(self.g, Fraction(0), Fraction(2))
 
 
@@ -146,7 +148,7 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
 
     Declared modes are all summed and leave no tail.  Other data sums the
     series only as far as r needs, and the plan's order caps that:
-    piecewise-linear data over its slope breakpoints
+    piecewise-linear data over the points of its jump list
     (:func:`_solve_disk_pl`), the rest over its Fourier coefficients.
     """
     r, theta = as_fraction(r), as_fraction(theta)
@@ -184,37 +186,37 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
 _PI_LO = Fraction(157, 50)  # < pi
 
 
-def _disk_pl_tail(sup: Fraction, jumps, gap: Fraction,
-                  r: Fraction) -> Callable[[int], Fraction]:
+def _disk_pl_tail(sup: Fraction, jumps, r: Fraction) -> Callable[[int], Fraction]:
     """Bound on the breakpoint series' terms k >= start >= 1, as a function
-    of start: term k is at most (sum |D_j| / (pi k)^2 + |J| / (pi k)) r^k,
+    of start: term k is at most (sum |D_j| / (pi k)^2 + sum |J_j| / (pi k)) r^k,
     and at most the 2 ||g|| r^k that :func:`_disk_tail` charges.  What does
     not depend on start is formed once, outside the point-order search."""
     span = 1 - r
-    jump_part = sum((abs(d) for _, d in jumps), Fraction(0)) / (_PI_LO * _PI_LO * span)
-    gap_part, ceiling = abs(gap) / (_PI_LO * span), 2 * sup / span
+    slope_part = sum((abs(D) for _, _, D in jumps), Fraction(0)) / (_PI_LO * _PI_LO * span)
+    value_part = sum((abs(J) for _, J, _ in jumps), Fraction(0)) / (_PI_LO * span)
+    ceiling = 2 * sup / span
 
     def tail(start: int) -> Fraction:
-        return min((jump_part + gap_part * start) / (start * start), ceiling) * r ** start
+        return min((slope_part + value_part * start) / (start * start), ceiling) * r ** start
 
     return tail
 
 
 def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
                    cap: int) -> CertifiedValue:
-    """u(r, theta) for piecewise-linear g with slope jumps D_j at rho_j (the
-    seam's jump, at 0, included) and end gap J = g(2) - g(0), usually 0.
+    """u(r, theta) for piecewise-linear g that jumps by J_j in value and D_j
+    in slope at rho_j (``p.jumps``: the seam's, at 0, and the inner points').
 
-    Integrating by parts twice gives b_k + i a_k = -i J / (pi k)
-    - sum_j D_j e^{i pi k rho_j} / (pi k)^2, so
-    u = mean(g) - (J / pi) sum_k r^k sin(k pi theta) / k
+    Integrating by parts twice gives b_k + i a_k = sum_j (i J_j / (pi k)
+    - D_j / (pi k)^2) e^{i pi k rho_j}, so
+    u = mean(g) + pi^-1 sum_j J_j sum_k r^k sin(k pi (theta - rho_j)) / k
         - pi^-2 sum_j D_j sum_k r^k cos(k pi (rho_j - theta)) / k^2,
     each inner sum the real part of Li_2(r e^{i pi (rho_j - theta)}) cut at
-    K (Lewin 1981; DLMF 25.12): one rotation per jump and no Fourier
-    coefficient (:func:`breakpoint_series`).
+    K (Lewin 1981; DLMF 25.12), or its Li_1 analogue: one rotation per term
+    and no Fourier coefficient (:func:`breakpoint_series`).  Only the seam
+    carries a J, the end gap g(0) - g(2) that the seam check lets through.
     """
-    jumps, gap = p.jumps, p.gap
-    bound = _disk_pl_tail(p.g.sup_bound, jumps, gap, r)
+    bound = _disk_pl_tail(p.g.sup_bound, p.jumps, r)
     K, tail = point_order(lambda m: bound(m + 1), n, cap, "disk point tail")
     W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(p.size, 1)))
     area = CertifiedValue.from_fraction(p.area, W + 4)
@@ -225,7 +227,8 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
         rk = rk * r.numerator // r.denominator
         decay.append((rk, k))
     acc = area.mul_fraction(Fraction(1, 2), W) + breakpoint_series(
-        decay, [(rho - theta, d) for rho, d in jumps], [(theta, -gap)] if gap else [], W)
+        decay, [(y - theta, D) for y, _, D in p.jumps if D],
+        [(theta - y, J) for y, J, _ in p.jumps if J], W)
     out = acc.rounded(n + 4)
     require("disk assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
     return out.widen_fraction(tail)
@@ -272,8 +275,8 @@ def interpolated_closure(h: EvaluableFunction) -> EvaluableFunction:
     """Extend h from [0,1] to [0,2] by the linear bridge back to h(0).
 
     The bridge keeps the closure continuous and exactly periodic on the
-    circle; piecewise-linear structure on h is preserved so integrals of the
-    closure stay exact.
+    circle; h's pieces gain the bridge as one more, and a uniform grid as
+    many more segments, so integrals of the closure stay exact.
     """
     if h.domain != (Fraction(0), Fraction(1)):
         raise PreconditionError("profile must live on [0,1]")
@@ -299,12 +302,10 @@ def interpolated_closure(h: EvaluableFunction) -> EvaluableFunction:
         label=(h.label or "profile") + "-closure",
         eval_exact=exact,
     )
-    if h.linear_segments is not None:
+    if h.pieces is not None:
+        out.pieces = h.pieces + [(2 * h1 - h0, h0 - h1, Fraction(1), Fraction(2))]
+    elif h.linear_segments is not None:
         out.linear_segments = 2 * h.linear_segments
-    elif h.breakpoints is not None:
-        out.breakpoints = list(h.breakpoints) + [Fraction(2)]
-    elif h.poly_coeffs is not None and len(h.poly_coeffs) <= 2:
-        out.breakpoints = [Fraction(0), Fraction(1), Fraction(2)]
     return out
 
 

@@ -2,13 +2,13 @@
 
 Two regimes:
 
-* Polynomials, and functions with declared piecewise-linear structure and
-  exact evaluation, integrate exactly: the midpoint rule is exact on each
-  linear piece, so one exact midpoint value per segment (clipped to the
-  requested range) gives the true integral, a rational rounded once.  A
-  uniform grid is walked by integer segment index; data that sums its
-  midpoint values over a run of indices (``segment_sum``) hands over the
-  whole run in one call, without building any midpoint.
+* Polynomials, declared linear pieces and uniform grids with exact
+  evaluation integrate exactly: the midpoint rule is exact on each linear
+  piece, so one exact midpoint value per piece (clipped to the requested
+  range) gives the true integral, a rational rounded once.  A uniform grid
+  is walked by integer segment index; data that sums its midpoint values
+  over a run of indices (``segment_sum``) hands over the whole run in one
+  call, without building any midpoint.
 * Generic continuous functions fall back to composite midpoint driven by the
   declared modulus of continuity.  The error bound is (b-a) * 2^-k per the
   modulus contract, which forces a panel count that can be astronomically
@@ -17,10 +17,10 @@ Two regimes:
   harness, not an implementation accident.
 
 Piecewise-linear data times sin or cos of a rational multiple of pi has a
-closed form with one term per slope breakpoint (:func:`int_pl_trig_pi`),
-which the exact Fourier and sine coefficients use; summed over the modes of
-a disk or interval solution, the same form is one rotation per breakpoint
-(:func:`breakpoint_series`).
+closed form with one term per point of its jump list (``pl_jumps``),
+:func:`int_pl_trig_pi`, which the exact Fourier and sine coefficients use;
+summed over the modes of a disk or interval solution, the same form is one
+rotation per point (:func:`breakpoint_series`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .certified import (CertifiedValue, _ceil_div, cos_pi_mul_cv,
                         recip_pi_cv, rotation_sum, sin_pi_mul_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
-from .evaluable import EvaluableFunction, _log2_ceil, lipschitz_modulus, slope_jumps
+from .evaluable import EvaluableFunction, _log2_ceil, lipschitz_modulus, pl_jumps
 
 DEFAULT_MAX_PANELS = 1 << 22
 
@@ -61,23 +61,23 @@ def integral_exact(fn: EvaluableFunction, lo: Fraction,
                    hi: Fraction) -> Optional[Fraction]:
     """Exact integral of fn over [lo, hi] inside its domain, or None.
 
-    Polynomials integrate by their antiderivative.  On declared
-    piecewise-linear structure the midpoint rule is exact on each piece, so
-    one exact evaluation per piece, clipped to [lo, hi], gives the integral;
-    None for any other function.
+    Polynomials integrate by their antiderivative.  On linear pieces the
+    midpoint rule is exact, so each declared piece, clipped to [lo, hi],
+    gives its midpoint value times its width, and a uniform grid is summed
+    by :func:`_uniform_integral`; None for any other function.
     """
     if fn.poly_coeffs is not None:
         total = Fraction(0)  # exact antiderivative, no sampling at all
         for i, c in enumerate(fn.poly_coeffs):
             total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
         return total
-    if not fn.has_linear_structure():
+    if fn.pieces is not None:
+        cut = [(c0, c1, max(a, lo), min(b, hi)) for c0, c1, a, b in fn.pieces]
+        return sum(((c0 + c1 * (a + b) / 2) * (b - a) for c0, c1, a, b in cut if a < b),
+                   Fraction(0))
+    if fn.linear_segments is None or fn.eval_exact is None:
         return None
-    if fn.linear_segments is not None:
-        return _uniform_integral(fn, lo, hi)
-    grid = fn.segment_grid(lo, hi)
-    return sum((fn.eval_exact((a + b) / 2) * (b - a) for a, b in zip(grid, grid[1:])),
-               Fraction(0))
+    return _uniform_integral(fn, lo, hi)
 
 
 def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Fraction:
@@ -182,11 +182,11 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
 
     g is continuous and piecewise linear, given as contiguous pieces
     (c0, c1, a, b) with g = c0 + c1 rho on [a, b].  For k != 0, u = pi k and
-    t(rho) = pi (k rho + phase), integrating by parts twice leaves only the
-    ends and the slope jumps D_j at the interior breakpoints rho_j:
+    t(rho) = pi (k rho + phase), integrating by parts twice leaves one term
+    per point rho_j of :func:`pl_jumps`, where g (zero outside [a, b])
+    jumps by J_j in value and D_j in slope:
 
-        int g e^{i t} = [g e^{i t} / (i u) + g' e^{i t} / u^2] from a to b
-                        - sum_j D_j e^{i t(rho_j)} / u^2.
+        int g e^{i t} = -sum_j (J_j e^{i t(rho_j)} / (i u) + D_j e^{i t(rho_j)} / u^2).
 
     Terms whose angles agree mod 2 merge first, so for periodic data the end
     values cancel and the end slopes leave the jump at the seam.  Each
@@ -201,16 +201,14 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
         pp = p + 4 + (_log2_ceil(abs(area)) if abs(area) > 1 else 0)  # area scales the error
         return (sin_pi_mul_cv(phase, pp).mul_fraction(area, p),
                 cos_pi_mul_cv(phase, pp).mul_fraction(area, p))
-    c0, c1, a, _ = pieces[0]
-    ends = [(a, -(c0 + c1 * a), -c1)]
-    c0, c1, _, b = pieces[-1]
-    ends.append((b, c0 + c1 * b, c1))
-    # angle mod 2 -> (weight of e^{i t} / (i u), weight of e^{i t} / u^2)
+    # angle mod 2 -> (weight of e^{i t} / (i u), weight of e^{i t} / u^2),
+    # the ends first (so the error bounds add in the same order every time)
+    jumps = pl_jumps(pieces)
     points: dict[Fraction, list[Fraction]] = {}
-    for rho, v, w in ends + [(rho, 0, -d) for rho, d in slope_jumps(pieces)]:
+    for rho, J, D in [jumps[0], jumps[-1], *(j for j in jumps[1:-1] if j[1] or j[2])]:
         vw = points.setdefault((k * rho + phase) % 2, [Fraction(0), Fraction(0)])
-        vw[0] += v
-        vw[1] += w
+        vw[0] -= J
+        vw[1] -= D
     size = sum((abs(v) + abs(w) for v, w in points.values()), Fraction(0))
     pp = p + 6 + (_log2_ceil(size) if size > 1 else 0)
     vs = vc = ds = dc = CertifiedValue.zero()

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certheat.dyadic import DyadicDecimal, as_fraction
 from certheat.evaluable import (TrigPoly, _log2_ceil, constant_fn, linear_pieces,
-                                lipschitz_modulus, piecewise_linear_fn,
+                                lipschitz_modulus, piecewise_linear_fn, pl_jumps,
                                 polynomial_fn, sine_modes_fn, trig_poly_fn)
 from certheat.hardness import CountingInstance, counting_integrand
+from certheat.quadrature import integral_exact
 
 mp.mp.prec = 500
 
@@ -157,20 +158,24 @@ def test_vocabulary_eval_keeps_the_contract_at_large_amplitudes(a):
                     (spec, x, n)
 
 
-def test_segment_grid_clipping():
-    fn = piecewise_linear_fn([(Fraction(0), Fraction(1)), (Fraction(1, 4), Fraction(0)),
-                              (Fraction(3, 4), Fraction(2)), (Fraction(1), Fraction(1))])
-    assert fn.segment_grid(Fraction(0), Fraction(1)) == \
-        [Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)]
-    assert fn.segment_grid(Fraction(1, 8), Fraction(1, 2)) == \
-        [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]
-    # uniform grid declared only through a segment count
-    fn2 = sine_modes_fn({1: Fraction(1)}, Fraction(1))
-    fn2.linear_segments = 4
-    assert fn2.segment_grid(Fraction(0), Fraction(1)) == \
-        [Fraction(k, 4) for k in range(5)]
-    assert fn2.segment_grid(Fraction(1, 8), Fraction(5, 8)) == \
-        [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(5, 8)]
+def trapezoids(fn, xs):
+    """Integral of fn over [xs[0], xs[-1]] if it is linear between nodes xs."""
+    return sum(((fn.eval_exact(a) + fn.eval_exact(b)) / 2 * (b - a)
+                for a, b in zip(xs, xs[1:])), Fraction(0))
+
+
+def test_pieces_clip_to_sub_ranges():
+    F = Fraction
+    fn = piecewise_linear_fn([(F(0), F(1)), (F(1, 4), F(0)), (F(3, 4), F(2)), (F(1), F(1))])
+    assert [a for _, _, a, _ in fn.pieces] + [fn.pieces[-1][3]] == [F(0), F(1, 4), F(3, 4), F(1)]
+    assert integral_exact(fn, F(0), F(1)) == trapezoids(fn, [F(0), F(1, 4), F(3, 4), F(1)])
+    assert integral_exact(fn, F(1, 8), F(1, 2)) == trapezoids(fn, [F(1, 8), F(1, 4), F(1, 2)])
+    # a uniform grid declared only through a segment count
+    fn.pieces, fn.linear_segments = None, 4
+    assert [a for _, _, a, _ in linear_pieces(fn)] == [F(k, 4) for k in range(4)]
+    assert integral_exact(fn, F(0), F(1)) == trapezoids(fn, [F(k, 4) for k in range(5)])
+    assert integral_exact(fn, F(1, 8), F(5, 8)) == \
+        trapezoids(fn, [F(1, 8), F(1, 4), F(1, 2), F(5, 8)])
 
 
 def test_modulus_property_random_pairs():
@@ -201,7 +206,7 @@ def test_linear_pieces_from_segment_grid():
     # one item of weight 1, target 1: cell [1/2, 1] carries a unit tent
     F = Fraction
     fn = counting_integrand(CountingInstance((1,), 1))
-    assert fn.breakpoints is None and fn.linear_segments == 4
+    assert fn.pieces is None and fn.linear_segments == 4
     assert linear_pieces(fn) == [(F(0), F(0), F(0), F(1, 4)),
                                  (F(0), F(0), F(1, 4), F(1, 2)),
                                  (F(-2), F(4), F(1, 2), F(3, 4)),
@@ -221,6 +226,55 @@ def test_linear_pieces_none_without_linear_form():
     assert linear_pieces(polynomial_fn([F(0), F(0), F(1)], (F(0), F(1)))) is None
     assert linear_pieces(sine_modes_fn({1: F(1)}, F(1))) is None
     assert linear_pieces(trig_poly_fn(TrigPoly(cos_coeffs={2: F(1)}))) is None
+
+
+small_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def pl_data(draw):
+    xs = sorted(draw(st.sets(small_fractions, min_size=2, max_size=7)))
+    ys = draw(st.lists(small_fractions, min_size=len(xs), max_size=len(xs)))
+    if len(xs) > 2 and draw(st.booleans()):  # the second node on the first line
+        ys[1] = ys[0] + (ys[2] - ys[0]) * (xs[1] - xs[0]) / (xs[2] - xs[0])
+    return piecewise_linear_fn(list(zip(xs, ys)))
+
+
+@st.composite
+def affine_data(draw):
+    lo, width = draw(small_fractions), draw(small_fractions.filter(lambda w: w > 0))
+    return polynomial_fn(draw(st.lists(small_fractions, max_size=2)), (lo, lo + width))
+
+
+@st.composite
+def counting_grid_data(draw):
+    weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    return counting_integrand(CountingInstance(tuple(weights), draw(st.integers(1, 12))))
+
+
+@example(piecewise_linear_fn([(Fraction(0), Fraction(1)), (Fraction(1, 4), Fraction(0)),
+                              (Fraction(1, 2), Fraction(1))]))
+@given(st.one_of(pl_data(), affine_data(), counting_grid_data()))
+@settings(deadline=None)
+def test_jumps_sum_back_to_the_data(fn):
+    # the data, zero outside its pieces, is the sum of J + D (x - y) over
+    # the points y <= x of its jump list, at the nodes and between them;
+    # past the last point the slopes cancel and so do the values
+    pieces = linear_pieces(fn)
+    jumps = pl_jumps(pieces)
+    nodes = [a for _, _, a, _ in pieces] + [pieces[-1][3]]
+    assert [y for y, _, _ in jumps] == nodes
+
+    def summed(x, upto):
+        return sum((J + D * (x - y) for y, J, D in jumps if upto(y, x)), Fraction(0))
+
+    for a, b in zip(nodes, nodes[1:]):
+        for x in (a, (2 * a + b) / 3, (a + b) / 2):
+            assert summed(x, lambda y, x: y <= x) == fn.eval_exact(x)
+    end = nodes[-1]
+    assert summed(end, lambda y, x: y < x) == fn.eval_exact(end)  # from the left
+    assert sum(D for _, _, D in jumps) == 0
+    assert sum((J - D * y for y, J, D in jumps), Fraction(0)) == 0
 
 
 def log2_ceil_by_definition(f: Fraction) -> int:

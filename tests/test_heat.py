@@ -1,5 +1,6 @@
 """Diffusion solvers against independent quadrature and series oracles."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -10,7 +11,7 @@ import certheat.heat as heat
 import certheat.quadrature as quadrature
 from certheat.certified import CertifiedValue, exp_cv
 from certheat.errors import PreconditionError, QuadratureBudgetError
-from certheat.evaluable import (constant_fn, piecewise_linear_fn,
+from certheat.evaluable import (constant_fn, linear_pieces, piecewise_linear_fn,
                                 polynomial_fn, sine_modes_fn)
 from certheat.quadrature import integrate
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
@@ -460,7 +461,7 @@ def test_interval_reduction_weight_cancels():
     tent = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
     tstar = hardness_initial_interval(F(1, 4), F(1, 2), tent)
     tred = tstar.hardness
-    grid = tred.gtilde.segment_grid(F(0), F(1))
+    grid = [a for _, _, a, _ in tred.gtilde.pieces] + [F(1)]
     walk = CertifiedValue.zero()
     for a, b in zip(grid, grid[1:]):
         mid = (a + b) / 2
@@ -539,3 +540,38 @@ def test_interval_pl_values_match_image_oracle(t, x):
         with mp.workdps(40):
             want = image_oracle(IVL_NODES, 2, F(1), t, to_mp(x))
             assert abs(to_mp(u.value_fraction()) - want) <= to_mp(u.err_fraction()) + mp.mpf(10) ** -35
+
+
+def data_endpoints_per_piece(f, x):
+    """Distance -> (eC, sC) built piece by piece: c0 + c1 y on [b0, b1]
+    gives (f(b1), -c1) at x - b1, (-f(b0), c1) at x - b0 and the image's
+    (-f(b0), -c1) at x + b0, (f(b1), c1) at x + b1."""
+    out = {}
+    for c0, c1, b0, b1 in linear_pieces(f):
+        f0, f1 = c0 + c1 * b0, c0 + c1 * b1
+        for d, e, s in ((x - b1, f1, -c1), (x - b0, -f0, c1),
+                        (x + b0, -f0, -c1), (x + b1, f1, c1)):
+            e0, s0 = out.get(d, (0, 0))
+            out[d] = (e0 + e, s0 + s)
+    return {d: v for d, v in out.items() if v != (0, 0)}
+
+
+def test_data_endpoints_match_the_per_piece_sums():
+    # same distances, weights and order: the response rounds its error
+    # bound in the order the distances come, so the order is part of the
+    # result.  Supports from 0 (x = 0 merges a point with its image),
+    # collinear nodes and x on a node included
+    rng = random.Random(83)
+    datas = [piecewise_linear_fn([(F(0), F(1)), (F(1, 4), F(0)), (F(1, 2), F(1))]),
+             piecewise_linear_fn([(F(0), F(0)), (F(1, 8), F(1, 8)), (F(1, 4), F(1, 4)),
+                                  (F(1, 2), F(0))]),
+             polynomial_fn([F(1, 2), F(-1, 3)], (F(0), F(1, 2))), constant_fn(F(1), (F(1), F(2)))]
+    for _ in range(12):
+        a = F(rng.randrange(0, 3), 4)
+        xs = sorted({a + F(rng.randrange(1, 32), 32) for _ in range(rng.randrange(1, 5))} | {a})
+        datas.append(piecewise_linear_fn([(x, F(rng.randrange(-9, 10), 4)) for x in xs]))
+    for f in datas:
+        nodes = [b0 for _, _, b0, _ in linear_pieces(f)] + [f.domain[1]]
+        for x in [F(0), F(3, 16), F(5, 2)] + nodes:
+            assert list(heat._data_endpoints(f, x).items()) == \
+                list(data_endpoints_per_piece(f, x).items()), (nodes, x)

@@ -83,7 +83,7 @@ def test_fourier_generic_modulus_path():
            (Fraction(2), Fraction(1, 2))]
     g = piecewise_linear_fn(pts)
     a_pl, _ = fourier_coeffs(g, 1, 30)
-    g.breakpoints = None
+    g.pieces = None
     g.eval_exact = None
     a_q, _ = fourier_coeffs(g, 1, 8)
     assert abs(a_q.value_fraction() - a_pl.value_fraction()) <= \
@@ -268,8 +268,8 @@ def test_disk_point_order_sizes_the_tail_at_r(monkeypatch):
         solve_disk(prob, r, Fraction(1, 3), 20, plan)
         (K, tail), tail_fn = found[0]
         assert K <= plan.order and tail <= budget
-        jumps = [(Fraction(1, 2), -4), (Fraction(3, 2), 4)]  # TENT2's slope jumps
-        assert tail == laplace._disk_pl_tail(TENT2.sup_bound, jumps, 0, r)(K + 1) == tail_fn(K)
+        jumps = [(Fraction(1, 2), 0, -4), (Fraction(3, 2), 0, 4)]  # TENT2's slope jumps
+        assert tail == laplace._disk_pl_tail(TENT2.sup_bound, jumps, r)(K + 1) == tail_fn(K)
         if K:
             assert tail_fn(K - 1) > budget
         orders.append(K)

@@ -6,13 +6,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from certheat.certified import CertifiedValue
+from certheat.certified import CertifiedValue, cos_pi_mul_cv, recip_pi_cv, sin_pi_mul_cv
 from certheat.errors import PreconditionError, QuadratureBudgetError
-from certheat.evaluable import (EvaluableFunction, TrigPoly, lipschitz_modulus,
-                                piecewise_linear_fn, polynomial_fn,
+from certheat.evaluable import (EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces,
+                                lipschitz_modulus, piecewise_linear_fn, polynomial_fn,
                                 sine_modes_fn, trig_poly_fn)
 from certheat.hardness import CountingInstance, counting_integrand
-from certheat.quadrature import (int_linear_cos_pi, int_linear_sin_pi,
+from certheat.quadrature import (int_linear_cos_pi, int_linear_sin_pi, int_pl_trig_pi,
                                  integral_exact, integrate)
 
 mp.mp.prec = 500
@@ -53,7 +53,7 @@ def naive_midpoint_sum(fn, lo, hi):
         w = (b - a) / fn.linear_segments
         nodes = [a + k * w for k in range(fn.linear_segments + 1)]
     else:
-        nodes = fn.breakpoints
+        nodes = [a for _, _, a, _ in fn.pieces] + [b]
     pts = [lo] + [x for x in nodes if lo < x < hi] + [hi]
     total = Fraction(0)
     for s, t in zip(pts, pts[1:]):
@@ -261,3 +261,54 @@ def test_full_period_orthogonality():
         assert abs(cv.value_fraction()) <= cv.err_fraction()
         cv = int_linear_cos_pi(1, 0, 0, 2, k, 0, 40)
         assert abs(cv.value_fraction()) <= cv.err_fraction()
+
+
+def int_pl_trig_pi_hand_built_ends(pieces, k, phase, p):
+    """The closed form with its points built by hand, k != 0: each end from
+    its own piece, then the slope jumps between neighbouring pieces."""
+    c0, c1, a, _ = pieces[0]
+    ends = [(a, -(c0 + c1 * a), -c1)]
+    c0, c1, _, b = pieces[-1]
+    ends.append((b, c0 + c1 * b, c1))
+    inner = [(y, 0, before - after) for (_, before, _, _), (_, after, y, _)
+             in zip(pieces, pieces[1:]) if after != before]
+    points = {}
+    for rho, v, w in ends + inner:
+        vw = points.setdefault((k * rho + phase) % 2, [Fraction(0), Fraction(0)])
+        vw[0] += v
+        vw[1] += w
+    size = sum((abs(v) + abs(w) for v, w in points.values()), Fraction(0))
+    pp = p + 6 + (_log2_ceil(size) if size > 1 else 0)
+    vs = vc = ds = dc = CertifiedValue.zero()
+    for x, (v, w) in points.items():
+        if v or w:
+            s, c = sin_pi_mul_cv(x, pp), cos_pi_mul_cv(x, pp)
+            vs, vc = vs + c.mul_fraction(v, pp), vc + s.mul_fraction(v, pp)
+            ds, dc = ds + s.mul_fraction(w, pp), dc + c.mul_fraction(w, pp)
+    rp = recip_pi_cv(pp)
+    rp2 = (rp * rp).rounded(pp + 4)
+    ik, ik2 = Fraction(1, k), Fraction(1, k * k)
+    sin_int = (ds * rp2).mul_fraction(ik2, pp) - (vs * rp).mul_fraction(ik, pp)
+    cos_int = (dc * rp2).mul_fraction(ik2, pp) + (vc * rp).mul_fraction(ik, pp)
+    return sin_int.rounded(p + 4), cos_int.rounded(p + 4)
+
+
+def test_int_pl_trig_pi_matches_hand_built_ends():
+    # the jump list gives the same terms in the same order as the ends and
+    # slope jumps built piece by piece, so every field agrees; collinear
+    # nodes (no jump) and data that is periodic on [0, 2] included
+    F = Fraction
+    rng = random.Random(71)
+    datas = [[(F(0), F(1, 3)), (F(1, 2), F(1)), (F(3, 2), F(-1)), (F(2), F(1, 3))],
+             [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)), (F(1), F(0))]]
+    for _ in range(10):
+        a = F(rng.randrange(-6, 6), 3)
+        xs = sorted({a + F(rng.randrange(1, 60), 30) for _ in range(rng.randrange(1, 6))} | {a})
+        datas.append([(x, F(rng.randrange(-20, 21), rng.randrange(1, 7))) for x in xs])
+    for nodes in datas:
+        pieces = linear_pieces(piecewise_linear_fn(nodes))
+        for k in (-3, -1, 1, 2, 5, 17, 64):
+            for phase in (F(0), F(1, 3)):
+                for got, want in zip(int_pl_trig_pi(pieces, k, phase, 40),
+                                     int_pl_trig_pi_hand_built_ends(pieces, k, phase, 40)):
+                    assert (got.m, got.s, got.en, got.es) == (want.m, want.s, want.en, want.es)

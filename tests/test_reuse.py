@@ -3,7 +3,7 @@
 A disk or interval problem and its plan serve any number of solves, at any
 precisions and in any order, and so does a half-line boundary or force plan.  Neither may
 change a returned bit or the plan's inequality chain.  A problem reads its
-data's linear pieces and slope jumps once, the interval solver keeps each
+data's linear pieces and jump list once, the interval solver keeps each
 time slice's decay bound, mode count and Gaussian ladder in bounded
 process-wide caches, and sin/cos keep each reduced angle's value at each
 precision in one more; a warm cache must give what a cold one gives.
@@ -16,8 +16,7 @@ import pytest
 
 import certheat.certified as certified
 import certheat.heat as heat
-from certheat.evaluable import (constant_fn, linear_pieces, piecewise_linear_fn,
-                                slope_jumps)
+from certheat.evaluable import constant_fn, linear_pieces, piecewise_linear_fn, pl_jumps
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, plan_halfline_boundary,
                            plan_halfline_force, plan_interval, poly_time_profile,
@@ -139,7 +138,7 @@ def test_grid_points_solved_twice_match_fresh_problems():
 
 def test_pieces_are_derived_and_stay_out_of_eq_and_repr():
     for make, g, derived in ((lambda: DiskProblem(DISK_G, DISK_R0), DISK_G,
-                              ("pieces", "jumps", "gap", "size", "area")),
+                              ("pieces", "jumps", "size", "area")),
                              (new_interval, IVL_G, ("pieces", "jumps"))):
         p, q = make(), make()
         assert p.pieces == linear_pieces(g)
@@ -148,9 +147,12 @@ def test_pieces_are_derived_and_stay_out_of_eq_and_repr():
             assert name not in repr(p)
             setattr(q, name, None)
         assert p == q and repr(p) == repr(q)
+    assert new_interval().jumps == pl_jumps(linear_pieces(IVL_G))
+    # the ends merge into the seam, where nothing jumps here, and only the
+    # points where something jumps are kept
     disk = DiskProblem(DISK_G, DISK_R0)
-    assert disk.jumps == slope_jumps([disk.pieces[-1], *disk.pieces])
-    assert (disk.gap, disk.size, disk.area) == (0, 8, 0)
+    assert disk.jumps == [(F(1, 2), 0, -4), (F(3, 2), 0, 4)]
+    assert (disk.size, disk.area) == (8, 0)
 
 
 def tent(L, peak):
