@@ -271,11 +271,6 @@ def render_csv(records: list[BlowupRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(records: list[BlowupRecord], path: str) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(render_csv(records))
-
-
 def random_instance(rng, n_vars: int, max_weight: int = 50) -> CountingInstance:
     """Random weights with a target realized by a random nonempty subset."""
     weights = tuple(rng.randint(1, max_weight) for _ in range(n_vars))
