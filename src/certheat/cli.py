@@ -9,7 +9,6 @@ error, 3 violated solver precondition.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from fractions import Fraction
@@ -368,6 +367,8 @@ def cmd_solve(args) -> int:
     print(f"wall    = {wall:.3f}s", file=sys.stderr)
 
     if args.out:
+        import json  # only a result file needs it
+
         record = {"problem": prob, "bits": n, "inputs": cfg,
                   "value_dyadic": lit.literal(), "value_decimal": dec,
                   "error_exponent": n, "plan": _plan_summary(plan)}

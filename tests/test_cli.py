@@ -259,8 +259,9 @@ def test_import_leaves_the_counting_reductions_out():
 @pytest.mark.parametrize("importing", ["certheat.cli", "certheat.hardness"])
 def test_import_leaves_dataclasses_inspect_and_argparse_out(importing):
     # no certheat class is a dataclass (whose import pulls in inspect, ast,
-    # dis and tokenize), and argparse loads only when main builds its parser
-    for module in ("dataclasses", "inspect", "argparse"):
+    # dis and tokenize), argparse loads only when main builds its parser,
+    # and json only when a solve writes its result file
+    for module in ("dataclasses", "inspect", "argparse", "json"):
         assert_cli_import_skips(module, importing)
 
 
