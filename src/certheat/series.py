@@ -194,8 +194,8 @@ class TruncationPlan:
 
 def declared_modes_plan(order: int, n: int) -> TruncationPlan:
     """Plan for data given as finitely many declared modes, the highest of
-    degree ``order``: every mode is summed, so the series has no tail and
-    nothing is searched."""
-    plan = TruncationPlan(order, [("truncation", n + 1), ("summation", n + 1)])
+    degree ``order``: every mode is summed, so the series has no tail,
+    nothing is searched and the whole budget is the summation's."""
+    plan = TruncationPlan(order, [("summation", n + 1)])
     plan.require_budget(n)
     return plan

@@ -65,7 +65,7 @@ def test_solve_disk_harmonic_example(tmp_path, capsys):
     lit = DyadicDecimal.parse(rec["value_dyadic"])
     assert abs(lit.as_fraction() - Fraction(1, 8)) <= Fraction(1, 2 ** 20)
     assert rec["value_decimal"] == "0.12500000"
-    assert rec["plan"]["budget"] == [["truncation", 21], ["summation", 21]]
+    assert rec["plan"]["budget"] == [["summation", 21]]
 
 
 def test_solve_interval_eigenmode_example(tmp_path, capsys):
