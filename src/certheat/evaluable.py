@@ -168,22 +168,20 @@ def _pieces_through(xs: list[Fraction], ys: list[Fraction]) -> Pieces:
     return [(ya - c1 * a, c1, a, b) for a, b, ya, c1 in zip(xs, xs[1:], ys, slopes)]
 
 
-def pl_jumps(pieces) -> list[tuple[Fraction, Fraction, Fraction]]:
+def pl_jumps(pieces: Pieces) -> list[tuple[Fraction, Fraction, Fraction]]:
     """(y, J, D) at every end and breakpoint y of contiguous pieces
     (c0, c1, a, b), in order, with the data taken as zero outside them:
     J is the value after y minus the value before, D the slope after minus
-    the slope before (either may be zero).
+    the slope before (either may be zero).  The pieces meet continuously,
+    so only the two ends have a J.
 
     Integrating by parts twice leaves one term per point, and the data is
     the sum of J + D (x - y) over the points y <= x.
     """
-    out, c0, c1 = [], Fraction(0), Fraction(0)  # zero left of the first piece
-    for d0, d1, a, _ in pieces:
-        out.append((a, d0 - c0 + (d1 - c1) * a, d1 - c1))
-        c0, c1 = d0, d1
-    b = pieces[-1][3]
-    out.append((b, -(c0 + c1 * b), -c1))
-    return out
+    (c0, c1, a, _), (d0, d1, _, b) = pieces[0], pieces[-1]
+    inner = [(y, Fraction(0), after - before)
+             for (_, before, _, _), (_, after, y, _) in zip(pieces, pieces[1:])]
+    return [(a, c0 + c1 * a, c1), *inner, (b, -(d0 + d1 * b), -d1)]
 
 
 def trig_poly_fn(tp: TrigPoly, label: str = "") -> EvaluableFunction:

@@ -205,7 +205,7 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
     # the ends first (so the error bounds add in the same order every time)
     jumps = pl_jumps(pieces)
     points: dict[Fraction, list[Fraction]] = {}
-    for rho, J, D in [jumps[0], jumps[-1], *(j for j in jumps[1:-1] if j[1] or j[2])]:
+    for rho, J, D in [jumps[0], jumps[-1], *(j for j in jumps[1:-1] if j[2])]:
         vw = points.setdefault((k * rho + phase) % 2, [Fraction(0), Fraction(0)])
         vw[0] -= J
         vw[1] -= D
