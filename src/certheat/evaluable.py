@@ -28,6 +28,7 @@ from .series import require
 
 Pieces = list[tuple[Fraction, Fraction, Fraction, Fraction]]  # (c0, c1, a, b)
 
+
 def _log2_ceil(f: Fraction) -> int:
     """Smallest j with f <= 2^j (f > 0)."""
     if f <= 0:
