@@ -451,8 +451,8 @@ def _data_endpoints(f: EvaluableFunction, x: Fraction) -> dict[Fraction, tuple]:
     and D in slope at y (:func:`pl_jumps`) gives half of
     eC erfc(d/s) + sC s i^1erfc(d/s) with (eC, sC) = (-J, D) at the direct
     distance d = x - y and (-J, -D) at the image's d = x + y.  Equal
-    distances merge.  The first two points go in the order the first
-    piece's ends had, which fixes how the response's error bound rounds.
+    distances merge.  The order is x - y1, x - y0, x + y0, x + y1, then
+    x - y, x + y per point: it fixes how the response's error bound rounds.
     """
     segs = linear_pieces(f)
     if segs is None:
