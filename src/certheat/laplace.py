@@ -28,6 +28,7 @@ degree.  No ball solve counts harmonics (``kernels.sph_count`` serves
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, rotation_pi
@@ -244,7 +245,8 @@ class DiskReduction:
     The boundary g was built as gtilde divided by the Poisson kernel at
     (r0, theta0), which forces u(r0, theta0) to equal the plain mean of
     gtilde over the circle regardless of what gtilde is.  ``profile`` is h,
-    which gtilde closes up.
+    which gtilde closes up.  ``pieces`` are gtilde's linear pieces, read on
+    first use, so the point-value identity never reads them.
     """
 
     def __init__(self, r0: Fraction, theta0: Fraction, gtilde: EvaluableFunction,
@@ -253,6 +255,10 @@ class DiskReduction:
         self.theta0 = theta0
         self.gtilde = gtilde
         self.profile = profile
+
+    @cached_property
+    def pieces(self):
+        return linear_pieces(self.gtilde)
 
     def certified_point_value(self, n: int) -> CertifiedValue:
         """u(r0, theta0) = (1/2) * integral of gtilde over [0,2].
@@ -357,7 +363,7 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
     k-1, k, k+1, each of which takes the breakpoint closed form
     (:func:`int_pl_trig_pi`) on the pieces of gtilde.
     """
-    pieces = linear_pieces(red.gtilde)
+    pieces = red.pieces
     if pieces is None:
         raise PreconditionError("closed-form route needs a piecewise-linear profile")
     r0, th0 = red.r0, red.theta0
