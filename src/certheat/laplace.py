@@ -34,7 +34,7 @@ from typing import Callable
 from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, rotation_pi
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
-from .evaluable import (EvaluableFunction, _log2_ceil, linear_pieces,
+from .evaluable import (EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces,
                         lipschitz_modulus, pl_jumps)
 from .kernels import real_sph_harmonic_3d
 from .quadrature import (DEFAULT_MAX_PANELS, breakpoint_series, int_pl_trig_pi,
@@ -147,9 +147,9 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
                plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(r, theta) with |error| <= 2^-n; theta in units of pi.
 
-    Declared modes are all summed and leave no tail.  Other data sums the
-    series only as far as r needs, and the plan's order caps that:
-    piecewise-linear data over the points of its jump list
+    Declared modes are all summed, one term per mode, and leave no tail.
+    Other data sums the series only as far as r needs, and the plan's order
+    caps that: piecewise-linear data over the points of its jump list
     (:func:`_solve_disk_pl`), the rest over its Fourier coefficients.
     """
     r, theta = as_fraction(r), as_fraction(theta)
@@ -157,26 +157,25 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
         raise PreconditionError("evaluation radius exceeds the declared r0")
     tp = p.g.trig_poly
     if tp is not None:
-        ks = sorted(set(tp.sin_coeffs) | set(tp.cos_coeffs))
-        width, tail = len(ks), Fraction(0)
-    else:
-        if plan is None:
-            plan = plan_disk(p, n)
-        if p.pieces is not None:
-            return _solve_disk_pl(p, r, theta, n, plan.order)
-        K, tail = point_order(lambda m: _disk_tail(p.g.sup_bound, r, m + 1), n,
-                              plan.order, "disk point tail")
-        ks, width = range(1, K + 1), plan.order
-    pc = n + 1 + max(1, width + 1).bit_length() + 3 \
+        scaled = TrigPoly(tp.const, {k: c * r ** k for k, c in tp.sin_coeffs.items()},
+                          {k: c * r ** k for k, c in tp.cos_coeffs.items()})
+        out = scaled.eval_cv(theta, n + 2).rounded(n + 4)
+        require("disk assembly", out.err_fraction(), Fraction(1, 1 << (n + 1)))
+        return out
+    if plan is None:
+        plan = plan_disk(p, n)
+    if p.pieces is not None:
+        return _solve_disk_pl(p, r, theta, n, plan.order)
+    K, tail = point_order(lambda m: _disk_tail(p.g.sup_bound, r, m + 1), n,
+                          plan.order, "disk point tail")
+    pc = n + 1 + (plan.order + 1).bit_length() + 3 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     _, b0 = fourier_coeffs(p.g, 0, pc)
     acc = b0.mul_fraction(Fraction(1, 2), pc)
-    rot = rotation_pi(theta, ks[-1] if ks else 0, pc)
+    rot = rotation_pi(theta, K, pc)
     rk = Fraction(1)
-    last = 0
-    for k in ks:
-        rk *= r ** (k - last)
-        last = k
+    for k in range(1, K + 1):
+        rk *= r
         a_k, b_k = fourier_coeffs(p.g, k, pc)
         cos_k, sin_k = rot[k]
         term = a_k * sin_k + b_k * cos_k
