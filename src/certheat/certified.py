@@ -625,34 +625,24 @@ def gauss_primitive_cv(x, p: int) -> CertifiedValue:
 
 def pow_fraction_upper(base: Fraction, n: int, bits: int = 128) -> Fraction:
     """Upper bound on base**n (base >= 0), intermediates rounded up."""
-    return _pow_fraction(base, n, bits, True)
-
-
-def pow_fraction_lower(base: Fraction, n: int, bits: int = 128) -> Fraction:
-    """Lower bound on base**n (base >= 0), intermediates rounded down."""
-    return _pow_fraction(base, n, bits, False)
-
-
-def _pow_fraction(b: Fraction, e: int, bits: int, up: bool) -> Fraction:
-    if b < 0:
+    if base < 0:
         raise PreconditionError("directed powers need a nonnegative base")
     result = Fraction(1)
-    while e:
-        if e & 1:
-            result = _round_frac(result * b, bits, up)
-        e >>= 1
-        if e:
-            b = _round_frac(b * b, bits, up)
+    while n:
+        if n & 1:
+            result = _round_frac_up(result * base, bits)
+        n >>= 1
+        if n:
+            base = _round_frac_up(base * base, bits)
     return result
 
 
-def _round_frac(f: Fraction, bits: int, up: bool) -> Fraction:
-    # round to `bits` significant bits of the ratio: upward if up, else down
+def _round_frac_up(f: Fraction, bits: int) -> Fraction:
+    # round upward to `bits` significant bits of the ratio
     num, den = f.numerator, f.denominator
     if num == 0 or (num.bit_length() <= bits and den.bit_length() <= bits):
         return f
-    div = _ceil_div if up else int.__floordiv__
     k = bits - (num.bit_length() - den.bit_length())
     if k >= 0:
-        return Fraction(div(num << k, den), 1 << k)
-    return Fraction(div(num, den << -k) * (1 << -k))
+        return Fraction(_ceil_div(num << k, den), 1 << k)
+    return Fraction(_ceil_div(num, den << -k) * (1 << -k))

@@ -35,13 +35,13 @@ solves.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, perm
 from typing import Callable
 
 from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
-                        gauss_ladder, gauss_primitive_cv, pi_cv, pow_fraction_upper,
-                        recip_cv, recip_pi_cv, recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
+                        gauss_ladder, gauss_primitive_cv, pi_cv, recip_cv, recip_pi_cv,
+                        recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, _guard_bits, _log2_ceil, linear_pieces,
@@ -49,7 +49,7 @@ from .evaluable import (EvaluableFunction, _guard_bits, _log2_ceil, linear_piece
 from .quadrature import (breakpoint_series, int_pl_trig_pi, integral_exact, integrate,
                          trig_product_integral)
 from .record import Record
-from .series import (TruncationPlan, choose_K_disk, declared_modes_plan, gaussian_tail,
+from .series import (TruncationPlan, declared_modes_plan, gaussian_tail, geometric_cap,
                      point_order, require)
 
 
@@ -147,8 +147,9 @@ class IntervalHeatProblem(Record):
     """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0.
 
     ``pieces`` is ``linear_pieces(g)``, read once here for every solve, and
-    so, when g has pieces, is their ``pl_jumps`` list ``jumps``.  These
-    derived fields take no part in equality or ``repr``.
+    so, when g has pieces, is their ``pl_jumps`` list ``jumps``; ``rho0``,
+    the decay bound at t0, is computed on first use.  These derived fields
+    take no part in equality or ``repr``.
     """
 
     _fields = ("L", "alpha", "g", "t0")
@@ -164,6 +165,10 @@ class IntervalHeatProblem(Record):
             raise PreconditionError("initial data must live on [0, L]")
         self.pieces = linear_pieces(self.g)
         self.jumps = pl_jumps(self.pieces) if self.pieces is not None else None
+
+    @cached_property
+    def rho0(self) -> Fraction:
+        return _decay_bound(self.alpha * self.t0 / (self.L * self.L))
 
 
 def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
@@ -213,17 +218,14 @@ def _ladder(rate: Fraction, K: int, W: int) -> tuple:
 
 
 def plan_interval(p: IntervalHeatProblem, n: int) -> TruncationPlan:
-    """Mode count K*(n+1), geometric in the per-mode decay at t0; declared
-    modes plan their top mode."""
+    """The mode count a solve at t0 sums (:func:`_mode_count`), which every
+    t >= t0 needs at most; declared modes plan their top mode."""
     if p.g.sine_modes is not None:
         return declared_modes_plan(max(p.g.sine_modes, default=0), n)
-    rho = _decay_bound(p.alpha * p.t0 / (p.L * p.L))
-    C = 2 * p.g.sup_bound / (1 - rho)
-    K = choose_K_disk(C, rho)
-    order = K * (n + 1)
-    plan = TruncationPlan(order, [("truncation", n + 1), ("summation", n + 1)])
-    plan.claim("per-block decay", C * pow_fraction_upper(rho, K, 160), Fraction(1, 2))
-    plan.claim("tail", C * pow_fraction_upper(rho, order, 160), Fraction(1, 1 << (n + 1)))
+    scale = 2 * p.g.sup_bound
+    K, tail = _mode_count(scale, p.rho0, n, geometric_cap(scale / (1 - p.rho0), p.rho0, n))
+    plan = TruncationPlan(K, [("truncation", n + 1), ("summation", n + 1)])
+    plan.claim("tail", tail, Fraction(1, 1 << (n + 1)))
     plan.require_budget(n)
     return plan
 
@@ -240,17 +242,19 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
         raise PreconditionError("evaluation point outside [0, L]")
     rate = p.alpha * t / (p.L * p.L)
     if p.g.sine_modes is not None:
-        ks = sorted(p.g.sine_modes)
-        width, extra = len(ks), Fraction(0)
+        ks, extra = sorted(p.g.sine_modes), Fraction(0)
     else:
         if plan is None:
             plan = plan_interval(p, n)
-        # |mu_k| <= 2||g|| and mode k decays like rho^(k^2)
-        K, extra = _mode_count(2 * p.g.sup_bound, _decay_bound(rate), n, plan.order)
+        # |mu_k| <= 2||g|| and mode k decays like rho^(k^2).  e^{-pi^2 rate}
+        # falls as t grows, but _decay_bound rounds, so t0's bound may be the
+        # lesser; either is a bound at t, and the lesser keeps K within the plan.
+        rho = min(_decay_bound(rate), p.rho0)
+        K, extra = _mode_count(2 * p.g.sup_bound, rho, n, plan.order)
         if p.pieces is not None:
             return _solve_interval_pl(p, rate, x, K, n).widen_fraction(extra)
-        ks, width = range(1, K + 1), plan.order
-    pc = n + 1 + max(1, width + 1).bit_length() + 4 \
+        ks = range(1, K + 1)
+    pc = n + 1 + (len(ks) + 1).bit_length() + 4 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     pisq = (pi_cv(pc + 8) * pi_cv(pc + 8)).rounded(pc + 8)
     acc = CertifiedValue.zero()
@@ -261,6 +265,7 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
         decay = exp_cv(pisq.mul_fraction(-k * k * rate, pc + 6), pc)
         term = (mu * decay).rounded(pc) * sin_pi_mul_cv(k * x / p.L, pc)
         acc = (acc + term.rounded(pc)).rounded(pc)
+    require("interval assembly", acc.err_fraction(), Fraction(1, 1 << (n + 2)))
     return acc.widen_fraction(extra).rounded(n + 4)
 
 

@@ -40,7 +40,7 @@ from .kernels import real_sph_harmonic_3d
 from .quadrature import (DEFAULT_MAX_PANELS, breakpoint_series, int_pl_trig_pi,
                          integral_exact, integrate, trig_product_integral)
 from .record import Record
-from .series import (TruncationPlan, choose_K_disk, declared_modes_plan, point_order,
+from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_order,
                      require)
 
 
@@ -48,7 +48,7 @@ class DiskProblem(Record):
     """Dirichlet data on the unit circle with a guaranteed evaluation radius.
 
     g lives on [0,2] in pi-units; r0 < 1 bounds where solutions will be
-    requested, and the tail constant scales like 1/(1-r0).  ``pieces`` is
+    requested, and the plan's order is what a solve at r0 sums.  ``pieces`` is
     ``linear_pieces(g)``, read once here for every solve; so are, when g has
     pieces, what :func:`_solve_disk_pl` reads off them: the ``jumps``
     (y, J, D) of ``pl_jumps`` where something jumps, with the points at 0
@@ -126,19 +126,44 @@ def _disk_tail(sup: Fraction, r: Fraction, start: int) -> Fraction:
     return 2 * sup * r ** start / (1 - r)
 
 
+_PI_LO = Fraction(157, 50)  # < pi
+
+
+def _point_tail(p: DiskProblem, r: Fraction) -> Callable[[int], Fraction]:
+    """Bound on the series terms k > m at radius r, as a function of m.
+
+    Term k is at most the 2 ||g|| r^k that :func:`_disk_tail` charges, and
+    for data with pieces, whose breakpoint series (:func:`_solve_disk_pl`)
+    has term k at most (sum |D_j| / (pi k)^2 + sum |J_j| / (pi k)) r^k, the
+    lesser of the two.  Either bound is an exact rational that grows with r,
+    so the order found at r0 serves every r <= r0.  What does not depend on
+    m is formed once, outside the point-order search.
+    """
+    sup = p.g.sup_bound
+    if p.pieces is None:
+        return lambda m: _disk_tail(sup, r, m + 1)
+    span = 1 - r
+    slope_part = sum((abs(D) for _, _, D in p.jumps), Fraction(0)) / (_PI_LO * _PI_LO * span)
+    value_part = sum((abs(J) for _, J, _ in p.jumps), Fraction(0)) / (_PI_LO * span)
+    ceiling = 2 * sup / span
+
+    def tail(m: int) -> Fraction:
+        start = m + 1
+        return min((slope_part + value_part * start) / (start * start), ceiling) * r ** start
+
+    return tail
+
+
 def plan_disk(p: DiskProblem, n: int) -> TruncationPlan:
-    """Series order K*(n+1) with the tail constant C = 2||g|| / (1-r0);
-    declared modes plan their top degree."""
+    """The order a solve at r0 sums (:func:`_point_tail`), which every
+    r <= r0 needs at most; declared modes plan their top degree."""
     tp = p.g.trig_poly
     if tp is not None:
         return declared_modes_plan(tp.degree(), n)
-    sup = p.g.sup_bound
-    K = choose_K_disk(_disk_tail(sup, p.r0, 0), p.r0)
-    order = K * (n + 1)
-    plan = TruncationPlan(order, [("truncation", n + 1), ("summation", n + 1)])
-    if p.r0 > 0:
-        plan.claim("per-block decay", _disk_tail(sup, p.r0, K), Fraction(1, 2))
-    plan.claim("tail", _disk_tail(sup, p.r0, order), Fraction(1, 2 ** (n + 1)))
+    cap = geometric_cap(_disk_tail(p.g.sup_bound, p.r0, 0), p.r0, n)
+    K, tail = point_order(_point_tail(p, p.r0), n, cap, "disk point tail")
+    plan = TruncationPlan(K, [("truncation", n + 1), ("summation", n + 1)])
+    plan.claim("tail", tail, Fraction(1, 1 << (n + 1)))
     plan.require_budget(n)
     return plan
 
@@ -164,12 +189,10 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
         return out
     if plan is None:
         plan = plan_disk(p, n)
+    K, tail = point_order(_point_tail(p, r), n, plan.order, "disk point tail")
     if p.pieces is not None:
-        return _solve_disk_pl(p, r, theta, n, plan.order)
-    K, tail = point_order(lambda m: _disk_tail(p.g.sup_bound, r, m + 1), n,
-                          plan.order, "disk point tail")
-    pc = n + 1 + (plan.order + 1).bit_length() + 3 \
-        + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
+        return _solve_disk_pl(p, r, theta, n, K).widen_fraction(tail)
+    pc = n + 1 + (K + 1).bit_length() + 3 + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     _, b0 = fourier_coeffs(p.g, 0, pc)
     acc = b0.mul_fraction(Fraction(1, 2), pc)
     rot = rotation_pi(theta, K, pc)
@@ -180,32 +203,15 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
         cos_k, sin_k = rot[k]
         term = a_k * sin_k + b_k * cos_k
         acc = (acc + term.mul_fraction(rk, pc)).rounded(pc)
+    require("disk assembly", acc.err_fraction(), Fraction(1, 1 << (n + 1)))
     return acc.widen_fraction(tail)
 
 
-_PI_LO = Fraction(157, 50)  # < pi
-
-
-def _disk_pl_tail(sup: Fraction, jumps, r: Fraction) -> Callable[[int], Fraction]:
-    """Bound on the breakpoint series' terms k >= start >= 1, as a function
-    of start: term k is at most (sum |D_j| / (pi k)^2 + sum |J_j| / (pi k)) r^k,
-    and at most the 2 ||g|| r^k that :func:`_disk_tail` charges.  What does
-    not depend on start is formed once, outside the point-order search."""
-    span = 1 - r
-    slope_part = sum((abs(D) for _, _, D in jumps), Fraction(0)) / (_PI_LO * _PI_LO * span)
-    value_part = sum((abs(J) for _, J, _ in jumps), Fraction(0)) / (_PI_LO * span)
-    ceiling = 2 * sup / span
-
-    def tail(start: int) -> Fraction:
-        return min((slope_part + value_part * start) / (start * start), ceiling) * r ** start
-
-    return tail
-
-
 def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
-                   cap: int) -> CertifiedValue:
-    """u(r, theta) for piecewise-linear g that jumps by J_j in value and D_j
-    in slope at rho_j (``p.jumps``: the seam's, at 0, and the inner points').
+                   K: int) -> CertifiedValue:
+    """Terms 0..K of u(r, theta) for piecewise-linear g that jumps by J_j in
+    value and D_j in slope at rho_j (``p.jumps``: the seam's, at 0, and the
+    inner points').
 
     Integrating by parts twice gives b_k + i a_k = sum_j (i J_j / (pi k)
     - D_j / (pi k)^2) e^{i pi k rho_j}, so
@@ -216,8 +222,6 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
     and no Fourier coefficient (:func:`breakpoint_series`).  Only the seam
     carries a J, the end gap g(0) - g(2) that the seam check lets through.
     """
-    bound = _disk_pl_tail(p.g.sup_bound, p.jumps, r)
-    K, tail = point_order(lambda m: bound(m + 1), n, cap, "disk point tail")
     W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(p.size, 1)))
     area = CertifiedValue.from_fraction(p.area, W + 4)
     # each floor loses under a unit and r <= 1 shrinks the earlier losses,
@@ -231,7 +235,7 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
         [(theta - y, J) for y, J, _ in p.jumps if J], W)
     out = acc.rounded(n + 4)
     require("disk assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
-    return out.widen_fraction(tail)
+    return out
 
 
 # ---------------------------------------------------------------------------

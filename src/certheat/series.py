@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .certified import pow_fraction_lower, pow_fraction_upper
+from .certified import pow_fraction_upper
 from .dyadic import as_fraction
 from .errors import PreconditionError
 
@@ -80,32 +80,17 @@ def gaussian_tail(scale, rho, start: int) -> Fraction:
         / (1 - pow_fraction_upper(rho, 2 * start, 160))
 
 
-def choose_K_disk(C, r0) -> int:
-    """Smallest block size K making the disk series tail halve per extra bit.
+def geometric_cap(C, r, n: int) -> int:
+    """An order K with C r^K <= 2^-(n+1), for C > 0 and 0 <= r < 1, in
+    closed form: r^K <= e^{-K (1 - r)} < 2^{-K (1 - r)} and
+    C < 2^(bitlen(num C) - bitlen(den C) + 1).
 
-    For C <= 1, smallest K with r0^K < 1/2; otherwise smallest K with
-    r0^K < 1/(2C).  Either way C (r0^K)^N < 2^-N for every N >= 1.
+    A series whose terms past index K sum to at most C r^K is within
+    2^-(n+1) by this order, so a search for its least order can stop here.
     """
-    C = as_fraction(C)
-    r0 = as_fraction(r0)
-    if C <= 0:
-        raise PreconditionError("C must be positive")
-    if not 0 <= r0 < 1:
-        raise PreconditionError("r0 must lie in [0,1)")
-    if r0 == 0:
-        return 1
-    threshold = Fraction(1, 2) if C <= 1 else Fraction(1, 2) / C
-
-    def below(K: int) -> bool:
-        # directed powers decide in O(log K) rounded steps; the exact power
-        # only when their bracket straddles the threshold
-        if pow_fraction_upper(r0, K, 160) < threshold:
-            return True
-        if pow_fraction_lower(r0, K, 160) >= threshold:
-            return False
-        return r0 ** K < threshold
-
-    return least_passing(below, 1, 1, 1 << 60, "disk block size failed to close")
+    C, r = as_fraction(C), as_fraction(r)
+    bits = n + 2 + C.numerator.bit_length() - C.denominator.bit_length()
+    return max(0, -(-bits * r.denominator // (r.denominator - r.numerator)))
 
 
 def least_passing(ok: Callable[[int], bool], start: int, floor: int, cap: int,
@@ -114,7 +99,9 @@ def least_passing(ok: Callable[[int], bool], start: int, floor: int, cap: int,
 
     Doubles from start until ok holds, then bisects between the last failing
     value (floor, if start already passes) and the first passing one.
-    Raises AssertionError(message) once the doubling passes cap.
+    Raises AssertionError(message) once the doubling passes cap.  It finds
+    every point order (:func:`point_order`): the plans' at r0 and t0, and
+    each solve's at its own point.
     """
     lo, hi = floor, start
     while not ok(hi):

@@ -25,8 +25,7 @@ from .heat import (IntervalHeatProblem, HalflineBoundaryProblem,
 from .kernels import heat_g, heat_g_tilde, real_sph_harmonic_3d, sph_count
 from .laplace import DiskProblem, hardness_boundary_disk, solve_disk
 from .quadrature import integrate
-from .series import (TruncationPlan, arith_geom_sum, choose_K_disk,
-                     geometric_tail, higher_arith_geom)
+from .series import TruncationPlan, arith_geom_sum, geometric_tail, higher_arith_geom
 
 
 class CheckResult:
@@ -154,16 +153,6 @@ def _ck_geometric_tail_split(rng):
     head = _partial(lambda k: c * r ** k, s, mid)
     _require(geometric_tail(r, s, c) == head + geometric_tail(r, mid, c),
              "tail must telescope exactly")
-
-
-def _ck_choose_k(rng):
-    for _ in range(8):
-        C = Fraction(rng.randrange(1, 4000), rng.randrange(1, 40))
-        r0 = Fraction(rng.randrange(1, 99), 100)
-        K = choose_K_disk(C, r0)
-        for N in (1, 2, 3):
-            _require(C * r0 ** (K * N) <= Fraction(1, 2 ** N),
-                     "block size fails the per-bit halving guarantee")
 
 
 def _ck_plan_claims(rng):
@@ -342,7 +331,6 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
         ("arith-geom-closed-form", _ck_arith_geom),
         ("higher-arith-geom-closed-form", _ck_higher_arith_geom),
         ("geometric-tail-telescopes", _ck_geometric_tail_split),
-        ("block-size-guarantee", _ck_choose_k),
         ("plan-claim-audit", _ck_plan_claims),
     ],
     "laplace": [

@@ -14,6 +14,7 @@ inputs.
 from fractions import Fraction as F
 
 import mpmath as mp
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,15 +35,16 @@ amplitude = st.sampled_from([F(1), F(3, 4), F(-5, 2), F(1, 1000), F(2 ** 10), F(
 alpha = st.sampled_from([F(1, 256), F(1, 64), F(1, 3), F(1), F(4)])
 
 
-def check(cfg: dict, oracle=None) -> None:
+def check(cfg: dict, oracle=None, solves: bool = False) -> None:
     """Solve cfg; with an oracle, every input must solve and the value
-    must lie within its bound of oracle(cfg) (within 10^-30 of the truth)."""
+    must lie within its bound of oracle(cfg) (within 10^-30 of the truth);
+    with solves, every input must solve."""
     cfg = {k: str(v) for k, v in cfg.items()}
     n = int(cfg["bits"])
     try:
         value, _ = SOLVERS[cfg["problem"]](cfg, n)
     except PreconditionError:
-        assert oracle is None, cfg
+        assert oracle is None and not solves, cfg
         return
     assert value.err_fraction() <= F(1, 2 ** n), cfg
     if oracle is not None:
@@ -135,17 +137,33 @@ def initial_oracle(cfg: dict) -> mp.mpf:
     return mp.quad(integrand, nodes)
 
 
+def disk_data(a) -> list[str]:
+    return [f"pl 0:0 1/2:{a} 1:0 3/2:{-a} 2:0", f"trig const={a}, cos1=1, sin3={-a}",
+            f"cos 3 {a}", f"sin 1 {a}", f"const {a}", f"pl 0:{a} 1:{-a} 2:{a}"]
+
+
+def interval_data(a, L) -> list[str]:
+    return [f"sine 1:{a} 3:1/2", f"pl 0:0 {L / 2}:{a} {L}:0", f"pl 0:{a} {L / 4}:{-a} {L}:0"]
+
+
 @SWEEP
 @given(st.data())
 def test_disk(data):
-    a = data.draw(amplitude)
-    g = data.draw(st.sampled_from([
-        f"pl 0:0 1/2:{a} 1:0 3/2:{-a} 2:0", f"trig const={a}, cos1=1, sin3={-a}",
-        f"cos 3 {a}", f"sin 1 {a}", f"const {a}", f"pl 0:{a} 1:{-a} 2:{a}"]))
+    g = data.draw(st.sampled_from(disk_data(data.draw(amplitude))))
     r0 = data.draw(st.sampled_from([F(1, 2), F(9, 10)]))
     check({"problem": "disk", "g": g, "r0": r0, "r": data.draw(frac(0, 64, 64)) * r0,
            "theta": data.draw(frac(0, 63, 32)), "bits": data.draw(st.integers(2, 40))},
           None if g.startswith("pl") else disk_oracle)
+
+
+@pytest.mark.parametrize("a", [F(1), F(-5, 2), F(10 ** 8)])
+@pytest.mark.parametrize("r0", [F(1, 2), F(9, 10)])
+def test_disk_at_r0(a, r0):
+    # the plan's order is what a solve at r0 sums, so the window's edge
+    # must solve at full precision
+    for g in disk_data(a):
+        check({"problem": "disk", "g": g, "r0": r0, "r": r0, "theta": F(5, 16), "bits": 64},
+              None if g.startswith("pl") else disk_oracle, solves=True)
 
 
 @SWEEP
@@ -163,13 +181,25 @@ def test_ball(data):
 def test_interval(data):
     a = data.draw(amplitude)
     L = data.draw(st.sampled_from([F(1), F(2)]))
-    g = data.draw(st.sampled_from([f"sine 1:{a} 3:1/2", f"pl 0:0 {L / 2}:{a} {L}:0",
-                                   f"pl 0:{a} {L / 4}:{-a} {L}:0"]))
+    g = data.draw(st.sampled_from(interval_data(a, L)))
     t0 = data.draw(st.sampled_from([F(1, 256), F(1, 16), F(1, 4)]))
     check({"problem": "interval", "g": g, "l": L, "alpha": data.draw(alpha), "t0": t0,
            "t": t0 + data.draw(frac(0, 16, 16)), "x": data.draw(frac(0, 16, 16)) * L,
            "bits": data.draw(st.integers(2, 48))},
           sine_oracle if g.startswith("sine") else None)
+
+
+@pytest.mark.parametrize("a", [F(1), F(-5, 2), F(10 ** 8)])
+@pytest.mark.parametrize("t0", [F(1, 256), F(1, 16), F(1, 4)])
+def test_interval_just_after_t0(a, t0):
+    # the decay bound at t rounds, so it can exceed t0's just after t0; the
+    # solve must still stay within the plan's order
+    for L in (F(1), F(2)):
+        for g in interval_data(a, L):
+            for alph in (F(1), F(4), F(1, 256)):
+                check({"problem": "interval", "g": g, "l": L, "alpha": alph, "t0": t0,
+                       "t": t0 + F(1, 2 ** 80), "x": L * F(5, 16), "bits": 64},
+                      sine_oracle if g.startswith("sine") else None, solves=True)
 
 
 @SWEEP

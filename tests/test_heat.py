@@ -124,9 +124,6 @@ def tent_oracle(t, x):
 
 @pytest.mark.parametrize("t0, n", [(F(1, 4), 24), (F(1, 256), 24), (F(1, 256), 64)])
 def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
-    # a time slice an earlier solve cached would skip the search counted here
-    for cached in (heat._decay_bound, heat._mode_count, heat._ladder):
-        cached.cache_clear()
     tent = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
     p = IntervalHeatProblem(F(1), F(1), tent, t0)
     plan = plan_interval(p, n)
@@ -145,7 +142,11 @@ def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
     monkeypatch.setattr(heat, "point_order", order)
     monkeypatch.setattr(quadrature, "rotation_sum", rotation_sum)
     budget = F(1, 2 ** (n + 1))
-    for t in (t0, 8 * t0):
+    orders = []
+    for t in (t0, t0 + F(1, 2 ** 80), 8 * t0):
+        # a time slice an earlier solve cached would skip the search counted here
+        for cached in (heat._decay_bound, heat._mode_count, heat._ladder):
+            cached.cache_clear()
         found.clear()
         summed.clear()
         u = solve_interval(IntervalHeatProblem(F(1), F(1), tent, t0), t, F(5, 16), n, plan)
@@ -155,15 +156,30 @@ def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
         assert tail == tail_fn(K) <= budget
         assert K == 0 or tail_fn(K - 1) > budget  # the least such K
         assert_close(u, tent_oracle(t, F(5, 16)), n)
+        orders.append(K)
+    # t0 sums exactly the plan's order, and later times no more
+    assert orders[0] == plan.order and orders == sorted(orders, reverse=True)
+
+
+def test_interval_bound_above_t0s_stays_within_the_plan(monkeypatch):
+    # _decay_bound rounds, so its bound just past t0 can exceed t0's; the
+    # solve takes the lesser, so even a far looser bound keeps it in the plan
+    tent = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
+    t0, t, x, n = F(1, 64), F(1, 64) + F(1, 2 ** 80), F(5, 16), 32
+    p = IntervalHeatProblem(F(1), F(1), tent, t0)
+    plan = plan_interval(p, n)
+    exact = heat._decay_bound
+    monkeypatch.setattr(heat, "_decay_bound",
+                        lambda rate: exact(rate) if rate == t0 else (1 + exact(t0)) / 2)
+    assert_close(solve_interval(p, t, x, n, plan), tent_oracle(t, x), n)
 
 
 def test_interval_capped_sine_data_adds_no_tail(monkeypatch):
-    # declared sine modes are all summed: no block size, no point tail
+    # declared sine modes are all summed: no point tail
     def no_search(*args):
         raise AssertionError("declared modes need no tail search")
 
     monkeypatch.setattr(heat, "point_order", no_search)
-    monkeypatch.setattr(heat, "choose_K_disk", no_search)
     p = IntervalHeatProblem(F(1), F(1), sine_modes_fn({1: F(1, 3), 5: F(1, 5)}, F(1)), F(1, 4))
     plan = plan_interval(p, 24)
     assert plan.order == 5 and plan.chain == []
@@ -200,7 +216,7 @@ def test_interval_rejects_and_plan_chain():
                                   constant_fn(F(1), (F(0), F(1))), F(1, 4))
     plan2 = plan_interval(generic, 12)
     labels = [lab for lab, _, _ in plan2.chain]
-    assert labels == ["per-block decay", "tail"]
+    assert labels == ["tail"]
     assert plan2.order > 0 and plan2.chain_ok() and plan2.validates(12)
 
 

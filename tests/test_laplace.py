@@ -211,9 +211,10 @@ def poisson_integral(r, theta):
 
 def full_order_sums(r, theta, orders):
     """The Fourier series of TENT2 summed to each order in orders, with the
-    plan's tail 4 r0^order / (1-r0) as its bound (it covers every k > order
-    at r <= r0).  TENT2 is the triangle wave: a_k = 8 (-1)^((k-1)/2) / (pi k)^2
-    for odd k, and every other coefficient is zero."""
+    point tail at r0 as its bound (it covers every k > order at r <= r0).
+    TENT2 is the triangle wave: a_k = 8 (-1)^((k-1)/2) / (pi k)^2 for odd k,
+    and every other coefficient is zero."""
+    bound = laplace._point_tail(DiskProblem(TENT2, GRID_R0), GRID_R0)
     total, out = mp.mpf(0), {}
     z, zk, rk = mp.expjpi(to_mp(theta)), mp.mpc(1), mp.mpf(1)
     for k in range(1, max(orders) + 1):
@@ -222,8 +223,7 @@ def full_order_sums(r, theta, orders):
         if k % 2:
             total += (-1) ** (k // 2) * 8 * rk * zk.imag / (mp.pi * k) ** 2
         if k in orders:
-            tail = 4 * to_mp(GRID_R0) ** k / (1 - to_mp(GRID_R0))
-            out[k] = total, tail + mp.mpf(2) ** -80  # mpmath's own rounding
+            out[k] = total, to_mp(bound(k)) + mp.mpf(2) ** -80  # mpmath's own rounding
     return out
 
 
@@ -249,7 +249,8 @@ def test_disk_point_truncation_over_a_grid():
 
 
 def test_disk_point_order_sizes_the_tail_at_r(monkeypatch):
-    # the least order whose tail at r itself is within 2^-(n+1), not r0's
+    # the least order whose tail at r itself is within 2^-(n+1); at r0 that
+    # is the plan's order, which every r <= r0 stays within
     found = []
     orig = laplace.point_order
 
@@ -260,23 +261,22 @@ def test_disk_point_order_sizes_the_tail_at_r(monkeypatch):
 
     monkeypatch.setattr(laplace, "point_order", recorded)
     prob = DiskProblem(TENT2, GRID_R0)
-    plan = plan_disk(prob, 20)
-    budget = Fraction(1, 2 ** 21)
-    orders = []
-    for r in GRID_RADII:
-        found.clear()
-        solve_disk(prob, r, Fraction(1, 3), 20, plan)
-        (K, tail), tail_fn = found[0]
-        assert K <= plan.order and tail <= budget
-        jumps = [(Fraction(1, 2), 0, -4), (Fraction(3, 2), 0, 4)]  # TENT2's slope jumps
-        assert tail == laplace._disk_pl_tail(TENT2.sup_bound, jumps, r)(K + 1) == tail_fn(K)
-        if K:
-            assert tail_fn(K - 1) > budget
-        orders.append(K)
-    # r = 0 needs no term past the mean; even r0 needs far fewer than the
-    # plan's blocks of K (n + 1)
-    assert orders[0] == 0 and orders == sorted(set(orders))
-    assert orders[-1] < plan.order // 2
+    for n in (20, 64):
+        plan = plan_disk(prob, n)
+        budget = Fraction(1, 2 ** (n + 1))
+        orders = []
+        for r in GRID_RADII:
+            found.clear()
+            solve_disk(prob, r, Fraction(1, 3), n, plan)
+            (K, tail), tail_fn = found[0]
+            assert K <= plan.order and tail <= budget
+            assert tail == laplace._point_tail(prob, r)(K) == tail_fn(K)
+            if K:
+                assert tail_fn(K - 1) > budget
+            orders.append(K)
+        # r = 0 needs no term past the mean, and r0 exactly the plan's order
+        assert orders[0] == 0 and orders == sorted(set(orders))
+        assert orders[-1] == plan.order and plan.chain == [("tail", tail, budget)]
 
 
 def test_disk_area_rounds_to_the_zero_mode_closed_form():
@@ -299,25 +299,24 @@ def test_disk_area_rounds_to_the_zero_mode_closed_form():
 
 
 def test_plan_disk_chain():
-    # series data records its block decay and tail; declared modes plan
-    # their top degree and claim nothing
+    # series data records its tail at r0; declared modes plan their top
+    # degree and claim nothing
     series = DiskProblem(TENT2, Fraction(9, 10))
     declared = DiskProblem(trig_poly_fn(TrigPoly(cos_coeffs={2: Fraction(3)})), Fraction(9, 10))
     for n in (10, 30):
         plan = plan_disk(series, n)
         assert plan.chain_ok()
-        assert [c[0] for c in plan.chain] == ["per-block decay", "tail"]
+        assert [c[0] for c in plan.chain] == ["tail"]
         plan = plan_disk(declared, n)
         assert plan.order == 2 and plan.chain == [] and plan.validates(n)
 
 
 def test_disk_declared_modes_add_no_tail(monkeypatch):
-    # every declared mode is summed: no block size, no point tail, at any r
+    # every declared mode is summed: no point tail, at any r
     def no_search(*args):
         raise AssertionError("declared modes need no tail search")
 
     monkeypatch.setattr(laplace, "point_order", no_search)
-    monkeypatch.setattr(laplace, "choose_K_disk", no_search)
     tp = TrigPoly(Fraction(1, 3), {7: Fraction(-1, 7)}, {1: Fraction(1, 5), 40: Fraction(1, 9)})
     prob = DiskProblem(trig_poly_fn(tp), Fraction(99, 100))
     plan = plan_disk(prob, 24)

@@ -9,8 +9,8 @@ import mpmath as mp
 import pytest
 
 from certheat.errors import PreconditionError
-from certheat.series import (TruncationPlan, arith_geom_sum, choose_K_disk,
-                             gaussian_tail, geometric_tail, higher_arith_geom,
+from certheat.series import (TruncationPlan, arith_geom_sum, gaussian_tail,
+                             geometric_cap, geometric_tail, higher_arith_geom,
                              least_passing, point_order)
 
 
@@ -92,29 +92,13 @@ def test_geometric_tail():
         geometric_tail(0, 0, 1)
 
 
-def test_choose_K_disk_examples():
-    assert choose_K_disk(1, Fraction(1, 2)) == 2
-    assert choose_K_disk(8, Fraction(1, 2)) == 5
-    assert choose_K_disk(Fraction(3), 0) == 1
-
-
-def test_choose_K_postcondition_exact():
-    cases = [(Fraction(1), Fraction(1, 2)), (Fraction(8), Fraction(1, 2)),
-             (Fraction(1, 3), Fraction(7, 9)), (Fraction(100), Fraction(9, 10))]
-    for C, r0 in cases:
-        K = choose_K_disk(C, r0)
-        rK = r0 ** K
-        for N in range(1, 65):
-            assert C * rK ** N < Fraction(1, 2 ** N)
-
-
-def test_choose_K_monotone():
-    r0 = Fraction(3, 4)
-    Ks = [choose_K_disk(Fraction(c), r0) for c in (1, 2, 5, 20, 100)]
-    assert Ks == sorted(Ks)
-    C = Fraction(5)
-    Ks = [choose_K_disk(C, Fraction(num, 10)) for num in range(0, 10)]
-    assert Ks == sorted(Ks)
+def test_geometric_cap_bounds_the_tail():
+    # the cap ends a search for the least order: C r^K is within 2^-(n+1)
+    for C, r in [(Fraction(1), Fraction(1, 2)), (Fraction(8), Fraction(1, 2)),
+                 (Fraction(1, 3), Fraction(7, 9)), (Fraction(100), Fraction(9, 10)),
+                 (Fraction(4), Fraction(0)), (Fraction(1, 2 ** 40), Fraction(1, 3))]:
+        for n in (0, 12, 64):
+            assert C * r ** geometric_cap(C, r, n) <= Fraction(1, 2 ** (n + 1))
 
 
 def test_rejects_bad_domains():
@@ -124,8 +108,6 @@ def test_rejects_bad_domains():
         arith_geom_sum(0, Fraction(-5, 4))
     with pytest.raises(PreconditionError):
         higher_arith_geom(0, 1, 1)
-    with pytest.raises(PreconditionError):
-        choose_K_disk(1, 1)
 
 
 def test_truncation_plan_budget():
