@@ -176,11 +176,13 @@ class CertifiedValue:
         return CertifiedValue(self.m, self.s, nen, nes)
 
     def widen_fraction(self, extra: Fraction) -> "CertifiedValue":
+        """Add the extra error ``extra``, rounded up to the few bits past
+        _ERR_BITS that an error mantissa keeps, whatever extra's size."""
         if extra <= 0:
             return self
-        es = extra.denominator.bit_length() + 4
-        en = _ceil_div(extra.numerator << es, extra.denominator)
-        return self.widen(en, es)
+        num, den = extra.numerator, extra.denominator
+        es = max(0, _ERR_BITS + 2 - (num.bit_length() - den.bit_length()))
+        return self.widen(_ceil_div(num << es, den), es)
 
     def rounded(self, p: int) -> "CertifiedValue":
         """Shorten the mantissa to scale ``2**-p`` (folds the rounding error)."""
@@ -417,14 +419,16 @@ def sqrt_cv(x, p: int) -> CertifiedValue:
     return out
 
 
-def _fraction_sqrt_lower(f: Fraction, bits: int = 16) -> Fraction:
-    r = isqrt((f.numerator << (2 * bits)) // f.denominator)
-    return Fraction(r, 1 << bits) if r else Fraction(1, 1 << (2 * bits + 2))
+def _fraction_sqrt_lower(f: Fraction) -> Fraction:
+    # a lower bound on sqrt(f) to 16 fractional bits
+    r = isqrt((f.numerator << 32) // f.denominator)
+    return Fraction(r, 1 << 16) if r else Fraction(1, 1 << 34)
 
 
-def _fraction_sqrt_upper(f: Fraction, bits: int = 16) -> Fraction:
-    r = isqrt(_ceil_div(f.numerator << (2 * bits), f.denominator)) + 1
-    return Fraction(r, 1 << bits)
+def _fraction_sqrt_upper(f: Fraction) -> Fraction:
+    # an upper bound on sqrt(f) to 16 fractional bits
+    r = isqrt(_ceil_div(f.numerator << 32, f.denominator)) + 1
+    return Fraction(r, 1 << 16)
 
 
 def recip_cv(x, p: int) -> CertifiedValue:
@@ -623,26 +627,29 @@ def gauss_primitive_cv(x, p: int) -> CertifiedValue:
 # directed rational powers (plan inequalities with huge exponents)
 
 
-def pow_fraction_upper(base: Fraction, n: int, bits: int = 128) -> Fraction:
+_POW_BITS = 160  # significant bits each directed-power step keeps
+
+
+def pow_fraction_upper(base: Fraction, n: int) -> Fraction:
     """Upper bound on base**n (base >= 0), intermediates rounded up."""
     if base < 0:
         raise PreconditionError("directed powers need a nonnegative base")
     result = Fraction(1)
     while n:
         if n & 1:
-            result = _round_frac_up(result * base, bits)
+            result = _round_frac_up(result * base)
         n >>= 1
         if n:
-            base = _round_frac_up(base * base, bits)
+            base = _round_frac_up(base * base)
     return result
 
 
-def _round_frac_up(f: Fraction, bits: int) -> Fraction:
-    # round upward to `bits` significant bits of the ratio
+def _round_frac_up(f: Fraction) -> Fraction:
+    # round upward to _POW_BITS significant bits of the ratio
     num, den = f.numerator, f.denominator
-    if num == 0 or (num.bit_length() <= bits and den.bit_length() <= bits):
+    if num == 0 or (num.bit_length() <= _POW_BITS and den.bit_length() <= _POW_BITS):
         return f
-    k = bits - (num.bit_length() - den.bit_length())
+    k = _POW_BITS - (num.bit_length() - den.bit_length())
     if k >= 0:
         return Fraction(_ceil_div(num << k, den), 1 << k)
     return Fraction(_ceil_div(num, den << -k) * (1 << -k))

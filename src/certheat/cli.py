@@ -248,12 +248,12 @@ def parse_sph_fn(spec: str) -> EvaluableFunction:
 
 
 def _solve_disk(cfg, n):
-    _check_keys(cfg, {"g", "r", "theta", "r0"}, {"g", "r", "theta"})
-    g = parse_boundary_fn(cfg["g"])
-    r0 = _num(cfg, "r0") if "r0" in cfg else Fraction(9, 10)
-    p = DiskProblem(g, r0)
+    keys = {"g", "r", "theta"}
+    _check_keys(cfg, keys, keys)
+    r = _num(cfg, "r")
+    p = DiskProblem(parse_boundary_fn(cfg["g"]), r)  # one solve plans at its own r
     plan = plan_disk(p, n)
-    return solve_disk(p, _num(cfg, "r"), _num(cfg, "theta"), n, plan), plan
+    return solve_disk(p, r, _num(cfg, "theta"), n, plan), plan
 
 
 def _solve_ball(cfg, n):
@@ -265,14 +265,13 @@ def _solve_ball(cfg, n):
 
 
 def _solve_interval(cfg, n):
-    _check_keys(cfg, {"g", "l", "alpha", "t0", "t", "x"},
-                {"g", "t", "x"})
+    _check_keys(cfg, {"g", "l", "alpha", "t", "x"}, {"g", "t", "x"})
     L = _num(cfg, "l") if "l" in cfg else Fraction(1)
     alpha = _num(cfg, "alpha") if "alpha" in cfg else Fraction(1)
-    t0 = _num(cfg, "t0") if "t0" in cfg else Fraction(1, 4)
-    p = IntervalHeatProblem(L, alpha, parse_interval_fn(cfg["g"], L), t0)
+    t = _num(cfg, "t")
+    p = IntervalHeatProblem(L, alpha, parse_interval_fn(cfg["g"], L), t)  # plans at its own t
     plan = plan_interval(p, n)
-    return solve_interval(p, _num(cfg, "t"), _num(cfg, "x"), n, plan), plan
+    return solve_interval(p, t, _num(cfg, "x"), n, plan), plan
 
 
 def _solve_halfline_boundary(cfg, n):
@@ -456,8 +455,7 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite  # only this subcommand pays for the checks
 
-    seed = args.seed if args.seed is not None else 0
-    results = run_suite(args.suite, seed)
+    results = run_suite(args.suite, args.seed)
     failures = 0
     for r in results:
         if r.ok:
@@ -485,19 +483,18 @@ def build_parser():
         description="certified-precision solvers and the counting benchmark")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--bits", type=int, help="output precision 2^-bits")
-        p.add_argument("--out", help="result file path")
-        p.add_argument("--seed", type=int, help="seed for randomized pieces")
-
+    # each subcommand takes only the flags it reads
     ps = sub.add_parser("solve", help="run one certified solve")
-    common(ps)
+    ps.add_argument("--config", help="flat key=value config file")
+    ps.add_argument("--bits", type=int, help="output precision 2^-bits")
+    ps.add_argument("--out", help="result file path")
     pb = sub.add_parser("bench", help="run the blowup benchmark, emit CSV")
-    common(pb)
+    pb.add_argument("--config", help="flat key=value config file")
+    pb.add_argument("--out", help="CSV file path")
+    pb.add_argument("--seed", type=int, help="seed for the drawn instances")
     pv = sub.add_parser("verify", help="run self-check suites")
     pv.add_argument("suite", help="a suite name, or all")
-    common(pv)
+    pv.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
     return ap
 
 

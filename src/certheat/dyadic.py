@@ -53,23 +53,16 @@ class DyadicDecimal:
         return cls(sign == "-", mag, len(frac_bits))
 
     @classmethod
-    def from_fraction(cls, value: Rational, pcs: int | None = None) -> "DyadicDecimal":
-        """Exact conversion; raises if ``value`` is not dyadic."""
+    def from_fraction(cls, value: Rational) -> "DyadicDecimal":
+        """Exact conversion at the fewest fractional bits (at least one);
+        raises if ``value`` is not dyadic."""
         f = as_fraction(value)
         den = f.denominator
         exp = den.bit_length() - 1
         if den != 1 << exp:
             raise ValueError(f"{f} is not a dyadic rational")
-        if pcs is None:
-            pcs = max(exp, 1)
-        if pcs < exp:
-            raise ValueError(f"pcs={pcs} too small to represent {f} exactly")
-        mag = abs(f.numerator) << (pcs - exp)
-        return cls(f.numerator < 0, mag, pcs)
-
-    @classmethod
-    def zero(cls, pcs: int = 1) -> "DyadicDecimal":
-        return cls(False, 0, pcs)
+        pcs = max(exp, 1)
+        return cls(f.numerator < 0, abs(f.numerator) << (pcs - exp), pcs)
 
     # -- representation ----------------------------------------------------
 

@@ -35,10 +35,9 @@ class CountingInstance(Record):
     the sum of its set bits' weights) cannot drift from ``weights``.
     """
 
-    _fields = ("weights", "target", "kind")
+    _fields = ("weights", "target")
 
-    def __init__(self, weights: tuple[int, ...], target: int,
-                 kind: str = "subset-sum-count"):
+    def __init__(self, weights: tuple[int, ...], target: int):
         weights = tuple(int(w) for w in weights)
         if not weights or any(w <= 0 for w in weights):
             raise PreconditionError("weights must be positive integers")
@@ -50,7 +49,7 @@ class CountingInstance(Record):
             for w in weights[lo:lo + 8]:
                 sums += [s + w for s in sums]
             tables.append(tuple(sums * (256 // len(sums))))  # bits past n_vars add 0
-        for name, value in (("weights", weights), ("target", target), ("kind", kind),
+        for name, value in (("weights", weights), ("target", target),
                             ("_byte_sums", tuple(tables))):
             object.__setattr__(self, name, value)
 

@@ -87,9 +87,9 @@ class SmoothProfile:
         self.deriv_sup = deriv_sup
 
 
-def poly_time_profile(coeffs, domain=(Fraction(0), Fraction(2))) -> EvaluableFunction:
-    """Polynomial profile with exact derivatives of every order."""
-    fn = polynomial_fn(coeffs, domain, label="poly-profile")
+def poly_time_profile(coeffs) -> EvaluableFunction:
+    """Polynomial profile on [0, 2] with exact derivatives of every order."""
+    fn = polynomial_fn(coeffs, (Fraction(0), Fraction(2)), label="poly-profile")
     cs = fn.poly_coeffs
 
     def dexact(k: int, s: Fraction) -> Fraction:
@@ -146,10 +146,12 @@ def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
 class IntervalHeatProblem(Record):
     """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0.
 
-    ``pieces`` is ``linear_pieces(g)``, read once here for every solve, and
-    so, when g has pieces, is their ``pl_jumps`` list ``jumps``; ``rho0``,
-    the decay bound at t0, is computed on first use.  These derived fields
-    take no part in equality or ``repr``.
+    The plan's order is what a solve at t0 sums.  One solve plans at its own
+    t; many solves plan once at their earliest.  ``pieces`` is
+    ``linear_pieces(g)``, read once here for every solve, and so, when g has
+    pieces, is their ``pl_jumps`` list ``jumps``; ``rho0``, the decay bound
+    at t0, is computed on first use.  These derived fields take no part in
+    equality or ``repr``.
     """
 
     _fields = ("L", "alpha", "g", "t0")
@@ -160,7 +162,7 @@ class IntervalHeatProblem(Record):
         self.g = g
         self.t0 = as_fraction(t0)
         if self.L <= 0 or self.alpha <= 0 or self.t0 <= 0:
-            raise PreconditionError("L, alpha and t0 must be positive")
+            raise PreconditionError("L, alpha and t must be positive")
         if self.g.domain != (Fraction(0), self.L):
             raise PreconditionError("initial data must live on [0, L]")
         self.pieces = linear_pieces(self.g)
@@ -299,25 +301,20 @@ def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: i
 class IntervalReduction:
     """Ties reweighted initial data to its integration identity.
 
-    The data is gtilde times the weight exp(E), E given by
+    The data is the profile times the weight exp(E), E given by
     :meth:`weight_exponent`.  The identity divides that weight back out, so
-    the claimed point value is (4 pi alpha t0)^{-1/2} times the plain
-    integral of gtilde, whatever gtilde is.  With gtilde(y) = profile(y/L)/L
-    that integral is the integral of the profile over [0, 1].
+    the claimed point value is (4 pi t0)^{-1/2} times the plain integral of
+    the profile over [0, 1], whatever the profile is.
     """
 
-    def __init__(self, t0: Fraction, x0: Fraction, L: Fraction, alpha: Fraction,
-                 gtilde: EvaluableFunction, profile: EvaluableFunction):
+    def __init__(self, t0: Fraction, x0: Fraction, profile: EvaluableFunction):
         self.t0 = t0
         self.x0 = x0
-        self.L = L
-        self.alpha = alpha
-        self.gtilde = gtilde
         self.profile = profile
 
     def weight_exponent(self, y: Fraction, prec: int) -> CertifiedValue:
-        """(y - x0)^2 / (4 pi alpha t0), certified."""
-        f = (y - self.x0) ** 2 / (4 * self.alpha * self.t0)
+        """(y - x0)^2 / (4 pi t0), certified."""
+        f = (y - self.x0) ** 2 / (4 * self.t0)
         return recip_pi_cv(prec + 6).mul_fraction(f, prec + 4)
 
     def certified_point_value(self, n: int) -> CertifiedValue:
@@ -325,63 +322,47 @@ class IntervalReduction:
         total = integral_exact(self.profile, Fraction(0), Fraction(1))
         if total is None:
             raise PreconditionError("reduction data needs an exact integral")
-        pref = _inv_sqrt_4pialpha(self.alpha * self.t0, n + 12)
+        pref = _inv_sqrt_4pialpha(self.t0, n + 12)
         return (CertifiedValue.from_fraction(total, n + 6) * pref).rounded(n + 4)
 
 
-def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction,
-                              L=Fraction(1), alpha=Fraction(1)) -> EvaluableFunction:
-    """Reweight profile data into interval initial data with a known identity.
+def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFunction:
+    """Reweight profile data into initial data on [0, 1] (alpha = 1) with a
+    known identity.
 
-    Returns g*(y) = gtilde(y) * exp((y - x0)^2 / (4 pi alpha t0)) where
-    gtilde(y) = g_hard(y / L) / L, together with an attached
-    :class:`IntervalReduction` whose point value is a pure integration task.
+    Returns g*(y) = g_hard(y) * exp((y - x0)^2 / (4 pi t0)), together with an
+    attached :class:`IntervalReduction` whose point value is a pure
+    integration task.
     """
-    t0, x0, L, alpha = map(as_fraction, (t0, x0, L, alpha))
-    if t0 <= 0 or L <= 0 or alpha <= 0:
-        raise PreconditionError("t0, L and alpha must be positive")
-    if not 0 <= x0 <= L:
-        raise PreconditionError("x0 must lie in [0, L]")
+    t0, x0 = as_fraction(t0), as_fraction(x0)
+    if t0 <= 0:
+        raise PreconditionError("t0 must be positive")
+    if not 0 <= x0 <= 1:
+        raise PreconditionError("x0 must lie in [0, 1]")
     if g_hard.domain != (Fraction(0), Fraction(1)):
         raise PreconditionError("profile data must live on [0, 1]")
     if g_hard.eval_exact is None:
         raise PreconditionError("profile data needs exact pointwise evaluation")
+    red = IntervalReduction(t0, x0, g_hard)
 
-    def gt_exact(y: Fraction) -> Fraction:
-        return g_hard.eval_exact(y / L) / L
-
-    sv = max(_log2_ceil(max(1 / L, Fraction(1, 2))), 0)
-    gtilde = EvaluableFunction(
-        domain=(Fraction(0), L),
-        sup_bound=max(g_hard.sup_bound / L, Fraction(1, 1 << 30)),
-        modulus=lambda k: g_hard.modulus(k + sv) + sv,
-        eval_cv=lambda y, p: CertifiedValue.from_fraction(gt_exact(y), p + 2),
-        label="rescaled-profile",
-        eval_exact=gt_exact,
-        pieces=([(c0 / L, c1 / (L * L), a * L, b * L) for c0, c1, a, b in g_hard.pieces]
-                if g_hard.pieces is not None else None),
-        linear_segments=g_hard.linear_segments,
-    )
-    red = IntervalReduction(t0, x0, L, alpha, gtilde, g_hard)
-
-    # e^{ceil(L^2 / (4 alpha t0))} bounds the weight: E before its 1/pi factor
-    wsup = exp_cv(Fraction(_ceil_div(L * L, 4 * alpha * t0)), 20).upper_fraction()
-    sup = gtilde.sup_bound * wsup
-    # weight Lipschitz bound: |E'| e^{Emax} with |E'| <= 2 L / (4 alpha t0 pi)
-    wlip = wsup * 2 * L / (4 * alpha * t0)
+    # e^{ceil(1 / (4 t0))} bounds the weight: E before its 1/pi factor
+    wsup = exp_cv(Fraction(_ceil_div(1, 4 * t0)), 20).upper_fraction()
+    sup = g_hard.sup_bound * wsup
+    # weight Lipschitz bound: |E'| e^{Emax} with |E'| <= 2 / (4 t0 pi)
+    wlip = wsup * 2 / (4 * t0)
     b1 = max(0, _log2_ceil(max(wsup, 1)))
-    b2 = max(0, _log2_ceil(max(gtilde.sup_bound, 1)))
+    b2 = max(0, _log2_ceil(max(g_hard.sup_bound, 1)))
     wmod = lipschitz_modulus(wlip if wlip else Fraction(1))
 
     def ev(y, p: int) -> CertifiedValue:
         y = as_fraction(y)
         lift = exp_cv(red.weight_exponent(y, p + 8), p + 6)
-        return (CertifiedValue.from_fraction(gt_exact(y), p + 6) * lift).rounded(p)
+        return (CertifiedValue.from_fraction(g_hard.eval_exact(y), p + 6) * lift).rounded(p)
 
     gstar = EvaluableFunction(
-        domain=(Fraction(0), L),
+        domain=(Fraction(0), Fraction(1)),
         sup_bound=sup if sup else Fraction(1, 1 << 30),
-        modulus=lambda k: max(gtilde.modulus(k + 1 + b1), wmod(k + 1 + b2)),
+        modulus=lambda k: max(g_hard.modulus(k + 1 + b1), wmod(k + 1 + b2)),
         eval_cv=ev,
         label="reweighted-initial-data",
     )

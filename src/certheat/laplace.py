@@ -37,7 +37,7 @@ from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import (EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces,
                         lipschitz_modulus, pl_jumps)
 from .kernels import real_sph_harmonic_3d
-from .quadrature import (DEFAULT_MAX_PANELS, breakpoint_series, int_pl_trig_pi,
+from .quadrature import (MAX_PANELS, breakpoint_series, int_pl_trig_pi,
                          integral_exact, integrate, trig_product_integral)
 from .record import Record
 from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_order,
@@ -47,8 +47,9 @@ from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_o
 class DiskProblem(Record):
     """Dirichlet data on the unit circle with a guaranteed evaluation radius.
 
-    g lives on [0,2] in pi-units; r0 < 1 bounds where solutions will be
-    requested, and the plan's order is what a solve at r0 sums.  ``pieces`` is
+    g lives on [0,2] in pi-units; r0 < 1 bounds the radii r a solve takes,
+    and the plan's order is what a solve at r0 sums.  One solve plans at its
+    own r; many solves plan once at their largest.  ``pieces`` is
     ``linear_pieces(g)``, read once here for every solve; so are, when g has
     pieces, what :func:`_solve_disk_pl` reads off them: the ``jumps``
     (y, J, D) of ``pl_jumps`` where something jumps, with the points at 0
@@ -64,7 +65,7 @@ class DiskProblem(Record):
         self.r0 = as_fraction(r0)
         self.jumps = self.size = self.area = None
         if not 0 <= self.r0 < 1:
-            raise PreconditionError("r0 must lie in [0,1)")
+            raise PreconditionError("radius r must lie in [0,1)")
         lo, hi = self.g.domain
         if (lo, hi) != (Fraction(0), Fraction(2)):
             raise PreconditionError("boundary data must live on [0,2] in pi-units")
@@ -409,7 +410,7 @@ def _declared_modes(g: EvaluableFunction) -> dict:
     if g.sph_modes is None:
         raise QuadratureBudgetError(
             "boundary data has no declared harmonic modes; certified sphere "
-            f"quadrature would exceed {DEFAULT_MAX_PANELS} panels")
+            f"quadrature would exceed {MAX_PANELS} panels")
     return g.sph_modes
 
 

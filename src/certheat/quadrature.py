@@ -36,11 +36,10 @@ from .dyadic import as_fraction
 from .errors import PreconditionError, QuadratureBudgetError
 from .evaluable import EvaluableFunction, _log2_ceil, lipschitz_modulus, pl_jumps
 
-DEFAULT_MAX_PANELS = 1 << 22
+MAX_PANELS = 1 << 22
 
 
-def integrate(fn: EvaluableFunction, lo, hi, p: int,
-              max_panels: int = DEFAULT_MAX_PANELS) -> CertifiedValue:
+def integrate(fn: EvaluableFunction, lo, hi, p: int) -> CertifiedValue:
     """Certified integral of fn over [lo, hi] with error <= 2^-p."""
     lo, hi = as_fraction(lo), as_fraction(hi)
     if lo > hi:
@@ -54,7 +53,7 @@ def integrate(fn: EvaluableFunction, lo, hi, p: int,
     total = integral_exact(fn, lo, hi)
     if total is not None:
         return CertifiedValue.from_fraction(total, pe)
-    return _integrate_modulus(fn, lo, hi, p, pe, max_panels)
+    return _integrate_modulus(fn, lo, hi, p, pe)
 
 
 def integral_exact(fn: EvaluableFunction, lo: Fraction,
@@ -121,16 +120,16 @@ def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Frac
 
 
 def _integrate_modulus(fn: EvaluableFunction, lo: Fraction, hi: Fraction,
-                       p: int, pe: int, max_panels: int) -> CertifiedValue:
+                       p: int, pe: int) -> CertifiedValue:
     width = hi - lo
     k = p + 1 + max(0, _log2_ceil(width))
     spacing = Fraction(2, 2 ** fn.modulus(k))  # panel width with half-width 2^-m(k)
     panels = _ceil_div(width.numerator * spacing.denominator,
                        width.denominator * spacing.numerator)
-    if panels > max_panels:
+    if panels > MAX_PANELS:
         raise QuadratureBudgetError(
             f"modulus-driven quadrature needs {panels} panels "
-            f"(cap {max_panels}); declare structure or lower precision")
+            f"(cap {MAX_PANELS}); declare structure or lower precision")
     w = width / panels
     pp = pe + panels.bit_length() + 2  # per-panel rounding must not pile up
     acc = CertifiedValue.zero()

@@ -76,8 +76,8 @@ def gaussian_tail(scale, rho, start: int) -> Fraction:
     (start + j)^2 >= start^2 + 2 start j, so the sum is at most
     rho^(start^2) / (1 - rho^(2 start)); both powers are rounded up.
     """
-    return scale * pow_fraction_upper(rho, start * start, 160) \
-        / (1 - pow_fraction_upper(rho, 2 * start, 160))
+    return scale * pow_fraction_upper(rho, start * start) \
+        / (1 - pow_fraction_upper(rho, 2 * start))
 
 
 def geometric_cap(C, r, n: int) -> int:
@@ -93,43 +93,32 @@ def geometric_cap(C, r, n: int) -> int:
     return max(0, -(-bits * r.denominator // (r.denominator - r.numerator)))
 
 
-def least_passing(ok: Callable[[int], bool], start: int, floor: int, cap: int,
-                  message: str) -> int:
-    """Least m >= floor with ok(m), for ok monotone in m.
+def point_order(tail: Callable[[int], Fraction], n: int, cap: int,
+                label: str) -> tuple[int, Fraction]:
+    """Least K <= cap with tail(K) <= 2^-(n+1), and that tail bound.
 
-    Doubles from start until ok holds, then bisects between the last failing
-    value (floor, if start already passes) and the first passing one.
-    Raises AssertionError(message) once the doubling passes cap.  It finds
-    every point order (:func:`point_order`): the plans' at r0 and t0, and
-    each solve's at its own point.
+    tail(K) bounds the series terms a solve drops past index K at its own
+    point; tail must be nonincreasing.  The search doubles K from 1 until it
+    passes, then bisects down to the least passing K.  The bound is checked
+    with :func:`require`, so a point that cap does not cover raises.
     """
-    lo, hi = floor, start
-    while not ok(hi):
+    budget = Fraction(1, 1 << (n + 1))
+
+    def ok(m: int) -> bool:
+        return m >= cap or tail(m) <= budget
+
+    lo, hi = 0, 1
+    while not ok(hi):  # stops by 2 cap, as every m >= cap passes
         lo, hi = hi, 2 * hi
-        if hi > cap:
-            raise AssertionError(message)
     while lo < hi:
         mid = (lo + hi) // 2
         if ok(mid):
             hi = mid
         else:
             lo = mid + 1
-    return hi
-
-
-def point_order(tail: Callable[[int], Fraction], n: int, cap: int,
-                label: str) -> tuple[int, Fraction]:
-    """Least K <= cap with tail(K) <= 2^-(n+1), and that tail bound.
-
-    tail(K) bounds the series terms a solve drops past index K at its own
-    point; tail must be nonincreasing.  The bound is checked with
-    :func:`require`, so a point the plan's order cap does not cover raises.
-    """
-    budget = Fraction(1, 1 << (n + 1))
-    K = least_passing(lambda m: m >= cap or tail(m) <= budget, 1, 0, 2 * cap + 2, label)
-    bound = tail(K)
+    bound = tail(hi)
     require(label, bound, budget)
-    return K, bound
+    return hi, bound
 
 
 def require(label: str, lhs, rhs) -> None:
@@ -150,11 +139,10 @@ class TruncationPlan:
     :func:`require` and appends nothing, so a plan does not grow with reuse.
     """
 
-    def __init__(self, order: int, budget_split: list[tuple[str, int]] | None = None,
-                 chain: list[tuple[str, Fraction, Fraction]] | None = None):
+    def __init__(self, order: int, budget_split: list[tuple[str, int]]):
         self.order = order
-        self.budget_split = [] if budget_split is None else budget_split
-        self.chain = [] if chain is None else chain
+        self.budget_split = budget_split
+        self.chain: list[tuple[str, Fraction, Fraction]] = []
 
     def total_budget(self) -> Fraction:
         return sum((Fraction(1, 2) ** e for _, e in self.budget_split), Fraction(0))

@@ -359,7 +359,7 @@ def suite_names() -> list[str]:
     return [*SUITES, "all"]
 
 
-def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
+def run_suite(name: str, seed: int) -> list[CheckResult]:
     """Run one suite (or 'all'); never raises on check failure."""
     if name == "all":
         out = []

@@ -13,6 +13,8 @@ import pytest
 mp.mp.prec = 120
 
 import certheat.cli as cli
+import certheat.heat as heat
+import certheat.laplace as laplace
 from certheat.cli import decimal_digits, main, parse_config
 from certheat.dyadic import DyadicDecimal
 
@@ -37,7 +39,6 @@ problem = interval
 g = sine 1:1
 l = 1
 alpha = 1
-t0 = 1/4
 t = 1/4
 x = 1/2
 bits = 16
@@ -112,6 +113,28 @@ def test_ball_config_with_d_or_r0_exits_2(tmp_path, capsys):
         assert err.startswith("config error: unknown keys")
 
 
+@pytest.mark.parametrize("cfg, key", [(DISK_CFG, "r0 = 9/10\n"), (INTERVAL_CFG, "t0 = 1/4\n")])
+def test_disk_r0_or_interval_t0_key_exits_2(tmp_path, capsys, cfg, key):
+    # a solve plans at its own r or t, so no config names a planning point
+    code, text, err = run(["solve", "--config", write(tmp_path, "w.cfg", cfg + key)], capsys)
+    assert code == 2 and text == ""
+    assert err.startswith("config error: unknown keys")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "c.cfg", "--seed", "1"],
+    ["bench", "--config", "c.cfg", "--bits", "10"],
+    ["verify", "series", "--config", "c.cfg"],
+    ["verify", "series", "--bits", "10"],
+    ["verify", "series", "--out", "r.json"],
+])
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_ball_solves_on_the_sphere(tmp_path, capsys):
     # r = 1 is the data itself: g = Y_00 = 1 / (2 sqrt(pi))
     ball = "problem = ball\ng = sph 0:0:1\nr = 1\ntheta = 1/3\nphi = 0\nbits = 40\n"
@@ -155,10 +178,13 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["solve"], capsys)[0] == 2   # no config at all
 
     oob = write(tmp_path, "oob.cfg",
-                "problem = disk\ng = cos 2\nr = 95/100\ntheta = 0\nbits = 10\n")
+                "problem = disk\ng = cos 2\nr = 1\ntheta = 0\nbits = 10\n")
     code, _, err = run(["solve", "--config", oob], capsys)
     assert code == 3
-    assert "radius" in err          # message names the violated precondition
+    assert "radius r must lie in [0,1)" in err  # names the violated precondition
+    early = write(tmp_path, "early.cfg", INTERVAL_CFG.replace("t = 1/4", "t = 0"))
+    code, _, err = run(["solve", "--config", early], capsys)
+    assert code == 3 and "t must be positive" in err
 
     assert run(["verify", "bogus"], capsys)[0] == 2
 
@@ -376,3 +402,88 @@ def test_halfline_initial_small_alpha_keeps_the_bound(tmp_path, capsys):
 
         want = mp.quad(integrand, [mp.mpf(1) / 4, mp.mpf(1) / 2, mp.mpf(3) / 4])
         assert abs(got - want) <= mp.mpf(2) ** -24
+
+
+# ---------------------------------------------------------------------------
+# radii near the circle and times near 0: each solve plans at its own point
+
+EDGE_DISK = [(0, 0), (Fraction(1, 2), 1), (1, 0), (Fraction(3, 2), -1), (2, 0)]
+EDGE_INTERVAL = [(0, 1), (Fraction(1, 4), -1), (Fraction(3, 4), 2), (1, Fraction(1, 2))]
+
+
+def _pl(nodes):
+    return "pl " + " ".join(f"{x}:{y}" for x, y in nodes)
+
+
+def _mp_nodes(nodes):
+    return [(mp.mpf(Fraction(x).numerator) / Fraction(x).denominator,
+             mp.mpf(Fraction(y).numerator) / Fraction(y).denominator) for x, y in nodes]
+
+
+def poisson_oracle(nodes, r, theta):
+    """(1/2) integral over [0, 2] (pi-units) of the Poisson kernel at
+    (r, theta) times the linear interpolant of nodes, by quadrature cut at
+    the nodes and ever closer around theta, where the kernel peaks."""
+    pts = _mp_nodes(nodes)
+
+    def g(rho):
+        for (a, ya), (b, yb) in zip(pts, pts[1:]):
+            if rho <= b:
+                return ya + (rho - a) * (yb - ya) / (b - a)
+        return pts[-1][1]
+
+    def integrand(rho):
+        return (1 - r * r) / (1 - 2 * r * mp.cos(mp.pi * (theta - rho)) + r * r) * g(rho)
+
+    near = [theta + sign * mp.mpf(10) ** -j for j in range(1, 6) for sign in (-1, 1)]
+    cuts = sorted({a for a, _ in pts} | {theta} | {c for c in near if 0 < c < 2})
+    return mp.quad(integrand, cuts) / 2
+
+
+def image_oracle(nodes, t, x):
+    """u(t, x) on [0, 1] with alpha = 1 by the method of images: the odd,
+    2-periodic extension of the data against the free heat kernel, in closed
+    form (erf and exp) on each linear piece of each image."""
+    s = mp.sqrt(4 * t)
+
+    def piece(a, ya, b, yb, c):  # integral of the line against e^{-(y-c)^2/s^2} / (s sqrt pi)
+        slope = (yb - ya) / (b - a)
+        return (ya + slope * (c - a)) * (mp.erf((b - c) / s) - mp.erf((a - c) / s)) / 2 \
+            + slope * s / (2 * mp.sqrt(mp.pi)) * (mp.exp(-((a - c) / s) ** 2)
+                                                 - mp.exp(-((b - c) / s) ** 2))
+
+    pts = _mp_nodes(nodes)
+    return sum(piece(a, ya, b, yb, x + 2 * m) - piece(a, ya, b, yb, -x + 2 * m)
+               for m in range(-3, 4) for (a, ya), (b, yb) in zip(pts, pts[1:]))
+
+
+@pytest.mark.parametrize("bits", [16, 64])
+@pytest.mark.parametrize("problem, point", [
+    ("disk", Fraction(19, 20)), ("disk", Fraction(99, 100)), ("disk", Fraction(999, 1000)),
+    ("interval", Fraction(1, 8)), ("interval", Fraction(1, 2 ** 10)),
+    ("interval", Fraction(1, 2 ** 20)),
+])
+def test_points_near_the_edges_solve_within_their_oracles(tmp_path, capsys, monkeypatch,
+                                                          problem, point, bits):
+    # r above and t below the old planning window (9/10 and 1/4); the plan
+    # order in --out is the order the solve summed
+    summed = []
+    for module, name, at in ((laplace, "_solve_disk_pl", 4), (heat, "_solve_interval_pl", 3)):
+        def record(*args, _orig=getattr(module, name), _at=at):
+            summed.append(args[_at])
+            return _orig(*args)
+        monkeypatch.setattr(module, name, record)
+    theta = x = Fraction(1, 3)
+    if problem == "disk":
+        text = f"problem = disk\ng = {_pl(EDGE_DISK)}\nr = {point}\ntheta = {theta}\n"
+    else:
+        text = f"problem = interval\ng = {_pl(EDGE_INTERVAL)}\nt = {point}\nx = {x}\n"
+    got = _oracle_value(tmp_path, capsys, problem, text, bits)
+    order = json.loads((tmp_path / f"{problem}.json").read_text())["plan"]["order"]
+    assert summed == [order]
+    with mp.workdps(40):
+        p = mp.mpf(point.numerator) / point.denominator
+        third = mp.mpf(1) / 3
+        want = poisson_oracle(EDGE_DISK, p, third) if problem == "disk" \
+            else image_oracle(EDGE_INTERVAL, p, third)
+        assert abs(got - want) <= mp.mpf(2) ** -bits

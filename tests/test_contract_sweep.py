@@ -6,9 +6,10 @@ PreconditionError (exit 3); any other exception or a looser bound fails.
 The ball and the half-line initial data accept every input they draw, and
 their values must also sit within that bound of an mpmath oracle, as must
 the values of declared modes on the disk and the interval (closed forms).
-Amplitude, alpha, window, t, r/x and bits all vary.  The profile is
-derandomised with a fixed example count, so every run checks the same
-inputs.
+The disk and the interval must solve every input they draw: radii in
+[0, 1) and times down to 2^-20.  Amplitude, alpha, window, t, r/x and bits
+all vary.  The profile is derandomised with a fixed example count, so every
+run checks the same inputs.
 """
 
 from fractions import Fraction as F
@@ -18,8 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from certheat.cli import SOLVERS
+from certheat.cli import SOLVERS, parse_boundary_fn, parse_interval_fn
 from certheat.errors import PreconditionError
+from certheat.heat import IntervalHeatProblem, plan_interval, solve_interval
+from certheat.laplace import DiskProblem, plan_disk, solve_disk
 
 SWEEP = settings(max_examples=150, derandomize=True, database=None, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -46,6 +49,11 @@ def check(cfg: dict, oracle=None, solves: bool = False) -> None:
     except PreconditionError:
         assert oracle is None and not solves, cfg
         return
+    within(value, n, cfg, oracle)
+
+
+def within(value, n: int, cfg: dict, oracle=None) -> None:
+    """value's bound is at most 2^-n and, with an oracle, holds oracle(cfg)."""
     assert value.err_fraction() <= F(1, 2 ** n), cfg
     if oracle is not None:
         with mp.workdps(50):
@@ -150,20 +158,21 @@ def interval_data(a, L) -> list[str]:
 @given(st.data())
 def test_disk(data):
     g = data.draw(st.sampled_from(disk_data(data.draw(amplitude))))
-    r0 = data.draw(st.sampled_from([F(1, 2), F(9, 10)]))
-    check({"problem": "disk", "g": g, "r0": r0, "r": data.draw(frac(0, 64, 64)) * r0,
+    check({"problem": "disk", "g": g, "r": data.draw(frac(0, 99, 100)),
            "theta": data.draw(frac(0, 63, 32)), "bits": data.draw(st.integers(2, 40))},
-          None if g.startswith("pl") else disk_oracle)
+          None if g.startswith("pl") else disk_oracle, solves=True)
 
 
 @pytest.mark.parametrize("a", [F(1), F(-5, 2), F(10 ** 8)])
 @pytest.mark.parametrize("r0", [F(1, 2), F(9, 10)])
 def test_disk_at_r0(a, r0):
-    # the plan's order is what a solve at r0 sums, so the window's edge
-    # must solve at full precision
+    # the plan's order is what a solve at r0 sums, so a problem planned
+    # once for many radii must solve its largest at full precision
     for g in disk_data(a):
-        check({"problem": "disk", "g": g, "r0": r0, "r": r0, "theta": F(5, 16), "bits": 64},
-              None if g.startswith("pl") else disk_oracle, solves=True)
+        p = DiskProblem(parse_boundary_fn(g), r0)
+        cfg = {"g": g, "r": r0, "theta": F(5, 16)}
+        within(solve_disk(p, r0, cfg["theta"], 64, plan_disk(p, 64)), 64, cfg,
+               None if g.startswith("pl") else disk_oracle)
 
 
 @SWEEP
@@ -182,24 +191,25 @@ def test_interval(data):
     a = data.draw(amplitude)
     L = data.draw(st.sampled_from([F(1), F(2)]))
     g = data.draw(st.sampled_from(interval_data(a, L)))
-    t0 = data.draw(st.sampled_from([F(1, 256), F(1, 16), F(1, 4)]))
-    check({"problem": "interval", "g": g, "l": L, "alpha": data.draw(alpha), "t0": t0,
-           "t": t0 + data.draw(frac(0, 16, 16)), "x": data.draw(frac(0, 16, 16)) * L,
-           "bits": data.draw(st.integers(2, 48))},
-          sine_oracle if g.startswith("sine") else None)
+    t = data.draw(st.one_of(frac(1, 32, 16), st.sampled_from([F(1, 2 ** 20), F(1, 256)])))
+    check({"problem": "interval", "g": g, "l": L, "alpha": data.draw(alpha), "t": t,
+           "x": data.draw(frac(0, 16, 16)) * L, "bits": data.draw(st.integers(2, 48))},
+          sine_oracle if g.startswith("sine") else None, solves=True)
 
 
 @pytest.mark.parametrize("a", [F(1), F(-5, 2), F(10 ** 8)])
 @pytest.mark.parametrize("t0", [F(1, 256), F(1, 16), F(1, 4)])
 def test_interval_just_after_t0(a, t0):
-    # the decay bound at t rounds, so it can exceed t0's just after t0; the
-    # solve must still stay within the plan's order
+    # the decay bound at t rounds, so it can exceed t0's just after t0; a
+    # problem planned once at t0 must still solve there within its order
+    t = t0 + F(1, 2 ** 80)
     for L in (F(1), F(2)):
         for g in interval_data(a, L):
             for alph in (F(1), F(4), F(1, 256)):
-                check({"problem": "interval", "g": g, "l": L, "alpha": alph, "t0": t0,
-                       "t": t0 + F(1, 2 ** 80), "x": L * F(5, 16), "bits": 64},
-                      sine_oracle if g.startswith("sine") else None, solves=True)
+                p = IntervalHeatProblem(L, alph, parse_interval_fn(g, L), t0)
+                cfg = {"g": g, "l": L, "alpha": alph, "t": t, "x": L * F(5, 16)}
+                within(solve_interval(p, t, cfg["x"], 64, plan_interval(p, 64)), 64, cfg,
+                       sine_oracle if g.startswith("sine") else None)
 
 
 @SWEEP

@@ -460,7 +460,7 @@ def test_interval_reduction_examples():
     ramp = piecewise_linear_fn([(F(0), F(0)), (F(1), F(1))])
     red2 = hardness_initial_interval(F(1, 4), F(1, 2), ramp).hardness
     assert_close(red2.certified_point_value(20), 1 / (2 * mp.sqrt(mp.pi)), 20)
-    ival = integrate(red2.gtilde, 0, 1, 30)
+    ival = integrate(red2.profile, 0, 1, 30)
     assert abs(ival.value_fraction() - F(1, 2)) <= ival.err_fraction()
 
 
@@ -477,13 +477,13 @@ def test_interval_reduction_weight_cancels():
     tent = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
     tstar = hardness_initial_interval(F(1, 4), F(1, 2), tent)
     tred = tstar.hardness
-    grid = [a for _, _, a, _ in tred.gtilde.pieces] + [F(1)]
+    grid = [a for _, _, a, _ in tred.profile.pieces] + [F(1)]
     walk = CertifiedValue.zero()
     for a, b in zip(grid, grid[1:]):
         mid = (a + b) / 2
         drop = exp_cv(-tred.weight_exponent(mid, 48), 44)
         walk = walk + (tstar.eval_cv(mid, 40) * drop).rounded(38).mul_fraction(b - a, 38)
-    direct = integrate(tred.gtilde, 0, 1, 38)
+    direct = integrate(tred.profile, 0, 1, 38)
     assert direct.value_fraction() == F(1, 2)
     assert abs(walk.value_fraction() - F(1, 2)) <= walk.err_fraction()
 

@@ -11,7 +11,7 @@ import pytest
 from certheat.errors import PreconditionError
 from certheat.series import (TruncationPlan, arith_geom_sum, gaussian_tail,
                              geometric_cap, geometric_tail, higher_arith_geom,
-                             least_passing, point_order)
+                             point_order)
 
 
 def brute_arith_geom(m: int, x: Fraction, tol: Fraction) -> Fraction:
@@ -164,34 +164,18 @@ def test_over_budget_plans_raise_under_python_O():
     assert run.returncode == 0, run.stderr
 
 
-def test_least_passing_finds_least_value():
+def test_point_order_finds_the_least_passing_order():
+    budget = Fraction(1, 2 ** 9)
     for threshold in range(0, 200):
-        for start, floor in ((1, 0), (5, 1), (7, 7)):
-            calls = []
+        calls = []
 
-            def ok(m):
-                calls.append(m)
-                return m >= threshold
+        def tail(m):
+            calls.append(m)
+            return budget if m >= threshold else 2 * budget
 
-            assert least_passing(ok, start, floor, 1 << 20, "unused") \
-                == max(threshold, floor)
-            assert min(calls) >= floor
-
-
-def test_least_passing_respects_floor_and_start():
-    # everything passes: the answer is the floor, never below it
-    assert least_passing(lambda m: True, 16, 3, 1 << 20, "unused") == 3
-    # a floor equal to the start with a passing start does no search
-    assert least_passing(lambda m: m >= 2, 10, 10, 1 << 20, "unused") == 10
-    # doubling stops at the first passing power-of-two multiple of start
-    assert least_passing(lambda m: m >= 37, 3, 3, 1 << 20, "unused") == 37
-
-
-def test_least_passing_raises_at_cap():
-    with pytest.raises(AssertionError, match="tail bound failed to close"):
-        least_passing(lambda m: m > 1000, 1, 0, 512, "tail bound failed to close")
-    # reaching the cap exactly is still allowed
-    assert least_passing(lambda m: m >= 512, 1, 0, 512, "unused") == 512
+        assert point_order(tail, 8, 1 << 20, "unused") == (threshold, budget)
+        # doubling from 1, then bisecting: logarithmically many probes
+        assert len(calls) <= 2 * threshold.bit_length() + 3
 
 
 def test_gaussian_tail_bounds_the_sum():
@@ -223,3 +207,6 @@ def test_point_order_is_least_under_the_cap():
 def test_point_order_raises_past_its_cap():
     with pytest.raises(AssertionError, match="point tail"):
         point_order(lambda m: Fraction(1, m + 1), 10, 50, "point tail")
+    # reaching the cap exactly is still allowed
+    assert point_order(lambda m: Fraction(1, 2 ** 11) if m >= 512 else Fraction(1),
+                       10, 512, "unused") == (512, Fraction(1, 2 ** 11))

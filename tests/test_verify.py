@@ -13,7 +13,7 @@ def test_suite_names_cover_modules():
 
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError):
-        run_suite("sphere")
+        run_suite("sphere", 0)
 
 
 def test_all_suites_pass():
