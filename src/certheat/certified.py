@@ -176,8 +176,8 @@ class CertifiedValue:
         return CertifiedValue(self.m, self.s, nen, nes)
 
     def widen_fraction(self, extra: Fraction) -> "CertifiedValue":
-        """Add the extra error ``extra``, rounded up to the few bits past
-        _ERR_BITS that an error mantissa keeps, whatever extra's size."""
+        """Add the error bound ``extra``, rounded up to about _ERR_BITS + 2
+        significant bits, so the cost does not grow with extra's integers."""
         if extra <= 0:
             return self
         num, den = extra.numerator, extra.denominator
