@@ -207,6 +207,15 @@ def test_point_order_is_least_under_the_cap():
 def test_point_order_raises_past_its_cap():
     with pytest.raises(AssertionError, match="point tail"):
         point_order(lambda m: Fraction(1, m + 1), 10, 50, "point tail")
+
+
+def test_least_passing_raises_at_cap():
+    # the least passing order is searched only up to the cap
+    def tail(m):
+        return Fraction(1, 2 ** 11) if m > 1000 else Fraction(1)
+
+    with pytest.raises(AssertionError, match="tail bound failed to close"):
+        point_order(tail, 10, 512, "tail bound failed to close")
     # reaching the cap exactly is still allowed
     assert point_order(lambda m: Fraction(1, 2 ** 11) if m >= 512 else Fraction(1),
                        10, 512, "unused") == (512, Fraction(1, 2 ** 11))
