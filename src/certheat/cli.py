@@ -239,8 +239,7 @@ def parse_sph_fn(spec: str) -> EvaluableFunction:
         raise ConfigError("sph: need at least one mode")
     sup = sum(map(abs, modes.values()), Fraction(0))
     return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=sup,
-                             modulus=lambda k: k + 4, eval_cv=None,
-                             label=spec, sph_modes=modes)
+                             eval_cv=None, label=spec, sph_modes=modes)
 
 
 # ---------------------------------------------------------------------------

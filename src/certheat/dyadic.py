@@ -176,9 +176,3 @@ def round_to(value: Rational, n: int) -> DyadicDecimal:
     f = as_fraction(value)
     m = _round_half_even(f.numerator * (1 << n), f.denominator)
     return DyadicDecimal(m < 0, abs(m), n)
-
-
-def approximates(d: DyadicDecimal, target: Rational) -> bool:
-    """True iff ``|value(d) - target| <= 2**-pcs(d)``, decided exactly."""
-    diff = abs(d.as_fraction() - as_fraction(target))
-    return diff <= Fraction(1, 1 << d.pcs)

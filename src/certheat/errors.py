@@ -6,12 +6,9 @@ class CertHeatError(Exception):
 
 
 class PreconditionError(CertHeatError):
-    """An operation was called outside its stated domain."""
-
-
-class QuadratureBudgetError(CertHeatError):
-    """The declared modulus cannot meet the error budget within the
-    configured maximum number of subdivisions."""
+    """An operation was called outside its stated domain, or on data that
+    lacks the structure it reads (declared modes, exact pieces, a uniform
+    grid or polynomial coefficients)."""
 
 
 class InsufficientPrecision(CertHeatError):

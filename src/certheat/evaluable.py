@@ -1,12 +1,12 @@
 """Function handles the solvers can evaluate with certified error.
 
-An :class:`EvaluableFunction` is pointwise access to a continuous function:
-a certified evaluator, a modulus of continuity, a closed rational domain and
-a sup-norm bound.  Constructors for the shapes the solvers understand attach
-structure metadata (trig polynomial, sine modes, linear pieces, uniform
-grid, polynomial coefficients) that lets integration read off exact values
-instead of brute-force sampling; the generic pointwise contract still holds
-either way.  Piecewise-linear data is read as its pieces (c0, c1, a, b)
+An :class:`EvaluableFunction` is a continuous function on a closed rational
+domain with a sup-norm bound, a certified evaluator and the structure the
+solvers read: declared modes (trig polynomial, sine modes, spherical
+harmonics), or exact pieces, a uniform grid or polynomial coefficients.
+Every constructor here declares one of these (the counting reductions
+attach their own identity instead), and the solvers refuse data that
+declares none.  Piecewise-linear data is read as its pieces (c0, c1, a, b)
 through :func:`linear_pieces`, and every closed form for it keeps one term
 per point of its jump list, :func:`pl_jumps`.
 
@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .certified import CertifiedValue, cos_pi_mul_cv, sin_pi_mul_cv
-from .dyadic import DyadicDecimal, as_fraction, round_to
-from .series import require
+from .dyadic import as_fraction
 
 Pieces = list[tuple[Fraction, Fraction, Fraction, Fraction]]  # (c0, c1, a, b)
 
@@ -43,12 +42,6 @@ def _guard_bits(scale: Fraction) -> int:
     """Extra bits for a sum of evaluated terms whose coefficients total
     ``scale``: each term's error is its coefficient times the term's."""
     return max(0, _log2_ceil(scale)) if scale else 0
-
-
-def lipschitz_modulus(bound: Fraction) -> Callable[[int], int]:
-    """Modulus for a function with |f(x)-f(y)| <= bound * |x-y|."""
-    shift = max(0, _log2_ceil(bound)) if bound > 0 else 0
-    return lambda k: max(k, 0) + shift
 
 
 class TrigPoly:
@@ -74,15 +67,6 @@ class TrigPoly:
     def sup_bound(self) -> Fraction:
         return abs(self.const) + self.coeff_l1()
 
-    def lipschitz_pi_units(self) -> Fraction:
-        # d/drho = pi * d/dtau; bound pi by 4
-        total = Fraction(0)
-        for k, c in self.sin_coeffs.items():
-            total += k * abs(c)
-        for k, c in self.cos_coeffs.items():
-            total += k * abs(c)
-        return 4 * total
-
     def eval_cv(self, rho: Fraction, p: int) -> CertifiedValue:
         terms = max(1, len(self.sin_coeffs) + len(self.cos_coeffs))
         pp = p + terms.bit_length() + 2 + _guard_bits(self.coeff_l1())
@@ -95,21 +79,28 @@ class TrigPoly:
 
 
 class EvaluableFunction:
-    """Pointwise-evaluable function with modulus, domain and sup bound.
+    """Certified pointwise evaluation with domain, sup bound and structure.
 
     ``eval_exact`` is exact rational evaluation, when the shape admits one.
-    The rest is structure metadata for the exact integration paths:
-    ``sine_modes`` is {k: c_k} with g(x) = sum of c_k sin(k pi x / L) on the
-    domain [0, L]; ``pieces`` are contiguous exact (c0, c1, a, b) with
-    g = c0 + c1 y on [a, b], covering the domain continuously; g is linear
-    on each of ``linear_segments`` uniform segments, read by ``eval_exact``;
-    and ``segment_sum(first, last)`` is the exact sum over uniform segments
+    The rest is the structure the solvers read; data declares at least one
+    of these, or carries a counting reduction (``hardness``):
+
+    * ``trig_poly``, modes on the circle;
+    * ``sph_modes``, orthonormal harmonics {(l, m): c} on the sphere;
+    * ``sine_modes``, {k: c_k} with g(x) = sum of c_k sin(k pi x / L) on
+      the domain [0, L];
+    * ``pieces``, contiguous exact (c0, c1, a, b) with g = c0 + c1 y on
+      [a, b], covering the domain continuously;
+    * ``linear_segments``, the count of uniform segments g is linear on,
+      read by ``eval_exact``;
+    * ``poly_coeffs``.
+
+    ``segment_sum(first, last)`` is the exact sum over uniform segments
     first .. last - 1 of the value at each midpoint a + (j + 1/2) w: equal
     to summing eval_exact there, but one call for the whole run.
     """
 
     def __init__(self, domain: tuple[Fraction, Fraction], sup_bound: Fraction,
-                 modulus: Callable[[int], int],
                  eval_cv: Callable[[Fraction, int], CertifiedValue],
                  label: str = "",
                  eval_exact: Optional[Callable[[Fraction], Fraction]] = None,
@@ -124,7 +115,6 @@ class EvaluableFunction:
                  sph_modes: Optional[dict[tuple[int, int], Fraction]] = None):
         self.domain = domain
         self.sup_bound = sup_bound
-        self.modulus = modulus
         self.eval_cv = eval_cv
         self.label = label
         self.eval_exact = eval_exact
@@ -137,13 +127,6 @@ class EvaluableFunction:
         self.smooth_model = smooth_model
         self.hardness = hardness
         self.sph_modes = sph_modes
-
-    def eval(self, d: DyadicDecimal, n: int) -> DyadicDecimal:
-        """Public contract: |result - f(value(d))| <= 2^-n.  The evaluator
-        must certify 2^-(n+1); rounding to n + 1 bits adds at most that."""
-        cv = self.eval_cv(d.as_fraction(), n + 1)
-        require("evaluator error", cv.err_fraction(), Fraction(1, 1 << (n + 1)))
-        return round_to(cv.value_fraction(), n + 1)
 
 
 def linear_pieces(fn: EvaluableFunction) -> Optional[Pieces]:
@@ -186,11 +169,9 @@ def pl_jumps(pieces: Pieces) -> list[tuple[Fraction, Fraction, Fraction]]:
 
 
 def trig_poly_fn(tp: TrigPoly, label: str = "") -> EvaluableFunction:
-    lip = tp.lipschitz_pi_units()
     return EvaluableFunction(
         domain=(Fraction(0), Fraction(2)),
         sup_bound=tp.sup_bound(),
-        modulus=lipschitz_modulus(lip),
         eval_cv=tp.eval_cv,
         label=label or "trig-poly",
         trig_poly=tp,
@@ -202,8 +183,6 @@ def sine_modes_fn(modes: dict[int, Fraction], L: Fraction, label: str = "") -> E
     L = as_fraction(L)
     modes = {int(k): as_fraction(c) for k, c in modes.items() if c != 0}
     sup = sum(map(abs, modes.values()), Fraction(0))
-    lip = sum((4 * k / L) * abs(c) for k, c in modes.items())
-
     guard = _guard_bits(sup)
 
     def ev(x: Fraction, p: int) -> CertifiedValue:
@@ -216,7 +195,6 @@ def sine_modes_fn(modes: dict[int, Fraction], L: Fraction, label: str = "") -> E
     return EvaluableFunction(
         domain=(Fraction(0), L),
         sup_bound=sup if sup else Fraction(1, 2 ** 30),
-        modulus=lipschitz_modulus(lip if lip else Fraction(1)),
         eval_cv=ev,
         label=label or "sine-modes",
         sine_modes=modes,
@@ -232,7 +210,6 @@ def piecewise_linear_fn(points: list[tuple[Fraction, Fraction]], label: str = ""
     ys = [y for _, y in pts]
     pieces = _pieces_through(xs, ys)
     sup = max(map(abs, ys))
-    slope = max(abs(c1) for _, c1, _, _ in pieces)
 
     def exact(x: Fraction) -> Fraction:
         if not xs[0] <= x <= xs[-1]:
@@ -243,7 +220,6 @@ def piecewise_linear_fn(points: list[tuple[Fraction, Fraction]], label: str = ""
     return EvaluableFunction(
         domain=(xs[0], xs[-1]),
         sup_bound=sup if sup else Fraction(1, 2 ** 30),
-        modulus=lipschitz_modulus(slope if slope else Fraction(1)),
         eval_cv=lambda x, p: CertifiedValue.from_fraction(exact(x), p + 2),
         label=label or "piecewise-linear",
         eval_exact=exact,
@@ -259,7 +235,6 @@ def polynomial_fn(coeffs: list[Fraction], domain: tuple[Fraction, Fraction],
     lo, hi = as_fraction(domain[0]), as_fraction(domain[1])
     big = max(abs(lo), abs(hi), Fraction(1))
     sup = sum(abs(c) * big ** i for i, c in enumerate(cs))
-    lip = sum(i * abs(c) * big ** (i - 1) for i, c in enumerate(cs) if i)
     c0, c1 = (cs + [Fraction(0)] * 2)[:2]
 
     def exact(x: Fraction) -> Fraction:
@@ -271,7 +246,6 @@ def polynomial_fn(coeffs: list[Fraction], domain: tuple[Fraction, Fraction],
     return EvaluableFunction(
         domain=(lo, hi),
         sup_bound=sup if sup else Fraction(1, 2 ** 30),
-        modulus=lipschitz_modulus(lip if lip else Fraction(1)),
         eval_cv=lambda x, p: CertifiedValue.from_fraction(exact(x), p + 2),
         label=label or "polynomial",
         eval_exact=exact,

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from .certified import CertifiedValue, pi_cv, sqrt_cv
 from .errors import (CertHeatError, ConfigError, InsufficientPrecision,
                      PreconditionError)
-from .evaluable import EvaluableFunction, lipschitz_modulus
+from .evaluable import EvaluableFunction
 from .heat import hardness_initial_interval, solve_neumann_constant_force
 from .laplace import hardness_boundary_disk
 from .record import Record
@@ -130,7 +130,6 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
     fn = EvaluableFunction(
         domain=(Fraction(0), Fraction(1)),
         sup_bound=height,
-        modulus=lipschitz_modulus(Fraction(4)),
         eval_cv=lambda x, p: CertifiedValue.from_fraction(value(x), p + 2),
         label=f"counting-{nv}",
         eval_exact=value,

@@ -43,11 +43,10 @@ from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
                         gauss_ladder, gauss_primitive_cv, pi_cv, recip_cv, recip_pi_cv,
                         recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
 from .dyadic import as_fraction
-from .errors import PreconditionError, QuadratureBudgetError
+from .errors import PreconditionError
 from .evaluable import (EvaluableFunction, _guard_bits, _log2_ceil, linear_pieces,
-                        lipschitz_modulus, pl_jumps, polynomial_fn)
-from .quadrature import (breakpoint_series, int_pl_trig_pi, integral_exact, integrate,
-                         trig_product_integral)
+                        pl_jumps, polynomial_fn)
+from .quadrature import breakpoint_series, integral_exact, integrate
 from .record import Record
 from .series import (TruncationPlan, declared_modes_plan, gaussian_tail, geometric_cap,
                      point_order, require)
@@ -127,7 +126,6 @@ def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
     fn = EvaluableFunction(
         domain=(Fraction(0), Fraction(2)),
         sup_bound=abs(amp) if amp else Fraction(1, 1 << 30),
-        modulus=lipschitz_modulus(2 * abs(amp) if amp else Fraction(1)),
         eval_cv=ev,
         label="sin-half-profile",
         sine_modes={1: amp},
@@ -146,12 +144,12 @@ def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
 class IntervalHeatProblem(Record):
     """Diffusion on [0, L] with Dirichlet ends, initial data g, times >= t0.
 
-    The plan's order is what a solve at t0 sums.  One solve plans at its own
-    t; many solves plan once at their earliest.  ``pieces`` is
-    ``linear_pieces(g)``, read once here for every solve, and so, when g has
-    pieces, is their ``pl_jumps`` list ``jumps``; ``rho0``, the decay bound
-    at t0, is computed on first use.  These derived fields take no part in
-    equality or ``repr``.
+    g declares sine modes or linear pieces.  The plan's order is what a
+    solve at t0 sums.  One solve plans at its own t; many solves plan once
+    at their earliest.  ``pieces`` is ``linear_pieces(g)``, read once here
+    for every solve, and so, when g has pieces, is their ``pl_jumps`` list
+    ``jumps``; ``rho0``, the decay bound at t0, is computed on first use.
+    These derived fields take no part in equality or ``repr``.
     """
 
     _fields = ("L", "alpha", "g", "t0")
@@ -166,6 +164,8 @@ class IntervalHeatProblem(Record):
         if self.g.domain != (Fraction(0), self.L):
             raise PreconditionError("initial data must live on [0, L]")
         self.pieces = linear_pieces(self.g)
+        if self.pieces is None and self.g.sine_modes is None:
+            raise PreconditionError("initial data must declare sine modes or linear pieces")
         self.jumps = pl_jumps(self.pieces) if self.pieces is not None else None
 
     @cached_property
@@ -174,20 +174,14 @@ class IntervalHeatProblem(Record):
 
 
 def sine_coeff(p: IntervalHeatProblem, k: int, prec: int) -> CertifiedValue:
-    """Certified mu_k = (2/L) * integral of g(y) sin(k pi y / L) over [0, L]."""
+    """Certified mu_k = (2/L) * integral of g(y) sin(k pi y / L) over [0, L],
+    read off g's declared sine modes by orthogonality.  Piecewise-linear data
+    forms no coefficient (:func:`_solve_interval_pl`)."""
     if k < 1:
         raise PreconditionError("mode index must be at least 1")
-    g, L = p.g, p.L
-    if g.sine_modes is not None:
-        # orthogonality reads the coefficient off exactly
-        return _exact_cv(g.sine_modes.get(k, Fraction(0)), prec)
-    segs = p.pieces
-    if segs is not None:
-        # substitute y = L rho so the oscillation is in pi-units
-        scaled = [(c0, c1 * L, a / L, b / L) for c0, c1, a, b in segs]
-        acc, _ = int_pl_trig_pi(scaled, k, 0, prec + 2)
-        return acc.mul_exact(2).rounded(prec + 2)
-    return trig_product_integral(g, k / L, "sin", prec + 1).mul_fraction(2 / L, prec)
+    if p.g.sine_modes is None:
+        raise PreconditionError("sine coefficients need declared sine modes")
+    return _exact_cv(p.g.sine_modes.get(k, Fraction(0)), prec)
 
 
 # What depends only on the time slice rate = alpha t / L^2 (and on the
@@ -235,17 +229,16 @@ def plan_interval(p: IntervalHeatProblem, n: int) -> TruncationPlan:
 def solve_interval(p: IntervalHeatProblem, t, x, n: int,
                    plan: TruncationPlan | None = None) -> CertifiedValue:
     """Certified u(t, x) with |error| <= 2^-n for t >= t0.  Declared modes
-    are all summed and leave no tail; other data sums only the modes t
-    needs, and the plan's order caps them."""
+    are all summed and leave no tail; piecewise-linear data sums only the
+    modes t needs (:func:`_solve_interval_pl`), and the plan's order caps
+    them."""
     t, x = as_fraction(t), as_fraction(x)
     if t < p.t0:
         raise PreconditionError("evaluation time below the declared t0")
     if not 0 <= x <= p.L:
         raise PreconditionError("evaluation point outside [0, L]")
     rate = p.alpha * t / (p.L * p.L)
-    if p.g.sine_modes is not None:
-        ks, extra = sorted(p.g.sine_modes), Fraction(0)
-    else:
+    if p.g.sine_modes is None:
         if plan is None:
             plan = plan_interval(p, n)
         # |mu_k| <= 2||g|| and mode k decays like rho^(k^2).  e^{-pi^2 rate}
@@ -253,9 +246,8 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
         # lesser; either is a bound at t, and the lesser keeps K within the plan.
         rho = min(_decay_bound(rate), p.rho0)
         K, extra = _mode_count(2 * p.g.sup_bound, rho, n, plan.order)
-        if p.pieces is not None:
-            return _solve_interval_pl(p, rate, x, K, n).widen_fraction(extra)
-        ks = range(1, K + 1)
+        return _solve_interval_pl(p, rate, x, K, n).widen_fraction(extra)
+    ks = sorted(p.g.sine_modes)
     pc = n + 1 + (len(ks) + 1).bit_length() + 4 \
         + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
     pisq = (pi_cv(pc + 8) * pi_cv(pc + 8)).rounded(pc + 8)
@@ -268,7 +260,7 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
         term = (mu * decay).rounded(pc) * sin_pi_mul_cv(k * x / p.L, pc)
         acc = (acc + term.rounded(pc)).rounded(pc)
     require("interval assembly", acc.err_fraction(), Fraction(1, 1 << (n + 2)))
-    return acc.widen_fraction(extra).rounded(n + 4)
+    return acc.rounded(n + 4)
 
 
 def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: int,
@@ -348,11 +340,6 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFun
     # e^{ceil(1 / (4 t0))} bounds the weight: E before its 1/pi factor
     wsup = exp_cv(Fraction(_ceil_div(1, 4 * t0)), 20).upper_fraction()
     sup = g_hard.sup_bound * wsup
-    # weight Lipschitz bound: |E'| e^{Emax} with |E'| <= 2 / (4 t0 pi)
-    wlip = wsup * 2 / (4 * t0)
-    b1 = max(0, _log2_ceil(max(wsup, 1)))
-    b2 = max(0, _log2_ceil(max(g_hard.sup_bound, 1)))
-    wmod = lipschitz_modulus(wlip if wlip else Fraction(1))
 
     def ev(y, p: int) -> CertifiedValue:
         y = as_fraction(y)
@@ -362,7 +349,6 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFun
     gstar = EvaluableFunction(
         domain=(Fraction(0), Fraction(1)),
         sup_bound=sup if sup else Fraction(1, 1 << 30),
-        modulus=lambda k: max(g_hard.modulus(k + 1 + b1), wmod(k + 1 + b2)),
         eval_cv=ev,
         label="reweighted-initial-data",
     )
@@ -442,7 +428,7 @@ def _data_endpoints(f: EvaluableFunction, x: Fraction) -> dict[Fraction, tuple]:
     """
     segs = linear_pieces(f)
     if segs is None:
-        raise QuadratureBudgetError(
+        raise PreconditionError(
             "space data must be piecewise linear or affine for the closed form")
     jumps = pl_jumps(segs)
     out: dict[Fraction, tuple] = {}

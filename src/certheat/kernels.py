@@ -129,19 +129,6 @@ def _assoc_legendre_cs(l: int, m: int, c: CertifiedValue, s: CertifiedValue,
     return cur.rounded(p + 4)
 
 
-def assoc_legendre(l: int, m: int, x, p: int) -> CertifiedValue:
-    """Certified associated Legendre P_l^m(x) for |x| <= 1."""
-    if not 0 <= m <= l:
-        raise PreconditionError("need 0 <= m <= l")
-    x = as_fraction(x)
-    if abs(x) > 1:
-        raise PreconditionError("|x| must be at most 1")
-    pp = p + 8
-    c = CertifiedValue.from_fraction(x, pp)
-    s = sqrt_cv(1 - x * x, pp)
-    return _assoc_legendre_cs(l, m, c, s, p)
-
-
 def real_sph_harmonic_3d(l: int, m: int, theta, phi, p: int) -> CertifiedValue:
     """Real orthonormal Y_{l,m} on S^2; theta, phi in units of pi.
 

@@ -15,8 +15,9 @@ with exact comparisons only.
 Piecewise-linear disk data (``linear_pieces``) forms no Fourier
 coefficient: integrating by parts twice leaves one series per point of the
 data's jump list (``pl_jumps``, the ends merged into the seam), summed by one
-rotation each (:func:`_solve_disk_pl`); other data without declared modes
-integrates each coefficient.
+rotation each (:func:`_solve_disk_pl`).  The counting-reduction data
+(:class:`DiskReduction`) sums its Fourier coefficients, each in closed form
+on the pieces of its profile; data of no such kind is refused.
 
 Data given as finitely many declared modes (trig polynomials on the disk,
 spherical harmonics on the ball) has an exactly finite solution: every mode
@@ -33,12 +34,10 @@ from typing import Callable
 
 from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, rotation_pi
 from .dyadic import as_fraction
-from .errors import PreconditionError, QuadratureBudgetError
-from .evaluable import (EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces,
-                        lipschitz_modulus, pl_jumps)
+from .errors import PreconditionError
+from .evaluable import EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces, pl_jumps
 from .kernels import real_sph_harmonic_3d
-from .quadrature import (MAX_PANELS, breakpoint_series, int_pl_trig_pi,
-                         integral_exact, integrate, trig_product_integral)
+from .quadrature import breakpoint_series, int_pl_trig_pi, integral_exact
 from .record import Record
 from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_order,
                      require)
@@ -47,7 +46,8 @@ from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_o
 class DiskProblem(Record):
     """Dirichlet data on the unit circle with a guaranteed evaluation radius.
 
-    g lives on [0,2] in pi-units; r0 < 1 bounds the radii r a solve takes,
+    g lives on [0,2] in pi-units and declares trig modes, linear pieces or a
+    :class:`DiskReduction`; r0 < 1 bounds the radii r a solve takes,
     and the plan's order is what a solve at r0 sums.  One solve plans at its
     own r; many solves plan once at their largest.  ``pieces`` is
     ``linear_pieces(g)``, read once here for every solve; so are, when g has
@@ -69,12 +69,15 @@ class DiskProblem(Record):
         lo, hi = self.g.domain
         if (lo, hi) != (Fraction(0), Fraction(2)):
             raise PreconditionError("boundary data must live on [0,2] in pi-units")
+        self.pieces = pieces = linear_pieces(self.g)
+        if pieces is None and self.g.trig_poly is None \
+                and not isinstance(self.g.hardness, DiskReduction):
+            raise PreconditionError("boundary data must declare trig modes or linear pieces")
         a = self.g.eval_cv(Fraction(0), 20)
         b = self.g.eval_cv(Fraction(2), 20)
         gap = abs(a.value_fraction() - b.value_fraction())
         if gap > a.err_fraction() + b.err_fraction() + Fraction(1, 2 ** 18):
             raise PreconditionError("boundary data is not periodic at the seam")
-        self.pieces = pieces = linear_pieces(self.g)
         if pieces is not None:
             (_, j0, d0), *inner, (_, j2, d2) = pl_jumps(pieces)
             self.jumps = [(y, J, D) for y, J, D in [(Fraction(0), j0 + j2, d0 + d2), *inner]
@@ -92,9 +95,10 @@ def fourier_coeffs(g: EvaluableFunction, k: int, prec: int):
 
     a_k = (1/pi) * integral of g sin(k tau) over a full period, which in
     pi-units is the plain integral of g(rho) sin(k pi rho) over [0,2];
-    likewise for b_k with cosine (so b_0 is twice the mean of g).  Data that
-    :func:`linear_pieces` accepts takes the breakpoint closed form
-    (:func:`int_pl_trig_pi`).
+    likewise for b_k with cosine (so b_0 is twice the mean of g).  Declared
+    trig modes are read off; counting-reduction data takes the closed form of
+    :func:`_hardness_fourier`.  Piecewise-linear data forms no coefficient
+    (:func:`_solve_disk_pl`) and, like any other data, is refused here.
     """
     if k < 0:
         raise PreconditionError("coefficient index must be nonnegative")
@@ -103,15 +107,9 @@ def fourier_coeffs(g: EvaluableFunction, k: int, prec: int):
         a = tp.sin_coeffs.get(k, Fraction(0))
         b = 2 * tp.const if k == 0 else tp.cos_coeffs.get(k, Fraction(0))
         return _exact_cv(a, prec), _exact_cv(b, prec)
-    red = getattr(g, "hardness", None)
-    if isinstance(red, DiskReduction):
-        return _hardness_fourier(red, k, prec)
-    pieces = linear_pieces(g)
-    if pieces is not None:
-        a, b = int_pl_trig_pi(pieces, k, 0, prec + 2)
-        return a.rounded(prec + 2), b.rounded(prec + 2)
-    return (trig_product_integral(g, k, "sin", prec),
-            trig_product_integral(g, k, "cos", prec))
+    if isinstance(g.hardness, DiskReduction):
+        return _hardness_fourier(g.hardness, k, prec)
+    raise PreconditionError("Fourier coefficients need declared trig modes or reduction data")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
     Declared modes are all summed, one term per mode, and leave no tail.
     Other data sums the series only as far as r needs, and the plan's order
     caps that: piecewise-linear data over the points of its jump list
-    (:func:`_solve_disk_pl`), the rest over its Fourier coefficients.
+    (:func:`_solve_disk_pl`), reduction data over its Fourier coefficients.
     """
     r, theta = as_fraction(r), as_fraction(theta)
     if not 0 <= r <= p.r0:
@@ -273,10 +271,10 @@ class DiskReduction:
         """
         gt = self.gtilde
         head = integral_exact(self.profile, Fraction(0), Fraction(1))
-        if head is None:  # a profile without exact structure
-            return integrate(gt, 0, 2, n + 1).mul_fraction(Fraction(1, 2), n + 1)
+        if head is None:
+            raise PreconditionError("reduction data needs an exact integral")
         bridge = (gt.eval_exact(Fraction(1)) + gt.eval_exact(Fraction(2))) / 2
-        # n + 4: the scale integrate(gt, 0, 2, n + 1) rounds the same rational to
+        # n + 4 = (n + 1) + 2 + log2 of the width 2, the scale integrate rounds to
         total = CertifiedValue.from_fraction(head + bridge, n + 4)
         return total.mul_fraction(Fraction(1, 2), n + 1)
 
@@ -299,15 +297,9 @@ def interpolated_closure(h: EvaluableFunction) -> EvaluableFunction:
             return h.eval_exact(x)
         return h1 + (h0 - h1) * (x - 1)  # at x = 1 this is h1, already read
 
-    bridge_lip = abs(h0 - h1)
-
-    def mod(k: int) -> int:
-        return max(h.modulus(k), lipschitz_modulus(max(bridge_lip, Fraction(1)))(k))
-
     out = EvaluableFunction(
         domain=(Fraction(0), Fraction(2)),
         sup_bound=max(h.sup_bound, abs(h0), abs(h1), Fraction(1, 2 ** 30)),
-        modulus=mod,
         eval_cv=lambda x, p: CertifiedValue.from_fraction(exact(x), p + 2),
         label=(h.label or "profile") + "-closure",
         eval_exact=exact,
@@ -341,18 +333,10 @@ def hardness_boundary_disk(r0, theta0, h: EvaluableFunction) -> EvaluableFunctio
             cos_pi_mul_cv(theta0 - rho, pp).mul_fraction(2 * r0, pp)
         return (gt.eval_cv(rho, pp) * kern).mul_fraction(inv_den, pp).rounded(p)
 
-    dmax = (1 + r0) / (1 - r0) if r0 else Fraction(1)
-    dlip = 8 * r0 * inv_den  # |d/drho| of the kernel factor, pi <= 4
-    shift = max(0, _log2_ceil(dmax)) + 1
-
-    def mod(k: int) -> int:
-        return max(gt.modulus(k + shift),
-                   lipschitz_modulus(max(gt.sup_bound * dlip, Fraction(1)))(k + 1))
-
+    dmax = (1 + r0) / (1 - r0) if r0 else Fraction(1)  # the kernel factor's top
     out = EvaluableFunction(
         domain=(Fraction(0), Fraction(2)),
         sup_bound=gt.sup_bound * dmax,
-        modulus=mod,
         eval_cv=ev,
         label="reduction-boundary",
     )
@@ -401,16 +385,10 @@ class BallProblem(Record):
 
 
 def _declared_modes(g: EvaluableFunction) -> dict:
-    """g's declared orthonormal-harmonic modes {(l, m): c}.
-
-    Data given only through pointwise evaluation would need certified
-    product quadrature over the whole sphere, whose panel count is far
-    beyond the budget cap at any useful precision.
-    """
+    """g's declared orthonormal-harmonic modes {(l, m): c}; the ball takes
+    no other data."""
     if g.sph_modes is None:
-        raise QuadratureBudgetError(
-            "boundary data has no declared harmonic modes; certified sphere "
-            f"quadrature would exceed {MAX_PANELS} panels")
+        raise PreconditionError("ball data must declare its harmonic modes")
     return g.sph_modes
 
 

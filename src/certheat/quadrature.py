@@ -1,26 +1,19 @@
-"""Certified integration.
+"""Certified integration of data with exact structure.
 
-Two regimes:
-
-* Polynomials, declared linear pieces and uniform grids with exact
-  evaluation integrate exactly: the midpoint rule is exact on each linear
-  piece, so one exact midpoint value per piece (clipped to the requested
-  range) gives the true integral, a rational rounded once.  A uniform grid
-  is walked by integer segment index; data that sums its midpoint values
-  over a run of indices (``segment_sum``) hands over the whole run in one
-  call, without building any midpoint.
-* Generic continuous functions fall back to composite midpoint driven by the
-  declared modulus of continuity.  The error bound is (b-a) * 2^-k per the
-  modulus contract, which forces a panel count that can be astronomically
-  large; a hard cap turns that into QuadratureBudgetError instead of a
-  non-terminating loop.  This cost cliff is the point of the benchmark
-  harness, not an implementation accident.
+Polynomials, declared linear pieces and uniform grids with exact evaluation
+integrate exactly: the midpoint rule is exact on each linear piece, so one
+exact midpoint value per piece (clipped to the requested range) gives the
+true integral, a rational rounded once.  A uniform grid is walked by integer
+segment index; data that sums its midpoint values over a run of indices
+(``segment_sum``) hands over the whole run in one call, without building any
+midpoint.  Data without such structure is refused: no solver integrates
+anything else.
 
 Piecewise-linear data times sin or cos of a rational multiple of pi has a
 closed form with one term per point of its jump list (``pl_jumps``),
-:func:`int_pl_trig_pi`, which the exact Fourier and sine coefficients use;
-summed over the modes of a disk or interval solution, the same form is one
-rotation per point (:func:`breakpoint_series`).
+:func:`int_pl_trig_pi`, which the counting-reduction Fourier coefficients
+use; summed over the modes of a disk or interval solution, the same form is
+one rotation per point (:func:`breakpoint_series`).
 """
 
 from __future__ import annotations
@@ -30,17 +23,16 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Optional
 
-from .certified import (CertifiedValue, _ceil_div, cos_pi_mul_cv,
-                        recip_pi_cv, rotation_sum, sin_pi_mul_cv)
+from .certified import (CertifiedValue, cos_pi_mul_cv, recip_pi_cv, rotation_sum,
+                        sin_pi_mul_cv)
 from .dyadic import as_fraction
-from .errors import PreconditionError, QuadratureBudgetError
-from .evaluable import EvaluableFunction, _log2_ceil, lipschitz_modulus, pl_jumps
-
-MAX_PANELS = 1 << 22
+from .errors import PreconditionError
+from .evaluable import EvaluableFunction, _log2_ceil, pl_jumps
 
 
 def integrate(fn: EvaluableFunction, lo, hi, p: int) -> CertifiedValue:
-    """Certified integral of fn over [lo, hi] with error <= 2^-p."""
+    """Certified integral of fn over [lo, hi] with error <= 2^-p: the exact
+    integral (:func:`integral_exact`) rounded once."""
     lo, hi = as_fraction(lo), as_fraction(hi)
     if lo > hi:
         raise PreconditionError("integration range is reversed")
@@ -48,12 +40,11 @@ def integrate(fn: EvaluableFunction, lo, hi, p: int) -> CertifiedValue:
         raise PreconditionError("integration range leaves the function domain")
     if lo == hi:
         return CertifiedValue.zero()
-    width = hi - lo
-    pe = p + 2 + max(0, _log2_ceil(width))
     total = integral_exact(fn, lo, hi)
-    if total is not None:
-        return CertifiedValue.from_fraction(total, pe)
-    return _integrate_modulus(fn, lo, hi, p, pe)
+    if total is None:
+        raise PreconditionError(
+            "integrand needs exact structure: polynomial, linear pieces or a uniform grid")
+    return CertifiedValue.from_fraction(total, p + 2 + max(0, _log2_ceil(hi - lo)))
 
 
 def integral_exact(fn: EvaluableFunction, lo: Fraction,
@@ -119,50 +110,11 @@ def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Frac
     return ends + w * inner
 
 
-def _integrate_modulus(fn: EvaluableFunction, lo: Fraction, hi: Fraction,
-                       p: int, pe: int) -> CertifiedValue:
-    width = hi - lo
-    k = p + 1 + max(0, _log2_ceil(width))
-    spacing = Fraction(2, 2 ** fn.modulus(k))  # panel width with half-width 2^-m(k)
-    panels = _ceil_div(width.numerator * spacing.denominator,
-                       width.denominator * spacing.numerator)
-    if panels > MAX_PANELS:
-        raise QuadratureBudgetError(
-            f"modulus-driven quadrature needs {panels} panels "
-            f"(cap {MAX_PANELS}); declare structure or lower precision")
-    w = width / panels
-    pp = pe + panels.bit_length() + 2  # per-panel rounding must not pile up
-    acc = CertifiedValue.zero()
-    x = lo + w / 2
-    for _ in range(panels):
-        acc = acc + fn.eval_cv(x, pp).mul_fraction(w, pp)
-        x += w
-    # modulus bound: each panel contributes at most (panel width) * 2^-k
-    return acc.widen_fraction(width * Fraction(1, 2 ** k))
-
-
-def trig_product_integral(g: EvaluableFunction, freq, kind: str, p: int) -> CertifiedValue:
-    """Integral of g(y) times sin or cos (``kind``) of pi freq y over g's
-    domain, modulus-driven: the coefficient route for data without
-    declared structure."""
-    trig = sin_pi_mul_cv if kind == "sin" else cos_pi_mul_cv
-
-    def ev(y: Fraction, pr: int) -> CertifiedValue:
-        return (g.eval_cv(y, pr + 2) * trig(freq * y, pr + 2)).rounded(pr)
-
-    # |d/dy trig(pi freq y)| <= 4 freq, |product'| <= 4 freq sup + Lip_g
-    lip = lipschitz_modulus(4 * max(freq, 1) * max(g.sup_bound, 1))
-    prod = EvaluableFunction(domain=g.domain, sup_bound=g.sup_bound,
-                             modulus=lambda j: max(g.modulus(j + 1), lip(j + 1)),
-                             eval_cv=ev, label="trig-product")
-    return integrate(prod, *g.domain, p)
-
-
 # ---------------------------------------------------------------------------
 # closed forms for piecewise-linear data times trig, angles in units of pi
 #
-# All arguments rational; trig arguments reduce exactly, so these are the
-# exact Fourier- and sine-coefficient paths.
+# All arguments rational; trig arguments reduce exactly, so these are exact
+# up to the certified rounding of sin, cos and 1/pi.
 
 
 def int_linear_sin_pi(c0, c1, a, b, k: int, phase, p: int) -> CertifiedValue:

@@ -147,13 +147,10 @@ class TruncationPlan:
     def total_budget(self) -> Fraction:
         return sum((Fraction(1, 2) ** e for _, e in self.budget_split), Fraction(0))
 
-    def validates(self, n_target: int) -> bool:
-        """Exact check that the budget parts sum to at most 2^-n_target."""
-        return self.total_budget() <= Fraction(1, 2) ** n_target
-
     def require_budget(self, n_target: int) -> None:
-        """Raise AssertionError unless :meth:`validates` holds; an explicit
-        raise, so it holds under ``python -O`` too."""
+        """Raise AssertionError unless the budget parts sum to at most
+        2^-n_target, compared exactly; an explicit raise, so it holds under
+        ``python -O`` too."""
         require("budget", self.total_budget(), Fraction(1, 2) ** n_target)
 
     def claim(self, label: str, lhs, rhs) -> None:

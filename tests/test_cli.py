@@ -15,8 +15,12 @@ mp.mp.prec = 120
 import certheat.cli as cli
 import certheat.heat as heat
 import certheat.laplace as laplace
+from certheat.certified import CertifiedValue
 from certheat.cli import decimal_digits, main, parse_config
 from certheat.dyadic import DyadicDecimal
+from certheat.errors import PreconditionError
+from certheat.evaluable import EvaluableFunction
+from certheat.quadrature import integrate
 
 
 def write(tmp_path, name, text):
@@ -187,6 +191,19 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3 and "t must be positive" in err
 
     assert run(["verify", "bogus"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("text", [
+    "problem = halfline-initial\ng0 = poly 1 1 1\nt = 0\nx = 1/2\nbits = 16\n",
+    "problem = halfline-force\nf_time = poly 1\nf_space = poly 0 0 1\n"
+    "x0 = 3\nx1 = 4\nt = 1/2\nx = 7/2\nbits = 16\n",
+])
+def test_halfline_space_data_without_pieces_exits_3(tmp_path, capsys, text):
+    # the half-line closed forms sum over the points of linear pieces; a
+    # quadratic has none, which is a precondition, not a solver failure
+    code, out, err = run(["solve", "--config", write(tmp_path, "q.cfg", text)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("precondition violated:") and "piecewise linear" in err
 
 
 def test_internal_error_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
@@ -487,3 +504,47 @@ def test_points_near_the_edges_solve_within_their_oracles(tmp_path, capsys, monk
         want = poisson_oracle(EDGE_DISK, p, third) if problem == "disk" \
             else image_oracle(EDGE_INTERVAL, p, third)
         assert abs(got - want) <= mp.mpf(2) ** -bits
+
+
+# ---------------------------------------------------------------------------
+# every input a config can express declares its structure
+
+
+def declares_structure(fn):
+    return (fn.trig_poly is not None or fn.sine_modes is not None
+            or fn.sph_modes is not None or fn.pieces is not None
+            or (fn.linear_segments is not None and fn.eval_exact is not None)
+            or fn.poly_coeffs is not None)
+
+
+@pytest.mark.parametrize("parse, spec", [
+    (cli.parse_boundary_fn, "cos 2 1/3"),
+    (cli.parse_boundary_fn, "sin 1"),
+    (cli.parse_boundary_fn, "const 3/4"),
+    (cli.parse_boundary_fn, "trig const=1, cos2=1/2, sin3=-1"),
+    (cli.parse_boundary_fn, "pl 0:0 1/2:1 2:0"),
+    (lambda spec: cli.parse_interval_fn(spec, Fraction(1)), "sine 1:1 3:-1/2"),
+    (lambda spec: cli.parse_interval_fn(spec, Fraction(1)), "pl 0:0 1/2:1 1:0"),
+    (cli.parse_profile, "poly 1 1 1"),
+    (cli.parse_profile, "sinhalf 2"),
+    (cli.parse_force_fn, "pl 0:1 1/4:1"),
+    (cli.parse_force_fn, "poly 0 0 1"),
+    (cli.parse_force_fn, "counting 5 2 3"),
+    (cli.parse_sph_fn, "sph 0:0:1 2:-1:1/2"),
+])
+def test_every_parsed_input_declares_its_structure(parse, spec):
+    assert declares_structure(parse(spec)), spec
+
+
+def test_structureless_data_is_refused():
+    def bare(hi):
+        return EvaluableFunction(domain=(Fraction(0), Fraction(hi)), sup_bound=Fraction(1),
+                                 eval_cv=lambda x, p: CertifiedValue.from_fraction(x, p))
+
+    assert not declares_structure(bare(2))
+    with pytest.raises(PreconditionError, match="trig modes or linear pieces"):
+        laplace.DiskProblem(bare(2), Fraction(1, 2))
+    with pytest.raises(PreconditionError, match="sine modes or linear pieces"):
+        heat.IntervalHeatProblem(Fraction(1), Fraction(1), bare(1), Fraction(1, 4))
+    with pytest.raises(PreconditionError, match="exact structure"):
+        integrate(bare(1), 0, 1, 10)

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from certheat.dyadic import DyadicDecimal, approximates, as_fraction, round_to
+from certheat.dyadic import DyadicDecimal, as_fraction, round_to
+
+
+def approximates(d, target):
+    """|value(d) - target| <= 2^-pcs(d), the claim a printed result makes."""
+    return abs(d.as_fraction() - as_fraction(target)) <= Fraction(1, 1 << d.pcs)
 
 
 def test_parse_literal_roundtrip_examples():

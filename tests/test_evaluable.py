@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from certheat.dyadic import DyadicDecimal, as_fraction
 from certheat.evaluable import (TrigPoly, _log2_ceil, constant_fn, linear_pieces,
-                                lipschitz_modulus, piecewise_linear_fn, pl_jumps,
-                                polynomial_fn, sine_modes_fn, trig_poly_fn)
+                                piecewise_linear_fn, pl_jumps, polynomial_fn,
+                                sine_modes_fn, trig_poly_fn)
 from certheat.hardness import CountingInstance, counting_integrand
 from certheat.quadrature import integral_exact
 
@@ -20,13 +19,6 @@ mp.mp.prec = 500
 
 def to_mp(f: Fraction) -> mp.mpf:
     return mp.mpf(f.numerator) / f.denominator
-
-
-def test_lipschitz_modulus_contract():
-    # |f(x)-f(y)| <= 3.7 |x-y|; spacing 2*2^-m(k) must keep variation <= 2^-k
-    m = lipschitz_modulus(Fraction(37, 10))
-    for k in range(0, 20):
-        assert Fraction(37, 10) * 2 * Fraction(1, 2 ** m(k)) <= 2 * Fraction(1, 2 ** k)
 
 
 def test_trig_poly_eval_vs_mpmath():
@@ -50,8 +42,6 @@ def test_trig_poly_bounds():
     assert tp.degree() == 5
     assert tp.coeff_l1() == Fraction(7, 2)
     assert tp.sup_bound() == Fraction(9, 2)
-    # pi * (2*3 + 5/2) overestimated with pi <= 4
-    assert tp.lipschitz_pi_units() == 34
 
 
 def test_sine_modes_exact_boundary_zeros():
@@ -110,12 +100,11 @@ def test_constant_fn():
 
 
 def test_public_eval_contract():
-    # |eval(d, n) - f(value(d))| <= 2^-n with the declared output precision
+    # eval_cv(x, n) encloses f(x) with an error of at most 2^-n
     fn = piecewise_linear_fn([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1, 3))])
-    d = DyadicDecimal.parse("+.1")
-    out = fn.eval(d, 8)
-    assert out.pcs >= 8
-    assert abs(out.as_fraction() - Fraction(1, 6)) <= Fraction(1, 2 ** 8)
+    cv = fn.eval_cv(Fraction(1, 2), 8)
+    assert cv.err_fraction() <= Fraction(1, 2 ** 8)
+    assert abs(cv.value_fraction() - Fraction(1, 6)) <= cv.err_fraction()
 
 
 def pl_value(pts, x):
@@ -146,16 +135,16 @@ def _vocabulary(a):
 @pytest.mark.parametrize("a", [Fraction(1), Fraction(-3, 7), Fraction(10 ** 3),
                                Fraction(10 ** 8), Fraction(-10 ** 8, 3)])
 def test_vocabulary_eval_keeps_the_contract_at_large_amplitudes(a):
-    # each evaluator certifies 2^-(n+1) whatever its coefficients, so the
-    # public eval stays within 2^-n
+    # each evaluator certifies 2^-n whatever its coefficients
     xs = [Fraction(0), Fraction(5, 16), Fraction(3, 4), Fraction(11, 8), Fraction(2)]
     for parse, spec, oracle in _vocabulary(a):
         fn = parse(spec)
         for x in xs:
             for n in (4, 12, 30):
-                got = fn.eval(DyadicDecimal.from_fraction(x), n)
-                assert abs(to_mp(got.as_fraction()) - oracle(to_mp(x))) <= mp.mpf(2) ** -n, \
-                    (spec, x, n)
+                cv = fn.eval_cv(x, n)
+                assert cv.err_fraction() <= Fraction(1, 2 ** n), (spec, x, n)
+                assert abs(to_mp(cv.value_fraction()) - oracle(to_mp(x))) \
+                    <= to_mp(cv.err_fraction()) + mp.mpf(10) ** -30, (spec, x, n)
 
 
 def trapezoids(fn, xs):
@@ -176,22 +165,6 @@ def test_pieces_clip_to_sub_ranges():
     assert integral_exact(fn, F(0), F(1)) == trapezoids(fn, [F(k, 4) for k in range(5)])
     assert integral_exact(fn, F(1, 8), F(5, 8)) == \
         trapezoids(fn, [F(1, 8), F(1, 4), F(1, 2), F(5, 8)])
-
-
-def test_modulus_property_random_pairs():
-    tp = TrigPoly(sin_coeffs={2: Fraction(1)}, cos_coeffs={1: Fraction(1, 2)})
-    fn = trig_poly_fn(tp)
-    rng = random.Random(17)
-    for _ in range(40):
-        k = rng.randrange(0, 12)
-        m = fn.modulus(k)
-        x = Fraction(rng.randrange(0, 2 * 10 ** 6), 10 ** 6)
-        # |x - y| <= 2^-m(k) must force |f(x) - f(y)| <= 2^-k
-        step = Fraction(rng.randrange(-(2 ** m), 2 ** m + 1), 4 ** m)
-        y = min(max(x + step, Fraction(0)), Fraction(2))
-        fx = fn.eval_cv(x, 40).value_fraction()
-        fy = fn.eval_cv(y, 40).value_fraction()
-        assert abs(fx - fy) <= Fraction(1, 2 ** k) + Fraction(1, 2 ** 38)
 
 
 def test_linear_pieces_from_breakpoints():

@@ -10,10 +10,10 @@ import pytest
 import certheat.heat as heat
 import certheat.quadrature as quadrature
 from certheat.certified import CertifiedValue, exp_cv
-from certheat.errors import PreconditionError, QuadratureBudgetError
+from certheat.errors import PreconditionError
 from certheat.evaluable import (constant_fn, linear_pieces, piecewise_linear_fn,
                                 polynomial_fn, sine_modes_fn)
-from certheat.quadrature import integrate
+from certheat.quadrature import int_pl_trig_pi, integrate
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, hardness_initial_interval,
                            plan_halfline_boundary, plan_halfline_force,
@@ -64,23 +64,15 @@ def test_sine_coeff_eigenmode_readoff():
 
 
 def test_sine_coeff_affine_closed_form():
-    # flat data: mu_k = 2(1-(-1)^k)/(k pi)
-    p = IntervalHeatProblem(F(1), F(1), constant_fn(F(1), (F(0), F(1))), F(1, 4))
+    # flat data: mu_k = 2(1-(-1)^k)/(k pi), from the breakpoint closed form
+    # (sine_coeff reads declared modes only; pl data forms no coefficient)
+    pieces = linear_pieces(constant_fn(F(1), (F(0), F(1))))
     for k in range(1, 7):
-        cv = sine_coeff(p, k, 40)
+        cv = int_pl_trig_pi(pieces, k, 0, 42)[0].mul_exact(2)
         want = 2 * (1 - (-1) ** k) / (k * mp.pi)
         assert abs(to_mp(cv.value_fraction()) - want) <= mp.mpf(2) ** -38
         oracle = 2 * mp.quad(lambda y: mp.sin(k * mp.pi * y), [0, 1])
         assert abs(to_mp(cv.value_fraction()) - oracle) <= mp.mpf(2) ** -38
-
-
-def test_sine_coeff_generic_modulus_path():
-    g = polynomial_fn([F(0), F(0), F(1)], (F(0), F(1)))
-    p = IntervalHeatProblem(F(1), F(1), g, F(1, 4))
-    cv = sine_coeff(p, 2, 7)
-    oracle = 2 * mp.quad(lambda y: y * y * mp.sin(2 * mp.pi * y), [0, 1])
-    assert abs(to_mp(cv.value_fraction()) - oracle) <= to_mp(cv.err_fraction())
-    assert to_mp(cv.err_fraction()) <= mp.mpf(2) ** -7
 
 
 def test_interval_eigenmode_decay():
@@ -211,13 +203,13 @@ def test_interval_rejects_and_plan_chain():
         IntervalHeatProblem(F(1), F(1), sine_modes_fn({1: F(1)}, F(1)), F(0))
     # declared modes plan their top mode and claim nothing
     plan = plan_interval(p, 16)
-    assert plan.order == 2 and plan.chain == [] and plan.validates(16)
+    assert plan.order == 2 and plan.chain == [] and plan.total_budget() <= F(1, 2 ** 16)
     generic = IntervalHeatProblem(F(1), F(1),
                                   constant_fn(F(1), (F(0), F(1))), F(1, 4))
     plan2 = plan_interval(generic, 12)
     labels = [lab for lab, _, _ in plan2.chain]
     assert labels == ["tail"]
-    assert plan2.order > 0 and plan2.chain_ok() and plan2.validates(12)
+    assert plan2.order > 0 and plan2.chain_ok() and plan2.total_budget() <= F(1, 2 ** 12)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +265,7 @@ def test_boundary_plan_chain_audit():
     plan = plan_halfline_boundary(hb, 12)
     assert [lab for lab, _, _ in plan.chain] == ["taylor-remainder"]
     assert [lab for lab, _ in plan.budget_split] == ["taylor", "erfc tail", "assembly"]
-    assert plan.chain_ok() and plan.validates(12)
+    assert plan.chain_ok() and plan.total_budget() <= F(1, 2 ** 12)
     # the least degree whose remainder (pi/2)^(K+1) / (K+1)! fits 2^-13
     K = plan.order
     assert (F(1571, 1000) ** (K + 1) / factorial(K + 1) <= F(1, 1 << 13)
@@ -345,7 +337,7 @@ def test_force_plan_chain_and_rejects():
     plan = plan_halfline_force(fp, 12)
     assert [lab for lab, _, _ in plan.chain] == ["taylor-remainder"]
     assert plan.order == 0 and plan.chain[0][1] == 0  # constant time factor
-    assert plan.chain_ok() and plan.validates(12)
+    assert plan.chain_ok() and plan.total_budget() <= F(1, 2 ** 12)
     with pytest.raises(PreconditionError):
         # support reaches into the window: the Laplace pair needs d > 0
         HalflineForceProblem(F(1), poly_time_profile([F(1)]),
@@ -424,7 +416,7 @@ def test_initial_small_time_and_margin():
         assert_close(u, pl_initial_oracle(pts, t, x, alpha), n, tol)
     g = piecewise_linear_fn(tent)
     plan = plan_halfline_initial(g, F(1), F(3), F(1, 2), 16)
-    assert plan.order == 0 and plan.validates(16)
+    assert plan.order == 0 and plan.total_budget() <= F(1, 2 ** 16)
     for args in ((F(0), F(1, 2), F(1)), (F(1), F(-1), F(1)), (F(1), F(1), F(-1, 8))):
         with pytest.raises(PreconditionError):
             solve_halfline_initial(g, *args, 10)
@@ -518,7 +510,7 @@ def test_kernel_ladder_needs_linear_space_data():
     # a quadratic force profile has no linear pieces for the closed form
     quad = polynomial_fn([F(0), F(0), F(1)], (F(0), F(1, 4)))
     p = HalflineForceProblem(F(1), poly_time_profile([F(1)]), quad, (F(1, 2), F(1)))
-    with pytest.raises(QuadratureBudgetError):
+    with pytest.raises(PreconditionError):
         solve_halfline_force(p, F(1, 2), F(3, 4), 6)
 
 

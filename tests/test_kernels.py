@@ -8,8 +8,9 @@ import mpmath as mp
 import pytest
 from scipy.special import lpmv
 
+from certheat.certified import CertifiedValue, sqrt_cv
 from certheat.errors import PreconditionError
-from certheat.kernels import (assoc_legendre, heat_g, heat_g_tilde,
+from certheat.kernels import (_assoc_legendre_cs, heat_g, heat_g_tilde,
                               real_sph_harmonic_3d, sph_count)
 
 mp.mp.prec = 500
@@ -113,6 +114,14 @@ def test_sph_count_small_cases():
     assert [sph_count(4, l) for l in range(8)] == [(l + 1) ** 2 for l in range(8)]
     with pytest.raises(PreconditionError):
         sph_count(1, 2)
+
+
+def assoc_legendre(l, m, x, p):
+    """P_l^m(x), fed the polar angle's certified cosine x and sine
+    sqrt(1 - x^2) as the spherical harmonics feed it."""
+    x = Fraction(x)
+    c = CertifiedValue.from_fraction(x, p + 8)
+    return _assoc_legendre_cs(l, m, c, sqrt_cv(1 - x * x, p + 8), p)
 
 
 def test_assoc_legendre_vs_scipy():

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from certheat.certified import CertifiedValue
-from certheat.errors import PreconditionError, QuadratureBudgetError
+from certheat.errors import PreconditionError
 from certheat.evaluable import (EvaluableFunction, TrigPoly, linear_pieces,
                                 piecewise_linear_fn, polynomial_fn,
                                 trig_poly_fn)
@@ -51,6 +51,12 @@ def trig_value(tp, r, theta):
     return acc
 
 
+def pl_fourier(g, k, prec):
+    """(a_k, b_k) of piecewise-linear g by its breakpoint closed form, the
+    form the counting-reduction coefficients are built on."""
+    return int_pl_trig_pi(linear_pieces(g), k, 0, prec)
+
+
 def test_fourier_readoff_exact():
     g = trig_poly_fn(TrigPoly(sin_coeffs={3: Fraction(1)}, cos_coeffs={7: Fraction(1, 2)}))
     a3, _ = fourier_coeffs(g, 3, 30)
@@ -67,27 +73,13 @@ def test_fourier_pl_vs_quadrature_oracle():
            (Fraction(2), Fraction(1, 2))]
     g = piecewise_linear_fn(pts)
     for k in (0, 1, 4):
-        a, b = fourier_coeffs(g, k, 30)
+        a, b = pl_fourier(g, k, 30)
         ga = mp.quad(lambda rho: to_mp(g.eval_exact(Fraction(int(rho * 2 ** 30), 2 ** 30)))
                      * mp.sin(k * mp.pi * rho), [0, mp.mpf(3) / 4, 2])
         gb = mp.quad(lambda rho: to_mp(g.eval_exact(Fraction(int(rho * 2 ** 30), 2 ** 30)))
                      * mp.cos(k * mp.pi * rho), [0, mp.mpf(3) / 4, 2])
         assert abs(to_mp(a.value_fraction()) - ga) < mp.mpf(2) ** -25
         assert abs(to_mp(b.value_fraction()) - gb) < mp.mpf(2) ** -25
-
-
-def test_fourier_generic_modulus_path():
-    # same boundary with the structure flags stripped goes through the
-    # generic quadrature route; feasible only at modest precision
-    pts = [(Fraction(0), Fraction(1, 2)), (Fraction(3, 4), Fraction(-1)),
-           (Fraction(2), Fraction(1, 2))]
-    g = piecewise_linear_fn(pts)
-    a_pl, _ = fourier_coeffs(g, 1, 30)
-    g.pieces = None
-    g.eval_exact = None
-    a_q, _ = fourier_coeffs(g, 1, 8)
-    assert abs(a_q.value_fraction() - a_pl.value_fraction()) <= \
-        a_q.err_fraction() + a_pl.err_fraction()
 
 
 def test_disk_pure_modes():
@@ -97,7 +89,7 @@ def test_disk_pure_modes():
                            Fraction(9, 10))
         for n in (10, 20, 30):
             plan = plan_disk(prob, n)
-            assert plan.chain_ok() and plan.validates(n)
+            assert plan.chain_ok() and plan.total_budget() <= Fraction(1, 2 ** n)
             for _ in range(3):
                 r = Fraction(rng.randrange(0, 90), 100)
                 th = Fraction(rng.randrange(0, 200), 100)
@@ -308,7 +300,7 @@ def test_plan_disk_chain():
         assert plan.chain_ok()
         assert [c[0] for c in plan.chain] == ["tail"]
         plan = plan_disk(declared, n)
-        assert plan.order == 2 and plan.chain == [] and plan.validates(n)
+        assert plan.order == 2 and plan.chain == [] and plan.total_budget() <= Fraction(1, 2 ** n)
 
 
 def test_disk_declared_modes_add_no_tail(monkeypatch):
@@ -331,8 +323,7 @@ def test_disk_declared_modes_add_no_tail(monkeypatch):
 
 def sph_data(modes):
     return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1),
-                             modulus=lambda k: k + 4, eval_cv=lambda x, p: None,
-                             sph_modes=modes)
+                             eval_cv=lambda x, p: None, sph_modes=modes)
 
 
 def test_ball_single_modes():
@@ -354,8 +345,8 @@ def test_ball_center_keeps_constant_mode():
 
 def test_ball_generic_data_refuses():
     gb = EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1),
-                           modulus=lambda k: k + 4, eval_cv=lambda x, p: None)
-    with pytest.raises(QuadratureBudgetError):
+                           eval_cv=lambda x, p: None)
+    with pytest.raises(PreconditionError):
         solve_ball(BallProblem(gb), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), 10)
 
 
@@ -364,7 +355,7 @@ def test_ball_plan_is_the_top_declared_degree():
              (3, -2): Fraction(1, 8), (9, 4): Fraction(1, 2 ** 30), (12, 0): Fraction(0)}
     for n in (1, 8, 24, 48):
         plan = plan_ball_truncation(sph_data(modes), n)
-        assert plan.order == 12 and plan.chain == [] and plan.validates(n)
+        assert plan.order == 12 and plan.chain == [] and plan.total_budget() <= Fraction(1, 2 ** n)
     assert plan_ball_truncation(sph_data({}), 8).order == 0
 
 
@@ -445,7 +436,7 @@ def test_fourier_coeffs_match_piecewise_integrals():
         assert x.err_fraction() <= Fraction(1, 2 ** 40)
 
     for k in range(65):
-        for got, want in zip(fourier_coeffs(g, k, 40), piecewise(k, 0, 44)):
+        for got, want in zip(pl_fourier(g, k, 40), piecewise(k, 0, 44)):
             agree(got, want)
     for k in range(-1, 65):
         for got, want in zip(int_pl_trig_pi(pieces, k, Fraction(1, 3), 40),

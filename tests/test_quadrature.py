@@ -7,10 +7,9 @@ import mpmath as mp
 import pytest
 
 from certheat.certified import CertifiedValue, cos_pi_mul_cv, recip_pi_cv, sin_pi_mul_cv
-from certheat.errors import PreconditionError, QuadratureBudgetError
+from certheat.errors import PreconditionError
 from certheat.evaluable import (EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces,
-                                lipschitz_modulus, piecewise_linear_fn, polynomial_fn,
-                                sine_modes_fn, trig_poly_fn)
+                                piecewise_linear_fn, sine_modes_fn, trig_poly_fn)
 from certheat.hardness import CountingInstance, counting_integrand
 from certheat.quadrature import (int_linear_cos_pi, int_linear_sin_pi, int_pl_trig_pi,
                                  integral_exact, integrate)
@@ -78,7 +77,6 @@ def uniform_square(domain, segments):
     # a nonlinear function on a non-dyadic uniform grid: the midpoint sum is
     # still well defined, and exercises the index arithmetic off zero
     return EvaluableFunction(domain=domain, sup_bound=Fraction(4),
-                             modulus=lipschitz_modulus(Fraction(4)),
                              eval_cv=lambda x, p: CertifiedValue.from_fraction(x * x, p),
                              eval_exact=lambda x: x * x, linear_segments=segments)
 
@@ -157,49 +155,18 @@ def test_integrate_rejects_bad_ranges():
         integrate(tent(), 0, 2, 10)
 
 
-def test_modulus_path_matches_exact_value():
-    # x^2 on [0,1] via the generic midpoint rule; structure flags stripped
-    fn = polynomial_fn([Fraction(0), Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
-    fn.poly_coeffs = None
-    fn.eval_exact = None
-    for p in (6, 8, 10):
-        cv = integrate(fn, 0, 1, p)
-        assert cv.err_fraction() <= Fraction(1, 2 ** p)
-        assert abs(cv.value_fraction() - Fraction(1, 3)) <= cv.err_fraction()
-
-
-def test_modulus_path_cost_cliff():
-    # each extra output bit doubles the panel count, so the generic route
-    # must refuse once the cap is hit rather than run forever
-    fn = polynomial_fn([Fraction(0), Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
-    fn.poly_coeffs = None
-    fn.eval_exact = None
-    with pytest.raises(QuadratureBudgetError):
-        integrate(fn, 0, 1, 40)
-
-
 def test_zero_width_range():
     cv = integrate(tent(), Fraction(1, 3), Fraction(1, 3), 20)
     assert cv.value_fraction() == 0 and cv.err_fraction() == 0
 
 
-def test_trig_poly_integral_vs_mpmath():
-    tp = TrigPoly(const=Fraction(1, 4), sin_coeffs={1: Fraction(1)}, cos_coeffs={2: Fraction(-1, 3)})
-    fn = trig_poly_fn(tp)
-
-    def f(rho):
-        return mp.mpf(1) / 4 + mp.sin(mp.pi * rho) - mp.cos(2 * mp.pi * rho) / 3
-
-    ref = mp.quad(f, [0, mp.mpf(3) / 2])
-    cv = integrate(fn, 0, Fraction(3, 2), 10)
-    assert_encloses(cv, ref, 10)
-
-
-def test_sine_modes_integral_small_precision():
-    fn = sine_modes_fn({1: Fraction(1)}, Fraction(1))
-    ref = 2 / mp.pi
-    cv = integrate(fn, 0, 1, 9)
-    assert_encloses(cv, ref, 9)
+def test_integrate_refuses_declared_modes():
+    # declared modes are read off by the coefficient routes; no solver
+    # integrates them, and they have no exact rational integral
+    for fn in (trig_poly_fn(TrigPoly(sin_coeffs={1: Fraction(1)})),
+               sine_modes_fn({1: Fraction(1)}, Fraction(1))):
+        with pytest.raises(PreconditionError):
+            integrate(fn, 0, 1, 10)
 
 
 def test_int_linear_sin_pi_vs_mpmath():
