@@ -6,7 +6,8 @@ assignment, and a cell receives a triangular bump of exact area 4^{-n_vars}
 precisely when its assignment hits the target sum.  Evaluating the function
 at a point costs one verifier call (a few integer additions), so the
 integrand is pointwise cheap; integrating it to enough bits to read off the
-count forces any solver to look into every cell.  The benchmark runs that
+count forces any solver to look into every cell, and the integrand's run sum
+verifies each cell it meets exactly once.  The benchmark runs that
 integration through three solver reductions and records how the wall time
 grows with instance size.
 """
@@ -97,9 +98,12 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
     edges.  The linear pieces are the 2^{n_vars+1} half-cells; half-cell j
     lies in cell j >> 1, and its midpoint value is the tent's 2^{-n_vars} or
     zero.  ``segment_sum(first, last)`` counts the accepted half-cells of a
-    run and returns that count times 2^{-n_vars}.  One verifier call per
-    evaluation or per half-cell of a run; the returned function exposes the
-    call counter as ``verifier_calls()``.
+    run and returns that count times 2^{-n_vars}: both halves of a cell carry
+    the same value, so a cell whose two halves lie in the run costs one
+    verifier call and counts twice, and a lone half-cell at either end of
+    the run costs one call for its cell.  One verifier call per evaluation
+    or per cell a run meets; the returned function exposes the call counter
+    as ``verifier_calls()``.
     """
     nv = inst.n_vars
     if nv > max_vars_cap():
@@ -122,9 +126,14 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
     def segment_sum(first: int, last: int) -> Fraction:
         # the tent is 2^{-n_vars} halfway between edge and center; accepts is
         # looked up per run so that a wrapper on the class sees every call
+        if first >= last:
+            return zero
         accepts = inst.accepts
-        hits = sum(1 for j in range(first, last) if accepts(j >> 1))
-        calls[0] += last - first
+        lo, hi = (first + 1) >> 1, last >> 1  # cells with both halves in the run
+        hits = 2 * sum(map(accepts, range(lo, hi)))
+        ends = [j >> 1 for j in (first, last) if j & 1]  # lone half-cells' cells
+        hits += sum(map(accepts, ends))
+        calls[0] += hi - lo + len(ends)
         return Fraction(hits, cells)
 
     fn = EvaluableFunction(

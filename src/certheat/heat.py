@@ -337,9 +337,9 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFun
         raise PreconditionError("profile data needs exact pointwise evaluation")
     red = IntervalReduction(t0, x0, g_hard)
 
-    # e^{ceil(1 / (4 t0))} bounds the weight: E before its 1/pi factor
-    wsup = exp_cv(Fraction(_ceil_div(1, 4 * t0)), 20).upper_fraction()
-    sup = g_hard.sup_bound * wsup
+    # 3^{ceil(1 / (4 t0))} bounds the weight e^E: E before its 1/pi factor
+    # is at most 1 / (4 t0), and e < 3
+    sup = g_hard.sup_bound * 3 ** _ceil_div(1, 4 * t0)
 
     def ev(y, p: int) -> CertifiedValue:
         y = as_fraction(y)

@@ -37,7 +37,7 @@ from .dyadic import as_fraction
 from .errors import PreconditionError
 from .evaluable import EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces, pl_jumps
 from .kernels import real_sph_harmonic_3d
-from .quadrature import breakpoint_series, int_pl_trig_pi, integral_exact
+from .quadrature import breakpoint_series, int_jumps_trig_pi, int_pl_trig_pi, integral_exact
 from .record import Record
 from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_order,
                      require)
@@ -247,8 +247,10 @@ class DiskReduction:
     The boundary g was built as gtilde divided by the Poisson kernel at
     (r0, theta0), which forces u(r0, theta0) to equal the plain mean of
     gtilde over the circle regardless of what gtilde is.  ``profile`` is h,
-    which gtilde closes up.  ``pieces`` are gtilde's linear pieces, read on
-    first use, so the point-value identity never reads them.
+    which gtilde closes up.  ``pieces`` are gtilde's linear pieces and
+    ``jumps`` their ``pl_jumps`` list, each built on first use and then kept
+    for every Fourier coefficient, so the point-value identity never reads
+    them.
     """
 
     def __init__(self, r0: Fraction, theta0: Fraction, gtilde: EvaluableFunction,
@@ -261,6 +263,10 @@ class DiskReduction:
     @cached_property
     def pieces(self):
         return linear_pieces(self.gtilde)
+
+    @cached_property
+    def jumps(self):
+        return pl_jumps(self.pieces)
 
     def certified_point_value(self, n: int) -> CertifiedValue:
         """u(r0, theta0) = (1/2) * integral of gtilde over [0,2].
@@ -349,7 +355,8 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
 
     The product against sin/cos(k pi rho) expands into shifted-phase modes
     k-1, k, k+1, each of which takes the breakpoint closed form
-    (:func:`int_pl_trig_pi`) on the pieces of gtilde.
+    (:func:`int_jumps_trig_pi`) on gtilde's kept jump list; mode 0 is the
+    area form of :func:`int_pl_trig_pi` on its pieces.
     """
     pieces = red.pieces
     if pieces is None:
@@ -358,10 +365,16 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
     inv_den = Fraction(1) / (1 - r0 * r0)
     one_plus = 1 + r0 * r0
     pp = prec + 4
-    main = int_pl_trig_pi(pieces, k, 0, pp)
+
+    def mode(j: int, phase: Fraction):
+        if j == 0:
+            return int_pl_trig_pi(pieces, 0, phase, pp)
+        return int_jumps_trig_pi(red.jumps, j, phase, pp)
+
+    main = mode(k, Fraction(0))
     # cos(pi(theta0 - rho)) * trig(k pi rho) splits into modes k -+ 1
-    lower = int_pl_trig_pi(pieces, k - 1, th0, pp)
-    upper = int_pl_trig_pi(pieces, k + 1, -th0, pp)
+    lower = mode(k - 1, th0)
+    upper = mode(k + 1, -th0)
 
     def combo(i: int) -> CertifiedValue:
         side = lower[i] + upper[i]

@@ -11,9 +11,10 @@ anything else.
 
 Piecewise-linear data times sin or cos of a rational multiple of pi has a
 closed form with one term per point of its jump list (``pl_jumps``),
-:func:`int_pl_trig_pi`, which the counting-reduction Fourier coefficients
-use; summed over the modes of a disk or interval solution, the same form is
-one rotation per point (:func:`breakpoint_series`).
+:func:`int_pl_trig_pi`; the counting-reduction Fourier coefficients take it
+from a jump list built once (:func:`int_jumps_trig_pi`).  Summed over the
+modes of a disk or interval solution, the same form is one rotation per
+point (:func:`breakpoint_series`).
 """
 
 from __future__ import annotations
@@ -152,9 +153,15 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
         pp = p + 4 + (_log2_ceil(abs(area)) if abs(area) > 1 else 0)  # area scales the error
         return (sin_pi_mul_cv(phase, pp).mul_fraction(area, p),
                 cos_pi_mul_cv(phase, pp).mul_fraction(area, p))
+    return int_jumps_trig_pi(pl_jumps(pieces), k, phase, p)
+
+
+def int_jumps_trig_pi(jumps, k: int, phase: Fraction,
+                      p: int) -> tuple[CertifiedValue, CertifiedValue]:
+    """:func:`int_pl_trig_pi` for k != 0, from g's jump list ``pl_jumps``
+    (which a caller summing many modes of one g builds once)."""
     # angle mod 2 -> (weight of e^{i t} / (i u), weight of e^{i t} / u^2),
     # the ends first (so the error bounds add in the same order every time)
-    jumps = pl_jumps(pieces)
     points: dict[Fraction, list[Fraction]] = {}
     for rho, J, D in [jumps[0], jumps[-1], *(j for j in jumps[1:-1] if j[2])]:
         vw = points.setdefault((k * rho + phase) % 2, [Fraction(0), Fraction(0)])

@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-mp.mp.prec = 300
+MP_PREC = 300  # mpmath bits for this module's tests (see conftest.py)
 
 from certheat.evaluable import TrigPoly, sine_modes_fn, trig_poly_fn
 from certheat.hardness import (PIPELINES, brute_force_count, measure_blowup,

@@ -43,7 +43,8 @@ def test_every_traced_target_resolves():
 def test_traced_verifier_sees_every_call(monkeypatch):
     # the benchmark's hardness.verifier_calls.* count the cells a pipeline
     # visits only if every verifier call goes through the wrapped
-    # CountingInstance.accepts
+    # CountingInstance.accepts: one call per assignment, plus h(0) and h(1)
+    # for the disk closure
     built = []
     orig = hardness.counting_integrand
 
@@ -63,4 +64,5 @@ def test_traced_verifier_sees_every_call(monkeypatch):
             tracer.uninstall()
         traced = tracer.totals(0, tracer.mark())["hardness.accepts"][0]
         calls = sum(fn.verifier_calls() for fn in built)
-        assert traced == calls >= 2 ** (inst.n_vars + 1), name
+        want = 2 ** inst.n_vars + (2 if name == "disk" else 0)
+        assert traced == calls == want, name

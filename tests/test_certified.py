@@ -10,7 +10,7 @@ from certheat import certified as C
 from certheat.certified import CertifiedValue
 from certheat.errors import PreconditionError
 
-mp.mp.prec = 500
+MP_PREC = 500  # mpmath bits for this module's tests (see conftest.py)
 
 
 def mpf(f: Fraction) -> mp.mpf:

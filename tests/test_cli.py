@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-mp.mp.prec = 120
+MP_PREC = 120  # mpmath bits for this module's tests (see conftest.py)
 
 import certheat.cli as cli
 import certheat.heat as heat

@@ -14,7 +14,7 @@ from certheat.evaluable import (TrigPoly, _log2_ceil, constant_fn, linear_pieces
 from certheat.hardness import CountingInstance, counting_integrand
 from certheat.quadrature import integral_exact
 
-mp.mp.prec = 500
+MP_PREC = 500  # mpmath bits for this module's tests (see conftest.py)
 
 
 def to_mp(f: Fraction) -> mp.mpf:

@@ -133,8 +133,9 @@ def test_one_verifier_call_per_evaluation():
 
 def test_segment_sum_is_the_sum_of_midpoint_values():
     # over a run of half-cell indices, the integrand gives the exact sum of
-    # its values at those half-cells' midpoints, one verifier call per
-    # half-cell of the run, the empty run included
+    # its values at those half-cells' midpoints, one verifier call per cell
+    # the run meets (both halves of a cell share its verdict), none for the
+    # empty run
     rng = random.Random(47)
     for nv in (1, 2, 4, 7, 10):
         inst = random_instance(rng, nv)
@@ -143,12 +144,14 @@ def test_segment_sum_is_the_sum_of_midpoint_values():
         assert segments == 2 ** (nv + 1)
         half = segments // 2
         for first, last in ((0, segments), (1, segments - 1), (1, half + 1),
-                            (half - 1, segments), (3, 3), (segments, segments)):
+                            (half - 1, segments), (1, 2), (2, 3), (1, 4),
+                            (3, 3), (4, 4), (segments, segments)):
             want = sum((fn.eval_exact(Fraction(2 * j + 1, 2 * segments))
                         for j in range(first, last)), Fraction(0))
             before = fn.verifier_calls()
             assert fn.segment_sum(first, last) == want, (nv, first, last)
-            assert fn.verifier_calls() - before == last - first, (nv, first, last)
+            cells = len({j >> 1 for j in range(first, last)})
+            assert fn.verifier_calls() - before == cells, (nv, first, last)
         accepted = fn.segment_sum(0, segments) * 2 ** nv
         assert accepted == 2 * brute_force_count(inst) > 0, nv
 
@@ -213,22 +216,22 @@ def test_reduction_values_are_exact_counts():
 
 
 def test_pipelines_visit_every_cell_once(monkeypatch):
-    # the paper's hardness: each pipeline evaluates the integrand once per
-    # linear piece, 2^(n_vars + 1) verifier calls; the disk closure reads
-    # h(0) and h(1) once more, and its bridge costs none.  The integrand's
-    # counter is added per run of half-cells, so the real calls of the
-    # verifier are counted as well
+    # the paper's hardness: each pipeline verifies every assignment
+    # 0 .. 2^n_vars - 1 exactly once, no cell skipped and none verified
+    # twice; the disk closure reads h(0) and h(1) once more (cells 0 and
+    # 2^n_vars - 1), and its bridge costs none.  The integrand's counter
+    # must equal the real calls of the verifier
     built = []
     orig = hardness.counting_integrand
     orig_accepts = CountingInstance.accepts
-    real = [0]
+    seen = []
 
     def capture(inst):
         built.append(orig(inst))
         return built[-1]
 
     def accepts(self, assignment):
-        real[0] += 1
+        seen.append(assignment)
         return orig_accepts(self, assignment)
 
     monkeypatch.setattr(hardness, "counting_integrand", capture)
@@ -236,13 +239,15 @@ def test_pipelines_visit_every_cell_once(monkeypatch):
     rng = random.Random(43)
     for nv in (3, 6, 9):
         inst = random_instance(rng, nv)
+        every = list(range(2 ** nv))
         for name, pipe in PIPELINES.items():
             built.clear()
-            real[0] = 0
+            seen.clear()
             pipe(inst, precision_for(inst))
             calls = sum(fn.verifier_calls() for fn in built)
-            want = 2 ** (nv + 1) + (2 if name == "disk" else 0)
-            assert calls == real[0] == want, (name, nv, calls, real[0])
+            want = sorted(every + ([0, 2 ** nv - 1] if name == "disk" else []))
+            assert sorted(seen) == want, (name, nv)
+            assert calls == len(seen), (name, nv, calls, len(seen))
 
 
 def test_disk_pipeline_against_full_series_solve():

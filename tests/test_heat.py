@@ -23,7 +23,7 @@ from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            solve_halfline_initial, solve_interval,
                            solve_neumann_constant_force)
 
-mp.mp.prec = 300
+MP_PREC = 300  # mpmath bits for this module's tests (see conftest.py)
 
 F = Fraction
 
@@ -478,6 +478,17 @@ def test_interval_reduction_weight_cancels():
     direct = integrate(tred.profile, 0, 1, 38)
     assert direct.value_fraction() == F(1, 2)
     assert abs(walk.value_fraction() - F(1, 2)) <= walk.err_fraction()
+
+
+def test_interval_reduction_sup_bound_covers_the_weighted_data():
+    # ||g|| 3^ceil(1 / (4 t0)) bounds g(y) exp((y - x0)^2 / (4 pi t0)) on
+    # [0, 1]; the sup is taken on a grid that holds both ends
+    tent = piecewise_linear_fn([(F(0), F(0)), (F(3, 4), F(1)), (F(1), F(1, 2))])
+    for t0, x0 in ((F(1, 4), F(1, 2)), (F(1, 50), F(1, 5))):
+        gstar = hardness_initial_interval(t0, x0, tent)
+        sup = max(to_mp(tent.eval_exact(y)) * mp.exp(to_mp((y - x0) ** 2 / (4 * t0)) / mp.pi)
+                  for y in (F(j, 400) for j in range(401)))
+        assert to_mp(gstar.sup_bound) >= sup, t0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from certheat.errors import PreconditionError
 from certheat.kernels import (_assoc_legendre_cs, heat_g, heat_g_tilde,
                               real_sph_harmonic_3d, sph_count)
 
-mp.mp.prec = 500
+MP_PREC = 500  # mpmath bits for this module's tests (see conftest.py)
 
 
 def to_mp(f: Fraction) -> mp.mpf:

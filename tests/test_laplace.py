@@ -20,7 +20,7 @@ from certheat.laplace import (BallProblem, DiskProblem, fourier_coeffs,
                               plan_ball_truncation, plan_disk, solve_ball,
                               solve_disk)
 
-mp.mp.prec = 300
+MP_PREC = 300  # mpmath bits for this module's tests (see conftest.py)
 
 
 def to_mp(f: Fraction) -> mp.mpf:
