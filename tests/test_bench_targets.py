@@ -53,10 +53,13 @@ def test_traced_verifier_sees_every_call(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(hardness, "counting_integrand", capture)
+    tracing = load_tracing()
+    for module in {module for targets in tracing.LAYERS.values() for module, _ in targets}:
+        importlib.import_module(f"certheat.{module}")  # the tracer wraps what is loaded
     inst = hardness.random_instance(random.Random(5), 7)
     for name in ("neumann", "disk", "interval"):
         built.clear()
-        tracer = load_tracing().Tracer()
+        tracer = tracing.Tracer()
         tracer.install()
         try:
             hardness.PIPELINES[name](inst, hardness.precision_for(inst))
