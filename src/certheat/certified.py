@@ -20,13 +20,10 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Union
 
-from .dyadic import DyadicDecimal, _round_half_even, as_fraction
+from .dyadic import _round_half_even, as_fraction
 from .errors import PreconditionError
 
-ExactLike = Union[int, Fraction, DyadicDecimal]
-
-# err_exponent reported for values known exactly.
-EXACT_EXP = 1 << 30
+ExactLike = Union[int, Fraction]
 
 _ERR_BITS = 32  # error mantissas are renormalised to at most this many bits
 
@@ -80,22 +77,6 @@ class CertifiedValue:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def approx(self) -> DyadicDecimal:
-        if self.s >= 1:
-            return DyadicDecimal(self.m < 0, abs(self.m), self.s)
-        return DyadicDecimal(self.m < 0, abs(self.m) << (1 - self.s), 1)
-
-    @property
-    def err_exponent(self) -> int:
-        """Largest n with error bound <= 2**-n (EXACT_EXP when exact)."""
-        if self.en == 0:
-            return EXACT_EXP
-        b = self.en.bit_length()
-        if self.en == 1 << (b - 1):
-            return self.es - b + 1
-        return self.es - b
-
     def value_fraction(self) -> Fraction:
         if self.s >= 0:
             return Fraction(self.m, 1 << self.s)
@@ -117,22 +98,13 @@ class CertifiedValue:
     def abs_upper(self) -> Fraction:
         return abs(self.value_fraction()) + self.err_fraction()
 
-    def contains(self, value: ExactLike) -> bool:
-        return abs(self.value_fraction() - as_fraction(value)) <= self.err_fraction()
-
     def __repr__(self) -> str:
-        return f"CertifiedValue({self.approx.literal()}, err<=2^-{self.err_exponent})"
-
-    def __float__(self) -> float:
-        return self.m / 2.0 ** self.s
+        return f"CertifiedValue({self.value_fraction()}, err<={self.err_fraction()})"
 
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "CertifiedValue":
         return CertifiedValue(-self.m, self.s, self.en, self.es)
-
-    def __abs__(self) -> "CertifiedValue":
-        return CertifiedValue(abs(self.m), self.s, self.en, self.es)
 
     def __add__(self, other: "CertifiedValue") -> "CertifiedValue":
         if not isinstance(other, CertifiedValue):
@@ -165,10 +137,6 @@ class CertifiedValue:
     def mul_fraction(self, f, p: int) -> "CertifiedValue":
         """Multiply by an exact rational, rounding the result to p+4 bits."""
         return (self * CertifiedValue.from_fraction(f, p + 4)).rounded(p + 4)
-
-    def shift(self, k: int) -> "CertifiedValue":
-        """Multiply by 2**k exactly."""
-        return CertifiedValue(self.m, self.s - k, self.en, self.es - k)
 
     def widen(self, en: int, es: int) -> "CertifiedValue":
         """Add an extra error term ``en * 2**-es``."""
@@ -368,8 +336,8 @@ def _pi_bucket(P: int) -> CertifiedValue:
         return total
 
     guard = P + 8
-    approx = 16 * atan_inv(5, guard) - 4 * atan_inv(239, guard)
-    return CertifiedValue.from_fraction(approx, guard).widen(20, guard)
+    machin = 16 * atan_inv(5, guard) - 4 * atan_inv(239, guard)
+    return CertifiedValue.from_fraction(machin, guard).widen(20, guard)
 
 
 def pi_cv(p: int) -> CertifiedValue:

@@ -97,7 +97,8 @@ class EvaluableFunction:
 
     ``segment_sum(first, last)`` is the exact sum over uniform segments
     first .. last - 1 of the value at each midpoint a + (j + 1/2) w: equal
-    to summing eval_exact there, but one call for the whole run.
+    to summing eval_exact there, but one call for the whole run.  A grid
+    integrates only through it; :func:`linear_pieces` reads any grid.
     """
 
     def __init__(self, domain: tuple[Fraction, Fraction], sup_bound: Fraction,

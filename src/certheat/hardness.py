@@ -4,17 +4,16 @@ A subset-sum instance with n_vars items becomes a piecewise-linear function
 on [0,1]: the unit interval splits into 2^{n_vars} dyadic cells, one per
 assignment, and a cell receives a triangular bump of exact area 4^{-n_vars}
 precisely when its assignment hits the target sum.  Evaluating the function
-at a point costs one verifier call (a few integer additions), so the
-integrand is pointwise cheap; integrating it to enough bits to read off the
-count forces any solver to look into every cell, and the integrand's run sum
-verifies each cell it meets exactly once.  The benchmark runs that
-integration through three solver reductions and records how the wall time
-grows with instance size.
+at a point off a cell edge costs one verifier call (a few integer
+additions), and on a cell edge none, so the integrand is pointwise cheap;
+integrating it to enough bits to read off the count forces any solver to
+look into every cell, and the integrand's run sum verifies each cell it
+meets exactly once.  The benchmark runs that integration through three
+solver reductions and records how the wall time grows with instance size.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -26,7 +25,7 @@ from .heat import hardness_initial_interval, solve_neumann_constant_force
 from .laplace import hardness_boundary_disk
 from .record import Record
 
-DEFAULT_MAX_VARS = 24
+MAX_VARS = 24  # counting_integrand refuses larger instances
 
 
 class CountingInstance(Record):
@@ -85,10 +84,6 @@ def brute_force_count(inst: CountingInstance) -> int:
     return sum(1 for a in range(1 << inst.n_vars) if inst.accepts(a))
 
 
-def max_vars_cap() -> int:
-    return int(os.environ.get("CERTHEAT_MAX_VARS", str(DEFAULT_MAX_VARS)))
-
-
 def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
     """Piecewise-linear integrand with integral = count * 4^{-n_vars} exactly.
 
@@ -102,26 +97,26 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
     the same value, so a cell whose two halves lie in the run costs one
     verifier call and counts twice, and a lone half-cell at either end of
     the run costs one call for its cell.  One verifier call per evaluation
-    or per cell a run meets; the returned function exposes the call counter
-    as ``verifier_calls()``.
+    off a cell edge (every tent is 0 on an edge, which costs none) or per
+    cell a run meets; the returned function exposes the call counter as
+    ``verifier_calls()``.
     """
     nv = inst.n_vars
-    if nv > max_vars_cap():
-        raise PreconditionError(
-            f"instance has {nv} items, cap is {max_vars_cap()} (CERTHEAT_MAX_VARS)")
+    if nv > MAX_VARS:
+        raise PreconditionError(f"instance has {nv} items, cap is {MAX_VARS}")
     cells = 1 << nv
     height = Fraction(2, cells)
     zero = Fraction(0)
     calls = [0]
 
     def value(x: Fraction) -> Fraction:
-        idx = min(x.numerator * cells // x.denominator, cells - 1)
+        idx, off = divmod(x.numerator * cells, x.denominator)
+        if not off:  # a cell edge, where every tent is 0
+            return zero
         calls[0] += 1
         if not inst.accepts(idx):
             return zero
-        center = Fraction(2 * idx + 1, 2 * cells)
-        bump = height - 4 * abs(x - center)
-        return bump if bump > 0 else zero
+        return height - 4 * abs(x - Fraction(2 * idx + 1, 2 * cells))
 
     def segment_sum(first: int, last: int) -> Fraction:
         # the tent is 2^{-n_vars} halfway between edge and center; accepts is

@@ -40,7 +40,7 @@ from math import factorial, perm
 from typing import Callable
 
 from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
-                        gauss_ladder, gauss_primitive_cv, pi_cv, recip_cv, recip_pi_cv,
+                        gauss_ladder, gauss_primitive_cv, pi_cv, recip_cv,
                         recip_sqrt_pi_cv, sin_pi_mul_cv, sqrt_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError
@@ -293,10 +293,11 @@ def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: i
 class IntervalReduction:
     """Ties reweighted initial data to its integration identity.
 
-    The data is the profile times the weight exp(E), E given by
-    :meth:`weight_exponent`.  The identity divides that weight back out, so
-    the claimed point value is (4 pi t0)^{-1/2} times the plain integral of
-    the profile over [0, 1], whatever the profile is.
+    The data is the profile times the weight exp(E), with
+    E = (y - x0)^2 / (4 pi t0).  The identity divides that weight back out,
+    so the claimed point value is (4 pi t0)^{-1/2} times the plain integral
+    of the profile over [0, 1], whatever the profile is.  No solve reads the
+    weighted data pointwise, so none is evaluated.
     """
 
     def __init__(self, t0: Fraction, x0: Fraction, profile: EvaluableFunction):
@@ -304,13 +305,8 @@ class IntervalReduction:
         self.x0 = x0
         self.profile = profile
 
-    def weight_exponent(self, y: Fraction, prec: int) -> CertifiedValue:
-        """(y - x0)^2 / (4 pi t0), certified."""
-        f = (y - self.x0) ** 2 / (4 * self.t0)
-        return recip_pi_cv(prec + 6).mul_fraction(f, prec + 4)
-
     def certified_point_value(self, n: int) -> CertifiedValue:
-        # midpoint rule, exact per linear piece: one verifier call per piece
+        # midpoint rule, exact per linear piece: one verifier call per cell
         total = integral_exact(self.profile, Fraction(0), Fraction(1))
         if total is None:
             raise PreconditionError("reduction data needs an exact integral")
@@ -322,9 +318,9 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFun
     """Reweight profile data into initial data on [0, 1] (alpha = 1) with a
     known identity.
 
-    Returns g*(y) = g_hard(y) * exp((y - x0)^2 / (4 pi t0)), together with an
-    attached :class:`IntervalReduction` whose point value is a pure
-    integration task.
+    The data is g*(y) = g_hard(y) * exp((y - x0)^2 / (4 pi t0)), returned as
+    its domain and sup bound with an attached :class:`IntervalReduction`
+    whose point value is a pure integration task; it has no evaluator.
     """
     t0, x0 = as_fraction(t0), as_fraction(x0)
     if t0 <= 0:
@@ -335,25 +331,17 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFun
         raise PreconditionError("profile data must live on [0, 1]")
     if g_hard.eval_exact is None:
         raise PreconditionError("profile data needs exact pointwise evaluation")
-    red = IntervalReduction(t0, x0, g_hard)
 
     # 3^{ceil(1 / (4 t0))} bounds the weight e^E: E before its 1/pi factor
     # is at most 1 / (4 t0), and e < 3
     sup = g_hard.sup_bound * 3 ** _ceil_div(1, 4 * t0)
-
-    def ev(y, p: int) -> CertifiedValue:
-        y = as_fraction(y)
-        lift = exp_cv(red.weight_exponent(y, p + 8), p + 6)
-        return (CertifiedValue.from_fraction(g_hard.eval_exact(y), p + 6) * lift).rounded(p)
-
-    gstar = EvaluableFunction(
+    return EvaluableFunction(
         domain=(Fraction(0), Fraction(1)),
         sup_bound=sup if sup else Fraction(1, 1 << 30),
-        eval_cv=ev,
+        eval_cv=None,
         label="reweighted-initial-data",
+        hardness=IntervalReduction(t0, x0, g_hard),
     )
-    gstar.hardness = red
-    return gstar
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .dyadic import as_fraction
 from .errors import PreconditionError
 from .evaluable import EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces, pl_jumps
 from .kernels import real_sph_harmonic_3d
-from .quadrature import breakpoint_series, int_jumps_trig_pi, int_pl_trig_pi, integral_exact
+from .quadrature import area_trig_pi, breakpoint_series, int_jumps_trig_pi, integral_exact
 from .record import Record
 from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_order,
                      require)
@@ -248,9 +248,10 @@ class DiskReduction:
     (r0, theta0), which forces u(r0, theta0) to equal the plain mean of
     gtilde over the circle regardless of what gtilde is.  ``profile`` is h,
     which gtilde closes up.  ``pieces`` are gtilde's linear pieces and
-    ``jumps`` their ``pl_jumps`` list, each built on first use and then kept
-    for every Fourier coefficient, so the point-value identity never reads
-    them.
+    ``jumps`` their ``pl_jumps`` list, and ``area`` is gtilde's exact
+    integral over [0, 2]; each is built on first use and then kept, the
+    pieces and jumps for every Fourier coefficient and the area for those
+    and the point-value identity, which reads no piece.
     """
 
     def __init__(self, r0: Fraction, theta0: Fraction, gtilde: EvaluableFunction,
@@ -268,20 +269,24 @@ class DiskReduction:
     def jumps(self):
         return pl_jumps(self.pieces)
 
-    def certified_point_value(self, n: int) -> CertifiedValue:
-        """u(r0, theta0) = (1/2) * integral of gtilde over [0,2].
+    @cached_property
+    def area(self) -> Fraction:
+        """Integral of gtilde over [0, 2].
 
         gtilde is h on [0, 1] and the linear bridge from h(1) back to h(0)
         on [1, 2], whose integral is the trapezoid (h(0) + h(1)) / 2; only h
         is integrated.
         """
-        gt = self.gtilde
-        head = integral_exact(self.profile, Fraction(0), Fraction(1))
+        h = self.profile
+        head = integral_exact(h, Fraction(0), Fraction(1))
         if head is None:
             raise PreconditionError("reduction data needs an exact integral")
-        bridge = (gt.eval_exact(Fraction(1)) + gt.eval_exact(Fraction(2))) / 2
+        return head + (h.eval_exact(Fraction(0)) + h.eval_exact(Fraction(1))) / 2
+
+    def certified_point_value(self, n: int) -> CertifiedValue:
+        """u(r0, theta0) = (1/2) * integral of gtilde over [0,2]."""
         # n + 4 = (n + 1) + 2 + log2 of the width 2, the scale integrate rounds to
-        total = CertifiedValue.from_fraction(head + bridge, n + 4)
+        total = CertifiedValue.from_fraction(self.area, n + 4)
         return total.mul_fraction(Fraction(1, 2), n + 1)
 
 
@@ -355,11 +360,10 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
 
     The product against sin/cos(k pi rho) expands into shifted-phase modes
     k-1, k, k+1, each of which takes the breakpoint closed form
-    (:func:`int_jumps_trig_pi`) on gtilde's kept jump list; mode 0 is the
-    area form of :func:`int_pl_trig_pi` on its pieces.
+    (:func:`int_jumps_trig_pi`) on gtilde's kept jump list; mode 0 is
+    gtilde's kept area times sin and cos of the phase (:func:`area_trig_pi`).
     """
-    pieces = red.pieces
-    if pieces is None:
+    if red.pieces is None:
         raise PreconditionError("closed-form route needs a piecewise-linear profile")
     r0, th0 = red.r0, red.theta0
     inv_den = Fraction(1) / (1 - r0 * r0)
@@ -368,7 +372,7 @@ def _hardness_fourier(red: DiskReduction, k: int, prec: int):
 
     def mode(j: int, phase: Fraction):
         if j == 0:
-            return int_pl_trig_pi(pieces, 0, phase, pp)
+            return area_trig_pi(red.area, phase, pp)
         return int_jumps_trig_pi(red.jumps, j, phase, pp)
 
     main = mode(k, Fraction(0))

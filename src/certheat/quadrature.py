@@ -1,26 +1,24 @@
 """Certified integration of data with exact structure.
 
-Polynomials, declared linear pieces and uniform grids with exact evaluation
-integrate exactly: the midpoint rule is exact on each linear piece, so one
-exact midpoint value per piece (clipped to the requested range) gives the
-true integral, a rational rounded once.  A uniform grid is walked by integer
-segment index; data that sums its midpoint values over a run of indices
-(``segment_sum``) hands over the whole run in one call, without building any
-midpoint.  Data without such structure is refused: no solver integrates
-anything else.
+Polynomials, declared linear pieces and uniform grids that sum their own
+midpoint values integrate exactly: the midpoint rule is exact on each linear
+piece, so one exact midpoint value per piece (clipped to the requested range)
+gives the true integral, a rational rounded once.  A uniform grid is walked
+by integer segment index and hands over each whole run of indices in one
+``segment_sum`` call, without building any midpoint.  Data without such
+structure is refused: no solver integrates anything else.
 
 Piecewise-linear data times sin or cos of a rational multiple of pi has a
 closed form with one term per point of its jump list (``pl_jumps``),
 :func:`int_pl_trig_pi`; the counting-reduction Fourier coefficients take it
-from a jump list built once (:func:`int_jumps_trig_pi`).  Summed over the
-modes of a disk or interval solution, the same form is one rotation per
-point (:func:`breakpoint_series`).
+from a jump list and an area built once (:func:`int_jumps_trig_pi`,
+:func:`area_trig_pi`).  Summed over the modes of a disk or interval
+solution, the same form is one rotation per point (:func:`breakpoint_series`).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from fractions import Fraction
 from typing import Optional
 
@@ -54,8 +52,9 @@ def integral_exact(fn: EvaluableFunction, lo: Fraction,
 
     Polynomials integrate by their antiderivative.  On linear pieces the
     midpoint rule is exact, so each declared piece, clipped to [lo, hi],
-    gives its midpoint value times its width, and a uniform grid is summed
-    by :func:`_uniform_integral`; None for any other function.
+    gives its midpoint value times its width, and a uniform grid that sums
+    its midpoint values (``segment_sum``) is summed by
+    :func:`_uniform_integral`; None for any other function.
     """
     if fn.poly_coeffs is not None:
         total = Fraction(0)  # exact antiderivative, no sampling at all
@@ -66,7 +65,7 @@ def integral_exact(fn: EvaluableFunction, lo: Fraction,
         cut = [(c0, c1, max(a, lo), min(b, hi)) for c0, c1, a, b in fn.pieces]
         return sum(((c0 + c1 * (a + b) / 2) * (b - a) for c0, c1, a, b in cut if a < b),
                    Fraction(0))
-    if fn.linear_segments is None or fn.eval_exact is None:
+    if fn.segment_sum is None or fn.eval_exact is None:
         return None
     return _uniform_integral(fn, lo, hi)
 
@@ -75,13 +74,10 @@ def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Frac
     """Midpoint sum over the uniform cells of fn that meet [lo, hi].
 
     Cells lying inside [lo, hi] form one run of integer indices
-    first .. last - 1.  When fn declares ``segment_sum``, one call gives the
-    run's exact sum of midpoint values; otherwise each cell's value comes
-    from ``eval_exact`` at a midpoint built from integers, added exactly as
-    numerator sums per denominator.  The sum is multiplied by the common
-    width once.  The parts of cells that [lo, hi] clips are separate exact
-    terms on ``eval_exact``.  One evaluation per clipped part and, without
-    the hook, per cell; no grid list.
+    first .. last - 1, whose exact sum of midpoint values is one
+    ``segment_sum`` call; the sum is multiplied by the common width once.
+    The parts of cells that [lo, hi] clips are separate exact terms on
+    ``eval_exact``, one evaluation each; no grid list.
     """
     a, b = fn.domain
     f = fn.eval_exact
@@ -93,22 +89,9 @@ def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Frac
     ends = Fraction(0)
     if lo < x0:
         ends += f((lo + x0) / 2) * (x0 - lo)
-    if fn.segment_sum is not None:
-        inner = fn.segment_sum(first, last)
-    else:
-        # the midpoint of cell j is (base + (2j + 1) step) / den
-        half = w / 2
-        den = math.lcm(a.denominator, half.denominator)
-        base = a.numerator * (den // a.denominator)
-        step = half.numerator * (den // half.denominator)
-        sums = defaultdict(int)  # denominator -> sum of numerators
-        for j in range(first, last):
-            v = f(Fraction(base + (2 * j + 1) * step, den))
-            sums[v.denominator] += v.numerator
-        inner = sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
     if x1 < hi:
         ends += f((x1 + hi) / 2) * (hi - x1)
-    return ends + w * inner
+    return ends + w * fn.segment_sum(first, last)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +133,17 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
     if k == 0:
         area = sum((c0 * (b - a) + c1 * (b * b - a * a) / 2 for c0, c1, a, b in pieces),
                    Fraction(0))
-        pp = p + 4 + (_log2_ceil(abs(area)) if abs(area) > 1 else 0)  # area scales the error
-        return (sin_pi_mul_cv(phase, pp).mul_fraction(area, p),
-                cos_pi_mul_cv(phase, pp).mul_fraction(area, p))
+        return area_trig_pi(area, phase, p)
     return int_jumps_trig_pi(pl_jumps(pieces), k, phase, p)
+
+
+def area_trig_pi(area: Fraction, phase: Fraction,
+                 p: int) -> tuple[CertifiedValue, CertifiedValue]:
+    """:func:`int_pl_trig_pi` for k = 0, from g's exact integral ``area``:
+    area times sin and cos of pi phase, each within 2^-p."""
+    pp = p + 4 + (_log2_ceil(abs(area)) if abs(area) > 1 else 0)  # area scales the error
+    return (sin_pi_mul_cv(phase, pp).mul_fraction(area, p),
+            cos_pi_mul_cv(phase, pp).mul_fraction(area, p))
 
 
 def int_jumps_trig_pi(jumps, k: int, phase: Fraction,

@@ -293,9 +293,12 @@ def _ck_pipelines_agree(rng):
 
 def _ck_verifier_accounting(rng):
     fn = counting_integrand(CountingInstance((2, 3, 5), 8))
-    for k in range(25):
+    for k in range(1, 25):  # off the cell edges k / 8
         fn.eval_exact(Fraction(k, 25))
-    _require(fn.verifier_calls() == 25, "one verifier call per evaluation")
+    _require(fn.verifier_calls() == 24, "one verifier call per evaluation off a cell edge")
+    for k in range(9):
+        fn.eval_exact(Fraction(k, 8))
+    _require(fn.verifier_calls() == 24, "no verifier call on a cell edge")
 
 
 def _ck_recovery_threshold(rng):

@@ -17,10 +17,11 @@ import certheat.heat as heat
 import certheat.laplace as laplace
 from certheat.certified import CertifiedValue
 from certheat.cli import decimal_digits, main, parse_config
-from certheat.dyadic import DyadicDecimal
+from certheat.dyadic import round_to
 from certheat.errors import PreconditionError
 from certheat.evaluable import EvaluableFunction
 from certheat.quadrature import integrate
+from dyadic_literal import parse_literal
 
 
 def write(tmp_path, name, text):
@@ -67,8 +68,8 @@ def test_solve_disk_harmonic_example(tmp_path, capsys):
     assert code == 0
     assert "error  <= 2^-20" in text
     rec = json.loads((tmp_path / "r.json").read_text())
-    lit = DyadicDecimal.parse(rec["value_dyadic"])
-    assert abs(lit.as_fraction() - Fraction(1, 8)) <= Fraction(1, 2 ** 20)
+    got = parse_literal(rec["value_dyadic"])
+    assert abs(got - Fraction(1, 8)) <= Fraction(1, 2 ** 20)
     assert rec["value_decimal"] == "0.12500000"
     assert rec["plan"]["budget"] == [["summation", 21]]
 
@@ -79,7 +80,7 @@ def test_solve_interval_eigenmode_example(tmp_path, capsys):
     code, text, _ = run(["solve", "--config", cfg, "--out", out], capsys)
     assert code == 0
     rec = json.loads((tmp_path / "r.json").read_text())
-    got = DyadicDecimal.parse(rec["value_dyadic"]).as_fraction()
+    got = parse_literal(rec["value_dyadic"])
     want = mp.e ** (-mp.pi ** 2 / 4)
     assert abs(mp.mpf(got.numerator) / got.denominator - want) \
         <= mp.mpf(2) ** -16 + mp.mpf(2) ** -60
@@ -144,7 +145,7 @@ def test_ball_solves_on_the_sphere(tmp_path, capsys):
     ball = "problem = ball\ng = sph 0:0:1\nr = 1\ntheta = 1/3\nphi = 0\nbits = 40\n"
     code, text, _ = run(["solve", "--config", write(tmp_path, "b.cfg", ball)], capsys)
     assert code == 0
-    got = DyadicDecimal.parse(text.split("value   = ")[1].split()[0]).as_fraction()
+    got = parse_literal(text.split("value   = ")[1].split()[0])
     assert abs(mp.mpf(got.numerator) / got.denominator - 1 / (2 * mp.sqrt(mp.pi))) \
         <= mp.mpf(2) ** -40
 
@@ -330,8 +331,19 @@ def test_neumann_counting_force(tmp_path, capsys):
     code, _, _ = run(["solve", "--config", cfg, "--out", out], capsys)
     assert code == 0
     rec = json.loads((tmp_path / "r.json").read_text())
-    got = DyadicDecimal.parse(rec["value_dyadic"]).as_fraction()
+    got = parse_literal(rec["value_dyadic"])
     assert got == Fraction(1, 16)
+
+
+def test_golden_records_print_round_to_literals():
+    # every recorded value keeps the literal grammar and reads back as the
+    # literal round_to prints for its value at its own fractional bits
+    records = sorted((Path(__file__).parent / "data" / "golden").glob("*.json"))
+    assert records
+    for path in records:
+        text = json.loads(path.read_text())["value_dyadic"]
+        pcs = len(text.split(".")[1])
+        assert round_to(parse_literal(text), pcs).literal() == text, path.name
 
 
 def test_decimal_digit_budget():
@@ -351,7 +363,7 @@ def test_disk_const_data_takes_the_closed_form(tmp_path, capsys):
     capsys.readouterr()
     record = json.loads(out.read_text())
     assert record["error_exponent"] >= 12
-    value = DyadicDecimal.parse(record["value_dyadic"]).as_fraction()
+    value = parse_literal(record["value_dyadic"])
     assert abs(value - 1) <= Fraction(1, 2 ** 12)
 
 
@@ -363,7 +375,7 @@ def test_disk_large_amplitude_keeps_the_bound(tmp_path, capsys):
     out = tmp_path / "amp.json"
     code, text, _ = run(["solve", "--config", cfg, "--out", str(out)], capsys)
     assert code == 0 and "error  <= 2^-30" in text
-    got = DyadicDecimal.parse(json.loads(out.read_text())["value_dyadic"]).as_fraction()
+    got = parse_literal(json.loads(out.read_text())["value_dyadic"])
     r = mp.mpf(9) / 10
 
     def integrand(rho):  # Poisson kernel at (r, 0) times the data, rho in pi-units
@@ -383,7 +395,7 @@ def _oracle_value(tmp_path, capsys, name, text, bits):
     assert code == 0
     record = json.loads(out.read_text())
     assert record["error_exponent"] >= bits
-    got = DyadicDecimal.parse(record["value_dyadic"]).as_fraction()
+    got = parse_literal(record["value_dyadic"])
     return mp.mpf(got.numerator) / got.denominator
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from certheat.dyadic import DyadicDecimal, as_fraction, round_to
+from certheat.dyadic import as_fraction, round_to
+from dyadic_literal import parse_literal
 
 
 def approximates(d, target):
@@ -25,26 +26,10 @@ def test_parse_literal_roundtrip_examples():
     for text, expected in cases.items():
         if expected is None:
             with pytest.raises(ValueError):
-                DyadicDecimal.parse(text)
+                parse_literal(text)
         else:
-            d = DyadicDecimal.parse(text)
-            assert d.as_fraction() == expected
-            assert d.literal() == text
-
-
-def test_component_counts():
-    d = DyadicDecimal.parse("+101.001")
-    assert d.tnd() == 6
-    assert d.pcs == 3
-    assert DyadicDecimal.parse("-.1").tnd() == 1
-    assert DyadicDecimal.parse("+.000").tnd() == 3
-
-
-def test_trailing_zeros_are_significant():
-    a = DyadicDecimal.parse("+.1")
-    b = DyadicDecimal.parse("+.10")
-    assert a != b
-    assert a.same_value(b)
+            assert parse_literal(text) == expected
+            assert round_to(expected, len(text.split(".")[1])).literal() == text
 
 
 def test_round_to_frozen_examples():
@@ -72,32 +57,15 @@ def test_round_to_error_bound_property():
 
 
 def test_approximates_examples():
-    assert approximates(DyadicDecimal.parse("+.1"), Fraction(3, 5))
-    assert not approximates(DyadicDecimal.parse("+.10"), Fraction(4, 5))
-    assert approximates(DyadicDecimal.parse("+.10"), Fraction(3, 4))
-
-
-def test_exact_arithmetic_matches_fractions():
-    rng = random.Random(7)
-    for _ in range(200):
-        a = DyadicDecimal.from_fraction(Fraction(rng.randrange(-500, 500), 2 ** rng.randrange(1, 10)))
-        b = DyadicDecimal.from_fraction(Fraction(rng.randrange(-500, 500), 2 ** rng.randrange(1, 10)))
-        assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-        assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
-        assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
-        assert (-a).as_fraction() == -a.as_fraction()
-        assert abs(a).as_fraction() == abs(a.as_fraction())
-
-
-def test_from_fraction_rejects_non_dyadic():
-    with pytest.raises(ValueError):
-        DyadicDecimal.from_fraction(Fraction(1, 3))
+    # trailing zeros are significant: "+.10" claims more than "+.1"
+    assert approximates(round_to(Fraction(1, 2), 1), Fraction(3, 5))
+    assert not approximates(round_to(Fraction(1, 2), 2), Fraction(4, 5))
+    assert approximates(round_to(Fraction(1, 2), 2), Fraction(3, 4))
 
 
 def test_as_fraction_helper():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction(Fraction(2, 7)) == Fraction(2, 7)
-    assert as_fraction(DyadicDecimal.parse("+1.1")) == Fraction(3, 2)
 
 
 def test_as_fraction_returns_a_fraction_itself():
@@ -106,7 +74,6 @@ def test_as_fraction_returns_a_fraction_itself():
 
 
 def test_decimal_rendering():
-    d = DyadicDecimal.parse("+.1")
-    assert d.decimal(3) == "0.500"
-    assert DyadicDecimal.parse("-1.01").decimal(2) == "-1.25"
-    assert DyadicDecimal.parse("+.000").decimal(1) == "0.0"
+    assert round_to(Fraction(1, 2), 1).decimal(3) == "0.500"
+    assert round_to(Fraction(-5, 4), 2).decimal(2) == "-1.25"
+    assert round_to(0, 3).decimal(1) == "0.0"

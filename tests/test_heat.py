@@ -9,7 +9,6 @@ import pytest
 
 import certheat.heat as heat
 import certheat.quadrature as quadrature
-from certheat.certified import CertifiedValue, exp_cv
 from certheat.errors import PreconditionError
 from certheat.evaluable import (constant_fn, linear_pieces, piecewise_linear_fn,
                                 polynomial_fn, sine_modes_fn)
@@ -454,30 +453,6 @@ def test_interval_reduction_examples():
     assert_close(red2.certified_point_value(20), 1 / (2 * mp.sqrt(mp.pi)), 20)
     ival = integrate(red2.profile, 0, 1, 30)
     assert abs(ival.value_fraction() - F(1, 2)) <= ival.err_fraction()
-
-
-def test_interval_reduction_weight_cancels():
-    ramp = piecewise_linear_fn([(F(0), F(0)), (F(1), F(1))])
-    gstar = hardness_initial_interval(F(1, 4), F(1, 2), ramp)
-    red = gstar.hardness
-    y = F(3, 10)
-    lifted = gstar.eval_cv(y, 40)
-    dropped = (lifted * exp_cv(-red.weight_exponent(y, 48), 44)).rounded(38)
-    assert abs(dropped.value_fraction() - F(3, 10)) <= dropped.err_fraction()
-    # midpoint walk over reweighted tent data with the weight divided back
-    # out matches the plain integral the point value is built on
-    tent = piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
-    tstar = hardness_initial_interval(F(1, 4), F(1, 2), tent)
-    tred = tstar.hardness
-    grid = [a for _, _, a, _ in tred.profile.pieces] + [F(1)]
-    walk = CertifiedValue.zero()
-    for a, b in zip(grid, grid[1:]):
-        mid = (a + b) / 2
-        drop = exp_cv(-tred.weight_exponent(mid, 48), 44)
-        walk = walk + (tstar.eval_cv(mid, 40) * drop).rounded(38).mul_fraction(b - a, 38)
-    direct = integrate(tred.profile, 0, 1, 38)
-    assert direct.value_fraction() == F(1, 2)
-    assert abs(walk.value_fraction() - F(1, 2)) <= walk.err_fraction()
 
 
 def test_interval_reduction_sup_bound_covers_the_weighted_data():
