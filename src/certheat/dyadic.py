@@ -8,8 +8,8 @@ the number of fractional bits, so every instance is an exact rational with a
 power-of-two denominator.
 
 A result printed with ``pcs == n`` asserts that the true quantity lies within
-``2**-n`` of it.  The only way to make one is :func:`round_to`, which rounds
-an exact rational half-to-even to a requested number of fractional bits.
+``2**-n`` of it.  A solve makes one with :func:`round_to`, which rounds an
+exact rational half-to-even to a requested number of fractional bits.
 """
 
 from __future__ import annotations

@@ -296,8 +296,8 @@ class IntervalReduction:
     The data is the profile times the weight exp(E), with
     E = (y - x0)^2 / (4 pi t0).  The identity divides that weight back out,
     so the claimed point value is (4 pi t0)^{-1/2} times the plain integral
-    of the profile over [0, 1], whatever the profile is.  No solve reads the
-    weighted data pointwise, so none is evaluated.
+    of the profile over [0, 1], whatever the profile is.  No solve evaluates
+    the weighted data, so it carries no evaluator.
     """
 
     def __init__(self, t0: Fraction, x0: Fraction, profile: EvaluableFunction):
