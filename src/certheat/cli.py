@@ -17,11 +17,11 @@ from functools import lru_cache
 from .dyadic import round_to
 from .errors import CertHeatError, ConfigError, PreconditionError
 from .evaluable import (EvaluableFunction, TrigPoly, constant_fn,
-                        piecewise_linear_fn, sine_modes_fn, trig_poly_fn)
+                        piecewise_linear_fn, polynomial_fn, sine_modes_fn,
+                        trig_poly_fn)
 from .heat import (HalflineBoundaryProblem, HalflineForceProblem,
                    IntervalHeatProblem, plan_halfline_boundary,
                    plan_halfline_force, plan_halfline_initial, plan_interval,
-                   poly_time_profile, sin_half_profile,
                    solve_halfline_boundary, solve_halfline_force,
                    solve_halfline_initial, solve_interval,
                    solve_neumann_constant_force)
@@ -178,7 +178,8 @@ def parse_interval_fn(spec: str, L: Fraction) -> EvaluableFunction:
 
 
 def parse_profile(spec: str) -> EvaluableFunction:
-    """Smooth time profiles on [0,2]: polynomials and the half-sine."""
+    """Time profiles on [0, 2]: polynomial coefficients, or the half-sine
+    amp sin(pi s / 2) as sine mode 1."""
     kind, _, rest = spec.strip().partition(" ")
     if kind == "poly":
         try:
@@ -187,13 +188,13 @@ def parse_profile(spec: str) -> EvaluableFunction:
             raise ConfigError(f"poly: bad coefficients {rest!r}")
         if not coeffs:
             raise ConfigError("poly: need at least one coefficient")
-        return poly_time_profile(coeffs)
+        return polynomial_fn(coeffs, (Fraction(0), Fraction(2)), spec)
     if kind == "sinhalf":
         try:
             amp = Fraction(rest) if rest.strip() else Fraction(1)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"sinhalf: bad amplitude {rest!r}")
-        return sin_half_profile(amp)
+        return sine_modes_fn({1: amp}, Fraction(2), spec)
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 

@@ -93,7 +93,11 @@ class EvaluableFunction:
       [a, b], covering the domain continuously;
     * ``linear_segments``, the count of uniform segments g is linear on,
       read by ``eval_exact``;
-    * ``poly_coeffs``.
+    * ``poly_coeffs``, [c_0, c_1, ...] with g(x) = sum of c_i x^i and no
+      trailing zero.
+
+    The half-line solvers read a time profile on [0, 2] as its
+    ``poly_coeffs`` or its ``sine_modes``, which give its Taylor data at 0.
 
     ``segment_sum(first, last)`` is the exact sum over uniform segments
     first .. last - 1 of the value at each midpoint a + (j + 1/2) w: equal
@@ -111,7 +115,6 @@ class EvaluableFunction:
                  linear_segments: Optional[int] = None,
                  segment_sum: Optional[Callable[[int, int], Fraction]] = None,
                  poly_coeffs: Optional[list[Fraction]] = None,
-                 smooth_model: object = None,
                  hardness: object = None,
                  sph_modes: Optional[dict[tuple[int, int], Fraction]] = None):
         self.domain = domain
@@ -125,7 +128,6 @@ class EvaluableFunction:
         self.linear_segments = linear_segments
         self.segment_sum = segment_sum
         self.poly_coeffs = poly_coeffs
-        self.smooth_model = smooth_model
         self.hardness = hardness
         self.sph_modes = sph_modes
 
@@ -231,8 +233,11 @@ def piecewise_linear_fn(points: list[tuple[Fraction, Fraction]], label: str = ""
 def polynomial_fn(coeffs: list[Fraction], domain: tuple[Fraction, Fraction],
                   label: str = "") -> EvaluableFunction:
     """sum c_i x^i with exact rational evaluation; of degree <= 1, also one
-    linear piece."""
+    linear piece.  Trailing zero coefficients are dropped, so the declared
+    degree is the true one."""
     cs = [as_fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
     lo, hi = as_fraction(domain[0]), as_fraction(domain[1])
     big = max(abs(lo), abs(hi), Fraction(1))
     sup = sum(abs(c) * big ** i for i, c in enumerate(cs))

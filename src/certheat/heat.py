@@ -7,12 +7,16 @@ Four problem shapes:
   modes are all summed, with no tail);
 * half-line driven by a boundary profile h(t): a Taylor polynomial of h,
   answered term by term in closed form, since data s^k gives
-  k! (4t)^k i^{2k}erfc(x / (2 sqrt(alpha t)));
+  k! (4t)^k i^{2k}erfc(x / (2 sqrt(alpha t))); h(0) may be nonzero;
 * half-line with an external force supported left of the evaluation
   window: a Taylor polynomial of the time factor, each term answered by
   repeated erfc integrals at the space data's endpoints (Duhamel);
 * half-line with compactly supported piecewise-linear initial data, the
   same endpoint sum without a time integral.
+
+A time profile (h, or the force's time factor) lives on [0, 2] and
+declares polynomial coefficients or sine modes; its Taylor data at 0 and
+the bounds on its derivatives over [0, 1] are read off those coefficients.
 
 Piecewise-linear data (``linear_pieces``) gives one interval series term or
 half-line distance per point of its jump list (``pl_jumps``).
@@ -37,7 +41,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, perm
-from typing import Callable
 
 from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
                         gauss_ladder, gauss_primitive_cv, pi_cv, recip_cv,
@@ -45,7 +48,7 @@ from .certified import (_LN2_HI, CertifiedValue, _ceil_div, _exact_cv, exp_cv,
 from .dyadic import as_fraction
 from .errors import PreconditionError
 from .evaluable import (EvaluableFunction, _guard_bits, _log2_ceil, linear_pieces,
-                        pl_jumps, polynomial_fn)
+                        pl_jumps)
 from .quadrature import breakpoint_series, integral_exact, integrate
 from .record import Record
 from .series import (TruncationPlan, declared_modes_plan, gaussian_tail, geometric_cap,
@@ -68,73 +71,49 @@ def _check_alpha_window(p) -> None:
 
 
 # ---------------------------------------------------------------------------
-# time profiles with certified derivative access
-
-
-class SmoothProfile:
-    """Derivative model of a time profile.
-
-    ``deriv_cv(k, s, p)`` evaluates the k-th derivative at s with error
-    <= 2^-p; ``deriv_sup(k)`` bounds sup over [0, 1] of its magnitude (the
-    half-line solvers take Taylor coefficients at 0 and bound the remainder
-    for t in [0, 1]).
-    """
-
-    def __init__(self, deriv_cv: Callable[[int, Fraction, int], CertifiedValue],
-                 deriv_sup: Callable[[int], Fraction]):
-        self.deriv_cv = deriv_cv
-        self.deriv_sup = deriv_sup
-
-
-def poly_time_profile(coeffs) -> EvaluableFunction:
-    """Polynomial profile on [0, 2] with exact derivatives of every order."""
-    fn = polynomial_fn(coeffs, (Fraction(0), Fraction(2)), label="poly-profile")
-    cs = fn.poly_coeffs
-
-    def dexact(k: int, s: Fraction) -> Fraction:
-        return sum((c * perm(j, k) * s ** (j - k)
-                    for j, c in enumerate(cs) if j >= k), Fraction(0))
-
-    fn.smooth_model = SmoothProfile(
-        deriv_cv=lambda k, s, p: CertifiedValue.from_fraction(dexact(k, as_fraction(s)), p),
-        deriv_sup=lambda k: sum((abs(c) * perm(j, k)
-                                 for j, c in enumerate(cs) if j >= k), Fraction(0)),
-    )
-    return fn
+# time profiles: Taylor data at 0 read off the declared coefficients
 
 
 _HALF_PI_UB = Fraction(1571, 1000)  # > pi/2
 
 
-def sin_half_profile(amplitude=Fraction(1)) -> EvaluableFunction:
-    """h(s) = amplitude * sin(pi s / 2) on [0, 2]; h(0) = 0 exactly."""
-    amp = as_fraction(amplitude)
-    g = _guard_bits(abs(amp))  # the amplitude scales errors
+def _check_time_profile(fn: EvaluableFunction, what: str) -> None:
+    """A time profile lives on [0, 2] and declares polynomial coefficients
+    or sine modes sum c_m sin(m pi s / 2)."""
+    if fn.domain != (Fraction(0), Fraction(2)) or (
+            fn.poly_coeffs is None and fn.sine_modes is None):
+        raise PreconditionError(
+            f"{what} must declare polynomial coefficients or sine modes on [0, 2]")
 
-    def ev(s, p: int) -> CertifiedValue:
-        return sin_pi_mul_cv(as_fraction(s) / 2, p + g + 4).mul_fraction(amp, p)
 
-    def dcv(k: int, s, p: int) -> CertifiedValue:
-        pp = p + g + k + 8
-        base = sin_pi_mul_cv((as_fraction(s) + k) / 2, pp)
-        half_pi = pi_cv(pp).mul_exact(Fraction(1, 2))
-        pw = CertifiedValue.exact(1)
-        for _ in range(k):
-            pw = (pw * half_pi).rounded(pp)
-        return (base * pw).rounded(p + g + 4).mul_fraction(amp, p)
+def _profile_deriv(fn: EvaluableFunction, k: int, p: int) -> CertifiedValue:
+    """h^(k)(0) within 2^-p: k! c_k for polynomial coefficients, and
+    sin(k pi / 2) (pi/2)^k sum c_m m^k for sine modes on [0, 2]."""
+    if fn.poly_coeffs is not None:
+        cs = fn.poly_coeffs
+        return CertifiedValue.from_fraction(cs[k] * factorial(k) if k < len(cs) else 0, p)
+    if k % 2 == 0:
+        return CertifiedValue.zero()
+    c = (-1) ** (k // 2) * sum((cm * m ** k for m, cm in fn.sine_modes.items()), Fraction(0))
+    if c == 0:
+        return CertifiedValue.zero()
+    g = _guard_bits(abs(c))  # the coefficient scales errors
+    pp = p + g + k + 8
+    half_pi = pi_cv(pp).mul_exact(Fraction(1, 2))
+    pw = CertifiedValue.exact(1)
+    for _ in range(k):
+        pw = (pw * half_pi).rounded(pp)
+    # (pi/2)^k < 2^k scales c's rounding
+    return (pw.rounded(p + g + 4) * _exact_cv(c, p + k)).rounded(p + 4)
 
-    fn = EvaluableFunction(
-        domain=(Fraction(0), Fraction(2)),
-        sup_bound=abs(amp) if amp else Fraction(1, 1 << 30),
-        eval_cv=ev,
-        label="sin-half-profile",
-        sine_modes={1: amp},
-    )
-    fn.smooth_model = SmoothProfile(
-        deriv_cv=dcv,
-        deriv_sup=lambda k: abs(amp) * _HALF_PI_UB ** k,
-    )
-    return fn
+
+def _profile_sup(fn: EvaluableFunction, k: int) -> Fraction:
+    """Bound on sup over [0, 1] of |h^(k)|."""
+    if fn.poly_coeffs is not None:
+        return sum((abs(c) * perm(j, k) for j, c in enumerate(fn.poly_coeffs) if j >= k),
+                   Fraction(0))
+    return sum((abs(c) * (m * _HALF_PI_UB) ** k for m, c in fn.sine_modes.items()),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -498,29 +477,29 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
     return out.widen_fraction(claims)
 
 
-def _plan_taylor(sm: SmoothProfile, scale: Fraction, extra: int, n: int,
+def _plan_taylor(fn: EvaluableFunction, scale: Fraction, extra: int, n: int,
                  what: str) -> TruncationPlan:
     """Least Taylor degree K of a time profile with remainder claim
-    scale * deriv_sup(K+1) / (K+1+extra)! <= 2^-(n+1), the bound at t = 1."""
+    scale * sup|h^(K+1)| / (K+1+extra)! <= 2^-(n+1), the bound at t = 1."""
     bud = Fraction(1, 1 << (n + 1))
     K = 0
     # linear scan: the remainder is not monotone in K (x^5, t = 1: 5, 10, 10, 5, 1, 0)
-    while _taylor_rem(sm, scale, extra, K, Fraction(1)) > bud:
+    while _taylor_rem(fn, scale, extra, K, Fraction(1)) > bud:
         K += 1
         if K > 8 * n + 256:
             raise PreconditionError(f"{what} derivatives grow too fast for a Taylor closed form")
     plan = TruncationPlan(K, [("taylor", n + 1), ("erfc tail", n + 3), ("assembly", n + 2)])
-    plan.claim("taylor-remainder", _taylor_rem(sm, scale, extra, K, Fraction(1)), bud)
+    plan.claim("taylor-remainder", _taylor_rem(fn, scale, extra, K, Fraction(1)), bud)
     plan.require_budget(n)
     return plan
 
 
-def _taylor_rem(sm: SmoothProfile, scale: Fraction, extra: int, K: int,
+def _taylor_rem(fn: EvaluableFunction, scale: Fraction, extra: int, K: int,
                 t: Fraction) -> Fraction:
     """Bound at t <= 1 on the solution driven by the Taylor remainder past
-    degree K: the maximum principle gives sup|R_K| <= deriv_sup(K+1) t^(K+1)
+    degree K: the maximum principle gives sup|R_K| <= sup|h^(K+1)| t^(K+1)
     / (K+1)!, and each Duhamel time integral (extra) one more t/(K+2)."""
-    return scale * sm.deriv_sup(K + 1) * t ** (K + 1 + extra) / factorial(K + 1 + extra)
+    return scale * _profile_sup(fn, K + 1) * t ** (K + 1 + extra) / factorial(K + 1 + extra)
 
 
 def _window_args(p, t, x, n: int, plan: TruncationPlan | None, planner):
@@ -534,12 +513,11 @@ def _window_args(p, t, x, n: int, plan: TruncationPlan | None, planner):
     return t, x, plan if plan is not None else planner(p, n)
 
 
-def _taylor_terms(sm: SmoothProfile, K: int, shift: int) -> list:
+def _taylor_terms(fn: EvaluableFunction, K: int, shift: int) -> list:
     """(e, bound, coeff) for the Taylor coefficients f^(k)(0), k <= K, at
     response index e = k + shift."""
-    zero = Fraction(0)
-    return [(k + shift, sm.deriv_sup(k),
-             lambda prec, k=k: sm.deriv_cv(k, zero, prec)) for k in range(K + 1)]
+    return [(k + shift, _profile_sup(fn, k),
+             lambda prec, k=k: _profile_deriv(fn, k, prec)) for k in range(K + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -557,18 +535,12 @@ class HalflineBoundaryProblem(Record):
         self.h = h
         self.x_window = x_window
         _check_alpha_window(self)
-        if self.h.domain != (Fraction(0), Fraction(2)):
-            raise PreconditionError("boundary profile must live on [0, 2]")
-        if self.h.smooth_model is None:
-            raise PreconditionError("boundary profile needs a derivative model")
-        at0 = self.h.eval_cv(Fraction(0), 20)
-        if abs(at0.value_fraction()) > at0.err_fraction() + Fraction(1, 1 << 16):
-            raise PreconditionError("boundary profile must vanish at t = 0")
+        _check_time_profile(self.h, "boundary profile")
 
 
 def plan_halfline_boundary(p: HalflineBoundaryProblem, n: int) -> TruncationPlan:
     """Taylor degree of h for every t in [0, 1] and x in the window."""
-    return _plan_taylor(p.h.smooth_model, Fraction(1), 0, n, "profile")
+    return _plan_taylor(p.h, Fraction(1), 0, n, "profile")
 
 
 def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
@@ -581,10 +553,10 @@ def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
     t, x, plan = _window_args(p, t, x, n, plan, plan_halfline_boundary)
     if t == 0:
         return CertifiedValue.zero()
-    sm, K = p.h.smooth_model, plan.order
-    u = _erfc_response({x: (Fraction(2), Fraction(0))}, _taylor_terms(sm, K, 0),
+    K = plan.order
+    u = _erfc_response({x: (Fraction(2), Fraction(0))}, _taylor_terms(p.h, K, 0),
                        t, p.alpha, n)
-    return u.widen_fraction(_taylor_rem(sm, Fraction(1), 0, K, t))
+    return u.widen_fraction(_taylor_rem(p.h, Fraction(1), 0, K, t))
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +582,7 @@ class HalflineForceProblem(Record):
         self.f_space = f_space
         self.x_window = x_window
         _check_alpha_window(self)
-        if self.f_time.smooth_model is None:
-            raise PreconditionError("time factor needs a derivative model")
+        _check_time_profile(self.f_time, "time factor")
         if self.f_space.domain[0] != 0:
             raise PreconditionError("force support must start at 0")
         self.y0 = self.f_space.domain[1]
@@ -621,7 +592,7 @@ class HalflineForceProblem(Record):
 
 def plan_halfline_force(p: HalflineForceProblem, n: int) -> TruncationPlan:
     """Taylor degree of f_time; Duhamel adds a factor t/(K+2) ||f_space||."""
-    return _plan_taylor(p.f_time.smooth_model, p.f_space.sup_bound, 1, n, "time-factor")
+    return _plan_taylor(p.f_time, p.f_space.sup_bound, 1, n, "time-factor")
 
 
 def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
@@ -634,10 +605,10 @@ def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
     t, x, plan = _window_args(p, t, x, n, plan, plan_halfline_force)
     if t == 0:
         return CertifiedValue.zero()
-    sm, K = p.f_time.smooth_model, plan.order
-    u = _erfc_response(_data_endpoints(p.f_space, x), _taylor_terms(sm, K, 1),
+    K = plan.order
+    u = _erfc_response(_data_endpoints(p.f_space, x), _taylor_terms(p.f_time, K, 1),
                        t, p.alpha, n)
-    return u.widen_fraction(_taylor_rem(sm, p.f_space.sup_bound, 1, K, t))
+    return u.widen_fraction(_taylor_rem(p.f_time, p.f_space.sup_bound, 1, K, t))
 
 
 # ---------------------------------------------------------------------------

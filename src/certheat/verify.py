@@ -14,14 +14,14 @@ from typing import Callable
 from .certified import (CertifiedValue, cos_pi_mul_cv, exp_cv, pi_cv,
                         recip_pi_cv, sin_pi_mul_cv)
 from .errors import CertHeatError, ConfigError, InsufficientPrecision
-from .evaluable import (EvaluableFunction, piecewise_linear_fn, sine_modes_fn,
-                        trig_poly_fn, TrigPoly)
+from .evaluable import (EvaluableFunction, piecewise_linear_fn, polynomial_fn,
+                        sine_modes_fn, trig_poly_fn, TrigPoly)
 from .hardness import (CountingInstance, PIPELINES, brute_force_count,
                        counting_integrand, measure_blowup, precision_for,
                        random_instance, recover_count, render_csv)
 from .heat import (IntervalHeatProblem, HalflineBoundaryProblem,
-                   poly_time_profile, solve_halfline_boundary,
-                   solve_interval, solve_neumann_constant_force)
+                   solve_halfline_boundary, solve_interval,
+                   solve_neumann_constant_force)
 from .kernels import heat_g, heat_g_tilde, real_sph_harmonic_3d, sph_count
 from .laplace import DiskProblem, hardness_boundary_disk, solve_disk
 from .quadrature import integrate
@@ -246,7 +246,7 @@ def _ck_halfline_monotone(rng):
 
 
 def _ramp_profile():
-    return poly_time_profile([Fraction(0), Fraction(1)])
+    return polynomial_fn([Fraction(0), Fraction(1)], (Fraction(0), Fraction(2)), "ramp")
 
 
 def _ck_halfline_zero_time(rng):

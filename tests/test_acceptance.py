@@ -18,12 +18,11 @@ import pytest
 
 MP_PREC = 300  # mpmath bits for this module's tests (see conftest.py)
 
-from certheat.evaluable import TrigPoly, sine_modes_fn, trig_poly_fn
+from certheat.evaluable import TrigPoly, polynomial_fn, sine_modes_fn, trig_poly_fn
 from certheat.hardness import (PIPELINES, brute_force_count, measure_blowup,
                                precision_for, random_instance, recover_count)
 from certheat.heat import (HalflineBoundaryProblem, IntervalHeatProblem,
                            plan_halfline_boundary, plan_interval,
-                           poly_time_profile, sin_half_profile,
                            solve_halfline_boundary, solve_interval)
 from certheat.kernels import heat_g, heat_g_tilde, real_sph_harmonic_3d
 from certheat.laplace import DiskProblem, plan_disk, solve_disk
@@ -31,10 +30,10 @@ from certheat.series import arith_geom_sum, higher_arith_geom
 
 # criterion 3's boundary profiles with their mpmath counterparts
 PROFILES = [
-    (poly_time_profile([Fraction(0), Fraction(1)]), lambda s: s),
-    (poly_time_profile([Fraction(0), Fraction(0), Fraction(1)]),
+    (polynomial_fn([Fraction(0), Fraction(1)], (Fraction(0), Fraction(2))), lambda s: s),
+    (polynomial_fn([Fraction(0), Fraction(0), Fraction(1)], (Fraction(0), Fraction(2))),
      lambda s: s * s),
-    (sin_half_profile(), lambda s: mp.sin(mp.pi * s / 2)),
+    (sine_modes_fn({1: Fraction(1)}, Fraction(2)), lambda s: mp.sin(mp.pi * s / 2)),
 ]
 
 

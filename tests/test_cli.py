@@ -207,6 +207,18 @@ def test_halfline_space_data_without_pieces_exits_3(tmp_path, capsys, text):
     assert err.startswith("precondition violated:") and "piecewise linear" in err
 
 
+def test_trailing_zero_coefficients_keep_the_degree(tmp_path, capsys):
+    # poly 1 1 0 is the affine 1 + y, so the half-line closed form takes it
+    text = "problem = halfline-initial\ng0 = {}\nt = 1/2\nx = 1/2\nbits = 16\n"
+    values = []
+    for spec in ("poly 1 1", "poly 1 1 0"):
+        out = tmp_path / "r.json"
+        cfg = write(tmp_path, "p.cfg", text.format(spec))
+        assert run(["solve", "--config", cfg, "--out", str(out)], capsys)[0] == 0
+        values.append(json.loads(out.read_text())["value_dyadic"])
+    assert values[0] == values[1]
+
+
 def test_internal_error_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
     def broken(cfg, n):
         raise AssertionError("solver exceeded its 2^-20 budget")
@@ -560,3 +572,11 @@ def test_structureless_data_is_refused():
         heat.IntervalHeatProblem(Fraction(1), Fraction(1), bare(1), Fraction(1, 4))
     with pytest.raises(PreconditionError, match="exact structure"):
         integrate(bare(1), 0, 1, 10)
+    # half-line time profiles are read as their polynomial coefficients or
+    # sine modes; bare data and pieces on [0, 2] declare neither
+    window, space = (Fraction(1), Fraction(3, 2)), cli.parse_force_fn("pl 0:1 1/2:1")
+    for profile in (bare(2), cli.parse_force_fn("pl 0:0 1:1 2:0")):
+        with pytest.raises(PreconditionError, match="boundary profile must declare"):
+            heat.HalflineBoundaryProblem(Fraction(1), profile, window)
+        with pytest.raises(PreconditionError, match="time factor must declare"):
+            heat.HalflineForceProblem(Fraction(1), profile, space, window)

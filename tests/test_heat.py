@@ -16,8 +16,7 @@ from certheat.quadrature import int_pl_trig_pi, integrate
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, hardness_initial_interval,
                            plan_halfline_boundary, plan_halfline_force,
-                           plan_halfline_initial, plan_interval,
-                           poly_time_profile, sin_half_profile, sine_coeff,
+                           plan_halfline_initial, plan_interval, sine_coeff,
                            solve_halfline_boundary, solve_halfline_force,
                            solve_halfline_initial, solve_interval,
                            solve_neumann_constant_force)
@@ -25,6 +24,16 @@ from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
 MP_PREC = 300  # mpmath bits for this module's tests (see conftest.py)
 
 F = Fraction
+
+
+def poly_profile(*cs):
+    """Time profile sum c_j s^j on [0, 2]."""
+    return polynomial_fn(list(cs), (F(0), F(2)))
+
+
+def sinhalf(amp):
+    """Time profile amp sin(pi s / 2) on [0, 2], sine mode 1."""
+    return sine_modes_fn({1: amp}, F(2))
 
 
 def to_mp(f: Fraction) -> mp.mpf:
@@ -217,7 +226,7 @@ def test_interval_rejects_and_plan_chain():
 
 def test_boundary_linear_profile_matches_quadrature_oracle():
     tol = mp.mpf(10) ** -12
-    hb = HalflineBoundaryProblem(F(1), poly_time_profile([F(0), F(1)]),
+    hb = HalflineBoundaryProblem(F(1), poly_profile(F(0), F(1)),
                                  (F(1, 2), F(3, 2)))
     plan16 = plan_halfline_boundary(hb, 16)
     for t, x in [(F(1), F(1)), (F(1, 2), F(3, 4)), (F(1, 4), F(9, 8))]:
@@ -226,7 +235,7 @@ def test_boundary_linear_profile_matches_quadrature_oracle():
         assert_close(u, want, 16, tol)
     u = solve_halfline_boundary(hb, F(1), F(1), 24)
     assert_close(u, psi_oracle(mp.mpf(1), mp.mpf(1), 1, lambda s: s), 24, tol)
-    hb2 = HalflineBoundaryProblem(F(1, 2), poly_time_profile([F(0), F(1)]),
+    hb2 = HalflineBoundaryProblem(F(1, 2), poly_profile(F(0), F(1)),
                                   (F(1, 2), F(3, 2)))
     u = solve_halfline_boundary(hb2, F(1), F(1), 12)
     assert_close(u, psi_oracle(mp.mpf(1), mp.mpf(1), mp.mpf(1) / 2, lambda s: s), 12, tol)
@@ -236,8 +245,8 @@ def test_boundary_curved_profiles_match_oracle():
     tol = mp.mpf(10) ** -12
     t, x = F(3, 4), F(1)
     cases = [
-        (poly_time_profile([F(0), F(0), F(1)]), lambda s: s * s),
-        (sin_half_profile(F(1)), lambda s: mp.sin(mp.pi * s / 2)),
+        (poly_profile(F(0), F(0), F(1)), lambda s: s * s),
+        (sinhalf(F(1)), lambda s: mp.sin(mp.pi * s / 2)),
     ]
     for prof, href in cases:
         hb = HalflineBoundaryProblem(F(1), prof, (F(1, 2), F(3, 2)))
@@ -246,7 +255,7 @@ def test_boundary_curved_profiles_match_oracle():
 
 
 def test_boundary_zero_and_small_time():
-    hb = HalflineBoundaryProblem(F(1), poly_time_profile([F(0), F(1)]),
+    hb = HalflineBoundaryProblem(F(1), poly_profile(F(0), F(1)),
                                  (F(1, 2), F(3, 2)))
     plan = plan_halfline_boundary(hb, 16)
     u0 = solve_halfline_boundary(hb, F(0), F(1), 16, plan)
@@ -260,7 +269,7 @@ def test_boundary_zero_and_small_time():
 
 
 def test_boundary_plan_chain_audit():
-    hb = HalflineBoundaryProblem(F(1), sin_half_profile(F(1)), (F(1, 2), F(3, 2)))
+    hb = HalflineBoundaryProblem(F(1), sinhalf(F(1)), (F(1, 2), F(3, 2)))
     plan = plan_halfline_boundary(hb, 12)
     assert [lab for lab, _, _ in plan.chain] == ["taylor-remainder"]
     assert [lab for lab, _ in plan.budget_split] == ["taylor", "erfc tail", "assembly"]
@@ -276,7 +285,7 @@ def test_boundary_plan_chain_audit():
 
 
 def test_boundary_rejects():
-    prof = poly_time_profile([F(0), F(1)])
+    prof = poly_profile(F(0), F(1))
     hb = HalflineBoundaryProblem(F(1), prof, (F(1, 2), F(3, 2)))
     with pytest.raises(PreconditionError):
         solve_halfline_boundary(hb, F(1, 2), F(1, 4), 10)  # x below window
@@ -284,12 +293,28 @@ def test_boundary_rejects():
         solve_halfline_boundary(hb, F(3, 2), F(1), 10)  # t beyond [0, 1]
     with pytest.raises(PreconditionError):
         HalflineBoundaryProblem(F(1), prof, (F(0), F(1)))  # window touches 0
-    with pytest.raises(PreconditionError):
-        # no derivative model attached
-        HalflineBoundaryProblem(
-            F(1), piecewise_linear_fn([(F(0), F(0)), (F(2), F(2))]), (F(1, 2), F(1)))
-    with pytest.raises(PreconditionError):
-        HalflineBoundaryProblem(F(1), poly_time_profile([F(1)]), (F(1, 2), F(1)))
+    refused = [
+        piecewise_linear_fn([(F(0), F(0)), (F(2), F(2))]),  # no coefficients
+        polynomial_fn([F(0), F(1)], (F(0), F(1))),  # not on [0, 2]
+        sine_modes_fn({1: F(1)}, F(1)),  # sine modes of another period
+    ]
+    for h in refused:
+        with pytest.raises(PreconditionError, match="on \\[0, 2\\]"):
+            HalflineBoundaryProblem(F(1), h, (F(1, 2), F(1)))
+
+
+@pytest.mark.parametrize("cs, href", [
+    ((F(1),), lambda s: 1),
+    ((F(1), F(1)), lambda s: 1 + s),
+], ids=["const", "affine"])
+def test_boundary_profile_nonzero_at_zero_matches_oracle(cs, href):
+    # the k = 0 term is h(0) erfc(z), and the remainder past it vanishes at 0
+    tol = mp.mpf(10) ** -15
+    hb = HalflineBoundaryProblem(F(1), poly_profile(*cs), (F(1, 2), F(3, 2)))
+    for n in (16, 40):
+        for t, x in [(F(1), F(1)), (F(1, 4), F(3, 4))]:
+            u = solve_halfline_boundary(hb, t, x, n)
+            assert_close(u, psi_oracle(to_mp(t), to_mp(x), 1, href), n, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +333,21 @@ def force_oracle(t, x, alpha, y0):
 
 def test_force_constant_matches_oracle():
     tol = mp.mpf(10) ** -10
-    fp = HalflineForceProblem(F(1), poly_time_profile([F(1)]),
+    fp = HalflineForceProblem(F(1), poly_profile(F(1)),
                               constant_fn(F(1), (F(0), F(1, 2))), (F(1), F(3, 2)))
     for t, x, n in [(F(1), F(1), 10), (F(1), F(1), 16), (F(1, 2), F(5, 4), 14)]:
         u = solve_halfline_force(fp, t, x, n)
         assert_close(u, force_oracle(to_mp(t), to_mp(x), 1, mp.mpf(1) / 2), n, tol)
     u = solve_halfline_force(fp, F(1), F(9, 8), 24)
     assert_close(u, force_oracle(mp.mpf(1), to_mp(F(9, 8)), 1, mp.mpf(1) / 2), 24, tol)
-    fp2 = HalflineForceProblem(F(1, 2), poly_time_profile([F(1)]),
+    fp2 = HalflineForceProblem(F(1, 2), poly_profile(F(1)),
                                constant_fn(F(1), (F(0), F(1, 2))), (F(1), F(3, 2)))
     u = solve_halfline_force(fp2, F(1), F(1), 12)
     assert_close(u, force_oracle(mp.mpf(1), mp.mpf(1), mp.mpf(1) / 2, mp.mpf(1) / 2), 12, tol)
 
 
 def test_force_decreases_across_window():
-    fp = HalflineForceProblem(F(1), poly_time_profile([F(1)]),
+    fp = HalflineForceProblem(F(1), poly_profile(F(1)),
                               constant_fn(F(1), (F(0), F(1, 2))), (F(1), F(3, 2)))
     plan = plan_halfline_force(fp, 10)
     vals = [solve_halfline_force(fp, F(1), x, 10, plan) for x in (F(1), F(5, 4), F(3, 2))]
@@ -331,7 +356,7 @@ def test_force_decreases_across_window():
 
 
 def test_force_plan_chain_and_rejects():
-    fp = HalflineForceProblem(F(1), poly_time_profile([F(1)]),
+    fp = HalflineForceProblem(F(1), poly_profile(F(1)),
                               constant_fn(F(1), (F(0), F(1, 2))), (F(1), F(3, 2)))
     plan = plan_halfline_force(fp, 12)
     assert [lab for lab, _, _ in plan.chain] == ["taylor-remainder"]
@@ -339,8 +364,13 @@ def test_force_plan_chain_and_rejects():
     assert plan.chain_ok() and plan.total_budget() <= F(1, 2 ** 12)
     with pytest.raises(PreconditionError):
         # support reaches into the window: the Laplace pair needs d > 0
-        HalflineForceProblem(F(1), poly_time_profile([F(1)]),
+        HalflineForceProblem(F(1), poly_profile(F(1)),
                              constant_fn(F(1), (F(0), F(1))), (F(1), F(3, 2)))
+    for f_time in (piecewise_linear_fn([(F(0), F(1)), (F(2), F(1))]),
+                   constant_fn(F(1), (F(0), F(1))), sine_modes_fn({1: F(1)}, F(1))):
+        with pytest.raises(PreconditionError, match="time factor"):
+            HalflineForceProblem(F(1), f_time, constant_fn(F(1), (F(0), F(1, 2))),
+                                 (F(1), F(3, 2)))
     u = solve_halfline_force(fp, F(1, 10000), F(1), 12, plan)
     assert u.value_fraction() == 0
 
@@ -467,35 +497,40 @@ def test_interval_reduction_sup_bound_covers_the_weighted_data():
 
 
 # ---------------------------------------------------------------------------
-# profile derivative models
+# Taylor data of time profiles, read off their coefficients
 
 
-def test_poly_profile_derivatives():
-    prof = poly_time_profile([F(0), F(0), F(1)]).smooth_model
-    d1 = prof.deriv_cv(1, F(1, 3), 40)
-    assert abs(d1.value_fraction() - F(2, 3)) <= d1.err_fraction()
-    assert prof.deriv_sup(2) == 2
-    assert prof.deriv_sup(3) == 0
+def _assert_taylor_data(fn, href):
+    """h^(k)(0) within its error <= 2^-40 and the sup bound over [0, 1]
+    against mpmath derivatives of href, k = 0..9."""
+    grid = [mp.mpf(j) / 32 for j in range(33)]
+    for k in range(10):
+        d = heat._profile_deriv(fn, k, 40)
+        assert d.err_fraction() <= F(1, 1 << 40)
+        assert abs(to_mp(d.value_fraction()) - mp.diff(href, 0, k)) \
+            <= to_mp(d.err_fraction()) + mp.mpf(2) ** -200, k
+        sup = max(abs(mp.diff(href, s, k)) for s in grid)
+        assert to_mp(heat._profile_sup(fn, k)) >= sup - mp.mpf(2) ** -200, k
 
 
-def test_sin_profile_derivatives():
-    fn = sin_half_profile(F(1))
-    assert fn.eval_cv(F(0), 30).value_fraction() == 0
-    assert fn.eval_cv(F(1), 30).value_fraction() == 1
-    sm = fn.smooth_model
-    d1 = sm.deriv_cv(1, F(0), 40)
-    assert abs(to_mp(d1.value_fraction()) - mp.pi / 2) <= to_mp(d1.err_fraction())
-    d2 = sm.deriv_cv(2, F(1, 3), 40)
-    want = -(mp.pi / 2) ** 2 * mp.sin(mp.pi / 6)
-    assert abs(to_mp(d2.value_fraction()) - want) <= to_mp(d2.err_fraction())
-    for k in range(5):
-        assert to_mp(sm.deriv_sup(k)) >= (mp.pi / 2) ** k - mp.mpf(2) ** -6
+def test_poly_profile_taylor_data():
+    cs = [F(3, 4), F(-2), F(1, 3), F(0), F(-5, 7), F(1, 9)]
+    _assert_taylor_data(poly_profile(*cs),
+                        lambda s: sum(to_mp(c) * s ** j for j, c in enumerate(cs)))
+    assert heat._profile_sup(poly_profile(*cs), 6) == 0
+    assert heat._profile_deriv(poly_profile(*cs), 7, 10).value_fraction() == 0
+
+
+@pytest.mark.parametrize("amp", [F(3), F(-1, 3)], ids=["amp3", "amp-third"])
+def test_sinhalf_profile_taylor_data(amp):
+    # k = 0..9 covers every k mod 4: 0, (pi/2)^k amp, 0, -(pi/2)^k amp
+    _assert_taylor_data(sinhalf(amp), lambda s: to_mp(amp) * mp.sin(mp.pi * s / 2))
 
 
 def test_kernel_ladder_needs_linear_space_data():
     # a quadratic force profile has no linear pieces for the closed form
     quad = polynomial_fn([F(0), F(0), F(1)], (F(0), F(1, 4)))
-    p = HalflineForceProblem(F(1), poly_time_profile([F(1)]), quad, (F(1, 2), F(1)))
+    p = HalflineForceProblem(F(1), poly_profile(F(1)), quad, (F(1, 2), F(1)))
     with pytest.raises(PreconditionError):
         solve_halfline_force(p, F(1, 2), F(3, 4), 6)
 

@@ -16,11 +16,11 @@ import pytest
 
 import certheat.certified as certified
 import certheat.heat as heat
-from certheat.evaluable import constant_fn, linear_pieces, piecewise_linear_fn, pl_jumps
+from certheat.evaluable import (constant_fn, linear_pieces, piecewise_linear_fn, pl_jumps,
+                                polynomial_fn, sine_modes_fn)
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, plan_halfline_boundary,
-                           plan_halfline_force, plan_interval, poly_time_profile,
-                           sin_half_profile, solve_halfline_boundary,
+                           plan_halfline_force, plan_interval, solve_halfline_boundary,
                            solve_halfline_force, solve_interval)
 from certheat.laplace import DiskProblem, plan_disk, solve_disk
 
@@ -73,13 +73,13 @@ def test_interval_reuse_matches_fresh_solves():
 
 
 def _boundary():
-    p = HalflineBoundaryProblem(F(1), sin_half_profile(F(1)), (F(1, 2), F(3, 2)))
+    p = HalflineBoundaryProblem(F(1), sine_modes_fn({1: F(1)}, F(2)), (F(1, 2), F(3, 2)))
     return plan_halfline_boundary(p, 12), lambda plan: solve_halfline_boundary(
         p, F(1, 2), F(1), 12, plan)
 
 
 def _force():
-    p = HalflineForceProblem(F(1), poly_time_profile([F(1)]),
+    p = HalflineForceProblem(F(1), polynomial_fn([F(1)], (F(0), F(2))),
                              constant_fn(F(1), (F(0), F(1, 2))), (F(1), F(3, 2)))
     return plan_halfline_force(p, 8), lambda plan: solve_halfline_force(
         p, F(1, 2), F(1), 8, plan)

@@ -124,7 +124,7 @@ from fractions import Fraction as F
 import certheat.series as series
 from certheat import heat, laplace
 from certheat.cli import parse_boundary_fn, parse_interval_fn, parse_sph_fn
-from certheat.evaluable import piecewise_linear_fn
+from certheat.evaluable import piecewise_linear_fn, polynomial_fn
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -141,7 +141,7 @@ planners = {
         1, 1, parse_interval_fn("sine 1:1 3:1/2", 1), F(1, 4)), 8),
     "interval": lambda: heat.plan_interval(heat.IntervalHeatProblem(1, 1, tent, F(1, 4)), 8),
     "taylor": lambda: heat.plan_halfline_boundary(heat.HalflineBoundaryProblem(
-        1, heat.poly_time_profile([0, 1]), (F(1, 2), 1)), 8),
+        1, polynomial_fn([0, 1], (0, 2)), (F(1, 2), 1)), 8),
     "initial": lambda: heat.plan_halfline_initial(tent, 1, F(1, 2), F(1, 2), 8),
 }
 for name, plan in planners.items():
