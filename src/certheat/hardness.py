@@ -4,8 +4,8 @@ A subset-sum instance with n_vars items becomes a piecewise-linear function
 on [0,1]: the unit interval splits into 2^{n_vars} dyadic cells, one per
 assignment, and a cell receives a triangular bump of exact area 4^{-n_vars}
 precisely when its assignment hits the target sum.  Evaluating the function
-at a point off a cell edge costs one verifier call (a few integer
-additions), and on a cell edge none, so the integrand is pointwise cheap;
+at a point off a cell edge costs one verifier call (two table reads and a
+comparison), and on a cell edge none, so the integrand is pointwise cheap;
 integrating it to enough bits to read off the count forces any solver to
 look into every cell, and the integrand's run sum verifies each cell it
 meets exactly once.  The benchmark runs that integration through three
@@ -31,8 +31,14 @@ MAX_VARS = 24  # counting_integrand refuses larger instances
 class CountingInstance(Record):
     """Subset-sum counting: how many S with sum(weights[i], i in S) == target.
 
-    Immutable and hashable, so ``_byte_sums`` (per byte of the assignment,
-    the sum of its set bits' weights) cannot drift from ``weights``.
+    The verifier reads two tables built once from the weights: ``_low[l]``
+    is the subset sum of items 0..7 picked by the low byte l of an
+    assignment (at most 256 entries), and ``_rest[h]`` is the target minus
+    the subset sum of items 8 and up picked by the high bits h (at most
+    2^16 entries at ``MAX_VARS`` = 24, one at 8 items or fewer).  An
+    instance of more than ``MAX_VARS`` items, which ``counting_integrand``
+    refuses, builds neither table and cannot be verified.  Immutable and
+    hashable, so the tables cannot drift from ``weights`` and ``target``.
     """
 
     _fields = ("weights", "target")
@@ -43,14 +49,15 @@ class CountingInstance(Record):
             raise PreconditionError("weights must be positive integers")
         if target <= 0:
             raise PreconditionError("target must be a positive integer")
-        tables = []
-        for lo in range(0, len(weights), 8):
-            sums = [0]
-            for w in weights[lo:lo + 8]:
-                sums += [s + w for s in sums]
-            tables.append(tuple(sums * (256 // len(sums))))  # bits past n_vars add 0
+        low, rest = [], []
+        if len(weights) <= MAX_VARS:  # _rest has 2^(n_vars-8) entries: none past the cap
+            low, rest = [0], [target]
+            for w in weights[:8]:  # doubling: entry i + 2^j has item j, entry i not
+                low += [s + w for s in low]
+            for w in weights[8:]:
+                rest += [s - w for s in rest]
         for name, value in (("weights", weights), ("target", target),
-                            ("_byte_sums", tuple(tables))):
+                            ("_low", tuple(low)), ("_rest", tuple(rest))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -69,19 +76,22 @@ class CountingInstance(Record):
     def accepts(self, assignment: int) -> bool:
         """Verifier: does the bitmask assignment hit the target sum?
 
-        Adds one table entry per byte of the assignment, not one weight per
-        item; bits past n_vars count for nothing.
+        Two table reads and one comparison for any n_vars <= ``MAX_VARS``:
+        the low byte's subset sum against what the high bits leave of the
+        target.  The contract is 0 <= assignment < 2^n_vars; a larger
+        assignment raises IndexError (as every assignment does past
+        ``MAX_VARS``), and a negative one is no assignment: it may read a
+        verdict that means nothing instead of raising.
         """
-        total = 0
-        for sums in self._byte_sums:
-            total += sums[assignment & 255]
-            assignment >>= 8
-        return total == self.target
+        return self._low[assignment & 255] == self._rest[assignment >> 8]
 
 
 def brute_force_count(inst: CountingInstance) -> int:
-    """Independent oracle: full enumeration of all 2^{n_vars} assignments."""
-    return sum(1 for a in range(1 << inst.n_vars) if inst.accepts(a))
+    """Independent oracle: full enumeration of all 2^{n_vars} assignments,
+    each summed weight by weight, sharing no table with ``accepts``."""
+    weights, target = inst.weights, inst.target
+    return sum(1 for a in range(1 << inst.n_vars)
+               if sum(w for i, w in enumerate(weights) if a >> i & 1) == target)
 
 
 def counting_integrand(inst: CountingInstance) -> EvaluableFunction:

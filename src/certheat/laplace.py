@@ -251,7 +251,9 @@ class DiskReduction:
     ``jumps`` their ``pl_jumps`` list, and ``area`` is gtilde's exact
     integral over [0, 2]; each is built on first use and then kept, the
     pieces and jumps for every Fourier coefficient and the area for those
-    and the point-value identity, which reads no piece.
+    and the point-value identity, which reads no piece.  The area comes
+    from the jumps when the pieces are already read and from h's run sum
+    otherwise, so either route verifies a counting cell once.
     """
 
     def __init__(self, r0: Fraction, theta0: Fraction, gtilde: EvaluableFunction,
@@ -273,10 +275,17 @@ class DiskReduction:
     def area(self) -> Fraction:
         """Integral of gtilde over [0, 2].
 
+        Once the pieces are read, the jump list gives it with no further
+        evaluation: gtilde is the sum of J + D (x - y) over its points
+        y <= x, so its integral up to the last point b is the sum of
+        J (b - y) + D (b - y)^2 / 2.  Before that, only h is integrated:
         gtilde is h on [0, 1] and the linear bridge from h(1) back to h(0)
-        on [1, 2], whose integral is the trapezoid (h(0) + h(1)) / 2; only h
-        is integrated.
+        on [1, 2], whose integral is the trapezoid (h(0) + h(1)) / 2.
         """
+        if "pieces" in self.__dict__:  # read already: integrate its jump list
+            b = self.jumps[-1][0]
+            return sum((J * (b - y) + D * (b - y) ** 2 / 2 for y, J, D in self.jumps
+                        if J or D), Fraction(0))
         h = self.profile
         head = integral_exact(h, Fraction(0), Fraction(1))
         if head is None:

@@ -76,14 +76,19 @@ def naive_accepts(inst, assignment):
 
 
 def test_accepts_matches_a_per_bit_sum():
-    # byte tables: every assignment at n_vars <= 10, crossing the first
-    # byte boundary with a partial second byte
+    # two tables: every assignment at n_vars <= 12, so the high-bit table
+    # _rest holds 1 to 16 entries; past 2^n_vars the verifier raises
     rng = random.Random(47)
-    for nv in range(1, 11):
+    for nv in range(1, 13):
         for _ in range(3):
             inst = random_instance(rng, nv, max_weight=9)
+            assert len(inst._low) == 2 ** min(nv, 8)
+            assert len(inst._rest) == 2 ** max(0, nv - 8)
             for a in range(1 << nv):
                 assert inst.accepts(a) == naive_accepts(inst, a), (inst, a)
+            for a in (1 << nv, (1 << nv) + 1, 1 << (nv + 8)):
+                with pytest.raises(IndexError):
+                    inst.accepts(a)
 
 
 def test_accepts_matches_a_per_bit_sum_on_seeded_instances():
@@ -269,6 +274,26 @@ def test_disk_pipeline_against_full_series_solve():
         <= shortcut.err_fraction() + 2 * u.err_fraction()
 
 
+def test_disk_series_solve_verifies_each_cell_once():
+    # the series route reads gtilde's pieces (one verdict per cell) and then
+    # takes its area off their jump list; reading the area first takes it
+    # from h's run sum instead, and the two give the same bits
+    inst = random_instance(random.Random(5), 8)
+    area = brute_force_count(inst) * Fraction(1, 4 ** 8)
+    solves = []
+    for area_first in (False, True):
+        h = counting_integrand(inst)
+        g = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h)
+        if area_first:
+            assert g.hardness.area == area and h.verifier_calls() == 2 ** 8
+        u = solve_disk(DiskProblem(g, Fraction(1, 2)), Fraction(1, 2), Fraction(1, 2), 16)
+        assert g.hardness.area == area
+        solves.append((u.value_fraction(), u.err_fraction(), h.verifier_calls()))
+    assert solves[0][:2] == solves[1][:2]
+    assert solves[0][2] == 2 ** 8 and solves[1][2] == 2 ** 9
+    assert abs(solves[0][0] - area / 2) <= solves[0][1] + Fraction(1, 2 ** 16)
+
+
 def test_measure_blowup_records_and_csv():
     fam = [INST_ONE, CountingInstance(tuple(range(1, 26)), 5), INST_TWO]
     recs = measure_blowup(fam, "neumann", repeats=1)
@@ -313,7 +338,7 @@ def test_counting_instance_is_an_immutable_value():
     assert inst == INST_TWO and hash(inst) == hash(INST_TWO)
     assert inst != CountingInstance((2, 3, 5, 7), 12) and inst != (2, 3, 5, 7)
     assert repr(inst) == "CountingInstance(weights=(2, 3, 5, 7), target=10)"
-    for name in ("weights", "target", "_byte_sums"):
+    for name in ("weights", "target", "_low", "_rest"):
         with pytest.raises(AttributeError):
             setattr(inst, name, getattr(inst, name))
         with pytest.raises(AttributeError):
@@ -331,6 +356,10 @@ def test_max_vars_env_cap():
         counting_integrand(big)
     recs = measure_blowup([big], "neumann", repeats=1)
     assert len(recs) == 1 and not recs[0].ok
+    # it builds no verifier tables, so no assignment of it is verified
+    assert big._low == big._rest == ()
+    with pytest.raises(IndexError):
+        big.accepts(0)
     fn = counting_integrand(random_instance(rng, 24))
     assert fn.linear_segments == 2 ** 25 and fn.verifier_calls() == 0
 
