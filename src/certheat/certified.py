@@ -256,16 +256,6 @@ def _rotate(theta: Fraction, K: int, W: int):
         yield x, y, E
 
 
-def rotation_pi(theta, K: int, p: int) -> list[tuple[CertifiedValue, CertifiedValue]]:
-    """(cos k pi theta, sin k pi theta) for k = 0..K, by repeated rotation
-    at scale W = p + bitlen(K) + 3, so each value is within 2^-p."""
-    W = p + K.bit_length() + 3
-    out = [(CertifiedValue.exact(1), CertifiedValue.zero())]
-    for x, y, E in _rotate(as_fraction(theta), K, W):
-        out.append((CertifiedValue(x, W, E, W), CertifiedValue(y, W, E, W)))
-    return out
-
-
 def rotation_sum(theta, weights: list[tuple[int, int]],
                  W: int) -> tuple[CertifiedValue, CertifiedValue]:
     """(sum of w_k cos k pi theta, sum of w_k sin k pi theta) for k = 1..K.

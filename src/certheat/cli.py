@@ -106,6 +106,15 @@ def _parse_pairs(rest: str, what: str,
     return pts
 
 
+def _parse_pl(rest: str, spec: str) -> EvaluableFunction:
+    """Piecewise-linear data through the x:y nodes of a ``pl`` spec; nodes
+    that do not strictly increase are a config error naming the spec."""
+    try:
+        return piecewise_linear_fn(_parse_pairs(rest, "pl"), spec)
+    except ValueError as exc:
+        raise ConfigError(f"pl: {exc}: {spec!r}")
+
+
 def _add_mode(modes: dict, key, coeff: Fraction, what: str) -> None:
     """modes[key] = coeff, refusing a mode the spec already gave."""
     if key in modes:
@@ -159,7 +168,7 @@ def parse_boundary_fn(spec: str) -> EvaluableFunction:
         return trig_poly_fn(TrigPoly(terms["const"].get(0, Fraction(0)), terms["sin"],
                                      terms["cos"]), spec)
     if kind == "pl":
-        return piecewise_linear_fn(_parse_pairs(rest, "pl"), spec)
+        return _parse_pl(rest, spec)
     raise ConfigError(f"unknown boundary function kind {kind!r}")
 
 
@@ -173,7 +182,7 @@ def parse_interval_fn(spec: str, L: Fraction) -> EvaluableFunction:
             _add_mode(modes, int(k), c, "sine")
         return sine_modes_fn(modes, L, spec)
     if kind == "pl":
-        return piecewise_linear_fn(_parse_pairs(rest, "pl"), spec)
+        return _parse_pl(rest, spec)
     raise ConfigError(f"unknown interval function kind {kind!r}")
 
 
@@ -201,7 +210,7 @@ def parse_profile(spec: str) -> EvaluableFunction:
 def parse_force_fn(spec: str) -> EvaluableFunction:
     kind, _, rest = spec.strip().partition(" ")
     if kind == "pl":
-        return piecewise_linear_fn(_parse_pairs(rest, "pl"), spec)
+        return _parse_pl(rest, spec)
     if kind == "poly":
         return parse_profile(spec)
     if kind == "counting":
@@ -382,6 +391,8 @@ def cmd_solve(args) -> int:
 
 
 def _parse_sizes(text: str) -> list[int]:
+    """Item counts, each at least 1; sizes past ``MAX_VARS`` are the
+    benchmark's to record as not ok."""
     text = text.strip()
     if not text or text == "none":
         return []
@@ -393,11 +404,15 @@ def _parse_sizes(text: str) -> list[int]:
             raise ConfigError(f"sizes: bad range {text!r}")
         if hi < lo:
             raise ConfigError(f"sizes: empty range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(tok) for tok in text.split()]
-    except ValueError:
-        raise ConfigError(f"sizes: bad list {text!r}")
+        sizes = list(range(lo, hi + 1))
+    else:
+        try:
+            sizes = [int(tok) for tok in text.split()]
+        except ValueError:
+            raise ConfigError(f"sizes: bad list {text!r}")
+    if min(sizes) < 1:
+        raise ConfigError(f"sizes: {min(sizes)} is below 1 item")
+    return sizes
 
 
 def cmd_bench(args) -> int:
@@ -420,6 +435,8 @@ def cmd_bench(args) -> int:
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}, have {sorted(PIPELINES)}")
     repeats = _int(cfg, "repeats", 5)
+    if repeats < 1:
+        raise ConfigError(f"repeats: {repeats} is below 1")
 
     if "weights" in cfg or "target" in cfg:
         if "sizes" in cfg:
@@ -435,6 +452,8 @@ def cmd_bench(args) -> int:
             raise ConfigError("bench needs sizes or an explicit weights/target")
         seed = args.seed if args.seed is not None else _int(cfg, "seed", 0)
         max_weight = _int(cfg, "max_weight", 50)
+        if max_weight < 1:
+            raise ConfigError(f"max_weight: {max_weight} is below 1")
         rng = random.Random(seed)
         family = [random_instance(rng, nv, max_weight)
                   for nv in _parse_sizes(cfg["sizes"])]

@@ -259,7 +259,7 @@ def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: i
     cos_terms = [((y - x) / L, L * d) for y, d in inner] + [((y + x) / L, -L * d) for y, d in inner]
     # (-1)^k sin(k pi x / L) = sin(k pi (x + L) / L)
     sin_terms = [((x + y) / L, 2 * j) for y, j in ((0, j0), (L, jL)) if j]
-    out = breakpoint_series(decay, cos_terms, sin_terms, W).rounded(n + 4)
+    out = breakpoint_series(decay, cos_terms, sin_terms, W, imag=False)[0].rounded(n + 4)
     require("interval assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
     return out
 

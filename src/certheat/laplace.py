@@ -16,8 +16,9 @@ Piecewise-linear disk data (``linear_pieces``) forms no Fourier
 coefficient: integrating by parts twice leaves one series per point of the
 data's jump list (``pl_jumps``, the ends merged into the seam), summed by one
 rotation each (:func:`_solve_disk_pl`).  The counting-reduction data
-(:class:`DiskReduction`) sums its Fourier coefficients, each in closed form
-on the pieces of its profile; data of no such kind is refused.
+(:class:`DiskReduction`) sums the same series over its piecewise-linear
+gtilde's jump list and reads both of its parts, since the kernel factor
+mixes each mode with its neighbours; data of no such kind is refused.
 
 Data given as finitely many declared modes (trig polynomials on the disk,
 spherical harmonics on the ball) has an exactly finite solution: every mode
@@ -32,12 +33,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, rotation_pi
+from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, sin_pi_mul_cv
 from .dyadic import as_fraction
 from .errors import PreconditionError
 from .evaluable import EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces, pl_jumps
 from .kernels import real_sph_harmonic_3d
-from .quadrature import area_trig_pi, breakpoint_series, int_jumps_trig_pi, integral_exact
+from .quadrature import breakpoint_series, integral_exact
 from .record import Record
 from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_order,
                      require)
@@ -47,15 +48,16 @@ class DiskProblem(Record):
     """Dirichlet data on the unit circle with a guaranteed evaluation radius.
 
     g lives on [0,2] in pi-units and declares trig modes, linear pieces or a
-    :class:`DiskReduction`; r0 < 1 bounds the radii r a solve takes,
-    and the plan's order is what a solve at r0 sums.  One solve plans at its
-    own r; many solves plan once at their largest.  ``pieces`` is
-    ``linear_pieces(g)``, read once here for every solve; so are, when g has
-    pieces, what :func:`_solve_disk_pl` reads off them: the ``jumps``
-    (y, J, D) of ``pl_jumps`` where something jumps, with the points at 0
-    and 2 merged into the seam's (J = g(0) - g(2), usually 0), their
-    ``size`` sum |J| + |D| and the exact ``area`` of g over [0, 2].  These
-    derived fields take no part in equality or ``repr``.
+    :class:`DiskReduction` (``reduction``, else None); r0 < 1 bounds the
+    radii r a solve takes, and the plan's order is what a solve at r0 sums.
+    One solve plans at its own r; many solves plan once at their largest.
+    ``pieces`` is ``linear_pieces(g)``, read once here for every solve; so
+    are, when g has pieces or is reduction data, what :func:`_solve_disk_pl`
+    reads off them (gtilde's, for reduction data): the ``jumps`` (y, J, D)
+    of ``pl_jumps`` where something jumps, with the points at 0 and 2 merged
+    into the seam's (J = g(0) - g(2), usually 0), their ``size`` sum
+    |J| + |D| and the exact ``area`` over [0, 2].  These derived fields take
+    no part in equality or ``repr``.
     """
 
     _fields = ("g", "r0")
@@ -70,20 +72,22 @@ class DiskProblem(Record):
         if (lo, hi) != (Fraction(0), Fraction(2)):
             raise PreconditionError("boundary data must live on [0,2] in pi-units")
         self.pieces = pieces = linear_pieces(self.g)
-        if pieces is None and self.g.trig_poly is None \
-                and not isinstance(self.g.hardness, DiskReduction):
+        hard = self.g.hardness
+        self.reduction = red = hard if isinstance(hard, DiskReduction) else None
+        if pieces is None and self.g.trig_poly is None and red is None:
             raise PreconditionError("boundary data must declare trig modes or linear pieces")
         a = self.g.eval_cv(Fraction(0), 20)
         b = self.g.eval_cv(Fraction(2), 20)
         gap = abs(a.value_fraction() - b.value_fraction())
         if gap > a.err_fraction() + b.err_fraction() + Fraction(1, 2 ** 18):
             raise PreconditionError("boundary data is not periodic at the seam")
-        if pieces is not None:
-            (_, j0, d0), *inner, (_, j2, d2) = pl_jumps(pieces)
+        if pieces is not None or red is not None:
+            (_, j0, d0), *inner, (_, j2, d2) = pl_jumps(pieces) if red is None else red.jumps
             self.jumps = [(y, J, D) for y, J, D in [(Fraction(0), j0 + j2, d0 + d2), *inner]
                           if J or D]  # the seam first, then in order
             self.size = sum((abs(J) + abs(D) for _, J, D in self.jumps), Fraction(0))
-            self.area = integral_exact(self.g, Fraction(0), Fraction(2))
+            self.area = integral_exact(self.g, Fraction(0), Fraction(2)) if red is None \
+                else red.area
 
 
 # ---------------------------------------------------------------------------
@@ -96,70 +100,77 @@ def fourier_coeffs(g: EvaluableFunction, k: int, prec: int):
     a_k = (1/pi) * integral of g sin(k tau) over a full period, which in
     pi-units is the plain integral of g(rho) sin(k pi rho) over [0,2];
     likewise for b_k with cosine (so b_0 is twice the mean of g).  Declared
-    trig modes are read off; counting-reduction data takes the closed form of
-    :func:`_hardness_fourier`.  Piecewise-linear data forms no coefficient
-    (:func:`_solve_disk_pl`) and, like any other data, is refused here.
+    trig modes are read off; any other data is refused, since its solve
+    forms no coefficient (:func:`_solve_disk_pl`).
     """
     if k < 0:
         raise PreconditionError("coefficient index must be nonnegative")
     tp = g.trig_poly
-    if tp is not None:
-        a = tp.sin_coeffs.get(k, Fraction(0))
-        b = 2 * tp.const if k == 0 else tp.cos_coeffs.get(k, Fraction(0))
-        return _exact_cv(a, prec), _exact_cv(b, prec)
-    if isinstance(g.hardness, DiskReduction):
-        return _hardness_fourier(g.hardness, k, prec)
-    raise PreconditionError("Fourier coefficients need declared trig modes or reduction data")
+    if tp is None:
+        raise PreconditionError("Fourier coefficients need declared trig modes")
+    a = tp.sin_coeffs.get(k, Fraction(0))
+    b = 2 * tp.const if k == 0 else tp.cos_coeffs.get(k, Fraction(0))
+    return _exact_cv(a, prec), _exact_cv(b, prec)
 
 
 # ---------------------------------------------------------------------------
 # disk solver
 
 
-def _disk_tail(sup: Fraction, r: Fraction, start: int) -> Fraction:
-    """2 ||g|| r^start / (1-r), which bounds the disk series' terms k >= start.
-
-    a_k sin k pi theta + b_k cos k pi theta is the integral of
-    g(rho) cos(k pi (rho - theta)) over rho in [0, 2], at most ||g|| 4/pi.
-    """
-    return 2 * sup * r ** start / (1 - r)
-
-
 _PI_LO = Fraction(157, 50)  # < pi
 
 
 def _point_tail(p: DiskProblem, r: Fraction) -> Callable[[int], Fraction]:
-    """Bound on the series terms k > m at radius r, as a function of m.
+    """Bound on what the series drops past order m at radius r, as a
+    function of m.
 
-    Term k is at most the 2 ||g|| r^k that :func:`_disk_tail` charges, and
-    for data with pieces, whose breakpoint series (:func:`_solve_disk_pl`)
-    has term k at most (sum |D_j| / (pi k)^2 + sum |J_j| / (pi k)) r^k, the
-    lesser of the two.  Either bound is an exact rational that grows with r,
-    so the order found at r0 serves every r <= r0.  What does not depend on
-    m is formed once, outside the point-order search.
+    The series (:func:`_solve_disk_pl`) sums c_k r^k e^{i pi k theta} over
+    k <= m for piecewise-linear g, and c_k r^(k-1) e^{i pi k theta} (S0) for
+    reduction data, with c_k the complex Fourier coefficients of g or of
+    gtilde.  2 |c_k| is at most twice their sup and, from the jump list,
+    sum |D_j| / (pi k)^2 + sum |J_j| / (pi k), so the terms k > m of
+    sum 2 |c_k| r^(k-1) are at most the lesser of the two sums past m times
+    r^m / (1 - r).  Piecewise-linear data charges that times r.  The
+    reduction's combination weighs what S0 drops by 2 ((1 + r0^2) r +
+    r0 (1 + r^2)) / (1 - r0^2), half of which it charges, since |c_k| is
+    half of 2 |c_k|; at r0 = 0 that is r again.  Each bound is an exact
+    rational that grows with r, so the order found at r0 serves every
+    r <= r0.  What does not depend on m is formed once, outside the
+    point-order search.
     """
-    sup = p.g.sup_bound
-    if p.pieces is None:
-        return lambda m: _disk_tail(sup, r, m + 1)
-    span = 1 - r
-    slope_part = sum((abs(D) for _, _, D in p.jumps), Fraction(0)) / (_PI_LO * _PI_LO * span)
-    value_part = sum((abs(J) for _, J, _ in p.jumps), Fraction(0)) / (_PI_LO * span)
-    ceiling = 2 * sup / span
+    red = p.reduction
+    if red is None:
+        sup, weight = p.g.sup_bound, r
+    else:
+        r0 = red.r0
+        sup = red.gtilde.sup_bound
+        weight = ((1 + r0 * r0) * r + r0 * (1 + r * r)) / (1 - r0 * r0)
+    scale = weight / (1 - r)
+    slope_part = scale * sum((abs(D) for _, _, D in p.jumps), Fraction(0)) / (_PI_LO * _PI_LO)
+    value_part = scale * sum((abs(J) for _, J, _ in p.jumps), Fraction(0)) / _PI_LO
+    ceiling = 2 * sup * scale
 
     def tail(m: int) -> Fraction:
         start = m + 1
-        return min((slope_part + value_part * start) / (start * start), ceiling) * r ** start
+        return min((slope_part + value_part * start) / (start * start), ceiling) * r ** m
 
     return tail
 
 
 def plan_disk(p: DiskProblem, n: int) -> TruncationPlan:
     """The order a solve at r0 sums (:func:`_point_tail`), which every
-    r <= r0 needs at most; declared modes plan their top degree."""
+    r <= r0 needs at most; declared modes plan their top degree.
+
+    The search stops by the order where 2 ||g|| r0^K / (1 - r0) is within
+    2^-(n+1).  That covers piecewise-linear data, whose tail at r0 is at
+    most this, and reduction data too: its ceiling at r0 is 4 r0 (1 + r0^2)
+    ||gtilde|| r0^K / ((1 - r0)(1 - r0^2)), and ||g|| = ||gtilde|| (1 + r0) /
+    (1 - r0), so the ratio of the two is 2 r0 (1 + r0^2) / (1 + r0)^2 <= 1.
+    """
     tp = p.g.trig_poly
     if tp is not None:
         return declared_modes_plan(tp.degree(), n)
-    cap = geometric_cap(_disk_tail(p.g.sup_bound, p.r0, 0), p.r0, n)
+    cap = geometric_cap(2 * p.g.sup_bound / (1 - p.r0), p.r0, n)
     K, tail = point_order(_point_tail(p, p.r0), n, cap, "disk point tail")
     plan = TruncationPlan(K, [("truncation", n + 1), ("summation", n + 1)])
     plan.claim("tail", tail, Fraction(1, 1 << (n + 1)))
@@ -172,9 +183,10 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
     """Certified u(r, theta) with |error| <= 2^-n; theta in units of pi.
 
     Declared modes are all summed, one term per mode, and leave no tail.
-    Other data sums the series only as far as r needs, and the plan's order
-    caps that: piecewise-linear data over the points of its jump list
-    (:func:`_solve_disk_pl`), reduction data over its Fourier coefficients.
+    Other data, piecewise linear or reduction data over a piecewise-linear
+    gtilde, sums the series over the points of its jump list
+    (:func:`_solve_disk_pl`) only as far as r needs, and the plan's order
+    caps that.
     """
     r, theta = as_fraction(r), as_fraction(theta)
     if not 0 <= r <= p.r0:
@@ -189,49 +201,59 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
     if plan is None:
         plan = plan_disk(p, n)
     K, tail = point_order(_point_tail(p, r), n, plan.order, "disk point tail")
-    if p.pieces is not None:
-        return _solve_disk_pl(p, r, theta, n, K).widen_fraction(tail)
-    pc = n + 1 + (K + 1).bit_length() + 3 + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
-    _, b0 = fourier_coeffs(p.g, 0, pc)
-    acc = b0.mul_fraction(Fraction(1, 2), pc)
-    rot = rotation_pi(theta, K, pc)
-    rk = Fraction(1)
-    for k in range(1, K + 1):
-        rk *= r
-        a_k, b_k = fourier_coeffs(p.g, k, pc)
-        cos_k, sin_k = rot[k]
-        term = a_k * sin_k + b_k * cos_k
-        acc = (acc + term.mul_fraction(rk, pc)).rounded(pc)
-    require("disk assembly", acc.err_fraction(), Fraction(1, 1 << (n + 1)))
-    return acc.widen_fraction(tail)
+    return _solve_disk_pl(p, r, theta, n, K).widen_fraction(tail)
 
 
 def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
                    K: int) -> CertifiedValue:
-    """Terms 0..K of u(r, theta) for piecewise-linear g that jumps by J_j in
-    value and D_j in slope at rho_j (``p.jumps``: the seam's, at 0, and the
-    inner points').
+    """Terms 0..K of u(r, theta) for piecewise-linear data (g, or the
+    reduction's gtilde) that jumps by J_j in value and D_j in slope at rho_j
+    (``p.jumps``: the seam's, at 0, and the inner points').
 
-    Integrating by parts twice gives b_k + i a_k = sum_j (i J_j / (pi k)
-    - D_j / (pi k)^2) e^{i pi k rho_j}, so
-    u = mean(g) + pi^-1 sum_j J_j sum_k r^k sin(k pi (theta - rho_j)) / k
+    Integrating by parts twice gives the complex Fourier coefficients
+    c_k = (1/2) sum_j (-i J_j / (pi k) - D_j / (pi k)^2) e^{-i pi k rho_j},
+    and c_0 = area / 2, so for piecewise-linear g
+    u = c_0 + 2 Re S1 = mean(g) + pi^-1 sum_j J_j sum_k r^k sin(k pi (theta - rho_j)) / k
         - pi^-2 sum_j D_j sum_k r^k cos(k pi (rho_j - theta)) / k^2,
-    each inner sum the real part of Li_2(r e^{i pi (rho_j - theta)}) cut at
-    K (Lewin 1981; DLMF 25.12), or its Li_1 analogue: one rotation per term
-    and no Fourier coefficient (:func:`breakpoint_series`).  Only the seam
-    carries a J, the end gap g(0) - g(2) that the seam check lets through.
+    with S1 = sum_{k>=1} c_k r^k e^{i pi k theta}; each inner sum is the real
+    part of Li_2(r e^{i pi (rho_j - theta)}) cut at K (Lewin 1981;
+    DLMF 25.12), or its Li_1 analogue: one rotation per term and no Fourier
+    coefficient (:func:`breakpoint_series`).  Only the seam carries a J,
+    the end gap g(0) - g(2) that the seam check lets through.
+
+    Reduction data g = gtilde (1 + r0^2 - 2 r0 cos pi(theta0 - rho)) /
+    (1 - r0^2) has coefficients (1 + r0^2) c_k - r0 (e^{i pi theta0} c_{k+1}
+    + e^{-i pi theta0} c_{k-1}) over 1 - r0^2.  With S0 = sum_{k>=1} c_k
+    r^(k-1) e^{i pi k theta}, so that S1 = r S0, and psi = theta0 - theta,
+    u (1 - r0^2) = (1 + r0^2)(c_0 + 2 Re S1)
+        - 2 r0 [Re(e^{i pi psi} S0) + c_0 r cos pi psi + r Re(e^{-i pi psi} S1)]
+      = (1 + r0^2)(c_0 + 2 r Re S0) - r0 cos pi psi (2 r c_0 + 2 (1 + r^2) Re S0)
+        + 2 r0 (1 - r^2) sin pi psi Im S0:
+    the same series on the decay r^(k-1), read in both parts.
     """
-    W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(p.size, 1)))
-    area = CertifiedValue.from_fraction(p.area, W + 4)
+    red = p.reduction
+    guard = 0 if red is None else _log2_ceil(8 / (1 - red.r0 * red.r0))
+    W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(p.size, 1))) + guard
     # each floor loses under a unit and r <= 1 shrinks the earlier losses,
-    # so rk stays less than k units below 2^W r^k
-    decay, rk = [], 1 << W
-    for k in range(1, K + 1):
+    # so r^k stays less than k units below 2^W r^k
+    powers, rk = [], 1 << W
+    for k in range(K + 1):
+        powers.append((rk, k))
         rk = rk * r.numerator // r.denominator
-        decay.append((rk, k))
-    acc = area.mul_fraction(Fraction(1, 2), W) + breakpoint_series(
-        decay, [(y - theta, D) for y, _, D in p.jumps if D],
-        [(theta - y, J) for y, J, _ in p.jumps if J], W)
+    c0 = CertifiedValue.from_fraction(p.area, W + 4).mul_fraction(Fraction(1, 2), W)
+    re, im = breakpoint_series(
+        powers[1:] if red is None else powers[:K], [(y - theta, D) for y, _, D in p.jumps if D],
+        [(theta - y, J) for y, J, _ in p.jumps if J], W, imag=red is not None)
+    if red is None:
+        acc = c0 + re
+    else:
+        r0, psi = red.r0, red.theta0 - theta
+        one_plus = 1 + r0 * r0
+        cos_part = (c0.mul_fraction(2 * r, W) + re.mul_fraction(1 + r * r, W)) \
+            * cos_pi_mul_cv(psi, W)
+        sin_part = im.mul_fraction(r0 * (1 - r * r), W) * sin_pi_mul_cv(psi, W)
+        acc = (c0.mul_fraction(one_plus, W) + re.mul_fraction(one_plus * r, W)
+               - cos_part.mul_fraction(r0, W) + sin_part).mul_fraction(1 / (1 - r0 * r0), W)
     out = acc.rounded(n + 4)
     require("disk assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
     return out
@@ -250,10 +272,10 @@ class DiskReduction:
     which gtilde closes up.  ``pieces`` are gtilde's linear pieces and
     ``jumps`` their ``pl_jumps`` list, and ``area`` is gtilde's exact
     integral over [0, 2]; each is built on first use and then kept, the
-    pieces and jumps for every Fourier coefficient and the area for those
-    and the point-value identity, which reads no piece.  The area comes
-    from the jumps when the pieces are already read and from h's run sum
-    otherwise, so either route verifies a counting cell once.
+    pieces and jumps for a disk problem's series (:class:`DiskProblem`) and
+    the area for that and the point-value identity, which reads no piece.
+    The area comes from the jumps when the pieces are already read and from
+    h's run sum otherwise, so either route verifies a counting cell once.
     """
 
     def __init__(self, r0: Fraction, theta0: Fraction, gtilde: EvaluableFunction,
@@ -362,39 +384,6 @@ def hardness_boundary_disk(r0, theta0, h: EvaluableFunction) -> EvaluableFunctio
     )
     out.hardness = DiskReduction(r0, theta0, gt, h)
     return out
-
-
-def _hardness_fourier(red: DiskReduction, k: int, prec: int):
-    """Closed-form Fourier coefficients of gtilde times the kernel factor.
-
-    The product against sin/cos(k pi rho) expands into shifted-phase modes
-    k-1, k, k+1, each of which takes the breakpoint closed form
-    (:func:`int_jumps_trig_pi`) on gtilde's kept jump list; mode 0 is
-    gtilde's kept area times sin and cos of the phase (:func:`area_trig_pi`).
-    """
-    if red.pieces is None:
-        raise PreconditionError("closed-form route needs a piecewise-linear profile")
-    r0, th0 = red.r0, red.theta0
-    inv_den = Fraction(1) / (1 - r0 * r0)
-    one_plus = 1 + r0 * r0
-    pp = prec + 4
-
-    def mode(j: int, phase: Fraction):
-        if j == 0:
-            return area_trig_pi(red.area, phase, pp)
-        return int_jumps_trig_pi(red.jumps, j, phase, pp)
-
-    main = mode(k, Fraction(0))
-    # cos(pi(theta0 - rho)) * trig(k pi rho) splits into modes k -+ 1
-    lower = mode(k - 1, th0)
-    upper = mode(k + 1, -th0)
-
-    def combo(i: int) -> CertifiedValue:
-        side = lower[i] + upper[i]
-        return (main[i].mul_fraction(one_plus, pp)
-                - side.mul_fraction(r0, pp)).mul_fraction(inv_den, pp)
-
-    return combo(0).rounded(prec + 2), combo(1).rounded(prec + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ structure is refused: no solver integrates anything else.
 
 Piecewise-linear data times sin or cos of a rational multiple of pi has a
 closed form with one term per point of its jump list (``pl_jumps``),
-:func:`int_pl_trig_pi`; the counting-reduction Fourier coefficients take it
-from a jump list and an area built once (:func:`int_jumps_trig_pi`,
-:func:`area_trig_pi`).  Summed over the modes of a disk or interval
-solution, the same form is one rotation per point (:func:`breakpoint_series`).
+:func:`int_pl_trig_pi`.  Summed over the modes of a disk or interval
+solution, the same form is one rotation per point (:func:`breakpoint_series`),
+which gives the sum's sine and cosine parts together.
 """
 
 from __future__ import annotations
@@ -133,25 +132,12 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
     if k == 0:
         area = sum((c0 * (b - a) + c1 * (b * b - a * a) / 2 for c0, c1, a, b in pieces),
                    Fraction(0))
-        return area_trig_pi(area, phase, p)
-    return int_jumps_trig_pi(pl_jumps(pieces), k, phase, p)
-
-
-def area_trig_pi(area: Fraction, phase: Fraction,
-                 p: int) -> tuple[CertifiedValue, CertifiedValue]:
-    """:func:`int_pl_trig_pi` for k = 0, from g's exact integral ``area``:
-    area times sin and cos of pi phase, each within 2^-p."""
-    pp = p + 4 + (_log2_ceil(abs(area)) if abs(area) > 1 else 0)  # area scales the error
-    return (sin_pi_mul_cv(phase, pp).mul_fraction(area, p),
-            cos_pi_mul_cv(phase, pp).mul_fraction(area, p))
-
-
-def int_jumps_trig_pi(jumps, k: int, phase: Fraction,
-                      p: int) -> tuple[CertifiedValue, CertifiedValue]:
-    """:func:`int_pl_trig_pi` for k != 0, from g's jump list ``pl_jumps``
-    (which a caller summing many modes of one g builds once)."""
+        pp = p + 4 + (_log2_ceil(abs(area)) if abs(area) > 1 else 0)  # area scales the error
+        return (sin_pi_mul_cv(phase, pp).mul_fraction(area, p),
+                cos_pi_mul_cv(phase, pp).mul_fraction(area, p))
     # angle mod 2 -> (weight of e^{i t} / (i u), weight of e^{i t} / u^2),
     # the ends first (so the error bounds add in the same order every time)
+    jumps = pl_jumps(pieces)
     points: dict[Fraction, list[Fraction]] = {}
     for rho, J, D in [jumps[0], jumps[-1], *(j for j in jumps[1:-1] if j[2])]:
         vw = points.setdefault((k * rho + phase) % 2, [Fraction(0), Fraction(0)])
@@ -174,24 +160,33 @@ def int_jumps_trig_pi(jumps, k: int, phase: Fraction,
     return sin_int.rounded(p + 4), cos_int.rounded(p + 4)
 
 
-def breakpoint_series(decay: list[tuple[int, int]], cos_terms, sin_terms,
-                      W: int) -> CertifiedValue:
-    """sum over k = 1..K of d_k (sum of c sin(k pi t) / (pi k) over (t, c) in
-    sin_terms - sum of c cos(k pi t) / (pi k)^2 over (t, c) in cos_terms).
+def breakpoint_series(decay: list[tuple[int, int]], cos_terms, sin_terms, W: int,
+                      imag: bool) -> tuple[CertifiedValue, Optional[CertifiedValue]]:
+    """Real part and, if ``imag``, imaginary part (else None) of the sum
+    over k = 1..K of d_k (sum of -i c e^{i k pi t} / (pi k) over (t, c) in
+    sin_terms - sum of c e^{-i k pi t} / (pi k)^2 over (t, c) in cos_terms).
 
-    This is the series :func:`int_pl_trig_pi`'s closed form leaves in a
-    solution: end values give 1/k terms, slope jumps 1/k^2 terms, and the
-    mode decay d_k (r^k on the disk, e^{-c k^2} on the interval) arrives as
-    ``decay[k - 1]``, a scaled pair (v, e) at scale W.  Each term is one
-    :func:`rotation_sum`; 1/pi is formed once.
+    The real part, d_k (sum of c sin(k pi t) / (pi k) - sum of
+    c cos(k pi t) / (pi k)^2), is the series :func:`int_pl_trig_pi`'s closed
+    form leaves in a solution: end values give 1/k terms, slope jumps 1/k^2
+    terms, and the mode decay d_k (r^k on the disk, e^{-c k^2} on the
+    interval) arrives as ``decay[k - 1]``, a scaled pair (v, e) at scale W.
+    Each term is one :func:`rotation_sum`, whose other part gives the
+    imaginary part; 1/pi is formed once.
     """
     rp = recip_pi_cv(W + 4)
-    out = CertifiedValue.zero()
+    re = CertifiedValue.zero()
+    im = re if imag else None
     for terms, power, part, factor in ((cos_terms, 2, 0, -(rp * rp)), (sin_terms, 1, 1, rp)):
         if terms:  # d_k / k^power: the floor adds a unit, and so does e's
             w = [(v // k ** power, e // k ** power + 2) for k, (v, e) in enumerate(decay, 1)]
-            acc = CertifiedValue.zero()
+            acc = other = CertifiedValue.zero()
             for t, c in terms:
-                acc = acc + rotation_sum(t, w, W)[part].mul_fraction(c, W)
-            out = out + (acc * factor).rounded(W)
-    return out
+                sums = rotation_sum(t, w, W)
+                acc = acc + sums[part].mul_fraction(c, W)
+                if imag:
+                    other = other + sums[1 - part].mul_fraction(c, W)
+            re = re + (acc * factor).rounded(W)
+            if imag:
+                im = im - (other * factor).rounded(W)
+    return re, im

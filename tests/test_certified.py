@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -127,33 +128,43 @@ def test_sin_cos_pi_mul_generic():
         assert_encloses(C.cos_pi_mul_cv(r, p), mp.cospi(mpf(r)), p)
 
 
+def unit_rotations(theta, K, p):
+    """W = p + bitlen(K) + 3 and (cos, sin) of k pi theta for k = 1..K, each
+    the rotation_sum whose only nonzero weight is a unit at k, at scale W."""
+    W = p + K.bit_length() + 3
+    return W, [C.rotation_sum(theta, [(0, 0)] * (k - 1) + [(1 << W, 0)], W)
+               for k in range(1, K + 1)]
+
+
 @pytest.mark.parametrize("theta", [Fraction(1, 4) - Fraction(1, 64),
                                    Fraction(1, 4) + Fraction(1, 64)])
 def test_rotation_encloses_cos_sin_and_its_bound_grows_linearly(theta):
     # near theta = 1/4, |cos| + |sin| is about sqrt 2: a componentwise bound
     # would grow like 2^(k/2), the Euclidean one must stay linear in k
     K, p = 1000, 20
-    rot = C.rotation_pi(theta, K, p)
-    assert len(rot) == K + 1
+    W, rot = unit_rotations(theta, K, p)
+    assert len(rot) == K
     with mp.workprec(80):
-        for k, (c, s) in enumerate(rot):
+        for k, (c, s) in enumerate(rot, 1):
             x = k * mp.pi * mpf(theta)
             assert_encloses(c, mp.cos(x), p)
             assert_encloses(s, mp.sin(x), p)
-    E = [c.err_fraction() for c, _ in rot]
-    assert all(s.err_fraction() == e for (_, s), e in zip(rot, E))
-    step = E[2] - E[1]
-    assert all(E[k + 1] - E[k] <= step for k in range(1, K))
+    assert all(s.err_fraction() == c.err_fraction() for c, s in rot)
+    # the rotation's bound E_k in units of 2^-W: the sum's error mantissa,
+    # shortened to 32 bits, adds less than one unit
+    E = [math.floor(c.err_fraction() * (1 << W)) for c, _ in rot]
+    step = E[1] - E[0]
+    assert all(E[k + 1] - E[k] <= step for k in range(K - 1))
 
 
 def test_rotation_at_exact_angles():
     for theta in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-        rot = C.rotation_pi(theta, 12, 30)
-        for k, (c, s) in enumerate(rot):
+        for k, (c, s) in enumerate(unit_rotations(theta, 12, 30)[1], 1):
             assert_encloses(c, mp.cos(k * mp.pi * mpf(theta)), 30)
             assert_encloses(s, mp.sin(k * mp.pi * mpf(theta)), 30)
-    assert [(c.value_fraction(), s.value_fraction()) for c, s in C.rotation_pi(
-        Fraction(1, 3), 0, 30)] == [(1, 0)]
+    # K = 0: no weight, an exact zero in both parts
+    assert [(v.value_fraction(), v.err_fraction())
+            for v in C.rotation_sum(Fraction(1, 3), [], 30)] == [(0, 0), (0, 0)]
 
 
 def test_gauss_primitive():

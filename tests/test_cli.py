@@ -265,6 +265,45 @@ def test_bench_rejects_unknown_pipeline(tmp_path, capsys):
     assert run(["bench", "--config", cfg], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("line, key", [
+    ("sizes = 0", "sizes"), ("sizes = -2", "sizes"), ("sizes = 3 0 5", "sizes"),
+    ("sizes = -1..3", "sizes"),
+    ("sizes = 4\nmax_weight = 0", "max_weight"), ("sizes = 4\nrepeats = 0", "repeats"),
+])
+def test_bench_refuses_counts_below_one(tmp_path, capsys, line, key):
+    # an instance needs an item and a positive weight, and a median a run
+    cfg = write(tmp_path, "b.cfg", f"pipeline = neumann\n{line}\n")
+    code, text, err = run(["bench", "--config", cfg], capsys)
+    assert (code, text) == (2, "") and err.startswith(f"config error: {key}: ")
+
+
+def test_bench_records_sizes_past_the_cap_as_not_ok(tmp_path, capsys):
+    cfg = write(tmp_path, "b.cfg", "pipeline = neumann\nsizes = 25\nrepeats = 1\n")
+    code, text, _ = run(["bench", "--config", cfg], capsys)
+    row = text.strip().split("\n")[1]
+    assert code == 0 and row.startswith("neumann,25,56,") and row.endswith(",,,false")
+
+
+PL_KEYS = {
+    "disk g": "problem = disk\ng = {}\nr = 1/2\ntheta = 0\n",
+    "interval g": "problem = interval\ng = {}\nt = 1/4\nx = 1/2\n",
+    "g0": "problem = halfline-initial\ng0 = {}\nt = 1/2\nx = 1/4\n",
+    "f_space": "problem = halfline-force\nf_time = poly 1\nf_space = {}\n"
+               "x0 = 1/2\nx1 = 1\nt = 5/8\nx = 3/4\n",
+    "force": "problem = neumann\nforce = {}\nt = 1\n",
+}
+
+
+@pytest.mark.parametrize("spec", ["pl 0:0 0:1 2:0", "pl 2:0 0:0"])
+@pytest.mark.parametrize("key", sorted(PL_KEYS))
+def test_pl_nodes_that_do_not_increase_are_a_config_error(tmp_path, capsys, key, spec):
+    cfg = write(tmp_path, "c.cfg", PL_KEYS[key].format(spec) + "bits = 10\n")
+    code, text, err = run(["solve", "--config", cfg], capsys)
+    assert (code, text) == (2, "")
+    assert err.startswith("config error: pl: nodes must be strictly increasing") \
+        and err.rstrip().endswith(repr(spec))
+
+
 def test_result_file_determinism(tmp_path, capsys):
     cfg = write(tmp_path, "d.cfg", DISK_CFG)
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

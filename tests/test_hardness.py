@@ -274,24 +274,29 @@ def test_disk_pipeline_against_full_series_solve():
         <= shortcut.err_fraction() + 2 * u.err_fraction()
 
 
-def test_disk_series_solve_verifies_each_cell_once():
+@pytest.mark.parametrize("nv", range(4, 11))
+def test_disk_series_solve_verifies_each_cell_once(nv):
     # the series route reads gtilde's pieces (one verdict per cell) and then
     # takes its area off their jump list; reading the area first takes it
-    # from h's run sum instead, and the two give the same bits
-    inst = random_instance(random.Random(5), 8)
-    area = brute_force_count(inst) * Fraction(1, 4 ** 8)
+    # from h's run sum instead, and the two give the same bits.  Twice the
+    # marked point value recovers the count, within 2^-n at precision_for
+    inst = random_instance(random.Random(5), nv)
+    n = precision_for(inst)
+    area = brute_force_count(inst) * Fraction(1, 4 ** nv)
     solves = []
     for area_first in (False, True):
         h = counting_integrand(inst)
         g = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h)
         if area_first:
-            assert g.hardness.area == area and h.verifier_calls() == 2 ** 8
-        u = solve_disk(DiskProblem(g, Fraction(1, 2)), Fraction(1, 2), Fraction(1, 2), 16)
+            assert g.hardness.area == area and h.verifier_calls() == 2 ** nv
+        u = solve_disk(DiskProblem(g, Fraction(1, 2)), Fraction(1, 2), Fraction(1, 2), n)
         assert g.hardness.area == area
         solves.append((u.value_fraction(), u.err_fraction(), h.verifier_calls()))
     assert solves[0][:2] == solves[1][:2]
-    assert solves[0][2] == 2 ** 8 and solves[1][2] == 2 ** 9
-    assert abs(solves[0][0] - area / 2) <= solves[0][1] + Fraction(1, 2 ** 16)
+    assert solves[0][2] == 2 ** nv and solves[1][2] == 2 ** (nv + 1)
+    assert solves[0][1] <= Fraction(1, 2 ** n)
+    assert abs(solves[0][0] - area / 2) <= solves[0][1]
+    assert recover_count(u.mul_exact(2), inst) == brute_force_count(inst)
 
 
 def test_measure_blowup_records_and_csv():

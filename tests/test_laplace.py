@@ -15,6 +15,7 @@ import certheat.laplace as laplace
 from certheat.cli import parse_boundary_fn
 from certheat.kernels import real_sph_harmonic_3d
 from certheat.quadrature import int_linear_cos_pi, int_linear_sin_pi, int_pl_trig_pi
+from certheat.series import geometric_cap
 from certheat.laplace import (BallProblem, DiskProblem, fourier_coeffs,
                               hardness_boundary_disk, interpolated_closure,
                               plan_ball_truncation, plan_disk, solve_ball,
@@ -53,7 +54,7 @@ def trig_value(tp, r, theta):
 
 def pl_fourier(g, k, prec):
     """(a_k, b_k) of piecewise-linear g by its breakpoint closed form, the
-    form the counting-reduction coefficients are built on."""
+    form whose sum over k the disk series evaluates."""
     return int_pl_trig_pi(linear_pieces(g), k, 0, prec)
 
 
@@ -66,6 +67,12 @@ def test_fourier_readoff_exact():
     assert b7.value_fraction() == Fraction(1, 2)
     _, b0 = fourier_coeffs(g, 0, 30)
     assert b0.value_fraction() == 0
+    # only declared modes are read off: other data's solve forms no coefficient
+    tent = piecewise_linear_fn([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)),
+                                (Fraction(1), Fraction(0))])
+    for other in (interpolated_closure(tent), hardness_boundary_disk(Fraction(1, 2), 0, tent)):
+        with pytest.raises(PreconditionError):
+            fourier_coeffs(other, 1, 30)
 
 
 def test_fourier_pl_vs_quadrature_oracle():
@@ -151,7 +158,7 @@ def test_interpolated_closure_bridges_to_seam():
 
 def test_hardness_identity_against_quadrature():
     # u(r0, theta0) must equal half the integral of the closure, and the
-    # full Fourier solve must agree with the Poisson-integral oracle
+    # series solve must agree with the Poisson-integral oracle
     h = polynomial_fn([Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
     r0, th0 = Fraction(1, 2), Fraction(3, 4)
     g = hardness_boundary_disk(r0, th0, h)
@@ -177,6 +184,62 @@ def test_hardness_constant_profile():
     g = hardness_boundary_disk(Fraction(1, 3), Fraction(1, 5), h)
     ucv = g.hardness.certified_point_value(25)
     assert abs(ucv.value_fraction() - 1) <= ucv.err_fraction()
+
+
+# three pieces on [0, 1]; the closure's bridge back to h(0) makes a fourth
+THREE = piecewise_linear_fn([(Fraction(0), Fraction(1, 3)), (Fraction(1, 4), Fraction(-1)),
+                             (Fraction(3, 5), Fraction(2)), (Fraction(1), Fraction(1, 2))])
+THREE_NODES = [Fraction(0), Fraction(1, 4), Fraction(3, 5), Fraction(1), Fraction(2)]
+
+
+@pytest.mark.parametrize("r, theta", [
+    (Fraction(0), Fraction(1, 4)),            # the mean of g
+    (Fraction(1, 1000), Fraction(3, 5)),
+    (Fraction(1, 4), Fraction(1, 4)),         # 3/4 of r0
+    (Fraction(1, 3), Fraction(1)),            # r0, off the marked angle
+    (Fraction(1, 3), Fraction(1, 5)),         # the marked point
+])
+@pytest.mark.parametrize("n", [30, 64])
+def test_reduction_series_matches_poisson_oracle(r, theta, n):
+    # away from the marked point nothing cancels: the series solve of the
+    # reweighted data against 30-digit Poisson quadrature of g itself, with
+    # theta on a breakpoint of gtilde and theta0 != 1/2
+    r0, th0 = Fraction(1, 3), Fraction(1, 5)
+    g = hardness_boundary_disk(r0, th0, THREE)
+    cv = solve_disk(DiskProblem(g, r0), r, theta, n)
+    assert cv.err_fraction() <= Fraction(1, 2 ** n)
+    gt = g.hardness.gtilde
+    with mp.workdps(30):
+        def gval(rho):
+            # gtilde interpolated between its nodes, times the kernel factor
+            for a, b in zip(THREE_NODES, THREE_NODES[1:]):
+                if rho <= to_mp(b):
+                    ya, yb = gt.eval_exact(a), gt.eval_exact(b)
+                    v = to_mp(ya) + (rho - to_mp(a)) * to_mp(yb - ya) / to_mp(b - a)
+                    break
+            R0 = to_mp(r0)
+            return v * (1 + R0 ** 2 - 2 * R0 * mp.cospi(to_mp(th0) - rho)) / (1 - R0 ** 2)
+
+        cuts = sorted({to_mp(x) for x in THREE_NODES} | {to_mp(theta)})
+        want = mp.quad(lambda rho: poisson(to_mp(r), mp.pi * (to_mp(theta) - rho))
+                       * gval(rho), cuts) / 2
+        assert abs(to_mp(cv.value_fraction()) - want) \
+            <= to_mp(cv.err_fraction()) + mp.mpf(10) ** -25
+
+
+@pytest.mark.parametrize("r0", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10),
+                                Fraction(99, 100)])
+def test_reduction_tail_is_within_the_plan_cap(r0):
+    # plan_disk stops its search at geometric_cap for ||g||: there the
+    # reduction's tail is within the budget at r0, and so at every r <= r0
+    g = hardness_boundary_disk(r0, Fraction(1, 5), THREE)
+    prob = DiskProblem(g, r0)
+    for n in (8, 30, 64):
+        cap = geometric_cap(2 * g.sup_bound / (1 - r0), r0, n)
+        tails = [laplace._point_tail(prob, r0 * j / 8)(cap) for j in range(9)]
+        assert tails == sorted(tails) and tails[-1] <= Fraction(1, 2 ** (n + 1))
+        plan = plan_disk(prob, n)
+        assert plan.order <= cap and plan.chain_ok()
 
 
 # ---------------------------------------------------------------------------
