@@ -231,42 +231,34 @@ def _sdiv_int(a: int, ea: int, d: int) -> tuple[int, int]:
     return v, _ceil_div(ea, d) + 1
 
 
-def _rotate(theta: Fraction, K: int, W: int):
-    """Yield (x, y, E) for k = 1..K: (cos, sin) of k pi theta as x, y at
-    scale W, both within E units, by repeated rotation rounding down.
-
-    Rotates (1, 0) by the certified (cos pi theta, sin pi theta) at scale W:
-    the start pair comes from the cached trig kernel (:func:`_trig_pi`), one
-    entry per reduced angle and scale, and reaches scale W by integer
-    shifts.  Componentwise bounds would grow like
-    (|cos pi theta| + |sin pi theta|)^k, so the pair carries one bound E_k on
-    the Euclidean norm of its error instead.  With d >= ||R~ - R||_2 (units
-    2^-W), R a rotation and each rounding below one unit,
-    E_{k+1} = E_k + ceil(d (2^W + E_k) / 2^W) + 2, which grows linearly in k
-    while K d stays far below 2^W.
-    """
-    c, ec = _scaled_from_cv(cos_pi_mul_cv(theta, W), W)
-    s, es = _scaled_from_cv(sin_pi_mul_cv(theta, W), W)
-    d = ec + es  # bounds both singular values of the error matrix
-    one = 1 << W
-    x, y, E = one, 0, 0
-    for _ in range(K):
-        x, y = (c * x - s * y) >> W, (s * x + c * y) >> W
-        E += _ceil_div(d * (one + E), one) + 2
-        yield x, y, E
-
-
 def rotation_sum(theta, weights: list[tuple[int, int]],
                  W: int) -> tuple[CertifiedValue, CertifiedValue]:
     """(sum of w_k cos k pi theta, sum of w_k sin k pi theta) for k = 1..K.
 
     ``weights[k - 1]`` is a scaled pair (v, e) at scale W: the weight w_k is
-    within e units of v.  One rotation serves every k; the products are
-    added exactly at scale 2W, so the only error is each product's
+    within e units of v.  One rotation serves every k: (x, y), the (cos, sin)
+    of k pi theta at scale W, is (1, 0) rotated k times by the certified
+    (cos pi theta, sin pi theta), rounding down.  The start pair comes from
+    the cached trig kernel (:func:`_trig_pi`), one entry per reduced angle
+    and scale, and reaches scale W by integer shifts.  Componentwise bounds
+    would grow like (|cos pi theta| + |sin pi theta|)^k, so the pair carries
+    one bound E_k on the Euclidean norm of its error instead.  With
+    d >= ||R~ - R||_2 (units 2^-W), R a rotation and each rounding below one
+    unit, E_{k+1} = E_k + ceil(d (2^W + E_k) / 2^W) + 2, which grows
+    linearly in k while K d stays far below 2^W.  The products are added
+    exactly at scale 2W, so the only error is each product's
     |v| E_k + e 2^W (|cos|, |sin| <= 1), and the sums are rounded to W once.
     """
+    theta = as_fraction(theta)
+    c, ec = _scaled_from_cv(cos_pi_mul_cv(theta, W), W)
+    s, es = _scaled_from_cv(sin_pi_mul_cv(theta, W), W)
+    d = ec + es  # bounds both singular values of the error matrix
+    one = 1 << W
+    x, y, E = one, 0, 0
     cs = sn = err = 0
-    for (v, e), (x, y, E) in zip(weights, _rotate(as_fraction(theta), len(weights), W)):
+    for v, e in weights:
+        x, y = (c * x - s * y) >> W, (s * x + c * y) >> W
+        E += _ceil_div(d * (one + E), one) + 2
         cs += v * x
         sn += v * y
         err += abs(v) * E + (e << W)
@@ -421,11 +413,12 @@ def exp_cv(x, p: int) -> CertifiedValue:
     if val > 128:
         raise PreconditionError("exp argument unexpectedly large")
 
-    j = 0
-    r = val
-    while abs(r) > Fraction(1, 2):
-        r /= 2
-        j += 1
+    # the least j with |val| / 2^j <= 1/2, i.e. 2 |num| <= den 2^j: from the
+    # bit lengths the quotient lies in (2^(j-1), 2^(j+1)), so j or j + 1
+    top, den = 2 * abs(val.numerator), val.denominator
+    j = max(0, top.bit_length() - den.bit_length())
+    j += top > den << j
+    r = val / (1 << j)
     # the squarings carry the error of e^r up by e^x: ceil(3x/2) >= x log2 e bits
     W = p + 2 * j + 12 + (_ceil_div(3 * val, 2) if val > 0 else 0)
     rv, re = _scaled_from_fraction(r, W)

@@ -238,18 +238,21 @@ def measure_blowup(family: list[CountingInstance], pipeline: str,
     Each round runs every size once, so a slow spell of the machine slows
     every size alike instead of all the runs of one size.  Per-record
     failures (size cap, precision shortfall) are recorded with ok=False, and
-    a size that failed is not run again.
+    a size that failed is not run again.  A median needs a run, so repeats
+    below 1 are refused.
     """
     import statistics  # only here: importing it would slow every CLI start-up
     import time
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}, have {sorted(PIPELINES)}")
+    if repeats < 1:
+        raise ConfigError(f"repeats: {repeats} is below 1")
     solver = PIPELINES[pipeline]
     bits = [precision_for(inst) for inst in family]
     walls: list[list[float]] = [[] for _ in family]
     values: list[Optional[CertifiedValue]] = [None] * len(family)
     errors: list[Optional[str]] = [None] * len(family)
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         for i, inst in enumerate(family):
             if errors[i] is None:
                 try:

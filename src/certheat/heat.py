@@ -126,9 +126,12 @@ class IntervalHeatProblem(Record):
     g declares sine modes or linear pieces.  The plan's order is what a
     solve at t0 sums.  One solve plans at its own t; many solves plan once
     at their earliest.  ``pieces`` is ``linear_pieces(g)``, read once here
-    for every solve, and so, when g has pieces, is their ``pl_jumps`` list
-    ``jumps``; ``rho0``, the decay bound at t0, is computed on first use.
-    These derived fields take no part in equality or ``repr``.
+    for every solve, and so, when g has pieces, are their ``pl_jumps`` list
+    ``jumps``, its ``inner`` slope jumps (y, D) with D != 0 and
+    ``size_bits``, the guard bits log2 of L sum |D| + |g(0)| + |g(L)|
+    (at least 0) that :func:`_solve_interval_pl` adds to its scale; ``rho0``,
+    the decay bound at t0, is computed on first use.  These derived fields
+    take no part in equality or ``repr``.
     """
 
     _fields = ("L", "alpha", "g", "t0")
@@ -145,7 +148,13 @@ class IntervalHeatProblem(Record):
         self.pieces = linear_pieces(self.g)
         if self.pieces is None and self.g.sine_modes is None:
             raise PreconditionError("initial data must declare sine modes or linear pieces")
-        self.jumps = pl_jumps(self.pieces) if self.pieces is not None else None
+        self.jumps = self.inner = self.size_bits = None
+        if self.pieces is not None:
+            self.jumps = pl_jumps(self.pieces)
+            (_, j0, _), *mid, (_, jL, _) = self.jumps
+            self.inner = [(y, d) for y, _, d in mid if d]
+            size = self.L * sum((abs(d) for _, d in self.inner), Fraction(0)) + abs(j0) + abs(jL)
+            self.size_bits = max(0, _log2_ceil(max(size, 1)))
 
     @cached_property
     def rho0(self) -> Fraction:
@@ -248,13 +257,9 @@ def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: i
     by parts, mu_k = 2 (J_0 + (-1)^k J_L) / (pi k) - 2 L sum_j D_j
     sin(k pi y_j / L) / (pi k)^2 over ``p.jumps``, whose ends' J are g(0)
     and -g(L); the ends' D drop out, as sin(k pi y / L) vanishes there."""
-    L = p.L
-    (_, j0, _), *mid, (_, jL, _) = p.jumps
-    inner = [(y, d) for y, _, d in mid if d]
-    size = L * sum((abs(d) for _, d in inner), Fraction(0)) + abs(j0) + abs(jL)
+    L, inner, j0, jL = p.L, p.inner, p.jumps[0][1], p.jumps[-1][1]
     # the ladder's bounds reach about K + 1/c units, and c >= 9 rate
-    W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(size, 1))) \
-        + max(0, _log2_ceil(max(1 / rate, 1)))
+    W = n + 8 + K.bit_length() + p.size_bits + max(0, _log2_ceil(max(1 / rate, 1)))
     decay = _ladder(rate, K, W)
     cos_terms = [((y - x) / L, L * d) for y, d in inner] + [((y + x) / L, -L * d) for y, d in inner]
     # (-1)^k sin(k pi x / L) = sin(k pi (x + L) / L)
@@ -426,6 +431,7 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
     phi = sum((bd * t ** e / factorial(e) for e, bd, _ in terms), Fraction(0))
     share = Fraction(1, 1 << (n + 3)) / max(len(ends), 1)
     top = 2 * max(e for e, _, _ in terms) + 1
+    halves = [(e, (4 * t) ** e / 2) for e, _, _ in terms]  # (4t)^e / 2
     claims = Fraction(0)
     kept = []
     for d, (eC, sC) in ends.items():
@@ -435,27 +441,30 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
             size = phi * (abs(eC) + 2 * abs(sC) * sat) / 2
             if size == 0:
                 continue
-            cut = size * exp_cv(-w, n + 8 + len(ends).bit_length()
-                                + max(0, _log2_ceil(size))).upper_fraction()
-            if cut <= share:
-                claims += cut
-                continue
+            # e^{-w} >= 2^-ceil(1.4427 w), as log2 e < 1.4427: a size above
+            # share times 2^ceil(1.4427 w) is kept without forming the exp
+            if _log2_ceil(size / share) <= _ceil_div(w.numerator * 14427, w.denominator * 10000):
+                cut = size * exp_cv(-w, n + 8 + len(ends).bit_length()
+                                    + max(0, _log2_ceil(size))).upper_fraction()
+                if cut <= share:
+                    claims += cut
+                    continue
         a, b = _ierfc_parts(w, top)
         # the kernel e^{-w} / sqrt(pi alpha t) is at most 1 / (2|d|) and cap
         kern = Fraction(1, 2 * abs(d)) if d else cap
-        kept.append((d, w, kern, [((4 * t) ** e / 2 * (eC * a[2 * e] + sC * d * a[2 * e + 1]),
-                              (4 * t) ** e / 2 * (eC * d * b[2 * e] + 4 * at * sC * b[2 * e + 1]))
-                             for e, _, _ in terms]))
+        kept.append((d, w, kern, [(h * (eC * a[2 * e] + sC * d * a[2 * e + 1]),
+                                   h * (eC * d * b[2 * e] + 4 * at * sC * b[2 * e + 1]))
+                                  for e, h in halves]))
     # erfc <= 2 and the kernel's bound weigh the coefficients
     M = sum((2 * abs(mp) + abs(mq) * kern
              for _, _, kern, ms in kept for mp, mq in ms), Fraction(0))
     q = n + 8 + max(0, _log2_ceil(M) if M else 0)
     cs = [c(q) for _, _, c in terms] if kept else []
+    cs = [(cv.value_fraction(), cv.err_fraction()) for cv in cs]
     parts, size = [], Fraction(0)
     for d, w, kern, ms in kept:
         P = Q = Pe = Qe = Fraction(0)
-        for cv, (mp, mq) in zip(cs, ms):
-            v, e = cv.value_fraction(), cv.err_fraction()
+        for (v, e), (mp, mq) in zip(cs, ms):
             P, Q = P + v * mp, Q + v * mq
             Pe, Qe = Pe + e * abs(mp), Qe + e * abs(mq)
         size += abs(P) + Pe + abs(Q) + Qe

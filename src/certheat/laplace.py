@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable
 
 from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, sin_pi_mul_cv
@@ -42,6 +43,9 @@ from .quadrature import breakpoint_series, integral_exact
 from .record import Record
 from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_order,
                      require)
+
+
+_PI_LO = Fraction(157, 50)  # < pi
 
 
 class DiskProblem(Record):
@@ -56,8 +60,12 @@ class DiskProblem(Record):
     reads off them (gtilde's, for reduction data): the ``jumps`` (y, J, D)
     of ``pl_jumps`` where something jumps, with the points at 0 and 2 merged
     into the seam's (J = g(0) - g(2), usually 0), their ``size`` sum
-    |J| + |D| and the exact ``area`` over [0, 2].  These derived fields take
-    no part in equality or ``repr``.
+    |J| + |D| and the exact ``area`` over [0, 2].  What the point tail
+    (:func:`_point_tail`) reads of them is formed here too: ``tail_nums``,
+    the integers (S, V, C) with S / ``tail_den`` = sum |D| / pi_lo^2,
+    V / ``tail_den`` = sum |J| / pi_lo and C / ``tail_den`` twice the sup of
+    g (of gtilde, for reduction data), over one common denominator.  These
+    derived fields take no part in equality or ``repr``.
     """
 
     _fields = ("g", "r0")
@@ -65,7 +73,7 @@ class DiskProblem(Record):
     def __init__(self, g: EvaluableFunction, r0: Fraction):
         self.g = g
         self.r0 = as_fraction(r0)
-        self.jumps = self.size = self.area = None
+        self.jumps = self.size = self.area = self.tail_nums = self.tail_den = None
         if not 0 <= self.r0 < 1:
             raise PreconditionError("radius r must lie in [0,1)")
         lo, hi = self.g.domain
@@ -88,6 +96,11 @@ class DiskProblem(Record):
             self.size = sum((abs(J) + abs(D) for _, J, D in self.jumps), Fraction(0))
             self.area = integral_exact(self.g, Fraction(0), Fraction(2)) if red is None \
                 else red.area
+            parts = (sum((abs(D) for _, _, D in self.jumps), Fraction(0)) / (_PI_LO * _PI_LO),
+                     sum((abs(J) for _, J, _ in self.jumps), Fraction(0)) / _PI_LO,
+                     2 * (self.g if red is None else red.gtilde).sup_bound)
+            self.tail_den = den = lcm(*(f.denominator for f in parts))
+            self.tail_nums = tuple(f.numerator * (den // f.denominator) for f in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +130,6 @@ def fourier_coeffs(g: EvaluableFunction, k: int, prec: int):
 # disk solver
 
 
-_PI_LO = Fraction(157, 50)  # < pi
-
-
 def _point_tail(p: DiskProblem, r: Fraction) -> Callable[[int], Fraction]:
     """Bound on what the series drops past order m at radius r, as a
     function of m.
@@ -135,24 +145,26 @@ def _point_tail(p: DiskProblem, r: Fraction) -> Callable[[int], Fraction]:
     r0 (1 + r^2)) / (1 - r0^2), half of which it charges, since |c_k| is
     half of 2 |c_k|; at r0 = 0 that is r again.  Each bound is an exact
     rational that grows with r, so the order found at r0 serves every
-    r <= r0.  What does not depend on m is formed once, outside the
-    point-order search.
+    r <= r0.  The constants are the problem's (``tail_nums`` over
+    ``tail_den``); a solve forms only its scale, weight / (1 - r), and each
+    m takes the lesser sum in integers before one division and r^m.
     """
     red = p.reduction
     if red is None:
-        sup, weight = p.g.sup_bound, r
+        weight = r
     else:
         r0 = red.r0
-        sup = red.gtilde.sup_bound
         weight = ((1 + r0 * r0) * r + r0 * (1 + r * r)) / (1 - r0 * r0)
     scale = weight / (1 - r)
-    slope_part = scale * sum((abs(D) for _, _, D in p.jumps), Fraction(0)) / (_PI_LO * _PI_LO)
-    value_part = scale * sum((abs(J) for _, J, _ in p.jumps), Fraction(0)) / _PI_LO
-    ceiling = 2 * sup * scale
+    (slope, value, ceiling), den = p.tail_nums, p.tail_den * scale.denominator
+    num = scale.numerator
 
     def tail(m: int) -> Fraction:
         start = m + 1
-        return min((slope_part + value_part * start) / (start * start), ceiling) * r ** m
+        top, bot = slope + value * start, start * start
+        if top > ceiling * bot:
+            top, bot = ceiling, 1
+        return Fraction(top * num, den * bot) * r ** m
 
     return tail
 

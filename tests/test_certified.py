@@ -167,6 +167,44 @@ def test_rotation_at_exact_angles():
             for v in C.rotation_sum(Fraction(1, 3), [], 30)] == [(0, 0), (0, 0)]
 
 
+def reference_rotation_sum(theta, weights, W):
+    """The rotation as a generator of (x, y, E) per k, zipped with the
+    weights and summed at scale 2W: the form rotation_sum folds into one
+    loop, whose result must be the same bit for bit."""
+    def rotate(theta, K):
+        c, ec = C._scaled_from_cv(C.cos_pi_mul_cv(theta, W), W)
+        s, es = C._scaled_from_cv(C.sin_pi_mul_cv(theta, W), W)
+        d, one = ec + es, 1 << W
+        x, y, E = one, 0, 0
+        for _ in range(K):
+            x, y = (c * x - s * y) >> W, (s * x + c * y) >> W
+            E += C._ceil_div(d * (one + E), one) + 2
+            yield x, y, E
+
+    cs = sn = err = 0
+    for (v, e), (x, y, E) in zip(weights, rotate(Fraction(theta), len(weights))):
+        cs += v * x
+        sn += v * y
+        err += abs(v) * E + (e << W)
+    return (CertifiedValue(cs, 2 * W, err, 2 * W).rounded(W),
+            CertifiedValue(sn, 2 * W, err, 2 * W).rounded(W))
+
+
+def test_rotation_sum_matches_the_reference_rotation():
+    rng = random.Random(1618)
+    thetas = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(7, 3), Fraction(1, 3),
+              Fraction(1, 4) - Fraction(1, 64)] \
+        + [Fraction(rng.randrange(-500, 500), rng.randrange(1, 200)) for _ in range(8)]
+    for theta in thetas:
+        for W in (20, 64, 130):
+            for K in (0, 1, 5, 300):
+                weights = [(rng.randrange(-(1 << W), 1 << W), rng.randrange(4)) for _ in range(K)]
+                got = C.rotation_sum(theta, weights, W)
+                want = reference_rotation_sum(theta, weights, W)
+                assert [(v.m, v.s, v.en, v.es) for v in got] \
+                    == [(v.m, v.s, v.en, v.es) for v in want], (theta, W, K)
+
+
 def test_gauss_primitive():
     for p in (16, 64, 150):
         for a in (Fraction(3, 2), -6, 8, Fraction(1, 128), 0):

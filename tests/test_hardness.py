@@ -319,6 +319,15 @@ def test_measure_blowup_empty_family_and_bad_pipeline():
         measure_blowup([INST_ONE], "sphere")
 
 
+@pytest.mark.parametrize("repeats", [0, -3])
+def test_measure_blowup_refuses_repeats_below_one(monkeypatch, repeats):
+    calls = []
+    monkeypatch.setitem(PIPELINES, "recording", lambda inst, n: calls.append(inst))
+    with pytest.raises(ConfigError, match=f"repeats: {repeats} is below 1"):
+        measure_blowup([INST_ONE], "recording", repeats=repeats)
+    assert calls == []  # refused before any run
+
+
 def test_measure_blowup_interleaves_repeats_across_the_family(monkeypatch):
     calls = []
 

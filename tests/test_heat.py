@@ -201,6 +201,19 @@ def test_interval_linearity():
     assert gap <= u1.err_fraction() + u2.err_fraction() + u12.err_fraction()
 
 
+def test_interval_problem_keeps_its_inner_jumps_and_size_guard():
+    # what every solve of pieces reads is formed once, from the jump list;
+    # it takes no part in equality or repr
+    g = piecewise_linear_fn([(F(0), F(1)), (F(1, 3), F(3)), (F(1, 2), F(3)), (F(2), F(-5, 2))])
+    p = IntervalHeatProblem(F(2), F(1, 3), g, F(1, 8))
+    assert p.inner == [(F(1, 3), F(-6)), (F(1, 2), F(-11, 3))]
+    # L sum |D| + |g(0)| + |g(L)| = 2 (6 + 11/3) + 1 + 5/2 = 22 5/6 <= 2^5
+    assert p.size_bits == 5
+    assert p == IntervalHeatProblem(F(2), F(1, 3), g, F(1, 8)) and "inner" not in repr(p)
+    modes = IntervalHeatProblem(F(1), F(1), sine_modes_fn({1: F(1)}, F(1)), F(1, 4))
+    assert modes.jumps is modes.inner is modes.size_bits is None
+
+
 def test_interval_rejects_and_plan_chain():
     p = IntervalHeatProblem(F(1), F(1), sine_modes_fn({2: F(1)}, F(1)), F(1, 4))
     with pytest.raises(PreconditionError):

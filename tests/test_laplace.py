@@ -11,6 +11,7 @@ from certheat.errors import PreconditionError
 from certheat.evaluable import (EvaluableFunction, TrigPoly, linear_pieces,
                                 piecewise_linear_fn, polynomial_fn,
                                 trig_poly_fn)
+from certheat.hardness import CountingInstance, counting_integrand
 import certheat.laplace as laplace
 from certheat.cli import parse_boundary_fn
 from certheat.kernels import real_sph_harmonic_3d
@@ -240,6 +241,55 @@ def test_reduction_tail_is_within_the_plan_cap(r0):
         assert tails == sorted(tails) and tails[-1] <= Fraction(1, 2 ** (n + 1))
         plan = plan_disk(prob, n)
         assert plan.order <= cap and plan.chain_ok()
+
+
+def reference_point_tail(prob, r, m):
+    """min((S + V (m + 1)) / (m + 1)^2, C) r^m in Fractions alone, from the
+    jump list and the sup: S = w sum |D| / pi_lo^2, V = w sum |J| / pi_lo and
+    C = 2 w sup, with w = r / (1 - r) for pieces and
+    ((1 + r0^2) r + r0 (1 + r^2)) / ((1 - r0^2)(1 - r)) for reduction data."""
+    pi_lo, red = Fraction(157, 50), prob.reduction
+    if red is None:
+        w, sup = r / (1 - r), prob.g.sup_bound
+    else:
+        r0 = red.r0
+        w = ((1 + r0 * r0) * r + r0 * (1 + r * r)) / ((1 - r0 * r0) * (1 - r))
+        sup = red.gtilde.sup_bound
+    S = w * sum(abs(D) for _, _, D in prob.jumps) / pi_lo ** 2
+    V = w * sum(abs(J) for _, J, _ in prob.jumps) / pi_lo
+    return min((S + V * (m + 1)) / (m + 1) ** 2, 2 * w * sup) * r ** m
+
+
+def point_tail_problems():
+    """Piecewise-linear data (with and without a seam gap, seeded tables) and
+    reduction data over pieces and over a counting integrand."""
+    rng = random.Random(2718)
+    out = [DiskProblem(TENT2, GRID_R0),
+           DiskProblem(parse_boundary_fn("pl 0:0 1/2:1 2:1/1048576"), GRID_R0)]
+    for _ in range(3):
+        xs = sorted({Fraction(rng.randrange(1, 64), 32) for _ in range(5)} - {2})
+        ys = [Fraction(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in xs]
+        nodes = [(Fraction(0), Fraction(1, 2)), *zip(xs, ys), (Fraction(2), Fraction(1, 2))]
+        out.append(DiskProblem(piecewise_linear_fn(nodes), Fraction(99, 100)))
+    for r0, h in ((Fraction(0), THREE), (Fraction(1, 3), THREE), (Fraction(9, 10), THREE),
+                  (Fraction(1, 2), counting_integrand(CountingInstance((3, 5, 2, 7), 9)))):
+        out.append(DiskProblem(hardness_boundary_disk(r0, Fraction(1, 5), h), r0))
+    return out
+
+
+def test_point_tail_matches_its_fraction_form():
+    # the problem keeps the constants over one denominator and each m takes
+    # the minimum in integers: the bound must be the same exact rational
+    rng = random.Random(31415)
+    ms = [0, 1, 2, 3, 7, 40, 199, 1000, 2999] + [rng.randrange(4000) for _ in range(6)]
+    for prob in point_tail_problems():
+        assert "tail" not in repr(prob)
+        r0 = prob.r0
+        radii = [Fraction(0), r0] + [r0 * Fraction(rng.randrange(1, 1000), 1000) for _ in range(4)]
+        for r in radii:
+            tail = laplace._point_tail(prob, r)
+            for m in ms:
+                assert tail(m) == reference_point_tail(prob, r, m), (prob, r, m)
 
 
 # ---------------------------------------------------------------------------
