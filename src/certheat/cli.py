@@ -110,7 +110,7 @@ def _parse_pl(rest: str, spec: str) -> EvaluableFunction:
     """Piecewise-linear data through the x:y nodes of a ``pl`` spec; nodes
     that do not strictly increase are a config error naming the spec."""
     try:
-        return piecewise_linear_fn(_parse_pairs(rest, "pl"), spec)
+        return piecewise_linear_fn(_parse_pairs(rest, "pl"))
     except ValueError as exc:
         raise ConfigError(f"pl: {exc}: {spec!r}")
 
@@ -139,10 +139,10 @@ def parse_boundary_fn(spec: str) -> EvaluableFunction:
             raise ConfigError(f"{kind}: mode must be >= 1")
         tp = TrigPoly(cos_coeffs={k: coeff}) if kind == "cos" else \
             TrigPoly(sin_coeffs={k: coeff})
-        return trig_poly_fn(tp, spec)
+        return trig_poly_fn(tp)
     if kind == "const":
         try:
-            return constant_fn(Fraction(rest), (Fraction(0), Fraction(2)), spec)
+            return constant_fn(Fraction(rest), (Fraction(0), Fraction(2)))
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"const: bad value {rest!r}")
     if kind == "trig":
@@ -166,7 +166,7 @@ def parse_boundary_fn(spec: str) -> EvaluableFunction:
                 raise ConfigError(f"trig: unknown term {name!r}")
             _add_mode(terms[name], k, coeff, f"trig {name}")
         return trig_poly_fn(TrigPoly(terms["const"].get(0, Fraction(0)), terms["sin"],
-                                     terms["cos"]), spec)
+                                     terms["cos"]))
     if kind == "pl":
         return _parse_pl(rest, spec)
     raise ConfigError(f"unknown boundary function kind {kind!r}")
@@ -180,7 +180,7 @@ def parse_interval_fn(spec: str, L: Fraction) -> EvaluableFunction:
             if k.denominator != 1 or k < 1:
                 raise ConfigError(f"sine: mode {k} must be a positive integer")
             _add_mode(modes, int(k), c, "sine")
-        return sine_modes_fn(modes, L, spec)
+        return sine_modes_fn(modes, L)
     if kind == "pl":
         return _parse_pl(rest, spec)
     raise ConfigError(f"unknown interval function kind {kind!r}")
@@ -197,13 +197,13 @@ def parse_profile(spec: str) -> EvaluableFunction:
             raise ConfigError(f"poly: bad coefficients {rest!r}")
         if not coeffs:
             raise ConfigError("poly: need at least one coefficient")
-        return polynomial_fn(coeffs, (Fraction(0), Fraction(2)), spec)
+        return polynomial_fn(coeffs, (Fraction(0), Fraction(2)))
     if kind == "sinhalf":
         try:
             amp = Fraction(rest) if rest.strip() else Fraction(1)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"sinhalf: bad amplitude {rest!r}")
-        return sine_modes_fn({1: amp}, Fraction(2), spec)
+        return sine_modes_fn({1: amp}, Fraction(2))
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
@@ -248,8 +248,7 @@ def parse_sph_fn(spec: str) -> EvaluableFunction:
     if not modes:
         raise ConfigError("sph: need at least one mode")
     sup = sum(map(abs, modes.values()), Fraction(0))
-    return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=sup,
-                             eval_cv=None, label=spec, sph_modes=modes)
+    return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=sup, sph_modes=modes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Function handles the solvers can evaluate with certified error.
+"""Input data as the finite structure the solvers read.
 
 An :class:`EvaluableFunction` is a continuous function on a closed rational
-domain with a sup-norm bound, a certified evaluator and the structure the
-solvers read: declared modes (trig polynomial, sine modes, spherical
-harmonics), or exact pieces, a uniform grid or polynomial coefficients.
-Every constructor here declares one of these (the counting reductions
-attach their own identity instead), and the solvers refuse data that
-declares none.  Piecewise-linear data is read as its pieces (c0, c1, a, b)
-through :func:`linear_pieces`, and every closed form for it keeps one term
-per point of its jump list, :func:`pl_jumps`.
+domain with a sup-norm bound and the structure the solvers read: declared
+modes (trig polynomial, sine modes, spherical harmonics), or exact pieces,
+a uniform grid or polynomial coefficients.  Every constructor here declares
+one of these (the counting reductions attach their own identity instead),
+and the solvers refuse data that declares none.  Piecewise-linear data is
+read as its pieces (c0, c1, a, b) through :func:`linear_pieces`, and every
+closed form for it keeps one term per point of its jump list,
+:func:`pl_jumps`.
 
 Angular convention: functions on the circle are parametrized in units of pi,
 so the domain is the rational interval [0, 2] and an argument rho stands for
@@ -79,11 +79,12 @@ class TrigPoly:
 
 
 class EvaluableFunction:
-    """Certified pointwise evaluation with domain, sup bound and structure.
+    """Domain, sup bound and the structure the solvers read.
 
-    ``eval_exact`` is exact rational evaluation, when the shape admits one.
-    The rest is the structure the solvers read; data declares at least one
-    of these, or carries a counting reduction (``hardness``):
+    ``eval_exact`` is exact rational evaluation, when the shape admits one;
+    grids, the disk reduction's closure and counting data read it.  The rest
+    is the structure the solvers read; data declares at least one of these,
+    or carries a counting reduction (``hardness``):
 
     * ``trig_poly``, modes on the circle;
     * ``sph_modes``, orthonormal harmonics {(l, m): c} on the sphere;
@@ -106,8 +107,6 @@ class EvaluableFunction:
     """
 
     def __init__(self, domain: tuple[Fraction, Fraction], sup_bound: Fraction,
-                 eval_cv: Callable[[Fraction, int], CertifiedValue],
-                 label: str = "",
                  eval_exact: Optional[Callable[[Fraction], Fraction]] = None,
                  trig_poly: Optional[TrigPoly] = None,
                  sine_modes: Optional[dict[int, Fraction]] = None,
@@ -119,8 +118,6 @@ class EvaluableFunction:
                  sph_modes: Optional[dict[tuple[int, int], Fraction]] = None):
         self.domain = domain
         self.sup_bound = sup_bound
-        self.eval_cv = eval_cv
-        self.label = label
         self.eval_exact = eval_exact
         self.trig_poly = trig_poly
         self.sine_modes = sine_modes
@@ -171,40 +168,26 @@ def pl_jumps(pieces: Pieces) -> list[tuple[Fraction, Fraction, Fraction]]:
     return [(a, c0 + c1 * a, c1), *inner, (b, -(d0 + d1 * b), -d1)]
 
 
-def trig_poly_fn(tp: TrigPoly, label: str = "") -> EvaluableFunction:
+def trig_poly_fn(tp: TrigPoly) -> EvaluableFunction:
     return EvaluableFunction(
         domain=(Fraction(0), Fraction(2)),
         sup_bound=tp.sup_bound(),
-        eval_cv=tp.eval_cv,
-        label=label or "trig-poly",
         trig_poly=tp,
     )
 
 
-def sine_modes_fn(modes: dict[int, Fraction], L: Fraction, label: str = "") -> EvaluableFunction:
+def sine_modes_fn(modes: dict[int, Fraction], L: Fraction) -> EvaluableFunction:
     """g(x) = sum over k of c_k sin(k pi x / L) on [0, L]."""
-    L = as_fraction(L)
     modes = {int(k): as_fraction(c) for k, c in modes.items() if c != 0}
     sup = sum(map(abs, modes.values()), Fraction(0))
-    guard = _guard_bits(sup)
-
-    def ev(x: Fraction, p: int) -> CertifiedValue:
-        pp = p + max(1, len(modes)).bit_length() + 2 + guard
-        acc = CertifiedValue.zero()
-        for k in sorted(modes):
-            acc = acc + sin_pi_mul_cv(k * x / L, pp).mul_fraction(modes[k], pp)
-        return acc
-
     return EvaluableFunction(
-        domain=(Fraction(0), L),
+        domain=(Fraction(0), as_fraction(L)),
         sup_bound=sup if sup else Fraction(1, 2 ** 30),
-        eval_cv=ev,
-        label=label or "sine-modes",
         sine_modes=modes,
     )
 
 
-def piecewise_linear_fn(points: list[tuple[Fraction, Fraction]], label: str = "") -> EvaluableFunction:
+def piecewise_linear_fn(points: list[tuple[Fraction, Fraction]]) -> EvaluableFunction:
     """Linear interpolation through sorted (x, y) rational nodes."""
     pts = [(as_fraction(x), as_fraction(y)) for x, y in points]
     if len(pts) < 2 or any(pts[i][0] >= pts[i + 1][0] for i in range(len(pts) - 1)):
@@ -223,15 +206,12 @@ def piecewise_linear_fn(points: list[tuple[Fraction, Fraction]], label: str = ""
     return EvaluableFunction(
         domain=(xs[0], xs[-1]),
         sup_bound=sup if sup else Fraction(1, 2 ** 30),
-        eval_cv=lambda x, p: CertifiedValue.from_fraction(exact(x), p + 2),
-        label=label or "piecewise-linear",
         eval_exact=exact,
         pieces=pieces,
     )
 
 
-def polynomial_fn(coeffs: list[Fraction], domain: tuple[Fraction, Fraction],
-                  label: str = "") -> EvaluableFunction:
+def polynomial_fn(coeffs: list[Fraction], domain: tuple[Fraction, Fraction]) -> EvaluableFunction:
     """sum c_i x^i with exact rational evaluation; of degree <= 1, also one
     linear piece.  Trailing zero coefficients are dropped, so the declared
     degree is the true one."""
@@ -252,13 +232,11 @@ def polynomial_fn(coeffs: list[Fraction], domain: tuple[Fraction, Fraction],
     return EvaluableFunction(
         domain=(lo, hi),
         sup_bound=sup if sup else Fraction(1, 2 ** 30),
-        eval_cv=lambda x, p: CertifiedValue.from_fraction(exact(x), p + 2),
-        label=label or "polynomial",
         eval_exact=exact,
         poly_coeffs=cs,
         pieces=[(c0, c1, lo, hi)] if len(cs) <= 2 else None,
     )
 
 
-def constant_fn(c: Fraction, domain: tuple[Fraction, Fraction], label: str = "") -> EvaluableFunction:
-    return polynomial_fn([as_fraction(c)], domain, label=label or "constant")
+def constant_fn(c: Fraction, domain: tuple[Fraction, Fraction]) -> EvaluableFunction:
+    return polynomial_fn([as_fraction(c)], domain)

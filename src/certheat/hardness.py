@@ -144,8 +144,6 @@ def counting_integrand(inst: CountingInstance) -> EvaluableFunction:
     fn = EvaluableFunction(
         domain=(Fraction(0), Fraction(1)),
         sup_bound=height,
-        eval_cv=lambda x, p: CertifiedValue.from_fraction(value(x), p + 2),
-        label=f"counting-{nv}",
         eval_exact=value,
         linear_segments=2 * cells,
         segment_sum=segment_sum,

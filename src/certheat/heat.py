@@ -281,7 +281,7 @@ class IntervalReduction:
     E = (y - x0)^2 / (4 pi t0).  The identity divides that weight back out,
     so the claimed point value is (4 pi t0)^{-1/2} times the plain integral
     of the profile over [0, 1], whatever the profile is.  No solve evaluates
-    the weighted data, so it carries no evaluator.
+    the weighted data.
     """
 
     def __init__(self, t0: Fraction, x0: Fraction, profile: EvaluableFunction):
@@ -304,7 +304,7 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFun
 
     The data is g*(y) = g_hard(y) * exp((y - x0)^2 / (4 pi t0)), returned as
     its domain and sup bound with an attached :class:`IntervalReduction`
-    whose point value is a pure integration task; it has no evaluator.
+    whose point value is a pure integration task.
     """
     t0, x0 = as_fraction(t0), as_fraction(x0)
     if t0 <= 0:
@@ -322,8 +322,6 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFun
     return EvaluableFunction(
         domain=(Fraction(0), Fraction(1)),
         sup_bound=sup if sup else Fraction(1, 1 << 30),
-        eval_cv=None,
-        label="reweighted-initial-data",
         hardness=IntervalReduction(t0, x0, g_hard),
     )
 

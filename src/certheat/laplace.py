@@ -23,8 +23,8 @@ mixes each mode with its neighbours; data of no such kind is refused.
 Data given as finitely many declared modes (trig polynomials on the disk,
 spherical harmonics on the ball) has an exactly finite solution: every mode
 is summed, nothing is left over, and the plan's order is the top declared
-degree.  No ball solve counts harmonics (``kernels.sph_count`` serves
-``verify`` only).
+degree.  No ball solve counts harmonics; the ball's assembly bound is
+checked like the disk's.
 """
 
 from __future__ import annotations
@@ -59,8 +59,10 @@ class DiskProblem(Record):
     are, when g has pieces or is reduction data, what :func:`_solve_disk_pl`
     reads off them (gtilde's, for reduction data): the ``jumps`` (y, J, D)
     of ``pl_jumps`` where something jumps, with the points at 0 and 2 merged
-    into the seam's (J = g(0) - g(2), usually 0), their ``size`` sum
-    |J| + |D| and the exact ``area`` over [0, 2].  What the point tail
+    into the seam's (J = g(0) - g(2): refused when |J| > 2^-18, and exactly
+    0 for reduction data, whose closure meets itself), their ``size`` sum
+    |J| + |D| and the exact ``area`` over [0, 2].  Declared trig modes are
+    periodic by construction and need no seam check.  What the point tail
     (:func:`_point_tail`) reads of them is formed here too: ``tail_nums``,
     the integers (S, V, C) with S / ``tail_den`` = sum |D| / pi_lo^2,
     V / ``tail_den`` = sum |J| / pi_lo and C / ``tail_den`` twice the sup of
@@ -84,13 +86,10 @@ class DiskProblem(Record):
         self.reduction = red = hard if isinstance(hard, DiskReduction) else None
         if pieces is None and self.g.trig_poly is None and red is None:
             raise PreconditionError("boundary data must declare trig modes or linear pieces")
-        a = self.g.eval_cv(Fraction(0), 20)
-        b = self.g.eval_cv(Fraction(2), 20)
-        gap = abs(a.value_fraction() - b.value_fraction())
-        if gap > a.err_fraction() + b.err_fraction() + Fraction(1, 2 ** 18):
-            raise PreconditionError("boundary data is not periodic at the seam")
         if pieces is not None or red is not None:
             (_, j0, d0), *inner, (_, j2, d2) = pl_jumps(pieces) if red is None else red.jumps
+            if abs(j0 + j2) > Fraction(1, 2 ** 18):  # g(0) - g(2), exactly
+                raise PreconditionError("boundary data is not periodic at the seam")
             self.jumps = [(y, J, D) for y, J, D in [(Fraction(0), j0 + j2, d0 + d2), *inner]
                           if J or D]  # the seam first, then in order
             self.size = sum((abs(J) + abs(D) for _, J, D in self.jumps), Fraction(0))
@@ -354,8 +353,6 @@ def interpolated_closure(h: EvaluableFunction) -> EvaluableFunction:
     out = EvaluableFunction(
         domain=(Fraction(0), Fraction(2)),
         sup_bound=max(h.sup_bound, abs(h0), abs(h1), Fraction(1, 2 ** 30)),
-        eval_cv=lambda x, p: CertifiedValue.from_fraction(exact(x), p + 2),
-        label=(h.label or "profile") + "-closure",
         eval_exact=exact,
     )
     if h.pieces is not None:
@@ -378,24 +375,9 @@ def hardness_boundary_disk(r0, theta0, h: EvaluableFunction) -> EvaluableFunctio
     if not 0 <= theta0 <= 2:
         raise PreconditionError("theta0 must lie in [0,2] (pi-units)")
     gt = interpolated_closure(h)
-    one_plus = 1 + r0 * r0
-    inv_den = Fraction(1) / (1 - r0 * r0)
-
-    def ev(rho: Fraction, p: int) -> CertifiedValue:
-        pp = p + 6
-        kern = CertifiedValue.from_fraction(one_plus, pp) - \
-            cos_pi_mul_cv(theta0 - rho, pp).mul_fraction(2 * r0, pp)
-        return (gt.eval_cv(rho, pp) * kern).mul_fraction(inv_den, pp).rounded(p)
-
     dmax = (1 + r0) / (1 - r0) if r0 else Fraction(1)  # the kernel factor's top
-    out = EvaluableFunction(
-        domain=(Fraction(0), Fraction(2)),
-        sup_bound=gt.sup_bound * dmax,
-        eval_cv=ev,
-        label="reduction-boundary",
-    )
-    out.hardness = DiskReduction(r0, theta0, gt, h)
-    return out
+    return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=gt.sup_bound * dmax,
+                             hardness=DiskReduction(r0, theta0, gt, h))
 
 
 # ---------------------------------------------------------------------------
@@ -439,4 +421,5 @@ def solve_ball(p: BallProblem, r, theta, phi, n: int) -> CertifiedValue:
     for l, m in use:
         y = real_sph_harmonic_3d(l, m, theta, phi, pc)
         acc = (acc + y.mul_fraction(modes[(l, m)] * r ** l, pc)).rounded(pc)
+    require("ball assembly", acc.err_fraction(), Fraction(1, 1 << (n + 1)))
     return acc

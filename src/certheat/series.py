@@ -1,9 +1,9 @@
 """Series tail identities behind every truncation plan.
 
 Everything here is exact rational arithmetic. The tails of the solver series
-are bounded by arithmetic-geometric sums, and the plans pick truncation
-orders by exact comparison against dyadic error budgets, so no floating
-point is allowed anywhere in this module.
+are bounded in closed form (geometric and Gaussian sums), and the plans pick
+truncation orders by exact comparison against dyadic error budgets, so no
+floating point is allowed anywhere in this module.
 """
 
 from __future__ import annotations
@@ -13,61 +13,6 @@ from typing import Callable
 
 from .certified import pow_fraction_upper
 from .dyadic import as_fraction
-from .errors import PreconditionError
-
-
-def arith_geom_sum(m: int, x) -> Fraction:
-    """Sum of (k+1) x^k for k >= m, as an exact rational.
-
-    >>> arith_geom_sum(0, Fraction(1, 2))
-    Fraction(4, 1)
-    >>> arith_geom_sum(1, Fraction(1, 2))
-    Fraction(3, 1)
-    """
-    x = as_fraction(x)
-    if m < 0:
-        raise PreconditionError("m must be nonnegative")
-    if abs(x) >= 1:
-        raise PreconditionError("arith_geom_sum requires |x| < 1")
-    return x ** m * (m * (1 - x) + 1) / (1 - x) ** 2
-
-
-def higher_arith_geom(m: int, p: int, x) -> Fraction:
-    """Sum of x^k (k+p)!/k! for k >= m, exact.
-
-    Computed by differentiating x^(p+m)/(1-x) p times term by term, keeping
-    coefficients of x^a/(1-x)^b exactly, then evaluating at x.
-    """
-    x = as_fraction(x)
-    if m < 0 or p < 0:
-        raise PreconditionError("m and p must be nonnegative")
-    if abs(x) >= 1:
-        raise PreconditionError("higher_arith_geom requires |x| < 1")
-    # terms: (a, b) -> coefficient, meaning coeff * x^a / (1-x)^b
-    terms = {(p + m, 1): 1}
-    for _ in range(p):
-        nxt: dict[tuple[int, int], int] = {}
-        for (a, b), c in terms.items():
-            if a > 0:
-                key = (a - 1, b)
-                nxt[key] = nxt.get(key, 0) + c * a
-            key = (a, b + 1)
-            nxt[key] = nxt.get(key, 0) + c * b
-        terms = nxt
-    one_minus = 1 - x
-    total = Fraction(0)
-    for (a, b), c in terms.items():
-        total += c * x ** a / one_minus ** b
-    return total
-
-
-def geometric_tail(r, start: int, scale) -> Fraction:
-    """scale * r^start / (1 - r): closed form for scale * sum of r^k, k >= start."""
-    r = as_fraction(r)
-    scale = as_fraction(scale)
-    if not 0 < r < 1:
-        raise PreconditionError("geometric_tail requires r in (0,1)")
-    return scale * r ** start / (1 - r)
 
 
 def gaussian_tail(scale, rho, start: int) -> Fraction:

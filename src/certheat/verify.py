@@ -3,18 +3,29 @@
 Each check re-derives its expected answer from an independent route (closed
 forms, exact partial sums, enumeration, analytic identities) so a passing
 suite certifies the installed build, not the test fixtures.
+
+The closed forms that only these checks use live here too, off the solvers'
+import path: the heat-kernel time derivatives ``heat_g`` and
+``heat_g_tilde`` of g(t,x) = x t^(-3/2) e^(-x^2/t) and
+g~(t,x) = t^(-1/2) e^(-x^2/t) (``heat_g_rational_core`` is the exact finite
+sum S with g^(n) = x t^(-3/2) e^(-x^2/t) S, since the half-integer Gamma
+ratios are rational, and g~^(n) follows from the Leibniz rule on t g / x),
+the harmonic dimension ``sph_count``, and the series tail identities
+``arith_geom_sum``, ``higher_arith_geom`` and ``geometric_tail``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
-from .certified import (CertifiedValue, cos_pi_mul_cv, exp_cv, pi_cv,
-                        recip_pi_cv, sin_pi_mul_cv)
-from .errors import CertHeatError, ConfigError, InsufficientPrecision
-from .evaluable import (EvaluableFunction, piecewise_linear_fn, polynomial_fn,
+from .certified import (CertifiedValue, cos_pi_mul_cv, exp_cv, pi_cv, recip_cv,
+                        recip_pi_cv, sin_pi_mul_cv, sqrt_cv)
+from .dyadic import as_fraction
+from .errors import CertHeatError, ConfigError, InsufficientPrecision, PreconditionError
+from .evaluable import (EvaluableFunction, _log2_ceil, piecewise_linear_fn, polynomial_fn,
                         sine_modes_fn, trig_poly_fn, TrigPoly)
 from .hardness import (CountingInstance, PIPELINES, brute_force_count,
                        counting_integrand, measure_blowup, precision_for,
@@ -22,10 +33,10 @@ from .hardness import (CountingInstance, PIPELINES, brute_force_count,
 from .heat import (IntervalHeatProblem, HalflineBoundaryProblem,
                    solve_halfline_boundary, solve_interval,
                    solve_neumann_constant_force)
-from .kernels import heat_g, heat_g_tilde, real_sph_harmonic_3d, sph_count
+from .kernels import real_sph_harmonic_3d
 from .laplace import DiskProblem, hardness_boundary_disk, solve_disk
 from .quadrature import integrate
-from .series import TruncationPlan, arith_geom_sum, geometric_tail, higher_arith_geom
+from .series import TruncationPlan
 
 
 class CheckResult:
@@ -45,6 +56,142 @@ def _enclose(cv: CertifiedValue, target: CertifiedValue, slack: Fraction) -> Non
     gap = abs(cv.value_fraction() - target.value_fraction())
     _require(gap <= cv.err_fraction() + target.err_fraction() + slack,
              f"gap {float(gap):.3e} exceeds budget")
+
+
+# ---------------------------------------------------------------------------
+# closed forms only these checks use: the heat-kernel derivative family
+# g^(n), g~^(n)
+
+
+def _gamma_ratio(n: int, m: int) -> Fraction:
+    """Gamma(3/2+n) / Gamma(3/2+n-m) as an exact rational."""
+    out = Fraction(1)
+    for i in range(m):
+        out *= Fraction(2 * (n - i) + 1, 2)
+    return out
+
+
+def heat_g_rational_core(n: int, t, x) -> Fraction:
+    """S with g^(n)(t,x) = x t^(-3/2) e^(-x^2/t) S; exact rational."""
+    t, x = as_fraction(t), as_fraction(x)
+    if t <= 0:
+        raise PreconditionError("t must be positive")
+    total = Fraction(0)
+    for m in range(n + 1):
+        total += ((-1) ** m * comb(n, m) * _gamma_ratio(n, m)
+                  * x ** (2 * (n - m)) * t ** -(2 * n - m))
+    return total
+
+
+def _assemble_gstyle(rational_part: Fraction, t: Fraction, x: Fraction, p: int) -> CertifiedValue:
+    """rational_part * t^(-1/2) * e^(-x^2/t), certified to 2^-p."""
+    if rational_part == 0:
+        return CertifiedValue.zero()
+    pp = p + 10 + max(0, _log2_ceil(abs(rational_part) + 1))
+    rsqrt_t = recip_cv(sqrt_cv(t, pp), pp)
+    ex = exp_cv(-x * x / t, pp)
+    out = (rsqrt_t * ex).mul_fraction(rational_part, pp)
+    return out.rounded(p + 4)
+
+
+def heat_g(n: int, t, x, p: int) -> CertifiedValue:
+    """Certified n-th time derivative of g(t,x) = x t^(-3/2) e^(-x^2/t)."""
+    t, x = as_fraction(t), as_fraction(x)
+    if t <= 0:
+        raise PreconditionError("t must be positive")
+    if n < 0:
+        raise PreconditionError("derivative order must be nonnegative")
+    if x == 0:
+        return CertifiedValue.zero()
+    S = heat_g_rational_core(n, t, x)
+    return _assemble_gstyle(x * S / t, t, x, p)
+
+
+def heat_g_tilde(n: int, t, x, p: int) -> CertifiedValue:
+    """Certified n-th time derivative of g~(t,x) = t^(-1/2) e^(-x^2/t).
+
+    Computed through the Leibniz rule on t * g(t,x) / x, which gives
+    (t g^(n) + n g^(n-1)) / x; the division by x cancels symbolically.
+    """
+    t, x = as_fraction(t), as_fraction(x)
+    if t <= 0:
+        raise PreconditionError("t must be positive")
+    if x == 0:
+        raise PreconditionError("x must be nonzero")
+    Q = t * heat_g_rational_core(n, t, x)
+    if n >= 1:
+        Q += n * heat_g_rational_core(n - 1, t, x)
+    return _assemble_gstyle(Q / t, t, x, p)
+
+
+# ---------------------------------------------------------------------------
+# harmonic dimensions and series tail identities
+
+
+def sph_count(d: int, l: int) -> int:
+    """Dimension N(d,l) of the degree-l harmonics on the (d-1)-sphere."""
+    if d < 2 or l < 0:
+        raise PreconditionError("need d >= 2 and l >= 0")
+    if l == 0:
+        return 1
+    val = Fraction(2 * l + d - 2, l) * comb(l + d - 3, l - 1)
+    if val.denominator != 1:
+        raise AssertionError(f"N({d},{l}) came out non-integral")
+    return int(val)
+
+
+def arith_geom_sum(m: int, x) -> Fraction:
+    """Sum of (k+1) x^k for k >= m, as an exact rational.
+
+    >>> arith_geom_sum(0, Fraction(1, 2))
+    Fraction(4, 1)
+    >>> arith_geom_sum(1, Fraction(1, 2))
+    Fraction(3, 1)
+    """
+    x = as_fraction(x)
+    if m < 0:
+        raise PreconditionError("m must be nonnegative")
+    if abs(x) >= 1:
+        raise PreconditionError("arith_geom_sum requires |x| < 1")
+    return x ** m * (m * (1 - x) + 1) / (1 - x) ** 2
+
+
+def higher_arith_geom(m: int, p: int, x) -> Fraction:
+    """Sum of x^k (k+p)!/k! for k >= m, exact.
+
+    Computed by differentiating x^(p+m)/(1-x) p times term by term, keeping
+    coefficients of x^a/(1-x)^b exactly, then evaluating at x.
+    """
+    x = as_fraction(x)
+    if m < 0 or p < 0:
+        raise PreconditionError("m and p must be nonnegative")
+    if abs(x) >= 1:
+        raise PreconditionError("higher_arith_geom requires |x| < 1")
+    # terms: (a, b) -> coefficient, meaning coeff * x^a / (1-x)^b
+    terms = {(p + m, 1): 1}
+    for _ in range(p):
+        nxt: dict[tuple[int, int], int] = {}
+        for (a, b), c in terms.items():
+            if a > 0:
+                key = (a - 1, b)
+                nxt[key] = nxt.get(key, 0) + c * a
+            key = (a, b + 1)
+            nxt[key] = nxt.get(key, 0) + c * b
+        terms = nxt
+    one_minus = 1 - x
+    total = Fraction(0)
+    for (a, b), c in terms.items():
+        total += c * x ** a / one_minus ** b
+    return total
+
+
+def geometric_tail(r, start: int, scale) -> Fraction:
+    """scale * r^start / (1 - r): closed form for scale * sum of r^k, k >= start."""
+    r = as_fraction(r)
+    scale = as_fraction(scale)
+    if not 0 < r < 1:
+        raise PreconditionError("geometric_tail requires r in (0,1)")
+    return scale * r ** start / (1 - r)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +320,7 @@ def _ck_plan_claims(rng):
 def _ck_disk_harmonic(rng):
     for _ in range(4):
         k = rng.randrange(1, 7)
-        g = trig_poly_fn(TrigPoly(cos_coeffs={k: Fraction(1)}), f"cos{k}")
+        g = trig_poly_fn(TrigPoly(cos_coeffs={k: Fraction(1)}))
         p = DiskProblem(g, Fraction(9, 10))
         r = Fraction(rng.randrange(0, 90), 100)
         th = Fraction(rng.randrange(0, 200), 100)
@@ -189,7 +336,7 @@ def _ck_disk_mean_value(rng):
         for cut in sorted(rng.sample(range(1, 8), 3)):
             pts.append((Fraction(cut, 4), Fraction(rng.randrange(-8, 9), 4)))
         pts.append((Fraction(2), pts[0][1]))
-        g = piecewise_linear_fn(pts, "pl")
+        g = piecewise_linear_fn(pts)
         u = solve_disk(DiskProblem(g, Fraction(0)), 0, Fraction(1, 3), 12)
         mean = integrate(g, 0, 2, 16).mul_fraction(Fraction(1, 2), 16)
         _enclose(u, mean, Fraction(1, 2 ** 12))
@@ -198,7 +345,7 @@ def _ck_disk_mean_value(rng):
 def _ck_disk_reduction_identity(rng):
     h = piecewise_linear_fn([(Fraction(0), Fraction(0)),
                              (Fraction(1, 2), Fraction(1)),
-                             (Fraction(1), Fraction(0))], "tent")
+                             (Fraction(1), Fraction(0))])
     r0, th0 = Fraction(1, 2), Fraction(3, 4)
     g = hardness_boundary_disk(r0, th0, h)
     shortcut = g.hardness.certified_point_value(14)
@@ -213,7 +360,7 @@ def _ck_disk_reduction_identity(rng):
 
 
 def _sine_mode_fn(k: int, L) -> EvaluableFunction:
-    return sine_modes_fn({k: Fraction(1)}, L, f"mode{k}")
+    return sine_modes_fn({k: Fraction(1)}, L)
 
 
 def _ck_interval_eigenmode(rng):
@@ -246,7 +393,7 @@ def _ck_halfline_monotone(rng):
 
 
 def _ramp_profile():
-    return polynomial_fn([Fraction(0), Fraction(1)], (Fraction(0), Fraction(2)), "ramp")
+    return polynomial_fn([Fraction(0), Fraction(1)], (Fraction(0), Fraction(2)))
 
 
 def _ck_halfline_zero_time(rng):
@@ -260,7 +407,7 @@ def _ck_halfline_zero_time(rng):
 def _ck_neumann_force(rng):
     pts = [(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(2)),
            (Fraction(1), Fraction(1, 2))]
-    fn = piecewise_linear_fn(pts, "force")
+    fn = piecewise_linear_fn(pts)
     # exact trapezoid area over [0, 3/4] computed from the vertex list
     area = (Fraction(1) + Fraction(2)) / 2 * Fraction(1, 2)
     area += (Fraction(2) + Fraction(5, 4)) / 2 * Fraction(1, 4)

@@ -24,9 +24,9 @@ from certheat.hardness import (PIPELINES, brute_force_count, measure_blowup,
 from certheat.heat import (HalflineBoundaryProblem, IntervalHeatProblem,
                            plan_halfline_boundary, plan_interval,
                            solve_halfline_boundary, solve_interval)
-from certheat.kernels import heat_g, heat_g_tilde, real_sph_harmonic_3d
+from certheat.kernels import real_sph_harmonic_3d
 from certheat.laplace import DiskProblem, plan_disk, solve_disk
-from certheat.series import arith_geom_sum, higher_arith_geom
+from certheat.verify import arith_geom_sum, heat_g, heat_g_tilde, higher_arith_geom
 
 # criterion 3's boundary profiles with their mpmath counterparts
 PROFILES = [
@@ -54,11 +54,11 @@ def plans():
     """
     disk, interval, halfline = [], [], []
     for k in range(1, 9):
-        g = trig_poly_fn(TrigPoly(cos_coeffs={k: Fraction(1)}), f"cos{k}")
+        g = trig_poly_fn(TrigPoly(cos_coeffs={k: Fraction(1)}))
         p = DiskProblem(g, Fraction(9, 10))
         disk += [(k, p, n, plan_disk(p, n)) for n in (10, 20, 30)]
     for k in range(1, 5):
-        g = sine_modes_fn({k: Fraction(1)}, Fraction(1), f"mode{k}")
+        g = sine_modes_fn({k: Fraction(1)}, Fraction(1))
         for alpha in (Fraction(1, 2), Fraction(1)):
             p = IntervalHeatProblem(Fraction(1), alpha, g, Fraction(1, 4))
             interval += [((k, alpha), p, n, plan_interval(p, n))

@@ -15,7 +15,6 @@ MP_PREC = 120  # mpmath bits for this module's tests (see conftest.py)
 import certheat.cli as cli
 import certheat.heat as heat
 import certheat.laplace as laplace
-from certheat.certified import CertifiedValue
 from certheat.cli import decimal_digits, main, parse_config
 from certheat.dyadic import round_to
 from certheat.errors import PreconditionError
@@ -192,6 +191,34 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3 and "t must be positive" in err
 
     assert run(["verify", "bogus"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("g, code", [
+    ("pl 0:0 1:1 2:1/2", 3),                          # g(0) - g(2) = -1/2
+    ("pl 0:0 1:1 2:-1/262144", 0),                    # a gap of exactly 2^-18
+    ("pl 0:0 1:1 2:-4194305/1099511627776", 3),       # 2^-18 + 2^-40
+    ("pl 0:1/3 1:1 2:1/3", 0),                        # periodic
+    ("trig const=1, cos2=1/2, sin5=-3", 0),           # periodic by construction
+])
+def test_disk_seam_check_refuses_gaps_above_2_to_the_minus_18(tmp_path, capsys, g, code):
+    cfg = write(tmp_path, "seam.cfg",
+                f"problem = disk\ng = {g}\nr = 1/2\ntheta = 1/3\nbits = 20\n")
+    got, _, err = run(["solve", "--config", cfg], capsys)
+    assert got == code, err
+    if code:
+        assert "not periodic at the seam" in err
+
+
+def test_disk_reduction_data_passes_the_seam_check():
+    # no config writes reduction data; its closure makes the seam's jump
+    # exactly 0 even where the profile's ends differ
+    from certheat.evaluable import piecewise_linear_fn
+
+    h = piecewise_linear_fn([(Fraction(0), Fraction(1, 3)), (Fraction(1, 2), Fraction(-1)),
+                             (Fraction(1), Fraction(2))])
+    g = laplace.hardness_boundary_disk(Fraction(1, 2), Fraction(3, 4), h)
+    p = laplace.DiskProblem(g, Fraction(1, 2))
+    assert all(J == 0 for _, J, _ in p.jumps)
 
 
 @pytest.mark.parametrize("text", [
@@ -601,8 +628,7 @@ def test_every_parsed_input_declares_its_structure(parse, spec):
 
 def test_structureless_data_is_refused():
     def bare(hi):
-        return EvaluableFunction(domain=(Fraction(0), Fraction(hi)), sup_bound=Fraction(1),
-                                 eval_cv=lambda x, p: CertifiedValue.from_fraction(x, p))
+        return EvaluableFunction(domain=(Fraction(0), Fraction(hi)), sup_bound=Fraction(1))
 
     assert not declares_structure(bare(2))
     with pytest.raises(PreconditionError, match="trig modes or linear pieces"):

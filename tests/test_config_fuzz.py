@@ -64,7 +64,7 @@ SPECS = {
                "counting 3 1 2", "counting 9 3 5 2 7 1 4"],
               ["counting 3", "counting x y", "counting 1" + " 1" * 25, "counting 2 -1",
                "spike 1"]),
-    "sph": (["sph 0:0:1 1:0:1/2", "sph 2:-1:3 3:3:-1/8"],
+    "sph": (["sph 0:0:1 1:0:1/2", "sph 2:-1:3 3:3:-1/8", "sph 6:6:1 9:-4:1/3"],
             ["sph 1:2:1", "sph 1:0", "sph", "sph 0:0:1 0:0:2", "sph 0:0:x", "harm 1"]),
 }
 UNKNOWN = ["r0", "t0", "foo", "d", "x0", "color"]

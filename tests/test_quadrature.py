@@ -79,7 +79,6 @@ def uniform_square(domain, segments):
     # still well defined, and exercises the index arithmetic off zero; it
     # integrates only once a test gives it a segment_sum
     return EvaluableFunction(domain=domain, sup_bound=Fraction(4),
-                             eval_cv=lambda x, p: CertifiedValue.from_fraction(x * x, p),
                              eval_exact=lambda x: x * x, linear_segments=segments)
 
 

@@ -9,9 +9,8 @@ import mpmath as mp
 import pytest
 
 from certheat.errors import PreconditionError
-from certheat.series import (TruncationPlan, arith_geom_sum, gaussian_tail,
-                             geometric_cap, geometric_tail, higher_arith_geom,
-                             point_order)
+from certheat.series import TruncationPlan, gaussian_tail, geometric_cap, point_order
+from certheat.verify import arith_geom_sum, geometric_tail, higher_arith_geom
 
 
 def brute_arith_geom(m: int, x: Fraction, tol: Fraction) -> Fraction:
