@@ -49,8 +49,8 @@ def real_sph_harmonic_3d(l: int, m: int, theta, phi, p: int) -> CertifiedValue:
         raise PreconditionError("need |m| <= l")
     theta, phi = as_fraction(theta), as_fraction(phi)
     am = abs(m)
-    # the upward recurrence's error bounds outgrow P_l^m by less than a
-    # factor 4 per step (1 + sqrt 2 for m = 0)
+    # the upward recurrence's error bounds outgrow P_l^m by up to 1 + sqrt 2
+    # per step (m = 0; less for larger m, measured to l = 40): 2 bits a step
     pp = p + 10 + 2 * (l - am)
     c = cos_pi_mul_cv(theta, pp)
     s = sin_pi_mul_cv(theta, pp)
