@@ -370,9 +370,11 @@ def sqrt_cv(x, p: int) -> CertifiedValue:
 
 
 def _fraction_sqrt_lower(f: Fraction) -> Fraction:
-    # a lower bound on sqrt(f) to 16 fractional bits
-    r = isqrt((f.numerator << 32) // f.denominator)
-    return Fraction(r, 1 << 16) if r else Fraction(1, 1 << 34)
+    # a lower bound on sqrt(f) to at least 16 fractional and 16 significant bits
+    num, den = f.numerator, f.denominator
+    e = den.bit_length() - num.bit_length()  # f >= 2^-(e+1)
+    F = 16 + max(0, (e + 1) // 2)  # so f 4^F >= 2^31, and the root is >= 2^15
+    return Fraction(isqrt((num << 2 * F) // den), 1 << F)
 
 
 def _fraction_sqrt_upper(f: Fraction) -> Fraction:

@@ -417,8 +417,7 @@ def _parse_sizes(text: str) -> list[int]:
 def cmd_bench(args) -> int:
     import random  # only this subcommand draws instances and measures them
 
-    from .hardness import (CountingInstance, PIPELINES, measure_blowup,
-                           random_instance, render_csv)
+    from .hardness import CountingInstance, measure_blowup, random_instance, render_csv
 
     if not args.config:
         raise ConfigError("bench needs --config")
@@ -430,10 +429,8 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     if "pipeline" not in cfg:
         raise ConfigError("missing required key 'pipeline'")
-    pipeline = cfg["pipeline"]
-    if pipeline not in PIPELINES:
-        raise ConfigError(f"unknown pipeline {pipeline!r}, have {sorted(PIPELINES)}")
-    repeats = _int(cfg, "repeats", 5)  # measure_blowup refuses a count below 1
+    pipeline = cfg["pipeline"]  # measure_blowup refuses an unknown one
+    repeats = _int(cfg, "repeats", 5)  # and a count below 1
 
     if "weights" in cfg or "target" in cfg:
         if "sizes" in cfg:

@@ -82,9 +82,9 @@ class EvaluableFunction:
     """Domain, sup bound and the structure the solvers read.
 
     ``eval_exact`` is exact rational evaluation, when the shape admits one;
-    grids, the disk reduction's closure and counting data read it.  The rest
-    is the structure the solvers read; data declares at least one of these,
-    or carries a counting reduction (``hardness``):
+    grids and counting data read it, and the disk reduction at its profile's
+    ends.  The rest is the structure the solvers read; data declares at
+    least one of these, or carries a counting reduction (``hardness``):
 
     * ``trig_poly``, modes on the circle;
     * ``sph_modes``, orthonormal harmonics {(l, m): c} on the sphere;

@@ -154,7 +154,7 @@ class IntervalHeatProblem(Record):
             (_, j0, _), *mid, (_, jL, _) = self.jumps
             self.inner = [(y, d) for y, _, d in mid if d]
             size = self.L * sum((abs(d) for _, d in self.inner), Fraction(0)) + abs(j0) + abs(jL)
-            self.size_bits = max(0, _log2_ceil(max(size, 1)))
+            self.size_bits = _guard_bits(size)
 
     @cached_property
     def rho0(self) -> Fraction:
@@ -236,8 +236,7 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
         K, extra = _mode_count(2 * p.g.sup_bound, rho, n, plan.order)
         return _solve_interval_pl(p, rate, x, K, n).widen_fraction(extra)
     ks = sorted(p.g.sine_modes)
-    pc = n + 1 + (len(ks) + 1).bit_length() + 4 \
-        + max(0, _log2_ceil(max(p.g.sup_bound, 1)))
+    pc = n + 1 + (len(ks) + 1).bit_length() + 4 + _guard_bits(p.g.sup_bound)
     pisq = (pi_cv(pc + 8) * pi_cv(pc + 8)).rounded(pc + 8)
     acc = CertifiedValue.zero()
     for k in ks:
@@ -259,7 +258,7 @@ def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: i
     and -g(L); the ends' D drop out, as sin(k pi y / L) vanishes there."""
     L, inner, j0, jL = p.L, p.inner, p.jumps[0][1], p.jumps[-1][1]
     # the ladder's bounds reach about K + 1/c units, and c >= 9 rate
-    W = n + 8 + K.bit_length() + p.size_bits + max(0, _log2_ceil(max(1 / rate, 1)))
+    W = n + 8 + K.bit_length() + p.size_bits + _guard_bits(1 / rate)
     decay = _ladder(rate, K, W)
     cos_terms = [((y - x) / L, L * d) for y, d in inner] + [((y + x) / L, -L * d) for y, d in inner]
     # (-1)^k sin(k pi x / L) = sin(k pi (x + L) / L)
@@ -423,7 +422,7 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
     transcendentals, so the sum keeps within 2^-(n+2) without a retry.
     """
     at = alpha * t
-    g = max(0, _log2_ceil(1 / at))  # 1/(4 pi at) scales the prefactor's error
+    g = _guard_bits(1 / at)  # 1/(4 pi at) scales the prefactor's error
     cap = Fraction(1 << ((g + 1) // 2))  # >= 1 / sqrt(alpha t), the kernel at d = 0
     sat = sqrt_cv(at, 16).upper_fraction()
     phi = sum((bd * t ** e / factorial(e) for e, bd, _ in terms), Fraction(0))
@@ -443,7 +442,7 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
             # share times 2^ceil(1.4427 w) is kept without forming the exp
             if _log2_ceil(size / share) <= _ceil_div(w.numerator * 14427, w.denominator * 10000):
                 cut = size * exp_cv(-w, n + 8 + len(ends).bit_length()
-                                    + max(0, _log2_ceil(size))).upper_fraction()
+                                    + _guard_bits(size)).upper_fraction()
                 if cut <= share:
                     claims += cut
                     continue
@@ -456,7 +455,7 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
     # erfc <= 2 and the kernel's bound weigh the coefficients
     M = sum((2 * abs(mp) + abs(mq) * kern
              for _, _, kern, ms in kept for mp, mq in ms), Fraction(0))
-    q = n + 8 + max(0, _log2_ceil(M) if M else 0)
+    q = n + 8 + _guard_bits(M)
     cs = [c(q) for _, _, c in terms] if kept else []
     cs = [(cv.value_fraction(), cv.err_fraction()) for cv in cs]
     parts, size = [], Fraction(0)
@@ -467,7 +466,7 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
             Pe, Qe = Pe + e * abs(mp), Qe + e * abs(mq)
         size += abs(P) + Pe + abs(Q) + Qe
         parts.append((d, w, kern, P, Pe, Q, Qe))
-    r = n + 8 + (2 * len(parts)).bit_length() + max(0, _log2_ceil(size) if size else 0)
+    r = n + 8 + (2 * len(parts)).bit_length() + _guard_bits(size)
     pref = _inv_sqrt_4pialpha(at, r + g + 4)
     total = CertifiedValue.zero()
     for d, w, kern, P, Pe, Q, Qe in parts:

@@ -16,9 +16,10 @@ Piecewise-linear disk data (``linear_pieces``) forms no Fourier
 coefficient: integrating by parts twice leaves one series per point of the
 data's jump list (``pl_jumps``, the ends merged into the seam), summed by one
 rotation each (:func:`_solve_disk_pl`).  The counting-reduction data
-(:class:`DiskReduction`) sums the same series over its piecewise-linear
-gtilde's jump list and reads both of its parts, since the kernel factor
-mixes each mode with its neighbours; data of no such kind is refused.
+(:class:`DiskReduction`) is its profile's pieces plus one bridge: it sums
+the same series over their jump list and reads both of its parts, since
+the kernel factor mixes each mode with its neighbours; data of no such
+kind is refused.
 
 Data given as finitely many declared modes (trig polynomials on the disk,
 spherical harmonics on the ball) has an exactly finite solution: every mode
@@ -37,9 +38,10 @@ from typing import Callable
 from .certified import CertifiedValue, _exact_cv, cos_pi_mul_cv, sin_pi_mul_cv
 from .dyadic import as_fraction
 from .errors import PreconditionError
-from .evaluable import EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces, pl_jumps
+from .evaluable import (EvaluableFunction, Pieces, TrigPoly, _guard_bits, _log2_ceil,
+                        linear_pieces, pl_jumps)
 from .kernels import real_sph_harmonic_3d
-from .quadrature import breakpoint_series, integral_exact
+from .quadrature import breakpoint_series, integral_exact, pieces_integral
 from .record import Record
 from .series import (TruncationPlan, declared_modes_plan, geometric_cap, point_order,
                      require)
@@ -55,19 +57,19 @@ class DiskProblem(Record):
     :class:`DiskReduction` (``reduction``, else None); r0 < 1 bounds the
     radii r a solve takes, and the plan's order is what a solve at r0 sums.
     One solve plans at its own r; many solves plan once at their largest.
-    ``pieces`` is ``linear_pieces(g)``, read once here for every solve; so
-    are, when g has pieces or is reduction data, what :func:`_solve_disk_pl`
-    reads off them (gtilde's, for reduction data): the ``jumps`` (y, J, D)
-    of ``pl_jumps`` where something jumps, with the points at 0 and 2 merged
-    into the seam's (J = g(0) - g(2): refused when |J| > 2^-18, and exactly
-    0 for reduction data, whose closure meets itself), their ``size`` sum
-    |J| + |D| and the exact ``area`` over [0, 2].  Declared trig modes are
-    periodic by construction and need no seam check.  What the point tail
+    ``pieces`` is ``linear_pieces(g)``, or the reduction's ``pieces``, read
+    once here for every solve; so is what :func:`_solve_disk_pl` reads off
+    them: the ``jumps`` (y, J, D) of ``pl_jumps`` where something jumps,
+    with the points at 0 and 2 merged into the seam's (J = g(0) - g(2):
+    refused when |J| > 2^-18, and exactly 0 for reduction data, whose bridge
+    meets h(0)), their ``size`` sum |J| + |D| and the exact ``area`` over
+    [0, 2] (:func:`pieces_integral`).  Declared trig modes are periodic by
+    construction and need no seam check.  What the point tail
     (:func:`_point_tail`) reads of them is formed here too: ``tail_nums``,
     the integers (S, V, C) with S / ``tail_den`` = sum |D| / pi_lo^2,
     V / ``tail_den`` = sum |J| / pi_lo and C / ``tail_den`` twice the sup of
-    g (of gtilde, for reduction data), over one common denominator.  These
-    derived fields take no part in equality or ``repr``.
+    g (the reduction's ``sup``, for reduction data), over one common
+    denominator.  These derived fields take no part in equality or ``repr``.
     """
 
     _fields = ("g", "r0")
@@ -81,23 +83,22 @@ class DiskProblem(Record):
         lo, hi = self.g.domain
         if (lo, hi) != (Fraction(0), Fraction(2)):
             raise PreconditionError("boundary data must live on [0,2] in pi-units")
-        self.pieces = pieces = linear_pieces(self.g)
         hard = self.g.hardness
         self.reduction = red = hard if isinstance(hard, DiskReduction) else None
-        if pieces is None and self.g.trig_poly is None and red is None:
+        self.pieces = pieces = linear_pieces(self.g) if red is None else red.pieces
+        if pieces is None and self.g.trig_poly is None:
             raise PreconditionError("boundary data must declare trig modes or linear pieces")
-        if pieces is not None or red is not None:
-            (_, j0, d0), *inner, (_, j2, d2) = pl_jumps(pieces) if red is None else red.jumps
+        if pieces is not None:
+            (_, j0, d0), *inner, (_, j2, d2) = pl_jumps(pieces)
             if abs(j0 + j2) > Fraction(1, 2 ** 18):  # g(0) - g(2), exactly
                 raise PreconditionError("boundary data is not periodic at the seam")
             self.jumps = [(y, J, D) for y, J, D in [(Fraction(0), j0 + j2, d0 + d2), *inner]
                           if J or D]  # the seam first, then in order
             self.size = sum((abs(J) + abs(D) for _, J, D in self.jumps), Fraction(0))
-            self.area = integral_exact(self.g, Fraction(0), Fraction(2)) if red is None \
-                else red.area
+            self.area = pieces_integral(pieces, Fraction(0), Fraction(2))
             parts = (sum((abs(D) for _, _, D in self.jumps), Fraction(0)) / (_PI_LO * _PI_LO),
                      sum((abs(J) for _, J, _ in self.jumps), Fraction(0)) / _PI_LO,
-                     2 * (self.g if red is None else red.gtilde).sup_bound)
+                     2 * (self.g.sup_bound if red is None else red.sup))
             self.tail_den = den = lcm(*(f.denominator for f in parts))
             self.tail_nums = tuple(f.numerator * (den // f.denominator) for f in parts)
 
@@ -135,11 +136,11 @@ def _point_tail(p: DiskProblem, r: Fraction) -> Callable[[int], Fraction]:
 
     The series (:func:`_solve_disk_pl`) sums c_k r^k e^{i pi k theta} over
     k <= m for piecewise-linear g, and c_k r^(k-1) e^{i pi k theta} (S0) for
-    reduction data, with c_k the complex Fourier coefficients of g or of
-    gtilde.  2 |c_k| is at most twice their sup and, from the jump list,
-    sum |D_j| / (pi k)^2 + sum |J_j| / (pi k), so the terms k > m of
-    sum 2 |c_k| r^(k-1) are at most the lesser of the two sums past m times
-    r^m / (1 - r).  Piecewise-linear data charges that times r.  The
+    reduction data, with c_k the complex Fourier coefficients of g or of the
+    reduction's closure H.  2 |c_k| is at most twice their sup and, from the
+    jump list, sum |D_j| / (pi k)^2 + sum |J_j| / (pi k), so the terms k > m
+    of sum 2 |c_k| r^(k-1) are at most the lesser of the two sums past m
+    times r^m / (1 - r).  Piecewise-linear data charges that times r.  The
     reduction's combination weighs what S0 drops by 2 ((1 + r0^2) r +
     r0 (1 + r^2)) / (1 - r0^2), half of which it charges, since |c_k| is
     half of 2 |c_k|; at r0 = 0 that is r again.  Each bound is an exact
@@ -175,8 +176,9 @@ def plan_disk(p: DiskProblem, n: int) -> TruncationPlan:
     The search stops by the order where 2 ||g|| r0^K / (1 - r0) is within
     2^-(n+1).  That covers piecewise-linear data, whose tail at r0 is at
     most this, and reduction data too: its ceiling at r0 is 4 r0 (1 + r0^2)
-    ||gtilde|| r0^K / ((1 - r0)(1 - r0^2)), and ||g|| = ||gtilde|| (1 + r0) /
-    (1 - r0), so the ratio of the two is 2 r0 (1 + r0^2) / (1 + r0)^2 <= 1.
+    ||H|| r0^K / ((1 - r0)(1 - r0^2)) for its closure H, and ||g|| = ||H||
+    (1 + r0) / (1 - r0), so the ratio of the two is 2 r0 (1 + r0^2) /
+    (1 + r0)^2 <= 1.
     """
     tp = p.g.trig_poly
     if tp is not None:
@@ -194,8 +196,8 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
     """Certified u(r, theta) with |error| <= 2^-n; theta in units of pi.
 
     Declared modes are all summed, one term per mode, and leave no tail.
-    Other data, piecewise linear or reduction data over a piecewise-linear
-    gtilde, sums the series over the points of its jump list
+    Other data, piecewise linear or reduction data (whose closure H is
+    piecewise linear), sums the series over the points of its jump list
     (:func:`_solve_disk_pl`) only as far as r needs, and the plan's order
     caps that.
     """
@@ -218,7 +220,7 @@ def solve_disk(p: DiskProblem, r, theta, n: int,
 def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
                    K: int) -> CertifiedValue:
     """Terms 0..K of u(r, theta) for piecewise-linear data (g, or the
-    reduction's gtilde) that jumps by J_j in value and D_j in slope at rho_j
+    reduction's closure H) that jumps by J_j in value and D_j in slope at rho_j
     (``p.jumps``: the seam's, at 0, and the inner points').
 
     Integrating by parts twice gives the complex Fourier coefficients
@@ -232,7 +234,7 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
     coefficient (:func:`breakpoint_series`).  Only the seam carries a J,
     the end gap g(0) - g(2) that the seam check lets through.
 
-    Reduction data g = gtilde (1 + r0^2 - 2 r0 cos pi(theta0 - rho)) /
+    Reduction data g = H (1 + r0^2 - 2 r0 cos pi(theta0 - rho)) /
     (1 - r0^2) has coefficients (1 + r0^2) c_k - r0 (e^{i pi theta0} c_{k+1}
     + e^{-i pi theta0} c_{k-1}) over 1 - r0^2.  With S0 = sum_{k>=1} c_k
     r^(k-1) e^{i pi k theta}, so that S1 = r S0, and psi = theta0 - theta,
@@ -244,7 +246,7 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
     """
     red = p.reduction
     guard = 0 if red is None else _log2_ceil(8 / (1 - red.r0 * red.r0))
-    W = n + 8 + K.bit_length() + max(0, _log2_ceil(max(p.size, 1))) + guard
+    W = n + 8 + K.bit_length() + _guard_bits(p.size) + guard
     # each floor loses under a unit and r <= 1 shrinks the earlier losses,
     # so r^k stays less than k units below 2^W r^k
     powers, rk = [], 1 << W
@@ -277,107 +279,70 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
 class DiskReduction:
     """Metadata tying reweighted boundary data to its point-value identity.
 
-    The boundary g was built as gtilde divided by the Poisson kernel at
-    (r0, theta0), which forces u(r0, theta0) to equal the plain mean of
-    gtilde over the circle regardless of what gtilde is.  ``profile`` is h,
-    which gtilde closes up.  ``pieces`` are gtilde's linear pieces and
-    ``jumps`` their ``pl_jumps`` list, and ``area`` is gtilde's exact
-    integral over [0, 2]; each is built on first use and then kept, the
-    pieces and jumps for a disk problem's series (:class:`DiskProblem`) and
-    the area for that and the point-value identity, which reads no piece.
-    The area comes from the jumps when the pieces are already read and from
-    h's run sum otherwise, so either route verifies a counting cell once.
+    The boundary g was built as the closure H of the profile h divided by
+    the Poisson kernel at (r0, theta0), which forces u(r0, theta0) to equal
+    the plain mean of H over the circle regardless of what h is.  H is h on
+    [0, 1] and the linear bridge from h(1) back to h(0) on [1, 2], so it is
+    continuous and meets itself at the seam.  ``h0`` and ``h1`` are h's
+    ends, read once here (a counting profile's ends are cell edges, which
+    cost no verifier call), and ``sup`` bounds H.  ``pieces`` are h's linear
+    pieces plus the bridge, for a disk problem's series
+    (:class:`DiskProblem`); ``area`` is H's exact integral over [0, 2], h's
+    run sum plus the bridge's trapezoid (h0 + h1) / 2, for the point-value
+    identity, which reads no piece.  Each is built on first use and then
+    kept, and each verifies a counting cell once.
     """
 
-    def __init__(self, r0: Fraction, theta0: Fraction, gtilde: EvaluableFunction,
-                 profile: EvaluableFunction):
+    def __init__(self, r0: Fraction, theta0: Fraction, profile: EvaluableFunction):
+        if profile.domain != (Fraction(0), Fraction(1)):
+            raise PreconditionError("profile must live on [0,1]")
+        if profile.eval_exact is None:
+            raise PreconditionError("profile needs exact pointwise evaluation")
         self.r0 = r0
         self.theta0 = theta0
-        self.gtilde = gtilde
         self.profile = profile
+        self.h0, self.h1 = profile.eval_exact(Fraction(0)), profile.eval_exact(Fraction(1))
+        self.sup = max(profile.sup_bound, abs(self.h0), abs(self.h1), Fraction(1, 2 ** 30))
 
     @cached_property
-    def pieces(self):
-        return linear_pieces(self.gtilde)
-
-    @cached_property
-    def jumps(self):
-        return pl_jumps(self.pieces)
+    def pieces(self) -> Pieces:
+        pieces = linear_pieces(self.profile)
+        if pieces is None:
+            raise PreconditionError("the disk series needs a profile with linear pieces")
+        h0, h1 = self.h0, self.h1
+        return pieces + [(2 * h1 - h0, h0 - h1, Fraction(1), Fraction(2))]
 
     @cached_property
     def area(self) -> Fraction:
-        """Integral of gtilde over [0, 2].
-
-        Once the pieces are read, the jump list gives it with no further
-        evaluation: gtilde is the sum of J + D (x - y) over its points
-        y <= x, so its integral up to the last point b is the sum of
-        J (b - y) + D (b - y)^2 / 2.  Before that, only h is integrated:
-        gtilde is h on [0, 1] and the linear bridge from h(1) back to h(0)
-        on [1, 2], whose integral is the trapezoid (h(0) + h(1)) / 2.
-        """
-        if "pieces" in self.__dict__:  # read already: integrate its jump list
-            b = self.jumps[-1][0]
-            return sum((J * (b - y) + D * (b - y) ** 2 / 2 for y, J, D in self.jumps
-                        if J or D), Fraction(0))
-        h = self.profile
-        head = integral_exact(h, Fraction(0), Fraction(1))
+        head = integral_exact(self.profile, Fraction(0), Fraction(1))
         if head is None:
             raise PreconditionError("reduction data needs an exact integral")
-        return head + (h.eval_exact(Fraction(0)) + h.eval_exact(Fraction(1))) / 2
+        return head + (self.h0 + self.h1) / 2
 
     def certified_point_value(self, n: int) -> CertifiedValue:
-        """u(r0, theta0) = (1/2) * integral of gtilde over [0,2]."""
+        """u(r0, theta0) = (1/2) * integral of H over [0,2]."""
         # n + 4 = (n + 1) + 2 + log2 of the width 2, the scale integrate rounds to
         total = CertifiedValue.from_fraction(self.area, n + 4)
         return total.mul_fraction(Fraction(1, 2), n + 1)
 
 
-def interpolated_closure(h: EvaluableFunction) -> EvaluableFunction:
-    """Extend h from [0,1] to [0,2] by the linear bridge back to h(0).
-
-    The bridge keeps the closure continuous and exactly periodic on the
-    circle; h's pieces gain the bridge as one more, and a uniform grid as
-    many more segments, so integrals of the closure stay exact.
-    """
-    if h.domain != (Fraction(0), Fraction(1)):
-        raise PreconditionError("profile must live on [0,1]")
-    if h.eval_exact is None:
-        raise PreconditionError("profile needs exact pointwise evaluation")
-    h0, h1 = h.eval_exact(Fraction(0)), h.eval_exact(Fraction(1))
-
-    def exact(x: Fraction) -> Fraction:
-        if x < 1:
-            return h.eval_exact(x)
-        return h1 + (h0 - h1) * (x - 1)  # at x = 1 this is h1, already read
-
-    out = EvaluableFunction(
-        domain=(Fraction(0), Fraction(2)),
-        sup_bound=max(h.sup_bound, abs(h0), abs(h1), Fraction(1, 2 ** 30)),
-        eval_exact=exact,
-    )
-    if h.pieces is not None:
-        out.pieces = h.pieces + [(2 * h1 - h0, h0 - h1, Fraction(1), Fraction(2))]
-    elif h.linear_segments is not None:
-        out.linear_segments = 2 * h.linear_segments
-    return out
-
-
 def hardness_boundary_disk(r0, theta0, h: EvaluableFunction) -> EvaluableFunction:
     """Boundary data whose solution at (r0, theta0) is the mean of h's closure.
 
-    g(rho) = gtilde(rho) * (1 - 2 r0 cos(pi(theta0 - rho)) + r0^2) / (1 - r0^2)
-    cancels the Poisson kernel at the marked point, so evaluating the solution
-    there is exactly the integration task (1/2) * integral of gtilde.
+    g(rho) = H(rho) * (1 - 2 r0 cos(pi(theta0 - rho)) + r0^2) / (1 - r0^2),
+    with H the closure (:class:`DiskReduction`), cancels the Poisson kernel
+    at the marked point, so evaluating the solution there is exactly the
+    integration task (1/2) * integral of H.
     """
     r0, theta0 = as_fraction(r0), as_fraction(theta0)
     if not 0 <= r0 < 1:
         raise PreconditionError("r0 must lie in [0,1)")
     if not 0 <= theta0 <= 2:
         raise PreconditionError("theta0 must lie in [0,2] (pi-units)")
-    gt = interpolated_closure(h)
+    red = DiskReduction(r0, theta0, h)
     dmax = (1 + r0) / (1 - r0) if r0 else Fraction(1)  # the kernel factor's top
-    return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=gt.sup_bound * dmax,
-                             hardness=DiskReduction(r0, theta0, gt, h))
+    return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=red.sup * dmax,
+                             hardness=red)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +381,7 @@ def solve_ball(p: BallProblem, r, theta, phi, n: int) -> CertifiedValue:
     use = [lm for lm in sorted(modes) if modes[lm]]
     # each harmonic's error is scaled by its coefficient
     big = max((abs(modes[lm]) for lm in use), default=Fraction(1))
-    pc = n + 1 + max(1, len(use)).bit_length() + 3 + max(0, _log2_ceil(big))
+    pc = n + 1 + max(1, len(use)).bit_length() + 3 + _guard_bits(big)
     acc = CertifiedValue.zero()
     for l, m in use:
         y = real_sph_harmonic_3d(l, m, theta, phi, pc)

@@ -25,7 +25,7 @@ from .certified import (CertifiedValue, cos_pi_mul_cv, recip_pi_cv, rotation_sum
                         sin_pi_mul_cv)
 from .dyadic import as_fraction
 from .errors import PreconditionError
-from .evaluable import EvaluableFunction, _log2_ceil, pl_jumps
+from .evaluable import EvaluableFunction, Pieces, _guard_bits, pl_jumps
 
 
 def integrate(fn: EvaluableFunction, lo, hi, p: int) -> CertifiedValue:
@@ -42,18 +42,17 @@ def integrate(fn: EvaluableFunction, lo, hi, p: int) -> CertifiedValue:
     if total is None:
         raise PreconditionError(
             "integrand needs exact structure: polynomial, linear pieces or a uniform grid")
-    return CertifiedValue.from_fraction(total, p + 2 + max(0, _log2_ceil(hi - lo)))
+    return CertifiedValue.from_fraction(total, p + 2 + _guard_bits(hi - lo))
 
 
 def integral_exact(fn: EvaluableFunction, lo: Fraction,
                    hi: Fraction) -> Optional[Fraction]:
     """Exact integral of fn over [lo, hi] inside its domain, or None.
 
-    Polynomials integrate by their antiderivative.  On linear pieces the
-    midpoint rule is exact, so each declared piece, clipped to [lo, hi],
-    gives its midpoint value times its width, and a uniform grid that sums
-    its midpoint values (``segment_sum``) is summed by
-    :func:`_uniform_integral`; None for any other function.
+    Polynomials integrate by their antiderivative, declared pieces by
+    :func:`pieces_integral`, and a uniform grid that sums its midpoint
+    values (``segment_sum``) by :func:`_uniform_integral`; None for any
+    other function.
     """
     if fn.poly_coeffs is not None:
         total = Fraction(0)  # exact antiderivative, no sampling at all
@@ -61,12 +60,19 @@ def integral_exact(fn: EvaluableFunction, lo: Fraction,
             total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
         return total
     if fn.pieces is not None:
-        cut = [(c0, c1, max(a, lo), min(b, hi)) for c0, c1, a, b in fn.pieces]
-        return sum(((c0 + c1 * (a + b) / 2) * (b - a) for c0, c1, a, b in cut if a < b),
-                   Fraction(0))
+        return pieces_integral(fn.pieces, lo, hi)
     if fn.segment_sum is None or fn.eval_exact is None:
         return None
     return _uniform_integral(fn, lo, hi)
+
+
+def pieces_integral(pieces: Pieces, lo: Fraction, hi: Fraction) -> Fraction:
+    """Exact integral over [lo, hi] of linear pieces (c0, c1, a, b): the
+    midpoint rule is exact on each, so each piece, clipped to [lo, hi],
+    gives its midpoint value times its width."""
+    cut = [(c0, c1, max(a, lo), min(b, hi)) for c0, c1, a, b in pieces]
+    return sum(((c0 + c1 * (a + b) / 2) * (b - a) for c0, c1, a, b in cut if a < b),
+               Fraction(0))
 
 
 def _uniform_integral(fn: EvaluableFunction, lo: Fraction, hi: Fraction) -> Fraction:
@@ -130,9 +136,8 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
     phase = as_fraction(phase)
     pieces = [tuple(map(as_fraction, piece)) for piece in pieces]
     if k == 0:
-        area = sum((c0 * (b - a) + c1 * (b * b - a * a) / 2 for c0, c1, a, b in pieces),
-                   Fraction(0))
-        pp = p + 4 + (_log2_ceil(abs(area)) if abs(area) > 1 else 0)  # area scales the error
+        area = pieces_integral(pieces, pieces[0][2], pieces[-1][3])
+        pp = p + 4 + _guard_bits(abs(area))  # area scales the error
         return (sin_pi_mul_cv(phase, pp).mul_fraction(area, p),
                 cos_pi_mul_cv(phase, pp).mul_fraction(area, p))
     # angle mod 2 -> (weight of e^{i t} / (i u), weight of e^{i t} / u^2),
@@ -144,7 +149,7 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
         vw[0] -= J
         vw[1] -= D
     size = sum((abs(v) + abs(w) for v, w in points.values()), Fraction(0))
-    pp = p + 6 + (_log2_ceil(size) if size > 1 else 0)
+    pp = p + 6 + _guard_bits(size)
     vs = vc = ds = dc = CertifiedValue.zero()
     for x, (v, w) in points.items():
         if v or w:

@@ -88,6 +88,22 @@ def test_sqrt_recip_div():
         C.sqrt_cv(-2, 20)
 
 
+def test_sqrt_propagates_the_spread_of_tiny_inputs():
+    # the propagated error divides by a lower bound on the root of the
+    # input's lower end, which must stay below that root however small it is
+    from certheat.heat import _inv_sqrt_4pialpha
+
+    root = C.sqrt_cv(CertifiedValue(1, 100, 1, 150), 200)  # 2^-100 +- 2^-150
+    for x in (mp.mpf(2) ** -100 - mp.mpf(2) ** -150, mp.mpf(2) ** -100 + mp.mpf(2) ** -150):
+        assert abs(mpf(root.value_fraction()) - mp.sqrt(x)) <= mpf(root.err_fraction())
+    for alpha in (Fraction(1, 2 ** 80), Fraction(1, 2 ** 200)):
+        want = 1 / mp.sqrt(4 * mp.pi * mpf(alpha))
+        for n in (16, 32, 64):
+            got = _inv_sqrt_4pialpha(alpha, n + alpha.denominator.bit_length() + 4)
+            assert abs(mpf(got.value_fraction()) - want) <= mpf(got.err_fraction())
+            assert mpf(got.err_fraction()) <= want * mp.mpf(2) ** -n
+
+
 def test_exp_various_arguments():
     for p in (16, 64, 150):
         for arg in (1, -1, Fraction(13, 3), Fraction(-29, 4), Fraction(1, 1024), 0):

@@ -288,8 +288,11 @@ def test_bench_explicit_instance(tmp_path, capsys):
 
 
 def test_bench_rejects_unknown_pipeline(tmp_path, capsys):
-    cfg = write(tmp_path, "p.cfg", "pipeline = sphere\nsizes = 4..5\n")
-    assert run(["bench", "--config", cfg], capsys)[0] == 2
+    # measure_blowup refuses the name, with or without an instance to run
+    for sizes in ("4..5", "none"):
+        cfg = write(tmp_path, "p.cfg", f"pipeline = sphere\nsizes = {sizes}\n")
+        code, text, err = run(["bench", "--config", cfg], capsys)
+        assert (code, text) == (2, "") and "unknown pipeline 'sphere'" in err
 
 
 @pytest.mark.parametrize("line, key", [

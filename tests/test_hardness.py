@@ -272,27 +272,38 @@ def test_disk_pipeline_against_full_series_solve():
 
 @pytest.mark.parametrize("nv", range(4, 11))
 def test_disk_series_solve_verifies_each_cell_once(nv):
-    # the series route reads gtilde's pieces (one verdict per cell) and then
-    # takes its area off their jump list; reading the area first takes it
-    # from h's run sum instead, and the two give the same bits.  Twice the
-    # marked point value recovers the count, within 2^-n at precision_for
+    # the disk problem reads the reduction's pieces (one verdict per cell)
+    # and the point-value identity its area off h's run sum (one verdict per
+    # cell again), in either order, and the two areas are the same rational.
+    # Twice the marked point value recovers the count, within 2^-n at
+    # precision_for, and so does the series solve there
     inst = random_instance(random.Random(5), nv)
     n = precision_for(inst)
     area = brute_force_count(inst) * Fraction(1, 4 ** nv)
-    solves = []
+    solves, points = [], []
     for area_first in (False, True):
         h = counting_integrand(inst)
         g = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h)
+        red = g.hardness
+        assert h.verifier_calls() == 0  # h(0) and h(1) lie on cell edges
         if area_first:
-            assert g.hardness.area == area and h.verifier_calls() == 2 ** nv
-        u = solve_disk(DiskProblem(g, Fraction(1, 2)), Fraction(1, 2), Fraction(1, 2), n)
-        assert g.hardness.area == area
-        solves.append((u.value_fraction(), u.err_fraction(), h.verifier_calls()))
-    assert solves[0][:2] == solves[1][:2]
-    assert solves[0][2] == 2 ** nv and solves[1][2] == 2 ** (nv + 1)
-    assert solves[0][1] <= Fraction(1, 2 ** n)
-    assert abs(solves[0][0] - area / 2) <= solves[0][1]
+            points.append(red.certified_point_value(n))
+            assert h.verifier_calls() == 2 ** nv
+        prob = DiskProblem(g, Fraction(1, 2))
+        assert h.verifier_calls() == 2 ** (nv + area_first)
+        if not area_first:
+            points.append(red.certified_point_value(n))
+            assert h.verifier_calls() == 2 ** (nv + 1)
+        assert prob.area == red.area == area
+        u = solve_disk(prob, Fraction(1, 2), Fraction(1, 2), n)
+        assert h.verifier_calls() == 2 ** (nv + 1)  # the solve reads no cell
+        solves.append((u.m, u.s, u.en, u.es))
+    assert solves[0] == solves[1]
+    assert len({(v.m, v.s, v.en, v.es) for v in points}) == 1
+    assert u.err_fraction() <= Fraction(1, 2 ** n)
+    assert abs(u.value_fraction() - area / 2) <= u.err_fraction()
     assert recover_count(u.mul_exact(2), inst) == brute_force_count(inst)
+    assert recover_count(points[0].mul_exact(2), inst) == brute_force_count(inst)
 
 
 def test_measure_blowup_records_and_csv():

@@ -18,9 +18,8 @@ from certheat.kernels import real_sph_harmonic_3d
 from certheat.quadrature import int_linear_cos_pi, int_linear_sin_pi, int_pl_trig_pi
 from certheat.series import geometric_cap
 from certheat.laplace import (BallProblem, DiskProblem, fourier_coeffs,
-                              hardness_boundary_disk, interpolated_closure,
-                              plan_ball_truncation, plan_disk, solve_ball,
-                              solve_disk)
+                              hardness_boundary_disk, plan_ball_truncation,
+                              plan_disk, solve_ball, solve_disk)
 
 MP_PREC = 300  # mpmath bits for this module's tests (see conftest.py)
 
@@ -31,6 +30,15 @@ def to_mp(f: Fraction) -> mp.mpf:
 
 def poisson(r, dtheta):
     return (1 - r ** 2) / (1 - 2 * r * mp.cos(dtheta) + r ** 2)
+
+
+def pieces_at(pieces, rho):
+    """The piecewise-linear function given by contiguous pieces, at an
+    mpmath point rho."""
+    for c0, c1, _, b in pieces:
+        if rho <= to_mp(b):
+            return to_mp(c0) + to_mp(c1) * rho
+    raise ValueError(f"{rho} past the last piece")
 
 
 def random_trig_poly(rng, degree=8):
@@ -71,9 +79,8 @@ def test_fourier_readoff_exact():
     # only declared modes are read off: other data's solve forms no coefficient
     tent = piecewise_linear_fn([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)),
                                 (Fraction(1), Fraction(0))])
-    for other in (interpolated_closure(tent), hardness_boundary_disk(Fraction(1, 2), 0, tent)):
-        with pytest.raises(PreconditionError):
-            fourier_coeffs(other, 1, 30)
+    with pytest.raises(PreconditionError):
+        fourier_coeffs(hardness_boundary_disk(Fraction(1, 2), 0, tent), 1, 30)
 
 
 def test_fourier_pl_vs_quadrature_oracle():
@@ -149,12 +156,26 @@ def test_disk_rejects_radius_beyond_r0():
 
 
 def test_interpolated_closure_bridges_to_seam():
-    h = polynomial_fn([Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
-    gt = interpolated_closure(h)
-    assert gt.eval_exact(Fraction(1, 2)) == Fraction(1, 2)
-    assert gt.eval_exact(Fraction(1)) == 1
-    assert gt.eval_exact(Fraction(3, 2)) == Fraction(1, 2)
-    assert gt.eval_exact(Fraction(2)) == 0  # meets h(0): periodic seam
+    # the reduction's pieces are h's and then the bridge from h(1) on [1, 2]
+    # back to h(0), where the closure meets itself at the seam
+    for h in (polynomial_fn([Fraction(0), Fraction(1)], (Fraction(0), Fraction(1))), THREE):
+        red = hardness_boundary_disk(Fraction(1, 2), Fraction(0), h).hardness
+        assert red.pieces[:-1] == linear_pieces(h)
+        c0, c1, a, b = red.pieces[-1]
+        assert (a, b) == (1, 2)
+        assert c0 + c1 * a == h.eval_exact(Fraction(1)) == red.h1
+        assert c0 + c1 * b == h.eval_exact(Fraction(0)) == red.h0
+
+
+def test_disk_reduction_without_pieces_is_refused():
+    # the disk series reads the profile's pieces, and a quadratic has none;
+    # the point-value identity reads no piece and still holds
+    h = polynomial_fn([Fraction(0), Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
+    g = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h)
+    with pytest.raises(PreconditionError, match="linear pieces"):
+        DiskProblem(g, Fraction(1, 2))
+    ucv = g.hardness.certified_point_value(20)  # (1/3 + (0 + 1) / 2) / 2
+    assert abs(ucv.value_fraction() - Fraction(5, 12)) <= ucv.err_fraction()
 
 
 def test_hardness_identity_against_quadrature():
@@ -172,10 +193,10 @@ def test_hardness_identity_against_quadrature():
     assert cv.err_fraction() <= Fraction(1, 2 ** 12)
 
     def gval(rho):
-        # g = gtilde times the kernel factor (1 + r0^2 - 2 r0 cos pi(theta0 - rho)) / (1 - r0^2)
-        q = Fraction(int(rho * 2 ** 22), 2 ** 22)
+        # g = the closure (the reduction's pieces) times the kernel factor
+        # (1 + r0^2 - 2 r0 cos pi(theta0 - rho)) / (1 - r0^2)
         a = to_mp(r0)
-        return to_mp(red.gtilde.eval_exact(q)) \
+        return pieces_at(red.pieces, rho) \
             * (1 + a * a - 2 * a * mp.cos(mp.pi * (to_mp(th0) - rho))) / (1 - a * a)
 
     oracle = mp.quad(lambda rho: poisson(to_mp(r0), mp.pi * (to_mp(th0) - rho))
@@ -193,7 +214,6 @@ def test_hardness_constant_profile():
 # three pieces on [0, 1]; the closure's bridge back to h(0) makes a fourth
 THREE = piecewise_linear_fn([(Fraction(0), Fraction(1, 3)), (Fraction(1, 4), Fraction(-1)),
                              (Fraction(3, 5), Fraction(2)), (Fraction(1), Fraction(1, 2))])
-THREE_NODES = [Fraction(0), Fraction(1, 4), Fraction(3, 5), Fraction(1), Fraction(2)]
 
 
 @pytest.mark.parametrize("r, theta", [
@@ -207,24 +227,20 @@ THREE_NODES = [Fraction(0), Fraction(1, 4), Fraction(3, 5), Fraction(1), Fractio
 def test_reduction_series_matches_poisson_oracle(r, theta, n):
     # away from the marked point nothing cancels: the series solve of the
     # reweighted data against 30-digit Poisson quadrature of g itself, with
-    # theta on a breakpoint of gtilde and theta0 != 1/2
+    # theta on a breakpoint of the closure and theta0 != 1/2
     r0, th0 = Fraction(1, 3), Fraction(1, 5)
     g = hardness_boundary_disk(r0, th0, THREE)
     cv = solve_disk(DiskProblem(g, r0), r, theta, n)
     assert cv.err_fraction() <= Fraction(1, 2 ** n)
-    gt = g.hardness.gtilde
+    pieces = g.hardness.pieces
     with mp.workdps(30):
         def gval(rho):
-            # gtilde interpolated between its nodes, times the kernel factor
-            for a, b in zip(THREE_NODES, THREE_NODES[1:]):
-                if rho <= to_mp(b):
-                    ya, yb = gt.eval_exact(a), gt.eval_exact(b)
-                    v = to_mp(ya) + (rho - to_mp(a)) * to_mp(yb - ya) / to_mp(b - a)
-                    break
+            # the closure (the reduction's pieces) times the kernel factor
             R0 = to_mp(r0)
-            return v * (1 + R0 ** 2 - 2 * R0 * mp.cospi(to_mp(th0) - rho)) / (1 - R0 ** 2)
+            return pieces_at(pieces, rho) \
+                * (1 + R0 ** 2 - 2 * R0 * mp.cospi(to_mp(th0) - rho)) / (1 - R0 ** 2)
 
-        cuts = sorted({to_mp(x) for x in THREE_NODES} | {to_mp(theta)})
+        cuts = sorted({to_mp(a) for _, _, a, _ in pieces} | {mp.mpf(2), to_mp(theta)})
         want = mp.quad(lambda rho: poisson(to_mp(r), mp.pi * (to_mp(theta) - rho))
                        * gval(rho), cuts) / 2
         assert abs(to_mp(cv.value_fraction()) - want) \
@@ -257,7 +273,7 @@ def reference_point_tail(prob, r, m):
     else:
         r0 = red.r0
         w = ((1 + r0 * r0) * r + r0 * (1 + r * r)) / ((1 - r0 * r0) * (1 - r))
-        sup = red.gtilde.sup_bound
+        sup = red.sup
     S = w * sum(abs(D) for _, _, D in prob.jumps) / pi_lo ** 2
     V = w * sum(abs(J) for _, J, _ in prob.jumps) / pi_lo
     return min((S + V * (m + 1)) / (m + 1) ** 2, 2 * w * sup) * r ** m
