@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 from .dyadic import _round_half_even, as_fraction
@@ -231,37 +231,51 @@ def _sdiv_int(a: int, ea: int, d: int) -> tuple[int, int]:
     return v, _ceil_div(ea, d) + 1
 
 
-def rotation_sum(theta, weights: list[tuple[int, int]],
+def rotation_sum(terms, weights: list[tuple[int, int]],
                  W: int) -> tuple[CertifiedValue, CertifiedValue]:
-    """(sum of w_k cos k pi theta, sum of w_k sin k pi theta) for k = 1..K.
+    """(sum of c sum_k w_k cos k pi theta, sum of c sum_k w_k sin k pi theta)
+    over the terms (theta, c), k = 1..K, for rational angles and coefficients.
 
     ``weights[k - 1]`` is a scaled pair (v, e) at scale W: the weight w_k is
-    within e units of v.  One rotation serves every k: (x, y), the (cos, sin)
-    of k pi theta at scale W, is (1, 0) rotated k times by the certified
-    (cos pi theta, sin pi theta), rounding down.  The start pair comes from
-    the cached trig kernel (:func:`_trig_pi`), one entry per reduced angle
-    and scale, and reaches scale W by integer shifts.  Componentwise bounds
-    would grow like (|cos pi theta| + |sin pi theta|)^k, so the pair carries
-    one bound E_k on the Euclidean norm of its error instead.  With
-    d >= ||R~ - R||_2 (units 2^-W), R a rotation and each rounding below one
-    unit, E_{k+1} = E_k + ceil(d (2^W + E_k) / 2^W) + 2, which grows
-    linearly in k while K d stays far below 2^W.  The products are added
-    exactly at scale 2W, so the only error is each product's
-    |v| E_k + e 2^W (|cos|, |sin| <= 1), and the sums are rounded to W once.
+    within e units of v.  One rotation per term serves every k: (x, y), the
+    (cos, sin) of k pi theta at scale W, is (1, 0) rotated k times by the
+    certified (cos pi theta, sin pi theta), rounding down.  The start pair
+    comes from the cached trig kernel (:func:`_trig_pi`), one entry per
+    reduced angle and scale, and reaches scale W by integer shifts.
+    Componentwise bounds would grow like (|cos pi theta| + |sin pi theta|)^k,
+    so the pair carries one bound E_k on the Euclidean norm of its error
+    instead.  With d >= ||R~ - R||_2 (units 2^-W), R a rotation and each
+    rounding below one unit, E_{k+1} = E_k + ceil(d (2^W + E_k) / 2^W) + 2,
+    which grows linearly in k while K d stays far below 2^W.  The products
+    are added exactly at scale 2W, so the only error is each product's
+    |v| E_k + e 2^W (|cos|, |sin| <= 1).  The terms combine exactly over
+    the common denominator q of their coefficients; the totals are divided
+    by q at scale 2W (one more unit when that rounds) and rounded to W
+    once, so a lone term with c = 1 costs no rounding beyond that last one,
+    and no weight gives exact zeros.
     """
-    theta = as_fraction(theta)
-    c, ec = _scaled_from_cv(cos_pi_mul_cv(theta, W), W)
-    s, es = _scaled_from_cv(sin_pi_mul_cv(theta, W), W)
-    d = ec + es  # bounds both singular values of the error matrix
     one = 1 << W
-    x, y, E = one, 0, 0
+    coeffs = [as_fraction(c) for _, c in terms]
+    q = lcm(*(c.denominator for c in coeffs))
     cs = sn = err = 0
-    for v, e in weights:
-        x, y = (c * x - s * y) >> W, (s * x + c * y) >> W
-        E += _ceil_div(d * (one + E), one) + 2
-        cs += v * x
-        sn += v * y
-        err += abs(v) * E + (e << W)
+    for (theta, _), coeff in zip(terms, coeffs):
+        theta = as_fraction(theta)
+        c, ec = _scaled_from_cv(cos_pi_mul_cv(theta, W), W)
+        s, es = _scaled_from_cv(sin_pi_mul_cv(theta, W), W)
+        d = ec + es  # bounds both singular values of the error matrix
+        x, y, E = one, 0, 0
+        tc = ts = te = 0
+        for v, e in weights:
+            x, y = (c * x - s * y) >> W, (s * x + c * y) >> W
+            E += _ceil_div(d * (one + E), one) + 2
+            tc += v * x
+            ts += v * y
+            te += abs(v) * E + (e << W)
+        a = coeff.numerator * (q // coeff.denominator)
+        cs, sn, err = cs + a * tc, sn + a * ts, err + abs(a) * te
+    if q > 1:  # one more unit at scale 2W unless q divides both totals
+        err = _ceil_div(err, q) + (cs % q != 0 or sn % q != 0)
+        cs, sn = _round_half_even(cs, q), _round_half_even(sn, q)
     return (CertifiedValue(cs, 2 * W, err, 2 * W).rounded(W),
             CertifiedValue(sn, 2 * W, err, 2 * W).rounded(W))
 

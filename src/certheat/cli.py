@@ -58,9 +58,11 @@ def parse_config(path: str) -> dict[str, str]:
     return out
 
 
-def _num(cfg: dict[str, str], key: str) -> Fraction:
+def _num(cfg: dict[str, str], key: str, default: Fraction | None = None) -> Fraction:
     if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}")
+        if default is None:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
     try:
         return Fraction(cfg[key])
     except (ValueError, ZeroDivisionError):
@@ -274,8 +276,8 @@ def _solve_ball(cfg, n):
 
 def _solve_interval(cfg, n):
     _check_keys(cfg, {"g", "l", "alpha", "t", "x"}, {"g", "t", "x"})
-    L = _num(cfg, "l") if "l" in cfg else Fraction(1)
-    alpha = _num(cfg, "alpha") if "alpha" in cfg else Fraction(1)
+    L = _num(cfg, "l", Fraction(1))
+    alpha = _num(cfg, "alpha", Fraction(1))
     t = _num(cfg, "t")
     p = IntervalHeatProblem(L, alpha, parse_interval_fn(cfg["g"], L), t)  # plans at its own t
     plan = plan_interval(p, n)
@@ -285,7 +287,7 @@ def _solve_interval(cfg, n):
 def _solve_halfline_boundary(cfg, n):
     _check_keys(cfg, {"h", "alpha", "x0", "x1", "t", "x"},
                 {"h", "x0", "x1", "t", "x"})
-    alpha = _num(cfg, "alpha") if "alpha" in cfg else Fraction(1)
+    alpha = _num(cfg, "alpha", Fraction(1))
     p = HalflineBoundaryProblem(alpha, parse_profile(cfg["h"]),
                                 (_num(cfg, "x0"), _num(cfg, "x1")))
     plan = plan_halfline_boundary(p, n)
@@ -295,7 +297,7 @@ def _solve_halfline_boundary(cfg, n):
 def _solve_halfline_force(cfg, n):
     _check_keys(cfg, {"f_time", "f_space", "alpha", "x0", "x1", "t", "x"},
                 {"f_time", "f_space", "x0", "x1", "t", "x"})
-    alpha = _num(cfg, "alpha") if "alpha" in cfg else Fraction(1)
+    alpha = _num(cfg, "alpha", Fraction(1))
     p = HalflineForceProblem(alpha, parse_profile(cfg["f_time"]),
                              parse_force_fn(cfg["f_space"]),
                              (_num(cfg, "x0"), _num(cfg, "x1")))
@@ -305,7 +307,7 @@ def _solve_halfline_force(cfg, n):
 
 def _solve_halfline_initial(cfg, n):
     _check_keys(cfg, {"g0", "alpha", "t", "x"}, {"g0", "t", "x"})
-    alpha = _num(cfg, "alpha") if "alpha" in cfg else Fraction(1)
+    alpha = _num(cfg, "alpha", Fraction(1))
     g = parse_force_fn(cfg["g0"])
     t, x = _num(cfg, "t"), _num(cfg, "x")
     plan = plan_halfline_initial(g, alpha, t, x, n)

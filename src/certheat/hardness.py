@@ -190,11 +190,12 @@ def pipeline_disk(inst: CountingInstance, n: int) -> CertifiedValue:
 
 
 _IVL_T0 = Fraction(1, 4)
-_IVL_X0 = Fraction(1, 2)
+_IVL_X0 = Fraction(1)  # the middle of the data's support [1/2, 3/2]
 
 
 def pipeline_interval(inst: CountingInstance, n: int) -> CertifiedValue:
-    """Reweighted interval initial data; point value times sqrt(4 pi alpha t0)."""
+    """Reweighted half-line initial data (Dirichlet at 0) on [1/2, 3/2]; point
+    value times sqrt(4 pi alpha t0)."""
     gstar = hardness_initial_interval(_IVL_T0, _IVL_X0, counting_integrand(inst))
     u = gstar.hardness.certified_point_value(n + 4)
     back = sqrt_cv(pi_cv(n + 12).mul_fraction(4 * _IVL_T0, n + 10), n + 6)
@@ -230,7 +231,7 @@ CSV_HEADER = "pipeline,n_vars,precision_bits,wall_ms,value,count,ok"
 
 
 def measure_blowup(family: list[CountingInstance], pipeline: str,
-                   repeats: int = 5) -> list[BlowupRecord]:
+                   repeats: int) -> list[BlowupRecord]:
     """Run one pipeline over a family; median wall time of `repeats` runs.
 
     Each round runs every size once, so a slow spell of the machine slows

@@ -241,8 +241,6 @@ def solve_interval(p: IntervalHeatProblem, t, x, n: int,
     acc = CertifiedValue.zero()
     for k in ks:
         mu = sine_coeff(p, k, pc)
-        if mu.m == 0 and mu.en == 0:
-            continue
         decay = exp_cv(pisq.mul_fraction(-k * k * rate, pc + 6), pc)
         term = (mu * decay).rounded(pc) * sin_pi_mul_cv(k * x / p.L, pc)
         acc = (acc + term.rounded(pc)).rounded(pc)
@@ -263,24 +261,32 @@ def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: i
     cos_terms = [((y - x) / L, L * d) for y, d in inner] + [((y + x) / L, -L * d) for y, d in inner]
     # (-1)^k sin(k pi x / L) = sin(k pi (x + L) / L)
     sin_terms = [((x + y) / L, 2 * j) for y, j in ((0, j0), (L, jL)) if j]
-    out = breakpoint_series(decay, cos_terms, sin_terms, W, imag=False)[0].rounded(n + 4)
+    out = breakpoint_series(decay, cos_terms, sin_terms, W)[0].rounded(n + 4)
     require("interval assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
     return out
 
 
 # ---------------------------------------------------------------------------
-# interval reduction: reweighted initial data whose point value is a plain
-# integral
+# counting reduction: reweighted half-line initial data whose point value is
+# a plain integral
+
+_SHIFT = Fraction(1, 2)  # the profile on [0, 1] moves onto [1/2, 3/2]
 
 
 class IntervalReduction:
     """Ties reweighted initial data to its integration identity.
 
-    The data is the profile times the weight exp(E), with
-    E = (y - x0)^2 / (4 pi t0).  The identity divides that weight back out,
-    so the claimed point value is (4 pi t0)^{-1/2} times the plain integral
-    of the profile over [0, 1], whatever the profile is.  No solve evaluates
-    the weighted data.
+    The problem is the half-line initial-data problem with Dirichlet end at
+    0 (``solve_halfline_initial``'s) at alpha = 1, whose kernel is
+    (4 pi t)^{-1/2} e^{-(x - y)^2 / (4 t)} (1 - e^{-x y / t}) by the
+    method of images (Carslaw and Jaeger, ch. II).  The data is the profile
+    h moved onto [1/2, 3/2], times the weight
+    w(y) = e^{(x0 - y)^2 / (4 t0)} / (1 - e^{-x0 y / t0}), the kernel at
+    (t0, x0) over its constant factor.  So u(t0, x0) is
+    (4 pi t0)^{-1/2} times the plain integral of h over [0, 1], whatever h
+    is, and the identity reads only that integral.  The weight blows up at
+    y = 0, hence the support off 0.  The data is not piecewise linear, so no
+    solve evaluates it: the identity is the whole route.
     """
 
     def __init__(self, t0: Fraction, x0: Fraction, profile: EvaluableFunction):
@@ -298,28 +304,32 @@ class IntervalReduction:
 
 
 def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFunction:
-    """Reweight profile data into initial data on [0, 1] (alpha = 1) with a
-    known identity.
+    """Reweight profile data on [0, 1] into half-line initial data on
+    [1/2, 3/2] (alpha = 1, u = 0 at x = 0) with a known identity.
 
-    The data is g*(y) = g_hard(y) * exp((y - x0)^2 / (4 pi t0)), returned as
-    its domain and sup bound with an attached :class:`IntervalReduction`
-    whose point value is a pure integration task.
+    The data is g*(y) = g_hard(y - 1/2) w(y) with the weight of
+    :class:`IntervalReduction`, returned as its support and sup bound with
+    the attached reduction, whose point value at (t0, x0) is a pure
+    integration task.
     """
     t0, x0 = as_fraction(t0), as_fraction(x0)
     if t0 <= 0:
         raise PreconditionError("t0 must be positive")
-    if not 0 <= x0 <= 1:
-        raise PreconditionError("x0 must lie in [0, 1]")
+    if x0 <= 0:
+        raise PreconditionError("x0 must be positive")
     if g_hard.domain != (Fraction(0), Fraction(1)):
         raise PreconditionError("profile data must live on [0, 1]")
     if g_hard.eval_exact is None:
         raise PreconditionError("profile data needs exact pointwise evaluation")
 
-    # 3^{ceil(1 / (4 t0))} bounds the weight e^E: E before its 1/pi factor
-    # is at most 1 / (4 t0), and e < 3
-    sup = g_hard.sup_bound * 3 ** _ceil_div(1, 4 * t0)
+    # On [1/2, 3/2]: e^{(x0 - y)^2 / (4 t0)} <= 3^ceil(D^2 / (4 t0)) with
+    # D = |x0 - 1| + 1/2 the farther end's distance to x0, as e < 3; and
+    # x0 y / t0 >= z = x0 / (2 t0), where e^z >= 1 + z gives
+    # 1 / (1 - e^{-z}) <= 1 + 1 / z.
+    far = abs(x0 - 1) + _SHIFT
+    sup = g_hard.sup_bound * 3 ** _ceil_div(far * far, 4 * t0) * (1 + 2 * t0 / x0)
     return EvaluableFunction(
-        domain=(Fraction(0), Fraction(1)),
+        domain=(_SHIFT, _SHIFT + 1),
         sup_bound=sup if sup else Fraction(1, 1 << 30),
         hardness=IntervalReduction(t0, x0, g_hard),
     )

@@ -14,8 +14,9 @@ with exact comparisons only.
 
 Piecewise-linear disk data (``linear_pieces``) forms no Fourier
 coefficient: integrating by parts twice leaves one series per point of the
-data's jump list (``pl_jumps``, the ends merged into the seam), summed by one
-rotation each (:func:`_solve_disk_pl`).  The counting-reduction data
+data's jump list (``pl_jumps``, the ends merged into the seam), one rotation
+each, and one integer pass per kind of jump sums them weighted by their
+jumps and rounds once (:func:`_solve_disk_pl`).  The counting-reduction data
 (:class:`DiskReduction`) is its profile's pieces plus one bridge: it sums
 the same series over their jump list and reads both of its parts, since
 the kernel factor mixes each mode with its neighbours; data of no such
@@ -230,9 +231,10 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
         - pi^-2 sum_j D_j sum_k r^k cos(k pi (rho_j - theta)) / k^2,
     with S1 = sum_{k>=1} c_k r^k e^{i pi k theta}; each inner sum is the real
     part of Li_2(r e^{i pi (rho_j - theta)}) cut at K (Lewin 1981;
-    DLMF 25.12), or its Li_1 analogue: one rotation per term and no Fourier
-    coefficient (:func:`breakpoint_series`).  Only the seam carries a J,
-    the end gap g(0) - g(2) that the seam check lets through.
+    DLMF 25.12), or its Li_1 analogue: one rotation per term, one rounding
+    per kind of term and no Fourier coefficient (:func:`breakpoint_series`).
+    Only the seam carries a J, the end gap g(0) - g(2) that the seam check
+    lets through.
 
     Reduction data g = H (1 + r0^2 - 2 r0 cos pi(theta0 - rho)) /
     (1 - r0^2) has coefficients (1 + r0^2) c_k - r0 (e^{i pi theta0} c_{k+1}
@@ -256,7 +258,7 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
     c0 = CertifiedValue.from_fraction(p.area, W + 4).mul_fraction(Fraction(1, 2), W)
     re, im = breakpoint_series(
         powers[1:] if red is None else powers[:K], [(y - theta, D) for y, _, D in p.jumps if D],
-        [(theta - y, J) for y, J, _ in p.jumps if J], W, imag=red is not None)
+        [(theta - y, J) for y, J, _ in p.jumps if J], W)
     if red is None:
         acc = c0 + re
     else:

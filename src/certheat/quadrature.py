@@ -11,8 +11,10 @@ structure is refused: no solver integrates anything else.
 Piecewise-linear data times sin or cos of a rational multiple of pi has a
 closed form with one term per point of its jump list (``pl_jumps``),
 :func:`int_pl_trig_pi`.  Summed over the modes of a disk or interval
-solution, the same form is one rotation per point (:func:`breakpoint_series`),
-which gives the sum's sine and cosine parts together.
+solution, the same form is one rotation per point, and one integer pass
+sums every point of a kind, slope jumps or value jumps, weighted by its jump
+(:func:`breakpoint_series`): the pass gives the sum's sine and cosine parts
+together and rounds each once.
 """
 
 from __future__ import annotations
@@ -165,33 +167,27 @@ def int_pl_trig_pi(pieces, k: int, phase, p: int) -> tuple[CertifiedValue, Certi
     return sin_int.rounded(p + 4), cos_int.rounded(p + 4)
 
 
-def breakpoint_series(decay: list[tuple[int, int]], cos_terms, sin_terms, W: int,
-                      imag: bool) -> tuple[CertifiedValue, Optional[CertifiedValue]]:
-    """Real part and, if ``imag``, imaginary part (else None) of the sum
-    over k = 1..K of d_k (sum of -i c e^{i k pi t} / (pi k) over (t, c) in
-    sin_terms - sum of c e^{-i k pi t} / (pi k)^2 over (t, c) in cos_terms).
+def breakpoint_series(decay: list[tuple[int, int]], cos_terms, sin_terms,
+                      W: int) -> tuple[CertifiedValue, CertifiedValue]:
+    """Real and imaginary parts of the sum over k = 1..K of d_k (sum of
+    -i c e^{i k pi t} / (pi k) over (t, c) in sin_terms - sum of
+    c e^{-i k pi t} / (pi k)^2 over (t, c) in cos_terms).
 
     The real part, d_k (sum of c sin(k pi t) / (pi k) - sum of
     c cos(k pi t) / (pi k)^2), is the series :func:`int_pl_trig_pi`'s closed
     form leaves in a solution: end values give 1/k terms, slope jumps 1/k^2
     terms, and the mode decay d_k (r^k on the disk, e^{-c k^2} on the
     interval) arrives as ``decay[k - 1]``, a scaled pair (v, e) at scale W.
-    Each term is one :func:`rotation_sum`, whose other part gives the
-    imaginary part; 1/pi is formed once.
+    Each kind of term is one :func:`rotation_sum` over all its terms, which
+    weighs them by their coefficients exactly and rounds once; its other
+    part gives the imaginary part, and 1/pi is formed once.
     """
     rp = recip_pi_cv(W + 4)
-    re = CertifiedValue.zero()
-    im = re if imag else None
+    re = im = CertifiedValue.zero()
     for terms, power, part, factor in ((cos_terms, 2, 0, -(rp * rp)), (sin_terms, 1, 1, rp)):
         if terms:  # d_k / k^power: the floor adds a unit, and so does e's
             w = [(v // k ** power, e // k ** power + 2) for k, (v, e) in enumerate(decay, 1)]
-            acc = other = CertifiedValue.zero()
-            for t, c in terms:
-                sums = rotation_sum(t, w, W)
-                acc = acc + sums[part].mul_fraction(c, W)
-                if imag:
-                    other = other + sums[1 - part].mul_fraction(c, W)
-            re = re + (acc * factor).rounded(W)
-            if imag:
-                im = im - (other * factor).rounded(W)
+            sums = rotation_sum(terms, w, W)
+            re = re + (sums[part] * factor).rounded(W)
+            im = im - (sums[1 - part] * factor).rounded(W)
     return re, im

@@ -146,9 +146,10 @@ def test_sin_cos_pi_mul_generic():
 
 def unit_rotations(theta, K, p):
     """W = p + bitlen(K) + 3 and (cos, sin) of k pi theta for k = 1..K, each
-    the rotation_sum whose only nonzero weight is a unit at k, at scale W."""
+    the rotation_sum of the one term (theta, 1) whose only nonzero weight is
+    a unit at k, at scale W."""
     W = p + K.bit_length() + 3
-    return W, [C.rotation_sum(theta, [(0, 0)] * (k - 1) + [(1 << W, 0)], W)
+    return W, [C.rotation_sum([(theta, 1)], [(0, 0)] * (k - 1) + [(1 << W, 0)], W)
                for k in range(1, K + 1)]
 
 
@@ -180,13 +181,17 @@ def test_rotation_at_exact_angles():
             assert_encloses(s, mp.sin(k * mp.pi * mpf(theta)), 30)
     # K = 0: no weight, an exact zero in both parts
     assert [(v.value_fraction(), v.err_fraction())
-            for v in C.rotation_sum(Fraction(1, 3), [], 30)] == [(0, 0), (0, 0)]
+            for v in C.rotation_sum([(Fraction(1, 3), 1)], [], 30)] == [(0, 0), (0, 0)]
+    assert [(v.value_fraction(), v.err_fraction())
+            for v in C.rotation_sum([(Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 5), 7)],
+                                    [], 30)] == [(0, 0), (0, 0)]
 
 
 def reference_rotation_sum(theta, weights, W):
     """The rotation as a generator of (x, y, E) per k, zipped with the
     weights and summed at scale 2W: the form rotation_sum folds into one
-    loop, whose result must be the same bit for bit."""
+    loop, whose result for the one term (theta, 1) must be the same bit for
+    bit."""
     def rotate(theta, K):
         c, ec = C._scaled_from_cv(C.cos_pi_mul_cv(theta, W), W)
         s, es = C._scaled_from_cv(C.sin_pi_mul_cv(theta, W), W)
@@ -215,10 +220,31 @@ def test_rotation_sum_matches_the_reference_rotation():
         for W in (20, 64, 130):
             for K in (0, 1, 5, 300):
                 weights = [(rng.randrange(-(1 << W), 1 << W), rng.randrange(4)) for _ in range(K)]
-                got = C.rotation_sum(theta, weights, W)
+                got = C.rotation_sum([(theta, 1)], weights, W)
                 want = reference_rotation_sum(theta, weights, W)
                 assert [(v.m, v.s, v.en, v.es) for v in got] \
                     == [(v.m, v.s, v.en, v.es) for v in want], (theta, W, K)
+
+
+def test_rotation_sum_of_weighted_terms_encloses_the_exact_sum():
+    # several terms with non-dyadic coefficients, one pass: each part encloses
+    # sum_t c_t sum_k w_k (cos, sin)(k pi theta_t) with exact weights
+    rng = random.Random(2718)
+    for _ in range(40):
+        W = rng.choice([20, 64, 130])
+        K = rng.choice([1, 5, 60])
+        weights = [(rng.randrange(-(1 << W), 1 << W), 0) for _ in range(K)]
+        terms = [(Fraction(rng.randrange(-300, 300), rng.randrange(1, 90)),
+                  Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 3000)))
+                 for _ in range(rng.randrange(1, 6))]
+        got = C.rotation_sum(terms, weights, W)
+        with mp.workprec(W + 200):
+            for part, trig in zip(got, (mp.cospi, mp.sinpi)):
+                want = sum(mpf(c) * sum(mpf(v) / 2 ** W * trig(k * mpf(t))
+                                        for k, (v, _) in enumerate(weights, 1))
+                           for t, c in terms)
+                assert abs(mpf(part.value_fraction()) - want) <= mpf(part.err_fraction())
+                assert part.err_fraction() <= Fraction(10 ** 6 * len(terms), 1 << (W - 12))
 
 
 def test_gauss_primitive():

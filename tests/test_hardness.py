@@ -321,9 +321,9 @@ def test_measure_blowup_records_and_csv():
 
 
 def test_measure_blowup_empty_family_and_bad_pipeline():
-    assert render_csv(measure_blowup([], "disk")) == CSV_HEADER + "\n"
+    assert render_csv(measure_blowup([], "disk", 1)) == CSV_HEADER + "\n"
     with pytest.raises(ConfigError):
-        measure_blowup([INST_ONE], "sphere")
+        measure_blowup([INST_ONE], "sphere", 1)
 
 
 @pytest.mark.parametrize("repeats", [0, -3])

@@ -12,6 +12,7 @@ import certheat.quadrature as quadrature
 from certheat.errors import PreconditionError
 from certheat.evaluable import (constant_fn, linear_pieces, piecewise_linear_fn,
                                 polynomial_fn, sine_modes_fn)
+from certheat.hardness import CountingInstance, counting_integrand
 from certheat.quadrature import int_pl_trig_pi, integrate
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
                            IntervalHeatProblem, hardness_initial_interval,
@@ -135,9 +136,9 @@ def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
         found.append((out, tail))
         return out
 
-    def rotation_sum(theta, weights, W):
-        summed.append(len(weights))
-        return orig_sum(theta, weights, W)
+    def rotation_sum(terms, weights, W):
+        summed.append((len(terms), len(weights)))
+        return orig_sum(terms, weights, W)
 
     monkeypatch.setattr(heat, "point_order", order)
     monkeypatch.setattr(quadrature, "rotation_sum", rotation_sum)
@@ -151,8 +152,9 @@ def test_interval_sums_only_the_modes_its_time_needs(monkeypatch, t0, n):
         summed.clear()
         u = solve_interval(IntervalHeatProblem(F(1), F(1), tent, t0), t, F(5, 16), n, plan)
         (K, tail), tail_fn = found[0]
-        # the tent's one slope jump: two rotations, each over modes 1..K
-        assert K <= plan.order and summed == [K, K]
+        # the tent's one slope jump: one pass of two rotations, each over
+        # modes 1..K
+        assert K <= plan.order and summed == [(2, K)]
         assert tail == tail_fn(K) <= budget
         assert K == 0 or tail_fn(K - 1) > budget  # the least such K
         assert_close(u, tent_oracle(t, F(5, 16)), n)
@@ -498,15 +500,66 @@ def test_interval_reduction_examples():
     assert abs(ival.value_fraction() - F(1, 2)) <= ival.err_fraction()
 
 
+def reduction_weight(t0, x0, y):
+    """w(y) = e^{(x0 - y)^2 / (4 t0)} / (1 - e^{-x0 y / t0}), in mpmath."""
+    return mp.exp((x0 - y) ** 2 / (4 * t0)) / (1 - mp.exp(-x0 * y / t0))
+
+
 def test_interval_reduction_sup_bound_covers_the_weighted_data():
-    # ||g|| 3^ceil(1 / (4 t0)) bounds g(y) exp((y - x0)^2 / (4 pi t0)) on
-    # [0, 1]; the sup is taken on a grid that holds both ends
+    # ||h|| 3^ceil(D^2 / (4 t0)) (1 + 2 t0 / x0) bounds h(y - 1/2) w(y) on
+    # [1/2, 3/2], D the farther end's distance to x0; the sup is taken on a
+    # grid that holds both ends
     tent = piecewise_linear_fn([(F(0), F(0)), (F(3, 4), F(1)), (F(1), F(1, 2))])
-    for t0, x0 in ((F(1, 4), F(1, 2)), (F(1, 50), F(1, 5))):
+    for t0, x0 in ((F(1, 4), F(1, 2)), (F(1, 50), F(1, 5)), (F(1, 4), F(1)), (F(2), F(3))):
         gstar = hardness_initial_interval(t0, x0, tent)
-        sup = max(to_mp(tent.eval_exact(y)) * mp.exp(to_mp((y - x0) ** 2 / (4 * t0)) / mp.pi)
+        assert gstar.domain == (F(1, 2), F(3, 2))
+        sup = max(to_mp(tent.eval_exact(y)) * reduction_weight(to_mp(t0), to_mp(x0),
+                                                                to_mp(y) + mp.mpf(1) / 2)
                   for y in (F(j, 400) for j in range(401)))
-        assert to_mp(gstar.sup_bound) >= sup, t0
+        assert to_mp(gstar.sup_bound) >= sup, (t0, x0)
+    with pytest.raises(PreconditionError):
+        hardness_initial_interval(F(1, 4), F(0), tent)  # the weight has a pole at y = 0
+
+
+def halfline_kernel(t, x, y):
+    """The heat kernel on x > 0 with u = 0 at x = 0, alpha = 1 (images)."""
+    return (mp.exp(-(x - y) ** 2 / (4 * t)) - mp.exp(-(x + y) ** 2 / (4 * t))) \
+        / mp.sqrt(4 * mp.pi * t)
+
+
+def reweighted_oracle(t0, x0, h):
+    """u(t0, x0) for the data h(y - 1/2) w(y) on [1/2, 3/2]: the kernel
+    against the data by quadrature, one nonzero linear piece of h at a time."""
+    t0, x0, half = to_mp(t0), to_mp(x0), mp.mpf(1) / 2
+    total = mp.mpf(0)
+    for c0, c1, a, b in linear_pieces(h):
+        if c0 or c1:
+            c0, c1 = to_mp(c0), to_mp(c1)
+            total += mp.quad(lambda y: halfline_kernel(t0, x0, y) * reduction_weight(t0, x0, y)
+                             * (c0 + c1 * (y - half)), [to_mp(a) + half, to_mp(b) + half])
+    return total
+
+
+@pytest.mark.parametrize("t0, x0", [(F(1, 4), F(1)), (F(1, 4), F(1, 2)),
+                                    (F(1, 10), F(3, 4)), (F(1), F(2))])
+def test_interval_reduction_identity_holds_for_the_halfline_problem(t0, x0):
+    # the stated problem's kernel, checked against the half-line solver on a
+    # tent, times the reweighted data by 30-digit quadrature equals the
+    # identity's value within its bound, for h = 1, h = y and counting data
+    tent = piecewise_linear_fn([(F(1, 2), F(0)), (F(1), F(1)), (F(3, 2), F(0))])
+    u = solve_halfline_initial(tent, 1, t0, x0, 60)
+    with mp.workdps(30):
+        want = mp.quad(lambda y: halfline_kernel(to_mp(t0), to_mp(x0), y)
+                       * (1 - abs(2 * y - 2)), [mp.mpf(1) / 2, 1, mp.mpf(3) / 2])
+        assert abs(to_mp(u.value_fraction()) - want) <= to_mp(u.err_fraction()) + mp.mpf(10) ** -25
+    inst = CountingInstance((1, 2, 3, 4, 5, 6), 7)  # 4 of 64 cells accepted
+    for h in (piecewise_linear_fn([(F(0), F(1)), (F(1), F(1))]),
+              piecewise_linear_fn([(F(0), F(0)), (F(1), F(1))]), counting_integrand(inst)):
+        v = hardness_initial_interval(t0, x0, h).hardness.certified_point_value(60)
+        with mp.workdps(30):
+            want = reweighted_oracle(t0, x0, h)
+            assert abs(to_mp(v.value_fraction()) - want) \
+                <= to_mp(v.err_fraction()) + mp.mpf(10) ** -25, h
 
 
 # ---------------------------------------------------------------------------

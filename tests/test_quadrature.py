@@ -7,13 +7,17 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from certheat.certified import CertifiedValue, cos_pi_mul_cv, recip_pi_cv, sin_pi_mul_cv
+from certheat import heat, laplace
+from certheat.certified import (CertifiedValue, cos_pi_mul_cv, gauss_ladder, recip_pi_cv,
+                                rotation_sum, sin_pi_mul_cv)
 from certheat.errors import PreconditionError
 from certheat.evaluable import (EvaluableFunction, TrigPoly, _log2_ceil, linear_pieces,
                                 piecewise_linear_fn, sine_modes_fn, trig_poly_fn)
 from certheat.hardness import CountingInstance, counting_integrand
-from certheat.quadrature import (int_linear_cos_pi, int_linear_sin_pi, int_pl_trig_pi,
-                                 integral_exact, integrate)
+from certheat.heat import IntervalHeatProblem, solve_interval
+from certheat.laplace import DiskProblem, hardness_boundary_disk, solve_disk
+from certheat.quadrature import (breakpoint_series, int_linear_cos_pi, int_linear_sin_pi,
+                                 int_pl_trig_pi, integral_exact, integrate)
 
 MP_PREC = 500  # mpmath bits for this module's tests (see conftest.py)
 
@@ -276,3 +280,103 @@ def test_int_pl_trig_pi_matches_hand_built_ends():
                 for got, want in zip(int_pl_trig_pi(pieces, k, phase, 40),
                                      int_pl_trig_pi_hand_built_ends(pieces, k, phase, 40)):
                     assert (got.m, got.s, got.en, got.es) == (want.m, want.s, want.en, want.es)
+
+
+# ---------------------------------------------------------------------------
+# the breakpoint series: one integer pass per kind of term
+
+
+def per_term_series(decay, cos_terms, sin_terms, W):
+    """The breakpoint series term by term: one rotation per term, rounded,
+    scaled by its coefficient and added as a certified value."""
+    rp = recip_pi_cv(W + 4)
+    re = im = CertifiedValue.zero()
+    for terms, power, part, factor in ((cos_terms, 2, 0, -(rp * rp)), (sin_terms, 1, 1, rp)):
+        if terms:
+            w = [(v // k ** power, e // k ** power + 2) for k, (v, e) in enumerate(decay, 1)]
+            acc = other = CertifiedValue.zero()
+            for t, c in terms:
+                sums = rotation_sum([(t, 1)], w, W)
+                acc = acc + sums[part].mul_fraction(c, W)
+                other = other + sums[1 - part].mul_fraction(c, W)
+            re = re + (acc * factor).rounded(W)
+            im = im - (other * factor).rounded(W)
+    return re, im
+
+
+def _powers(r, K, W):
+    out, rk = [], 1 << W
+    for k in range(1, K + 1):
+        rk = rk * r.numerator // r.denominator
+        out.append((rk, k))
+    return out
+
+
+def test_breakpoint_series_matches_the_per_term_reference():
+    # seeded geometric and Gaussian decays, angles and non-dyadic
+    # coefficients, either kind empty or not: both parts agree with the
+    # per-term sum within the two bounds together
+    F = Fraction
+    rng = random.Random(2024)
+    for case in range(300):
+        W = rng.choice([24, 60, 100])
+        K = rng.choice([0, 1, 7, 40])
+        if case % 2:
+            decay = _powers(F(rng.randrange(1, 100), 100), K, W)
+        else:
+            decay = gauss_ladder(F(rng.randrange(1, 64), 256), K, W)
+        cos_terms, sin_terms = ([(F(rng.randrange(-400, 400), rng.randrange(1, 60)),
+                                  F(rng.randrange(-90, 91), rng.randrange(1, 40)))
+                                 for _ in range(rng.randrange(4))] for _ in range(2))
+        got = breakpoint_series(decay, cos_terms, sin_terms, W)
+        want = per_term_series(decay, cos_terms, sin_terms, W)
+        for g, w in zip(got, want):
+            assert abs(g.value_fraction() - w.value_fraction()) \
+                <= g.err_fraction() + w.err_fraction(), (case, W, K)
+            assert g.err_fraction() <= F(1, 1 << (W - 12)), (case, W, K)
+
+
+def breakpoint_probes():
+    """(solve, n) on seeded disk pl data, a seam gap, reduction data and
+    interval data with end jumps."""
+    F = Fraction
+    rng = random.Random(1729)
+    probes = []
+    disks = [piecewise_linear_fn([(F(0), F(0)), (F(1, 2), F(1)), (F(2), F(1, 1 << 20))])]
+    for _ in range(3):
+        xs = sorted({F(rng.randrange(1, 64), 32) for _ in range(5)} - {2})
+        nodes = [(F(0), F(1, 3)), *((x, F(rng.randrange(-40, 41), rng.randrange(1, 9)))
+                                    for x in xs), (F(2), F(1, 3))]
+        disks.append(piecewise_linear_fn(nodes))
+    h = piecewise_linear_fn([(F(0), F(1, 5)), (F(1, 3), F(1)), (F(1), F(-1, 7))])
+    count = counting_integrand(CountingInstance((3, 5, 2, 7), 9))
+    for r0, th0, prof in ((F(1, 2), F(1, 5), h), (F(9, 10), F(3, 4), h),
+                          (F(1, 2), F(1, 2), count)):
+        disks.append(hardness_boundary_disk(r0, th0, prof))
+    for g in disks:
+        p = DiskProblem(g, F(9, 10))
+        for _ in range(4):
+            r, th = F(rng.randrange(0, 91), 100), F(rng.randrange(0, 96), 48)
+            n = rng.choice([12, 24, 40])
+            probes.append((lambda p=p, r=r, th=th, n=n: solve_disk(p, r, th, n), n))
+    for _ in range(4):
+        xs = sorted({F(rng.randrange(1, 32), 16) for _ in range(4)} - {2})
+        nodes = [(x, F(rng.randrange(-30, 31), rng.randrange(1, 7))) for x in [F(0), *xs, F(2)]]
+        p = IntervalHeatProblem(F(2), F(1), piecewise_linear_fn(nodes), F(1, 256))
+        for _ in range(4):
+            t, x = F(rng.randrange(1, 65), 256), F(rng.randrange(0, 33), 16)
+            n = rng.choice([12, 24, 48])
+            probes.append((lambda p=p, t=t, x=x, n=n: solve_interval(p, t, x, n), n))
+    return probes
+
+
+def test_breakpoint_series_solves_match_the_per_term_reference(monkeypatch):
+    # whole solves give the same value with either series, each within 2^-n
+    probes = breakpoint_probes()
+    got = [solve() for solve, _ in probes]
+    monkeypatch.setattr(laplace, "breakpoint_series", per_term_series)
+    monkeypatch.setattr(heat, "breakpoint_series", per_term_series)
+    for (solve, n), u in zip(probes, got):
+        ref = solve()
+        assert (u.m, u.s) == (ref.m, ref.s)
+        assert max(u.err_fraction(), ref.err_fraction()) <= Fraction(1, 2 ** n)
