@@ -196,8 +196,8 @@ _IVL_X0 = Fraction(1)  # the middle of the data's support [1/2, 3/2]
 def pipeline_interval(inst: CountingInstance, n: int) -> CertifiedValue:
     """Reweighted half-line initial data (Dirichlet at 0) on [1/2, 3/2]; point
     value times sqrt(4 pi alpha t0)."""
-    gstar = hardness_initial_interval(_IVL_T0, _IVL_X0, counting_integrand(inst))
-    u = gstar.hardness.certified_point_value(n + 4)
+    red = hardness_initial_interval(_IVL_T0, _IVL_X0, counting_integrand(inst))
+    u = red.certified_point_value(n + 4)
     back = sqrt_cv(pi_cv(n + 12).mul_fraction(4 * _IVL_T0, n + 10), n + 6)
     return (u * back).rounded(n + 2)
 

@@ -270,8 +270,6 @@ def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: i
 # counting reduction: reweighted half-line initial data whose point value is
 # a plain integral
 
-_SHIFT = Fraction(1, 2)  # the profile on [0, 1] moves onto [1/2, 3/2]
-
 
 class IntervalReduction:
     """Ties reweighted initial data to its integration identity.
@@ -303,15 +301,10 @@ class IntervalReduction:
         return (CertifiedValue.from_fraction(total, n + 6) * pref).rounded(n + 4)
 
 
-def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFunction:
-    """Reweight profile data on [0, 1] into half-line initial data on
-    [1/2, 3/2] (alpha = 1, u = 0 at x = 0) with a known identity.
-
-    The data is g*(y) = g_hard(y - 1/2) w(y) with the weight of
-    :class:`IntervalReduction`, returned as its support and sup bound with
-    the attached reduction, whose point value at (t0, x0) is a pure
-    integration task.
-    """
+def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> IntervalReduction:
+    """The :class:`IntervalReduction` of profile data on [0, 1] at (t0, x0):
+    the data g*(y) = g_hard(y - 1/2) w(y) on [1/2, 3/2] (alpha = 1, u = 0 at
+    x = 0), whose point value at (t0, x0) is a pure integration task."""
     t0, x0 = as_fraction(t0), as_fraction(x0)
     if t0 <= 0:
         raise PreconditionError("t0 must be positive")
@@ -321,18 +314,7 @@ def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> EvaluableFun
         raise PreconditionError("profile data must live on [0, 1]")
     if g_hard.eval_exact is None:
         raise PreconditionError("profile data needs exact pointwise evaluation")
-
-    # On [1/2, 3/2]: e^{(x0 - y)^2 / (4 t0)} <= 3^ceil(D^2 / (4 t0)) with
-    # D = |x0 - 1| + 1/2 the farther end's distance to x0, as e < 3; and
-    # x0 y / t0 >= z = x0 / (2 t0), where e^z >= 1 + z gives
-    # 1 / (1 - e^{-z}) <= 1 + 1 / z.
-    far = abs(x0 - 1) + _SHIFT
-    sup = g_hard.sup_bound * 3 ** _ceil_div(far * far, 4 * t0) * (1 + 2 * t0 / x0)
-    return EvaluableFunction(
-        domain=(_SHIFT, _SHIFT + 1),
-        sup_bound=sup if sup else Fraction(1, 1 << 30),
-        hardness=IntervalReduction(t0, x0, g_hard),
-    )
+    return IntervalReduction(t0, x0, g_hard)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from certheat.heat import (HalflineBoundaryProblem, IntervalHeatProblem,
                            solve_halfline_boundary, solve_interval)
 from certheat.kernels import real_sph_harmonic_3d
 from certheat.laplace import DiskProblem, plan_disk, solve_disk
-from certheat.verify import arith_geom_sum, heat_g, heat_g_tilde, higher_arith_geom
+from closed_forms import arith_geom_sum, heat_g, heat_g_tilde, higher_arith_geom
 
 # criterion 3's boundary profiles with their mpmath counterparts
 PROFILES = [

@@ -215,7 +215,7 @@ def test_reduction_values_are_exact_counts():
         disk = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h).hardness
         u = disk.certified_point_value(n)
         assert u.value_fraction() == area / 2 and u.err_fraction() == 0, nv
-        red = hardness_initial_interval(Fraction(1, 4), Fraction(1, 2), h).hardness
+        red = hardness_initial_interval(Fraction(1, 4), Fraction(1, 2), h)
         assert red.profile is h
         assert integral_exact(red.profile, Fraction(0), Fraction(1)) == area
         v = red.certified_point_value(n)

@@ -10,8 +10,8 @@ import pytest
 import certheat.heat as heat
 import certheat.quadrature as quadrature
 from certheat.errors import PreconditionError
-from certheat.evaluable import (constant_fn, linear_pieces, piecewise_linear_fn,
-                                polynomial_fn, sine_modes_fn)
+from certheat.evaluable import (EvaluableFunction, constant_fn, linear_pieces,
+                                piecewise_linear_fn, polynomial_fn, sine_modes_fn)
 from certheat.hardness import CountingInstance, counting_integrand
 from certheat.quadrature import int_pl_trig_pi, integrate
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
@@ -489,12 +489,12 @@ def test_neumann_reduction_examples():
 
 def test_interval_reduction_examples():
     flat = piecewise_linear_fn([(F(0), F(1)), (F(1), F(1))])
-    red = hardness_initial_interval(F(1, 4), F(1, 2), flat).hardness
+    red = hardness_initial_interval(F(1, 4), F(1, 2), flat)
     u = red.certified_point_value(20)
     assert_close(u, 1 / mp.sqrt(mp.pi), 20)
 
     ramp = piecewise_linear_fn([(F(0), F(0)), (F(1), F(1))])
-    red2 = hardness_initial_interval(F(1, 4), F(1, 2), ramp).hardness
+    red2 = hardness_initial_interval(F(1, 4), F(1, 2), ramp)
     assert_close(red2.certified_point_value(20), 1 / (2 * mp.sqrt(mp.pi)), 20)
     ival = integrate(red2.profile, 0, 1, 30)
     assert abs(ival.value_fraction() - F(1, 2)) <= ival.err_fraction()
@@ -505,20 +505,19 @@ def reduction_weight(t0, x0, y):
     return mp.exp((x0 - y) ** 2 / (4 * t0)) / (1 - mp.exp(-x0 * y / t0))
 
 
-def test_interval_reduction_sup_bound_covers_the_weighted_data():
-    # ||h|| 3^ceil(D^2 / (4 t0)) (1 + 2 t0 / x0) bounds h(y - 1/2) w(y) on
-    # [1/2, 3/2], D the farther end's distance to x0; the sup is taken on a
-    # grid that holds both ends
+def test_interval_reduction_refuses_bad_inputs():
     tent = piecewise_linear_fn([(F(0), F(0)), (F(3, 4), F(1)), (F(1), F(1, 2))])
-    for t0, x0 in ((F(1, 4), F(1, 2)), (F(1, 50), F(1, 5)), (F(1, 4), F(1)), (F(2), F(3))):
-        gstar = hardness_initial_interval(t0, x0, tent)
-        assert gstar.domain == (F(1, 2), F(3, 2))
-        sup = max(to_mp(tent.eval_exact(y)) * reduction_weight(to_mp(t0), to_mp(x0),
-                                                                to_mp(y) + mp.mpf(1) / 2)
-                  for y in (F(j, 400) for j in range(401)))
-        assert to_mp(gstar.sup_bound) >= sup, (t0, x0)
-    with pytest.raises(PreconditionError):
+    red = hardness_initial_interval(F(1, 4), F(1, 2), tent)
+    assert (red.t0, red.x0, red.profile) == (F(1, 4), F(1, 2), tent)
+    with pytest.raises(PreconditionError, match="x0"):
         hardness_initial_interval(F(1, 4), F(0), tent)  # the weight has a pole at y = 0
+    with pytest.raises(PreconditionError, match="t0"):
+        hardness_initial_interval(F(0), F(1, 2), tent)
+    wide = piecewise_linear_fn([(F(0), F(0)), (F(2), F(1))])
+    with pytest.raises(PreconditionError, match=r"\[0, 1\]"):
+        hardness_initial_interval(F(1, 4), F(1, 2), wide)
+    with pytest.raises(PreconditionError, match="pointwise"):
+        hardness_initial_interval(F(1, 4), F(1, 2), EvaluableFunction((F(0), F(1)), F(1)))
 
 
 def halfline_kernel(t, x, y):
@@ -555,7 +554,7 @@ def test_interval_reduction_identity_holds_for_the_halfline_problem(t0, x0):
     inst = CountingInstance((1, 2, 3, 4, 5, 6), 7)  # 4 of 64 cells accepted
     for h in (piecewise_linear_fn([(F(0), F(1)), (F(1), F(1))]),
               piecewise_linear_fn([(F(0), F(0)), (F(1), F(1))]), counting_integrand(inst)):
-        v = hardness_initial_interval(t0, x0, h).hardness.certified_point_value(60)
+        v = hardness_initial_interval(t0, x0, h).certified_point_value(60)
         with mp.workdps(30):
             want = reweighted_oracle(t0, x0, h)
             assert abs(to_mp(v.value_fraction()) - want) \

@@ -11,7 +11,7 @@ from scipy.special import lpmv
 from certheat.certified import CertifiedValue, sqrt_cv
 from certheat.errors import PreconditionError
 from certheat.kernels import _assoc_legendre_cs, real_sph_harmonic_3d
-from certheat.verify import heat_g, heat_g_tilde, sph_count
+from closed_forms import heat_g, heat_g_tilde, sph_count
 
 MP_PREC = 500  # mpmath bits for this module's tests (see conftest.py)
 

@@ -10,7 +10,7 @@ import pytest
 
 from certheat.errors import PreconditionError
 from certheat.series import TruncationPlan, gaussian_tail, geometric_cap, point_order
-from certheat.verify import arith_geom_sum, geometric_tail, higher_arith_geom
+from closed_forms import arith_geom_sum, geometric_tail, higher_arith_geom
 
 
 def brute_arith_geom(m: int, x: Fraction, tol: Fraction) -> Fraction:
@@ -85,6 +85,14 @@ def test_geometric_tail():
     assert geometric_tail(Fraction(1, 2), 10, 1) == Fraction(1, 512)
     assert geometric_tail(Fraction(1, 2), 0, 3) == 6
     assert geometric_tail(Fraction(9, 10), 100, 1) == Fraction(9, 10) ** 100 * 10
+    # the tail from s is the terms up to mid plus the tail from mid, exactly
+    rng = random.Random(17)
+    for _ in range(8):
+        r = Fraction(rng.randrange(1, 99), 100)
+        c = Fraction(rng.randrange(1, 50), 7)
+        s, mid = rng.randrange(0, 9), rng.randrange(9, 30)
+        head = sum((c * r ** k for k in range(s, mid)), Fraction(0))
+        assert geometric_tail(r, s, c) == head + geometric_tail(r, mid, c), (r, c, s, mid)
     with pytest.raises(PreconditionError):
         geometric_tail(1, 0, 1)
     with pytest.raises(PreconditionError):
