@@ -1,5 +1,7 @@
 """Diffusion solvers against independent quadrature and series oracles."""
 
+import json
+import os
 import random
 from fractions import Fraction
 from math import factorial
@@ -669,3 +671,71 @@ def test_data_endpoints_match_the_per_piece_sums():
         for x in [F(0), F(3, 16), F(5, 2)] + nodes:
             assert list(heat._data_endpoints(f, x).items()) == \
                 list(data_endpoints_per_piece(f, x).items()), (nodes, x)
+
+
+# ---------------------------------------------------------------------------
+# half-line solvers pinned bit for bit: the (m, s, en, es) of seeded solves,
+# recorded once in tests/data/halfline_pins.json, so a change to their exact
+# bookkeeping shows as a changed field, not only as a looser bound
+
+PINS = os.path.join(os.path.dirname(__file__), "data", "halfline_pins.json")
+
+
+def halfline_pin_cases():
+    """(id, thunk) per seeded half-line solve; the id spells out its inputs."""
+    rng = random.Random(3217)
+    pick = rng.choice
+    profiles = {"poly-s": poly_profile(F(0), F(1)),
+                "poly-mixed": poly_profile(F(1, 3), F(-2), F(5, 7)),
+                "sinhalf-3": sinhalf(F(3)), "sinhalf-third": sinhalf(F(-1, 3))}
+    spaces = {"const": constant_fn(F(1), (F(0), F(1, 2))),
+              "pl": piecewise_linear_fn([(F(0), F(1)), (F(1, 4), F(-1)), (F(1, 2), F(2))]),
+              "affine": polynomial_fn([F(1, 2), F(-1, 3)], (F(0), F(1, 2)))}
+    datas = {"tent": piecewise_linear_fn([(F(2, 5), F(0)), (F(1, 2), F(1)), (F(3, 5), F(0))]),
+             "from-zero": piecewise_linear_fn([(F(0), F(1)), (F(1, 2), F(-2)),
+                                               (F(3, 2), F(1, 3))]),
+             "far": piecewise_linear_fn([(F(2), F(3)), (F(5, 2), F(3))])}
+    alphas = [F(1), F(1, 3), F(5, 2), F(1, 64)]
+    ts = [F(1, 2 ** 20), F(1, 1000), F(1, 16), F(5, 16), F(7, 8), F(1)]
+    cases = []
+    for name, h in profiles.items():
+        for n in (8, 24, 64, 160):
+            alpha, t, x = pick(alphas), pick(ts), F(rng.randrange(8, 25), 16)
+            p = HalflineBoundaryProblem(alpha, h, (F(1, 2), F(3, 2)))
+            cases.append((f"boundary {name} alpha={alpha} t={t} x={x} n={n}",
+                          lambda p=p, t=t, x=x, n=n: solve_halfline_boundary(p, t, x, n)))
+    for name, h in profiles.items():
+        for space in spaces:
+            n = pick((8, 24, 64, 128))
+            alpha, t, x = pick(alphas), pick(ts), F(rng.randrange(16, 25), 16)
+            p = HalflineForceProblem(alpha, h, spaces[space], (F(1), F(3, 2)))
+            cases.append((f"force {name} {space} alpha={alpha} t={t} x={x} n={n}",
+                          lambda p=p, t=t, x=x, n=n: solve_halfline_force(p, t, x, n)))
+    for name, g in datas.items():
+        nodes = [b0 for _, _, b0, _ in linear_pieces(g)] + [g.domain[1]]
+        xs = [F(0), F(9, 20), F(6, 5), F(9, 4), nodes[1] + F(1, 2 ** 12)] + nodes
+        for n in (12, 32, 64, 200):
+            for x in rng.sample(xs, 2):
+                alpha, t = pick(alphas), pick(ts + [F(3)])
+                cases.append((f"initial {name} alpha={alpha} t={t} x={x} n={n}",
+                              lambda g=g, a=alpha, t=t, x=x, n=n:
+                              solve_halfline_initial(g, a, t, x, n)))
+    # distances and alpha t near 0, where the kernel bound passes 2^9
+    for name, x, alpha, t, n in [
+            ("from-zero", F(1, 2) + F(1, 2 ** 12), F(1, 64), F(1, 2 ** 20), 40),
+            ("from-zero", F(1, 10 ** 6), F(1, 256), F(1, 2 ** 20), 24),
+            ("tent", F(1, 2), F(1), F(1, 2 ** 30), 64)]:
+        cases.append((f"initial {name} alpha={alpha} t={t} x={x} n={n}",
+                      lambda g=datas[name], a=alpha, t=t, x=x, n=n:
+                      solve_halfline_initial(g, a, t, x, n)))
+    return cases
+
+
+def test_halfline_solves_match_their_pinned_fields():
+    with open(PINS, encoding="utf-8") as f:
+        pins = json.load(f)
+    cases = halfline_pin_cases()
+    assert sorted(key for key, _ in cases) == sorted(pins)
+    for key, solve in cases:
+        u = solve()
+        assert [u.m, u.s, u.en, u.es] == pins[key], key
