@@ -30,8 +30,7 @@ _ERR_BITS = 32  # error mantissas are renormalised to at most this many bits
 
 def _ceil_div(a, b) -> int:
     """ceil(a / b) for b > 0; exact for integers and Fractions alike."""
-    q, r = divmod(a, b)  # one division, no negated copy of a long a
-    return q + (r > 0)
+    return -(-a // b)
 
 
 class CertifiedValue:
@@ -64,12 +63,11 @@ class CertifiedValue:
         return cls(f.numerator, exp, 0, 0)
 
     @classmethod
-    def from_fraction(cls, value: ExactLike, p: int) -> "CertifiedValue":
-        """Round any rational to scale ``2**-p``; rounding error <= 2**-(p+1)."""
-        f = as_fraction(value)
-        m = _round_half_even(f.numerator << p, f.denominator)
-        exact = (f.numerator << p) % f.denominator == 0
-        return cls(m, p, 0 if exact else 1, p + 1)
+    def from_fraction(cls, value: ExactLike, p: int, den: int = 1) -> "CertifiedValue":
+        """Round any rational, or value / den for an integer den > 0, to scale
+        ``2**-p``; rounding error <= 2**-(p+1)."""
+        m, e = _scaled_from_fraction(value, p, den)
+        return cls(m, p, e, p + 1)
 
     @classmethod
     def zero(cls) -> "CertifiedValue":
@@ -195,10 +193,11 @@ def _exact_cv(f: ExactLike, prec: int) -> CertifiedValue:
 # before their final rounded(p + 4); the rotations round down.
 
 
-def _scaled_from_fraction(f: Fraction, W: int) -> tuple[int, int]:
-    num = f.numerator << W
-    v = _round_half_even(num, f.denominator)
-    return v, (0 if num % f.denominator == 0 else 1)
+def _scaled_from_fraction(f: ExactLike, W: int, den: int = 1) -> tuple[int, int]:
+    """Scaled pair of the rational f, or of f / den for an integer den > 0."""
+    num, den = f.numerator << W, f.denominator * den
+    v = _round_half_even(num, den)
+    return v, (0 if v * den == num else 1)
 
 
 def _scaled_from_cv(cv: CertifiedValue, W: int) -> tuple[int, int]:
@@ -219,16 +218,20 @@ def _scaled_from_cv(cv: CertifiedValue, W: int) -> tuple[int, int]:
 
 
 def _smul(a: int, ea: int, b: int, eb: int, W: int) -> tuple[int, int]:
-    v = _round_half_even(a * b, 1 << W)
-    e = _ceil_div(abs(a) * eb + abs(b) * ea + ea * eb, 1 << W) + 1
-    return v, e
+    """Product of two scaled pairs, by shifts: v = floor(a b / 2^W), plus one
+    when the rest r = a b - v 2^W has 2r > 2^W, or 2r = 2^W with v odd (a b
+    / 2^W rounded half to even), and the error bound rounded up."""
+    ab = a * b
+    v = ab >> W
+    v += ((ab - (v << W)) << 1 | v & 1) > 1 << W
+    return v, -(-(abs(a) * eb + abs(b) * ea + ea * eb) >> W) + 1
 
 
 def _sdiv_int(a: int, ea: int, d: int) -> tuple[int, int]:
     """Divide a scaled value by a positive integer, truncating toward zero."""
-    v = a // d if a >= 0 else -((-a) // d)
+    v = a // d if a >= 0 else -(-a // d)
     # truncating a / d loses up to (d - 1) / d: one unit on top of ea / d
-    return v, _ceil_div(ea, d) + 1
+    return v, -(-ea // d) + 1
 
 
 def rotation_sum(terms, weights: list[tuple[int, int]],
@@ -267,7 +270,7 @@ def rotation_sum(terms, weights: list[tuple[int, int]],
         tc = ts = te = 0
         for v, e in weights:
             x, y = (c * x - s * y) >> W, (s * x + c * y) >> W
-            E += _ceil_div(d * (one + E), one) + 2
+            E += -(-d * (one + E) >> W) + 2
             tc += v * x
             ts += v * y
             te += abs(v) * E + (e << W)
@@ -303,11 +306,13 @@ def gauss_ladder(a: Fraction, K: int, W: int) -> list[tuple[int, int]]:
     return out
 
 
-def _as_exact_pair(x) -> tuple[Fraction, Fraction]:
-    """(approximation value, input error bound) as exact rationals."""
+def _as_exact_pair(x) -> tuple[int, int, ExactLike]:
+    """(num, den, input error bound): the approximation is num / den, den > 0,
+    read off a certified value's integers without forming a Fraction."""
     if isinstance(x, CertifiedValue):
-        return x.value_fraction(), x.err_fraction()
-    return as_fraction(x), Fraction(0)
+        return x.m << max(0, -x.s), 1 << max(0, x.s), x.err_fraction()
+    x = as_fraction(x)
+    return x.numerator, x.denominator, 0
 
 
 # ---------------------------------------------------------------------------
@@ -361,54 +366,43 @@ def recip_sqrt_pi_cv(p: int) -> CertifiedValue:
 
 def sqrt_cv(x, p: int) -> CertifiedValue:
     """Certified square root; error <= 2**-p plus the propagated input error."""
-    val, ierr = _as_exact_pair(x)
-    if val < 0:
-        if val + ierr >= 0:  # enclosure straddles zero from below
-            val = Fraction(0)
+    num, den, ierr = _as_exact_pair(x)
+    if num < 0:
+        if num + ierr * den >= 0:  # enclosure straddles zero from below
+            num = 0
         else:
             raise PreconditionError("sqrt of a negative value")
-    if val == 0 and ierr == 0:
+    if num == 0 and ierr == 0:
         return CertifiedValue.zero()
     W = p + 2
-    M = (val.numerator << (2 * W)) // val.denominator
-    out = CertifiedValue(isqrt(M), W, 2, W)
+    out = CertifiedValue(isqrt((num << (2 * W)) // den), W, 2, W)
     if ierr:
-        lo = val - ierr
+        lo = Fraction(num, den) - ierr
         if lo > 0:
-            # |sqrt u - sqrt v| <= |u - v| / (2 sqrt(lo))
-            slo = _fraction_sqrt_lower(lo)
-            out = out.widen_fraction(ierr / (2 * slo))
-        else:
-            out = out.widen_fraction(_fraction_sqrt_upper(val + ierr))
+            # |sqrt u - sqrt v| <= |u - v| / (2 sqrt(lo)), and sqrt(lo) >= R / 2^F
+            # to at least 16 fractional and 16 significant bits: lo = a / b >=
+            # 2^-(e+1) for e = bitlen(b) - bitlen(a), so lo 4^F >= 2^31, R >= 2^15
+            a, b = lo.numerator, lo.denominator
+            F = 16 + max(0, (b.bit_length() - a.bit_length() + 1) // 2)
+            out = out.widen_fraction(ierr * (1 << F) / (2 * isqrt((a << 2 * F) // b)))
+        else:  # sqrt(lo + 2 ierr), rounded up to 16 fractional bits
+            hi = lo + 2 * ierr
+            r = isqrt(_ceil_div(hi.numerator << 32, hi.denominator)) + 1
+            out = out.widen_fraction(Fraction(r, 1 << 16))
     return out
-
-
-def _fraction_sqrt_lower(f: Fraction) -> Fraction:
-    # a lower bound on sqrt(f) to at least 16 fractional and 16 significant bits
-    num, den = f.numerator, f.denominator
-    e = den.bit_length() - num.bit_length()  # f >= 2^-(e+1)
-    F = 16 + max(0, (e + 1) // 2)  # so f 4^F >= 2^31, and the root is >= 2^15
-    return Fraction(isqrt((num << 2 * F) // den), 1 << F)
-
-
-def _fraction_sqrt_upper(f: Fraction) -> Fraction:
-    # an upper bound on sqrt(f) to 16 fractional bits
-    r = isqrt(_ceil_div(f.numerator << 32, f.denominator)) + 1
-    return Fraction(r, 1 << 16)
 
 
 def recip_cv(x, p: int) -> CertifiedValue:
     """Certified 1/x for x bounded away from zero."""
-    val, ierr = _as_exact_pair(x)
-    lo = abs(val) - ierr
+    num, den, ierr = _as_exact_pair(x)
+    lo = abs(num) - ierr * den  # |x| - ierr, times den
     if lo <= 0:
         raise PreconditionError("reciprocal of a value not bounded away from 0")
     W = p + 2
-    sign = 1 if val > 0 else -1
-    m = _round_half_even((1 << W) * val.denominator, abs(val.numerator))
-    out = CertifiedValue(sign * m, W, 1, W)
+    m = _round_half_even(den << W, abs(num))
+    out = CertifiedValue(m if num > 0 else -m, W, 1, W)
     if ierr:
-        out = out.widen_fraction(ierr / (lo * lo))
+        out = out.widen_fraction(ierr * den * den / (lo * lo))
     return out
 
 
@@ -420,24 +414,23 @@ _LN2_HI = Fraction(693148, 1000000)   # > ln 2
 
 def exp_cv(x, p: int) -> CertifiedValue:
     """Certified e**x; absolute error <= 2**-p plus propagated input error."""
-    val, ierr = _as_exact_pair(x)
-    if ierr > Fraction(1, 4):
+    num, den, ierr = _as_exact_pair(x)
+    if 4 * ierr > 1:
         raise PreconditionError("exp input error too large to propagate")
     # Deeply negative argument: the value itself sits below the target error.
-    if val < 0 and -val >= (p + 2) * _LN2_HI:
+    if num < 0 and -num >= (p + 2) * _LN2_HI * den:
         return CertifiedValue(0, p, 1, p + 1)
-    if val > 128:
+    if num > 128 * den:
         raise PreconditionError("exp argument unexpectedly large")
 
-    # the least j with |val| / 2^j <= 1/2, i.e. 2 |num| <= den 2^j: from the
+    # the least j with |x| / 2^j <= 1/2, i.e. 2 |num| <= den 2^j: from the
     # bit lengths the quotient lies in (2^(j-1), 2^(j+1)), so j or j + 1
-    top, den = 2 * abs(val.numerator), val.denominator
+    top = 2 * abs(num)
     j = max(0, top.bit_length() - den.bit_length())
     j += top > den << j
-    r = val / (1 << j)
     # the squarings carry the error of e^r up by e^x: ceil(3x/2) >= x log2 e bits
-    W = p + 2 * j + 12 + (_ceil_div(3 * val, 2) if val > 0 else 0)
-    rv, re = _scaled_from_fraction(r, W)
+    W = p + 2 * j + 12 + (_ceil_div(3 * num, 2 * den) if num > 0 else 0)
+    rv, re = _scaled_from_fraction(num, W, den << j)  # r = x / 2^j
     acc, eacc = 1 << W, 0
     term, eterm = 1 << W, 0
     i = 1
@@ -555,14 +548,14 @@ def gauss_primitive_cv(x, p: int) -> CertifiedValue:
     The range grows with p so that every argument whose tail e^{-x^2} is
     not yet below 2^-p stays in reach.
     """
-    val, ierr = _as_exact_pair(x)
-    if val * val > max(64, p):
+    num, den, ierr = _as_exact_pair(x)
+    if num * num > max(64, p) * den * den:
         raise PreconditionError("gauss primitive argument out of supported range")
     # intermediate terms reach e^{x^2} before the alternating sum cancels,
     # so widen the working scale accordingly
-    guard = int(Fraction(3, 2) * val * val) + 1
+    guard = 3 * num * num // (2 * den * den) + 1
     W = p + 10 + guard
-    rv, re = _scaled_from_fraction(val, W)
+    rv, re = _scaled_from_fraction(num, W, den)
     x2, ex2 = _smul(rv, re, rv, re, W)
     acc, eacc = rv, re
     pow_, epow = rv, re

@@ -80,8 +80,8 @@ def _int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
         raise ConfigError(f"key {key!r}: {cfg[key]!r} is not an integer")
 
 
-def _check_keys(cfg: dict[str, str], allowed: set[str], required: set[str]) -> None:
-    unknown = set(cfg) - allowed - {"problem", "bits"}
+def _check_keys(cfg: dict[str, str], required: set[str], *optional: str) -> None:
+    unknown = set(cfg) - required - set(optional) - {"problem", "bits"}
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     missing = required - set(cfg)
@@ -258,8 +258,7 @@ def parse_sph_fn(spec: str) -> EvaluableFunction:
 
 
 def _solve_disk(cfg, n):
-    keys = {"g", "r", "theta"}
-    _check_keys(cfg, keys, keys)
+    _check_keys(cfg, {"g", "r", "theta"})
     r = _num(cfg, "r")
     p = DiskProblem(parse_boundary_fn(cfg["g"]), r)  # one solve plans at its own r
     plan = plan_disk(p, n)
@@ -267,15 +266,14 @@ def _solve_disk(cfg, n):
 
 
 def _solve_ball(cfg, n):
-    keys = {"g", "r", "theta", "phi"}
-    _check_keys(cfg, keys, keys)
+    _check_keys(cfg, {"g", "r", "theta", "phi"})
     p = BallProblem(parse_sph_fn(cfg["g"]))
     plan = plan_ball_truncation(p.g, n)
     return solve_ball(p, _num(cfg, "r"), _num(cfg, "theta"), _num(cfg, "phi"), n), plan
 
 
 def _solve_interval(cfg, n):
-    _check_keys(cfg, {"g", "l", "alpha", "t", "x"}, {"g", "t", "x"})
+    _check_keys(cfg, {"g", "t", "x"}, "l", "alpha")
     L = _num(cfg, "l", Fraction(1))
     alpha = _num(cfg, "alpha", Fraction(1))
     t = _num(cfg, "t")
@@ -285,8 +283,7 @@ def _solve_interval(cfg, n):
 
 
 def _solve_halfline_boundary(cfg, n):
-    _check_keys(cfg, {"h", "alpha", "x0", "x1", "t", "x"},
-                {"h", "x0", "x1", "t", "x"})
+    _check_keys(cfg, {"h", "x0", "x1", "t", "x"}, "alpha")
     alpha = _num(cfg, "alpha", Fraction(1))
     p = HalflineBoundaryProblem(alpha, parse_profile(cfg["h"]),
                                 (_num(cfg, "x0"), _num(cfg, "x1")))
@@ -295,8 +292,7 @@ def _solve_halfline_boundary(cfg, n):
 
 
 def _solve_halfline_force(cfg, n):
-    _check_keys(cfg, {"f_time", "f_space", "alpha", "x0", "x1", "t", "x"},
-                {"f_time", "f_space", "x0", "x1", "t", "x"})
+    _check_keys(cfg, {"f_time", "f_space", "x0", "x1", "t", "x"}, "alpha")
     alpha = _num(cfg, "alpha", Fraction(1))
     p = HalflineForceProblem(alpha, parse_profile(cfg["f_time"]),
                              parse_force_fn(cfg["f_space"]),
@@ -306,7 +302,7 @@ def _solve_halfline_force(cfg, n):
 
 
 def _solve_halfline_initial(cfg, n):
-    _check_keys(cfg, {"g0", "alpha", "t", "x"}, {"g0", "t", "x"})
+    _check_keys(cfg, {"g0", "t", "x"}, "alpha")
     alpha = _num(cfg, "alpha", Fraction(1))
     g = parse_force_fn(cfg["g0"])
     t, x = _num(cfg, "t"), _num(cfg, "x")
@@ -315,7 +311,7 @@ def _solve_halfline_initial(cfg, n):
 
 
 def _solve_neumann(cfg, n):
-    _check_keys(cfg, {"force", "t"}, {"force", "t"})
+    _check_keys(cfg, {"force", "t"})
     force = parse_force_fn(cfg["force"])
     return solve_neumann_constant_force(force, _num(cfg, "t"), n), None
 
@@ -382,8 +378,7 @@ def cmd_solve(args) -> int:
                   "value_dyadic": lit.literal(), "value_decimal": dec,
                   "error_exponent": n, "plan": _plan_summary(plan)}
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(record, f, sort_keys=True, indent=2)
-            f.write("\n")
+            f.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     return 0
 
 

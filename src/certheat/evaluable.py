@@ -28,20 +28,21 @@ from .dyadic import as_fraction
 Pieces = list[tuple[Fraction, Fraction, Fraction, Fraction]]  # (c0, c1, a, b)
 
 
-def _log2_ceil(f: Fraction) -> int:
-    """Smallest j with f <= 2^j (f > 0)."""
-    if f <= 0:
+def _log2_ceil(f: Fraction, den: int = 1) -> int:
+    """Smallest j with f <= 2^j (f > 0), or f / den for an integer den > 0."""
+    num, den = f.numerator, f.denominator * den
+    if num <= 0:
         raise ValueError("positive value required")
     # num/den lies in (2^(j-1), 2^(j+1)), so the answer is j or j + 1
-    num, den = f.numerator, f.denominator
     j = num.bit_length() - den.bit_length()
     return j if (num <= den << j if j >= 0 else num << -j <= den) else j + 1
 
 
-def _guard_bits(scale: Fraction) -> int:
+def _guard_bits(scale: Fraction, den: int = 1) -> int:
     """Extra bits for a sum of evaluated terms whose coefficients total
-    ``scale``: each term's error is its coefficient times the term's."""
-    return max(0, _log2_ceil(scale)) if scale else 0
+    ``scale`` (or scale / den): each term's error is its coefficient times
+    the term's."""
+    return max(0, _log2_ceil(scale, den)) if scale else 0
 
 
 class TrigPoly:

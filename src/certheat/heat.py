@@ -23,8 +23,10 @@ half-line distance per point of its jump list (``pl_jumps``).
 
 Here i^j erfc is the j-th repeated integral of erfc (DLMF 7.18; Carslaw and
 Jaeger, *Conduction of Heat in Solids*, ch. II and App. II).  Each half-line
-solution is a finite sum of erfc(z) and e^{-z^2} with exact rational weights,
-so nothing is truncated but the Taylor polynomial.
+solution is a finite sum of erfc(z) and e^{-z^2} whose weights are exact:
+integers over one denominator per distance, built by an integer recurrence
+for the repeated integrals, so nothing is truncated but the Taylor
+polynomial and no weight passes through a Fraction.
 
 Every solver first builds a :class:`TruncationPlan` whose inequality chain
 records, in exact rational arithmetic, why the retained terms reach the
@@ -80,7 +82,7 @@ _HALF_PI_UB = Fraction(1571, 1000)  # > pi/2
 def _check_time_profile(fn: EvaluableFunction, what: str) -> None:
     """A time profile lives on [0, 2] and declares polynomial coefficients
     or sine modes sum c_m sin(m pi s / 2)."""
-    if fn.domain != (Fraction(0), Fraction(2)) or (
+    if fn.domain != (0, 2) or (
             fn.poly_coeffs is None and fn.sine_modes is None):
         raise PreconditionError(
             f"{what} must declare polynomial coefficients or sine modes on [0, 2]")
@@ -92,9 +94,7 @@ def _profile_deriv(fn: EvaluableFunction, k: int, p: int) -> CertifiedValue:
     if fn.poly_coeffs is not None:
         cs = fn.poly_coeffs
         return CertifiedValue.from_fraction(cs[k] * factorial(k) if k < len(cs) else 0, p)
-    if k % 2 == 0:
-        return CertifiedValue.zero()
-    c = (-1) ** (k // 2) * sum((cm * m ** k for m, cm in fn.sine_modes.items()), Fraction(0))
+    c = k % 2 and (-1) ** (k // 2) * sum(cm * m ** k for m, cm in fn.sine_modes.items())
     if c == 0:
         return CertifiedValue.zero()
     g = _guard_bits(abs(c))  # the coefficient scales errors
@@ -107,13 +107,11 @@ def _profile_deriv(fn: EvaluableFunction, k: int, p: int) -> CertifiedValue:
     return (pw.rounded(p + g + 4) * _exact_cv(c, p + k)).rounded(p + 4)
 
 
-def _profile_sup(fn: EvaluableFunction, k: int) -> Fraction:
+def _profile_sup(fn: EvaluableFunction, k: int) -> Fraction | int:
     """Bound on sup over [0, 1] of |h^(k)|."""
     if fn.poly_coeffs is not None:
-        return sum((abs(c) * perm(j, k) for j, c in enumerate(fn.poly_coeffs) if j >= k),
-                   Fraction(0))
-    return sum((abs(c) * (m * _HALF_PI_UB) ** k for m, c in fn.sine_modes.items()),
-               Fraction(0))
+        return sum(abs(c) * perm(j, k) for j, c in enumerate(fn.poly_coeffs) if j >= k)
+    return sum(abs(c) * (m * _HALF_PI_UB) ** k for m, c in fn.sine_modes.items())
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +339,29 @@ def solve_neumann_constant_force(f: EvaluableFunction, t, n: int) -> CertifiedVa
 # distance; the weights fix the precision they need before either is taken.
 
 
-def _ierfc_parts(w: Fraction, m: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact (a_j, b_j), j = 0..m, with, for z^2 = w,
+def _ierfc_parts(w: Fraction, m: int) -> tuple[list[int], list[int]]:
+    """Integers (A_j, B_j), j = 0..m, with, for z^2 = w = N / D in lowest terms,
 
-        i^j erfc(z) = z^(j%2) a_j erfc(z) + z^((j+1)%2) b_j (2/sqrt(pi)) e^{-w}.
+        i^j erfc(z) = z^(j%2) a_j erfc(z) + z^((j+1)%2) b_j (2/sqrt(pi)) e^{-w},
+        A_j = a_j 2^j j! D^floor(j/2),   B_j = b_j 2^j j! D^floor((j+1)/2).
 
     Both parts obey 2j i^j = i^{j-2} - 2z i^{j-1} (DLMF 7.18.7) from
     i^{-1}erfc = (2/sqrt(pi)) e^{-z^2} and i^0 erfc = erfc; splitting off the
-    odd powers of z keeps them rational in w.  The recurrence runs exactly,
-    so its instability costs nothing: the cancellation between the parts is
-    paid once, by the precision of erfc and e^{-w}.
+    odd powers of z keeps them rational in w, and the scales clear their
+    denominators: A_j = 2(j-1) D A_{j-2} - 2 N A_{j-1} for even j and
+    - 2 A_{j-1} for odd j, and B_j the same with the parities swapped.  The
+    recurrence runs exactly, so its instability costs nothing: the
+    cancellation between the parts is paid once, by the precision of erfc
+    and e^{-w}.
     """
-    a, b = [Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]  # j = -1, 0
-    for j in range(1, m + 1):
-        wa, wb = (w, 1) if j % 2 == 0 else (1, w)
-        a.append((a[-2] - 2 * wa * a[-1]) / (2 * j))
-        b.append((b[-2] - 2 * wb * b[-1]) / (2 * j))
-    return a[1:], b[1:]
+    N, D = w.numerator, w.denominator
+    a, b = [1, -2], [0, D]  # j = 0, 1
+    for j in range(2, m + 1):
+        c = 2 * (j - 1) * D
+        na, nb = (N, 1) if j % 2 == 0 else (1, N)
+        a.append(c * a[-2] - 2 * na * a[-1])
+        b.append(c * b[-2] - 2 * nb * b[-1])
+    return a[:m + 1], b[:m + 1]
 
 
 def _erfc_cv(w: Fraction, negative: bool, p: int) -> CertifiedValue:
@@ -369,12 +373,6 @@ def _erfc_cv(w: Fraction, negative: bool, p: int) -> CertifiedValue:
     F = gauss_primitive_cv(-z if negative else z, p + 4)
     return (CertifiedValue.exact(1)
             - (F * recip_sqrt_pi_cv(p + 4)).mul_exact(2)).rounded(p + 2)
-
-
-def _kernel_cv(w: Fraction, pref: CertifiedValue, g: int, p: int) -> CertifiedValue:
-    """e^{-w} / sqrt(pi alpha t) with error <= 2^-p, from the prefactor
-    pref = 1 / sqrt(4 pi alpha t) within 2^-(p + g + 4), 2^g >= 1 / (alpha t)."""
-    return (exp_cv(-w, p + g + 4) * pref).mul_exact(2).rounded(p + 2)
 
 
 def _data_endpoints(f: EvaluableFunction, x: Fraction) -> dict[Fraction, tuple]:
@@ -392,83 +390,109 @@ def _data_endpoints(f: EvaluableFunction, x: Fraction) -> dict[Fraction, tuple]:
         raise PreconditionError(
             "space data must be piecewise linear or affine for the closed form")
     jumps = pl_jumps(segs)
-    out: dict[Fraction, tuple] = {}
+    out = {}
     for d, e, s in ([(x - y, -J, D) for y, J, D in jumps[1::-1]]
                     + [(x + y, -J, -D) for y, J, D in jumps[:2]]
                     + [t for y, J, D in jumps[2:] for t in ((x - y, -J, D), (x + y, -J, -D))]):
-        e0, s0 = out.get(d, (0, 0))
-        out[d] = (e0 + e, s0 + s)
-    return {d: v for d, v in out.items() if v != (0, 0)}
+        if d in out:
+            e, s = out[d][0] + e, out[d][1] + s
+        out[d] = (e, s)
+    return {d: v for d, v in out.items() if any(v)}
 
 
 def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
                    n: int) -> CertifiedValue:
-    """Sum over ends {d: (eC, sC)} and terms (e, bound, coeff) of the
-    responses c_e (4t)^e / 2 (eC i^{2e}erfc(z) + sC s i^{2e+1}erfc(z)), t > 0.
+    """Sum over ends {d: (eC, sC)} and terms (e, bound, coeff), e ascending,
+    of the responses c_e (4t)^e / 2 (eC i^{2e}erfc(z) + sC s i^{2e+1}erfc(z)),
+    t > 0.
 
     ``coeff(prec)`` is c_e with error <= 2^-prec and ``bound`` >= |c_e|.
-    A distance d > 0 whose responses are below their share of 2^-(n+3) by
-    i^j erfc(z) <= e^{-z^2} i^j erfc(0) is dropped and claimed instead.  The
-    rest is P_d erfc(z) + Q_d e^{-w} / sqrt(pi alpha t) with exact weights:
-    their sizes set the precision of the coefficients and then of the
-    transcendentals, so the sum keeps within 2^-(n+2) without a retry.
+    A distance d > 0 whose responses are below their share 1 / sh of the
+    tail budget, sh = len(ends) 2^(n+3), is dropped and claimed instead: by
+    i^j erfc(z) <= e^{-z^2} i^j erfc(0) and Gamma(e + 3/2) >= e!/2 they are
+    at most ph (|eC| + s2 |sC|) e^{-w}, and as log2 e < 1.4427, a size above
+    the share times 2^ceil(1.4427 w) is kept without forming the exp.
+
+    The rest is P_d erfc(z) + Q_d e^{-w} / sqrt(pi alpha t), with the
+    integers A, B of :func:`_ierfc_parts` at w = N / D:
+
+        P_d = sum_e c_e t^e (2 (2e+1) eC A_2e + sC d A_2e+1) / (4 (2e+1)! D^e),
+        Q_d = sum_e c_e t^e ((2e+1) D eC d B_2e + 2 alpha t sC B_2e+1)
+                            / (2 (2e+1)! D^(e+1)).
+
+    With t = T1 / T2, E the top e and t^e / (2e+1)! = te / ((2E+1)! T2^E),
+    each weight of c_e is an integer over one denominator per distance,
+    den = 4 (2E+1)! T2^E D^(E+1) times the denominators of eC, sC, d and
+    alpha t: U, V, U1 and V1 stand for 2 D eC, D sC d, 2 D eC d and
+    4 alpha t sC over it.  With the coefficients as integers over 2^S, so
+    are P_d, Q_d and their error bounds.
+
+    The weights' size M, with erfc <= 2 and the kernel at most kn / kd
+    (1 / (2|d|), and 2^ceil(g/2) >= 1 / sqrt(alpha t)), sets the
+    coefficients' precision, and the size Z of P_d, Q_d and their errors
+    that of the transcendentals, so the sum keeps within 2^-(n+2) without a
+    retry.  The kernel is within 2^-r, as pref is within 2^-(r + g + 4) and
+    2^g >= 1 / (alpha t); it scales Q's rounding, and r's slack absorbs a
+    kernel up to 2^9, so a larger one (d and alpha t both near 0) rounds Q
+    finer.
     """
     at = alpha * t
-    g = _guard_bits(1 / at)  # 1/(4 pi at) scales the prefactor's error
-    cap = Fraction(1 << ((g + 1) // 2))  # >= 1 / sqrt(alpha t), the kernel at d = 0
-    sat = sqrt_cv(at, 16).upper_fraction()
-    phi = sum((bd * t ** e / factorial(e) for e, bd, _ in terms), Fraction(0))
-    share = Fraction(1, 1 << (n + 3)) / max(len(ends), 1)
-    top = 2 * max(e for e, _, _ in terms) + 1
-    halves = [(e, (4 * t) ** e / 2) for e, _, _ in terms]  # (4t)^e / 2
-    claims = Fraction(0)
-    kept = []
+    A1, B1 = at.numerator, at.denominator
+    g = _guard_bits(B1, A1)  # 1/(4 pi at) scales the prefactor's error
+    cap = 1 << ((g + 1) // 2)
+    ph = sum(bd * t ** e / factorial(e) for e, bd, _ in terms) / 2
+    s2 = 2 * sqrt_cv(at, 16).upper_fraction()
+    phn, phd, s2n, s2d = ph.numerator, ph.denominator, s2.numerator, s2.denominator
+    sh = len(ends) << (n + 3)
+    E = terms[-1][0]
+    T2, big = t.denominator, factorial(2 * E + 1)
+    ts = [(e, t.numerator ** e * T2 ** (E - e) * (big // factorial(2 * e + 1)))
+          for e, _, _ in terms]
+    claims, kept, Mn, Md = Fraction(0), [], 0, 1
     for d, (eC, sC) in ends.items():
         w = d * d / (4 * at)
+        N, D = w.numerator, w.denominator
+        en, ed, sn, sd, dn, dd = (eC.numerator, eC.denominator, sC.numerator, sC.denominator,
+                                  d.numerator, d.denominator)
         if d > 0:
-            # Gamma(e + 3/2) >= e!/2 bounds the odd-order response too
-            size = phi * (abs(eC) + 2 * abs(sC) * sat) / 2
+            size, sz = phn * (abs(en) * sd * s2d + s2n * abs(sn) * ed), phd * ed * sd * s2d
             if size == 0:
                 continue
-            # e^{-w} >= 2^-ceil(1.4427 w), as log2 e < 1.4427: a size above
-            # share times 2^ceil(1.4427 w) is kept without forming the exp
-            if _log2_ceil(size / share) <= _ceil_div(w.numerator * 14427, w.denominator * 10000):
+            if _log2_ceil(size * sh, sz) <= _ceil_div(N * 14427, D * 10000):
+                size = Fraction(size, sz)
                 cut = size * exp_cv(-w, n + 8 + len(ends).bit_length()
                                     + _guard_bits(size)).upper_fraction()
-                if cut <= share:
+                if cut * sh <= 1:
                     claims += cut
                     continue
-        a, b = _ierfc_parts(w, top)
-        # the kernel e^{-w} / sqrt(pi alpha t) is at most 1 / (2|d|) and cap
-        kern = Fraction(1, 2 * abs(d)) if d else cap
-        kept.append((d, w, kern, [(h * (eC * a[2 * e] + sC * d * a[2 * e + 1]),
-                                   h * (eC * d * b[2 * e] + 4 * at * sC * b[2 * e + 1]))
-                                  for e, h in halves]))
-    # erfc <= 2 and the kernel's bound weigh the coefficients
-    M = sum((2 * abs(mp) + abs(mq) * kern
-             for _, _, kern, ms in kept for mp, mq in ms), Fraction(0))
-    q = n + 8 + _guard_bits(M)
+        A, B = _ierfc_parts(w, 2 * E + 1)
+        den = 4 * big * T2 ** E * D ** (E + 1) * ed * sd * dd * B1
+        U, V, V1 = 2 * D * en * sd * dd * B1, D * sn * dn * ed * B1, 4 * A1 * sn * ed * dd
+        ws = [[te * D ** (E - e) * ((2 * e + 1) * u * X[2 * e] + v * X[2 * e + 1]) for e, te in ts]
+              for u, v, X in ((U, V, A), (U // dd * dn, V1, B))]
+        kn, kd = (dd, 2 * abs(dn)) if d else (cap, 1)
+        m = 2 * kd * sum(map(abs, ws[0])) + kn * sum(map(abs, ws[1]))
+        Mn, Md = Mn * den * kd + m * Md, Md * den * kd
+        kept.append((d, w, max(0, _log2_ceil(min(kn, cap * kd), kd) - 9), den, ws))
+    q = n + 8 + _guard_bits(Mn, Md)
     cs = [c(q) for _, _, c in terms] if kept else []
-    cs = [(cv.value_fraction(), cv.err_fraction()) for cv in cs]
-    parts, size = [], Fraction(0)
-    for d, w, kern, ms in kept:
-        P = Q = Pe = Qe = Fraction(0)
-        for (v, e), (mp, mq) in zip(cs, ms):
-            P, Q = P + v * mp, Q + v * mq
-            Pe, Qe = Pe + e * abs(mp), Qe + e * abs(mq)
-        size += abs(P) + Pe + abs(Q) + Qe
-        parts.append((d, w, kern, P, Pe, Q, Qe))
-    r = n + 8 + (2 * len(parts)).bit_length() + _guard_bits(size)
+    S = max((max(cv.s, cv.es) for cv in cs), default=0)
+    cs = [(cv.m << (S - cv.s), cv.en << (S - cv.es)) for cv in cs]
+    parts, Zn, Zd = [], 0, 1
+    for d, w, qx, den, ws in kept:
+        PQ = [(sum(v * x for (v, _), x in zip(cs, col)),
+               sum(e * abs(x) for (_, e), x in zip(cs, col))) for col in ws]
+        den <<= S
+        Zn, Zd = Zn * den + sum(abs(v) + e for v, e in PQ) * Zd, Zd * den
+        parts.append((d, w, qx, den, PQ))
+    r = n + 8 + (2 * len(parts)).bit_length() + _guard_bits(Zn, Zd)
     pref = _inv_sqrt_4pialpha(at, r + g + 4)
     total = CertifiedValue.zero()
-    for d, w, kern, P, Pe, Q, Qe in parts:
-        Pc = CertifiedValue.from_fraction(P, r + 4).widen_fraction(Pe)
-        # the kernel scales Q's rounding; r's slack absorbs a kernel up to
-        # 2^9, and a larger one (d and alpha t both near 0) rounds Q finer
-        Qc = CertifiedValue.from_fraction(
-            Q, r + 4 + max(0, _log2_ceil(min(kern, cap)) - 9)).widen_fraction(Qe)
-        total = (total + (Pc * _erfc_cv(w, d < 0, r)).rounded(r + 4)
-                 + (Qc * _kernel_cv(w, pref, g, r)).rounded(r + 4))
+    for d, w, qx, den, PQ in parts:
+        kern = (exp_cv(-w, r + g + 4) * pref).mul_exact(2).rounded(r + 2)
+        for (X, Xe), x, tr in zip(PQ, (0, qx), (_erfc_cv(w, d < 0, r), kern)):
+            Xc = CertifiedValue.from_fraction(X, r + 4 + x, den).widen_fraction(Fraction(Xe, den))
+            total += (Xc * tr).rounded(r + 4)
     out = total.rounded(n + 4)
     require("assembly", out.err_fraction(), Fraction(1, 1 << (n + 2)))
     require("erfc tail", claims, Fraction(1, 1 << (n + 3)))
@@ -482,12 +506,12 @@ def _plan_taylor(fn: EvaluableFunction, scale: Fraction, extra: int, n: int,
     bud = Fraction(1, 1 << (n + 1))
     K = 0
     # linear scan: the remainder is not monotone in K (x^5, t = 1: 5, 10, 10, 5, 1, 0)
-    while _taylor_rem(fn, scale, extra, K, Fraction(1)) > bud:
+    while (rem := _taylor_rem(fn, scale, extra, K, Fraction(1))) > bud:
         K += 1
         if K > 8 * n + 256:
             raise PreconditionError(f"{what} derivatives grow too fast for a Taylor closed form")
     plan = TruncationPlan(K, [("taylor", n + 1), ("erfc tail", n + 3), ("assembly", n + 2)])
-    plan.claim("taylor-remainder", _taylor_rem(fn, scale, extra, K, Fraction(1)), bud)
+    plan.claim("taylor-remainder", rem, bud)
     plan.require_budget(n)
     return plan
 
@@ -500,22 +524,25 @@ def _taylor_rem(fn: EvaluableFunction, scale: Fraction, extra: int, K: int,
     return scale * _profile_sup(fn, K + 1) * t ** (K + 1 + extra) / factorial(K + 1 + extra)
 
 
-def _window_args(p, t, x, n: int, plan: TruncationPlan | None, planner):
-    """Checked (t, x) and the plan, built if none is given."""
+def _taylor_solve(p, fn, scale, shift: int, ends, t, x, n: int, plan,
+                  planner) -> CertifiedValue:
+    """u(t, x) driven by the time profile fn of p (scale and shift as in
+    :func:`_plan_taylor`'s claim): (t, x) checked against p's window, the
+    plan built if none is given, the responses at the distances ``ends(x)``
+    to the Taylor coefficients f^(k)(0), k <= K, at index e = k + shift, and
+    the Taylor remainder's claim."""
     t, x = as_fraction(t), as_fraction(x)
     if not 0 <= t <= 1:
         raise PreconditionError("time must lie in [0, 1]")
-    x0, x1 = p.x_window
-    if not x0 <= x <= x1:
+    if not p.x_window[0] <= x <= p.x_window[1]:
         raise PreconditionError("evaluation point outside the declared window")
-    return t, x, plan if plan is not None else planner(p, n)
-
-
-def _taylor_terms(fn: EvaluableFunction, K: int, shift: int) -> list:
-    """(e, bound, coeff) for the Taylor coefficients f^(k)(0), k <= K, at
-    response index e = k + shift."""
-    return [(k + shift, _profile_sup(fn, k),
-             lambda prec, k=k: _profile_deriv(fn, k, prec)) for k in range(K + 1)]
+    K = (plan or planner(p, n)).order
+    if t == 0:
+        return CertifiedValue.zero()
+    terms = [(k + shift, _profile_sup(fn, k), lambda prec, k=k: _profile_deriv(fn, k, prec))
+             for k in range(K + 1)]
+    return _erfc_response(ends(x), terms, t, p.alpha, n).widen_fraction(
+        _taylor_rem(fn, scale, shift, K, t))
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +575,8 @@ def solve_halfline_boundary(p: HalflineBoundaryProblem, t, x, n: int,
     Data s^k gives k! (4t)^k i^{2k}erfc(x / (2 sqrt(alpha t))), so u is
     sum_k h^(k)(0) (4t)^k i^{2k}erfc plus the Taylor remainder's claim.
     """
-    t, x, plan = _window_args(p, t, x, n, plan, plan_halfline_boundary)
-    if t == 0:
-        return CertifiedValue.zero()
-    K = plan.order
-    u = _erfc_response({x: (Fraction(2), Fraction(0))}, _taylor_terms(p.h, K, 0),
-                       t, p.alpha, n)
-    return u.widen_fraction(_taylor_rem(p.h, Fraction(1), 0, K, t))
+    return _taylor_solve(p, p.h, Fraction(1), 0, lambda x: {x: (2, 0)},
+                         t, x, n, plan, plan_halfline_boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +622,9 @@ def solve_halfline_force(p: HalflineForceProblem, t, x, n: int,
     Time data s^k against the space data answers
     k! (4t)^(k+1) / 2 sum_d (eC i^{2k+2}erfc(z_d) + sC s i^{2k+3}erfc(z_d)).
     """
-    t, x, plan = _window_args(p, t, x, n, plan, plan_halfline_force)
-    if t == 0:
-        return CertifiedValue.zero()
-    K = plan.order
-    u = _erfc_response(_data_endpoints(p.f_space, x), _taylor_terms(p.f_time, K, 1),
-                       t, p.alpha, n)
-    return u.widen_fraction(_taylor_rem(p.f_time, p.f_space.sup_bound, 1, K, t))
+    return _taylor_solve(p, p.f_time, p.f_space.sup_bound, 1,
+                         lambda x: _data_endpoints(p.f_space, x), t, x, n, plan,
+                         plan_halfline_force)
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,14 @@ class TruncationPlan:
     """How many series terms a solver will sum, and why that is enough.
 
     ``chain`` records the exact rational inequalities the plan rests on as
-    (label, lhs, rhs) triples meaning lhs <= rhs.  Planning appends every
-    bound the solves rely on (tail estimates, budget comparisons), so a
-    finished plan can be re-audited independently of the float-free
-    arithmetic that built it.  A solve checks its own bounds with
-    :func:`require` and appends nothing, so a plan does not grow with reuse.
+    (label, lhs, rhs) triples meaning lhs <= rhs.  Planning appends each
+    tail or Taylor-remainder claim (:meth:`claim`), so a finished plan can
+    be re-audited independently of the float-free arithmetic that built it.
+    The budget comparison is not in the chain: :meth:`require_budget` checks
+    that the ``budget_split`` parts sum to at most 2^-n and records nothing,
+    so an audit re-checks it through :meth:`total_budget`.  A solve checks
+    its own bounds with :func:`require` and appends nothing, so a plan does
+    not grow with reuse.
     """
 
     def __init__(self, order: int, budget_split: list[tuple[str, int]]):
@@ -90,13 +93,13 @@ class TruncationPlan:
         self.chain: list[tuple[str, Fraction, Fraction]] = []
 
     def total_budget(self) -> Fraction:
-        return sum((Fraction(1, 2) ** e for _, e in self.budget_split), Fraction(0))
+        return sum((Fraction(1, 1 << e) for _, e in self.budget_split), Fraction(0))
 
     def require_budget(self, n_target: int) -> None:
         """Raise AssertionError unless the budget parts sum to at most
         2^-n_target, compared exactly; an explicit raise, so it holds under
         ``python -O`` too."""
-        require("budget", self.total_budget(), Fraction(1, 2) ** n_target)
+        require("budget", self.total_budget(), Fraction(1, 1 << n_target))
 
     def claim(self, label: str, lhs, rhs) -> None:
         """Record the inequality lhs <= rhs; raises if it does not hold."""

@@ -57,16 +57,20 @@ def _enclose(cv: CertifiedValue, target: CertifiedValue, slack: Fraction) -> Non
 def _ck_ierfc_at_zero(rng):
     # i^j erfc(0) = 1 / (2^j Gamma(1 + j/2)) (DLMF 7.18), which the half-line
     # responses read at d = 0: a_{2m} = 1 / (4^m m!) and, with the factor
-    # 2 / sqrt(pi), b_{2m+1} = 1 / (2^(m+1) (2m+1)!!)
+    # 2 / sqrt(pi), b_{2m+1} = 1 / (2^(m+1) (2m+1)!!); at w = 0 the integer
+    # parts are A_j = a_j 2^j j! and B_j = b_j 2^j j!
     top = rng.randrange(16, 33)
     a, b = _ierfc_parts(Fraction(0), top)
     _require(len(a) == len(b) == top + 1, "one pair of parts per order 0..top")
     odd = 1  # (2m+1)!!
     for m in range(top // 2 + 1):
-        _require(a[2 * m] == Fraction(1, 4 ** m * factorial(m)), f"a_{2 * m} off at zero")
-        odd *= 2 * m + 1
-        if 2 * m + 1 <= top:
-            _require(b[2 * m + 1] == Fraction(1, 2 ** (m + 1) * odd), f"b_{2 * m + 1} off at zero")
+        j = 2 * m
+        _require(Fraction(a[j], 2 ** j * factorial(j)) == Fraction(1, 4 ** m * factorial(m)),
+                 f"a_{j} off at zero")
+        odd *= j + 1
+        if j + 1 <= top:
+            _require(Fraction(b[j + 1], 2 ** (j + 1) * factorial(j + 1))
+                     == Fraction(1, 2 ** (m + 1) * odd), f"b_{j + 1} off at zero")
 
 
 def _ck_gauss_ladder(rng):

@@ -9,7 +9,6 @@ enumeration for counts.
 """
 
 import random
-import statistics
 import time
 from fractions import Fraction
 
@@ -275,11 +274,12 @@ def test_criterion_8_neumann_blowup_monotone_trend():
     rng = random.Random(108)
     family = [random_instance(rng, nv) for nv in range(4, 15)]
     # 15 passes over the whole family, one run per size each, and each
-    # size's median wall: a slow spell of the machine then slows every size
-    # alike instead of all the runs of one size
+    # size's fastest wall: noise on a shared machine only adds time, so the
+    # minimum is the run least touched by it, and a slow spell that hits
+    # some passes of one size cannot reorder the sizes
     passes = [measure_blowup(family, "neumann", repeats=1) for _ in range(15)]
     assert all(r.ok for records in passes for r in records)
-    walls = [statistics.median(r.wall_ms for r in runs) for runs in zip(*passes)]
+    walls = [min(r.wall_ms for r in runs) for runs in zip(*passes)]
     best = run = 1
     for i in range(1, len(walls)):
         run = run + 1 if walls[i] >= walls[i - 1] else 1

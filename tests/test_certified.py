@@ -323,6 +323,53 @@ def test_sdiv_int_contains_the_quotient(a, ea, d):
         assert_pair_holds(Fraction(A, d), C._sdiv_int(a, ea, d))
 
 
+# -- the shift-based pair helpers against the divmod forms they replaced,
+#    kept here as the reference --
+
+
+def reference_smul(a, ea, b, eb, W):
+    v = C._round_half_even(a * b, 1 << W)
+    q, r = divmod(abs(a) * eb + abs(b) * ea + ea * eb, 1 << W)
+    return v, q + (r > 0) + 1
+
+
+def reference_sdiv_int(a, ea, d):
+    v = a // d if a >= 0 else -((-a) // d)
+    q, r = divmod(ea, d)
+    return v, q + (r > 0) + 1
+
+
+# ties at every scale: a b = (2k + 1) 2^(W-1), with both parities of k
+@example(3, 0, 1, 0, 1)
+@example(-3, 0, 1, 0, 1)
+@example(5, 1, 1 << 63, 0, 64)
+@example(-7, 0, 1 << 63, 2, 64)
+@example(12345, 3, -6789, 5, 0)
+@given(ints, errs, ints, errs, scales)
+def test_smul_matches_the_divmod_form(a, ea, b, eb, W):
+    assert C._smul(a, ea, b, eb, W) == reference_smul(a, ea, b, eb, W)
+
+
+@example(-5, 0, 2)
+@example(-(1 << 80), 1 << 40, 3)
+@given(ints, errs, st.integers(1, 1 << 40))
+def test_sdiv_int_matches_the_divmod_form(a, ea, d):
+    assert C._sdiv_int(a, ea, d) == reference_sdiv_int(a, ea, d)
+
+
+def test_smul_matches_the_divmod_form_on_seeded_ties():
+    # half a unit exactly, and one unit of 2^-(W+1) either side of it
+    rng = random.Random(3141)
+    for W in list(range(0, 8)) + [31, 64, 65, 200]:
+        for _ in range(60):
+            k = rng.randrange(-(1 << 40), 1 << 40)
+            for ab in ((2 * k + 1) << W >> 1, ((2 * k + 1) << W >> 1) + 1,
+                       ((2 * k + 1) << W >> 1) - 1, k << W):
+                for a, b in ((ab, 1), (1, ab), (-ab, -1)):
+                    ea, eb = rng.randrange(4), rng.randrange(4)
+                    assert C._smul(a, ea, b, eb, W) == reference_smul(a, ea, b, eb, W), (a, b, W)
+
+
 @given(st.fractions(max_denominator=1 << 40), scales)
 def test_scaled_from_fraction_contains_the_value(f, W):
     assert_pair_holds(f * (1 << W), C._scaled_from_fraction(f, W))

@@ -594,6 +594,35 @@ def test_sinhalf_profile_taylor_data(amp):
     _assert_taylor_data(sinhalf(amp), lambda s: to_mp(amp) * mp.sin(mp.pi * s / 2))
 
 
+def reference_ierfc_parts(w, m):
+    """The exact Fraction recurrence _ierfc_parts replaced: (a_j, b_j)."""
+    a, b = [F(0), F(1)], [F(1), F(0)]  # j = -1, 0
+    for j in range(1, m + 1):
+        wa, wb = (w, 1) if j % 2 == 0 else (1, w)
+        a.append((a[-2] - 2 * wa * a[-1]) / (2 * j))
+        b.append((b[-2] - 2 * wb * b[-1]) / (2 * j))
+    return a[1:], b[1:]
+
+
+def test_ierfc_parts_match_the_fraction_recurrence():
+    # A_j = a_j 2^j j! D^floor(j/2) and B_j = b_j 2^j j! D^floor((j+1)/2),
+    # w = N / D in lowest terms, bit for bit on seeded (w, m)
+    rng = random.Random(2718)
+    cases = [(F(0), m) for m in range(41)]
+    cases += [(F(rng.randrange(0, 10 ** rng.randrange(1, 9)), rng.randrange(1, 10 ** 6)),
+               rng.randrange(0, 41)) for _ in range(200)]
+    cases += [(F(1), 40), (F(169, 100), 9), (F(1, 10 ** 12), 21), (F(10 ** 6, 7), 40)]
+    for w, m in cases:
+        A, B = heat._ierfc_parts(w, m)
+        a, b = reference_ierfc_parts(w, m)
+        assert len(A) == len(B) == m + 1
+        D = w.denominator
+        for j in range(m + 1):
+            scale = 2 ** j * factorial(j)
+            assert F(A[j], scale * D ** (j // 2)) == a[j], (w, m, j)
+            assert F(B[j], scale * D ** ((j + 1) // 2)) == b[j], (w, m, j)
+
+
 def test_kernel_ladder_needs_linear_space_data():
     # a quadratic force profile has no linear pieces for the closed form
     quad = polynomial_fn([F(0), F(0), F(1)], (F(0), F(1, 4)))

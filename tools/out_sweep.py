@@ -10,7 +10,8 @@ process on every config of the sweep set:
 
 - every ``tests/data/golden/*.cfg`` at its own bits and at 8, 24 and 64;
 - every ``all_reference_cfgs()`` config of ``bench/inputs.py`` at 16, 32
-  and 64 bits.
+  and 64 bits, and each half-line one also at 128 and 256 bits, where the
+  Taylor degree and the order of the repeated erfc integrals are largest.
 
 For each it keeps the exit code, stdout and the bytes of the ``--out`` file
 (null when none was written).  The configs come from the repository this
@@ -18,7 +19,7 @@ script lives in, whatever SRC is, so two trees are swept over the same set.
 ``compare`` names each config whose exit code, stdout or ``--out`` bytes
 differ between two records, and exits 1 if any does or if the two records
 hold different configs.  Standard library only; one process records the
-1,552 configs in a few seconds.
+1,638 configs in a few seconds.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
 GOLDEN_BITS = (8, 24, 64)
 REFERENCE_BITS = (16, 32, 64)
+HALFLINE_BITS = (128, 256)
 
 
 def sweep_set() -> list[tuple[str, str, int | None]]:
@@ -48,7 +50,10 @@ def sweep_set() -> list[tuple[str, str, int | None]]:
     import inputs  # imports nothing from certheat
     for i, cfg in enumerate(inputs.all_reference_cfgs()):
         text = inputs.cfg_text(cfg)
-        out += [(f"reference/{i}@{b} {inputs.ref_key(cfg)}", text, b) for b in REFERENCE_BITS]
+        bits = REFERENCE_BITS
+        if cfg["problem"].startswith("halfline"):
+            bits += HALFLINE_BITS
+        out += [(f"reference/{i}@{b} {inputs.ref_key(cfg)}", text, b) for b in bits]
     return out
 
 
