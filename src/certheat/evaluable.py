@@ -4,11 +4,11 @@ An :class:`EvaluableFunction` is a continuous function on a closed rational
 domain with a sup-norm bound and the structure the solvers read: declared
 modes (trig polynomial, sine modes, spherical harmonics), or exact pieces,
 a uniform grid or polynomial coefficients.  Every constructor here declares
-one of these (the counting reductions attach their own identity instead),
-and the solvers refuse data that declares none.  Piecewise-linear data is
-read as its pieces (c0, c1, a, b) through :func:`linear_pieces`, and every
-closed form for it keeps one term per point of its jump list,
-:func:`pl_jumps`.
+one of these, and the solvers refuse data that declares none, bar the disk's
+counting reduction (the subclass :class:`certheat.laplace.DiskReduction`).
+Piecewise-linear data is read as its pieces (c0, c1, a, b) through
+:func:`linear_pieces`, and every closed form for it keeps one term per point
+of its jump list, :func:`pl_jumps`.
 
 Angular convention: functions on the circle are parametrized in units of pi,
 so the domain is the rational interval [0, 2] and an argument rho stands for
@@ -85,7 +85,8 @@ class EvaluableFunction:
     ``eval_exact`` is exact rational evaluation, when the shape admits one;
     grids and counting data read it, and the disk reduction at its profile's
     ends.  The rest is the structure the solvers read; data declares at
-    least one of these, or carries a counting reduction (``hardness``):
+    least one of these, or is the disk's counting reduction
+    (:class:`certheat.laplace.DiskReduction`):
 
     * ``trig_poly``, modes on the circle;
     * ``sph_modes``, orthonormal harmonics {(l, m): c} on the sphere;
@@ -115,7 +116,6 @@ class EvaluableFunction:
                  linear_segments: Optional[int] = None,
                  segment_sum: Optional[Callable[[int, int], Fraction]] = None,
                  poly_coeffs: Optional[list[Fraction]] = None,
-                 hardness: object = None,
                  sph_modes: Optional[dict[tuple[int, int], Fraction]] = None):
         self.domain = domain
         self.sup_bound = sup_bound
@@ -126,7 +126,6 @@ class EvaluableFunction:
         self.linear_segments = linear_segments
         self.segment_sum = segment_sum
         self.poly_coeffs = poly_coeffs
-        self.hardness = hardness
         self.sph_modes = sph_modes
 
 

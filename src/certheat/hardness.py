@@ -21,8 +21,8 @@ from .certified import CertifiedValue, pi_cv, sqrt_cv
 from .errors import (CertHeatError, ConfigError, InsufficientPrecision,
                      PreconditionError)
 from .evaluable import EvaluableFunction
-from .heat import hardness_initial_interval, solve_neumann_constant_force
-from .laplace import hardness_boundary_disk
+from .heat import IntervalReduction, solve_neumann_constant_force
+from .laplace import DiskReduction
 from .record import Record
 
 MAX_VARS = 24  # counting_integrand refuses larger instances
@@ -170,8 +170,9 @@ def precision_for(inst: CountingInstance) -> int:
 # ---------------------------------------------------------------------------
 # solver pipelines
 #
-# Each pipeline routes the counting integrand through one PDE reduction and
-# returns a certified value equal to count * 4^{-n_vars} within budget.
+# Each pipeline routes the counting integrand through one PDE reduction, built
+# directly from it (the disk's is the boundary data itself), and returns a
+# certified value equal to count * 4^{-n_vars} within budget.
 
 
 def pipeline_neumann(inst: CountingInstance, n: int) -> CertifiedValue:
@@ -185,8 +186,8 @@ _DISK_THETA0 = Fraction(1, 2)
 
 def pipeline_disk(inst: CountingInstance, n: int) -> CertifiedValue:
     """Reweighted disk boundary data; twice the marked point value."""
-    g = hardness_boundary_disk(_DISK_R0, _DISK_THETA0, counting_integrand(inst))
-    return g.hardness.certified_point_value(n).mul_exact(2)
+    g = DiskReduction(_DISK_R0, _DISK_THETA0, counting_integrand(inst))
+    return g.certified_point_value(n).mul_exact(2)
 
 
 _IVL_T0 = Fraction(1, 4)
@@ -196,7 +197,7 @@ _IVL_X0 = Fraction(1)  # the middle of the data's support [1/2, 3/2]
 def pipeline_interval(inst: CountingInstance, n: int) -> CertifiedValue:
     """Reweighted half-line initial data (Dirichlet at 0) on [1/2, 3/2]; point
     value times sqrt(4 pi alpha t0)."""
-    red = hardness_initial_interval(_IVL_T0, _IVL_X0, counting_integrand(inst))
+    red = IntervalReduction(_IVL_T0, _IVL_X0, counting_integrand(inst))
     u = red.certified_point_value(n + 4)
     back = sqrt_cv(pi_cv(n + 12).mul_fraction(4 * _IVL_T0, n + 10), n + 6)
     return (u * back).rounded(n + 2)

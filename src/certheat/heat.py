@@ -107,11 +107,19 @@ def _profile_deriv(fn: EvaluableFunction, k: int, p: int) -> CertifiedValue:
     return (pw.rounded(p + g + 4) * _exact_cv(c, p + k)).rounded(p + 4)
 
 
-def _profile_sup(fn: EvaluableFunction, k: int) -> Fraction | int:
-    """Bound on sup over [0, 1] of |h^(k)|."""
-    if fn.poly_coeffs is not None:
-        return sum(abs(c) * perm(j, k) for j, c in enumerate(fn.poly_coeffs) if j >= k)
-    return sum(abs(c) * (m * _HALF_PI_UB) ** k for m, c in fn.sine_modes.items())
+def _profile_sups(fn: EvaluableFunction, k: int):
+    """Bounds on sup over [0, 1] of |h^(j)| for j = k, k + 1, ...:
+    sum |c_i| i!/(i - j)! over i >= j for polynomial coefficients and
+    sum |c_m| (m u)^j, u = 1571/1000 > pi/2, for sine modes, each term
+    carried to the next j by one product."""
+    poly = fn.poly_coeffs is not None
+    coeffs = dict(enumerate(fn.poly_coeffs)) if poly else fn.sine_modes
+    terms = {i: abs(c) * (perm(i, k) if poly else (i * _HALF_PI_UB) ** k)
+             for i, c in coeffs.items()}
+    while True:
+        yield sum(terms.values())
+        terms = {i: a * (i - k if poly else i * _HALF_PI_UB) for i, a in terms.items()}
+        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +190,8 @@ def _decay_bound(rate: Fraction) -> Fraction:
     pisq = (pi_cv(80) * pi_cv(80)).rounded(80)
     rho = exp_cv(pisq.mul_fraction(-rate, 76), 70).upper_fraction()
     if rho >= 1:
-        raise AssertionError("decay bound failed to certify a rate below one")
+        raise PreconditionError(f"rate alpha t / L^2 = {rate} is too small to certify "
+                                "a decay below one")
     return rho
 
 
@@ -270,7 +279,9 @@ def _solve_interval_pl(p: IntervalHeatProblem, rate: Fraction, x: Fraction, K: i
 
 
 class IntervalReduction:
-    """Ties reweighted initial data to its integration identity.
+    """Reweighted half-line initial data built from a profile h on [0, 1]
+    (with exact evaluation) at a point (t0, x0), t0 > 0 and x0 > 0, and the
+    data's integration identity.
 
     The problem is the half-line initial-data problem with Dirichlet end at
     0 (``solve_halfline_initial``'s) at alpha = 1, whose kernel is
@@ -285,7 +296,16 @@ class IntervalReduction:
     solve evaluates it: the identity is the whole route.
     """
 
-    def __init__(self, t0: Fraction, x0: Fraction, profile: EvaluableFunction):
+    def __init__(self, t0, x0, profile: EvaluableFunction):
+        t0, x0 = as_fraction(t0), as_fraction(x0)
+        if t0 <= 0:
+            raise PreconditionError("t0 must be positive")
+        if x0 <= 0:
+            raise PreconditionError("x0 must be positive")
+        if profile.domain != (Fraction(0), Fraction(1)):
+            raise PreconditionError("profile data must live on [0, 1]")
+        if profile.eval_exact is None:
+            raise PreconditionError("profile data needs exact pointwise evaluation")
         self.t0 = t0
         self.x0 = x0
         self.profile = profile
@@ -297,22 +317,6 @@ class IntervalReduction:
             raise PreconditionError("reduction data needs an exact integral")
         pref = _inv_sqrt_4pialpha(self.t0, n + 12)
         return (CertifiedValue.from_fraction(total, n + 6) * pref).rounded(n + 4)
-
-
-def hardness_initial_interval(t0, x0, g_hard: EvaluableFunction) -> IntervalReduction:
-    """The :class:`IntervalReduction` of profile data on [0, 1] at (t0, x0):
-    the data g*(y) = g_hard(y - 1/2) w(y) on [1/2, 3/2] (alpha = 1, u = 0 at
-    x = 0), whose point value at (t0, x0) is a pure integration task."""
-    t0, x0 = as_fraction(t0), as_fraction(x0)
-    if t0 <= 0:
-        raise PreconditionError("t0 must be positive")
-    if x0 <= 0:
-        raise PreconditionError("x0 must be positive")
-    if g_hard.domain != (Fraction(0), Fraction(1)):
-        raise PreconditionError("profile data must live on [0, 1]")
-    if g_hard.eval_exact is None:
-        raise PreconditionError("profile data needs exact pointwise evaluation")
-    return IntervalReduction(t0, x0, g_hard)
 
 
 # ---------------------------------------------------------------------------
@@ -502,26 +506,22 @@ def _erfc_response(ends: dict, terms: list, t: Fraction, alpha: Fraction,
 def _plan_taylor(fn: EvaluableFunction, scale: Fraction, extra: int, n: int,
                  what: str) -> TruncationPlan:
     """Least Taylor degree K of a time profile with remainder claim
-    scale * sup|h^(K+1)| / (K+1+extra)! <= 2^-(n+1), the bound at t = 1."""
-    bud = Fraction(1, 1 << (n + 1))
-    K = 0
-    # linear scan: the remainder is not monotone in K (x^5, t = 1: 5, 10, 10, 5, 1, 0)
-    while (rem := _taylor_rem(fn, scale, extra, K, Fraction(1))) > bud:
+    scale * sup|h^(K+1)| / (K+1+extra)! <= 2^-(n+1), the bound at t = 1 on
+    the solution the remainder past degree K drives: the maximum principle
+    gives sup|R_K| <= sup|h^(K+1)| t^(K+1) / (K+1)!, and each Duhamel time
+    integral (extra) one more t/(K+2)."""
+    bud, sups, fact, K = Fraction(1, 1 << (n + 1)), _profile_sups(fn, 1), factorial(1 + extra), 0
+    # linear scan, carrying the sup and the factorial from K to K + 1: the
+    # remainder is not monotone in K (x^5, t = 1: 5, 10, 10, 5, 1, 0)
+    while (rem := scale * next(sups) / fact) > bud:
         K += 1
         if K > 8 * n + 256:
             raise PreconditionError(f"{what} derivatives grow too fast for a Taylor closed form")
+        fact *= K + 1 + extra
     plan = TruncationPlan(K, [("taylor", n + 1), ("erfc tail", n + 3), ("assembly", n + 2)])
     plan.claim("taylor-remainder", rem, bud)
     plan.require_budget(n)
     return plan
-
-
-def _taylor_rem(fn: EvaluableFunction, scale: Fraction, extra: int, K: int,
-                t: Fraction) -> Fraction:
-    """Bound at t <= 1 on the solution driven by the Taylor remainder past
-    degree K: the maximum principle gives sup|R_K| <= sup|h^(K+1)| t^(K+1)
-    / (K+1)!, and each Duhamel time integral (extra) one more t/(K+2)."""
-    return scale * _profile_sup(fn, K + 1) * t ** (K + 1 + extra) / factorial(K + 1 + extra)
 
 
 def _taylor_solve(p, fn, scale, shift: int, ends, t, x, n: int, plan,
@@ -539,10 +539,11 @@ def _taylor_solve(p, fn, scale, shift: int, ends, t, x, n: int, plan,
     K = (plan or planner(p, n)).order
     if t == 0:
         return CertifiedValue.zero()
-    terms = [(k + shift, _profile_sup(fn, k), lambda prec, k=k: _profile_deriv(fn, k, prec))
+    sups = _profile_sups(fn, 0)
+    terms = [(k + shift, next(sups), lambda prec, k=k: _profile_deriv(fn, k, prec))
              for k in range(K + 1)]
     return _erfc_response(ends(x), terms, t, p.alpha, n).widen_fraction(
-        _taylor_rem(fn, scale, shift, K, t))
+        scale * next(sups) * t ** (K + 1 + shift) / factorial(K + 1 + shift))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ coefficient: integrating by parts twice leaves one series per point of the
 data's jump list (``pl_jumps``, the ends merged into the seam), one rotation
 each, and one integer pass per kind of jump sums them weighted by their
 jumps and rounds once (:func:`_solve_disk_pl`).  The counting-reduction data
-(:class:`DiskReduction`) is its profile's pieces plus one bridge: it sums
-the same series over their jump list and reads both of its parts, since
-the kernel factor mixes each mode with its neighbours; data of no such
-kind is refused.
+(:class:`DiskReduction`) is its profile's closure, the profile's pieces
+plus one bridge, times a kernel factor: it sums the same series over the
+closure's jump list and reads both of its parts, since the kernel factor
+mixes each mode with its neighbours; data of no such kind is refused.
 
 Data given as finitely many declared modes (trig polynomials on the disk,
 spherical harmonics on the ball) has an exactly finite solution: every mode
@@ -54,11 +54,11 @@ _PI_LO = Fraction(157, 50)  # < pi
 class DiskProblem(Record):
     """Dirichlet data on the unit circle with a guaranteed evaluation radius.
 
-    g lives on [0,2] in pi-units and declares trig modes, linear pieces or a
-    :class:`DiskReduction` (``reduction``, else None); r0 < 1 bounds the
+    g lives on [0,2] in pi-units and declares trig modes or linear pieces,
+    or is a :class:`DiskReduction` (``reduction``, else None); r0 < 1 bounds the
     radii r a solve takes, and the plan's order is what a solve at r0 sums.
     One solve plans at its own r; many solves plan once at their largest.
-    ``pieces`` is ``linear_pieces(g)``, or the reduction's ``pieces``, read
+    ``pieces`` is ``linear_pieces(g)``, or the reduction's ``closure``, read
     once here for every solve; so is what :func:`_solve_disk_pl` reads off
     them: the ``jumps`` (y, J, D) of ``pl_jumps`` where something jumps,
     with the points at 0 and 2 merged into the seam's (J = g(0) - g(2):
@@ -84,9 +84,8 @@ class DiskProblem(Record):
         lo, hi = self.g.domain
         if (lo, hi) != (Fraction(0), Fraction(2)):
             raise PreconditionError("boundary data must live on [0,2] in pi-units")
-        hard = self.g.hardness
-        self.reduction = red = hard if isinstance(hard, DiskReduction) else None
-        self.pieces = pieces = linear_pieces(self.g) if red is None else red.pieces
+        self.reduction = red = g if isinstance(g, DiskReduction) else None
+        self.pieces = pieces = linear_pieces(self.g) if red is None else red.closure
         if pieces is None and self.g.trig_poly is None:
             raise PreconditionError("boundary data must declare trig modes or linear pieces")
         if pieces is not None:
@@ -278,24 +277,33 @@ def _solve_disk_pl(p: DiskProblem, r: Fraction, theta: Fraction, n: int,
 # counting-reduction boundary data
 
 
-class DiskReduction:
-    """Metadata tying reweighted boundary data to its point-value identity.
+class DiskReduction(EvaluableFunction):
+    """Reweighted boundary data whose solution at (r0, theta0) is the mean
+    of its profile's closure.
 
-    The boundary g was built as the closure H of the profile h divided by
-    the Poisson kernel at (r0, theta0), which forces u(r0, theta0) to equal
-    the plain mean of H over the circle regardless of what h is.  H is h on
-    [0, 1] and the linear bridge from h(1) back to h(0) on [1, 2], so it is
-    continuous and meets itself at the seam.  ``h0`` and ``h1`` are h's
-    ends, read once here (a counting profile's ends are cell edges, which
-    cost no verifier call), and ``sup`` bounds H.  ``pieces`` are h's linear
-    pieces plus the bridge, for a disk problem's series
-    (:class:`DiskProblem`); ``area`` is H's exact integral over [0, 2], h's
-    run sum plus the bridge's trapezoid (h0 + h1) / 2, for the point-value
-    identity, which reads no piece.  Each is built on first use and then
-    kept, and each verifies a counting cell once.
+    g(rho) = H(rho) (1 - 2 r0 cos(pi(theta0 - rho)) + r0^2) / (1 - r0^2)
+    on [0, 2] cancels the Poisson kernel at the marked point, so u(r0,
+    theta0) is the plain mean of H over the circle whatever the profile h
+    is: the integration task (1/2) * integral of H.  H is h on [0, 1] and
+    the linear bridge from h(1) back to h(0) on [1, 2], so it is continuous
+    and meets itself at the seam.  ``h0`` and ``h1`` are h's ends, read once
+    here (a counting profile's ends are cell edges, which cost no verifier
+    call), ``sup`` bounds H, and the sup bound is ``sup`` times the kernel
+    factor's top (1 + r0) / (1 - r0).  g declares no pieces of its own;
+    ``closure`` is H's, h's linear pieces plus the bridge, for a disk
+    problem's series (:class:`DiskProblem`), and ``area`` is H's exact
+    integral over [0, 2], h's run sum plus the bridge's trapezoid
+    (h0 + h1) / 2, for the point-value identity, which reads no piece.  Each
+    is built on first use and then kept, and each verifies a counting cell
+    once.
     """
 
-    def __init__(self, r0: Fraction, theta0: Fraction, profile: EvaluableFunction):
+    def __init__(self, r0, theta0, profile: EvaluableFunction):
+        r0, theta0 = as_fraction(r0), as_fraction(theta0)
+        if not 0 <= r0 < 1:
+            raise PreconditionError("r0 must lie in [0,1)")
+        if not 0 <= theta0 <= 2:
+            raise PreconditionError("theta0 must lie in [0,2] (pi-units)")
         if profile.domain != (Fraction(0), Fraction(1)):
             raise PreconditionError("profile must live on [0,1]")
         if profile.eval_exact is None:
@@ -305,9 +313,11 @@ class DiskReduction:
         self.profile = profile
         self.h0, self.h1 = profile.eval_exact(Fraction(0)), profile.eval_exact(Fraction(1))
         self.sup = max(profile.sup_bound, abs(self.h0), abs(self.h1), Fraction(1, 2 ** 30))
+        dmax = (1 + r0) / (1 - r0) if r0 else Fraction(1)  # the kernel factor's top
+        super().__init__((Fraction(0), Fraction(2)), self.sup * dmax)
 
     @cached_property
-    def pieces(self) -> Pieces:
+    def closure(self) -> Pieces:
         pieces = linear_pieces(self.profile)
         if pieces is None:
             raise PreconditionError("the disk series needs a profile with linear pieces")
@@ -326,25 +336,6 @@ class DiskReduction:
         # n + 4 = (n + 1) + 2 + log2 of the width 2, the scale integrate rounds to
         total = CertifiedValue.from_fraction(self.area, n + 4)
         return total.mul_fraction(Fraction(1, 2), n + 1)
-
-
-def hardness_boundary_disk(r0, theta0, h: EvaluableFunction) -> EvaluableFunction:
-    """Boundary data whose solution at (r0, theta0) is the mean of h's closure.
-
-    g(rho) = H(rho) * (1 - 2 r0 cos(pi(theta0 - rho)) + r0^2) / (1 - r0^2),
-    with H the closure (:class:`DiskReduction`), cancels the Poisson kernel
-    at the marked point, so evaluating the solution there is exactly the
-    integration task (1/2) * integral of H.
-    """
-    r0, theta0 = as_fraction(r0), as_fraction(theta0)
-    if not 0 <= r0 < 1:
-        raise PreconditionError("r0 must lie in [0,1)")
-    if not 0 <= theta0 <= 2:
-        raise PreconditionError("theta0 must lie in [0,2] (pi-units)")
-    red = DiskReduction(r0, theta0, h)
-    dmax = (1 + r0) / (1 - r0) if r0 else Fraction(1)  # the kernel factor's top
-    return EvaluableFunction(domain=(Fraction(0), Fraction(2)), sup_bound=red.sup * dmax,
-                             hardness=red)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .heat import (IntervalHeatProblem, HalflineBoundaryProblem, _ierfc_parts,
                    plan_halfline_boundary, plan_interval, solve_halfline_boundary,
                    solve_interval, solve_neumann_constant_force)
 from .kernels import real_sph_harmonic_3d
-from .laplace import DiskProblem, hardness_boundary_disk, plan_disk, solve_disk
+from .laplace import DiskProblem, DiskReduction, plan_disk, solve_disk
 from .quadrature import integrate
 from .series import geometric_cap, point_order
 
@@ -199,8 +199,8 @@ def _ck_disk_reduction_identity(rng):
                              (Fraction(1, 2), Fraction(1)),
                              (Fraction(1), Fraction(0))])
     r0, th0 = Fraction(1, 2), Fraction(3, 4)
-    g = hardness_boundary_disk(r0, th0, h)
-    shortcut = g.hardness.certified_point_value(14)
+    g = DiskReduction(r0, th0, h)
+    shortcut = g.certified_point_value(14)
     direct = solve_disk(DiskProblem(g, r0), r0, th0, 14)
     _enclose(shortcut, direct, Fraction(1, 2 ** 13))
     half = integrate(h, 0, 1, 20).mul_fraction(Fraction(1, 2), 20)

@@ -216,9 +216,19 @@ def test_disk_reduction_data_passes_the_seam_check():
 
     h = piecewise_linear_fn([(Fraction(0), Fraction(1, 3)), (Fraction(1, 2), Fraction(-1)),
                              (Fraction(1), Fraction(2))])
-    g = laplace.hardness_boundary_disk(Fraction(1, 2), Fraction(3, 4), h)
+    g = laplace.DiskReduction(Fraction(1, 2), Fraction(3, 4), h)
     p = laplace.DiskProblem(g, Fraction(1, 2))
     assert all(J == 0 for _, J, _ in p.jumps)
+
+
+def test_interval_rate_too_small_to_decay_exits_3(tmp_path, capsys):
+    # at alpha t / L^2 = 2^-81, e^{-pi^2 rate} rounds up to 1 at the decay
+    # bound's precision: no mode count can be certified, so it is refused
+    text = ("problem = interval\ng = pl 0:0 1/2:1 1:0\nalpha = 1/1208925819614629174706176\n"
+            "t = 1/2\nx = 1/3\nbits = 24\n")
+    code, out, err = run(["solve", "--config", write(tmp_path, "slow.cfg", text)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("precondition violated:") and "1/2417851639229258349412352" in err
 
 
 @pytest.mark.parametrize("text", [

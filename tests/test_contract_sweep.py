@@ -8,8 +8,11 @@ their values must also sit within that bound of an mpmath oracle, as must
 the values of declared modes on the disk and the interval (closed forms).
 The disk and the interval must solve every input they draw: radii in
 [0, 1) and times down to 2^-20.  Amplitude, alpha, window, t, r/x and bits
-all vary, and so does the ball's harmonic: every (l, m) with l <= 16.  The profile is derandomised with a fixed example count, so every
-run checks the same inputs.
+all vary, and so does the ball's harmonic: every (l, m) with l <= 16.  The
+half-line problems are also drawn at alpha of 2^-72, 2^-80 and 2^-100 in a
+test of their own, since the shared alpha draw must solve on the interval.
+The profile is derandomised with a fixed example count, so every run checks
+the same inputs.
 """
 
 from fractions import Fraction as F
@@ -141,7 +144,9 @@ def initial_oracle(cfg: dict) -> mp.mpf:
         return data(y) * (mp.exp(-(x - y) ** 2 / c)
                           - mp.exp(-(x + y) ** 2 / c)) / mp.sqrt(mp.pi * c)
 
-    nodes = sorted({a for a, _ in pts} | ({x} if pts[0][0] < x < pts[-1][0] else set()))
+    # split at x and, for a narrow kernel, at a few of its widths either side
+    near = {x + k * mp.sqrt(c) for k in (-16, -4, -1, 0, 1, 4, 16)}
+    nodes = sorted({a for a, _ in pts} | {y for y in near if pts[0][0] < y < pts[-1][0]})
     return mp.quad(integrand, nodes)
 
 
@@ -216,22 +221,18 @@ def test_interval_just_after_t0(a, t0):
                        sine_oracle if g.startswith("sine") else None)
 
 
-@SWEEP
-@given(st.data())
-def test_halfline_boundary(data):
+def halfline_boundary_cfg(data, alphas) -> dict:
     a = data.draw(amplitude)
     h = data.draw(st.sampled_from([f"poly 0 {a}", f"poly 0 1 {a}", f"poly 0 0 0 {a}",
                                    f"sinhalf {a}"]))
     x0 = data.draw(frac(1, 16, 8))
     x1 = x0 + data.draw(frac(0, 16, 8))
-    check({"problem": "halfline-boundary", "h": h, "alpha": data.draw(alpha),
-           "x0": x0, "x1": x1, "t": data.draw(frac(0, 16, 16)),
-           "x": x0 + data.draw(frac(0, 8, 8)) * (x1 - x0), "bits": data.draw(bits)})
+    return {"problem": "halfline-boundary", "h": h, "alpha": data.draw(alphas),
+            "x0": x0, "x1": x1, "t": data.draw(frac(0, 16, 16)),
+            "x": x0 + data.draw(frac(0, 8, 8)) * (x1 - x0), "bits": data.draw(bits)}
 
 
-@SWEEP
-@given(st.data())
-def test_halfline_force(data):
+def halfline_force_cfg(data, alphas) -> dict:
     a = data.draw(amplitude)
     f_time = data.draw(st.sampled_from(["poly 1", f"poly 1 {a}", "sinhalf", f"sinhalf {a}"]))
     y0 = data.draw(frac(1, 8, 8))
@@ -239,14 +240,12 @@ def test_halfline_force(data):
                                          f"pl 0:1 {y0 / 3}:{-a} {y0}:2"]))
     x0 = y0 + data.draw(frac(1, 16, 16))
     x1 = x0 + data.draw(frac(0, 8, 8))
-    check({"problem": "halfline-force", "f_time": f_time, "f_space": f_space,
-           "alpha": data.draw(alpha), "x0": x0, "x1": x1, "t": data.draw(frac(0, 16, 16)),
-           "x": x0 + data.draw(frac(0, 8, 8)) * (x1 - x0), "bits": data.draw(bits)})
+    return {"problem": "halfline-force", "f_time": f_time, "f_space": f_space,
+            "alpha": data.draw(alphas), "x0": x0, "x1": x1, "t": data.draw(frac(0, 16, 16)),
+            "x": x0 + data.draw(frac(0, 8, 8)) * (x1 - x0), "bits": data.draw(bits)}
 
 
-@SWEEP
-@given(st.data())
-def test_halfline_initial(data):
+def halfline_initial_cfg(data, alphas) -> dict:
     a = data.draw(amplitude)
     lo = data.draw(frac(0, 6, 16))
     hi = lo + data.draw(frac(1, 8, 16))
@@ -256,9 +255,40 @@ def test_halfline_initial(data):
     x = data.draw(st.one_of(frac(0, 16, 16).map(lambda u: u * lo),
                             frac(0, 16, 16).map(lambda u: lo + u * (hi - lo)),
                             frac(1, 32, 16).map(lambda u: hi + u), st.just(F(0))))
-    check({"problem": "halfline-initial", "g0": g0, "alpha": data.draw(alpha),
-           "t": data.draw(frac(0, 64, 16)), "x": x, "bits": data.draw(bits)},
-          initial_oracle)
+    return {"problem": "halfline-initial", "g0": g0, "alpha": data.draw(alphas),
+            "t": data.draw(frac(0, 64, 16)), "x": x, "bits": data.draw(bits)}
+
+
+@SWEEP
+@given(st.data())
+def test_halfline_boundary(data):
+    check(halfline_boundary_cfg(data, alpha))
+
+
+@SWEEP
+@given(st.data())
+def test_halfline_force(data):
+    check(halfline_force_cfg(data, alpha))
+
+
+@SWEEP
+@given(st.data())
+def test_halfline_initial(data):
+    check(halfline_initial_cfg(data, alpha), initial_oracle)
+
+
+@SWEEP
+@given(st.data())
+def test_halfline_tiny_alpha(data):
+    # 4 pi alpha below 2^-68, a draw of its own, since the shared one must
+    # solve on the interval: the initial data solves within 2^-n of the
+    # oracle, and the boundary and force problems within 2^-n or exit 3
+    tiny = st.sampled_from([F(1, 2 ** 72), F(1, 2 ** 80), F(1, 2 ** 100)])
+    kind = data.draw(st.sampled_from(["boundary", "force", "initial"]))
+    if kind == "initial":
+        check(halfline_initial_cfg(data, tiny), initial_oracle)
+    else:
+        check((halfline_boundary_cfg if kind == "boundary" else halfline_force_cfg)(data, tiny))
 
 
 @SWEEP

@@ -18,8 +18,8 @@ from certheat.hardness import (CSV_HEADER, CountingInstance, PIPELINES,
                                brute_force_count, counting_integrand,
                                measure_blowup, pipeline_disk, precision_for,
                                random_instance, recover_count, render_csv)
-from certheat.heat import hardness_initial_interval
-from certheat.laplace import DiskProblem, hardness_boundary_disk, solve_disk
+from certheat.heat import IntervalReduction
+from certheat.laplace import DiskProblem, DiskReduction, solve_disk
 from certheat.quadrature import integral_exact, integrate
 
 INST_ONE = CountingInstance((1,), 1)           # count 1
@@ -212,10 +212,10 @@ def test_reduction_values_are_exact_counts():
         area = exact_integral(inst)
         n = precision_for(inst)
         h = counting_integrand(inst)
-        disk = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h).hardness
+        disk = DiskReduction(Fraction(1, 2), Fraction(1, 2), h)
         u = disk.certified_point_value(n)
         assert u.value_fraction() == area / 2 and u.err_fraction() == 0, nv
-        red = hardness_initial_interval(Fraction(1, 4), Fraction(1, 2), h)
+        red = IntervalReduction(Fraction(1, 4), Fraction(1, 2), h)
         assert red.profile is h
         assert integral_exact(red.profile, Fraction(0), Fraction(1)) == area
         v = red.certified_point_value(n)
@@ -261,7 +261,7 @@ def test_disk_pipeline_against_full_series_solve():
     # independent route: run the whole boundary-series solver at the marked
     # point instead of the mean-value shortcut
     h = counting_integrand(INST_PAIR)
-    g = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h)
+    g = DiskReduction(Fraction(1, 2), Fraction(1, 2), h)
     u = solve_disk(DiskProblem(g, Fraction(1, 2)), Fraction(1, 2), Fraction(1, 2), 12)
     target = exact_integral(INST_PAIR) / 2
     assert abs(u.value_fraction() - target) <= Fraction(1, 2 ** 12)
@@ -272,7 +272,7 @@ def test_disk_pipeline_against_full_series_solve():
 
 @pytest.mark.parametrize("nv", range(4, 11))
 def test_disk_series_solve_verifies_each_cell_once(nv):
-    # the disk problem reads the reduction's pieces (one verdict per cell)
+    # the disk problem reads the reduction's closure (one verdict per cell)
     # and the point-value identity its area off h's run sum (one verdict per
     # cell again), in either order, and the two areas are the same rational.
     # Twice the marked point value recovers the count, within 2^-n at
@@ -283,13 +283,12 @@ def test_disk_series_solve_verifies_each_cell_once(nv):
     solves, points = [], []
     for area_first in (False, True):
         h = counting_integrand(inst)
-        g = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h)
-        red = g.hardness
+        red = DiskReduction(Fraction(1, 2), Fraction(1, 2), h)
         assert h.verifier_calls() == 0  # h(0) and h(1) lie on cell edges
         if area_first:
             points.append(red.certified_point_value(n))
             assert h.verifier_calls() == 2 ** nv
-        prob = DiskProblem(g, Fraction(1, 2))
+        prob = DiskProblem(red, Fraction(1, 2))
         assert h.verifier_calls() == 2 ** (nv + area_first)
         if not area_first:
             points.append(red.certified_point_value(n))

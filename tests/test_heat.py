@@ -4,7 +4,7 @@ import json
 import os
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import mpmath as mp
 import pytest
@@ -17,7 +17,7 @@ from certheat.evaluable import (EvaluableFunction, constant_fn, linear_pieces,
 from certheat.hardness import CountingInstance, counting_integrand
 from certheat.quadrature import int_pl_trig_pi, integrate
 from certheat.heat import (HalflineBoundaryProblem, HalflineForceProblem,
-                           IntervalHeatProblem, hardness_initial_interval,
+                           IntervalHeatProblem, IntervalReduction,
                            plan_halfline_boundary, plan_halfline_force,
                            plan_halfline_initial, plan_interval, sine_coeff,
                            solve_halfline_boundary, solve_halfline_force,
@@ -491,12 +491,12 @@ def test_neumann_reduction_examples():
 
 def test_interval_reduction_examples():
     flat = piecewise_linear_fn([(F(0), F(1)), (F(1), F(1))])
-    red = hardness_initial_interval(F(1, 4), F(1, 2), flat)
+    red = IntervalReduction(F(1, 4), F(1, 2), flat)
     u = red.certified_point_value(20)
     assert_close(u, 1 / mp.sqrt(mp.pi), 20)
 
     ramp = piecewise_linear_fn([(F(0), F(0)), (F(1), F(1))])
-    red2 = hardness_initial_interval(F(1, 4), F(1, 2), ramp)
+    red2 = IntervalReduction(F(1, 4), F(1, 2), ramp)
     assert_close(red2.certified_point_value(20), 1 / (2 * mp.sqrt(mp.pi)), 20)
     ival = integrate(red2.profile, 0, 1, 30)
     assert abs(ival.value_fraction() - F(1, 2)) <= ival.err_fraction()
@@ -509,17 +509,17 @@ def reduction_weight(t0, x0, y):
 
 def test_interval_reduction_refuses_bad_inputs():
     tent = piecewise_linear_fn([(F(0), F(0)), (F(3, 4), F(1)), (F(1), F(1, 2))])
-    red = hardness_initial_interval(F(1, 4), F(1, 2), tent)
+    red = IntervalReduction(F(1, 4), F(1, 2), tent)
     assert (red.t0, red.x0, red.profile) == (F(1, 4), F(1, 2), tent)
     with pytest.raises(PreconditionError, match="x0"):
-        hardness_initial_interval(F(1, 4), F(0), tent)  # the weight has a pole at y = 0
+        IntervalReduction(F(1, 4), F(0), tent)  # the weight has a pole at y = 0
     with pytest.raises(PreconditionError, match="t0"):
-        hardness_initial_interval(F(0), F(1, 2), tent)
+        IntervalReduction(F(0), F(1, 2), tent)
     wide = piecewise_linear_fn([(F(0), F(0)), (F(2), F(1))])
     with pytest.raises(PreconditionError, match=r"\[0, 1\]"):
-        hardness_initial_interval(F(1, 4), F(1, 2), wide)
+        IntervalReduction(F(1, 4), F(1, 2), wide)
     with pytest.raises(PreconditionError, match="pointwise"):
-        hardness_initial_interval(F(1, 4), F(1, 2), EvaluableFunction((F(0), F(1)), F(1)))
+        IntervalReduction(F(1, 4), F(1, 2), EvaluableFunction((F(0), F(1)), F(1)))
 
 
 def halfline_kernel(t, x, y):
@@ -556,7 +556,7 @@ def test_interval_reduction_identity_holds_for_the_halfline_problem(t0, x0):
     inst = CountingInstance((1, 2, 3, 4, 5, 6), 7)  # 4 of 64 cells accepted
     for h in (piecewise_linear_fn([(F(0), F(1)), (F(1), F(1))]),
               piecewise_linear_fn([(F(0), F(0)), (F(1), F(1))]), counting_integrand(inst)):
-        v = hardness_initial_interval(t0, x0, h).certified_point_value(60)
+        v = IntervalReduction(t0, x0, h).certified_point_value(60)
         with mp.workdps(30):
             want = reweighted_oracle(t0, x0, h)
             assert abs(to_mp(v.value_fraction()) - want) \
@@ -577,14 +577,14 @@ def _assert_taylor_data(fn, href):
         assert abs(to_mp(d.value_fraction()) - mp.diff(href, 0, k)) \
             <= to_mp(d.err_fraction()) + mp.mpf(2) ** -200, k
         sup = max(abs(mp.diff(href, s, k)) for s in grid)
-        assert to_mp(heat._profile_sup(fn, k)) >= sup - mp.mpf(2) ** -200, k
+        assert to_mp(next(heat._profile_sups(fn, k))) >= sup - mp.mpf(2) ** -200, k
 
 
 def test_poly_profile_taylor_data():
     cs = [F(3, 4), F(-2), F(1, 3), F(0), F(-5, 7), F(1, 9)]
     _assert_taylor_data(poly_profile(*cs),
                         lambda s: sum(to_mp(c) * s ** j for j, c in enumerate(cs)))
-    assert heat._profile_sup(poly_profile(*cs), 6) == 0
+    assert next(heat._profile_sups(poly_profile(*cs), 6)) == 0
     assert heat._profile_deriv(poly_profile(*cs), 7, 10).value_fraction() == 0
 
 
@@ -592,6 +592,46 @@ def test_poly_profile_taylor_data():
 def test_sinhalf_profile_taylor_data(amp):
     # k = 0..9 covers every k mod 4: 0, (pi/2)^k amp, 0, -(pi/2)^k amp
     _assert_taylor_data(sinhalf(amp), lambda s: to_mp(amp) * mp.sin(mp.pi * s / 2))
+
+
+def reference_sup(fn, k):
+    """The sup bound on |h^(k)| over [0, 1] as it was formed before it was
+    carried from k to k + 1."""
+    if fn.poly_coeffs is not None:
+        return sum(abs(c) * perm(j, k) for j, c in enumerate(fn.poly_coeffs) if j >= k)
+    return sum(abs(c) * (m * F(1571, 1000)) ** k for m, c in fn.sine_modes.items())
+
+
+def reference_plan_taylor(fn, scale, extra, n):
+    """The scan _plan_taylor replaced, (K, remainder): the sup bound and the
+    factorial recomputed for every K and compared as Fractions."""
+    bud, K = F(1, 1 << (n + 1)), 0
+    while (rem := scale * reference_sup(fn, K + 1) / factorial(K + 1 + extra)) > bud:
+        K += 1
+    return K, rem
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_plan_taylor_matches_the_reference_scan(extra):
+    # seeded polynomial and sine-mode profiles, scales and n up to 1024: the
+    # same order and the same exact claim as the Fraction scan
+    rng = random.Random(3141 + extra)
+    profiles = [sinhalf(F(1)), poly_profile(F(0))]
+    for _ in range(8):
+        profiles.append(poly_profile(*(F(rng.randrange(-50, 51), rng.randrange(1, 13))
+                                       for _ in range(rng.randrange(1, 8)))))
+        profiles.append(sine_modes_fn({m: F(rng.randrange(-30, 31), rng.randrange(1, 9))
+                                       for m in rng.sample(range(1, 9), rng.randrange(1, 4))},
+                                      F(2)))
+    for fn in profiles:
+        for n in (1, 8, 64, 256, 1024):
+            scale = rng.choice([F(1), F(3, 7), F(1000), F(1, 1 << 30)])
+            K, rem = reference_plan_taylor(fn, scale, extra, n)
+            plan = heat._plan_taylor(fn, scale, extra, n, "profile")
+            assert plan.order == K
+            assert plan.chain == [("taylor-remainder", rem, F(1, 1 << (n + 1)))]
+            sups = heat._profile_sups(fn, 0)
+            assert all(next(sups) == reference_sup(fn, k) for k in range(K + 2))
 
 
 def reference_ierfc_parts(w, m):

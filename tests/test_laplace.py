@@ -17,9 +17,8 @@ from certheat.cli import parse_boundary_fn
 from certheat.kernels import real_sph_harmonic_3d
 from certheat.quadrature import int_linear_cos_pi, int_linear_sin_pi, int_pl_trig_pi
 from certheat.series import geometric_cap
-from certheat.laplace import (BallProblem, DiskProblem, fourier_coeffs,
-                              hardness_boundary_disk, plan_ball_truncation,
-                              plan_disk, solve_ball, solve_disk)
+from certheat.laplace import (BallProblem, DiskProblem, DiskReduction, fourier_coeffs,
+                              plan_ball_truncation, plan_disk, solve_ball, solve_disk)
 
 MP_PREC = 300  # mpmath bits for this module's tests (see conftest.py)
 
@@ -80,7 +79,7 @@ def test_fourier_readoff_exact():
     tent = piecewise_linear_fn([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)),
                                 (Fraction(1), Fraction(0))])
     with pytest.raises(PreconditionError):
-        fourier_coeffs(hardness_boundary_disk(Fraction(1, 2), 0, tent), 1, 30)
+        fourier_coeffs(DiskReduction(Fraction(1, 2), 0, tent), 1, 30)
 
 
 def test_fourier_pl_vs_quadrature_oracle():
@@ -156,12 +155,12 @@ def test_disk_rejects_radius_beyond_r0():
 
 
 def test_interpolated_closure_bridges_to_seam():
-    # the reduction's pieces are h's and then the bridge from h(1) on [1, 2]
-    # back to h(0), where the closure meets itself at the seam
+    # the reduction's closure is h's pieces and then the bridge from h(1) on
+    # [1, 2] back to h(0), where the closure meets itself at the seam
     for h in (polynomial_fn([Fraction(0), Fraction(1)], (Fraction(0), Fraction(1))), THREE):
-        red = hardness_boundary_disk(Fraction(1, 2), Fraction(0), h).hardness
-        assert red.pieces[:-1] == linear_pieces(h)
-        c0, c1, a, b = red.pieces[-1]
+        red = DiskReduction(Fraction(1, 2), Fraction(0), h)
+        assert red.closure[:-1] == linear_pieces(h)
+        c0, c1, a, b = red.closure[-1]
         assert (a, b) == (1, 2)
         assert c0 + c1 * a == h.eval_exact(Fraction(1)) == red.h1
         assert c0 + c1 * b == h.eval_exact(Fraction(0)) == red.h0
@@ -171,10 +170,10 @@ def test_disk_reduction_without_pieces_is_refused():
     # the disk series reads the profile's pieces, and a quadratic has none;
     # the point-value identity reads no piece and still holds
     h = polynomial_fn([Fraction(0), Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
-    g = hardness_boundary_disk(Fraction(1, 2), Fraction(1, 2), h)
+    g = DiskReduction(Fraction(1, 2), Fraction(1, 2), h)
     with pytest.raises(PreconditionError, match="linear pieces"):
         DiskProblem(g, Fraction(1, 2))
-    ucv = g.hardness.certified_point_value(20)  # (1/3 + (0 + 1) / 2) / 2
+    ucv = g.certified_point_value(20)  # (1/3 + (0 + 1) / 2) / 2
     assert abs(ucv.value_fraction() - Fraction(5, 12)) <= ucv.err_fraction()
 
 
@@ -183,9 +182,8 @@ def test_hardness_identity_against_quadrature():
     # series solve must agree with the Poisson-integral oracle
     h = polynomial_fn([Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
     r0, th0 = Fraction(1, 2), Fraction(3, 4)
-    g = hardness_boundary_disk(r0, th0, h)
-    red = g.hardness
-    ucv = red.certified_point_value(30)
+    g = DiskReduction(r0, th0, h)
+    ucv = g.certified_point_value(30)
     # closure: s on [0,1], 2-rho on [1,2]; half the integral is 1/2
     assert abs(ucv.value_fraction() - Fraction(1, 2)) <= ucv.err_fraction()
     cv = solve_disk(DiskProblem(g, r0), r0, th0, 12)
@@ -193,10 +191,10 @@ def test_hardness_identity_against_quadrature():
     assert cv.err_fraction() <= Fraction(1, 2 ** 12)
 
     def gval(rho):
-        # g = the closure (the reduction's pieces) times the kernel factor
+        # g = the closure times the kernel factor
         # (1 + r0^2 - 2 r0 cos pi(theta0 - rho)) / (1 - r0^2)
         a = to_mp(r0)
-        return pieces_at(red.pieces, rho) \
+        return pieces_at(g.closure, rho) \
             * (1 + a * a - 2 * a * mp.cos(mp.pi * (to_mp(th0) - rho))) / (1 - a * a)
 
     oracle = mp.quad(lambda rho: poisson(to_mp(r0), mp.pi * (to_mp(th0) - rho))
@@ -206,9 +204,28 @@ def test_hardness_identity_against_quadrature():
 
 def test_hardness_constant_profile():
     h = polynomial_fn([Fraction(1)], (Fraction(0), Fraction(1)))
-    g = hardness_boundary_disk(Fraction(1, 3), Fraction(1, 5), h)
-    ucv = g.hardness.certified_point_value(25)
+    g = DiskReduction(Fraction(1, 3), Fraction(1, 5), h)
+    ucv = g.certified_point_value(25)
     assert abs(ucv.value_fraction() - 1) <= ucv.err_fraction()
+
+
+def test_disk_reduction_is_the_boundary_data():
+    # the reduction is data on [0, 2] bounded by its closure's sup times
+    # the kernel factor's top (1 + r0) / (1 - r0), and declares no pieces
+    # of its own; a bad marked point or profile is refused by name
+    g = DiskReduction(Fraction(1, 3), Fraction(1, 5), THREE)
+    assert g.domain == (0, 2) and g.sup == 2 and g.sup_bound == 4
+    assert g.pieces is None and linear_pieces(g) is None and g.eval_exact is None
+    assert DiskReduction(0, Fraction(1, 5), THREE).sup_bound == 2
+    wide = piecewise_linear_fn([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(1))])
+    for r0, th0, h, match in ((1, 0, THREE, r"r0 must lie in \[0,1\)"),
+                              (Fraction(-1, 2), 0, THREE, r"r0 must lie"),
+                              (0, Fraction(5, 2), THREE, r"theta0 must lie in \[0,2\]"),
+                              (0, 0, wide, r"profile must live on \[0,1\]"),
+                              (0, 0, EvaluableFunction((Fraction(0), Fraction(1)), Fraction(1)),
+                               "pointwise")):
+        with pytest.raises(PreconditionError, match=match):
+            DiskReduction(r0, th0, h)
 
 
 # three pieces on [0, 1]; the closure's bridge back to h(0) makes a fourth
@@ -229,13 +246,13 @@ def test_reduction_series_matches_poisson_oracle(r, theta, n):
     # reweighted data against 30-digit Poisson quadrature of g itself, with
     # theta on a breakpoint of the closure and theta0 != 1/2
     r0, th0 = Fraction(1, 3), Fraction(1, 5)
-    g = hardness_boundary_disk(r0, th0, THREE)
+    g = DiskReduction(r0, th0, THREE)
     cv = solve_disk(DiskProblem(g, r0), r, theta, n)
     assert cv.err_fraction() <= Fraction(1, 2 ** n)
-    pieces = g.hardness.pieces
+    pieces = g.closure
     with mp.workdps(30):
         def gval(rho):
-            # the closure (the reduction's pieces) times the kernel factor
+            # the closure times the kernel factor
             R0 = to_mp(r0)
             return pieces_at(pieces, rho) \
                 * (1 + R0 ** 2 - 2 * R0 * mp.cospi(to_mp(th0) - rho)) / (1 - R0 ** 2)
@@ -252,7 +269,7 @@ def test_reduction_series_matches_poisson_oracle(r, theta, n):
 def test_reduction_tail_is_within_the_plan_cap(r0):
     # plan_disk stops its search at geometric_cap for ||g||: there the
     # reduction's tail is within the budget at r0, and so at every r <= r0
-    g = hardness_boundary_disk(r0, Fraction(1, 5), THREE)
+    g = DiskReduction(r0, Fraction(1, 5), THREE)
     prob = DiskProblem(g, r0)
     for n in (8, 30, 64):
         cap = geometric_cap(2 * g.sup_bound / (1 - r0), r0, n)
@@ -292,7 +309,7 @@ def point_tail_problems():
         out.append(DiskProblem(piecewise_linear_fn(nodes), Fraction(99, 100)))
     for r0, h in ((Fraction(0), THREE), (Fraction(1, 3), THREE), (Fraction(9, 10), THREE),
                   (Fraction(1, 2), counting_integrand(CountingInstance((3, 5, 2, 7), 9)))):
-        out.append(DiskProblem(hardness_boundary_disk(r0, Fraction(1, 5), h), r0))
+        out.append(DiskProblem(DiskReduction(r0, Fraction(1, 5), h), r0))
     return out
 
 

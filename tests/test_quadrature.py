@@ -15,7 +15,7 @@ from certheat.evaluable import (EvaluableFunction, TrigPoly, _log2_ceil, linear_
                                 piecewise_linear_fn, sine_modes_fn, trig_poly_fn)
 from certheat.hardness import CountingInstance, counting_integrand
 from certheat.heat import IntervalHeatProblem, solve_interval
-from certheat.laplace import DiskProblem, hardness_boundary_disk, solve_disk
+from certheat.laplace import DiskProblem, DiskReduction, solve_disk
 from certheat.quadrature import (breakpoint_series, int_linear_cos_pi, int_linear_sin_pi,
                                  int_pl_trig_pi, integral_exact, integrate)
 
@@ -352,7 +352,7 @@ def breakpoint_probes():
     count = counting_integrand(CountingInstance((3, 5, 2, 7), 9))
     for r0, th0, prof in ((F(1, 2), F(1, 5), h), (F(9, 10), F(3, 4), h),
                           (F(1, 2), F(1, 2), count)):
-        disks.append(hardness_boundary_disk(r0, th0, prof))
+        disks.append(DiskReduction(r0, th0, prof))
     for g in disks:
         p = DiskProblem(g, F(9, 10))
         for _ in range(4):
